@@ -5,7 +5,8 @@ the output, and writes either CSV (with a leading config comment) or JSON.
 Identical configuration and seed give byte-identical output; there is no
 timestamping or machine-dependent content.  Exit codes: 0 success / check
 passed, 1 property violation or failed check, 2 usage or configuration
-error.  SYMDYN_THREADS caps the worker threads of the enumeration engine.
+error.  SYMDYN_THREADS (a positive integer) caps the worker threads of the
+enumeration engine.
 """
 
 from __future__ import annotations
@@ -23,11 +24,22 @@ from . import symsys as ss
 
 
 def parse_vertex(text: str):
-    """'5' -> 5, '1,-2' -> (1, -2)."""
+    """'5' -> 5, '1,-2' -> (1, -2), '5,' -> (5,)."""
     parts = text.split(",")
     if len(parts) == 1:
         return int(parts[0])
+    if parts[-1] == "":
+        parts.pop()
     return tuple(int(p) for p in parts)
+
+
+def _graph_vertex(g: ng.Digraph, text: str):
+    """Parse a vertex (or translation) of g: on a one-dimensional grid a bare
+    integer means the 1-tuple."""
+    v = parse_vertex(text)
+    if isinstance(v, int) and g.universe.get("D", 0) + g.universe.get("E", 0) == 1:
+        return (v,)
+    return v
 
 
 def parse_window(text: str):
@@ -100,7 +112,7 @@ def _config(args, keys) -> dict:
 
 def cmd_graph_ball(args) -> int:
     g = _graph_from_args(args)
-    center = parse_vertex(args.center)
+    center = _graph_vertex(g, args.center)
     sizes = g.ball_sizes([center], args.radius)
     rows = [{"r": r, "size": s} for r, s in enumerate(sizes)]
     summary = {"graph": g.universe, "center": vertex_str(center)}
@@ -114,7 +126,7 @@ def cmd_graph_ball(args) -> int:
 
 def cmd_graph_dim(args) -> int:
     g = _graph_from_args(args)
-    v = parse_vertex(args.vertex)
+    v = _graph_vertex(g, args.vertex)
     est = ng.dim_estimate(g, v, args.rmin, args.rmax)
     rows = [
         {"r": r, "ball_size": s, "exponent": e}
@@ -133,8 +145,8 @@ def cmd_graph_dim(args) -> int:
 
 def cmd_graph_speed(args) -> int:
     g = _graph_from_args(args)
-    v = parse_vertex(args.vertex)
-    delta = parse_vertex(args.shift)
+    v = _graph_vertex(g, args.vertex)
+    delta = _graph_vertex(g, args.shift)
     tau = ng.shift_tau(delta)
     rep = ng.speed_estimate(g, tau, v, args.nmax, args.cap)
     rows = [
@@ -528,6 +540,7 @@ def run(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        ss._thread_count()  # reject a malformed SYMDYN_THREADS before any work
         return args.fn(args)
     except (ng.UniverseExhaustionError, ng.MissingOutNeighborsError,
             ss.EnumerationCapError, ss.NetworkConsistencyError,

@@ -103,16 +103,6 @@ def weak_independence_report(
     return {"families": per_family, "epsilon": epsilon}
 
 
-def orbit_region(tau: Subisometry, base: Iterable[Vertex], n: int) -> set:
-    """Union of the first n+1 tau-images of a finite base set."""
-    region = set(base)
-    current = set(base)
-    for _ in range(n):
-        current = {tau(v) for v in current}
-        region |= current
-    return region
-
-
 def tau_entropy_profile(
     space: PatternSpace, tau: Subisometry, base: Iterable[Vertex], n_max: int
 ) -> dict:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .netgraph import Digraph, Vertex, sort_vertices
+from .netgraph import Digraph, Vertex, _ols_slope, sort_vertices
 from .symsys import Configuration, PatternSpace, SymbolicSystem
 from .entropydim import pattern_log_count
 
@@ -455,19 +455,9 @@ def metric_dim_estimate(
         )
     usable = [r for r in rows if r["log2_cover_lower"] > 0 and r["log2_cover_upper"] > 0]
     xs = [math.log(r["scale"]) for r in usable]
-    lower_slope = _ols(xs, [math.log(r["log2_cover_lower"]) for r in usable])
-    upper_slope = _ols(xs, [math.log(r["log2_cover_upper"]) for r in usable])
+    lower_slope = _ols_slope(xs, [math.log(r["log2_cover_lower"]) for r in usable])
+    upper_slope = _ols_slope(xs, [math.log(r["log2_cover_upper"]) for r in usable])
     return {"rows": rows, "lower_slope": lower_slope, "upper_slope": upper_slope}
-
-
-def _ols(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return 0.0
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
 
 
 def uniform_dim_profile(

@@ -7,18 +7,22 @@ rule inputs, trajectories by exact cone evaluation (no boundary guesses),
 and panoramas / window certificates by exhaustive enumeration of the
 pattern space restricted to the cone.
 
-The enumeration has two interchangeable engines: a plain dictionary
-grouping for small pattern counts, and a bit-packed engine (composed
-observation tables + grouped counting over packed trajectory keys) for
-large ones.  Both implement the same quantifier exactly.
+There is one enumeration engine.  It composes each window cell's value at
+each time step into a lookup table over the cells it reads, then groups the
+cone's patterns by observed trajectory in one of two ways, chosen by sizes
+it already knows: *count* keeps a presence counter per (trajectory key,
+cell value) and walks the patterns in vectorized chunks, and is used when
+those counters number no more than the patterns; *sort* otherwise builds
+the observation matrix (one row per pattern) and ranks its rows.  Both
+decide the same quantifier exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -52,10 +56,7 @@ class NotEquicontinuousError(Exception):
 
 
 DEFAULT_PATTERN_CAP = 2**24
-_DICT_ENGINE_MAX = 2**14
-_TABLE_CAP = 2**20
-_KEYSPACE_CAP = 2**22
-_CHUNK = 2**18  # inner vector length of the packed engine; L2/L3 friendly
+_CHUNK = 2**18  # inner vector length of the count grouping; L2/L3 friendly
 
 
 @dataclass(frozen=True)
@@ -90,23 +91,33 @@ class LocalRule:
 
         `table` is either a dict keyed by input tuples, or a flat sequence in
         row-major order of input tuples (first input most significant) under
-        symbol order 0..k-1.
+        symbol order 0..k-1.  Every key and entry must use symbols 0..k-1.
         """
         inputs = tuple(inputs)
+        k = alphabet_size
         if isinstance(table, dict):
             lookup = dict(table)
+            for args, value in lookup.items():
+                if not isinstance(args, tuple) or len(args) != len(inputs):
+                    raise ValueError(
+                        f"table key {args!r} is not a tuple of {len(inputs)} inputs"
+                    )
+                for a in args:
+                    _check_symbol(a, k, f"table key {args!r} has")
+                _check_symbol(value, k, f"table value at key {args!r} is")
 
             def fn(args):
                 return lookup[tuple(args)]
 
         else:
             flat = list(table)
-            k = alphabet_size
             expected = k ** len(inputs)
             if len(flat) != expected:
                 raise ValueError(
                     f"table has {len(flat)} entries, expected {expected}"
                 )
+            for idx, value in enumerate(flat):
+                _check_symbol(value, k, f"table entry {idx} is")
 
             def fn(args):
                 idx = 0
@@ -115,6 +126,12 @@ class LocalRule:
                 return flat[idx]
 
         return cls(inputs=inputs, fn=fn, label=label)
+
+
+def _check_symbol(value, k: int, where: str) -> None:
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and 0 <= value < k):
+        raise ValueError(f"{where} {value!r}, outside the symbols 0..{k - 1}")
 
 
 class SymbolicSystem:
@@ -213,7 +230,12 @@ class LightCone:
 
 @dataclass(frozen=True)
 class PanoramaResult:
-    """Determined-cell layers of a window under repeated observation."""
+    """Determined-cell layers of a window under repeated observation.
+
+    `engine` names the trajectory grouping the layers used: "count"
+    (presence counters over packed trajectory keys), "sort" (ranked rows of
+    the observation matrix), or "count+sort" when layers differed.
+    """
 
     window: tuple
     horizon: int
@@ -304,7 +326,6 @@ def panorama(
     window: Iterable[Vertex],
     horizon: int,
     max_patterns: int = DEFAULT_PATTERN_CAP,
-    _engine: Optional[str] = None,
 ) -> PanoramaResult:
     """Determined-cell layers of a window, by exhaustive enumeration.
 
@@ -325,7 +346,7 @@ def panorama(
     for t, layer in enumerate(cone.layers):
         cum.update(layer)
         tracked = sort_vertices(cum)
-        det, engine = _determined_at_horizon(sys, space, w, t, tracked, _engine)
+        det, engine = _determined_at_horizon(sys, space, w, t, tracked)
         layers.append(sort_vertices(det))
         engines.add(engine)
     return PanoramaResult(
@@ -365,7 +386,7 @@ def posexpansive_window_check(
         cum.update(layer)
         tracked = sort_vertices(remaining & cum)
         if tracked:
-            det, _ = _determined_at_horizon(sys, space, w, t, tracked, None)
+            det, _ = _determined_at_horizon(sys, space, w, t, tracked)
             remaining -= set(det)
         if not remaining:
             return {"covered": True, "first_t": t, "missing": ()}
@@ -376,251 +397,181 @@ def posexpansive_window_check(
     }
 
 
-def _determined_at_horizon(sys, space, window, horizon, tracked, engine):
-    """Which tracked cone cells are pinned down by observations 0..horizon.
+def _determined_at_horizon(sys, space, window, horizon, tracked):
+    """Which tracked cells (all in the horizon's cone) are pinned down by
+    observations 0..horizon, and the grouping ("count" or "sort") that
+    decided it.
 
     Exact for product spaces: enumeration runs over the horizon's own cone
-    and every cell outside it is unconstrained.
+    and every cell outside it is unconstrained.  Count grouping needs one
+    presence counter per trajectory key and tracked cell value, so it runs
+    only when those counters number no more than the patterns.
     """
-    cone = light_cone(sys, window, horizon)
-    count = _pattern_count(space, cone.union)
-    if engine == "dict" or (engine is None and count <= _DICT_ENGINE_MAX):
-        return (
-            _determined_dict_engine(sys, space, window, horizon, cone, tracked),
-            "dict",
-        )
-    try:
-        return (
-            _determined_packed_engine(sys, space, window, horizon, cone, tracked),
-            "packed",
-        )
-    except _PackedEngineUnavailable:
-        if engine == "packed":
-            raise
-        if count > _DICT_ENGINE_MAX * 64:
-            raise EnumerationCapError(count, _DICT_ENGINE_MAX * 64)
-        return (
-            _determined_dict_engine(sys, space, window, horizon, cone, tracked),
-            "dict",
-        )
+    cells = light_cone(sys, window, horizon).union
+    tables = _composed_tables(sys, space, window, horizon)
+    keyspace = sys.alphabet.size ** len(tables)
+    counters = keyspace * sum(len(space.allowed(v)) for v in tracked)
+    if counters <= _pattern_count(space, cells):
+        return _count_grouping(sys, space, cells, tables, tracked), "count"
+    return _sort_grouping(sys, space, cells, tables, tracked), "sort"
 
 
-def _determined_dict_engine(sys, space, window, horizon, cone, tracked):
-    """Reference engine: materialize every pattern, group by trajectory."""
-    cells = cone.union
-    allowed = [space.allowed(v) for v in cells]
-    pos = {v: i for i, v in enumerate(cells)}
-    tracked = [v for v in tracked if v in pos]
-    tracked_idx = [pos[v] for v in tracked]
-    groups: dict = {}
-    for pattern in itertools.product(*allowed):
-        x = Configuration(dict(zip(cells, pattern)))
-        traj = evaluate(sys, x, window, horizon)
-        obs = tuple(tuple(step[u] for u in window) for step in traj)
-        entry = groups.get(obs)
-        if entry is None:
-            groups[obs] = (pattern, [True] * len(tracked_idx))
-        else:
-            ref, ok = entry
-            for j, i in enumerate(tracked_idx):
-                if ok[j] and pattern[i] != ref[i]:
-                    ok[j] = False
-    per_vertex = [True] * len(tracked)
-    for _, ok in groups.values():
-        for j in range(len(tracked)):
-            per_vertex[j] = per_vertex[j] and ok[j]
-    return frozenset(v for j, v in enumerate(tracked) if per_vertex[j])
-
-
-class _PackedEngineUnavailable(Exception):
-    pass
-
-
-def _rule_flat_table(sys: SymbolicSystem, v: Vertex) -> np.ndarray:
-    """Rule as a flat array over row-major input tuples (first input most
-    significant)."""
-    rule = sys.rule(v)
-    k = sys.alphabet.size
-    arity = len(rule.inputs)
-    size = k**arity
-    if size > _TABLE_CAP:
-        raise _PackedEngineUnavailable(f"rule table at {v!r} needs {size} entries")
-    out = np.empty(size, dtype=np.int64)
-    for idx, args in enumerate(itertools.product(range(k), repeat=arity)):
-        out[idx] = rule.fn(args)
+def _strides(cells: Sequence[Vertex], space: PatternSpace) -> dict:
+    """Place value of each cell in the mixed-radix enumeration of `cells`
+    (first cell most significant, digits indexing `space.allowed`)."""
+    out = {}
+    stride = 1
+    for c in reversed(cells):
+        out[c] = stride
+        stride *= len(space.allowed(c))
     return out
 
 
-def _composed_tables(sys, space, window, horizon):
-    """Observation value of each window cell at each time, as a lookup table
-    over the mixed-radix enumeration of its own input layer.
+def _radix_index(
+    cells: Sequence[Vertex], space: PatternSpace, weights: dict
+) -> np.ndarray:
+    """Sum of digit * weight at every point of the mixed-radix enumeration
+    of `cells`; cells without a weight count zero.
 
-    Returns per-t entries (domain cells, packed-observation table) where the
-    observation packs the window cells' symbols in sorted order, first cell
-    most significant.
+    With `_strides(dom, space)` as weights this maps each pattern on `cells`
+    to its position in the enumeration of a sub-domain `dom`; with `{v: 1}`
+    it is the digit of v.
     """
-    k = sys.alphabet.size
-    rule_tabs: dict = {}
+    rads = [len(space.allowed(c)) for c in cells]
+    out = np.zeros([1] * len(cells), dtype=np.int64)
+    for axis, (c, r) in enumerate(zip(cells, rads)):
+        if weights.get(c):
+            shape = [1] * len(cells)
+            shape[axis] = r
+            out = out + (np.arange(r, dtype=np.int64) * weights[c]).reshape(shape)
+    return np.broadcast_to(out, rads).ravel()
+
+
+def _group_rows(columns: Iterable[np.ndarray], radix: int, n: int):
+    """Rank the rows of an n-row matrix given column by column, with entries
+    in 0..radix-1, so that equal rows share a rank.
+
+    Returns (first, ranks): ranks[i] is the rank of row i among the distinct
+    rows and first[j] the first row of rank j.  Rows pack into int64 codes,
+    re-ranked whenever one more column could overflow them, so rows of any
+    width group exactly.
+    """
+    code = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for col in columns:
+        if bound * radix > 2**62:
+            code = np.unique(code, return_inverse=True)[1]
+            bound = n
+        code = code * radix + col
+        bound *= radix
+    _, first, ranks = np.unique(code, return_index=True, return_inverse=True)
+    return first, ranks
+
+
+def _composed_tables(sys, space, window, horizon):
+    """Value of each window cell at each time, as a lookup table over the
+    mixed-radix enumeration of the cells it reads at time 0.
+
+    Returns (domain, table) pairs, time-major and in window order.  Each rule
+    runs once per distinct argument tuple that occurs in its table.
+    """
     memo: dict = {}
-
-    def radices(cells):
-        return [len(space.allowed(v)) for v in cells]
-
-    def strides(rads):
-        out = [1] * len(rads)
-        for i in range(len(rads) - 2, -1, -1):
-            out[i] = out[i + 1] * rads[i + 1]
-        return out
 
     def build(t, v):
         got = memo.get((t, v))
         if got is not None:
             return got
         if t == 0:
-            dom = (v,)
-            arr = np.array(space.allowed(v), dtype=np.int64)
-            memo[(t, v)] = (dom, arr)
-            return dom, arr
-        rule = sys.rule(v)
-        subs = [build(t - 1, u) for u in rule.inputs]
-        dom = sort_vertices(set().union(*(set(d) for d, _ in subs)))
-        rads = radices(dom)
-        size = math.prod(rads)
-        if size > _TABLE_CAP:
-            raise _PackedEngineUnavailable(
-                f"composed table for ({t}, {v!r}) needs {size} entries"
-            )
-        st = strides(rads)
-        ar = np.arange(size, dtype=np.int64)
-        digit = {
-            c: (ar // st[i]) % rads[i] for i, c in enumerate(dom)
-        }
-        args = []
-        for sub_dom, sub_arr in subs:
-            sub_rads = radices(sub_dom)
-            sub_st = strides(sub_rads)
-            sub_idx = np.zeros(size, dtype=np.int64)
-            for i, c in enumerate(sub_dom):
-                sub_idx += digit[c] * sub_st[i]
-            args.append(sub_arr[sub_idx])
-        rt = rule_tabs.get(v)
-        if rt is None:
-            rt = _rule_flat_table(sys, v)
-            rule_tabs[v] = rt
-        in_idx = np.zeros(size, dtype=np.int64)
-        for a in args:
-            in_idx = in_idx * k + a
-        arr = rt[in_idx].astype(np.int64)
-        memo[(t, v)] = (dom, arr)
-        return dom, arr
+            got = (v,), np.array(space.allowed(v), dtype=np.int64)
+        else:
+            rule = sys.rule(v)
+            subs = [build(t - 1, u) for u in rule.inputs]
+            dom = sort_vertices(set().union(*(d for d, _ in subs)))
+            args = [arr[_radix_index(dom, space, _strides(d, space))] for d, arr in subs]
+            first, ranks = _group_rows(args, sys.alphabet.size, _pattern_count(space, dom))
+            values = [rule.fn(tuple(int(a[i]) for a in args)) for i in first]
+            got = dom, np.array(values, dtype=np.int64)[ranks]
+        memo[(t, v)] = got
+        return got
 
-    tables = []
-    for t in range(horizon + 1):
-        per_w = [build(t, u) for u in window]
-        dom = sort_vertices(set().union(*(set(d) for d, _ in per_w)))
-        rads = radices(dom)
-        size = math.prod(rads)
-        if size > _TABLE_CAP:
-            raise _PackedEngineUnavailable(
-                f"observation table at t={t} needs {size} entries"
-            )
-        st = strides(rads)
-        ar = np.arange(size, dtype=np.int64)
-        digit = {c: (ar // st[i]) % rads[i] for i, c in enumerate(dom)}
-        obs = np.zeros(size, dtype=np.int64)
-        for sub_dom, sub_arr in per_w:
-            sub_rads = radices(sub_dom)
-            sub_st = strides(sub_rads)
-            sub_idx = np.zeros(size, dtype=np.int64)
-            for i, c in enumerate(sub_dom):
-                sub_idx += digit[c] * sub_st[i]
-            obs = obs * k + sub_arr[sub_idx]
-        tables.append((dom, obs))
-    return tables
+    return [build(t, u) for t in range(horizon + 1) for u in window]
 
 
-def _merge_obs_tables(tables, space, obs_radix, cap):
-    """Greedily merge consecutive per-step tables over their union domains.
+def _observation_columns(cells, space, tables):
+    """Columns of the observation matrix over the patterns on `cells`: entry
+    (i, j) is the j-th table's value under the i-th pattern."""
+    for dom, arr in tables:
+        yield arr[_radix_index(cells, space, _strides(dom, space))]
+
+
+def _sort_grouping(sys, space, cells, tables, tracked):
+    """Rank the rows of the observation matrix: a cell is determined exactly
+    when every pattern agrees there with the first pattern of its rank."""
+    first, ranks = _group_rows(
+        _observation_columns(cells, space, tables),
+        sys.alphabet.size,
+        _pattern_count(space, cells),
+    )
+    rep = first[ranks]
+    determined = []
+    for v in tracked:
+        digit = _radix_index(cells, space, {v: 1})
+        if np.array_equal(digit, digit[rep]):
+            determined.append(v)
+    return frozenset(determined)
+
+
+def _merge_tables(tables, space, radix, cap):
+    """Greedily merge consecutive tables over their union domains while the
+    union's enumeration stays within `cap` entries.
 
     Fewer, cache-resident lookup tables mean fewer gather passes in the hot
-    loop; each merged table yields the packed observation block of its time
-    steps directly.
+    loop.  Each merged table packs its members' values, first member most
+    significant, and comes with the number of members.
     """
     merged = []
     i = 0
     while i < len(tables):
         dom = set(tables[i][0])
         j = i + 1
-        size = math.prod(len(space.allowed(c)) for c in dom)
-        while j < len(tables):
-            trial = dom | set(tables[j][0])
-            trial_size = math.prod(len(space.allowed(c)) for c in trial)
-            if trial_size > cap:
-                break
-            dom = trial
-            size = trial_size
+        while j < len(tables) and _pattern_count(space, dom | set(tables[j][0])) <= cap:
+            dom |= set(tables[j][0])
             j += 1
-        gdom = sort_vertices(dom)
-        rads = [len(space.allowed(c)) for c in gdom]
-        strides = [1] * len(gdom)
-        for p in range(len(gdom) - 2, -1, -1):
-            strides[p] = strides[p + 1] * rads[p + 1]
-        ar = np.arange(size, dtype=np.int64)
-        digit = {c: (ar // s) % r for c, s, r in zip(gdom, strides, rads)}
-        garr = np.zeros(size, dtype=np.int64)
-        for t in range(i, j):
-            sub_dom, sub_arr = tables[t]
-            sub_rads = [len(space.allowed(c)) for c in sub_dom]
-            sub_st = [1] * len(sub_dom)
-            for p in range(len(sub_dom) - 2, -1, -1):
-                sub_st[p] = sub_st[p + 1] * sub_rads[p + 1]
-            sub_idx = np.zeros(size, dtype=np.int64)
-            for c, s in zip(sub_dom, sub_st):
-                sub_idx += digit[c] * s
-            garr = garr * obs_radix + sub_arr[sub_idx]
-        merged.append({"dom": gdom, "arr": garr, "width": j - i})
+        dom = sort_vertices(dom)
+        packed = np.zeros(_pattern_count(space, dom), dtype=np.int64)
+        for sub_dom, arr in tables[i:j]:
+            packed = packed * radix + arr[_radix_index(dom, space, _strides(sub_dom, space))]
+        merged.append((dom, packed, j - i))
         i = j
     return merged
 
 
 def _thread_count() -> int:
-    import os
-
+    """Worker threads of the count grouping: SYMDYN_THREADS, else up to 2."""
     env = os.environ.get("SYMDYN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(2, os.cpu_count() or 1))
+    if env is None:
+        return max(1, min(2, os.cpu_count() or 1))
+    if not (env.isdecimal() and int(env) > 0):
+        raise ValueError(f"SYMDYN_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
-def _determined_packed_engine(sys, space, window, horizon, cone, tracked):
-    """Grouped-counting engine for large enumerations.
+def _count_grouping(sys, space, cells, tables, tracked):
+    """Presence counting over packed trajectory keys.
 
     The pattern space over the cone is enumerated as an outer x inner
     product: the low-stride cell block is materialized once as vectorized
-    digit arrays, while the high-stride block is walked in an outer loop
+    index arrays, while the high-stride block is walked in an outer loop
     contributing scalar offsets.  Each pattern's observed trajectory packs
     into one integer key via merged lookup tables, and a cell is determined
     exactly when no key co-occurs with two different cell values.  Outer
     iterations may run on a few threads; integer count accumulation keeps
     the result independent of the partitioning.
     """
-    cells = cone.union
-    tracked = [v for v in tracked if v in set(cells)]
+    k = sys.alphabet.size
+    keyspace = k ** len(tables)
     rads = [len(space.allowed(v)) for v in cells]
-    obs_radix = sys.alphabet.size ** len(window)
-    keyspace = obs_radix ** (horizon + 1)
-    if keyspace > _KEYSPACE_CAP:
-        raise _PackedEngineUnavailable(f"trajectory key space {keyspace} too large")
-    count_cells = sum(keyspace * len(space.allowed(v)) for v in tracked)
-    if count_cells > 2**25:
-        raise _PackedEngineUnavailable(
-            f"presence tables need {count_cells} counters"
-        )
-    tables = _composed_tables(sys, space, window, horizon)
-    groups = _merge_obs_tables(tables, space, obs_radix, cap=2**18)
+    groups = _merge_tables(tables, space, k, cap=2**18)
 
     # split cells into outer | inner with the inner product near _CHUNK
     split = len(cells)
@@ -630,47 +581,27 @@ def _determined_packed_engine(sys, space, window, horizon, cone, tracked):
         inner_count *= rads[split]
     outer_cells = cells[:split]
     inner_cells = cells[split:]
-    inner_rads = rads[split:]
 
-    inner_digits = {}
-    stride = inner_count
-    idx = np.arange(inner_count, dtype=np.int64)
-    for c, r in zip(inner_cells, inner_rads):
-        stride //= r
-        inner_digits[c] = ((idx // stride) % r).astype(np.int32)
-    del idx
-
-    max_rad = max(rads)
-    small_key = keyspace * max_rad <= 2**16
-    key_dtype = np.uint16 if small_key else np.int32
+    top = keyspace * max(rads)
+    key_dtype = np.uint16 if top <= 2**16 else np.int32 if top <= 2**31 else np.int64
 
     # scale each group's packed block by the radix width of the later groups
-    suffix = 0
-    scales = [0] * len(groups)
-    for gi in range(len(groups) - 1, -1, -1):
-        scales[gi] = obs_radix**suffix
-        suffix += groups[gi]["width"]
     prepared = []
-    for g, scale in zip(groups, scales):
-        dom = g["dom"]
-        dom_rads = [len(space.allowed(c)) for c in dom]
-        dom_strides = [1] * len(dom)
-        for p in range(len(dom) - 2, -1, -1):
-            dom_strides[p] = dom_strides[p + 1] * dom_rads[p + 1]
-        inner_part = np.zeros(inner_count, dtype=np.int32)
-        outer_terms = []
-        for c, s in zip(dom, dom_strides):
-            if c in inner_digits:
-                inner_part += inner_digits[c] * np.int32(s)
-            else:
-                outer_terms.append((c, s))
-        prepared.append(
-            (inner_part, outer_terms, (g["arr"] * scale).astype(key_dtype))
-        )
+    scale = 1
+    for dom, packed, width in reversed(groups):
+        st = _strides(dom, space)
+        prepared.append((
+            _radix_index(inner_cells, space, st).astype(np.int32),
+            [(c, st[c]) for c in outer_cells if c in st],
+            (packed * scale).astype(key_dtype),
+        ))
+        scale *= k**width
 
     rad_of = dict(zip(cells, rads))
     tracked_inner = {
-        v: inner_digits[v].astype(key_dtype) for v in tracked if v in inner_digits
+        v: _radix_index(inner_cells, space, {v: 1}).astype(key_dtype)
+        for v in tracked
+        if v in inner_cells
     }
     outer_combos = list(itertools.product(*[range(r) for r in rads[:split]]))
 
@@ -771,7 +702,7 @@ def equicontinuity_envelope(
 
     The candidate is the cumulative cone; it certifies only when it stops
     growing over the second half of the probe horizon, and the certificate is
-    then checked by evaluating every full-alphabet pattern on it.  A finite
+    then checked by enumerating every full-alphabet pattern on it.  A finite
     non-divergent probe without stabilization is reported as uncertified.
     """
     w = sort_vertices(window)
@@ -804,20 +735,17 @@ def equicontinuity_envelope(
     count = _pattern_count(full, envelope)
     if count > max_patterns:
         raise EnumerationCapError(count, max_patterns)
-    trajectories = set()
-    for pattern in itertools.product(
-        *[full.allowed(v) for v in envelope]
-    ):
-        x = Configuration(dict(zip(envelope, pattern)))
-        traj = evaluate(sys, x, w, t_probe)
-        trajectories.add(tuple(tuple(step[u] for u in w) for step in traj))
+    columns = _observation_columns(
+        envelope, full, _composed_tables(sys, full, w, t_probe)
+    )
+    first, _ = _group_rows(columns, sys.alphabet.size, count)
     return EnvelopeReport(
         certified=True,
         envelope=envelope,
         certified_horizon=t_probe,
         reach=reach,
         cone_sizes=tuple(sizes),
-        trajectory_count=len(trajectories),
+        trajectory_count=len(first),
     )
 
 
@@ -848,31 +776,29 @@ def odometer_factor_chain(
         count = _pattern_count(space, env.envelope)
         if count > max_patterns:
             raise EnumerationCapError(count, max_patterns)
-        trajs = set()
-        for pattern in itertools.product(
-            *[space.allowed(v) for v in env.envelope]
-        ):
-            x = Configuration(dict(zip(env.envelope, pattern)))
-            traj = evaluate(sys, x, w, horizon)
-            trajs.add(tuple(tuple(step[u] for u in w) for step in traj))
-        forward = {}
-        backward = {}
-        functional = injective = True
-        for tr in trajs:
-            head, tail = tr[:horizon], tr[1:]
-            if head in forward and forward[head] != tail:
-                functional = False
-            if tail in backward and backward[tail] != head:
-                injective = False
-            forward[head] = tail
-            backward[tail] = head
-        closed = set(forward) == set(backward)
+        k = sys.alphabet.size
+        columns = list(_observation_columns(
+            env.envelope, space, _composed_tables(sys, space, w, horizon)
+        ))
+        trajs, _ = _group_rows(columns, k, count)
+        # rank heads (steps 0..T-1) and tails (steps 1..T) in one pool
+        shifted = [
+            np.concatenate(pair)
+            for pair in zip(columns[: horizon * len(w)], columns[len(w):])
+        ]
+        _, ranks = _group_rows(shifted, k, 2 * count)
+        head, tail = ranks[:count], ranks[count:]
+        pairs, _ = _group_rows([head, tail], 2 * count, count)
+        heads, tails = np.unique(head), np.unique(tail)
+        # the shift is a function (one tail per head), injective (one head
+        # per tail) and maps the head set onto the tail set
+        permutation = len(heads) == len(pairs) and np.array_equal(heads, tails)
         results.append(
             {
                 "window": w,
                 "envelope": env.envelope,
                 "trajectory_count": len(trajs),
-                "shift_is_permutation": functional and injective and closed,
+                "shift_is_permutation": permutation,
             }
         )
     return results
@@ -1036,10 +962,7 @@ def ca_on_zd(alphabet_size: int, offsets: Sequence[tuple], table: Sequence[int])
     if any(len(o) != d for o in offsets):
         raise ValueError("offsets must share one dimension")
     alphabet = Alphabet(alphabet_size)
-    flat = list(table)
-    k = alphabet_size
-    if len(flat) != k ** len(offsets):
-        raise ValueError("table length does not match offsets")
+    proto = LocalRule.from_table(offsets, table, alphabet_size, label="ca")
 
     def ins(v):
         return [tuple(a + b for a, b in zip(v, off)) for off in offsets]
@@ -1050,13 +973,7 @@ def ca_on_zd(alphabet_size: int, offsets: Sequence[tuple], table: Sequence[int])
     graph = Digraph(ins, outs, universe={"family": "ca_zd", "D": d, "offsets": offsets})
 
     def rule_at(v):
-        def fn(args):
-            idx = 0
-            for a in args:
-                idx = idx * k + a
-            return flat[idx]
-
-        return LocalRule(inputs=tuple(ins(v)), fn=fn, label="ca")
+        return replace(proto, inputs=tuple(ins(v)))
 
     sys = SymbolicSystem(alphabet, graph, rule_at, label=f"ca_z{d}")
     return sys, PatternSpace.full(alphabet)
@@ -1133,7 +1050,10 @@ def system_from_descriptor(desc: dict):
             inputs = [
                 tuple(u) if isinstance(u, list) else u for u in entry["inputs"]
             ]
-            rules[v] = LocalRule.from_table(inputs, entry["table"], alphabet.size)
+            try:
+                rules[v] = LocalRule.from_table(inputs, entry["table"], alphabet.size)
+            except ValueError as exc:
+                raise ValueError(f"rule at vertex {v!r}: {exc}") from None
 
         def rule_at(v):
             if v not in rules:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from symdyn import netgraph as ng
+from symdyn import symsys as ss
 
 
 @pytest.fixture
@@ -90,3 +92,61 @@ def disjoint_ball_families(g, rng: random.Random, count: int):
         if ok:
             families.append(balls)
     return families
+
+
+def trajectory_set_oracle(sys_, space, window, horizon):
+    """Observed trajectories of every pattern on the window's cone, each
+    computed by `evaluate` on its own configuration."""
+    w = ng.sort_vertices(window)
+    cells = ss.light_cone(sys_, w, horizon).union
+    out = set()
+    for pattern in itertools.product(*[space.allowed(v) for v in cells]):
+        traj = ss.evaluate(sys_, ss.Configuration(dict(zip(cells, pattern))), w, horizon)
+        out.add(tuple(tuple(step[u] for u in w) for step in traj))
+    return out
+
+
+def determined_oracle(sys_, space, window, horizon, tracked):
+    """Reference dict engine: materialize every pattern on the horizon's
+    cone, group by trajectory, and keep the tracked cells every group agrees
+    on."""
+    w = ng.sort_vertices(window)
+    cells = ss.light_cone(sys_, w, horizon).union
+    pos = {v: i for i, v in enumerate(cells)}
+    tracked = [v for v in tracked if v in pos]
+    groups: dict = {}
+    for pattern in itertools.product(*[space.allowed(v) for v in cells]):
+        x = ss.Configuration(dict(zip(cells, pattern)))
+        traj = ss.evaluate(sys_, x, w, horizon)
+        obs = tuple(tuple(step[u] for u in w) for step in traj)
+        ref = groups.setdefault(obs, pattern)
+        tracked = [v for v in tracked if pattern[pos[v]] == ref[pos[v]]]
+    return set(tracked)
+
+
+def panorama_layers_oracle(sys_, space, window, horizon):
+    """Panorama layers by the reference dict engine."""
+    cone = ss.light_cone(sys_, window, horizon)
+    cum: set = set()
+    layers = []
+    for t, layer in enumerate(cone.layers):
+        cum.update(layer)
+        layers.append(ng.sort_vertices(determined_oracle(sys_, space, window, t, cum)))
+    return tuple(layers)
+
+
+def shift_permutation_oracle(trajs, horizon):
+    """Does dropping the first observation permute the horizon-truncated
+    trajectories?"""
+    forward: dict = {}
+    backward: dict = {}
+    functional = injective = True
+    for tr in trajs:
+        head, tail = tr[:horizon], tr[1:]
+        if forward.get(head, tail) != tail:
+            functional = False
+        if backward.get(tail, head) != head:
+            injective = False
+        forward[head] = tail
+        backward[tail] = head
+    return functional and injective and set(forward) == set(backward)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from symdyn import cli
+from symdyn import netgraph as ng
 
 
 def run_to_file(tmp_path, name, argv):
@@ -258,3 +259,58 @@ def test_system_file_loading(tmp_path):
     )
     assert code == 0
     assert [row["rho"] for row in json.loads(text)["rows"]] == [1, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("vertex", ["0", "0,"])
+def test_graph_dim_z1_vertex(tmp_path, vertex):
+    code, text = run_to_file(
+        tmp_path, "dim.json",
+        ["graph-dim", "--family", "cayley_zd", "--D", "1", "--vertex", vertex,
+         "--rmin", "4", "--rmax", "8", "--format", "json"],
+    )
+    assert code == 0
+    payload = json.loads(text)
+    est = ng.dim_estimate(ng.cayley_zd(1), (0,), 4, 8)
+    assert [row["ball_size"] for row in payload["rows"]] == list(est.ball_sizes)
+    assert [row["exponent"] for row in payload["rows"]] == list(est.pointwise_exponents)
+    assert payload["summary"]["fit_slope"] == est.fit_slope
+
+
+def test_graph_ball_and_speed_z1(tmp_path):
+    code, text = run_to_file(
+        tmp_path, "ball.json",
+        ["graph-ball", "--family", "cayley_zd", "--D", "1", "--center", "0",
+         "--radius", "3", "--format", "json"],
+    )
+    assert code == 0
+    assert [row["size"] for row in json.loads(text)["rows"]] == [1, 3, 5, 7]
+    code, text = run_to_file(
+        tmp_path, "speed.json",
+        ["graph-speed", "--family", "cayley_zd", "--D", "1", "--vertex", "0",
+         "--shift", "1", "--nmax", "4", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(text)["summary"]["inf_proxy"] == 1.0
+
+
+def test_system_file_bad_table_exit_code(tmp_path, capsys):
+    desc = {
+        "alphabet": 2,
+        "graph": {"edges": [[0, 0]]},
+        "rules": [{"vertex": 0, "inputs": [0], "table": [0, 5]}],
+    }
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(desc))
+    code = cli.run(["sys-panorama", "--system-file", str(f), "--window", "0",
+                    "--T", "2", "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "vertex 0: table entry 1 is 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SYMDYN_THREADS", value)
+    code = cli.run(["sys-panorama", "--system", "odometer", "--m", "2",
+                    "--window", "0", "--T", "2", "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "SYMDYN_THREADS" in capsys.readouterr().err

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 from symdyn import counterexample as cx
+
+from conftest import (
+    determined_oracle,
+    panorama_layers_oracle,
+    shift_permutation_oracle,
+    trajectory_set_oracle,
+)
 
 
 @pytest.fixture
@@ -185,15 +196,170 @@ def test_panorama_layers_nested(cex):
 
 
 def test_panorama_engines_agree(cex):
+    """Count and sort grouping decide the same cells on the same cone, and
+    both match the reference dict engine."""
     sysx, spx = cex
-    for horizon in (2, 3, 4):
-        d = ss.panorama(sysx, spx, [0], horizon, _engine="dict")
-        p = ss.panorama(sysx, spx, [0], horizon, _engine="packed")
-        assert d.layers == p.layers
     fs, fsp = ss.full_shift(3)
-    d = ss.panorama(fs, fsp, [0], 3, _engine="dict")
-    p = ss.panorama(fs, fsp, [0], 3, _engine="packed")
-    assert d.layers == p.layers
+    osys, ospace = ss.odometer_system([3, 2])
+    for sys_, space, window, horizon in (
+        (sysx, spx, (0,), 2),
+        (sysx, spx, (0,), 3),
+        (fs, fsp, (0,), 3),
+        (fs, fsp, (0, 2), 2),
+        (osys, ospace, (0, 1, 2), 3),
+    ):
+        cells = ss.light_cone(sys_, window, horizon).union
+        tables = ss._composed_tables(sys_, space, window, horizon)
+        by_count = ss._count_grouping(sys_, space, cells, tables, cells)
+        by_sort = ss._sort_grouping(sys_, space, cells, tables, cells)
+        expected = determined_oracle(sys_, space, window, horizon, cells)
+        assert by_count == by_sort == expected
+    cells = ss.light_cone(sysx, [0], 4).union
+    tables = ss._composed_tables(sysx, spx, (0,), 4)
+    assert ss._count_grouping(sysx, spx, cells, tables, cells) == ss._sort_grouping(
+        sysx, spx, cells, tables, cells
+    )
+
+
+def test_panorama_reports_grouping(cex, full_shift_n):
+    sysx, spx = cex
+    assert ss.panorama(sysx, spx, [0], 4).engine == "count+sort"
+    sys_, space = full_shift_n
+    assert ss.panorama(sys_, space, [0], 6).engine == "sort"
+
+
+def test_panorama_full_shift_wide_keys(full_shift_n):
+    """A 2^26 trajectory key space takes the sort grouping and stays fast."""
+    sys_, space = full_shift_n
+    start = time.perf_counter()
+    result = ss.panorama(sys_, space, [0, 3], 12)
+    elapsed = time.perf_counter() - start
+    assert result.layers[:2] == ((0, 3), (0, 1, 3, 4))
+    assert result.layers[2:] == tuple(tuple(range(t + 4)) for t in range(2, 13))
+    assert result.engine == "sort"
+    assert elapsed < 2.0
+
+
+def test_panorama_wide_rule_table():
+    """Cell 13 of the (3, 2) odometer reads 14 inputs (3^14 table entries);
+    its rule only runs on the argument tuples that occur."""
+    sys_, space = ss.odometer_system([3, 2])
+    result = ss.panorama(sys_, space, [13], 1)
+    assert result.layers == ((13,), (13,))
+    assert result.pattern_count == 3 * 2**13
+    check = ss.posexpansive_window_check(sys_, space, [13], 1, range(14))
+    assert check == {"covered": False, "first_t": None, "missing": tuple(range(13))}
+
+
+def test_long_trajectories_do_not_overflow(binary_odometer):
+    """Window (0, 1, 2) over 31 steps observes 93 bits per trajectory."""
+    sys_, space = binary_odometer
+    trajs = trajectory_set_oracle(sys_, space, [0, 1, 2], 30)
+    rep = ss.equicontinuity_envelope(sys_, [0, 1, 2], 30, 8)
+    assert rep.trajectory_count == len(trajs) == 8
+    chain = ss.odometer_factor_chain(sys_, space, [[0, 1, 2]], 30)
+    assert chain[0]["trajectory_count"] == 8
+    assert chain[0]["shift_is_permutation"] is shift_permutation_oracle(trajs, 30)
+    assert chain[0]["shift_is_permutation"]
+
+
+def test_group_rows_keeps_wide_rows_apart():
+    """Rows differing only in the first of 100 binary columns stay distinct:
+    the packed codes are re-ranked before they could overflow."""
+    columns = [np.array([0, 1, 0])] + [np.array([1, 1, 1])] * 99
+    first, ranks = ss._group_rows(columns, 2, 3)
+    assert list(first) == [0, 1]
+    assert list(ranks) == [0, 1, 0]
+
+
+@st.composite
+def explicit_systems(draw):
+    """Random explicit system of at most 6 vertices with a random product
+    space, window and horizon."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 3))
+    rules = []
+    for v in range(n):
+        inputs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        size = k ** len(inputs)
+        table = draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+        rules.append({"vertex": v, "inputs": inputs, "table": table})
+    edges = [[u, r["vertex"]] for r in rules for u in r["inputs"]]
+    sys_, _ = ss.system_from_descriptor(
+        {"alphabet": k, "graph": {"edges": edges}, "rules": rules}
+    )
+    symbols = st.integers(0, k - 1)
+    allowed = [
+        sorted(draw(st.just(set(range(k))) | st.sets(symbols, min_size=1)))
+        for _ in range(n)
+    ]
+    space = ss.PatternSpace(lambda v: allowed[v])
+    window = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
+    target = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return sys_, space, sorted(window), draw(st.integers(0, 4)), target
+
+
+# cell 0 reads three cells that copy themselves: at t=1 the window check
+# tracks only cell 1 and has more patterns (16) than counters (8)
+_COUNT_CASE = (
+    *ss.system_from_descriptor({
+        "alphabet": 2,
+        "graph": {"edges": [[1, 0], [2, 0], [3, 0], [1, 1], [2, 2], [3, 3]]},
+        "rules": [
+            {"vertex": 0, "inputs": [1, 2, 3], "table": [0, 1, 1, 0, 1, 0, 0, 1]},
+            {"vertex": 1, "inputs": [1], "table": [0, 1]},
+            {"vertex": 2, "inputs": [2], "table": [0, 1]},
+            {"vertex": 3, "inputs": [3], "table": [0, 1]},
+        ],
+    }),
+    [0], 2, {1},
+)
+
+
+def test_engine_matches_oracles(monkeypatch):
+    """Panoramas, window checks, envelopes and factor chains on random small
+    systems agree with the `evaluate`-based oracles, through both groupings."""
+    seen = set()
+    determined = ss._determined_at_horizon
+
+    def recording(*args):
+        cells, grouping = determined(*args)
+        seen.add(grouping)
+        return cells, grouping
+
+    monkeypatch.setattr(ss, "_determined_at_horizon", recording)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(explicit_systems())
+    @example(_COUNT_CASE)
+    def check(case):
+        sys_, space, window, horizon, target = case
+        result = ss.panorama(sys_, space, window, horizon)
+        layers = panorama_layers_oracle(sys_, space, window, horizon)
+        assert result.layers == layers
+
+        first_t = next((t for t, layer in enumerate(layers) if target <= set(layer)), None)
+        missing = () if first_t is not None else ng.sort_vertices(target - set(layers[-1]))
+        assert ss.posexpansive_window_check(sys_, space, window, horizon, target) == {
+            "covered": first_t is not None, "first_t": first_t, "missing": missing,
+        }
+
+        rep = ss.equicontinuity_envelope(sys_, window, horizon, r_cap=6)
+        if rep.certified:
+            full = ss.PatternSpace.full(sys_.alphabet)
+            assert rep.trajectory_count == len(
+                trajectory_set_oracle(sys_, full, window, horizon)
+            )
+        try:
+            chain = ss.odometer_factor_chain(sys_, space, [window], horizon)
+        except ss.NotEquicontinuousError:
+            return
+        trajs = trajectory_set_oracle(sys_, space, window, horizon)
+        assert chain[0]["trajectory_count"] == len(trajs)
+        assert chain[0]["shift_is_permutation"] is shift_permutation_oracle(trajs, horizon)
+
+    check()
+    assert seen == {"count", "sort"}
 
 
 def test_panorama_against_pairwise_bruteforce(cex):
@@ -303,6 +469,23 @@ def test_factor_chain_counts_divide(binary_odometer):
     assert all(b % a == 0 for a, b in zip(counts, counts[1:]))
 
 
+def test_factor_chain_closed_shift_that_is_no_function():
+    """Heads and tails are the same set, yet a head has two tails."""
+    sys_, space = ss.system_from_descriptor({
+        "alphabet": 2,
+        "graph": {"edges": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+        "rules": [
+            {"vertex": 0, "inputs": [0, 1], "table": [1, 0, 0, 0]},
+            {"vertex": 1, "inputs": [1, 0], "table": [1, 1, 1, 0]},
+        ],
+    })
+    trajs = trajectory_set_oracle(sys_, space, [1], 2)
+    assert {t[:2] for t in trajs} == {t[1:] for t in trajs}
+    chain = ss.odometer_factor_chain(sys_, space, [[1]], 2)
+    assert chain[0]["trajectory_count"] == len(trajs) == 4
+    assert chain[0]["shift_is_permutation"] is False
+
+
 def test_factor_chain_rejects_sensitive_systems(full_shift_n):
     fs, fsp = full_shift_n
     with pytest.raises(ss.NotEquicontinuousError):
@@ -367,3 +550,49 @@ def test_named_descriptors():
     ):
         sys_, space = ss.system_from_descriptor(desc)
         assert space.allowed(0)
+
+
+def test_descriptor_rejects_out_of_range_entry():
+    desc = {
+        "alphabet": 2,
+        "graph": {"edges": [[0, 0]]},
+        "rules": [{"vertex": 0, "inputs": [0], "table": [0, 5]}],
+    }
+    with pytest.raises(ValueError, match=r"vertex 0: table entry 1 is 5"):
+        ss.system_from_descriptor(desc)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({(0,): 0, (1,): 2}, r"table value at key \(1,\) is 2"),
+        ({(0,): 0, (3,): 1}, r"table key \(3,\) has 3"),
+        ({(0, 1): 0}, r"not a tuple of 1 inputs"),
+        ([0, -1], r"table entry 1 is -1"),
+        ([0, 1.0], r"table entry 1 is 1.0"),
+    ],
+)
+def test_from_table_rejects_bad_tables(table, message):
+    with pytest.raises(ValueError, match=message):
+        ss.LocalRule.from_table([7], table, 2)
+
+
+def test_ca_table_checked_at_construction():
+    with pytest.raises(ValueError, match="table entry 3 is 2"):
+        ss.ca_on_zd(2, [(0,), (1,)], [0, 1, 1, 2])
+    with pytest.raises(ValueError, match="expected 4"):
+        ss.ca_on_zd(2, [(0,), (1,)], [0, 1, 1])
+
+
+@pytest.mark.parametrize("value", ["0", "abc", "-1", ""])
+def test_thread_count_rejects_non_positive(monkeypatch, value):
+    monkeypatch.setenv("SYMDYN_THREADS", value)
+    with pytest.raises(ValueError, match="SYMDYN_THREADS"):
+        ss._thread_count()
+
+
+def test_thread_count_values(monkeypatch):
+    monkeypatch.setenv("SYMDYN_THREADS", "1")
+    assert ss._thread_count() == 1
+    monkeypatch.delenv("SYMDYN_THREADS")
+    assert 1 <= ss._thread_count() <= 2
