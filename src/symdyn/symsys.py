@@ -343,10 +343,11 @@ def panorama(
     layers = []
     engines = set()
     cum: set = set()
+    memo: dict = {}
     for t, layer in enumerate(cone.layers):
         cum.update(layer)
         tracked = sort_vertices(cum)
-        det, engine = _determined_at_horizon(sys, space, w, t, tracked)
+        det, engine = _determined_at_horizon(sys, space, w, t, tracked, memo)
         layers.append(sort_vertices(det))
         engines.add(engine)
     return PanoramaResult(
@@ -382,11 +383,12 @@ def posexpansive_window_check(
         raise EnumerationCapError(count, max_patterns)
     remaining = set(target)
     cum: set = set()
+    memo: dict = {}
     for t, layer in enumerate(cone.layers):
         cum.update(layer)
         tracked = sort_vertices(remaining & cum)
         if tracked:
-            det, _ = _determined_at_horizon(sys, space, w, t, tracked)
+            det, _ = _determined_at_horizon(sys, space, w, t, tracked, memo)
             remaining -= set(det)
         if not remaining:
             return {"covered": True, "first_t": t, "missing": ()}
@@ -397,10 +399,10 @@ def posexpansive_window_check(
     }
 
 
-def _determined_at_horizon(sys, space, window, horizon, tracked):
+def _determined_at_horizon(sys, space, window, horizon, tracked, memo=None):
     """Which tracked cells (all in the horizon's cone) are pinned down by
     observations 0..horizon, and the grouping ("count" or "sort") that
-    decided it.
+    decided it.  `memo` shares composed tables between horizons.
 
     Exact for product spaces: enumeration runs over the horizon's own cone
     and every cell outside it is unconstrained.  Count grouping needs one
@@ -408,7 +410,7 @@ def _determined_at_horizon(sys, space, window, horizon, tracked):
     only when those counters number no more than the patterns.
     """
     cells = light_cone(sys, window, horizon).union
-    tables = _composed_tables(sys, space, window, horizon)
+    tables = _composed_tables(sys, space, window, horizon, memo)
     keyspace = sys.alphabet.size ** len(tables)
     counters = keyspace * sum(len(space.allowed(v)) for v in tracked)
     if counters <= _pattern_count(space, cells):
@@ -437,14 +439,13 @@ def _radix_index(
     to its position in the enumeration of a sub-domain `dom`; with `{v: 1}`
     it is the digit of v.
     """
-    rads = [len(space.allowed(c)) for c in cells]
-    out = np.zeros([1] * len(cells), dtype=np.int64)
-    for axis, (c, r) in enumerate(zip(cells, rads)):
-        if weights.get(c):
-            shape = [1] * len(cells)
-            shape[axis] = r
-            out = out + (np.arange(r, dtype=np.int64) * weights[c]).reshape(shape)
-    return np.broadcast_to(out, rads).ravel()
+    out = np.zeros(1, dtype=np.int64)
+    for c in cells:
+        r = len(space.allowed(c))
+        if r > 1:
+            step = np.arange(r, dtype=np.int64) * weights.get(c, 0)
+            out = (out[:, None] + step).ravel()
+    return out
 
 
 def _group_rows(columns: Iterable[np.ndarray], radix: int, n: int):
@@ -468,14 +469,15 @@ def _group_rows(columns: Iterable[np.ndarray], radix: int, n: int):
     return first, ranks
 
 
-def _composed_tables(sys, space, window, horizon):
+def _composed_tables(sys, space, window, horizon, memo=None):
     """Value of each window cell at each time, as a lookup table over the
     mixed-radix enumeration of the cells it reads at time 0.
 
     Returns (domain, table) pairs, time-major and in window order.  Each rule
-    runs once per distinct argument tuple that occurs in its table.
+    runs once per distinct argument tuple that occurs in its table.  Tables
+    are kept in `memo` by (time, cell), so calls sharing it reuse them.
     """
-    memo: dict = {}
+    memo = {} if memo is None else memo
 
     def build(t, v):
         got = memo.get((t, v))
@@ -787,12 +789,14 @@ def odometer_factor_chain(
             for pair in zip(columns[: horizon * len(w)], columns[len(w):])
         ]
         _, ranks = _group_rows(shifted, k, 2 * count)
-        head, tail = ranks[:count], ranks[count:]
-        pairs, _ = _group_rows([head, tail], 2 * count, count)
-        heads, tails = np.unique(head), np.unique(tail)
-        # the shift is a function (one tail per head), injective (one head
-        # per tail) and maps the head set onto the tail set
-        permutation = len(heads) == len(pairs) and np.array_equal(heads, tails)
+        heads, tails = np.unique(ranks[:count]), np.unique(ranks[count:])
+        # for horizon >= 1 a trajectory is its (head, tail) pair, so the
+        # shift is a function and injective exactly when there are as many
+        # heads as trajectories, and it permutes when heads and tails agree;
+        # at horizon 0 every head and tail is empty
+        permutation = horizon == 0 or (
+            len(heads) == len(trajs) and np.array_equal(heads, tails)
+        )
         results.append(
             {
                 "window": w,

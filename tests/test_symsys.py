@@ -219,6 +219,11 @@ def test_panorama_engines_agree(cex):
     assert ss._count_grouping(sysx, spx, cells, tables, cells) == ss._sort_grouping(
         sysx, spx, cells, tables, cells
     )
+    # layers of the cex panorama at horizon 4 as computed once by the
+    # reference dict engine (about 8 s, too slow to rerun here)
+    assert ss.panorama(sysx, spx, [0], 4).layers == (
+        (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)
+    )
 
 
 def test_panorama_reports_grouping(cex, full_shift_n):
@@ -238,6 +243,18 @@ def test_panorama_full_shift_wide_keys(full_shift_n):
     assert result.layers[2:] == tuple(tuple(range(t + 4)) for t in range(2, 13))
     assert result.engine == "sort"
     assert elapsed < 2.0
+
+
+def test_panorama_cone_of_many_pinned_cells():
+    """A 65-cell cone with all but three cells pinned enumerates only eight
+    patterns; its cells each get their own radix digit, not their own array
+    axis."""
+    sys_, _ = ss.full_shift(2)
+    space = ss.PatternSpace(lambda v: [0, 1] if v < 3 else [0])
+    result = ss.panorama(sys_, space, [0], 64)
+    assert len(result.cone) == 65
+    assert result.pattern_count == 8
+    assert result.layers == panorama_layers_oracle(sys_, space, [0], 64)
 
 
 def test_panorama_wide_rule_table():
