@@ -339,7 +339,15 @@ def cmd_metric_dim(args) -> int:
     return 0
 
 
+def _at_least(args, name: str, low: int) -> None:
+    value = getattr(args, name)
+    if value < low:
+        raise ValueError(f"--{name} must be at least {low}, got {value}")
+
+
 def cmd_metric_lipschitz(args) -> int:
+    _at_least(args, "samples", 1)
+    _at_least(args, "rcap", 1)
     sys_, space = _system_from_args(args)
     metric = _metric_from_args(args, sys_.graph)
     rep = ms.lipschitz_report(sys_, metric, space, args.samples, args.seed,
@@ -354,6 +362,8 @@ def cmd_metric_lipschitz(args) -> int:
 
 
 def cmd_holder_check(args) -> int:
+    _at_least(args, "samples", 1)
+    _at_least(args, "rcap", 0)
     sys_, space = _system_from_args(args)
     metric_from = _metric_from_args(args, sys_.graph)
     scheme = ms.CoefficientScheme.finite(

@@ -4,6 +4,15 @@ A metric is a weighted sum, over an ordered estuary enumeration, of
 agreement-radius pseudometrics lambda^(-R).  Configurations are finite, so
 every distance comes back as a [lo, hi] interval: exact when a disagreement
 is visible inside the covered radius, and a tail-bounded bracket otherwise.
+
+Distances and one-step images are batch kernels over the rows of symbol
+matrices that share one domain: first-disagreement radii come from the
+cached BFS shells of each estuary vertex, and each rule runs once per
+distinct argument row.  `pseudo_dist`, `dist` and `image_configuration` are
+one-row calls of them.  The Lipschitz and Hölder sweeps sample a chunk of
+pairs, then evaluate their images and distances together; they consume the
+same random stream as sampling and measuring one pair at a time.
+
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
 """
@@ -15,8 +24,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .netgraph import Digraph, Vertex, _ols_slope, sort_vertices
-from .symsys import Configuration, PatternSpace, SymbolicSystem
+from .symsys import Configuration, PatternSpace, SymbolicSystem, _group_rows
 from .entropydim import pattern_log_count
 
 
@@ -177,19 +188,149 @@ def metric_from_descriptor(desc: dict, graph: Digraph) -> BasedMetric:
     return BasedMetric(scheme=scheme, lam=lam, graph=graph)
 
 
-def _covered_radius(graph: Digraph, v: Vertex, domain: frozenset, r_cap=None) -> int:
-    """Largest r with B(v, r) inside the domain; -1 if even v is missing."""
-    if v not in domain:
-        return -1
+# -- batched kernels ---------------------------------------------------------
+# Distances and images work on the rows of symbol matrices over one shared
+# domain, one column per domain cell (`index` maps each cell to its column).
+
+_SWEEP_ROWS = 512  # sampled pairs per batch: keeps a sweep's memory flat
+
+
+def _columns(cells: Iterable[Vertex]) -> dict:
+    return {v: i for i, v in enumerate(cells)}
+
+
+def _anchor_shells(graph: Digraph, v: Vertex, index: dict, r_cap=None):
+    """Covered radius of v in a domain, and the columns of its BFS shells up
+    to that radius.
+
+    The covered radius is the largest r with B(v, r) inside the domain, at
+    most r_cap; a ball that closes inside the domain counts as covered up to
+    r_cap (or, without a cap, up to its closing radius); -1 if v is missing.
+    """
+    if v not in index:
+        return -1, []
+    center = frozenset([v])
+    cols = [np.array([index[v]])]
     r = 0
     while r_cap is None or r < r_cap:
-        members = graph.ball_members([v], r + 1)
-        if not members <= domain:
-            return r
-        if len(members) == len(graph.ball_members([v], r)):
-            return r_cap if r_cap is not None else r  # ball closed
+        shell = graph._shells(center, r + 1)[r + 1]
+        if any(u not in index for u in shell):
+            return r, cols
+        if not shell:
+            return (r if r_cap is None else r_cap), cols  # ball closed
+        cols.append(np.array([index[u] for u in shell]))
         r += 1
-    return r
+    return r, cols
+
+
+def _pseudo_rows(metric: BasedMetric, v: Vertex, index: dict, diff: np.ndarray,
+                 r_cap=None):
+    """lambda^(-R) intervals around v, as (lo, hi) arrays over the rows of a
+    disagreement matrix.
+
+    A row first disagreeing on shell s > 0 agrees on B(v, s - 1): the value
+    is exact, and 1 when the center itself differs.  A row agreeing on every
+    covered shell is only bounded by lambda^(-covered radius).
+    """
+    n = len(diff)
+    cap, shells = _anchor_shells(metric.graph, v, index, r_cap)
+    if cap < 0:
+        return np.zeros(n), np.ones(n)  # vertex not covered: only the trivial bound
+    lo = np.zeros(n)
+    hi = np.full(n, metric.lam ** -cap)
+    open_rows = np.ones(n, dtype=bool)
+    for s, cols in enumerate(shells):
+        hit = open_rows & diff[:, cols].any(axis=1)
+        lo[hit] = hi[hit] = metric.lam ** -max(s - 1, 0)
+        open_rows &= ~hit
+    return lo, hi
+
+
+def _dist_rows(metric: BasedMetric, index: dict, diff: np.ndarray):
+    """Based-distance intervals, as (lo, hi) arrays over the rows of a
+    disagreement matrix.  Estuary vertices are summed in enumeration order,
+    so each row gets the floats of a one-pair sum; uncovered vertices and
+    the coefficient tail contribute only to the upper bound."""
+    lo = np.zeros(len(diff))
+    hi = np.full(len(diff), metric.scheme.tail_bound)
+    for u, c in zip(metric.scheme.vertices, metric.scheme.coeffs):
+        if u not in index:
+            hi += c
+            continue
+        plo, phi = _pseudo_rows(metric, u, index, diff)
+        lo += c * plo
+        hi += c * phi
+    return lo, hi
+
+
+def _diff_rows(pairs: list, index: dict) -> np.ndarray:
+    """Disagreement matrix of configuration pairs over the indexed cells."""
+    rows = [[x.values[v] != y.values[v] for v in index] for x, y in pairs]
+    return np.array(rows, dtype=bool).reshape(len(pairs), len(index))
+
+
+def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
+                rows: np.ndarray) -> np.ndarray:
+    """One update step of every row, on the region's cells.  Each rule is
+    fetched once and runs once per distinct argument row, as in
+    `_composed_tables`."""
+    n = len(rows)
+    out = np.empty((n, len(region)), dtype=np.min_scalar_type(sys.alphabet.size - 1))
+    radix = int(rows.max()) + 1 if rows.size else 1
+    for j, w in enumerate(region):
+        rule = sys.rule(w)
+        args = rows[:, [index[u] for u in rule.inputs]]
+        first, ranks = _group_rows(args.T, radix, n)
+        values = [rule.fn(tuple(a)) for a in args[first].tolist()]
+        out[:, j] = np.array(values, dtype=out.dtype)[ranks]
+    return out
+
+
+def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
+    """Sample pairs that differ at one planted cell, a chunk at a time.
+
+    Each sample draws exactly what one pair at a time would: a symbol per
+    domain cell (`rng.choice`, in domain order), an anchor, a radius below
+    `radii`, a cell of that BFS shell inside the domain, and another allowed
+    symbol there.  Yields (sample numbers, pairs, planted cells) per chunk,
+    where pairs[0] and pairs[1] hold the x and y rows; samples whose shell
+    or symbol choice came up empty are left out.
+    """
+    index = _columns(domain)
+    allowed = [space.allowed(v) for v in domain]
+    dtype = np.min_scalar_type(max((max(a) for a in allowed), default=0))
+    shells = [
+        [tuple(c for c in sort_vertices(s) if c in index)
+         for s in graph._shells(frozenset([u]), radii - 1)[:radii]]
+        for u in anchors
+    ]
+    choice, randrange = rng.choice, rng.randrange
+    for start in range(0, samples, _SWEEP_ROWS):
+        n = min(_SWEEP_ROWS, samples - start)
+        pairs = np.empty((2, n, len(domain)), dtype=dtype)
+        used, cols, news = [], [], []
+        for i in range(start, start + n):
+            row = [choice(a) for a in allowed]
+            u_shells = shells[randrange(len(anchors))]
+            radius = randrange(0, radii)
+            shell = u_shells[radius] if radius < len(u_shells) else ()
+            if not shell:
+                continue
+            col = index[shell[randrange(len(shell))]]
+            choices = [s for s in allowed[col] if s != row[col]]
+            if not choices:
+                continue
+            pairs[0, len(used)] = row
+            used.append(i)
+            cols.append(col)
+            news.append(choice(choices))
+        pairs = pairs[:, : len(used)]
+        pairs[1] = pairs[0]
+        pairs[1, np.arange(len(used)), np.array(cols, dtype=np.intp)] = news
+        yield used, pairs, [domain[c] for c in cols]
+
+
+# -- distances and images -----------------------------------------------------
 
 
 def pseudo_dist(
@@ -208,21 +349,9 @@ def pseudo_dist(
     """
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
-    cap = _covered_radius(metric.graph, v, x.domain, r_cap)
-    if cap < 0:
-        return DistanceBound(0.0, 1.0)  # vertex not covered: only the trivial bound
-    if x.values[v] != y.values[v]:
-        return DistanceBound(1.0, 1.0)
-    r = 0
-    while r < cap:
-        shell = metric.graph.ball_members([v], r + 1) - metric.graph.ball_members(
-            [v], r
-        )
-        if any(x.values[u] != y.values[u] for u in shell):
-            val = metric.lam ** (-r)
-            return DistanceBound(val, val)
-        r += 1
-    return DistanceBound(0.0, metric.lam ** (-cap))
+    index = _columns(x.values)
+    lo, hi = _pseudo_rows(metric, v, index, _diff_rows([(x, y)], index), r_cap)
+    return DistanceBound(float(lo[0]), float(hi[0]))
 
 
 def dist(
@@ -239,16 +368,9 @@ def dist(
     """
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
-    lo = 0.0
-    hi = metric.scheme.tail_bound
-    for u, c in zip(metric.scheme.vertices, metric.scheme.coeffs):
-        if u not in x.domain:
-            hi += c
-            continue
-        b = pseudo_dist(metric, u, x, y)
-        lo += c * b.lo
-        hi += c * b.hi
-    bound = DistanceBound(lo, hi)
+    index = _columns(x.values)
+    lo, hi = _dist_rows(metric, index, _diff_rows([(x, y)], index))
+    bound = DistanceBound(float(lo[0]), float(hi[0]))
     if tol is not None and bound.width > tol:
         raise ToleranceUnreachableError(
             f"interval width {bound.width} exceeds tolerance {tol}"
@@ -261,11 +383,13 @@ def image_configuration(
 ) -> Configuration:
     """One update step of a configuration, restricted to a region whose
     rule inputs the configuration covers."""
-    out = {}
-    for w in region:
-        rule = sys.rule(w)
-        out[w] = rule.fn(tuple(x.values[u] for u in rule.inputs))
-    return Configuration(out)
+    region = tuple(region)
+    row = np.array([list(x.values.values())], dtype=np.int64).reshape(1, len(x.values))
+    image = _image_rows(sys, _columns(x.values), region, row)
+    return Configuration(dict(zip(region, image[0].tolist())))
+
+
+# -- sampled Lipschitz and Holder checks ----------------------------------------
 
 
 def lipschitz_report(
@@ -282,7 +406,15 @@ def lipschitz_report(
     so the pre-image distance is exact; the image distance is measured on
     the one-smaller ball.  Pairs whose pre-image distance interval touches
     zero are skipped and counted.
+
+    The sweep samples a chunk of pairs, then evaluates their images and
+    distances together.  It consumes the same random stream as sampling and
+    measuring one pair at a time, and returns the same report.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if r_cap < 1:
+        raise ValueError(f"r_cap must be at least 1, got {r_cap}")
     rng = random.Random(seed)
     anchors = metric.scheme.vertices
     domain = set()
@@ -293,46 +425,38 @@ def lipschitz_report(
     for u in anchors:
         image_region |= metric.graph.ball_members([u], r_cap)
     image_region = sort_vertices(image_region)
+    index = _columns(domain)
+    image_index = _columns(image_region)
 
     max_ratio = 0.0
     worst = None
     flagged = []
-    skipped = 0
-    for i in range(samples):
-        x = space.random_configuration(domain, rng)
-        u = anchors[rng.randrange(len(anchors))]
-        radius = rng.randrange(0, max(1, r_cap - 1))
-        shell = metric.graph.ball_members([u], radius)
-        if radius > 0:
-            shell = shell - metric.graph.ball_members([u], radius - 1)
-        if not shell:
-            skipped += 1
+    measured = 0
+    chunks = _planted_pairs(rng, metric.graph, anchors, space, domain,
+                            max(1, r_cap - 1), samples)
+    for used, pairs, cells in chunks:
+        pre_lo, pre_hi = _dist_rows(metric, index, pairs[0] != pairs[1])
+        rows = np.flatnonzero(pre_lo > 0.0)
+        m = len(rows)
+        if not m:
             continue
-        cell = sort_vertices(shell)[rng.randrange(len(shell))]
-        choices = [s for s in space.allowed(cell) if s != x.values[cell]]
-        if not choices:
-            skipped += 1
-            continue
-        y_values = dict(x.values)
-        y_values[cell] = rng.choice(choices)
-        y = Configuration(y_values)
-        d_pre = dist(metric, x, y)
-        if d_pre.lo <= 0.0:
-            skipped += 1
-            continue
-        fx = image_configuration(sys, x, image_region)
-        fy = image_configuration(sys, y, image_region)
-        d_post = dist(metric, fx, fy)
-        ratio_hi = d_post.hi / d_pre.lo
-        if ratio_hi > max_ratio:
-            max_ratio = ratio_hi
-            worst = {"sample": i, "cell": cell, "pre": (d_pre.lo, d_pre.hi),
-                     "post": (d_post.lo, d_post.hi)}
-        if ratio_hi > metric.lam * (1 + 1e-9):
-            flagged.append({"sample": i, "ratio_hi": ratio_hi})
+        image = _image_rows(sys, index, image_region,
+                            pairs[:, rows].reshape(2 * m, len(domain)))
+        post_lo, post_hi = _dist_rows(metric, image_index, image[:m] != image[m:])
+        ratio = post_hi / pre_lo[rows]
+        best = int(np.argmax(ratio))  # the first of the chunk's largest
+        if ratio[best] > max_ratio:
+            k = rows[best]
+            max_ratio = float(ratio[best])
+            worst = {"sample": used[k], "cell": cells[k],
+                     "pre": (float(pre_lo[k]), float(pre_hi[k])),
+                     "post": (float(post_lo[best]), float(post_hi[best]))}
+        for j in np.flatnonzero(ratio > metric.lam * (1 + 1e-9)):
+            flagged.append({"sample": used[rows[j]], "ratio_hi": float(ratio[j])})
+        measured += m
     return {
         "samples": samples,
-        "skipped": skipped,
+        "skipped": samples - measured,
         "max_ratio_hi": max_ratio,
         "worst": worst,
         "flagged": flagged,
@@ -357,56 +481,60 @@ def holder_report(
     A sample certifies the inequality only when the image interval sits
     below the bound computed from the pre-image's lower end; it certifies a
     violation only the other way around.  Everything else is inconclusive.
+    Pairs are sampled a chunk at a time as in `lipschitz_report`; the
+    transform runs per configuration, and the distances of a chunk are
+    evaluated together.
     """
     if eta <= 0 or lam_const <= 0:
         raise ValueError("eta and the constant must be positive")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     domain = sort_vertices(domain)
-    anchors = metric_from.scheme.vertices
-    holds = violations = inconclusive = 0
+    index = _columns(domain)
+    holds = violations = 0
     worst = None
     worst_excess = 0.0
-    for i in range(samples):
-        x = space.random_configuration(domain, rng)
-        u = anchors[rng.randrange(len(anchors))]
-        radius = rng.randrange(0, 8)
-        shell = metric_from.graph.ball_members([u], radius)
-        if radius > 0:
-            shell = shell - metric_from.graph.ball_members([u], radius - 1)
-        shell = [c for c in sort_vertices(shell) if c in set(domain)]
-        if not shell:
-            inconclusive += 1
-            continue
-        cell = shell[rng.randrange(len(shell))]
-        choices = [s for s in space.allowed(cell) if s != x.values[cell]]
-        if not choices:
-            inconclusive += 1
-            continue
-        y_values = dict(x.values)
-        y_values[cell] = rng.choice(choices)
-        y = Configuration(y_values)
-        d_pre = dist(metric_from, x, y)
-        d_post = dist(metric_to, transform(x), transform(y))
-        if d_pre.lo <= 0.0:
-            inconclusive += 1
-            continue
-        bound_lo = lam_const * d_pre.lo**eta
-        bound_hi = lam_const * d_pre.hi**eta
-        if d_post.hi <= bound_lo * (1 + 1e-9):
-            holds += 1
-        elif d_post.lo > bound_hi * (1 + 1e-9):
-            violations += 1
-            excess = d_post.lo / bound_hi
-            if excess > worst_excess:
-                worst_excess = excess
-                worst = {"sample": i, "cell": cell, "pre": (d_pre.lo, d_pre.hi),
-                         "post": (d_post.lo, d_post.hi)}
-        else:
-            inconclusive += 1
+    chunks = _planted_pairs(rng, metric_from.graph, metric_from.scheme.vertices, space,
+                            domain, 8, samples)
+    for used, pairs, cells in chunks:
+        pre_lo, pre_hi = _dist_rows(metric_from, index, pairs[0] != pairs[1])
+        groups: dict = {}  # image domain -> (sample rows, image pairs)
+        for k, (xr, yr) in enumerate(zip(*pairs.tolist())):
+            tx = transform(Configuration(dict(zip(domain, xr))))
+            ty = transform(Configuration(dict(zip(domain, yr))))
+            if tx.domain != ty.domain:
+                raise DomainMismatchError("configurations must share a domain")
+            rows, images = groups.setdefault(tx.domain, ([], []))
+            rows.append(k)
+            images.append((tx, ty))
+        post_lo = np.empty(len(used))
+        post_hi = np.empty(len(used))
+        for image_domain, (rows, images) in groups.items():
+            image_index = _columns(image_domain)
+            post_lo[rows], post_hi[rows] = _dist_rows(
+                metric_to, image_index, _diff_rows(images, image_index))
+        for i, cell, d_lo, d_hi, p_lo, p_hi in zip(
+            used, cells, pre_lo.tolist(), pre_hi.tolist(), post_lo.tolist(),
+            post_hi.tolist(),
+        ):
+            if d_lo <= 0.0:
+                continue
+            bound_lo = lam_const * d_lo**eta
+            bound_hi = lam_const * d_hi**eta
+            if p_hi <= bound_lo * (1 + 1e-9):
+                holds += 1
+            elif p_lo > bound_hi * (1 + 1e-9):
+                violations += 1
+                excess = p_lo / bound_hi
+                if excess > worst_excess:
+                    worst_excess = excess
+                    worst = {"sample": i, "cell": cell, "pre": (d_lo, d_hi),
+                             "post": (p_lo, p_hi)}
     return {
         "holds": holds,
         "violations": violations,
-        "inconclusive": inconclusive,
+        "inconclusive": samples - holds - violations,
         "passed": violations == 0 and holds > 0,
         "worst": worst,
     }

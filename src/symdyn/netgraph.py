@@ -155,6 +155,8 @@ class Digraph:
         return shells
 
     def ball_members(self, centers: Iterable[Vertex], radius: int) -> set:
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
         shells = self._shells(frozenset(centers), radius)
         out: set = set()
         for shell in shells[: radius + 1]:
@@ -163,6 +165,8 @@ class Digraph:
 
     def ball_sizes(self, centers: Iterable[Vertex], r_max: int) -> list:
         """|B(centers, r)| for r = 0..r_max (constant tail once closed)."""
+        if r_max < 0:
+            raise ValueError("radius must be nonnegative")
         shells = self._shells(frozenset(centers), r_max)
         sizes = []
         total = 0

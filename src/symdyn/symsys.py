@@ -220,13 +220,6 @@ class LightCone:
     layers: tuple  # layers[t] = exact input set of the t-fold composition
     union: tuple
 
-    def needed(self, horizon: int) -> set:
-        """Union of layers 0..horizon: the cells a trajectory of that length reads."""
-        out: set = set()
-        for layer in self.layers[: horizon + 1]:
-            out.update(layer)
-        return out
-
 
 @dataclass(frozen=True)
 class PanoramaResult:
@@ -298,11 +291,18 @@ def evaluate(
     if missing:
         raise InsufficientDomainError(missing)
     values = {v: x.values[v] for v in cone.union}
+    # cells in order of first appearance; step t reads layers 0..horizon-t,
+    # which are the first ends[horizon - t] of them
+    first_seen: dict = {}
+    ends = []
+    for layer in cone.layers:
+        first_seen.update(dict.fromkeys(layer))
+        ends.append(len(first_seen))
+    cells = list(first_seen)
     traj = [{u: values[u] for u in w}]
     for t in range(1, horizon + 1):
-        needed = cone.needed(horizon - t)
         new_values = {}
-        for v in needed:
+        for v in cells[: ends[horizon - t]]:
             rule = sys.rule(v)
             new_values[v] = rule.fn(tuple(values[u] for u in rule.inputs))
         values = new_values

@@ -150,3 +150,117 @@ def shift_permutation_oracle(trajs, horizon):
         forward[head] = tail
         backward[tail] = head
     return functional and injective and set(forward) == set(backward)
+
+
+def covered_radius_oracle(graph, v, domain, r_cap=None):
+    """Largest r with B(v, r) inside the domain, from fresh ball unions at
+    every radius; -1 if v is missing.  A ball that closes inside the domain
+    counts as covered up to r_cap (or its closing radius without a cap)."""
+    if v not in domain:
+        return -1
+    r = 0
+    while r_cap is None or r < r_cap:
+        members = graph.ball_members([v], r + 1)
+        if not members <= domain:
+            return r
+        if len(members) == len(graph.ball_members([v], r)):
+            return r_cap if r_cap is not None else r
+        r += 1
+    return r
+
+
+def pseudo_dist_oracle(metric, v, x, y, r_cap=None):
+    """(lo, hi) of lambda^(-R) around v, one shell and one cell at a time."""
+    cap = covered_radius_oracle(metric.graph, v, frozenset(x.values), r_cap)
+    if cap < 0:
+        return 0.0, 1.0
+    if x.values[v] != y.values[v]:
+        return 1.0, 1.0
+    for r in range(cap):
+        shell = metric.graph.ball_members([v], r + 1) - metric.graph.ball_members([v], r)
+        if any(x.values[u] != y.values[u] for u in shell):
+            val = metric.lam ** (-r)
+            return val, val
+    return 0.0, metric.lam ** (-cap)
+
+
+def dist_oracle(metric, x, y):
+    """(lo, hi) of the based distance, summed one estuary vertex at a time."""
+    lo = 0.0
+    hi = metric.scheme.tail_bound
+    for u, c in zip(metric.scheme.vertices, metric.scheme.coeffs):
+        if u not in x.values:
+            hi += c
+            continue
+        b_lo, b_hi = pseudo_dist_oracle(metric, u, x, y)
+        lo += c * b_lo
+        hi += c * b_hi
+    return lo, hi
+
+
+def image_configuration_oracle(sys_, x, region):
+    """One update step on a region, one rule call per cell."""
+    out = {}
+    for w in region:
+        rule = sys_.rule(w)
+        out[w] = rule.fn(tuple(x.values[u] for u in rule.inputs))
+    return ss.Configuration(out)
+
+
+def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
+    """The Lipschitz sweep one pair at a time, on the oracles above."""
+    rng = random.Random(seed)
+    anchors = metric.scheme.vertices
+    domain = set()
+    image_region = set()
+    for u in anchors:
+        domain |= metric.graph.ball_members([u], r_cap + 1)
+        image_region |= metric.graph.ball_members([u], r_cap)
+    domain = ng.sort_vertices(domain)
+    image_region = ng.sort_vertices(image_region)
+    max_ratio = 0.0
+    worst = None
+    flagged = []
+    skipped = 0
+    for i in range(samples):
+        x = space.random_configuration(domain, rng)
+        u = anchors[rng.randrange(len(anchors))]
+        radius = rng.randrange(0, max(1, r_cap - 1))
+        shell = metric.graph.ball_members([u], radius)
+        if radius > 0:
+            shell = shell - metric.graph.ball_members([u], radius - 1)
+        if not shell:
+            skipped += 1
+            continue
+        cell = ng.sort_vertices(shell)[rng.randrange(len(shell))]
+        choices = [s for s in space.allowed(cell) if s != x.values[cell]]
+        if not choices:
+            skipped += 1
+            continue
+        y_values = dict(x.values)
+        y_values[cell] = rng.choice(choices)
+        y = ss.Configuration(y_values)
+        pre = dist_oracle(metric, x, y)
+        if pre[0] <= 0.0:
+            skipped += 1
+            continue
+        post = dist_oracle(
+            metric,
+            image_configuration_oracle(sys_, x, image_region),
+            image_configuration_oracle(sys_, y, image_region),
+        )
+        ratio_hi = post[1] / pre[0]
+        if ratio_hi > max_ratio:
+            max_ratio = ratio_hi
+            worst = {"sample": i, "cell": cell, "pre": pre, "post": post}
+        if ratio_hi > metric.lam * (1 + 1e-9):
+            flagged.append({"sample": i, "ratio_hi": ratio_hi})
+    return {
+        "samples": samples,
+        "skipped": skipped,
+        "max_ratio_hi": max_ratio,
+        "worst": worst,
+        "flagged": flagged,
+        "lambda": metric.lam,
+        "within_lambda": not flagged,
+    }

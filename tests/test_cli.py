@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symdyn
 from symdyn import cli
 from symdyn import netgraph as ng
 
@@ -314,3 +319,75 @@ def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, value):
                     "--window", "0", "--T", "2", "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "SYMDYN_THREADS" in capsys.readouterr().err
+
+
+# stdout of the README commands, captured once from the one-pair-at-a-time
+# sweeps; the batched sweeps consume the same random stream
+_README_STDOUT = {
+    ("metric-lipschitz", 0): (
+        '# config: {"estuary": "0", "lam": 2.0, "rcap": 6, "samples": 1000, '
+        '"seed": 0, "system": "full_shift"}\n'
+        '# summary: {"max_ratio_hi": 2.0, "skipped": 0, "within_lambda": true}\n'
+        "sample,ratio_hi\n"
+    ),
+    ("metric-lipschitz", 1): (
+        '# config: {"estuary": "0", "lam": 2.0, "rcap": 6, "samples": 1000, '
+        '"seed": 1, "system": "full_shift"}\n'
+        '# summary: {"max_ratio_hi": 2.0, "skipped": 0, "within_lambda": true}\n'
+        "sample,ratio_hi\n"
+    ),
+    ("holder-check", 0): (
+        '# config: {"constant": 1.0, "estuary": "0", "eta": 2.0, "lam": 2.0, '
+        '"lam2": 4.0, "rcap": 8, "samples": 200, "seed": 0, "system": "full_shift"}\n'
+        '# summary: {"holds": 200, "inconclusive": 0, "passed": true, "violations": 0}\n'
+        "sample,cell\n"
+    ),
+    ("holder-check", 1): (
+        '# config: {"constant": 1.0, "estuary": "0", "eta": 2.0, "lam": 2.0, '
+        '"lam2": 4.0, "rcap": 8, "samples": 200, "seed": 1, "system": "full_shift"}\n'
+        '# summary: {"holds": 200, "inconclusive": 0, "passed": true, "violations": 0}\n'
+        "sample,cell\n"
+    ),
+}
+_README_ARGS = {
+    "metric-lipschitz": ["--system", "full_shift", "--alphabet", "2", "--estuary", "0",
+                         "--samples", "1000"],
+    "holder-check": ["--system", "full_shift", "--alphabet", "2", "--estuary", "0",
+                     "--lam", "2", "--lam2", "4", "--eta", "2"],
+}
+
+
+@pytest.mark.parametrize("command,seed", sorted(_README_STDOUT))
+def test_readme_metric_commands_stdout_pinned(capsys, command, seed):
+    argv = [command] + _README_ARGS[command] + (["--seed", str(seed)] if seed else [])
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == _README_STDOUT[(command, seed)]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["metric-lipschitz", "--samples", "-5"], "--samples"),
+    (["metric-lipschitz", "--samples", "0"], "--samples"),
+    (["metric-lipschitz", "--rcap", "-1"], "--rcap"),
+    (["metric-lipschitz", "--rcap", "0"], "--rcap"),
+    (["holder-check", "--samples", "0"], "--samples"),
+    (["holder-check", "--rcap", "-1"], "--rcap"),
+])
+def test_vacuous_sweep_exit_code(capsys, argv, flag):
+    code = cli.run(argv + ["--system", "full_shift", "--alphabet", "2", "--estuary", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(symdyn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symdyn", "graph-dim", "--family", "cayley_zd",
+         "--D", "2", "--vertex", "0,0", "--rmin", "2", "--rmax", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[2] == "r,ball_size,exponent"

@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdyn import metricspace as ms
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 from symdyn import counterexample as cx
+
+from conftest import (
+    covered_radius_oracle,
+    dist_oracle,
+    image_configuration_oracle,
+    lipschitz_report_oracle,
+    pseudo_dist_oracle,
+)
 
 
 @pytest.fixture
@@ -55,6 +67,15 @@ def test_pseudo_dist_center_disagreement_caps_at_one(z2, z2_metric, binary_space
     y[(0, 0)] ^= 1
     b = ms.pseudo_dist(z2_metric, (0, 0), x, ss.Configuration(y))
     assert b.lo == b.hi == 1.0
+
+
+def test_pseudo_dist_closed_ball_is_covered_up_to_the_cap():
+    g = ng.explicit_graph([(0, 1), (1, 2), (2, 0)])  # B(0, r) closes at r = 2
+    metric = ms.single_estuary_metric(g, 0, 2.0)
+    x = ss.Configuration({0: 1, 1: 0, 2: 1})
+    for r_cap, hi in ((None, 2.0**-2), (1, 2.0**-1), (5, 2.0**-5)):
+        b = ms.pseudo_dist(metric, 0, x, x, r_cap)
+        assert (b.lo, b.hi) == (0.0, hi) == pseudo_dist_oracle(metric, 0, x, x, r_cap)
 
 
 def test_pseudo_dist_domain_mismatch(z2, z2_metric):
@@ -162,11 +183,14 @@ def test_precipitous_report_respects_truncation():
 # -- Lipschitz and Holder --------------------------------------------------------------
 
 
+def _xor_automaton():
+    offsets = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    table = [sum(bits) % 2 for bits in itertools.product((0, 1), repeat=5)]
+    return ss.ca_on_zd(2, offsets, table)
+
+
 def test_lipschitz_ca_on_z2(z2, z2_metric):
-    offs = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
-    table = [sum(bits) % 2 for bits in
-             __import__("itertools").product((0, 1), repeat=5)]
-    ca, space = ss.ca_on_zd(2, offs, table)
+    ca, space = _xor_automaton()
     rep = ms.lipschitz_report(ca, z2_metric, space, samples=400, seed=7, r_cap=6)
     assert rep["within_lambda"]
     assert rep["max_ratio_hi"] <= 2.0 + 1e-9
@@ -221,6 +245,241 @@ def test_holder_overreaching_eta_fails(z2, binary_space):
                            seed=12)
     assert not rep["passed"]
     assert rep["worst"] is not None
+
+
+def test_lipschitz_criterion_7_pinned(z2_metric):
+    # captured once from the one-pair-at-a-time sweep this batched one
+    # replaced; the random stream and every float must be reproduced exactly
+    ca, space = _xor_automaton()
+    rep = ms.lipschitz_report(ca, z2_metric, space, samples=10_000, seed=1, r_cap=6)
+    assert rep == {
+        "samples": 10_000,
+        "skipped": 0,
+        "max_ratio_hi": 2.0,
+        "worst": {"sample": 0, "cell": (-1, -3), "pre": (0.125, 0.125),
+                  "post": (0.25, 0.25)},
+        "flagged": [],
+        "lambda": 2.0,
+        "within_lambda": True,
+    }
+
+
+def test_lipschitz_multi_anchor_doubleexp_pinned(z2):
+    # captured once from the one-pair-at-a-time sweep, like the test above
+    ca, space = _xor_automaton()
+    anchors = [(0, 0), (3, 1), (-2, 2), (1, -4), (5, 5)]
+    metric = ms.BasedMetric(
+        scheme=ms.CoefficientScheme.double_exponential(anchors), lam=3.0, graph=z2
+    )
+    rep = ms.lipschitz_report(ca, metric, space, samples=1500, seed=0, r_cap=5)
+    assert rep["skipped"] == 0
+    assert rep["max_ratio_hi"] == 537762.2908832699
+    assert rep["worst"] == {
+        "sample": 219, "cell": (2, -6),
+        "pre": (4.22282500449373e-09, 0.0007569586828052341),
+        "post": (1.2668475013481192e-08, 0.0022708760484157027),
+    }
+    assert len(rep["flagged"]) == 639
+    assert rep["flagged"][:3] == [
+        {"sample": 0, "ratio_hi": 3.1666491155130347},
+        {"sample": 1, "ratio_hi": 3.0007678631230195},
+        {"sample": 5, "ratio_hi": 3.1666491155130347},
+    ]
+
+
+def test_lipschitz_single_symbol_space_skips_everything():
+    sys_, _ = ss.full_shift(2)
+    metric = ms.single_estuary_metric(sys_.graph, 0, 2.0)
+    space = ss.PatternSpace(lambda v: (0,))
+    rep = ms.lipschitz_report(sys_, metric, space, samples=50, seed=2, r_cap=6)
+    assert rep == lipschitz_report_oracle(sys_, metric, space, 50, seed=2, r_cap=6)
+    assert rep["skipped"] == 50 and rep["worst"] is None
+
+
+@pytest.mark.parametrize("samples", [7, ms._SWEEP_ROWS + 37])
+def test_lipschitz_chunks_match_oracle_sweep(samples):
+    """Below one chunk, and across a chunk boundary with a partial chunk."""
+    sys_, space = ss.full_shift(2, "Z")
+    metric = ms.BasedMetric(
+        scheme=ms.CoefficientScheme.double_exponential([0, 3, -2]), lam=2.0,
+        graph=sys_.graph,
+    )
+    rep = ms.lipschitz_report(sys_, metric, space, samples, seed=5, r_cap=4)
+    assert rep == lipschitz_report_oracle(sys_, metric, space, samples, seed=5, r_cap=4)
+    assert rep["flagged"]
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -5},
+                                    {"samples": 10, "r_cap": 0},
+                                    {"samples": 10, "r_cap": -1}])
+def test_lipschitz_rejects_vacuous_sweeps(z2_metric, kwargs):
+    ca, space = _xor_automaton()
+    with pytest.raises(ValueError, match="samples|r_cap"):
+        ms.lipschitz_report(ca, z2_metric, space, **kwargs)
+
+
+def test_holder_rejects_vacuous_sweeps(z2, z2_metric, binary_space):
+    with pytest.raises(ValueError, match="samples"):
+        ms.holder_report(lambda x: x, z2_metric, z2_metric, 1.0, 1.0, binary_space,
+                         z2.ball_members([(0, 0)], 3), samples=0)
+
+
+def test_holder_batches_image_domains(z2, binary_space):
+    """A transform whose image domain changes from pair to pair: every pair
+    is measured on its own domain, as one pair at a time would be."""
+    m2 = ms.single_estuary_metric(z2, (0, 0), 2.0)
+    domain = ng.sort_vertices(z2.ball_members([(0, 0)], 5))
+    calls = []
+
+    def crop(x):
+        radius = 2 + len(calls) // 2 % 2  # alternates pair by pair
+        image = x.restrict(z2.ball_members([(0, 0)], radius))
+        calls.append((x, image))
+        return image
+
+    rep = ms.holder_report(crop, m2, m2, eta=1.0, lam_const=1.0,
+                           space=binary_space, domain=domain, samples=60, seed=3)
+    holds = violations = 0
+    for (x, tx), (y, ty) in zip(calls[::2], calls[1::2]):
+        pre = dist_oracle(m2, x, y)
+        post = dist_oracle(m2, tx, ty)
+        if pre[0] > 0.0 and post[1] <= pre[0] * (1 + 1e-9):
+            holds += 1
+        elif pre[0] > 0.0 and post[0] > pre[1] * (1 + 1e-9):
+            violations += 1
+    assert (rep["holds"], rep["violations"]) == (holds, violations)
+    assert rep["holds"] + rep["violations"] + rep["inconclusive"] == 60
+
+
+def test_holder_image_domain_mismatch(z2, binary_space):
+    m2 = ms.single_estuary_metric(z2, (0, 0), 2.0)
+    domain = z2.ball_members([(0, 0)], 3)
+    calls = []
+
+    def uneven(x):
+        calls.append(x)
+        return x.restrict(list(x.values)[: len(calls) % 2 + 1])
+
+    with pytest.raises(ms.DomainMismatchError):
+        ms.holder_report(uneven, m2, m2, 1.0, 1.0, binary_space, domain, samples=5)
+
+
+# -- batched kernels against the one-pair oracles --------------------------------
+
+
+@st.composite
+def metric_cases(draw):
+    """A system, a based metric and configuration pairs on a finite domain:
+    either a random automaton on Z^2 measured on Z^2 balls, or a random
+    explicit system whose balls close.  Anchors may lie outside the domain;
+    pairs may agree everywhere, differ at an anchor, differ at random cells,
+    or differ only beyond the first anchor's covered radius.  Tables, symbols
+    and coefficients come from one drawn `Random`."""
+    rnd = draw(st.randoms(use_true_random=False))
+    k = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        offsets = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+        sys_, _ = ss.ca_on_zd(k, offsets, [rnd.randrange(k) for _ in range(k**5)])
+        graph = ng.cayley_zd(2)
+        domain = graph.ball_members([(0, 0)], draw(st.integers(0, 3)))
+        points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    else:
+        n = draw(st.integers(2, 6))
+        rules = []
+        for v in range(n):
+            inputs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                                   unique=True))
+            table = [rnd.randrange(k) for _ in range(k ** len(inputs))]
+            rules.append({"vertex": v, "inputs": inputs, "table": table})
+        edges = [[u, r["vertex"]] for r in rules for u in r["inputs"]]
+        sys_, _ = ss.system_from_descriptor(
+            {"alphabet": k, "graph": {"edges": edges}, "rules": rules}
+        )
+        graph = sys_.graph
+        domain = set(range(n)) if draw(st.booleans()) else draw(
+            st.sets(st.integers(0, n - 1), min_size=1))
+        points = st.integers(0, n - 1)
+    anchors = draw(st.lists(points, min_size=1, max_size=3))
+    coeffs = [rnd.uniform(0.01, 1.0) for _ in anchors]
+    kind = draw(st.sampled_from(["finite", "halving", "doubleexp", "tail"]))
+    if kind == "finite":
+        scheme = ms.CoefficientScheme.finite(anchors, coeffs)
+    elif kind == "halving":
+        scheme = ms.CoefficientScheme.finite(anchors, [2.0**-j for j in range(len(anchors))])
+    elif kind == "doubleexp":
+        scheme = ms.CoefficientScheme.double_exponential(anchors)
+    else:
+        scheme = ms.CoefficientScheme(anchors, coeffs, tail_bound=rnd.uniform(0.001, 0.1))
+    metric = ms.BasedMetric(scheme=scheme, lam=draw(st.sampled_from([1.5, 2.0, 3.0])),
+                            graph=graph)
+    cells = ng.sort_vertices(domain)
+    cap = covered_radius_oracle(graph, anchors[0], frozenset(cells))
+    beyond = [c for c in cells
+              if cap < 0 or c not in graph.ball_members([anchors[0]], cap)]
+    pairs = []
+    for mode in draw(st.lists(st.sampled_from(["same", "center", "random", "beyond"]),
+                              min_size=1, max_size=5)):
+        x = {c: rnd.randrange(k) for c in cells}
+        if mode == "center":
+            flips = [anchors[0]] if anchors[0] in x else []
+        elif mode == "random":
+            flips = [c for c in cells if rnd.random() < 0.3]
+        else:
+            flips = beyond if mode == "beyond" else []
+        y = dict(x)
+        for c in flips:
+            y[c] = (y[c] + 1) % k
+        pairs.append((ss.Configuration(x), ss.Configuration(y)))
+    region = [w for w in cells if set(sys_.rule(w).inputs) <= set(cells)]
+    r_cap = draw(st.none() | st.integers(0, 3))
+    return sys_, metric, cells, pairs, region, r_cap
+
+
+def test_batched_kernels_match_oracles():
+    seen = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(metric_cases())
+    def check(case):
+        sys_, metric, cells, pairs, region, r_cap = case
+        index = {v: i for i, v in enumerate(cells)}
+        anchor = metric.scheme.vertices[0]
+        cap = covered_radius_oracle(metric.graph, anchor, frozenset(cells))
+        seen.add(metric.graph.universe["family"])
+        if metric.scheme.tail_bound > 0:
+            seen.add(f"{metric.scheme.kind} tail")
+        if any(u not in index for u in metric.scheme.vertices):
+            seen.add("anchor outside")
+        if cap >= 0 and metric.graph.ball_members([anchor], cap + 1) <= set(cells):
+            seen.add("closed ball")
+        for x, y in pairs:
+            if cap >= 0 and x.values[anchor] != y.values[anchor]:
+                seen.add("center differs")
+            elif cap >= 0 and x != y and pseudo_dist_oracle(metric, anchor, x, y)[0] == 0.0:
+                seen.add("differs beyond cover")
+        X = np.array([[x.values[v] for v in cells] for x, _ in pairs],
+                     dtype=np.uint8).reshape(len(pairs), len(cells))
+        Y = np.array([[y.values[v] for v in cells] for _, y in pairs],
+                     dtype=np.uint8).reshape(len(pairs), len(cells))
+        lo, hi = ms._dist_rows(metric, index, X != Y)
+        images = ms._image_rows(sys_, index, region, np.concatenate([X, Y]))
+        for row, (x, y) in enumerate(pairs):
+            expected = dist_oracle(metric, x, y)
+            assert (lo[row], hi[row]) == expected
+            b = ms.dist(metric, x, y)
+            assert (b.lo, b.hi) == expected
+            for u in metric.scheme.vertices:
+                b = ms.pseudo_dist(metric, u, x, y, r_cap)
+                assert (b.lo, b.hi) == pseudo_dist_oracle(metric, u, x, y, r_cap)
+            for config, image in ((x, images[row]), (y, images[len(pairs) + row])):
+                expected = image_configuration_oracle(sys_, config, region).values
+                assert dict(zip(region, image.tolist())) == expected
+                assert ms.image_configuration(sys_, config, region).values == expected
+
+    check()
+    assert seen >= {"cayley_zd", "explicit", "doubleexp tail", "custom tail",
+                    "anchor outside", "closed ball", "center differs",
+                    "differs beyond cover"}
 
 
 # -- dimension ---------------------------------------------------------------------------

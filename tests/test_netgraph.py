@@ -34,6 +34,15 @@ def test_ball_rejects_empty_center(z2):
         ng.in_ball(z2, [], 1)
 
 
+def test_ball_rejects_negative_radius(z2):
+    with pytest.raises(ValueError, match="nonnegative"):
+        z2.ball_members([(0, 0)], -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        z2.ball_sizes([(0, 0)], -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ng.in_ball(z2, [(0, 0)], -1)
+
+
 def test_balls_monotone_and_composable(z2, odometer):
     shortcut = ng.shortcut_graph()
     for g, center in ((z2, (0, 0)), (odometer, 6), (shortcut, (0, 0))):
