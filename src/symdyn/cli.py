@@ -264,6 +264,7 @@ def cmd_entropy_tau(args) -> int:
 
 
 def cmd_cex_roundtrip(args) -> int:
+    _at_least(args, "trials", 1)
     rep = cx.cex_roundtrip(args.J, args.trials, args.seed)
     rows = [
         {"trial": f["trial"], "seed": f["seed"],
@@ -273,7 +274,7 @@ def cmd_cex_roundtrip(args) -> int:
     if args.dump_trace:
         import random as _random
 
-        trial_seed = args.seed * 1_000_003  # trial 0 of this run
+        trial_seed = cx.trial_seed(args.seed, 0)
         x0 = cx.random_initial(args.J, _random.Random(trial_seed))
         trace = cx.simulate_trace(x0, args.J)
         with open(args.dump_trace, "w") as fh:

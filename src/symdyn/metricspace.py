@@ -5,13 +5,14 @@ agreement-radius pseudometrics lambda^(-R).  Configurations are finite, so
 every distance comes back as a [lo, hi] interval: exact when a disagreement
 is visible inside the covered radius, and a tail-bounded bracket otherwise.
 
-Distances and one-step images are batch kernels over the rows of symbol
-matrices that share one domain: first-disagreement radii come from the
-cached BFS shells of each estuary vertex, and each rule runs once per
-distinct argument row.  `pseudo_dist`, `dist` and `image_configuration` are
-one-row calls of them.  The Lipschitz and Hölder sweeps sample a chunk of
-pairs, then evaluate their images and distances together; they consume the
-same random stream as sampling and measuring one pair at a time.
+Distances are a batch kernel over the rows of symbol matrices that share
+one domain: first-disagreement radii come from the cached BFS shells of each
+estuary vertex.  One-step images come from the rule-application kernel of
+`symsys` (`_image_rows`, each rule once per distinct argument row).
+`pseudo_dist`, `dist` and `image_configuration` are one-row calls of these
+kernels.  The Lipschitz and Hölder sweeps sample a chunk of pairs, then
+evaluate their images and distances together; they consume the same random
+stream as sampling and measuring one pair at a time.
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
@@ -26,8 +27,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import Digraph, Vertex, _ols_slope, sort_vertices
-from .symsys import Configuration, PatternSpace, SymbolicSystem, _group_rows
+from .netgraph import Digraph, Vertex, _as_vertex, _ols_slope, sort_vertices
+from .symsys import Configuration, PatternSpace, SymbolicSystem, _columns, _image_rows
 from .entropydim import pattern_log_count
 
 
@@ -173,7 +174,7 @@ def metric_from_descriptor(desc: dict, graph: Digraph) -> BasedMetric:
     {"estuary": [...], "lambda": 2, "scheme": "finite"|"doubleexp",
      "coeffs": [...]}.  Omitted coefficients default to the halving sequence.
     """
-    estuary = [tuple(v) if isinstance(v, list) else v for v in desc["estuary"]]
+    estuary = [_as_vertex(v) for v in desc["estuary"]]
     lam = float(desc.get("lambda", 2.0))
     kind = desc.get("scheme", "finite")
     if kind == "doubleexp":
@@ -193,10 +194,6 @@ def metric_from_descriptor(desc: dict, graph: Digraph) -> BasedMetric:
 # domain, one column per domain cell (`index` maps each cell to its column).
 
 _SWEEP_ROWS = 512  # sampled pairs per batch: keeps a sweep's memory flat
-
-
-def _columns(cells: Iterable[Vertex]) -> dict:
-    return {v: i for i, v in enumerate(cells)}
 
 
 def _anchor_shells(graph: Digraph, v: Vertex, index: dict, r_cap=None):
@@ -267,23 +264,6 @@ def _diff_rows(pairs: list, index: dict) -> np.ndarray:
     """Disagreement matrix of configuration pairs over the indexed cells."""
     rows = [[x.values[v] != y.values[v] for v in index] for x, y in pairs]
     return np.array(rows, dtype=bool).reshape(len(pairs), len(index))
-
-
-def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
-                rows: np.ndarray) -> np.ndarray:
-    """One update step of every row, on the region's cells.  Each rule is
-    fetched once and runs once per distinct argument row, as in
-    `_composed_tables`."""
-    n = len(rows)
-    out = np.empty((n, len(region)), dtype=np.min_scalar_type(sys.alphabet.size - 1))
-    radix = int(rows.max()) + 1 if rows.size else 1
-    for j, w in enumerate(region):
-        rule = sys.rule(w)
-        args = rows[:, [index[u] for u in rule.inputs]]
-        first, ranks = _group_rows(args.T, radix, n)
-        values = [rule.fn(tuple(a)) for a in args[first].tolist()]
-        out[:, j] = np.array(values, dtype=out.dtype)[ranks]
-    return out
 
 
 def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):

@@ -574,10 +574,15 @@ def shift_tau(delta) -> Subisometry:
     return Subisometry(map=lambda v: v + delta, label=f"shift({delta})")
 
 
+def _as_vertex(v):
+    """A JSON vertex: lists (grid points) become tuples."""
+    return tuple(v) if isinstance(v, list) else v
+
+
 def graph_from_descriptor(desc: dict) -> Digraph:
     """Build a named family or explicit graph from its JSON descriptor."""
     if "edges" in desc:
-        return explicit_graph([tuple(e) for e in desc["edges"]])
+        return explicit_graph([tuple(_as_vertex(u) for u in e) for e in desc["edges"]])
     family = desc.get("family")
     if family == "cayley_zd":
         return cayley_zd(int(desc["D"]))

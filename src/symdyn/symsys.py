@@ -7,6 +7,12 @@ rule inputs, trajectories by exact cone evaluation (no boundary guesses),
 and panoramas / window certificates by exhaustive enumeration of the
 pattern space restricted to the cone.
 
+Rules are applied to configurations in one place, `_image_rows`: one update
+step of a batch of configurations (the rows of a symbol matrix), with each
+rule run once per distinct argument row.  Trajectories (`evaluate` is a
+batch of one), composed tables, subsymmetry checks and the one-step images
+of `metricspace` all go through it.
+
 There is one enumeration engine.  It composes each window cell's value at
 each time step into a lookup table over the cells it reads, then groups the
 cone's patterns by observed trajectory in one of two ways, chosen by sizes
@@ -81,9 +87,6 @@ class LocalRule:
     inputs: tuple
     fn: Callable[[tuple], int] = field(compare=False)
     label: str = ""
-
-    def __call__(self, args: tuple) -> int:
-        return self.fn(args)
 
     @classmethod
     def from_table(cls, inputs, table, alphabet_size: int, label: str = ""):
@@ -246,6 +249,8 @@ def light_cone(sys: SymbolicSystem, window: Iterable[Vertex], horizon: int) -> L
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     w = sort_vertices(window)
+    if not w:
+        raise ValueError("window must be nonempty")
     layers = [w]
     current = set(w)
     union = set(w)
@@ -285,29 +290,72 @@ def evaluate(
     The configuration must cover the full light cone; otherwise the error
     names the missing vertices.  Values outside the cone are never read.
     """
-    w = sort_vertices(window)
-    cone = light_cone(sys, w, horizon)
+    cone = light_cone(sys, window, horizon)
     missing = [v for v in cone.union if v not in x.values]
     if missing:
         raise InsufficientDomainError(missing)
-    values = {v: x.values[v] for v in cone.union}
-    # cells in order of first appearance; step t reads layers 0..horizon-t,
-    # which are the first ends[horizon - t] of them
-    first_seen: dict = {}
-    ends = []
+    traj = _trajectory_rows(sys, cone, np.array([[x.values[v] for v in cone.union]]))
+    return [dict(zip(dict.fromkeys(cone.window), step)) for step in traj[0].tolist()]
+
+
+# -- the rule-application kernel: every rule call on configurations -----------
+# Configurations are the rows of a symbol matrix; `index` maps cells to columns.
+
+_BLOCK = 2**12  # (row, cell) pairs ranked at once: keeps peak memory flat
+
+
+def _columns(cells: Iterable[Vertex]) -> dict:
+    return {v: i for i, v in enumerate(cells)}
+
+
+def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
+                rows: np.ndarray) -> np.ndarray:
+    """One update step of every row, on the region's cells.
+
+    The region goes in blocks of about _BLOCK / rows cells.  A block's
+    (cell, zero-padded argument row) pairs are ranked with one `_group_rows`
+    call, each rule runs once per distinct pair, and the values scatter back.
+    """
+    n = len(rows)
+    out = np.empty((n, len(region)), dtype=np.min_scalar_type(sys.alphabet.size - 1))
+    radix = int(rows.max()) + 1 if rows.size else 1
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, len(region), step):
+        rules = [sys.rule(w) for w in region[lo : lo + step]]
+        width = max(len(r.inputs) for r in rules)
+        cols = np.array([[index[u] for u in r.inputs] + [-1] * (width - len(r.inputs))
+                         for r in rules], dtype=np.intp)
+        cell = np.tile(np.arange(len(rules)), n)
+        args = np.where(cols >= 0, rows[:, cols], 0).reshape(len(cell), width)
+        first, ranks = _group_rows([cell, *args.T], max(radix, len(rules)), len(cell))
+        values = [rules[j].fn(tuple(a[: len(rules[j].inputs)]))
+                  for j, a in zip(cell[first].tolist(), args[first].tolist())]
+        values = np.array(values, dtype=out.dtype)[ranks]
+        out[:, lo : lo + len(rules)] = values.reshape(n, len(rules))
+    return out
+
+
+def _trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> np.ndarray:
+    """Window trajectories of every row, as an array (row, time, window cell)
+    over the distinct window cells.  Row columns follow `cone.union`.
+
+    Cells go in order of first appearance in the cone's layers: the window
+    leads, and step t, which needs only layers 0..horizon-t, images a prefix.
+    """
+    index: dict = {}  # cell -> column, in order of first appearance
+    ends = []  # ends[s]: how many cells layers 0..s hold
     for layer in cone.layers:
-        first_seen.update(dict.fromkeys(layer))
-        ends.append(len(first_seen))
-    cells = list(first_seen)
-    traj = [{u: values[u] for u in w}]
-    for t in range(1, horizon + 1):
-        new_values = {}
-        for v in cells[: ends[horizon - t]]:
-            rule = sys.rule(v)
-            new_values[v] = rule.fn(tuple(values[u] for u in rule.inputs))
-        values = new_values
-        traj.append({u: values[u] for u in w})
-    return traj
+        for v in layer:
+            index.setdefault(v, len(index))
+        ends.append(len(index))
+    cells = list(index)
+    position = _columns(cone.union)
+    values = rows[:, [position[v] for v in cells]]
+    traj = [values[:, : ends[0]]]
+    for t in range(1, cone.horizon + 1):
+        values = _image_rows(sys, index, cells[: ends[cone.horizon - t]], values)
+        traj.append(values[:, : ends[0]].copy())
+    return np.stack(traj, axis=1)
 
 
 # -- exhaustive panorama enumeration -----------------------------------------
@@ -474,7 +522,7 @@ def _composed_tables(sys, space, window, horizon, memo=None):
     mixed-radix enumeration of the cells it reads at time 0.
 
     Returns (domain, table) pairs, time-major and in window order.  Each rule
-    runs once per distinct argument tuple that occurs in its table.  Tables
+    runs on its table's argument matrix through `_image_rows`.  Tables
     are kept in `memo` by (time, cell), so calls sharing it reuse them.
     """
     memo = {} if memo is None else memo
@@ -486,13 +534,12 @@ def _composed_tables(sys, space, window, horizon, memo=None):
         if t == 0:
             got = (v,), np.array(space.allowed(v), dtype=np.int64)
         else:
-            rule = sys.rule(v)
-            subs = [build(t - 1, u) for u in rule.inputs]
+            inputs = sys.rule(v).inputs
+            subs = [build(t - 1, u) for u in inputs]
             dom = sort_vertices(set().union(*(d for d, _ in subs)))
-            args = [arr[_radix_index(dom, space, _strides(d, space))] for d, arr in subs]
-            first, ranks = _group_rows(args, sys.alphabet.size, _pattern_count(space, dom))
-            values = [rule.fn(tuple(int(a[i]) for a in args)) for i in first]
-            got = dom, np.array(values, dtype=np.int64)[ranks]
+            cols = [arr[_radix_index(dom, space, _strides(d, space))] for d, arr in subs]
+            args = np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=np.int64)
+            got = dom, _image_rows(sys, _columns(inputs), [v], args)[:, 0]
         memo[(t, v)] = got
         return got
 
@@ -870,26 +917,17 @@ def subsymmetry_check(
     space_violations = [
         v for v in probe if set(space.allowed(v)) != set(space.allowed(tau(v)))
     ]
+    shifted = {u: tau(u) for v in probe for u in sys.rule(v).inputs}
+    domain = sort_vertices({*shifted.values(), *(u for w in images for u in sys.rule(w).inputs)})
     rng = random.Random(seed)
-    commute_violations = []
-    domain: set = set()
-    for v in probe:
-        domain.update(tau(u) for u in sys.rule(v).inputs)
-        domain.update(sys.rule(tau(v)).inputs)
-    domain = sort_vertices(domain)
-    for s in range(samples):
-        x = space.random_configuration(domain, rng)
-        for v in probe:
-            rule_v = sys.rule(v)
-            shifted_then_updated = rule_v.fn(
-                tuple(x.values[tau(u)] for u in rule_v.inputs)
-            )
-            rule_tv = sys.rule(tau(v))
-            updated_then_shifted = rule_tv.fn(
-                tuple(x.values[u] for u in rule_tv.inputs)
-            )
-            if shifted_then_updated != updated_then_shifted:
-                commute_violations.append({"sample": s, "vertex": v})
+    rows = np.array([[rng.choice(space.allowed(v)) for v in domain] for _ in range(samples)],
+                    dtype=np.int64).reshape(samples, len(domain))
+    index = _columns(domain)
+    # Phi(x o tau) at v against Phi(x) at tau(v), on every sample at once
+    differ = _image_rows(sys, {u: index[w] for u, w in shifted.items()}, probe, rows)
+    differ = differ != _image_rows(sys, index, images, rows)
+    commute_violations = [{"sample": s, "vertex": probe[j]}
+                          for s, j in np.argwhere(differ).tolist()]
     passed = (
         injective
         and not edge_violations
@@ -1025,9 +1063,11 @@ def system_from_descriptor(desc: dict):
     "alphabet": k, "universe": "N"|"Z"}, {"system": "counterexample"},
     {"system": "ca_zd", "alphabet": k, "offsets": [...], "table": [...]}.
     Explicit form: {"alphabet": k, "graph": {...}, "rules": [{"vertex": v,
-    "inputs": [...], "table": [...]}]} with row-major tables.
+    "inputs": [...], "table": [...]}]} with row-major tables, checked when
+    loaded: one rule per graph vertex, with the vertex's in-neighbors as
+    inputs.
     """
-    from .netgraph import graph_from_descriptor
+    from .netgraph import UniverseExhaustionError, _as_vertex, graph_from_descriptor
 
     name = desc.get("system")
     if name == "odometer":
@@ -1049,15 +1089,25 @@ def system_from_descriptor(desc: dict):
         graph = graph_from_descriptor(desc["graph"])
         rules = {}
         for entry in desc["rules"]:
-            v = entry["vertex"]
-            v = tuple(v) if isinstance(v, list) else v
-            inputs = [
-                tuple(u) if isinstance(u, list) else u for u in entry["inputs"]
-            ]
+            v = _as_vertex(entry["vertex"])
+            if v in rules:
+                raise ValueError(f"two rules for vertex {v!r}")
+            try:
+                neighbors = graph.in_neighbors(v)
+            except (TypeError, UniverseExhaustionError):
+                raise ValueError(f"rule for vertex {v!r}, which is not in the graph") from None
+            inputs = [_as_vertex(u) for u in entry["inputs"]]
             try:
                 rules[v] = LocalRule.from_table(inputs, entry["table"], alphabet.size)
             except ValueError as exc:
                 raise ValueError(f"rule at vertex {v!r}: {exc}") from None
+            if set(inputs) != set(neighbors):
+                raise ValueError(
+                    f"rule at vertex {v!r}: inputs {tuple(inputs)} != in-neighbors {neighbors}"
+                )
+        missing = [v for v in graph.universe.get("vertices", ()) if v not in rules]
+        if missing:  # explicit graphs list their vertices
+            raise ValueError(f"no rule for vertex {missing[0]!r}")
 
         def rule_at(v):
             if v not in rules:

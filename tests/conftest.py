@@ -94,14 +94,33 @@ def disjoint_ball_families(g, rng: random.Random, count: int):
     return families
 
 
+def evaluate_oracle(sys_, x, window, horizon):
+    """Trajectory of one configuration, one rule call per cell and step: the
+    cells each step reads are the layers 0..horizon-t of the cone."""
+    w = ng.sort_vertices(window)
+    cone = ss.light_cone(sys_, w, horizon)
+    values = {v: x.values[v] for v in cone.union}
+    traj = [{u: values[u] for u in w}]
+    for t in range(1, horizon + 1):
+        cells = set().union(*cone.layers[: horizon - t + 1])
+        new_values = {}
+        for v in cells:
+            rule = sys_.rule(v)
+            new_values[v] = rule.fn(tuple(values[u] for u in rule.inputs))
+        values = new_values
+        traj.append({u: values[u] for u in w})
+    return traj
+
+
 def trajectory_set_oracle(sys_, space, window, horizon):
     """Observed trajectories of every pattern on the window's cone, each
-    computed by `evaluate` on its own configuration."""
+    computed by `evaluate_oracle` on its own configuration."""
     w = ng.sort_vertices(window)
     cells = ss.light_cone(sys_, w, horizon).union
     out = set()
     for pattern in itertools.product(*[space.allowed(v) for v in cells]):
-        traj = ss.evaluate(sys_, ss.Configuration(dict(zip(cells, pattern))), w, horizon)
+        x = ss.Configuration(dict(zip(cells, pattern)))
+        traj = evaluate_oracle(sys_, x, w, horizon)
         out.add(tuple(tuple(step[u] for u in w) for step in traj))
     return out
 
@@ -117,7 +136,7 @@ def determined_oracle(sys_, space, window, horizon, tracked):
     groups: dict = {}
     for pattern in itertools.product(*[space.allowed(v) for v in cells]):
         x = ss.Configuration(dict(zip(cells, pattern)))
-        traj = ss.evaluate(sys_, x, w, horizon)
+        traj = evaluate_oracle(sys_, x, w, horizon)
         obs = tuple(tuple(step[u] for u in w) for step in traj)
         ref = groups.setdefault(obs, pattern)
         tracked = [v for v in tracked if pattern[pos[v]] == ref[pos[v]]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import symdyn
 from symdyn import cli
+from symdyn import counterexample as cx
 from symdyn import netgraph as ng
 
 
@@ -151,6 +153,13 @@ def test_cex_roundtrip_trace_dump(tmp_path):
     assert lines[1] == "t,a,b"
     assert len(lines) == 2 + 7  # horizon m_2 = 6 gives observations 0..6
     assert all(len(line.split(",")) == 3 for line in lines[2:])
+    # the dumped trace is trial 0's, drawn from the round trip's own seed
+    x0 = cx.random_initial(2, random.Random(cx.trial_seed(4, 0)))
+    trace = cx.simulate_trace(x0, 2)
+    assert [line.split(",") for line in lines[2:]] == [
+        [str(t), str(a), str(b)] for t, (a, b) in enumerate(trace.observations)
+    ]
+    assert json.loads(lines[0][len("# config: "):])["trial_seed"] == cx.trial_seed(4, 0)
 
 
 def test_metric_dim(tmp_path):
@@ -391,3 +400,103 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[2] == "r,ball_size,exponent"
+
+
+@pytest.mark.parametrize("J", [4, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cex_roundtrip_stdout_pinned(capsys, J, seed):
+    assert cli.run(["cex-roundtrip", "--J", str(J), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == (
+        f'# config: {{"J": {J}, "seed": {seed}, "trials": 200}}\n'
+        '# summary: {"passed": true, "trials": 200}\n'
+        "trial,seed,mismatches\n"
+    )
+
+
+# captured with a decoder that zeroes the a-row: the mismatch counts are the
+# a-bits set in each trial's initial data, so they pin the sampled stream
+_FAULTY_STDOUT = {
+    (4, 0): (
+        '# config: {"J": 4, "seed": 0, "trials": 6}\n'
+        '# summary: {"passed": false, "trials": 6}\n'
+        "trial,seed,mismatches\n"
+        "0,0,13\n1,1,11\n2,2,10\n3,3,8\n4,4,10\n5,5,10\n"
+    ),
+    (6, 1): (
+        '# config: {"J": 6, "seed": 1, "trials": 6}\n'
+        '# summary: {"passed": false, "trials": 6}\n'
+        "trial,seed,mismatches\n"
+        "0,1000003,20\n1,1000004,24\n2,1000005,18\n3,1000006,21\n"
+        "4,1000007,23\n5,1000008,24\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("J,seed", sorted(_FAULTY_STDOUT))
+def test_cex_roundtrip_failures_pinned(capsys, monkeypatch, J, seed):
+    decode = cx.decode_trace
+
+    def zero_a_row(trace, depth):
+        res = decode(trace, depth)
+        return cx.DecodeResult(depth, (0,) * len(res.a_row), res.b_junctions)
+
+    monkeypatch.setattr(cx, "decode_trace", zero_a_row)
+    argv = ["cex-roundtrip", "--J", str(J), "--trials", "6", "--seed", str(seed)]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().out == _FAULTY_STDOUT[(J, seed)]
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_vacuous_roundtrip_exit_code(capsys, trials):
+    code = cli.run(["cex-roundtrip", "--J", "2", "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--trials" in captured.err
+    assert captured.out == ""
+
+
+def test_empty_window_exit_code(capsys):
+    code = cli.run(["sys-panorama", "--system", "odometer", "--m", "2", "--window", ";"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "window must be nonempty" in captured.err
+
+
+def test_system_file_with_grid_vertices(tmp_path):
+    """List vertices in a descriptor's edges are grid points, as in its rules."""
+    desc = {
+        "alphabet": 2,
+        "graph": {"edges": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]},
+        "rules": [
+            {"vertex": [0, 0], "inputs": [[0, 1]], "table": [1, 0]},
+            {"vertex": [0, 1], "inputs": [[0, 0]], "table": [0, 1]},
+        ],
+    }
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(desc))
+    code, text = run_to_file(
+        tmp_path, "p.json",
+        ["sys-propagation", "--system-file", str(f), "--vertex", "0,0",
+         "--T", "3", "--format", "json"],
+    )
+    assert code == 0
+    assert [row["rho"] for row in json.loads(text)["rows"]] == [1, 2, 2, 2]
+
+
+def test_system_file_inconsistent_rules_exit_code(tmp_path, capsys):
+    desc = {
+        "alphabet": 2,
+        "graph": {"edges": [[1, 0], [0, 1]]},
+        "rules": [
+            {"vertex": 0, "inputs": [1], "table": [1, 0]},
+            {"vertex": 1, "inputs": [0], "table": [0, 1]},
+            {"vertex": 2, "inputs": [0], "table": [0, 1]},
+        ],
+    }
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(desc))
+    code = cli.run(["sys-propagation", "--system-file", str(f), "--vertex", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "rule for vertex 2, which is not in the graph" in captured.err
+    assert captured.out == ""

@@ -145,7 +145,7 @@ def test_roundtrip_exhaustive_depth1():
     cone = ss.light_cone(sysx, [0], cx.junction_index(1)).union
     for pattern in itertools.product(*[space.allowed(v) for v in cone]):
         x0 = ss.Configuration(dict(zip(cone, pattern)))
-        assert cx.roundtrip_mismatches(x0, 1, _sys=sysx) == []
+        assert cx.roundtrip_mismatches(x0, 1) == []
 
 
 def test_roundtrip_basis_depth2():
@@ -156,20 +156,50 @@ def test_roundtrip_basis_depth2():
     space = cx.cex_space()
     cone = ss.light_cone(sysx, [0], cx.junction_index(2)).union
     zero = {v: 0 for v in cone}
-    assert cx.roundtrip_mismatches(ss.Configuration(zero), 2, _sys=sysx) == []
+    assert cx.roundtrip_mismatches(ss.Configuration(zero), 2) == []
     for v in cone:
         for sym in space.allowed(v):
             if sym == 0:
                 continue
             x0 = dict(zero)
             x0[v] = sym
-            assert cx.roundtrip_mismatches(ss.Configuration(x0), 2, _sys=sysx) == []
+            assert cx.roundtrip_mismatches(ss.Configuration(x0), 2) == []
 
 
 def test_roundtrip_randomized_depths():
     for depth in (3, 4, 5, 6):
         rep = cx.cex_roundtrip(depth, trials=25, seed=depth)
         assert rep["passed"], rep["failures"][:1]
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_roundtrip_rejects_vacuous_trial_counts(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        cx.cex_roundtrip(2, trials)
+
+
+def test_roundtrip_failures_match_per_trial_mismatches(monkeypatch):
+    """With a decoder that flips the a-bit of cell 1 and every b-bit past
+    junction 0, the batched round trip reports, trial by trial, what
+    `roundtrip_mismatches` finds on the same initial data."""
+    decode = cx.decode_trace
+
+    def faulty(trace, depth):
+        res = decode(trace, depth)
+        a_row = (res.a_row[0], res.a_row[1] ^ 1) + res.a_row[2:]
+        b = res.b_junctions[:1] + tuple(x ^ 1 for x in res.b_junctions[1:])
+        return cx.DecodeResult(depth, a_row, b)
+
+    monkeypatch.setattr(cx, "decode_trace", faulty)
+    depth, trials, seed = 3, 8, 5
+    rep = cx.cex_roundtrip(depth, trials, seed)
+    expected = []
+    for trial in range(trials):
+        x0 = cx.random_initial(depth, random.Random(cx.trial_seed(seed, trial)))
+        expected.append({"trial": trial, "seed": cx.trial_seed(seed, trial),
+                         "mismatches": cx.roundtrip_mismatches(x0, depth)})
+    assert rep == {"passed": False, "trials": trials, "failures": expected}
+    assert all(len(f["mismatches"]) == 1 + depth for f in expected)
 
 
 def test_decoder_is_mod2_linear():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from symdyn import counterexample as cx
 
 from conftest import (
     determined_oracle,
+    evaluate_oracle,
     panorama_layers_oracle,
     shift_permutation_oracle,
     trajectory_set_oracle,
@@ -149,6 +151,14 @@ def test_evaluate_missing_domain_names_vertices(full_shift_n):
     assert set(err.value.missing) == {2, 3}
 
 
+def test_empty_window_rejected(full_shift_n):
+    sys_, _ = full_shift_n
+    with pytest.raises(ValueError, match="window must be nonempty"):
+        ss.light_cone(sys_, [], 3)
+    with pytest.raises(ValueError, match="window must be nonempty"):
+        ss.equicontinuity_envelope(sys_, [], 4, 4)
+
+
 def test_evaluate_ignores_cells_outside_cone(cex):
     sysx, spx = cex
     rng = random.Random(31)
@@ -164,6 +174,76 @@ def test_evaluate_ignores_cells_outside_cone(cex):
             if choices:
                 mutated[v] = rng.choice(choices)
         assert ss.evaluate(sysx, ss.Configuration(mutated), [0], 5) == base
+
+
+@st.composite
+def batched_trajectories(draw):
+    """Random explicit system (vertex 0 may read nothing), a window that may
+    list a cell twice, a horizon, a batch of rows on the cone, and a kernel
+    block size small enough to split regions."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 3))
+    inputs = [
+        draw(st.lists(st.integers(0, n - 1), min_size=0 if v == 0 else 1,
+                      max_size=3, unique=True))
+        for v in range(n)
+    ]
+    if not inputs[0] and 0 not in inputs[1]:
+        inputs[1].append(0)  # the zero-input vertex still feeds the graph
+    rules = [
+        {"vertex": v, "inputs": ins,
+         "table": draw(st.lists(st.integers(0, k - 1), min_size=k ** len(ins),
+                                max_size=k ** len(ins)))}
+        for v, ins in enumerate(inputs)
+    ]
+    edges = [[u, r["vertex"]] for r in rules for u in r["inputs"]]
+    sys_, _ = ss.system_from_descriptor(
+        {"alphabet": k, "graph": {"edges": edges}, "rules": rules}
+    )
+    window = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    cone = ss.light_cone(sys_, window, draw(st.integers(0, 4)))
+    batch = draw(st.integers(1, 5))
+    rows = np.array(
+        draw(st.lists(st.lists(st.integers(0, k - 1), min_size=len(cone.union),
+                               max_size=len(cone.union)),
+                      min_size=batch, max_size=batch)),
+        dtype=np.uint8,
+    )
+    return sys_, cone, rows, draw(st.integers(1, 12))
+
+
+def test_trajectory_rows_match_dict_loop():
+    """The batched kernel gives, row by row, the trajectories of the dict-loop
+    oracle, and `evaluate` is its one-row call."""
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(batched_trajectories())
+    def check(case):
+        sys_, cone, rows, block = case
+        with mock.patch.object(ss, "_BLOCK", block):
+            got = ss._trajectory_rows(sys_, cone, rows)
+            window = list(dict.fromkeys(cone.window))
+            for row, traj in zip(rows.tolist(), got.tolist()):
+                x = ss.Configuration(dict(zip(cone.union, row)))
+                expected = evaluate_oracle(sys_, x, cone.window, cone.horizon)
+                assert traj == [[step[u] for u in window] for step in expected]
+                assert ss.evaluate(sys_, x, cone.window, cone.horizon) == expected
+        imaged = set().union(*cone.layers[: cone.horizon])  # cells of step 1
+        if any(not sys_.rule(v).inputs for v in imaged):
+            seen.add("zero-input rule")
+        if len(set(cone.window)) < len(cone.window):
+            seen.add("repeated window cell")
+        if len(cone.window) > 1:
+            seen.add("several window cells")
+        if len(imaged) > max(1, block // len(rows)):
+            seen.add("split region")
+        if len(rows) > 1:
+            seen.add("several rows")
+
+    check()
+    assert seen == {"zero-input rule", "repeated window cell", "several window cells",
+                    "split region", "several rows"}
 
 
 # -- panoramas ---------------------------------------------------------------------
@@ -335,7 +415,7 @@ _COUNT_CASE = (
 
 def test_engine_matches_oracles(monkeypatch):
     """Panoramas, window checks, envelopes and factor chains on random small
-    systems agree with the `evaluate`-based oracles, through both groupings."""
+    systems agree with the dict-loop oracles, through both groupings."""
     seen = set()
     determined = ss._determined_at_horizon
 
@@ -377,6 +457,24 @@ def test_engine_matches_oracles(monkeypatch):
 
     check()
     assert seen == {"count", "sort"}
+
+
+def test_composed_tables_with_zero_input_rule():
+    """Cell 2 reads nothing, so from t=1 on it is a constant that cells 0
+    and 1 keep reading: its composed tables have an empty domain."""
+    sys_, space = ss.system_from_descriptor({
+        "alphabet": 2,
+        "graph": {"edges": [[1, 0], [2, 0], [0, 1], [2, 1]]},
+        "rules": [
+            {"vertex": 0, "inputs": [1, 2], "table": [0, 1, 1, 0]},
+            {"vertex": 1, "inputs": [0, 2], "table": [1, 0, 0, 1]},
+            {"vertex": 2, "inputs": [], "table": [1]},
+        ],
+    })
+    assert ss.panorama(sys_, space, [0], 4).layers == panorama_layers_oracle(
+        sys_, space, [0], 4)
+    rep = ss.equicontinuity_envelope(sys_, [0, 2], 4, r_cap=6)
+    assert rep.trajectory_count == len(trajectory_set_oracle(sys_, space, [0, 2], 4))
 
 
 def test_panorama_against_pairwise_bruteforce(cex):
@@ -519,6 +617,12 @@ def test_subsymmetry_full_shift_translation():
     assert rep["passed"]
 
 
+def test_subsymmetry_without_samples():
+    fz, fzs = ss.full_shift(2, universe="Z")
+    rep = ss.subsymmetry_check(fz, ng.shift_tau(1), [0, 1], fzs, samples=0)
+    assert rep["passed"] and rep["commute_violations"] == []
+
+
 def test_subsymmetry_identity(cex):
     sysx, spx = cex
     ident = ng.Subisometry(map=lambda v: v, label="id")
@@ -532,6 +636,36 @@ def test_subsymmetry_counterexample_shift_breaks(cex):
                                samples=5, seed=0)
     assert not rep["passed"]
     assert rep["edge_violations"]
+
+
+def test_subsymmetry_commutation_violations_pinned(cex):
+    """Report captured before the checks ran through the batched kernel."""
+    sysx, spx = cex
+    rep = ss.subsymmetry_check(sysx, ng.shift_tau(1), [0, 1, 2, 3], spx,
+                               samples=5, seed=0)
+    assert rep == {
+        "passed": False,
+        "injective": True,
+        "edge_violations": [(2, 0)],
+        "space_violations": [0, 1, 2],
+        "commute_violations": [
+            {"sample": 0, "vertex": 0}, {"sample": 0, "vertex": 2},
+            {"sample": 1, "vertex": 0}, {"sample": 1, "vertex": 1},
+            {"sample": 1, "vertex": 2}, {"sample": 2, "vertex": 1},
+            {"sample": 3, "vertex": 0}, {"sample": 3, "vertex": 1},
+            {"sample": 3, "vertex": 2}, {"sample": 4, "vertex": 1},
+        ],
+        "samples": 5,
+        "seed": 0,
+    }
+    osys, ospace = ss.odometer_system([2, 3])
+    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), [0, 1, 2, 3], ospace,
+                               samples=10, seed=4)
+    assert rep["space_violations"] == [0]
+    assert [(c["sample"], c["vertex"]) for c in rep["commute_violations"]] == [
+        (0, 0), (0, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (5, 0), (7, 0),
+        (7, 1), (8, 0), (8, 1), (9, 0), (9, 1), (9, 2), (9, 3),
+    ]
 
 
 def test_shift_extension_has_level_shift_symmetry(cex):
@@ -557,6 +691,50 @@ def test_system_descriptor_roundtrip():
     sys_, space = ss.system_from_descriptor(desc)
     traj = ss.evaluate(sys_, ss.Configuration({0: 0, 1: 0}), [0, 1], 2)
     assert traj == [{0: 0, 1: 0}, {0: 1, 1: 0}, {0: 1, 1: 1}]
+
+
+_TWO_CYCLE = {"edges": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("rules, message", [
+    ([{"vertex": 0, "inputs": [1], "table": [1, 0]}], r"no rule for vertex 1"),
+    ([{"vertex": 0, "inputs": [1], "table": [1, 0]},
+      {"vertex": 1, "inputs": [0], "table": [0, 1]},
+      {"vertex": 0, "inputs": [1], "table": [0, 1]}], r"two rules for vertex 0"),
+    ([{"vertex": 0, "inputs": [1], "table": [1, 0]},
+      {"vertex": 1, "inputs": [0], "table": [0, 1]},
+      {"vertex": 2, "inputs": [0], "table": [0, 1]}], r"vertex 2, which is not in"),
+    ([{"vertex": 0, "inputs": [1], "table": [1, 0]},
+      {"vertex": 1, "inputs": [1], "table": [0, 1]}],
+     r"rule at vertex 1: inputs \(1,\) != in-neighbors \(0,\)"),
+    ([{"vertex": 0, "inputs": [0, 1], "table": [0, 1, 1, 0]},
+      {"vertex": 1, "inputs": [0], "table": [0, 1]}], r"rule at vertex 0: inputs"),
+])
+def test_descriptor_rules_checked_at_load(rules, message):
+    with pytest.raises(ValueError, match=message):
+        ss.system_from_descriptor({"alphabet": 2, "graph": _TWO_CYCLE, "rules": rules})
+
+
+def test_descriptor_rule_off_a_named_graph():
+    with pytest.raises(ValueError, match=r"rule for vertex 0, which is not in the graph"):
+        ss.system_from_descriptor({
+            "alphabet": 2,
+            "graph": {"family": "cayley_zd", "D": 1},
+            "rules": [{"vertex": 0, "inputs": [1], "table": [0, 1]}],
+        })
+
+
+def test_descriptor_with_grid_vertices():
+    sys_, _ = ss.system_from_descriptor({
+        "alphabet": 2,
+        "graph": {"edges": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]},
+        "rules": [
+            {"vertex": [0, 0], "inputs": [[0, 1]], "table": [1, 0]},
+            {"vertex": [0, 1], "inputs": [[0, 0]], "table": [0, 1]},
+        ],
+    })
+    x = ss.Configuration({(0, 0): 0, (0, 1): 0})
+    assert ss.evaluate(sys_, x, [(0, 0)], 2) == [{(0, 0): 0}, {(0, 0): 1}, {(0, 0): 1}]
 
 
 def test_named_descriptors():
