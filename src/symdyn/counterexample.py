@@ -159,12 +159,6 @@ class DecodeResult:
     a_row: tuple
     b_junctions: tuple
 
-    def as_dict(self) -> dict:
-        out = {n: {"a": a} for n, a in enumerate(self.a_row)}
-        for j, b in enumerate(self.b_junctions):
-            out[junction_index(j)]["b"] = b
-        return out
-
 
 def decode_window(depth: int) -> tuple:
     """Cells whose initial state a depth-J trace pins down: everything up to

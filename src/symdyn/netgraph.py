@@ -59,11 +59,6 @@ class Subisometry:
     def __call__(self, v: Vertex) -> Vertex:
         return self.map(v)
 
-    def iterate(self, v: Vertex, n: int) -> Vertex:
-        for _ in range(n):
-            v = self.map(v)
-        return v
-
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -107,10 +102,6 @@ class Digraph:
 
     def in_neighbors(self, v: Vertex) -> tuple:
         return tuple(self._in(v))
-
-    @property
-    def has_out_neighbors(self) -> bool:
-        return self._out is not None
 
     def out_neighbors(self, v: Vertex) -> tuple:
         if self._out is None:

@@ -16,11 +16,14 @@ of `metricspace` all go through it.
 There is one enumeration engine.  It composes each window cell's value at
 each time step into a lookup table over the cells it reads, then groups the
 cone's patterns by observed trajectory in one of two ways, chosen by sizes
-it already knows: *count* keeps a presence counter per (trajectory key,
-cell value) and walks the patterns in vectorized chunks, and is used when
-those counters number no more than the patterns; *sort* otherwise builds
-the observation matrix (one row per pattern) and ranks its rows.  Both
-decide the same quantifier exactly.
+it already knows: *count* packs each pattern's trajectory into an integer
+key and walks the patterns in vectorized chunks, and is used when the key
+space times the summed allowed sizes of the tracked cells is no more than
+the patterns; *sort* otherwise builds the observation matrix (one row per
+pattern) and ranks its rows.  Both end in the same step: the tracked cells'
+digits pack into bit fields, every pattern is XORed with a representative
+of its trajectory, and a cell is determined exactly when its field of the
+OR of those XORs stays zero.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -63,6 +67,7 @@ class NotEquicontinuousError(Exception):
 
 DEFAULT_PATTERN_CAP = 2**24
 _CHUNK = 2**18  # inner vector length of the count grouping; L2/L3 friendly
+_WORD_BITS = 63  # bit fields per int64 word of packed tracked digits
 
 
 @dataclass(frozen=True)
@@ -228,9 +233,11 @@ class LightCone:
 class PanoramaResult:
     """Determined-cell layers of a window under repeated observation.
 
-    `engine` names the trajectory grouping the layers used: "count"
-    (presence counters over packed trajectory keys), "sort" (ranked rows of
-    the observation matrix), or "count+sort" when layers differed.
+    `engine` names the trajectory grouping the sizes picked for the layers:
+    "count" (one pass over packed trajectory keys, comparing each pattern
+    with its key's representative), "sort" (ranked rows of the observation
+    matrix), or "count+sort" when layers differed.  A layer whose cells were
+    all determined at an earlier horizon names its pick without running it.
     """
 
     window: tuple
@@ -383,23 +390,14 @@ def panorama(
     Layer t is computed over the cone of horizon t, which decides the same
     quantifier as any larger cone because the space is a product.
     """
-    w = sort_vertices(window)
-    cone = light_cone(sys, w, horizon)
-    count = _pattern_count(space, cone.union)
-    if count > max_patterns:
-        raise EnumerationCapError(count, max_patterns)
+    cone, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
     layers = []
     engines = set()
-    cum: set = set()
-    memo: dict = {}
-    for t, layer in enumerate(cone.layers):
-        cum.update(layer)
-        tracked = sort_vertices(cum)
-        det, engine = _determined_at_horizon(sys, space, w, t, tracked, memo)
+    for det, engine in _determined_layers(sys, space, cone):
         layers.append(sort_vertices(det))
         engines.add(engine)
     return PanoramaResult(
-        window=w,
+        window=cone.window,
         horizon=horizon,
         layers=tuple(layers),
         cone=cone.union,
@@ -418,52 +416,67 @@ def posexpansive_window_check(
 ) -> dict:
     """Find the least horizon at which a target set is fully determined.
 
-    Layers are nested, so each target cell only needs its first determined
-    horizon; the answer is the largest of those.  A positive answer is a
-    finite certificate; a negative one only reports what stayed undetermined
+    The panorama's horizon loop restricted to the target, stopping at the
+    first horizon that pins all of it down.  A positive answer is a finite
+    certificate; a negative one only reports what stayed undetermined
     through t_max.
     """
-    w = sort_vertices(window)
     target = set(target)
-    cone = light_cone(sys, w, t_max)
+    cone, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
+    for t, (det, _) in enumerate(_determined_layers(sys, space, cone, target)):
+        if target <= det:
+            return {"covered": True, "first_t": t, "missing": ()}
+    return {"covered": False, "first_t": None, "missing": sort_vertices(target - det)}
+
+
+def _enumerable_cone(sys, space, window, horizon, max_patterns):
+    """The window's light cone and its pattern count, within the cap."""
+    cone = light_cone(sys, window, horizon)
     count = _pattern_count(space, cone.union)
     if count > max_patterns:
         raise EnumerationCapError(count, max_patterns)
-    remaining = set(target)
+    return cone, count
+
+
+def _determined_layers(sys, space, cone, target=None):
+    """For t = 0..horizon, the cells (of `target`, default all) of the cone
+    of horizon t that observations 0..t pin down, with the grouping the
+    sizes picked.  Layers are nested, so a cell determined at one horizon is
+    not checked again at the next."""
+    det: set = set()
     cum: set = set()
     memo: dict = {}
     for t, layer in enumerate(cone.layers):
-        cum.update(layer)
-        tracked = sort_vertices(remaining & cum)
-        if tracked:
-            det, _ = _determined_at_horizon(sys, space, w, t, tracked, memo)
-            remaining -= set(det)
-        if not remaining:
-            return {"covered": True, "first_t": t, "missing": ()}
-    return {
-        "covered": False,
-        "first_t": None,
-        "missing": sort_vertices(remaining),
-    }
+        cum.update(layer if target is None else target.intersection(layer))
+        new, engine = _determined_at_horizon(
+            sys, space, cone.window, t, sort_vertices(cum), det, memo)
+        det |= new
+        yield det, engine
 
 
-def _determined_at_horizon(sys, space, window, horizon, tracked, memo=None):
-    """Which tracked cells (all in the horizon's cone) are pinned down by
-    observations 0..horizon, and the grouping ("count" or "sort") that
-    decided it.  `memo` shares composed tables between horizons.
+def _determined_at_horizon(sys, space, window, horizon, tracked, known, memo):
+    """Which tracked cells (all in the horizon's cone) outside `known`, the
+    cells determined already, are pinned down by observations 0..horizon,
+    and the grouping ("count" or "sort") that decides it.  `memo` shares
+    composed tables between horizons.
 
     Exact for product spaces: enumeration runs over the horizon's own cone
-    and every cell outside it is unconstrained.  Count grouping needs one
-    presence counter per trajectory key and tracked cell value, so it runs
-    only when those counters number no more than the patterns.
+    and every cell outside it is unconstrained.  Count grouping runs when the
+    trajectory key space times the summed allowed sizes of all tracked cells
+    is no more than the patterns, sort grouping otherwise.
     """
     cells = light_cone(sys, window, horizon).union
-    tables = _composed_tables(sys, space, window, horizon, memo)
-    keyspace = sys.alphabet.size ** len(tables)
+    keyspace = sys.alphabet.size ** (len(window) * (horizon + 1))
     counters = keyspace * sum(len(space.allowed(v)) for v in tracked)
     if counters <= _pattern_count(space, cells):
-        return _count_grouping(sys, space, cells, tables, tracked), "count"
-    return _sort_grouping(sys, space, cells, tables, tracked), "sort"
+        grouping, engine = _count_grouping, "count"
+    else:
+        grouping, engine = _sort_grouping, "sort"
+    pending = [v for v in tracked if v not in known]
+    if not pending:
+        return frozenset(), engine
+    tables = _composed_tables(sys, space, window, horizon, memo)
+    return grouping(sys, space, cells, tables, pending), engine
 
 
 def _strides(cells: Sequence[Vertex], space: PatternSpace) -> dict:
@@ -553,21 +566,73 @@ def _observation_columns(cells, space, tables):
         yield arr[_radix_index(cells, space, _strides(dom, space))]
 
 
+def _bit_fields(space, tracked):
+    """Bit fields of the tracked cells' digits, packed in order into int64
+    words of at most _WORD_BITS bits: per word, each cell's shift and mask."""
+    words, shift = [{}], 0
+    for v in tracked:
+        width = (len(space.allowed(v)) - 1).bit_length()
+        if shift + width > _WORD_BITS:
+            words, shift = words + [{}], 0
+        words[-1][v] = shift, ((1 << width) - 1) << shift
+        shift += width
+    return words
+
+
+def _packed_digits(cells, space, words):
+    """Per word, the tracked digits of every pattern on `cells` (a
+    mixed-radix enumeration), each shifted into its bit field."""
+    return [_radix_index(cells, space, {v: 1 << s for v, (s, _) in word.items()})
+            for word in words]
+
+
+def _represent(keys, words, keyspace):
+    """Per word of packed digits: a representative per key (the word of some
+    row with that key, -1 where no row has it), and the OR of every row's
+    word XOR its key's representative."""
+    reps, diffs = [], []
+    for packed in words:
+        rep = np.full(keyspace, -1, dtype=np.int64)
+        rep[keys] = packed
+        diff = np.take(rep, keys)
+        diff ^= packed
+        reps.append(rep)
+        diffs.append(int(np.bitwise_or.reduce(diff)))
+    return reps, diffs
+
+
+def _merge_reps(into, other):
+    """Fold one (representatives, differences) pair into another, word by
+    word: keys both have seen OR the XOR of their representatives into the
+    differences, keys only `other` has seen take its representative."""
+    reps, diffs = into
+    seen, other_seen = reps[0] >= 0, other[0][0] >= 0
+    both, new = seen & other_seen, other_seen & ~seen
+    for w, (rep, rep2, diff2) in enumerate(zip(reps, *other)):
+        diffs[w] |= diff2 | int(np.bitwise_or.reduce(rep[both] ^ rep2[both]))
+        rep[new] = rep2[new]
+
+
+def _settled(words, diffs):
+    """The tracked cells whose bit field stayed zero in the differences:
+    every pattern agrees there with its trajectory's representative."""
+    return frozenset(v for word, diff in zip(words, diffs)
+                     for v, (_, mask) in word.items() if not diff & mask)
+
+
 def _sort_grouping(sys, space, cells, tables, tracked):
-    """Rank the rows of the observation matrix: a cell is determined exactly
-    when every pattern agrees there with the first pattern of its rank."""
+    """Rank the rows of the observation matrix and compare every pattern's
+    packed tracked digits with those of the first pattern of its rank."""
     first, ranks = _group_rows(
         _observation_columns(cells, space, tables),
         sys.alphabet.size,
         _pattern_count(space, cells),
     )
     rep = first[ranks]
-    determined = []
-    for v in tracked:
-        digit = _radix_index(cells, space, {v: 1})
-        if np.array_equal(digit, digit[rep]):
-            determined.append(v)
-    return frozenset(determined)
+    words = _bit_fields(space, tracked)
+    diffs = [int(np.bitwise_or.reduce(packed ^ packed[rep]))
+             for packed in _packed_digits(cells, space, words)]
+    return _settled(words, diffs)
 
 
 def _merge_tables(tables, space, radix, cap):
@@ -606,21 +671,28 @@ def _thread_count() -> int:
 
 
 def _count_grouping(sys, space, cells, tables, tracked):
-    """Presence counting over packed trajectory keys.
+    """One pass over packed trajectory keys, checking every tracked cell.
 
     The pattern space over the cone is enumerated as an outer x inner
     product: the low-stride cell block is materialized once as vectorized
     index arrays, while the high-stride block is walked in an outer loop
     contributing scalar offsets.  Each pattern's observed trajectory packs
-    into one integer key via merged lookup tables, and a cell is determined
-    exactly when no key co-occurs with two different cell values.  Outer
-    iterations may run on a few threads; integer count accumulation keeps
-    the result independent of the partitioning.
+    into one integer key via merged lookup tables, and its tracked digits
+    into bit fields of int64 words.  Each chunk keeps a representative per
+    key and ORs every pattern's XOR with it; chunks and threads then merge
+    their representatives the same way, so a cell is determined exactly when
+    its field of the OR stays zero, however the work is split.  When the key
+    space times the values of the tracked fields fits in one chunk (and the
+    fields in one word), the keys and fields are counted jointly instead and
+    the representatives are taken from the (key, digits) pairs present.
     """
     k = sys.alphabet.size
     keyspace = k ** len(tables)
     rads = [len(space.allowed(v)) for v in cells]
     groups = _merge_tables(tables, space, k, cap=2**18)
+    fields = _bit_fields(space, tracked)
+    bits = max((mask for _, mask in fields[0].values()), default=0).bit_length()
+    joint = len(fields) == 1 and keyspace << bits <= _CHUNK
 
     # split cells into outer | inner with the inner product near _CHUNK
     split = len(cells)
@@ -631,80 +703,59 @@ def _count_grouping(sys, space, cells, tables, tracked):
     outer_cells = cells[:split]
     inner_cells = cells[split:]
 
-    top = keyspace * max(rads)
+    top = keyspace << bits if joint else keyspace
     key_dtype = np.uint16 if top <= 2**16 else np.int32 if top <= 2**31 else np.int64
 
-    # scale each group's packed block by the radix width of the later groups
+    # scale each group's packed block by the radix width of the later groups;
+    # joint keys leave the low bits to the tracked fields
     prepared = []
-    scale = 1
+    scale = 1 << bits if joint else 1
     for dom, packed, width in reversed(groups):
         st = _strides(dom, space)
         prepared.append((
-            _radix_index(inner_cells, space, st).astype(np.int32),
+            _radix_index(inner_cells, space, st),
             [(c, st[c]) for c in outer_cells if c in st],
             (packed * scale).astype(key_dtype),
         ))
         scale *= k**width
 
-    rad_of = dict(zip(cells, rads))
-    tracked_inner = {
-        v: _radix_index(inner_cells, space, {v: 1}).astype(key_dtype)
-        for v in tracked
-        if v in inner_cells
-    }
+    # per word: the inner block's packed digits and the outer cells' shifts
+    words = [(inner.astype(key_dtype) if joint else inner,
+              [(c, word[c][0]) for c in outer_cells if c in word])
+             for word, inner in zip(fields, _packed_digits(inner_cells, space, fields))]
     outer_combos = list(itertools.product(*[range(r) for r in rads[:split]]))
 
     def run(combos):
-        local = {v: np.zeros(keyspace * rad_of[v], dtype=np.int64) for v in tracked}
-        ibuf = np.empty(inner_count, dtype=np.int32)
+        counts = np.zeros(top, dtype=np.int64) if joint else None
+        state = [np.full(keyspace, -1, dtype=np.int64) for _ in words], [0] * len(words)
+        ibuf = np.empty(inner_count, dtype=np.intp)
+        key = np.empty(inner_count, dtype=key_dtype)
+        block = np.empty_like(key)
         for outer in combos:
             digit_of = dict(zip(outer_cells, outer))
-            key = None
-            for inner_part, outer_terms, scaled in prepared:
-                offset = sum(digit_of[c] * s for c, s in outer_terms)
-                np.add(inner_part, np.int32(offset), out=ibuf)
-                block = scaled[ibuf]
-                if key is None:
-                    key = block
-                else:
+            for j, (inner_part, outer_terms, scaled) in enumerate(prepared):
+                np.add(inner_part, sum(digit_of[c] * s for c, s in outer_terms), out=ibuf)
+                np.take(scaled, ibuf, out=block if j else key)
+                if j:
                     key += block
-            for v in tracked:
-                rv = rad_of[v]
-                e = key * key_dtype(rv)
-                if v in tracked_inner:
-                    e += tracked_inner[v]
-                else:
-                    e += key_dtype(digit_of[v])
-                local[v] += np.bincount(e, minlength=keyspace * rv)
-        return local
+            packed = [inner + sum(digit_of[c] << s for c, s in shifts)
+                      for inner, shifts in words]
+            if joint:
+                key += packed[0]
+                counts += np.bincount(key, minlength=top)
+            else:
+                _merge_reps(state, _represent(key.astype(np.intp), packed, keyspace))
+        if joint:
+            present = np.flatnonzero(counts)
+            return _represent(present >> bits, [present & ((1 << bits) - 1)], keyspace)
+        return state
 
-    workers = min(_thread_count(), len(outer_combos)) or 1
-    if workers > 1:
-        import threading
-
-        slices = [outer_combos[w::workers] for w in range(workers)]
-        results: list = [None] * workers
-        threads = []
-        for w, sl in enumerate(slices):
-            def target(w=w, sl=sl):
-                results[w] = run(sl)
-
-            th = threading.Thread(target=target)
-            th.start()
-            threads.append(th)
-        for th in threads:
-            th.join()
-        counts = {v: sum(res[v] for res in results) for v in tracked}
-    else:
-        counts = run(outer_combos)
-
-    determined = []
-    for v in tracked:
-        rv = rad_of[v]
-        presence = counts[v].reshape(keyspace, rv) > 0
-        if bool((presence.sum(axis=1) <= 1).all()):
-            determined.append(v)
-    return frozenset(determined)
+    workers = min(_thread_count(), len(outer_combos))
+    with ThreadPoolExecutor(workers) as pool:
+        state, *others = pool.map(run, [outer_combos[w::workers] for w in range(workers)])
+    for other in others:
+        _merge_reps(state, other)
+    return _settled(fields, state[1])
 
 
 # -- sensitivity, equicontinuity, factor chains ------------------------------

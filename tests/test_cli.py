@@ -500,3 +500,28 @@ def test_system_file_inconsistent_rules_exit_code(tmp_path, capsys):
     assert code == 2
     assert "rule for vertex 2, which is not in the graph" in captured.err
     assert captured.out == ""
+
+
+# captured from the per-cell presence counters that the one-pass grouping
+# replaced: the layers and the grouping names must not move
+_CEX_PANORAMA_STDOUT = {
+    4: (
+        '# config: {"T": 4, "system": "counterexample", "window": "0"}\n'
+        '# summary: {"cone_size": 12, "engine": "count+sort", "pattern_count": 131072}\n'
+        "t,layer_size,layer\n"
+        "0,1,0\n1,2,0|1\n2,3,0|1|2\n3,4,0|1|2|3\n4,5,0|1|2|3|4\n"
+    ),
+    5: (
+        '# config: {"T": 5, "system": "counterexample", "window": "0"}\n'
+        '# summary: {"cone_size": 16, "engine": "count+sort", "pattern_count": 4194304}\n'
+        "t,layer_size,layer\n"
+        "0,1,0\n1,2,0|1\n2,3,0|1|2\n3,4,0|1|2|3\n4,5,0|1|2|3|4\n5,6,0|1|2|3|4|5\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("T", sorted(_CEX_PANORAMA_STDOUT))
+def test_cex_panorama_stdout_pinned(capsys, T):
+    argv = ["sys-panorama", "--system", "counterexample", "--window", "0", "--T", str(T)]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == _CEX_PANORAMA_STDOUT[T]

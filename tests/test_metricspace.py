@@ -482,6 +482,63 @@ def test_batched_kernels_match_oracles():
                     "differs beyond cover"}
 
 
+def _exact_dist_oracle(metric, x, y):
+    """Based distance over the stored estuary prefix of two configurations
+    on every vertex of a finite graph: each agreement radius is read off the
+    whole, closed ball (agreement on all of it is distance 0)."""
+    total = 0.0
+    n = len(x.values)
+    for u, c in zip(metric.scheme.vertices, metric.scheme.coeffs):
+        value = 0.0
+        for r in range(n + 1):
+            shell = metric.graph.ball_members([u], r)
+            if r:
+                shell -= metric.graph.ball_members([u], r - 1)
+            if any(x.values[w] != y.values[w] for w in shell):
+                value = min(1.0, metric.lam ** -(r - 1))
+                break
+        total += c * value
+    return total
+
+
+def test_dist_interval_contains_every_extension():
+    """A pair's distance interval contains the distance of any extension of
+    the pair: the exact distance of random extensions to every vertex of a
+    finite graph (plus anything the coefficient tail may add), and the
+    interval of random extensions to a larger ball of Z^2."""
+    seen = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(metric_cases(), st.randoms(use_true_random=False))
+    def check(case, rnd):
+        sys_, metric, cells, pairs, _, _ = case
+        k = sys_.alphabet.size
+        explicit = metric.graph.universe["family"] == "explicit"
+        if explicit:
+            wider = set(metric.graph.universe["vertices"])
+        else:
+            radius = max(max(abs(a) + abs(b) for a, b in cells), 0) + 2
+            wider = metric.graph.ball_members([(0, 0)], radius)
+        extra = ng.sort_vertices(wider - set(cells))
+        for x, y in pairs:
+            b = ms.dist(metric, x, y)
+            for _ in range(3):
+                x2 = ss.Configuration({**x.values, **{v: rnd.randrange(k) for v in extra}})
+                y2 = ss.Configuration({**y.values, **{v: rnd.randrange(k) for v in extra}})
+                if explicit:
+                    exact = _exact_dist_oracle(metric, x2, y2)
+                    assert b.lo - 1e-12 <= exact
+                    assert exact + metric.scheme.tail_bound <= b.hi + 1e-12
+                    seen.add("exact" if exact > b.lo else "exact at lo")
+                else:
+                    b2 = ms.dist(metric, x2, y2)
+                    assert b.lo - 1e-12 <= b2.lo <= b2.hi <= b.hi + 1e-12
+                    seen.add("narrower" if b2.width < b.width else "as wide")
+
+    check()
+    assert seen == {"exact", "exact at lo", "narrower", "as wide"}
+
+
 # -- dimension ---------------------------------------------------------------------------
 
 

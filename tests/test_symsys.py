@@ -459,6 +459,126 @@ def test_engine_matches_oracles(monkeypatch):
     assert seen == {"count", "sort"}
 
 
+# cell 0 XORs four cells that copy themselves: at t=1 a key (4 values) and
+# cell 1's digit fit 16-pattern chunks jointly, over 32 patterns
+_JOINT_CASE = (
+    *ss.system_from_descriptor({
+        "alphabet": 2,
+        "graph": {"edges": [[u, 0] for u in range(1, 5)] + [[u, u] for u in range(1, 5)]},
+        "rules": [{"vertex": 0, "inputs": [1, 2, 3, 4],
+                   "table": [bin(i).count("1") % 2 for i in range(16)]}]
+                 + [{"vertex": u, "inputs": [u], "table": [0, 1]} for u in range(1, 5)],
+    }),
+    [0], 1, {1},
+)
+# cell 4 XORs cells 0..3: cell 0 is the outer cell of 16-pattern chunks, so
+# its two values meet a key in different chunks
+_JOINT_OUTER_CASE = (
+    *ss.system_from_descriptor({
+        "alphabet": 2,
+        "graph": {"edges": [[u, 4] for u in range(4)] + [[u, u] for u in range(5)]},
+        "rules": [{"vertex": 4, "inputs": [0, 1, 2, 3, 4],
+                   "table": [bin(i >> 1).count("1") % 2 for i in range(32)]}]
+                 + [{"vertex": u, "inputs": [u], "table": [0, 1]} for u in range(4)],
+    }),
+    [4], 1, {0},
+)
+
+
+def test_groupings_match_oracle(monkeypatch):
+    """Both paths of the count grouping and the sort grouping decide the
+    oracle's cells on random small systems, on one and two threads, with
+    chunks of a few patterns and words of a few bits (a real cone would need
+    more than 2^50 patterns to fill a 63-bit word)."""
+    seen = set()
+    merge = ss._merge_reps
+
+    def recording(into, other):
+        mine, theirs = into[0][0] >= 0, other[0][0] >= 0
+        if mine.any() and theirs.any() and (mine != theirs).any():
+            seen.add("key on one side of a merge")
+        both = mine & theirs
+        if any((a[both] != b[both]).any() for a, b in zip(into[0], other[0])):
+            seen.add("shared key, other representative")
+        merge(into, other)
+
+    monkeypatch.setattr(ss, "_merge_reps", recording)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(explicit_systems(), st.sampled_from([1, 4, 16, 64, 1024]),
+           st.sampled_from([2, 3, 63]))
+    @example(_JOINT_CASE, 16, 63)
+    @example(_JOINT_CASE, 32, 63)
+    @example(_JOINT_OUTER_CASE, 16, 63)
+    @example((*_JOINT_CASE[:3], 3, {1, 2}), 32, 63)  # 16 keys x 4 digit pairs > 32
+    @example((*_JOINT_OUTER_CASE[:4], {0, 1, 4}), 16, 2)  # cell 4 in a second word
+    def check(case, chunk, word_bits):
+        sys_, space, window, horizon, target = case
+        cells = ss.light_cone(sys_, window, horizon).union
+        tracked = [v for v in cells if v in target]
+        tables = ss._composed_tables(sys_, space, window, horizon)
+        expected = determined_oracle(sys_, space, window, horizon, tracked)
+        with monkeypatch.context() as m:
+            m.setattr(ss, "_CHUNK", chunk)
+            m.setattr(ss, "_WORD_BITS", word_bits)
+            for threads in ("1", "2"):
+                m.setenv("SYMDYN_THREADS", threads)
+                assert ss._count_grouping(sys_, space, cells, tables, tracked) == expected
+            assert ss._sort_grouping(sys_, space, cells, tables, tracked) == expected
+        if not tracked:
+            return
+        if any(len(space.allowed(v)) == 3 for v in tracked):
+            seen.add("three-symbol field")
+        bits = sum((len(space.allowed(v)) - 1).bit_length() for v in tracked)
+        if bits > word_bits:
+            seen.add("several words")
+        joint = bits <= word_bits and sys_.alphabet.size ** len(tables) << bits <= chunk
+        path = "joint" if joint else "reps"
+        if set(tracked) - expected:
+            chunks = "one chunk" if ss._pattern_count(space, cells) <= chunk else "chunks"
+            seen.add(f"{path}, {chunks}, undetermined cell")
+
+    check()
+    assert seen == {"three-symbol field", "several words", "key on one side of a merge",
+                    "shared key, other representative", "joint, chunks, undetermined cell",
+                    "joint, one chunk, undetermined cell", "reps, chunks, undetermined cell",
+                    "reps, one chunk, undetermined cell"}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_panorama_and_window_check_match_oracle(monkeypatch, cex, threads):
+    """On one and two threads, panoramas and window checks equal the layers
+    of the reference dict engine."""
+    monkeypatch.setenv("SYMDYN_THREADS", threads)
+    for sys_, space, window, horizon in (
+        (*cex, [0], 3),
+        (*ss.full_shift(3), [0, 2], 2),
+        (*ss.odometer_system([3, 2]), [0, 1, 2], 3),
+    ):
+        layers = panorama_layers_oracle(sys_, space, window, horizon)
+        assert ss.panorama(sys_, space, window, horizon).layers == layers
+        for target in ({0}, set(layers[-1]), set(ss.light_cone(sys_, window, horizon).union)):
+            first_t = next((t for t, layer in enumerate(layers) if target <= set(layer)), None)
+            missing = () if first_t is not None else ng.sort_vertices(target - set(layers[-1]))
+            assert ss.posexpansive_window_check(sys_, space, window, horizon, target) == {
+                "covered": first_t is not None, "first_t": first_t, "missing": missing,
+            }
+    # the reference dict engine's cex layers at horizon 4 (see
+    # test_panorama_engines_agree)
+    assert ss.panorama(*cex, [0], 4).layers == tuple(tuple(range(t + 1)) for t in range(5))
+
+
+def test_counterexample_certificate_at_six_steps(cex):
+    """Observing cell 0 for six steps pins down cells 0..t at every step t
+    over the 2^28 patterns of the cone, and cells 0..6 first at t = 6."""
+    sysx, spx = cex
+    result = ss.panorama(sysx, spx, [0], 6, max_patterns=2**28)
+    assert result.pattern_count == 2**28
+    assert result.layers == tuple(tuple(range(t + 1)) for t in range(7))
+    assert ss.posexpansive_window_check(sysx, spx, [0], 6, range(7), max_patterns=2**28) == {
+        "covered": True, "first_t": 6, "missing": ()}
+
+
 def test_composed_tables_with_zero_input_rule():
     """Cell 2 reads nothing, so from t=1 on it is a constant that cells 0
     and 1 keep reading: its composed tables have an empty domain."""
