@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -749,6 +748,8 @@ def _count_grouping(sys, space, cells, tables, tracked):
             present = np.flatnonzero(counts)
             return _represent(present >> bits, [present & ((1 << bits) - 1)], keyspace)
         return state
+
+    from concurrent.futures import ThreadPoolExecutor  # lazy: 15 ms and 0.6 MB to import
 
     workers = min(_thread_count(), len(outer_combos))
     with ThreadPoolExecutor(workers) as pool:
