@@ -20,10 +20,8 @@ it already knows: *count* packs each pattern's trajectory into an integer
 key and walks the patterns in vectorized chunks, and is used when the key
 space times the summed allowed sizes of the tracked cells is no more than
 the patterns; *sort* otherwise builds the observation matrix (one row per
-pattern) and ranks its rows.  Both end in the same step: the tracked cells'
-digits pack into bit fields, every pattern is XORed with a representative
-of its trajectory, and a cell is determined exactly when its field of the
-OR of those XORs stays zero.
+pattern) and ranks its rows.  Both then compare every pattern's tracked
+digits with those of a representative of its trajectory.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ class NotEquicontinuousError(Exception):
 
 DEFAULT_PATTERN_CAP = 2**24
 _CHUNK = 2**18  # inner vector length of the count grouping; L2/L3 friendly
-_WORD_BITS = 63  # bit fields per int64 word of packed tracked digits
 
 
 @dataclass(frozen=True)
@@ -232,11 +229,10 @@ class LightCone:
 class PanoramaResult:
     """Determined-cell layers of a window under repeated observation.
 
-    `engine` names the trajectory grouping the sizes picked for the layers:
-    "count" (one pass over packed trajectory keys, comparing each pattern
-    with its key's representative), "sort" (ranked rows of the observation
-    matrix), or "count+sort" when layers differed.  A layer whose cells were
-    all determined at an earlier horizon names its pick without running it.
+    `engine` names the grouping the sizes picked for the layers: "count"
+    (one pass over packed trajectory keys), "sort" (ranked rows of the
+    observation matrix), or "count+sort" when layers differed; a layer with
+    no cell left to check names its pick without running it.
     """
 
     window: tuple
@@ -439,43 +435,33 @@ def _enumerable_cone(sys, space, window, horizon, max_patterns):
 
 def _determined_layers(sys, space, cone, target=None):
     """For t = 0..horizon, the cells (of `target`, default all) of the cone
-    of horizon t that observations 0..t pin down, with the grouping the
-    sizes picked.  Layers are nested, so a cell determined at one horizon is
-    not checked again at the next."""
-    det: set = set()
+    of horizon t that observations 0..t pin down, and the grouping ("count"
+    or "sort") the sizes pick for that horizon.
+
+    Exact for product spaces: enumeration runs over the horizon's own cone
+    and every cell outside it is unconstrained.  Layers are nested, so only
+    cells not determined at an earlier horizon are checked; composed tables
+    are shared between horizons.  Count grouping is picked when the key
+    space times the summed allowed sizes of the sized cells is no more than
+    the patterns: all cells so far for a panorama, the target cells still
+    pending for a window check.
+    """
+    det: frozenset = frozenset()
     cum: set = set()
     memo: dict = {}
     for t, layer in enumerate(cone.layers):
         cum.update(layer if target is None else target.intersection(layer))
-        new, engine = _determined_at_horizon(
-            sys, space, cone.window, t, sort_vertices(cum), det, memo)
-        det |= new
+        sized = cum if target is None else cum - det
+        cells = light_cone(sys, cone.window, t).union
+        keyspace = sys.alphabet.size ** (len(cone.window) * (t + 1))
+        counters = keyspace * sum(len(space.allowed(v)) for v in sized)
+        engine = "count" if counters <= _pattern_count(space, cells) else "sort"
+        pending = sort_vertices(cum - det)
+        if pending:
+            grouping = _count_grouping if engine == "count" else _sort_grouping
+            tables = _composed_tables(sys, space, cone.window, t, memo)
+            det |= grouping(sys, space, cells, tables, pending)
         yield det, engine
-
-
-def _determined_at_horizon(sys, space, window, horizon, tracked, known, memo):
-    """Which tracked cells (all in the horizon's cone) outside `known`, the
-    cells determined already, are pinned down by observations 0..horizon,
-    and the grouping ("count" or "sort") that decides it.  `memo` shares
-    composed tables between horizons.
-
-    Exact for product spaces: enumeration runs over the horizon's own cone
-    and every cell outside it is unconstrained.  Count grouping runs when the
-    trajectory key space times the summed allowed sizes of all tracked cells
-    is no more than the patterns, sort grouping otherwise.
-    """
-    cells = light_cone(sys, window, horizon).union
-    keyspace = sys.alphabet.size ** (len(window) * (horizon + 1))
-    counters = keyspace * sum(len(space.allowed(v)) for v in tracked)
-    if counters <= _pattern_count(space, cells):
-        grouping, engine = _count_grouping, "count"
-    else:
-        grouping, engine = _sort_grouping, "sort"
-    pending = [v for v in tracked if v not in known]
-    if not pending:
-        return frozenset(), engine
-    tables = _composed_tables(sys, space, window, horizon, memo)
-    return grouping(sys, space, cells, tables, pending), engine
 
 
 def _strides(cells: Sequence[Vertex], space: PatternSpace) -> dict:
@@ -566,57 +552,43 @@ def _observation_columns(cells, space, tables):
 
 
 def _bit_fields(space, tracked):
-    """Bit fields of the tracked cells' digits, packed in order into int64
-    words of at most _WORD_BITS bits: per word, each cell's shift and mask."""
-    words, shift = [{}], 0
+    """Shift and mask of each tracked cell's bit field in one int64 word of
+    packed digits, in order."""
+    fields, shift = {}, 0
     for v in tracked:
         width = (len(space.allowed(v)) - 1).bit_length()
-        if shift + width > _WORD_BITS:
-            words, shift = words + [{}], 0
-        words[-1][v] = shift, ((1 << width) - 1) << shift
+        fields[v] = shift, ((1 << width) - 1) << shift
         shift += width
-    return words
+    if shift > 63:  # needs more than 2^50 patterns: beyond any enumerable cone
+        raise ValueError(f"{len(fields)} tracked cells need {shift} bits, more than one int64")
+    return fields
 
 
-def _packed_digits(cells, space, words):
-    """Per word, the tracked digits of every pattern on `cells` (a
-    mixed-radix enumeration), each shifted into its bit field."""
-    return [_radix_index(cells, space, {v: 1 << s for v, (s, _) in word.items()})
-            for word in words]
-
-
-def _represent(keys, words, keyspace):
-    """Per word of packed digits: a representative per key (the word of some
-    row with that key, -1 where no row has it), and the OR of every row's
-    word XOR its key's representative."""
-    reps, diffs = [], []
-    for packed in words:
-        rep = np.full(keyspace, -1, dtype=np.int64)
-        rep[keys] = packed
-        diff = np.take(rep, keys)
-        diff ^= packed
-        reps.append(rep)
-        diffs.append(int(np.bitwise_or.reduce(diff)))
-    return reps, diffs
+def _packed_digits(cells, space, fields):
+    """The tracked digits of every pattern on `cells` (a mixed-radix
+    enumeration), each shifted into its bit field."""
+    return _radix_index(cells, space, {v: 1 << s for v, (s, _) in fields.items()})
 
 
 def _merge_reps(into, other):
-    """Fold one (representatives, differences) pair into another, word by
-    word: keys both have seen OR the XOR of their representatives into the
-    differences, keys only `other` has seen take its representative."""
-    reps, diffs = into
-    seen, other_seen = reps[0] >= 0, other[0][0] >= 0
-    both, new = seen & other_seen, other_seen & ~seen
-    for w, (rep, rep2, diff2) in enumerate(zip(reps, *other)):
-        diffs[w] |= diff2 | int(np.bitwise_or.reduce(rep[both] ^ rep2[both]))
-        rep[new] = rep2[new]
+    """Fold one (representatives, differences) pair into another.  A pair
+    holds a representative per key (the packed digits of some pattern with
+    that key, -1 where none has it) and the OR of every pattern's packed
+    digits XOR its key's representative.  Keys both have seen OR the XOR of
+    their representatives into the differences, keys only `other` has seen
+    take its representative; `into`'s representatives change in place."""
+    (rep, diff), (rep2, diff2) = into, other
+    seen, seen2 = rep >= 0, rep2 >= 0
+    both, new = seen & seen2, seen2 & ~seen
+    diff |= diff2 | int(np.bitwise_or.reduce(rep[both] ^ rep2[both]))
+    rep[new] = rep2[new]
+    return rep, diff
 
 
-def _settled(words, diffs):
+def _settled(fields, diff):
     """The tracked cells whose bit field stayed zero in the differences:
     every pattern agrees there with its trajectory's representative."""
-    return frozenset(v for word, diff in zip(words, diffs)
-                     for v, (_, mask) in word.items() if not diff & mask)
+    return frozenset(v for v, (_, mask) in fields.items() if not diff & mask)
 
 
 def _sort_grouping(sys, space, cells, tables, tracked):
@@ -627,11 +599,9 @@ def _sort_grouping(sys, space, cells, tables, tracked):
         sys.alphabet.size,
         _pattern_count(space, cells),
     )
-    rep = first[ranks]
-    words = _bit_fields(space, tracked)
-    diffs = [int(np.bitwise_or.reduce(packed ^ packed[rep]))
-             for packed in _packed_digits(cells, space, words)]
-    return _settled(words, diffs)
+    fields = _bit_fields(space, tracked)
+    packed = _packed_digits(cells, space, fields)
+    return _settled(fields, int(np.bitwise_or.reduce(packed ^ packed[first[ranks]])))
 
 
 def _merge_tables(tables, space, radix, cap):
@@ -677,21 +647,16 @@ def _count_grouping(sys, space, cells, tables, tracked):
     index arrays, while the high-stride block is walked in an outer loop
     contributing scalar offsets.  Each pattern's observed trajectory packs
     into one integer key via merged lookup tables, and its tracked digits
-    into bit fields of int64 words.  Each chunk keeps a representative per
-    key and ORs every pattern's XOR with it; chunks and threads then merge
-    their representatives the same way, so a cell is determined exactly when
-    its field of the OR stays zero, however the work is split.  When the key
-    space times the values of the tracked fields fits in one chunk (and the
-    fields in one word), the keys and fields are counted jointly instead and
-    the representatives are taken from the (key, digits) pairs present.
+    into bit fields of one int64.  Each chunk keeps a representative per key
+    and ORs every pattern's XOR with it; chunks and threads then merge their
+    representatives the same way, so a cell is determined exactly when its
+    field of the OR stays zero, however the work is split.
     """
     k = sys.alphabet.size
     keyspace = k ** len(tables)
     rads = [len(space.allowed(v)) for v in cells]
     groups = _merge_tables(tables, space, k, cap=2**18)
     fields = _bit_fields(space, tracked)
-    bits = max((mask for _, mask in fields[0].values()), default=0).bit_length()
-    joint = len(fields) == 1 and keyspace << bits <= _CHUNK
 
     # split cells into outer | inner with the inner product near _CHUNK
     split = len(cells)
@@ -702,13 +667,11 @@ def _count_grouping(sys, space, cells, tables, tracked):
     outer_cells = cells[:split]
     inner_cells = cells[split:]
 
-    top = keyspace << bits if joint else keyspace
-    key_dtype = np.uint16 if top <= 2**16 else np.int32 if top <= 2**31 else np.int64
+    key_dtype = np.uint16 if keyspace <= 2**16 else np.int32 if keyspace <= 2**31 else np.int64
 
-    # scale each group's packed block by the radix width of the later groups;
-    # joint keys leave the low bits to the tracked fields
+    # scale each group's packed block by the radix width of the later groups
     prepared = []
-    scale = 1 << bits if joint else 1
+    scale = 1
     for dom, packed, width in reversed(groups):
         st = _strides(dom, space)
         prepared.append((
@@ -718,35 +681,34 @@ def _count_grouping(sys, space, cells, tables, tracked):
         ))
         scale *= k**width
 
-    # per word: the inner block's packed digits and the outer cells' shifts
-    words = [(inner.astype(key_dtype) if joint else inner,
-              [(c, word[c][0]) for c in outer_cells if c in word])
-             for word, inner in zip(fields, _packed_digits(inner_cells, space, fields))]
+    # the inner block's packed digits and the outer cells' shifts
+    inner_packed = _packed_digits(inner_cells, space, fields)
+    outer_shifts = [(c, fields[c][0]) for c in outer_cells if c in fields]
     outer_combos = list(itertools.product(*[range(r) for r in rads[:split]]))
 
     def run(combos):
-        counts = np.zeros(top, dtype=np.int64) if joint else None
-        state = [np.full(keyspace, -1, dtype=np.int64) for _ in words], [0] * len(words)
+        state = np.full(keyspace, -1, dtype=np.int64), 0
         ibuf = np.empty(inner_count, dtype=np.intp)
+        keys = np.empty_like(ibuf)
         key = np.empty(inner_count, dtype=key_dtype)
         block = np.empty_like(key)
+        packed = np.empty(inner_count, dtype=np.int64)
+        diff = np.empty_like(packed)
         for outer in combos:
             digit_of = dict(zip(outer_cells, outer))
+            # indices are in range; "clip" spares the copy of `out` that "raise" makes
             for j, (inner_part, outer_terms, scaled) in enumerate(prepared):
                 np.add(inner_part, sum(digit_of[c] * s for c, s in outer_terms), out=ibuf)
-                np.take(scaled, ibuf, out=block if j else key)
+                np.take(scaled, ibuf, out=block if j else key, mode="clip")
                 if j:
                     key += block
-            packed = [inner + sum(digit_of[c] << s for c, s in shifts)
-                      for inner, shifts in words]
-            if joint:
-                key += packed[0]
-                counts += np.bincount(key, minlength=top)
-            else:
-                _merge_reps(state, _represent(key.astype(np.intp), packed, keyspace))
-        if joint:
-            present = np.flatnonzero(counts)
-            return _represent(present >> bits, [present & ((1 << bits) - 1)], keyspace)
+            np.add(inner_packed, sum(digit_of[c] << s for c, s in outer_shifts), out=packed)
+            np.copyto(keys, key)
+            rep = np.full(keyspace, -1, dtype=np.int64)
+            rep[keys] = packed
+            np.take(rep, keys, out=diff, mode="clip")
+            diff ^= packed
+            state = _merge_reps(state, (rep, int(np.bitwise_or.reduce(diff))))
         return state
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: 15 ms and 0.6 MB to import
@@ -755,7 +717,7 @@ def _count_grouping(sys, space, cells, tables, tracked):
     with ThreadPoolExecutor(workers) as pool:
         state, *others = pool.map(run, [outer_combos[w::workers] for w in range(workers)])
     for other in others:
-        _merge_reps(state, other)
+        state = _merge_reps(state, other)
     return _settled(fields, state[1])
 
 

@@ -413,18 +413,24 @@ _COUNT_CASE = (
 )
 
 
+def _record_groupings(monkeypatch, ran):
+    """Append (grouping name, tracked cell count) to `ran` at every run of
+    the count or the sort grouping."""
+    for name in ("count", "sort"):
+        grouping = getattr(ss, f"_{name}_grouping")
+
+        def recording(sys_, space, cells, tables, tracked, grouping=grouping, name=name):
+            ran.append((name, len(tracked)))
+            return grouping(sys_, space, cells, tables, tracked)
+
+        monkeypatch.setattr(ss, f"_{name}_grouping", recording)
+
+
 def test_engine_matches_oracles(monkeypatch):
     """Panoramas, window checks, envelopes and factor chains on random small
     systems agree with the dict-loop oracles, through both groupings."""
-    seen = set()
-    determined = ss._determined_at_horizon
-
-    def recording(*args):
-        cells, grouping = determined(*args)
-        seen.add(grouping)
-        return cells, grouping
-
-    monkeypatch.setattr(ss, "_determined_at_horizon", recording)
+    ran: list = []
+    _record_groupings(monkeypatch, ran)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(explicit_systems())
@@ -456,24 +462,12 @@ def test_engine_matches_oracles(monkeypatch):
         assert chain[0]["shift_is_permutation"] is shift_permutation_oracle(trajs, horizon)
 
     check()
-    assert seen == {"count", "sort"}
+    assert {name for name, _ in ran} == {"count", "sort"}
 
 
-# cell 0 XORs four cells that copy themselves: at t=1 a key (4 values) and
-# cell 1's digit fit 16-pattern chunks jointly, over 32 patterns
-_JOINT_CASE = (
-    *ss.system_from_descriptor({
-        "alphabet": 2,
-        "graph": {"edges": [[u, 0] for u in range(1, 5)] + [[u, u] for u in range(1, 5)]},
-        "rules": [{"vertex": 0, "inputs": [1, 2, 3, 4],
-                   "table": [bin(i).count("1") % 2 for i in range(16)]}]
-                 + [{"vertex": u, "inputs": [u], "table": [0, 1]} for u in range(1, 5)],
-    }),
-    [0], 1, {1},
-)
 # cell 4 XORs cells 0..3: cell 0 is the outer cell of 16-pattern chunks, so
 # its two values meet a key in different chunks
-_JOINT_OUTER_CASE = (
+_OUTER_CASE = (
     *ss.system_from_descriptor({
         "alphabet": 2,
         "graph": {"edges": [[u, 4] for u in range(4)] + [[u, u] for u in range(5)]},
@@ -486,33 +480,28 @@ _JOINT_OUTER_CASE = (
 
 
 def test_groupings_match_oracle(monkeypatch):
-    """Both paths of the count grouping and the sort grouping decide the
-    oracle's cells on random small systems, on one and two threads, with
-    chunks of a few patterns and words of a few bits (a real cone would need
-    more than 2^50 patterns to fill a 63-bit word)."""
+    """The count grouping and the sort grouping decide the oracle's cells on
+    random small systems, on one and two threads, with chunks of a few
+    patterns."""
     seen = set()
     merge = ss._merge_reps
 
     def recording(into, other):
-        mine, theirs = into[0][0] >= 0, other[0][0] >= 0
+        mine, theirs = into[0] >= 0, other[0] >= 0
         if mine.any() and theirs.any() and (mine != theirs).any():
             seen.add("key on one side of a merge")
         both = mine & theirs
-        if any((a[both] != b[both]).any() for a, b in zip(into[0], other[0])):
+        if (into[0][both] != other[0][both]).any():
             seen.add("shared key, other representative")
-        merge(into, other)
+        return merge(into, other)
 
     monkeypatch.setattr(ss, "_merge_reps", recording)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(explicit_systems(), st.sampled_from([1, 4, 16, 64, 1024]),
-           st.sampled_from([2, 3, 63]))
-    @example(_JOINT_CASE, 16, 63)
-    @example(_JOINT_CASE, 32, 63)
-    @example(_JOINT_OUTER_CASE, 16, 63)
-    @example((*_JOINT_CASE[:3], 3, {1, 2}), 32, 63)  # 16 keys x 4 digit pairs > 32
-    @example((*_JOINT_OUTER_CASE[:4], {0, 1, 4}), 16, 2)  # cell 4 in a second word
-    def check(case, chunk, word_bits):
+    @given(explicit_systems(), st.sampled_from([1, 4, 16, 64, 1024]))
+    @example(_OUTER_CASE, 16)
+    @example((*_OUTER_CASE[:4], {0, 1, 4}), 32)
+    def check(case, chunk):
         sys_, space, window, horizon, target = case
         cells = ss.light_cone(sys_, window, horizon).union
         tracked = [v for v in cells if v in target]
@@ -520,29 +509,43 @@ def test_groupings_match_oracle(monkeypatch):
         expected = determined_oracle(sys_, space, window, horizon, tracked)
         with monkeypatch.context() as m:
             m.setattr(ss, "_CHUNK", chunk)
-            m.setattr(ss, "_WORD_BITS", word_bits)
             for threads in ("1", "2"):
                 m.setenv("SYMDYN_THREADS", threads)
                 assert ss._count_grouping(sys_, space, cells, tables, tracked) == expected
             assert ss._sort_grouping(sys_, space, cells, tables, tracked) == expected
-        if not tracked:
-            return
         if any(len(space.allowed(v)) == 3 for v in tracked):
             seen.add("three-symbol field")
-        bits = sum((len(space.allowed(v)) - 1).bit_length() for v in tracked)
-        if bits > word_bits:
-            seen.add("several words")
-        joint = bits <= word_bits and sys_.alphabet.size ** len(tables) << bits <= chunk
-        path = "joint" if joint else "reps"
         if set(tracked) - expected:
             chunks = "one chunk" if ss._pattern_count(space, cells) <= chunk else "chunks"
-            seen.add(f"{path}, {chunks}, undetermined cell")
+            seen.add(f"undetermined cell, {chunks}")
 
     check()
-    assert seen == {"three-symbol field", "several words", "key on one side of a merge",
-                    "shared key, other representative", "joint, chunks, undetermined cell",
-                    "joint, one chunk, undetermined cell", "reps, chunks, undetermined cell",
-                    "reps, one chunk, undetermined cell"}
+    assert seen == {"three-symbol field", "key on one side of a merge",
+                    "shared key, other representative", "undetermined cell, chunks",
+                    "undetermined cell, one chunk"}
+
+
+def test_bit_fields_fit_one_word():
+    """Tracked digits pack into one int64: 63 bits of fields fit, more are
+    refused rather than wrapped."""
+    space = ss.PatternSpace(lambda v: (0, 1) if v == 0 else (0, 1, 2))
+    fields = ss._bit_fields(space, range(32))
+    assert fields[0] == (0, 1) and fields[1] == (1, 3 << 1) and fields[31] == (61, 3 << 61)
+    with pytest.raises(ValueError, match="need 65 bits"):
+        ss._bit_fields(space, range(33))
+
+
+def test_window_check_sizes_grouping_by_pending_cells(monkeypatch, cex):
+    """A window check picks count or sort by the target cells still pending,
+    not by every target cell seen so far as a panorama does."""
+    ran: list = []
+    _record_groupings(monkeypatch, ran)
+    assert ss.posexpansive_window_check(*cex, [0], 2, range(3))["first_t"] == 2
+    assert ran == [("sort", 1), ("sort", 2), ("count", 1)]
+    ran.clear()
+    cells = ss.light_cone(cex[0], [0], 3).union
+    assert not ss.posexpansive_window_check(*cex, [0], 3, cells)["covered"]
+    assert ran == [("sort", 1), ("sort", 2), ("sort", 3), ("count", 5)]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
