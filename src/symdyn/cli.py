@@ -34,16 +34,24 @@ def parse_vertex(text: str):
 
 
 def _graph_vertex(g: ng.Digraph, text: str):
-    """Parse a vertex (or translation) of g: on a one-dimensional grid a bare
-    integer means the 1-tuple."""
+    """Parse a vertex (or translation) of g.  On a grid (`D` coordinates,
+    plus `E` if given) it must have that many coordinates, and a bare
+    integer is a 1-tuple."""
     v = parse_vertex(text)
-    if isinstance(v, int) and g.universe.get("D", 0) + g.universe.get("E", 0) == 1:
-        return (v,)
-    return v
+    if "D" not in g.universe:
+        return v
+    point = v if isinstance(v, tuple) else (v,)
+    dim = g.universe["D"] + g.universe.get("E", 0)
+    if len(point) != dim:
+        raise ValueError(
+            f"vertex {text!r} needs {dim} coordinates on this grid, got {len(point)}"
+        )
+    return point
 
 
-def parse_window(text: str):
-    return [parse_vertex(p) for p in text.split(";") if p]
+def _graph_window(g: ng.Digraph, text: str):
+    """Parse a ';'-separated list of vertices of g."""
+    return [_graph_vertex(g, p) for p in text.split(";") if p]
 
 
 def vertex_str(v) -> str:
@@ -162,7 +170,7 @@ def cmd_graph_speed(args) -> int:
 
 def cmd_sys_propagation(args) -> int:
     sys_, _space = _system_from_args(args)
-    v = parse_vertex(args.vertex)
+    v = _graph_vertex(sys_.graph, args.vertex)
     rho = ss.propagation(sys_, v, args.T)
     rows = [{"t": t, "rho": r} for t, r in enumerate(rho)]
     _emit(args, _config(args, ["system", "m", "alphabet", "vertex", "T"]),
@@ -172,7 +180,7 @@ def cmd_sys_propagation(args) -> int:
 
 def cmd_sys_panorama(args) -> int:
     sys_, space = _system_from_args(args)
-    window = parse_window(args.window)
+    window = _graph_window(sys_.graph, args.window)
     result = ss.panorama(sys_, space, window, args.T,
                          max_patterns=args.max_patterns)
     rows = [
@@ -191,7 +199,7 @@ def cmd_sys_panorama(args) -> int:
 
 def cmd_sys_equicontinuity(args) -> int:
     sys_, _space = _system_from_args(args)
-    window = parse_window(args.window)
+    window = _graph_window(sys_.graph, args.window)
     rep = ss.equicontinuity_envelope(sys_, window, args.tprobe, args.rcap)
     rows = [{"t": t, "cone_size": s} for t, s in enumerate(rep.cone_sizes)]
     summary = {
@@ -208,7 +216,7 @@ def cmd_sys_equicontinuity(args) -> int:
 
 def cmd_sys_odometer_chain(args) -> int:
     sys_, space = _system_from_args(args)
-    windows = [parse_window(w) for w in args.windows.split("|")]
+    windows = [_graph_window(sys_.graph, w) for w in args.windows.split("|")]
     try:
         chain = ss.odometer_factor_chain(sys_, space, windows, args.horizon)
     except ss.NotEquicontinuousError as exc:
@@ -232,7 +240,7 @@ def cmd_sys_odometer_chain(args) -> int:
 
 def cmd_entropy_ball(args) -> int:
     sys_, space = _system_from_args(args)
-    v = parse_vertex(args.vertex)
+    v = _graph_vertex(sys_.graph, args.vertex)
     est = ed.ball_entropy(space, sys_.graph, v, args.rmin, args.rmax)
     rows = [
         {"r": r, "log2_count": c, "ball_size": s, "ratio": ratio}
@@ -248,8 +256,8 @@ def cmd_entropy_ball(args) -> int:
 
 def cmd_entropy_tau(args) -> int:
     sys_, space = _system_from_args(args)
-    base = parse_window(args.base)
-    delta = parse_vertex(args.shift)
+    base = _graph_window(sys_.graph, args.base)
+    delta = _graph_vertex(sys_.graph, args.shift)
     prof = ed.tau_entropy_profile(space, ng.shift_tau(delta), base, args.nmax)
     rows = [
         {"n": n, "log2_count": c, "value": v, "region_size": s}
@@ -305,17 +313,11 @@ def _metric_from_args(args, graph) -> ms.BasedMetric:
     if getattr(args, "metric_file", None):
         with open(args.metric_file) as fh:
             return ms.metric_from_descriptor(json.load(fh), graph)
-    estuary = parse_window(args.estuary)
-    if args.scheme == "doubleexp":
-        scheme = ms.CoefficientScheme.double_exponential(estuary)
-    elif args.coeffs:
-        coeffs = [float(c) for c in args.coeffs.split(",")]
-        scheme = ms.CoefficientScheme.finite(estuary, coeffs)
-    else:
-        scheme = ms.CoefficientScheme.finite(
-            estuary, [2.0 ** (-j) for j in range(len(estuary))]
-        )
-    return ms.BasedMetric(scheme=scheme, lam=args.lam, graph=graph)
+    desc = {"estuary": _graph_window(graph, args.estuary), "lambda": args.lam,
+            "scheme": args.scheme}
+    if args.coeffs:
+        desc["coeffs"] = [float(c) for c in args.coeffs.split(",")]
+    return ms.metric_from_descriptor(desc, graph)
 
 
 def cmd_metric_dim(args) -> int:

@@ -8,6 +8,7 @@ proxies computed over the probe the caller supplies, never limits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,12 +49,11 @@ def ball_entropy(
     if not (2 <= r_min < r_max):
         raise ValueError("need 2 <= r_min < r_max")
     radii = tuple(range(r_min, r_max + 1))
-    log2_counts = []
-    ball_sizes = []
-    for r in radii:
-        members = g.ball_members([v], r)
-        ball_sizes.append(len(members))
-        log2_counts.append(pattern_log_count(space, members))
+    shells = g._shells(frozenset([v]), r_max)[: r_max + 1]
+    logs = list(itertools.accumulate(pattern_log_count(space, s) for s in shells))
+    logs += logs[-1:] * (r_max + 1 - len(logs))  # a closed ball stops growing
+    log2_counts = logs[r_min:]
+    ball_sizes = g.ball_sizes([v], r_max)[r_min:]
     ratios = tuple(c / s for c, s in zip(log2_counts, ball_sizes))
     tail = ratios[len(ratios) // 2 :]
     return EntropyEstimate(

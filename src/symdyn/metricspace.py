@@ -573,12 +573,10 @@ def uniform_dim_profile(
 ) -> list:
     """Per-radius worst growth exponent over a finite vertex set."""
     base = sort_vertices(base)
-    out = []
-    for r in r_grid:
-        if r < 2:
-            raise ValueError("radii must be >= 2")
-        worst = max(
-            math.log(len(g.ball_members([u], r))) / math.log(r) for u in base
-        )
-        out.append({"r": r, "sup_exponent": worst})
-    return out
+    if any(r < 2 for r in r_grid):
+        raise ValueError("radii must be >= 2")
+    sizes = [g.ball_sizes([u], max(r_grid, default=0)) for u in base]
+    return [
+        {"r": r, "sup_exponent": max(math.log(s[r]) / math.log(r) for s in sizes)}
+        for r in r_grid
+    ]

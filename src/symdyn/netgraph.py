@@ -4,10 +4,13 @@ Vertices are opaque hashable identifiers: plain integers for chain-like
 vertex families, tuples of integers for lattice points.  Every analysis
 routine works on a finite probe of the (possibly infinite) graph, expanding
 neighborhoods on demand; nothing ever materializes the full vertex set.
+There is one in-neighbor BFS, `Digraph._shells`, cached per center set: balls,
+ball sizes, `upstream` and the entropy and metric routines read its shells.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -98,7 +101,7 @@ class Digraph:
         self._in = in_neighbors
         self._out = out_neighbors
         self.universe = universe or {"family": "anonymous"}
-        self._ball_cache: dict = {}  # center set -> per-radius member shells
+        self._ball_cache: dict = {}  # center set -> (shells, their union)
 
     def in_neighbors(self, v: Vertex) -> tuple:
         return tuple(self._in(v))
@@ -121,51 +124,38 @@ class Digraph:
         return tuple(seen)
 
     # -- ball expansion ----------------------------------------------------
-    # Per center set, the cache stores the list of "new members at radius r"
-    # shells, so any earlier radius can be reassembled without re-running BFS.
 
     def _shells(self, center: frozenset, radius: int) -> list:
-        shells = self._ball_cache.get(center)
-        if shells is None:
-            shells = [set(center)]
-            self._ball_cache[center] = shells
-        if len(shells) > radius or (not shells[-1] and len(shells) > 1):
-            return shells  # deep enough, or already closed
-        members = set().union(*shells)
-        while len(shells) <= radius:
-            frontier = shells[-1]
+        """shells[r] holds the vertices at in-distance exactly r from the
+        center set, for every r <= radius until the ball closes; a closed
+        ball's list ends with one empty shell.  Kept per center set with
+        the shells' union, and grown only past the deepest radius so far."""
+        cached = self._ball_cache.get(center)
+        if cached is None:
+            cached = self._ball_cache[center] = [set(center)], set(center)
+        shells, members = cached
+        while len(shells) <= radius and shells[-1]:
             new = set()
-            for w in frontier:
+            for w in shells[-1]:
                 for u in self._in(w):
                     if u not in members:
                         new.add(u)
             shells.append(new)
-            if not new:
-                break
             members |= new
         return shells
 
     def ball_members(self, centers: Iterable[Vertex], radius: int) -> set:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        shells = self._shells(frozenset(centers), radius)
-        out: set = set()
-        for shell in shells[: radius + 1]:
-            out |= shell
-        return out
+        return set().union(*self._shells(frozenset(centers), radius)[: radius + 1])
 
     def ball_sizes(self, centers: Iterable[Vertex], r_max: int) -> list:
         """|B(centers, r)| for r = 0..r_max (constant tail once closed)."""
         if r_max < 0:
             raise ValueError("radius must be nonnegative")
-        shells = self._shells(frozenset(centers), r_max)
-        sizes = []
-        total = 0
-        for r in range(r_max + 1):
-            if r < len(shells):
-                total += len(shells[r])
-            sizes.append(total)
-        return sizes
+        shells = self._shells(frozenset(centers), r_max)[: r_max + 1]
+        sizes = list(itertools.accumulate(len(s) for s in shells))
+        return sizes + sizes[-1:] * (r_max + 1 - len(sizes))
 
 
 # -- operations ------------------------------------------------------------
@@ -290,28 +280,22 @@ def superlinear_check(g: Digraph, v: Vertex, r_max: int) -> dict:
 def upstream(g: Digraph, v: Vertex, w: Vertex, cap: int):
     """True iff a directed path v -> ... -> w of length <= cap exists.
 
-    Searched as membership of v in the expanding in-neighbor closure of w.
-    Returns None ("unknown") when the cap is exhausted while the closure is
-    still growing; returns False only when the closure is complete.
+    Searched as membership of v in the expanding in-neighbor closure of w,
+    one cached shell at a time.  Returns None ("unknown") when the cap is
+    exhausted while the closure is still growing; returns False only when
+    the closure is complete.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if v == w:
         return True
-    members = {w}
-    frontier = {w}
-    for _ in range(cap):
-        new = set()
-        for x in frontier:
-            for u in g.in_neighbors(x):
-                if u not in members:
-                    new.add(u)
-        if v in new:
+    center = frozenset([w])
+    for r in range(1, cap + 1):
+        shell = g._shells(center, r)[r]
+        if v in shell:
             return True
-        if not new:
+        if not shell:
             return False
-        members |= new
-        frontier = new
     return None  # cap exhausted, closure still open
 
 

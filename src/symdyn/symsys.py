@@ -5,7 +5,9 @@ input list matches the vertex's in-neighbors.  Everything here evaluates on
 finite windows only: light cones are computed by backward composition of
 rule inputs, trajectories by exact cone evaluation (no boundary guesses),
 and panoramas / window certificates by exhaustive enumeration of the
-pattern space restricted to the cone.
+pattern space restricted to the cone.  `light_cone` is the only backward
+walk: the cone of every shorter horizon is a prefix of its `order`, which
+propagation, trajectories, envelopes and panoramas read.
 
 Rules are applied to configurations in one place, `_image_rows`: one update
 step of a batch of configurations (the rows of a symbol matrix), with each
@@ -27,6 +29,7 @@ digits with those of a representative of its trajectory.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -223,6 +226,8 @@ class LightCone:
     horizon: int
     layers: tuple  # layers[t] = exact input set of the t-fold composition
     union: tuple
+    order: tuple  # distinct cells by first appearance in the layers, window first
+    sizes: tuple  # sizes[t] = cells in layers 0..t; the cone of horizon t is order[: sizes[t]]
 
 
 @dataclass(frozen=True)
@@ -254,16 +259,24 @@ def light_cone(sys: SymbolicSystem, window: Iterable[Vertex], horizon: int) -> L
     if not w:
         raise ValueError("window must be nonempty")
     layers = [w]
-    current = set(w)
-    union = set(w)
+    first = dict.fromkeys(w)  # cells in order of first appearance
+    sizes = [len(first)]
     for _ in range(horizon):
         nxt: set = set()
-        for v in current:
+        for v in layers[-1]:
             nxt.update(sys.rule(v).inputs)
         layers.append(sort_vertices(nxt))
-        current = nxt
-        union |= nxt
-    return LightCone(window=w, horizon=horizon, layers=tuple(layers), union=sort_vertices(union))
+        first.update(dict.fromkeys(layers[-1]))
+        sizes.append(len(first))
+    order = tuple(first)
+    return LightCone(window=w, horizon=horizon, layers=tuple(layers),
+                     union=sort_vertices(order), order=order, sizes=tuple(sizes))
+
+
+def _depths(graph: Digraph, centers: Sequence[Vertex], radius: int) -> dict:
+    """In-distance from the center set of every vertex of B(centers, radius)."""
+    shells = graph._shells(frozenset(centers), radius)[: radius + 1]
+    return {u: r for r, shell in enumerate(shells) for u in shell}
 
 
 def propagation(sys: SymbolicSystem, v: Vertex, horizon: int) -> list:
@@ -273,15 +286,12 @@ def propagation(sys: SymbolicSystem, v: Vertex, horizon: int) -> list:
     graph ball, which is guaranteed by network consistency.
     """
     cone = light_cone(sys, [v], horizon)
-    sizes = []
-    seen: set = set()
+    depth = _depths(sys.graph, [v], horizon)
     for t, layer in enumerate(cone.layers):
-        seen.update(layer)
-        sizes.append(len(seen))
-        ball = sys.graph.ball_members([v], t)
-        if not seen <= ball:
-            raise RuntimeError(f"cone escaped ball at t={t}: {seen - ball}")
-    return sizes
+        escaped = {u for u in layer if depth.get(u, t + 1) > t}
+        if escaped:
+            raise RuntimeError(f"cone escaped ball at t={t}: {escaped}")
+    return list(cone.sizes)
 
 
 def evaluate(
@@ -341,17 +351,11 @@ def _trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> 
     """Window trajectories of every row, as an array (row, time, window cell)
     over the distinct window cells.  Row columns follow `cone.union`.
 
-    Cells go in order of first appearance in the cone's layers: the window
-    leads, and step t, which needs only layers 0..horizon-t, images a prefix.
+    Cells go in `cone.order`: the window leads, and step t, which needs
+    only layers 0..horizon-t, images a prefix.
     """
-    index: dict = {}  # cell -> column, in order of first appearance
-    ends = []  # ends[s]: how many cells layers 0..s hold
-    for layer in cone.layers:
-        for v in layer:
-            index.setdefault(v, len(index))
-        ends.append(len(index))
-    cells = list(index)
-    position = _columns(cone.union)
+    cells, ends = cone.order, cone.sizes
+    index, position = _columns(cells), _columns(cone.union)
     values = rows[:, [position[v] for v in cells]]
     traj = [values[:, : ends[0]]]
     for t in range(1, cone.horizon + 1):
@@ -447,12 +451,11 @@ def _determined_layers(sys, space, cone, target=None):
     pending for a window check.
     """
     det: frozenset = frozenset()
-    cum: set = set()
     memo: dict = {}
-    for t, layer in enumerate(cone.layers):
-        cum.update(layer if target is None else target.intersection(layer))
+    for t, size in enumerate(cone.sizes):
+        cells = sort_vertices(cone.order[:size])
+        cum = set(cells) if target is None else target.intersection(cells)
         sized = cum if target is None else cum - det
-        cells = light_cone(sys, cone.window, t).union
         keyspace = sys.alphabet.size ** (len(cone.window) * (t + 1))
         counters = keyspace * sum(len(space.allowed(v)) for v in sized)
         engine = "count" if counters <= _pattern_count(space, cells) else "sort"
@@ -770,18 +773,10 @@ def equicontinuity_envelope(
     """
     w = sort_vertices(window)
     cone = light_cone(sys, w, t_probe)
-    cum: set = set()
-    sizes = []
-    for layer in cone.layers:
-        cum.update(layer)
-        sizes.append(len(cum))
-    stable_from = t_probe // 2
-    stabilized = all(sizes[t] == sizes[t_probe] for t in range(stable_from, t_probe + 1))
-    reach = None
-    for r in range(r_cap + 1):
-        if set(cone.union) <= sys.graph.ball_members(w, r):
-            reach = r
-            break
+    stabilized = cone.sizes[t_probe // 2] == cone.sizes[t_probe]  # sizes never shrink
+    depth = _depths(sys.graph, w, t_probe)  # every cone cell lies within t_probe of w
+    reach = max(depth.get(u, math.inf) for u in cone.order)
+    reach = reach if reach <= r_cap else None
     if not stabilized or reach is None:
         reason = "cone still growing" if not stabilized else "cone beyond reach cap"
         return EnvelopeReport(
@@ -789,7 +784,7 @@ def equicontinuity_envelope(
             envelope=None,
             certified_horizon=t_probe,
             reach=reach,
-            cone_sizes=tuple(sizes),
+            cone_sizes=cone.sizes,
             trajectory_count=None,
             reason=reason,
         )
@@ -807,7 +802,7 @@ def equicontinuity_envelope(
         envelope=envelope,
         certified_horizon=t_probe,
         reach=reach,
-        cone_sizes=tuple(sizes),
+        cone_sizes=cone.sizes,
         trajectory_count=len(first),
     )
 

@@ -10,6 +10,7 @@ import pytest
 
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
+from symdyn.entropydim import pattern_log_count
 
 
 @pytest.fixture
@@ -60,6 +61,99 @@ def bfs_distance_oracle(g, v, w, cap):
             break
         frontier = nxt
     return ng.INFINITE_DISTANCE
+
+
+def fresh_ball(g, centers, radius):
+    """B(centers, radius) by a frontier BFS of its own, outside the graph's
+    shell cache."""
+    members = set(centers)
+    frontier = set(centers)
+    for _ in range(radius):
+        new = {u for x in frontier for u in g.in_neighbors(x)} - members
+        if not new:
+            break
+        members |= new
+        frontier = new
+    return members
+
+
+def upstream_oracle(g, v, w, cap):
+    """Directed reachability v -> w within cap, by its own frontier loop:
+    True, False once the closure of w is complete, None when the cap runs
+    out first."""
+    if v == w:
+        return True
+    members = {w}
+    frontier = {w}
+    for _ in range(cap):
+        new = set()
+        for x in frontier:
+            for u in g.in_neighbors(x):
+                if u not in members:
+                    new.add(u)
+        if v in new:
+            return True
+        if not new:
+            return False
+        members |= new
+        frontier = new
+    return None
+
+
+def ball_entropy_oracle(space, g, v, r_min, r_max):
+    """(ball size, log2 pattern count) per radius, the ball rebuilt at
+    every radius."""
+    out = []
+    for r in range(r_min, r_max + 1):
+        members = fresh_ball(g, [v], r)
+        out.append((len(members), pattern_log_count(space, members)))
+    return out
+
+
+def cone_order_oracle(cone):
+    """Cells in order of first appearance in the layers, and the cumulative
+    cell count per horizon."""
+    order: dict = {}
+    sizes = []
+    for layer in cone.layers:
+        order.update(dict.fromkeys(layer))
+        sizes.append(len(order))
+    return tuple(order), tuple(sizes)
+
+
+def propagation_oracle(sys_, v, horizon):
+    """Cumulative cone sizes at one vertex, each cumulative cone checked
+    against a freshly built ball of the same radius."""
+    cone = ss.light_cone(sys_, [v], horizon)
+    sizes = []
+    seen: set = set()
+    for t, layer in enumerate(cone.layers):
+        seen.update(layer)
+        sizes.append(len(seen))
+        assert seen <= fresh_ball(sys_.graph, [v], t), f"cone escaped ball at t={t}"
+    return sizes
+
+
+def envelope_oracle(sys_, window, t_probe, r_cap):
+    """(cone sizes, reach, certified, reason) of the envelope search: the
+    cumulative cone must stop growing over the second half of the probe
+    and lie within B(window, reach) for a reach of at most r_cap."""
+    cone = ss.light_cone(sys_, window, t_probe)
+    cum: set = set()
+    sizes = []
+    for layer in cone.layers:
+        cum.update(layer)
+        sizes.append(len(cum))
+    stabilized = all(sizes[t] == sizes[t_probe] for t in range(t_probe // 2, t_probe + 1))
+    reach = None
+    for r in range(r_cap + 1):
+        if set(cone.union) <= fresh_ball(sys_.graph, window, r):
+            reach = r
+            break
+    certified = stabilized and reach is not None
+    reason = "" if certified else (
+        "cone still growing" if not stabilized else "cone beyond reach cap")
+    return tuple(sizes), reach, certified, reason
 
 
 def random_explicit_digraph(rng: random.Random, n_vertices=8, n_edges=14):

@@ -307,6 +307,58 @@ def test_graph_ball_and_speed_z1(tmp_path):
     assert json.loads(text)["summary"]["inf_proxy"] == 1.0
 
 
+def _ca_file(tmp_path, d):
+    """A XOR automaton on Z^d reading the cell itself and its +e_1 neighbor."""
+    unit = [1] + [0] * (d - 1)
+    desc = {"system": "ca_zd", "alphabet": 2, "offsets": [[0] * d, unit],
+            "table": [0, 1, 1, 0]}
+    f = tmp_path / f"ca{d}.json"
+    f.write_text(json.dumps(desc))
+    return str(f)
+
+
+@pytest.mark.parametrize("argv,bare,point", [
+    (["sys-propagation", "--T", "3", "--vertex"], ["0"], ["0,"]),
+    (["sys-panorama", "--T", "2", "--window"], ["0"], ["0,"]),
+    (["entropy-ball", "--rmin", "2", "--rmax", "4", "--vertex"], ["0"], ["0,"]),
+    (["entropy-tau", "--nmax", "3", "--base", "0", "--shift"], ["1"], ["1,"]),
+])
+def test_ca_z1_bare_integer_vertex(tmp_path, argv, bare, point):
+    """On a one-dimensional grid system a bare integer is the 1-tuple."""
+    argv = [argv[0], "--system-file", _ca_file(tmp_path, 1), *argv[1:]]
+    code, text = run_to_file(tmp_path, "bare.json", argv + bare + ["--format", "json"])
+    assert code == 0
+    code, expected = run_to_file(tmp_path, "point.json", argv + point + ["--format", "json"])
+    assert code == 0
+    assert json.loads(text)["rows"] == json.loads(expected)["rows"]
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["graph-ball", "--family", "cayley_zd", "--D", "2", "--radius", "2",
+      "--center", "5"], "5"),
+    (["graph-ball", "--family", "cayley_zd", "--D", "2", "--radius", "2",
+      "--center", "0,0,0"], "0,0,0"),
+    (["graph-ball", "--family", "cayley_zdne", "--D", "1", "--E", "1", "--radius", "2",
+      "--center", "0"], "0"),
+    (["graph-speed", "--family", "cayley_zd", "--D", "2", "--vertex", "0,0",
+      "--shift", "1"], "1"),
+    (["sys-propagation", "--vertex", "1"], "1"),
+    (["sys-equicontinuity", "--window", "0,0;1"], "1"),
+    (["entropy-tau", "--base", "0,0", "--shift", "1,0,0"], "1,0,0"),
+    (["metric-lipschitz", "--estuary", "0"], "0"),
+])
+def test_grid_vertex_coordinate_count_exit_code(tmp_path, capsys, argv, value):
+    """A vertex with the wrong number of coordinates for its grid is a usage
+    error that names it."""
+    if argv[0].startswith(("sys-", "entropy-", "metric-")):
+        argv = [argv[0], "--system-file", _ca_file(tmp_path, 2), *argv[1:]]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"vertex {value!r} needs" in captured.err
+    assert captured.out == ""
+
+
 def test_system_file_bad_table_exit_code(tmp_path, capsys):
     desc = {
         "alphabet": 2,

@@ -6,9 +6,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symdyn import entropydim as ed
+from symdyn import metricspace as ms
 from symdyn import netgraph as ng
-from conftest import ball_oracle_members, bfs_distance_oracle, random_explicit_digraph
+from symdyn import symsys as ss
+from conftest import (
+    ball_entropy_oracle,
+    ball_oracle_members,
+    bfs_distance_oracle,
+    fresh_ball,
+    random_explicit_digraph,
+    upstream_oracle,
+)
 
 
 # -- in_ball ------------------------------------------------------------------
@@ -227,6 +239,74 @@ def test_ball_bound_along_upstream(odometer, z2):
         assert ng.upstream(g, v, w, R) is True
         for r in range(4):
             assert len(g.ball_members([v], r)) <= len(g.ball_members([w], R + r))
+
+
+@st.composite
+def ball_cases(draw):
+    """A fresh graph (random explicit, Z^2 or the odometer graph), two of its
+    vertices, a cap, maybe a larger radius to grow the cache to first, and a
+    random product space."""
+    kind = draw(st.sampled_from(["explicit", "z2", "odometer"]))
+    if kind == "explicit":
+        n = draw(st.integers(1, 7))
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12))
+        g = ng.explicit_graph(edges)
+        vertex = st.sampled_from(g.universe["vertices"])
+    elif kind == "z2":
+        g = ng.cayley_zd(2)
+        vertex = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    else:
+        g = ng.odometer_graph()
+        vertex = st.integers(0, 9)
+    cap = draw(st.integers(0, 6))
+    warm = draw(st.none() | st.integers(cap + 1, cap + 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=5, max_size=5))
+    space = ss.PatternSpace(lambda u: range(sizes[sum(ng.vertex_key(u)) % 5]))
+    return g, draw(vertex), draw(vertex), cap, warm, space
+
+
+def test_ball_reads_match_fresh_bfs():
+    """upstream, ball_members, ball_sizes, ball_entropy and
+    uniform_dim_profile, read from the cached shells, agree with a BFS of
+    their own on random graphs, also after a larger call grew the cache."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ball_cases())
+    def check(case):
+        g, v, w, cap, warm, space = case
+        if warm is not None:
+            g.ball_sizes([w], warm)
+            if len(g._shells(frozenset([w]), 0)) > cap + 1:
+                seen.add("deeper shells cached")
+        expected = upstream_oracle(g, v, w, cap)
+        assert ng.upstream(g, v, w, cap) is expected
+        balls = [fresh_ball(g, [w], r) for r in range(cap + 2)]
+        assert [g.ball_members([w], r) for r in range(cap + 2)] == balls
+        assert g.ball_sizes([w], cap + 1) == [len(b) for b in balls]
+        if cap >= 2:
+            est = ed.ball_entropy(space, g, w, 2, cap + 1)
+            want = ball_entropy_oracle(space, g, w, 2, cap + 1)
+            assert est.ball_sizes == tuple(size for size, _ in want)
+            assert est.log2_counts == pytest.approx([c for _, c in want], rel=1e-12)
+            rows = ms.uniform_dim_profile(g, [w, v], range(2, cap + 2))
+            assert rows == [
+                {"r": r, "sup_exponent": max(
+                    math.log(len(fresh_ball(g, [u], r))) / math.log(r) for u in (w, v))}
+                for r in range(2, cap + 2)
+            ]
+        if cap == 0:
+            seen.add("cap = 0")
+        if v == w:
+            seen.add("v == w")
+        closes = next((r for r in range(1, cap + 2) if balls[r] == balls[r - 1]), None)
+        if expected is False and closes == cap:
+            seen.add("closure exactly at the cap")
+
+    check()
+    assert seen == {"cap = 0", "v == w", "closure exactly at the cap",
+                    "deeper shells cached"}
 
 
 def test_biconnected_z2_single_class(z2):

@@ -17,9 +17,13 @@ from symdyn import symsys as ss
 from symdyn import counterexample as cx
 
 from conftest import (
+    cone_order_oracle,
     determined_oracle,
+    envelope_oracle,
     evaluate_oracle,
+    fresh_ball,
     panorama_layers_oracle,
+    propagation_oracle,
     shift_permutation_oracle,
     trajectory_set_oracle,
 )
@@ -394,6 +398,35 @@ def explicit_systems(draw):
     window = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
     target = draw(st.sets(st.integers(0, n - 1), min_size=1))
     return sys_, space, sorted(window), draw(st.integers(0, 4)), target
+
+
+def test_cone_prefixes_match_oracles():
+    """`LightCone.order` and `sizes` list the layers' cells by first
+    appearance, and propagation and the envelope's sizes, reach and verdict,
+    read from them, agree with oracles that walk the layers and rebuild the
+    ball at every radius."""
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(explicit_systems(), st.integers(0, 6))
+    def check(case, r_cap):
+        sys_, _, window, horizon, _ = case
+        cone = ss.light_cone(sys_, window, horizon)
+        assert (cone.order, cone.sizes) == cone_order_oracle(cone)
+        v = window[-1]
+        assert ss.propagation(sys_, v, horizon) == propagation_oracle(sys_, v, horizon)
+        rep = ss.equicontinuity_envelope(sys_, window, horizon, r_cap)
+        expected = envelope_oracle(sys_, window, horizon, r_cap)
+        assert (rep.cone_sizes, rep.reach, rep.certified, rep.reason) == expected
+        if expected[1] is None and envelope_oracle(sys_, window, horizon, horizon)[1] is not None:
+            seen.add("r_cap below the reach")
+        if fresh_ball(sys_.graph, window, horizon) == fresh_ball(sys_.graph, window, horizon + 1):
+            seen.add("ball closes")
+        if rep.certified:
+            seen.add("certified")
+
+    check()
+    assert seen == {"r_cap below the reach", "ball closes", "certified"}
 
 
 # cell 0 reads three cells that copy themselves: at t=1 the window check
