@@ -34,19 +34,8 @@ def parse_vertex(text: str):
 
 
 def _graph_vertex(g: ng.Digraph, text: str):
-    """Parse a vertex (or translation) of g.  On a grid (`D` coordinates,
-    plus `E` if given) it must have that many coordinates, and a bare
-    integer is a 1-tuple."""
-    v = parse_vertex(text)
-    if "D" not in g.universe:
-        return v
-    point = v if isinstance(v, tuple) else (v,)
-    dim = g.universe["D"] + g.universe.get("E", 0)
-    if len(point) != dim:
-        raise ValueError(
-            f"vertex {text!r} needs {dim} coordinates on this grid, got {len(point)}"
-        )
-    return point
+    """Parse a vertex (or translation) of g (see `netgraph.graph_vertex`)."""
+    return ng.graph_vertex(g, parse_vertex(text), repr(text))
 
 
 def _graph_window(g: ng.Digraph, text: str):
@@ -116,6 +105,18 @@ def _csv_cell(value) -> str:
 
 def _config(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+
+# The flags that a system or metric file overrides.
+_FILE_FLAGS = {"system_file": ("system", "m"), "metric_file": ("estuary", "lam", "scheme")}
+
+
+def _metric_config(args, keys) -> dict:
+    """`_config` of a metric command: a system or metric file is echoed
+    instead of the flags it overrides."""
+    files = [f for f in _FILE_FLAGS if getattr(args, f, None)]
+    overridden = {k for f in files for k in _FILE_FLAGS[f]}
+    return _config(args, [k for k in keys if k not in overridden] + files)
 
 
 def cmd_graph_ball(args) -> int:
@@ -335,8 +336,8 @@ def cmd_metric_dim(args) -> int:
         }
         for r in rep["rows"]
     ]
-    _emit(args, _config(args, ["system", "m", "estuary", "lam", "scheme",
-                               "eps_min_pow", "eps_max_pow", "eps_step"]),
+    _emit(args, _metric_config(args, ["system", "m", "estuary", "lam", "scheme",
+                                      "eps_min_pow", "eps_max_pow", "eps_step"]),
           ["eps", "scale", "log2_cover_lower", "log2_cover_upper"], rows,
           {"lower_slope": rep["lower_slope"], "upper_slope": rep["upper_slope"]})
     return 0
@@ -356,8 +357,8 @@ def cmd_metric_lipschitz(args) -> int:
     rep = ms.lipschitz_report(sys_, metric, space, args.samples, args.seed,
                               r_cap=args.rcap)
     rows = [{"sample": f["sample"], "ratio_hi": f["ratio_hi"]} for f in rep["flagged"]]
-    _emit(args, _config(args, ["system", "m", "estuary", "lam", "samples",
-                               "seed", "rcap"]),
+    _emit(args, _metric_config(args, ["system", "m", "estuary", "lam", "samples",
+                                      "seed", "rcap"]),
           ["sample", "ratio_hi"], rows,
           {"max_ratio_hi": rep["max_ratio_hi"], "skipped": rep["skipped"],
            "within_lambda": rep["within_lambda"]})
@@ -384,8 +385,8 @@ def cmd_holder_check(args) -> int:
     if rep["worst"]:
         rows.append({"sample": rep["worst"]["sample"],
                      "cell": rep["worst"]["cell"]})
-    _emit(args, _config(args, ["system", "m", "estuary", "lam", "lam2", "eta",
-                               "constant", "samples", "seed", "rcap"]),
+    _emit(args, _metric_config(args, ["system", "m", "estuary", "lam", "lam2", "eta",
+                                      "constant", "samples", "seed", "rcap"]),
           ["sample", "cell"], rows,
           {"holds": rep["holds"], "violations": rep["violations"],
            "inconclusive": rep["inconclusive"], "passed": rep["passed"]})

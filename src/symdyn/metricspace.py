@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import Digraph, Vertex, _as_vertex, _ols_slope, sort_vertices
+from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, sort_vertices
 from .symsys import Configuration, PatternSpace, SymbolicSystem, _columns, _image_rows
 from .entropydim import pattern_log_count
 
@@ -174,7 +174,7 @@ def metric_from_descriptor(desc: dict, graph: Digraph) -> BasedMetric:
     {"estuary": [...], "lambda": 2, "scheme": "finite"|"doubleexp",
      "coeffs": [...]}.  Omitted coefficients default to the halving sequence.
     """
-    estuary = [_as_vertex(v) for v in desc["estuary"]]
+    estuary = [graph_vertex(graph, v) for v in desc["estuary"]]
     lam = float(desc.get("lambda", 2.0))
     kind = desc.get("scheme", "finite")
     if kind == "doubleexp":

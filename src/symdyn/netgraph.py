@@ -6,14 +6,26 @@ routine works on a finite probe of the (possibly infinite) graph, expanding
 neighborhoods on demand; nothing ever materializes the full vertex set.
 There is one in-neighbor BFS, `Digraph._shells`, cached per center set: balls,
 ball sizes, `upstream` and the entropy and metric routines read its shells.
+It has two expansions.  Offset lattices (`cayley_zd`, `cayley_zdne`,
+`unit_shift_graph_z`: Z^d x N^e, where v + offset feeds v) expand a shell as
+an int64 code array in a box around the center set, with one broadcast add of
+the offsets, a visited-bitmap test and one sort; a shell's length is the
+array's, and it is decoded to its vertex set when first iterated or
+probed.  All other graphs, and lattice balls whose bitmap would outweigh
+their tuple shells, expand one vertex at a time over the in-neighbor
+function.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 Vertex = object  # int or tuple[int, ...]
 
@@ -45,8 +57,12 @@ class Ball:
     radius: int
     members: tuple
 
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
+
     def __contains__(self, v: Vertex) -> bool:
-        return v in set(self.members)
+        return v in self._member_set
 
     def __len__(self) -> int:
         return len(self.members)
@@ -92,6 +108,8 @@ class Digraph:
     JSON-able descriptor used for serialization and error messages.
     """
 
+    _lattice: Optional[_Lattice] = None  # set by `_offset_lattice`
+
     def __init__(
         self,
         in_neighbors: Callable[[Vertex], Sequence[Vertex]],
@@ -101,7 +119,8 @@ class Digraph:
         self._in = in_neighbors
         self._out = out_neighbors
         self.universe = universe or {"family": "anonymous"}
-        self._ball_cache: dict = {}  # center set -> (shells, their union)
+        # center set -> (shells, their union or the center set's _LatticeBall)
+        self._ball_cache: dict = {}
 
     def in_neighbors(self, v: Vertex) -> tuple:
         return tuple(self._in(v))
@@ -128,12 +147,24 @@ class Digraph:
     def _shells(self, center: frozenset, radius: int) -> list:
         """shells[r] holds the vertices at in-distance exactly r from the
         center set, for every r <= radius until the ball closes; a closed
-        ball's list ends with one empty shell.  Kept per center set with
-        the shells' union, and grown only past the deepest radius so far."""
+        ball's list ends with one empty shell.  Kept per center set, and
+        grown only past the deepest radius so far.  Offset lattices grow
+        their shells by the array BFS of `_LatticeBall` (as `_CodeShell`s);
+        other graphs, and lattice balls whose box would outweigh their tuple
+        shells, by the loop below over the shells' union."""
         cached = self._ball_cache.get(center)
         if cached is None:
-            cached = self._ball_cache[center] = [set(center)], set(center)
-        shells, members = cached
+            lattice = self._lattice
+            state = (_LatticeBall(lattice, center)
+                     if lattice is not None and lattice.holds(center) else set(center))
+            cached = self._ball_cache[center] = [set(center)], state
+        shells, state = cached
+        if isinstance(state, _LatticeBall):
+            if state.grow(shells, radius):
+                return shells
+            state = set().union(*shells)  # the box would outweigh the tuple shells
+            self._ball_cache[center] = shells, state
+        members = state
         while len(shells) <= radius and shells[-1]:
             new = set()
             for w in shells[-1]:
@@ -156,6 +187,188 @@ class Digraph:
         shells = self._shells(frozenset(centers), r_max)[: r_max + 1]
         sizes = list(itertools.accumulate(len(s) for s in shells))
         return sizes + sizes[-1:] * (r_max + 1 - len(sizes))
+
+
+# -- offset lattices ----------------------------------------------------------
+
+# Bytes per ball member that tuple shells and their union take (tracemalloc:
+# 175 to 183 on Z^2, Z^3 and Z^4); a ball whose box bitmap would take more
+# runs the generic loop.
+_TUPLE_BYTES = 175
+
+
+class _Lattice:
+    """The offsets (k x n) of an offset lattice, its `e` trailing N
+    coordinates, and whether its vertices are plain ints (n == 1)."""
+
+    def __init__(self, offsets: Sequence[tuple], e: int, scalar: bool):
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.e = e
+        self.scalar = scalar
+        self.down = np.maximum(-self.offsets.min(axis=0), 0)  # longest step per coordinate
+        self.up = np.maximum(self.offsets.max(axis=0), 0)
+
+    def holds(self, vertices: Iterable[Vertex]) -> bool:
+        """True iff every vertex is a point of the lattice."""
+        n, e = self.offsets.shape[1], self.e
+        if self.scalar:
+            return all(type(v) is int for v in vertices)
+        return all(
+            type(v) is tuple and len(v) == n and all(type(c) is int for c in v)
+            and all(c >= 0 for c in v[n - e:])
+            for v in vertices
+        )
+
+    def points(self, vertices: Iterable[Vertex]) -> np.ndarray:
+        return np.array(list(vertices), dtype=np.int64).reshape(-1, self.offsets.shape[1])
+
+    def box(self, points: np.ndarray, radius: int):
+        """(lower corner, shape) of the box that holds B(points, radius)
+        plus one step below N's zero, or None when its bitmap would take
+        more bytes than the tuple shells of the ball.  Those hold |points|
+        balls of sum_k 2^k C(d, k) C(radius + m, k + m) points each, for d
+        coordinates stepping both ways and m stepping one way."""
+        n, e = len(self.down), self.e
+        lo = points.min(axis=0) - radius * self.down
+        hi = points.max(axis=0) + radius * self.up
+        lo[n - e:] = np.maximum(lo[n - e:], -self.down[n - e:])
+        shape = tuple(int(s) for s in hi - lo + 1)
+        d = int(np.sum((self.down > 0) & (self.up > 0)))
+        m = int(np.sum((self.down > 0) != (self.up > 0)))
+        ball = sum(2**k * math.comb(d, k) * math.comb(radius + m, k + m) for k in range(d + 1))
+        if math.prod(shape) > _TUPLE_BYTES * len(points) * ball:
+            return None
+        return lo, shape
+
+
+class _Coding:
+    """Row-major codes of the points of one box."""
+
+    def __init__(self, lo: np.ndarray, shape: tuple, scalar: bool):
+        self.lo, self.shape, self.scalar = lo, shape, scalar
+        self.strides = np.array([math.prod(shape[i + 1:]) for i in range(len(shape))])
+
+    def codes(self, points: np.ndarray) -> np.ndarray:
+        return (points - self.lo) @ self.strides
+
+    def points(self, codes: np.ndarray) -> np.ndarray:
+        return np.stack(np.unravel_index(codes, self.shape), axis=1) + self.lo
+
+    def vertices(self, codes: np.ndarray) -> list:
+        cols = [(c + lo).tolist() for c, lo in zip(np.unravel_index(codes, self.shape), self.lo)]
+        return cols[0] if self.scalar else list(zip(*cols))
+
+
+class _CodeShell:
+    """One BFS shell of an offset lattice as codes in a box.  Its length is
+    the codes' length; it is decoded to its vertex set the first time it is
+    iterated or probed, and keeps that set."""
+
+    __slots__ = ("codes", "coding", "_vertices")
+
+    def __init__(self, codes: np.ndarray, coding: _Coding):
+        self.codes, self.coding, self._vertices = codes, coding, None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __contains__(self, v: Vertex) -> bool:
+        return v in self.vertices
+
+    @property
+    def vertices(self) -> set:
+        if self._vertices is None:
+            self._vertices = set(self.coding.vertices(self.codes))
+        return self._vertices
+
+
+class _LatticeBall:
+    """Array BFS state of one center set on an offset lattice: the box that
+    holds the ball to `radius`, its visited bitmap and the last shell's
+    codes."""
+
+    def __init__(self, lattice: _Lattice, center: frozenset):
+        self.lattice = lattice
+        self.center = lattice.points(center)
+        self.radius = -1  # no box yet
+
+    def grow(self, shells: list, radius: int) -> bool:
+        """Grow `shells` to `radius` or until the ball closes.  False when
+        the box for that radius would outweigh the tuple shells."""
+        if len(shells) > radius or not shells[-1]:
+            return True
+        # Regrow to at least twice the radius, so that a caller going one
+        # radius at a time (`upstream`) boxes O(log r) times.
+        if radius > self.radius and not (
+            self._box(shells, max(radius, 2 * self.radius)) or self._box(shells, radius)
+        ):
+            return False
+        seen, frontier = self.seen, self.frontier
+        while len(shells) <= radius and len(frontier):
+            reached = (frontier[:, None] + self.steps).ravel()
+            # Sorted, first of each run: np.unique (numpy 2.4) takes a hash
+            # path that measured 3x slower on Z^3 shells and imports numpy.ma.
+            reached = np.sort(reached[~seen[reached]])
+            first = np.ones(len(reached), dtype=bool)
+            first[1:] = reached[1:] != reached[:-1]
+            frontier = reached[first]
+            seen[frontier] = True
+            shells.append(_CodeShell(frontier, self.coding))
+        self.frontier = frontier
+        return True
+
+    def _box(self, shells: list, radius: int) -> bool:
+        """Box the ball to `radius`: re-encode the shells so far into a new
+        bitmap.  Points with a negative N coordinate start out seen, so the
+        bitmap test drops the steps that leave the lattice."""
+        lattice = self.lattice
+        box = lattice.box(self.center, radius)
+        if box is None:
+            return False
+        lo, shape = box
+        coding = _Coding(lo, shape, lattice.scalar)
+        seen = np.zeros(math.prod(shape), dtype=bool)
+        grid = seen.reshape(shape)
+        n = len(shape)
+        for j in range(n - lattice.e, n):
+            grid[(slice(None),) * j + (slice(0, max(-int(lo[j]), 0)),)] = True
+        for shell in shells:
+            points = (shell.coding.points(shell.codes) if isinstance(shell, _CodeShell)
+                      else lattice.points(shell))
+            codes = coding.codes(points)
+            seen[codes] = True
+        self.frontier = codes
+        self.seen, self.coding, self.radius = seen, coding, radius
+        self.steps = lattice.offsets @ coding.strides
+        return True
+
+
+def _offset_lattice(
+    offsets: Sequence[tuple], e: int, universe: dict, scalar: bool = False
+) -> Digraph:
+    """Digraph on Z^n with its last e coordinates in N, where v + offset
+    feeds v (and v feeds v - offset) whenever both are lattice points.
+    `scalar` vertices are plain ints (n == 1).  Its balls run on the array
+    BFS (`_LatticeBall`)."""
+    n = len(offsets[0])
+
+    def neighbors(sign):
+        moves = [tuple(sign * c for c in off) for off in offsets]
+        if scalar:
+            return lambda z: [z + m for (m,) in moves]
+
+        def nbrs(v):
+            us = [tuple(map(operator.add, v, m)) for m in moves]
+            return [u for u in us if min(u[n - e:]) >= 0] if e else us
+
+        return nbrs
+
+    g = Digraph(neighbors(1), neighbors(-1), universe)
+    g._lattice = _Lattice(offsets, e, scalar)
+    return g
 
 
 # -- operations ------------------------------------------------------------
@@ -387,21 +600,20 @@ def is_estuary(
 # -- built-in families -------------------------------------------------------
 
 
+def _grid_offsets(d: int, e: int) -> list:
+    """In-neighbor offsets of Z^d x N^e: -e_i and +e_i on each Z coordinate,
+    -e_j on each N coordinate (N coordinates only step forward)."""
+    units = [tuple(int(i == j) for j in range(d + e)) for i in range(d + e)]
+    return [tuple(s * c for c in units[i]) for i in range(d) for s in (-1, 1)] + [
+        tuple(-c for c in units[d + j]) for j in range(e)
+    ]
+
+
 def cayley_zd(d: int) -> Digraph:
     """Cayley digraph of Z^d with generators +-e_i (symmetric, biconnected)."""
     if d < 1:
         raise ValueError("need d >= 1")
-    offsets = []
-    for i in range(d):
-        for s in (1, -1):
-            off = [0] * d
-            off[i] = s
-            offsets.append(tuple(off))
-
-    def nbrs(v):
-        return [tuple(a + b for a, b in zip(v, off)) for off in offsets]
-
-    return Digraph(nbrs, nbrs, universe={"family": "cayley_zd", "D": d})
+    return _offset_lattice(_grid_offsets(d, 0), 0, {"family": "cayley_zd", "D": d})
 
 
 def cayley_zdne(d: int, e: int) -> Digraph:
@@ -412,37 +624,9 @@ def cayley_zdne(d: int, e: int) -> Digraph:
     """
     if d < 0 or e < 0 or d + e < 1:
         raise ValueError("need d, e >= 0 with d + e >= 1")
-    gens = []
-    for i in range(d):
-        for s in (1, -1):
-            off = [0] * (d + e)
-            off[i] = s
-            gens.append(tuple(off))
-    for j in range(e):
-        off = [0] * (d + e)
-        off[d + j] = 1
-        gens.append(tuple(off))
-
-    def valid(v):
-        return all(v[d + j] >= 0 for j in range(e))
-
-    def ins(v):
-        out = []
-        for gvec in gens:
-            u = tuple(a - b for a, b in zip(v, gvec))
-            if valid(u):
-                out.append(u)
-        return out
-
-    def outs(v):
-        out = []
-        for gvec in gens:
-            u = tuple(a + b for a, b in zip(v, gvec))
-            if valid(u):
-                out.append(u)
-        return out
-
-    return Digraph(ins, outs, universe={"family": "cayley_zdne", "D": d, "E": e})
+    return _offset_lattice(
+        _grid_offsets(d, e), e, {"family": "cayley_zdne", "D": d, "E": e}
+    )
 
 
 def odometer_graph() -> Digraph:
@@ -471,14 +655,7 @@ def unit_shift_graph() -> Digraph:
 
 def unit_shift_graph_z() -> Digraph:
     """Network of the full shift on Z: cell z+1 feeds cell z."""
-
-    def ins(z):
-        return [z + 1]
-
-    def outs(z):
-        return [z - 1]
-
-    return Digraph(ins, outs, universe={"family": "unit_shift_z"})
+    return _offset_lattice([(1,)], 0, {"family": "unit_shift_z"}, scalar=True)
 
 
 def shortcut_graph() -> Digraph:
@@ -552,6 +729,21 @@ def shift_tau(delta) -> Subisometry:
 def _as_vertex(v):
     """A JSON vertex: lists (grid points) become tuples."""
     return tuple(v) if isinstance(v, list) else v
+
+
+def graph_vertex(g: Digraph, v, name: Optional[str] = None):
+    """v (an int, tuple or JSON list) as a vertex of g.  On a grid (`D`
+    coordinates, plus `E` if given) it must have that many coordinates, and
+    a bare integer is a 1-tuple; `name` is how errors quote v."""
+    name = name or repr(v)
+    v = _as_vertex(v)
+    if "D" not in g.universe:
+        return v
+    point = v if isinstance(v, tuple) else (v,)
+    dim = g.universe["D"] + g.universe.get("E", 0)
+    if len(point) != dim or any(type(c) is not int for c in point):
+        raise ValueError(f"vertex {name} needs {dim} integer coordinates on this grid")
+    return point
 
 
 def graph_from_descriptor(desc: dict) -> Digraph:

@@ -359,6 +359,56 @@ def test_grid_vertex_coordinate_count_exit_code(tmp_path, capsys, argv, value):
     assert captured.out == ""
 
 
+def _metric_file(tmp_path, estuary):
+    f = tmp_path / "metric.json"
+    f.write_text(json.dumps({"estuary": estuary, "lambda": 2}))
+    return str(f)
+
+
+@pytest.mark.parametrize("estuary", [[0], [[0, 0, 0]]])
+def test_metric_file_estuary_coordinate_count_exit_code(tmp_path, capsys, estuary):
+    """A metric file's estuary vertex with the wrong number of coordinates
+    for the system's grid is a usage error that names it."""
+    code = cli.run(["metric-lipschitz", "--system-file", _ca_file(tmp_path, 2),
+                    "--metric-file", _metric_file(tmp_path, estuary), "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"vertex {estuary[0]!r} needs 2 integer coordinates" in captured.err
+    assert captured.out == ""
+
+
+def test_metric_file_bare_integer_on_z1(tmp_path):
+    """On a one-dimensional grid a metric file's bare integer is the 1-tuple."""
+    argv = ["metric-lipschitz", "--system-file", _ca_file(tmp_path, 1), "--samples", "20",
+            "--format", "json", "--metric-file"]
+    code, bare = run_to_file(tmp_path, "bare.json", argv + [_metric_file(tmp_path, [0])])
+    assert code == 0
+    code, point = run_to_file(tmp_path, "point.json", argv + [_metric_file(tmp_path, [[0]])])
+    assert code == 0
+    assert json.loads(bare)["summary"] == json.loads(point)["summary"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric-lipschitz", "--samples", "20"],
+    ["holder-check", "--samples", "20"],
+    ["metric-dim", "--eps-min-pow", "8", "--eps-max-pow", "12"],
+])
+def test_file_given_metric_config_echo(tmp_path, argv):
+    """With a system file and a metric file, the config echoes the files,
+    not the defaults of the flags they override."""
+    system, metric = _ca_file(tmp_path, 1), _metric_file(tmp_path, [0])
+    code, text = run_to_file(tmp_path, "out.csv", argv + ["--system-file", system,
+                                                          "--metric-file", metric])
+    assert code == 0
+    config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+    assert config["system_file"] == system and config["metric_file"] == metric
+    assert not {"system", "m", "estuary", "lam", "scheme"} & set(config)
+    code, text = run_to_file(tmp_path, "flags.csv", argv + ["--system-file", system])
+    config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+    assert config["system_file"] == system and config["estuary"] == "0"
+    assert "system" not in config and "metric_file" not in config
+
+
 def test_system_file_bad_table_exit_code(tmp_path, capsys):
     desc = {
         "alphabet": 2,

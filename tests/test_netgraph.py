@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -307,6 +308,125 @@ def test_ball_reads_match_fresh_bfs():
     check()
     assert seen == {"cap = 0", "v == w", "closure exactly at the cap",
                     "deeper shells cached"}
+
+
+@st.composite
+def lattice_cases(draw):
+    """A fresh offset-lattice graph (Z^1..Z^3, Z^d x N^e or the shift graph
+    on Z), one or two centers near the origin (N coordinates from 0), and
+    the radii of successive reads of their ball."""
+    kind = draw(st.sampled_from(["zd", "zdne", "shift_z"]))
+    if kind == "zd":
+        d, e = draw(st.integers(1, 3)), 0
+        g = ng.cayley_zd(d)
+    elif kind == "zdne":
+        d, e = draw(st.sampled_from([(0, 1), (1, 1), (2, 1), (0, 2), (1, 2)]))
+        g = ng.cayley_zdne(d, e)
+    else:
+        d, e = 1, 0
+        g = ng.unit_shift_graph_z()
+    if kind == "shift_z":
+        vertex = st.integers(-3, 3)
+    else:
+        vertex = st.tuples(*[st.integers(-2, 2)] * d, *[st.integers(0, 3)] * e)
+    centers = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
+    radii = draw(st.lists(st.integers(0, 4 if d + e == 3 else 6), min_size=1, max_size=3))
+    return g, d, e, centers, radii
+
+
+def _lattice_probe(centers, d, e, radius):
+    """The lattice points within radius of the centers in every coordinate
+    (a superset of their ball)."""
+    points = [c if isinstance(c, tuple) else (c,) for c in centers]
+    ranges = [
+        range(max(min(p[i] for p in points) - radius, 0 if i >= d else -math.inf),
+              max(p[i] for p in points) + radius + 1)
+        for i in range(d + e)
+    ]
+    probe = list(itertools.product(*ranges))
+    return probe if isinstance(centers[0], tuple) else [p[0] for p in probe]
+
+
+def test_lattice_shells_match_oracle():
+    """The array BFS of offset lattices gives the shells of the matrix
+    reachability oracle, read after read, as the cache is grown past its box
+    and read shallower again."""
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(lattice_cases())
+    def check(case):
+        g, d, e, centers, radii = case
+        center = frozenset(centers)
+        probe = _lattice_probe(centers, d, e, max(radii))
+        balls = [set().union(*(ball_oracle_members(g, probe, c, r) for c in centers))
+                 for r in range(max(radii) + 1)]
+        oracle = [balls[0]] + [b - a for a, b in zip(balls, balls[1:])]
+        box_radius = None
+        for radius in radii:
+            shells = g._shells(center, radius)[: radius + 1]
+            if len(shells) <= radius:  # closed: one empty shell ends the list
+                assert not shells[-1]
+                seen.add("ball closed")
+            padding = [set()] * (radius + 1 - len(shells))
+            assert [set(s) for s in shells] + padding == oracle[: radius + 1]
+            assert g.ball_sizes(centers, radius) == [len(b) for b in balls[: radius + 1]]
+            state = g._ball_cache[center][1]
+            assert isinstance(state, ng._LatticeBall)
+            if box_radius is not None and state.radius > box_radius:
+                seen.add("box regrown")
+            if radius < len(g._shells(center, 0)) - 1:
+                seen.add("shallower read")
+            box_radius = state.radius
+        if e and any(c[-1] == 0 for c in centers):
+            seen.add("center on N = 0")
+        if (d, e) == (0, 2):
+            seen.add("E = 2, D = 0")
+
+    check()
+    assert seen == {"box regrown", "shallower read", "center on N = 0", "E = 2, D = 0",
+                    "ball closed"}
+
+
+def test_lattice_falls_back_to_the_generic_loop():
+    """A box that would outweigh the tuple shells, and a center set that is
+    not on the lattice, run the generic loop; both match a fresh BFS."""
+    z6 = ng.cayley_zd(6)
+    origin = (0,) * 6
+    assert z6.ball_sizes([origin], 1) == [1, 13]
+    assert isinstance(z6._ball_cache[frozenset([origin])][1], ng._LatticeBall)
+    assert z6.ball_members([origin], 4) == fresh_ball(z6, [origin], 4)
+    assert isinstance(z6._ball_cache[frozenset([origin])][1], set)
+    half = ng.cayley_zdne(1, 1)
+    off = (0, -1)  # negative N coordinate: not a lattice point
+    assert half.ball_members([off], 3) == fresh_ball(half, [off], 3)
+    assert isinstance(half._ball_cache[frozenset([off])][1], set)
+    assert ng.odometer_graph()._lattice is None
+    assert ng.shortcut_graph()._lattice is None
+    assert ng.counterexample_graph()._lattice is None
+    assert ss.ca_on_zd(2, [(0, 0), (1, 0)], [0, 1, 1, 0])[0].graph._lattice is None
+
+
+def test_z3_ball_sizes_and_log_counts_pinned():
+    """|B_r| = (2r+1)(2r^2+2r+3)/3 on Z^3 for every r <= 64, and log2
+    pattern counts equal to ball sizes on the full 2-shift (r 16..48)."""
+    def closed(r):
+        return (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3
+
+    z3 = ng.cayley_zd(3)
+    est = ng.dim_estimate(z3, (0, 0, 0), 2, 64)
+    assert est.ball_sizes == tuple(closed(r) for r in range(2, 65))
+    assert z3.ball_sizes([(0, 0, 0)], 1) == [1, 7]
+    space = ss.PatternSpace.full(ss.Alphabet(2))
+    ent = ed.ball_entropy(space, ng.cayley_zd(3), (0, 0, 0), 16, 48)
+    assert ent.ball_sizes == tuple(closed(r) for r in range(16, 49))
+    assert ent.log2_counts == ent.ball_sizes
+
+
+def test_ball_membership():
+    ball = ng.in_ball(ng.cayley_zd(2), [(0, 0)], 2)
+    assert (1, 1) in ball and (0, -2) in ball
+    assert (2, 1) not in ball
 
 
 def test_biconnected_z2_single_class(z2):
