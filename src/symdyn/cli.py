@@ -103,20 +103,21 @@ def _csv_cell(value) -> str:
     return vertex_str(value)
 
 
+# The flags that a graph, system or metric file overrides.
+_FILE_FLAGS = {
+    "graph_file": ("family", "D", "E"),
+    "system_file": ("system", "m", "alphabet", "universe"),
+    "metric_file": ("estuary", "lam", "scheme"),
+}
+
+
 def _config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-# The flags that a system or metric file overrides.
-_FILE_FLAGS = {"system_file": ("system", "m"), "metric_file": ("estuary", "lam", "scheme")}
-
-
-def _metric_config(args, keys) -> dict:
-    """`_config` of a metric command: a system or metric file is echoed
-    instead of the flags it overrides."""
+    """The given flags among `keys`; a file is echoed instead of the flags
+    it overrides."""
     files = [f for f in _FILE_FLAGS if getattr(args, f, None)]
     overridden = {k for f in files for k in _FILE_FLAGS[f]}
-    return _config(args, [k for k in keys if k not in overridden] + files)
+    return {k: getattr(args, k) for k in [*keys, *files]
+            if k not in overridden and getattr(args, k, None) is not None}
 
 
 def cmd_graph_ball(args) -> int:
@@ -336,8 +337,8 @@ def cmd_metric_dim(args) -> int:
         }
         for r in rep["rows"]
     ]
-    _emit(args, _metric_config(args, ["system", "m", "estuary", "lam", "scheme",
-                                      "eps_min_pow", "eps_max_pow", "eps_step"]),
+    _emit(args, _config(args, ["system", "m", "estuary", "lam", "scheme",
+                               "eps_min_pow", "eps_max_pow", "eps_step"]),
           ["eps", "scale", "log2_cover_lower", "log2_cover_upper"], rows,
           {"lower_slope": rep["lower_slope"], "upper_slope": rep["upper_slope"]})
     return 0
@@ -357,8 +358,8 @@ def cmd_metric_lipschitz(args) -> int:
     rep = ms.lipschitz_report(sys_, metric, space, args.samples, args.seed,
                               r_cap=args.rcap)
     rows = [{"sample": f["sample"], "ratio_hi": f["ratio_hi"]} for f in rep["flagged"]]
-    _emit(args, _metric_config(args, ["system", "m", "estuary", "lam", "samples",
-                                      "seed", "rcap"]),
+    _emit(args, _config(args, ["system", "m", "estuary", "lam", "samples",
+                               "seed", "rcap"]),
           ["sample", "ratio_hi"], rows,
           {"max_ratio_hi": rep["max_ratio_hi"], "skipped": rep["skipped"],
            "within_lambda": rep["within_lambda"]})
@@ -385,8 +386,8 @@ def cmd_holder_check(args) -> int:
     if rep["worst"]:
         rows.append({"sample": rep["worst"]["sample"],
                      "cell": rep["worst"]["cell"]})
-    _emit(args, _metric_config(args, ["system", "m", "estuary", "lam", "lam2", "eta",
-                                      "constant", "samples", "seed", "rcap"]),
+    _emit(args, _config(args, ["system", "m", "estuary", "lam", "lam2", "eta",
+                               "constant", "samples", "seed", "rcap"]),
           ["sample", "cell"], rows,
           {"holds": rep["holds"], "violations": rep["violations"],
            "inconclusive": rep["inconclusive"], "passed": rep["passed"]})

@@ -5,7 +5,8 @@ vertex families, tuples of integers for lattice points.  Every analysis
 routine works on a finite probe of the (possibly infinite) graph, expanding
 neighborhoods on demand; nothing ever materializes the full vertex set.
 There is one in-neighbor BFS, `Digraph._shells`, cached per center set: balls,
-ball sizes, `upstream` and the entropy and metric routines read its shells.
+ball sizes, `upstream`, the light cones of `symsys` (a cone is an in-ball)
+and the entropy and metric routines read its shells.
 It has two expansions.  Offset lattices (`cayley_zd`, `cayley_zdne`,
 `unit_shift_graph_z`: Z^d x N^e, where v + offset feeds v) expand a shell as
 an int64 code array in a box around the center set, with one broadcast add of
@@ -47,6 +48,16 @@ def vertex_key(v: Vertex):
 
 def sort_vertices(vs: Iterable[Vertex]) -> tuple:
     return tuple(sorted(vs, key=vertex_key))
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of `a` in order, by sorting: a plain np.unique
+    (numpy 2.4) takes a hash path that measured 3x slower on Z^3 shells and
+    imports numpy.ma."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
 @dataclass(frozen=True)
@@ -309,12 +320,7 @@ class _LatticeBall:
         seen, frontier = self.seen, self.frontier
         while len(shells) <= radius and len(frontier):
             reached = (frontier[:, None] + self.steps).ravel()
-            # Sorted, first of each run: np.unique (numpy 2.4) takes a hash
-            # path that measured 3x slower on Z^3 shells and imports numpy.ma.
-            reached = np.sort(reached[~seen[reached]])
-            first = np.ones(len(reached), dtype=bool)
-            first[1:] = reached[1:] != reached[:-1]
-            frontier = reached[first]
+            frontier = sorted_unique(reached[~seen[reached]])
             seen[frontier] = True
             shells.append(_CodeShell(frontier, self.coding))
         self.frontier = frontier

@@ -2,12 +2,13 @@
 
 A system is a finite alphabet, a digraph, and one local rule per vertex whose
 input list matches the vertex's in-neighbors.  Everything here evaluates on
-finite windows only: light cones are computed by backward composition of
-rule inputs, trajectories by exact cone evaluation (no boundary guesses),
-and panoramas / window certificates by exhaustive enumeration of the
-pattern space restricted to the cone.  `light_cone` is the only backward
-walk: the cone of every shorter horizon is a prefix of its `order`, which
-propagation, trajectories, envelopes and panoramas read.
+finite windows only: trajectories by exact cone evaluation (no boundary
+guesses), and panoramas / window certificates by exhaustive enumeration of
+the pattern space restricted to the cone.  Because every rule reads exactly
+its in-neighbors, the light cone of a window at horizon t is the in-ball
+B(window, t): `light_cone` reads it from the network's cached BFS
+(`Digraph._shells`), and the cone of every shorter horizon is a prefix of
+its `order`, which propagation, trajectories, envelopes and panoramas read.
 
 Rules are applied to configurations in one place, `_image_rows`: one update
 step of a batch of configurations (the rows of a symbol matrix), with each
@@ -29,7 +30,6 @@ digits with those of a representative of its trajectory.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import Digraph, Subisometry, Vertex, in_ball, sort_vertices, vertex_key
+from .netgraph import Digraph, Subisometry, Vertex, sort_vertices, sorted_unique
 
 
 class NetworkConsistencyError(Exception):
@@ -74,7 +74,6 @@ class Alphabet:
     """Finite symbol set; symbols are the integers 0..size-1."""
 
     size: int
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         if self.size < 2:
@@ -94,43 +93,24 @@ class LocalRule:
 
     @classmethod
     def from_table(cls, inputs, table, alphabet_size: int, label: str = ""):
-        """Build a rule from a table.
-
-        `table` is either a dict keyed by input tuples, or a flat sequence in
-        row-major order of input tuples (first input most significant) under
-        symbol order 0..k-1.  Every key and entry must use symbols 0..k-1.
+        """Build a rule from a flat table in row-major order of input tuples
+        (first input most significant) under symbol order 0..k-1.  Every
+        entry must be one of the symbols 0..k-1.
         """
         inputs = tuple(inputs)
         k = alphabet_size
-        if isinstance(table, dict):
-            lookup = dict(table)
-            for args, value in lookup.items():
-                if not isinstance(args, tuple) or len(args) != len(inputs):
-                    raise ValueError(
-                        f"table key {args!r} is not a tuple of {len(inputs)} inputs"
-                    )
-                for a in args:
-                    _check_symbol(a, k, f"table key {args!r} has")
-                _check_symbol(value, k, f"table value at key {args!r} is")
+        flat = list(table)
+        expected = k ** len(inputs)
+        if len(flat) != expected:
+            raise ValueError(f"table has {len(flat)} entries, expected {expected}")
+        for idx, value in enumerate(flat):
+            _check_symbol(value, k, f"table entry {idx} is")
 
-            def fn(args):
-                return lookup[tuple(args)]
-
-        else:
-            flat = list(table)
-            expected = k ** len(inputs)
-            if len(flat) != expected:
-                raise ValueError(
-                    f"table has {len(flat)} entries, expected {expected}"
-                )
-            for idx, value in enumerate(flat):
-                _check_symbol(value, k, f"table entry {idx} is")
-
-            def fn(args):
-                idx = 0
-                for a in args:
-                    idx = idx * k + a
-                return flat[idx]
+        def fn(args):
+            idx = 0
+            for a in args:
+                idx = idx * k + a
+            return flat[idx]
 
         return cls(inputs=inputs, fn=fn, label=label)
 
@@ -220,14 +200,13 @@ class Configuration:
 
 @dataclass(frozen=True)
 class LightCone:
-    """Backward dependency cone of a window: per-step layers and their union."""
+    """Backward dependency cone of a window: the in-ball B(window, horizon)."""
 
     window: tuple
     horizon: int
-    layers: tuple  # layers[t] = exact input set of the t-fold composition
     union: tuple
-    order: tuple  # distinct cells by first appearance in the layers, window first
-    sizes: tuple  # sizes[t] = cells in layers 0..t; the cone of horizon t is order[: sizes[t]]
+    order: tuple  # cells by in-distance from the window, each shell sorted: window first
+    sizes: tuple  # sizes[t] = |B(window, t)|; the cone of horizon t is order[: sizes[t]]
 
 
 @dataclass(frozen=True)
@@ -252,46 +231,29 @@ class PanoramaResult:
 
 
 def light_cone(sys: SymbolicSystem, window: Iterable[Vertex], horizon: int) -> LightCone:
-    """Input cone of a window, by backward composition of rule inputs."""
+    """Input cone of a window: the cells its values at times 0..horizon read.
+
+    Every rule reads exactly its vertex's in-neighbors, so this is the
+    in-ball B(window, horizon), read from the graph's cached shells.  The
+    rules of the cells within horizon - 1 are fetched, which checks that.
+    """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     w = sort_vertices(window)
     if not w:
         raise ValueError("window must be nonempty")
-    layers = [w]
-    first = dict.fromkeys(w)  # cells in order of first appearance
-    sizes = [len(first)]
-    for _ in range(horizon):
-        nxt: set = set()
-        for v in layers[-1]:
-            nxt.update(sys.rule(v).inputs)
-        layers.append(sort_vertices(nxt))
-        first.update(dict.fromkeys(layers[-1]))
-        sizes.append(len(first))
-    order = tuple(first)
-    return LightCone(window=w, horizon=horizon, layers=tuple(layers),
-                     union=sort_vertices(order), order=order, sizes=tuple(sizes))
-
-
-def _depths(graph: Digraph, centers: Sequence[Vertex], radius: int) -> dict:
-    """In-distance from the center set of every vertex of B(centers, radius)."""
-    shells = graph._shells(frozenset(centers), radius)[: radius + 1]
-    return {u: r for r, shell in enumerate(shells) for u in shell}
+    shells = sys.graph._shells(frozenset(w), horizon)[: horizon + 1]
+    order = tuple(v for shell in shells for v in sort_vertices(shell))
+    sizes = tuple(sys.graph.ball_sizes(w, horizon))
+    for v in order[: sizes[horizon - 1] if horizon else 0]:
+        sys.rule(v)
+    return LightCone(window=w, horizon=horizon, union=sort_vertices(order),
+                     order=order, sizes=sizes)
 
 
 def propagation(sys: SymbolicSystem, v: Vertex, horizon: int) -> list:
-    """Cumulative cone sizes rho(0..horizon) at one vertex.
-
-    Also re-checks the containment of each cumulative cone in the matching
-    graph ball, which is guaranteed by network consistency.
-    """
-    cone = light_cone(sys, [v], horizon)
-    depth = _depths(sys.graph, [v], horizon)
-    for t, layer in enumerate(cone.layers):
-        escaped = {u for u in layer if depth.get(u, t + 1) > t}
-        if escaped:
-            raise RuntimeError(f"cone escaped ball at t={t}: {escaped}")
-    return list(cone.sizes)
+    """Cumulative cone sizes rho(0..horizon) at one vertex: |B(v, t)|."""
+    return list(light_cone(sys, [v], horizon).sizes)
 
 
 def evaluate(
@@ -352,7 +314,7 @@ def _trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> 
     over the distinct window cells.  Row columns follow `cone.union`.
 
     Cells go in `cone.order`: the window leads, and step t, which needs
-    only layers 0..horizon-t, images a prefix.
+    only the cells within horizon - t of the window, images a prefix.
     """
     cells, ends = cone.order, cone.sizes
     index, position = _columns(cells), _columns(cone.union)
@@ -733,16 +695,15 @@ def sensitivity_certificate(
     """Witness that the cone of v escapes the ball B(v, radius).
 
     Such an escape at some time t certifies that the propagation at v grows
-    past the ball, which is the finite content of v-sensitivity.
+    past the ball, which is the finite content of v-sensitivity.  The cone
+    of horizon t is B(v, t), so the first escape is at t = radius + 1, when
+    that shell is nonempty, and the witness is its least cell.
     """
     if radius < 0 or t_max < 0:
         raise ValueError("radius and t_max must be nonnegative")
-    ball = sys.graph.ball_members([v], radius)
     cone = light_cone(sys, [v], t_max)
-    for t, layer in enumerate(cone.layers):
-        escaped = [u for u in layer if u not in ball]
-        if escaped:
-            return {"t": t, "witness": sort_vertices(escaped)[0]}
+    if radius < t_max and cone.sizes[radius + 1] > cone.sizes[radius]:
+        return {"t": radius + 1, "witness": cone.order[cone.sizes[radius]]}
     return None
 
 
@@ -774,8 +735,7 @@ def equicontinuity_envelope(
     w = sort_vertices(window)
     cone = light_cone(sys, w, t_probe)
     stabilized = cone.sizes[t_probe // 2] == cone.sizes[t_probe]  # sizes never shrink
-    depth = _depths(sys.graph, w, t_probe)  # every cone cell lies within t_probe of w
-    reach = max(depth.get(u, math.inf) for u in cone.order)
+    reach = cone.sizes.index(cone.sizes[-1])  # in-distance of the farthest cone cell
     reach = reach if reach <= r_cap else None
     if not stabilized or reach is None:
         reason = "cone still growing" if not stabilized else "cone beyond reach cap"
@@ -845,7 +805,7 @@ def odometer_factor_chain(
             for pair in zip(columns[: horizon * len(w)], columns[len(w):])
         ]
         _, ranks = _group_rows(shifted, k, 2 * count)
-        heads, tails = np.unique(ranks[:count]), np.unique(ranks[count:])
+        heads, tails = sorted_unique(ranks[:count]), sorted_unique(ranks[count:])
         # for horizon >= 1 a trajectory is its (head, tail) pair, so the
         # shift is a function and injective exactly when there are as many
         # heads as trajectories, and it permutes when heads and tails agree;

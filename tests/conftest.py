@@ -110,13 +110,28 @@ def ball_entropy_oracle(space, g, v, r_min, r_max):
     return out
 
 
-def cone_order_oracle(cone):
-    """Cells in order of first appearance in the layers, and the cumulative
-    cell count per horizon."""
+def cone_layers_oracle(sys_, window, horizon):
+    """Layers of the window's light cone by backward composition of rule
+    inputs: layer t is the exact input set of the t-fold composition.  Walks
+    the rules, not the graph's BFS that `light_cone` reads."""
+    layers = [set(window)]
+    for _ in range(horizon):
+        layers.append({u for v in layers[-1] for u in sys_.rule(v).inputs})
+    return layers
+
+
+def cone_cells_oracle(sys_, window, horizon):
+    """The cells of the window's light cone, sorted."""
+    return ng.sort_vertices(set().union(*cone_layers_oracle(sys_, window, horizon)))
+
+
+def cone_order_oracle(sys_, window, horizon):
+    """Cells in order of first appearance in the layers (each layer sorted),
+    and the cumulative cell count per horizon."""
     order: dict = {}
     sizes = []
-    for layer in cone.layers:
-        order.update(dict.fromkeys(layer))
+    for layer in cone_layers_oracle(sys_, window, horizon):
+        order.update(dict.fromkeys(ng.sort_vertices(layer)))
         sizes.append(len(order))
     return tuple(order), tuple(sizes)
 
@@ -124,30 +139,39 @@ def cone_order_oracle(cone):
 def propagation_oracle(sys_, v, horizon):
     """Cumulative cone sizes at one vertex, each cumulative cone checked
     against a freshly built ball of the same radius."""
-    cone = ss.light_cone(sys_, [v], horizon)
     sizes = []
     seen: set = set()
-    for t, layer in enumerate(cone.layers):
+    for t, layer in enumerate(cone_layers_oracle(sys_, [v], horizon)):
         seen.update(layer)
         sizes.append(len(seen))
         assert seen <= fresh_ball(sys_.graph, [v], t), f"cone escaped ball at t={t}"
     return sizes
 
 
+def sensitivity_oracle(sys_, v, radius, t_max):
+    """The first layer of v's cone with a cell outside a freshly built
+    B(v, radius), and that layer's least such cell; None if none escapes."""
+    ball = fresh_ball(sys_.graph, [v], radius)
+    for t, layer in enumerate(cone_layers_oracle(sys_, [v], t_max)):
+        escaped = ng.sort_vertices(layer - ball)
+        if escaped:
+            return {"t": t, "witness": escaped[0]}
+    return None
+
+
 def envelope_oracle(sys_, window, t_probe, r_cap):
     """(cone sizes, reach, certified, reason) of the envelope search: the
     cumulative cone must stop growing over the second half of the probe
     and lie within B(window, reach) for a reach of at most r_cap."""
-    cone = ss.light_cone(sys_, window, t_probe)
     cum: set = set()
     sizes = []
-    for layer in cone.layers:
+    for layer in cone_layers_oracle(sys_, window, t_probe):
         cum.update(layer)
         sizes.append(len(cum))
     stabilized = all(sizes[t] == sizes[t_probe] for t in range(t_probe // 2, t_probe + 1))
     reach = None
     for r in range(r_cap + 1):
-        if set(cone.union) <= fresh_ball(sys_.graph, window, r):
+        if cum <= fresh_ball(sys_.graph, window, r):
             reach = r
             break
     certified = stabilized and reach is not None
@@ -192,11 +216,11 @@ def evaluate_oracle(sys_, x, window, horizon):
     """Trajectory of one configuration, one rule call per cell and step: the
     cells each step reads are the layers 0..horizon-t of the cone."""
     w = ng.sort_vertices(window)
-    cone = ss.light_cone(sys_, w, horizon)
-    values = {v: x.values[v] for v in cone.union}
+    layers = cone_layers_oracle(sys_, w, horizon)
+    values = {v: x.values[v] for v in set().union(*layers)}
     traj = [{u: values[u] for u in w}]
     for t in range(1, horizon + 1):
-        cells = set().union(*cone.layers[: horizon - t + 1])
+        cells = set().union(*layers[: horizon - t + 1])
         new_values = {}
         for v in cells:
             rule = sys_.rule(v)
@@ -210,7 +234,7 @@ def trajectory_set_oracle(sys_, space, window, horizon):
     """Observed trajectories of every pattern on the window's cone, each
     computed by `evaluate_oracle` on its own configuration."""
     w = ng.sort_vertices(window)
-    cells = ss.light_cone(sys_, w, horizon).union
+    cells = cone_cells_oracle(sys_, w, horizon)
     out = set()
     for pattern in itertools.product(*[space.allowed(v) for v in cells]):
         x = ss.Configuration(dict(zip(cells, pattern)))
@@ -224,7 +248,7 @@ def determined_oracle(sys_, space, window, horizon, tracked):
     cone, group by trajectory, and keep the tracked cells every group agrees
     on."""
     w = ng.sort_vertices(window)
-    cells = ss.light_cone(sys_, w, horizon).union
+    cells = cone_cells_oracle(sys_, w, horizon)
     pos = {v: i for i, v in enumerate(cells)}
     tracked = [v for v in tracked if v in pos]
     groups: dict = {}
@@ -239,10 +263,9 @@ def determined_oracle(sys_, space, window, horizon, tracked):
 
 def panorama_layers_oracle(sys_, space, window, horizon):
     """Panorama layers by the reference dict engine."""
-    cone = ss.light_cone(sys_, window, horizon)
     cum: set = set()
     layers = []
-    for t, layer in enumerate(cone.layers):
+    for t, layer in enumerate(cone_layers_oracle(sys_, window, horizon)):
         cum.update(layer)
         layers.append(ng.sort_vertices(determined_oracle(sys_, space, window, t, cum)))
     return tuple(layers)

@@ -409,6 +409,35 @@ def test_file_given_metric_config_echo(tmp_path, argv):
     assert "system" not in config and "metric_file" not in config
 
 
+@pytest.mark.parametrize("argv", [
+    ["sys-propagation", "--vertex", "0", "--T", "3"],
+    ["sys-panorama", "--window", "0", "--T", "2"],
+    ["entropy-ball", "--vertex", "0", "--rmin", "2", "--rmax", "4"],
+])
+def test_file_given_system_config_echo(tmp_path, argv):
+    """With a system file the config echoes the file, not the defaults or
+    values of the flags it overrides."""
+    system = _ca_file(tmp_path, 1)
+    code, text = run_to_file(tmp_path, "out.csv", argv + [
+        "--system-file", system, "--system", "odometer", "--m", "2", "--alphabet", "3",
+        "--universe", "Z"])
+    assert code == 0
+    config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+    assert config["system_file"] == system
+    assert not {"system", "m", "alphabet", "universe"} & set(config)
+    assert config[argv[1][2:]] == argv[2]
+
+
+def test_file_given_graph_config_echo(tmp_path):
+    f = tmp_path / "graph.json"
+    f.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 0]]}))
+    code, text = run_to_file(tmp_path, "gb.csv", ["graph-ball", "--graph-file", str(f),
+                                                  "--center", "0", "--radius", "3"])
+    assert code == 0
+    config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+    assert config == {"center": "0", "graph_file": str(f), "radius": 3}
+
+
 def test_system_file_bad_table_exit_code(tmp_path, capsys):
     desc = {
         "alphabet": 2,

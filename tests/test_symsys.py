@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +28,7 @@ from conftest import (
     fresh_ball,
     panorama_layers_oracle,
     propagation_oracle,
+    sensitivity_oracle,
     shift_permutation_oracle,
     trajectory_set_oracle,
 )
@@ -87,21 +92,38 @@ def test_network_consistency_enforced(z2):
         bad.rule(0)
 
 
+def test_cone_readers_check_network_consistency():
+    """Every cone reader fetches the rules of the cells below its horizon,
+    so a rule that disagrees with the graph raises once its cell is there."""
+    bad = ss.SymbolicSystem(
+        ss.Alphabet(2),
+        ng.unit_shift_graph(),
+        lambda v: ss.LocalRule(inputs=(v if v == 2 else v + 1,), fn=lambda a: a[0]),
+    )
+    assert ss.light_cone(bad, [0], 2).union == (0, 1, 2)
+    assert ss.sensitivity_certificate(bad, 0, 1, 2) == {"t": 2, "witness": 2}
+    for read in (lambda: ss.light_cone(bad, [0], 3), lambda: ss.propagation(bad, 0, 3),
+                 lambda: ss.sensitivity_certificate(bad, 0, 1, 3)):
+        with pytest.raises(ss.NetworkConsistencyError, match="at vertex 2"):
+            read()
+
+
 # -- light cones and propagation -------------------------------------------------
 
 
 def test_cone_odometer_fixed(binary_odometer):
     sys_, _ = binary_odometer
     cone = ss.light_cone(sys_, [0], 10)
-    assert cone.union == (0,)
-    assert all(layer == (0,) for layer in cone.layers)
+    assert cone.union == cone.order == (0,)
+    assert cone.sizes == (1,) * 11
 
 
 def test_cone_full_shift_marches(full_shift_n):
     sys_, _ = full_shift_n
     cone = ss.light_cone(sys_, [0], 4)
     assert cone.union == (0, 1, 2, 3, 4)
-    assert cone.layers == ((0,), (1,), (2,), (3,), (4,))
+    assert cone.order == (0, 1, 2, 3, 4)
+    assert cone.sizes == (1, 2, 3, 4, 5)
 
 
 def test_cone_counterexample(cex):
@@ -233,7 +255,7 @@ def test_trajectory_rows_match_dict_loop():
                 expected = evaluate_oracle(sys_, x, cone.window, cone.horizon)
                 assert traj == [[step[u] for u in window] for step in expected]
                 assert ss.evaluate(sys_, x, cone.window, cone.horizon) == expected
-        imaged = set().union(*cone.layers[: cone.horizon])  # cells of step 1
+        imaged = set(cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0])
         if any(not sys_.rule(v).inputs for v in imaged):
             seen.add("zero-input rule")
         if len(set(cone.window)) < len(cone.window):
@@ -400,21 +422,38 @@ def explicit_systems(draw):
     return sys_, space, sorted(window), draw(st.integers(0, 4)), target
 
 
+_SHIFT_Z = ss.full_shift(2, "Z")  # shared: later windows read cached lattice shells
+
+
+@st.composite
+def full_shift_z_windows(draw):
+    """A window of the full shift on Z, whose cones come from the lattice
+    array BFS, in the shape of `explicit_systems`."""
+    window = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3, unique=True))
+    return (*_SHIFT_Z, sorted(window), draw(st.integers(0, 6)), None)
+
+
 def test_cone_prefixes_match_oracles():
-    """`LightCone.order` and `sizes` list the layers' cells by first
-    appearance, and propagation and the envelope's sizes, reach and verdict,
-    read from them, agree with oracles that walk the layers and rebuild the
-    ball at every radius."""
+    """`LightCone.order` and `sizes` list the cells of the rule-input layers
+    by first appearance, and propagation, the sensitivity certificate and
+    the envelope's sizes, reach and verdict, read from them, agree with
+    oracles that walk the layers and rebuild the ball at every radius."""
     seen = set()
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(explicit_systems(), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(explicit_systems(), full_shift_z_windows()), st.integers(0, 6))
     def check(case, r_cap):
         sys_, _, window, horizon, _ = case
         cone = ss.light_cone(sys_, window, horizon)
-        assert (cone.order, cone.sizes) == cone_order_oracle(cone)
+        assert (cone.order, cone.sizes) == cone_order_oracle(sys_, window, horizon)
+        assert cone.union == ng.sort_vertices(cone.order)
         v = window[-1]
         assert ss.propagation(sys_, v, horizon) == propagation_oracle(sys_, v, horizon)
+        cert = ss.sensitivity_certificate(sys_, v, r_cap, horizon)
+        assert cert == sensitivity_oracle(sys_, v, r_cap, horizon)
+        seen.add("escape" if cert else "no escape")
+        if sys_ is _SHIFT_Z[0]:
+            seen.add("lattice window")
         rep = ss.equicontinuity_envelope(sys_, window, horizon, r_cap)
         expected = envelope_oracle(sys_, window, horizon, r_cap)
         assert (rep.cone_sizes, rep.reach, rep.certified, rep.reason) == expected
@@ -426,7 +465,8 @@ def test_cone_prefixes_match_oracles():
             seen.add("certified")
 
     check()
-    assert seen == {"r_cap below the reach", "ball closes", "certified"}
+    assert seen == {"r_cap below the reach", "ball closes", "certified", "escape",
+                    "no escape", "lattice window"}
 
 
 # cell 0 reads three cells that copy themselves: at t=1 the window check
@@ -726,6 +766,22 @@ def test_factor_chain_binary(binary_odometer):
     assert all(c["envelope"] == c["window"] for c in chain)
 
 
+def test_factor_chain_does_not_import_numpy_ma():
+    """The factor chain finds its distinct heads and tails by sorting: a
+    plain np.unique (numpy 2.4) takes a hash path that imports numpy.ma."""
+    src = str(Path(ss.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys\nfrom symdyn import symsys as ss\n"
+              "sys_, space = ss.odometer_system([2])\n"
+              "ss.odometer_factor_chain(sys_, space, [[0], [0, 1]], 8)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_factor_chain_mixed_radix():
     sys_, space = ss.odometer_system([3, 2])
     chain = ss.odometer_factor_chain(sys_, space, [[0, 1]], 12)
@@ -916,9 +972,9 @@ def test_descriptor_rejects_out_of_range_entry():
 @pytest.mark.parametrize(
     "table, message",
     [
-        ({(0,): 0, (1,): 2}, r"table value at key \(1,\) is 2"),
-        ({(0,): 0, (3,): 1}, r"table key \(3,\) has 3"),
-        ({(0, 1): 0}, r"not a tuple of 1 inputs"),
+        ([0, 1, 1], r"table has 3 entries, expected 2"),
+        (["0", 1], r"table entry 0 is '0'"),
+        ([True, 0], r"table entry 0 is True"),
         ([0, -1], r"table entry 1 is -1"),
         ([0, 1.0], r"table entry 1 is 1.0"),
     ],
