@@ -1,7 +1,9 @@
 """Command-line surface: one flat subcommand per analysis operation.
 
-Every run resolves its full configuration (including the seed), embeds it in
-the output, and writes either CSV (with a leading config comment) or JSON.
+Every run echoes as its config every flag that is set (defaults and the seed
+included) except the output destinations `--format`, `--out` and
+`--dump-trace`; a graph, system or metric file replaces the flags it
+overrides.  Output is CSV (with a leading config comment) or JSON.
 Identical configuration and seed give byte-identical output; there is no
 timestamping or machine-dependent content.  Exit codes: 0 success / check
 passed, 1 property violation or failed check, 2 usage or configuration
@@ -34,7 +36,7 @@ def parse_vertex(text: str):
 
 
 def _graph_vertex(g: ng.Digraph, text: str):
-    """Parse a vertex (or translation) of g (see `netgraph.graph_vertex`)."""
+    """Parse a vertex of g (see `netgraph.graph_vertex`)."""
     return ng.graph_vertex(g, parse_vertex(text), repr(text))
 
 
@@ -75,7 +77,8 @@ def _system_from_args(args):
     return ss.system_from_descriptor(desc)
 
 
-def _emit(args, config: dict, header: list, rows: list, summary: dict) -> None:
+def _emit(args, header: list, rows: list, summary: dict) -> None:
+    config = _config(args)
     out = _sys.stdout if args.out is None else open(args.out, "w")
     try:
         if args.format == "json":
@@ -107,17 +110,18 @@ def _csv_cell(value) -> str:
 _FILE_FLAGS = {
     "graph_file": ("family", "D", "E"),
     "system_file": ("system", "m", "alphabet", "universe"),
-    "metric_file": ("estuary", "lam", "scheme"),
+    "metric_file": ("estuary", "lam", "scheme", "coeffs"),
 }
 
 
-def _config(args, keys) -> dict:
-    """The given flags among `keys`; a file is echoed instead of the flags
-    it overrides."""
-    files = [f for f in _FILE_FLAGS if getattr(args, f, None)]
-    overridden = {k for f in files for k in _FILE_FLAGS[f]}
-    return {k: getattr(args, k) for k in [*keys, *files]
-            if k not in overridden and getattr(args, k, None) is not None}
+def _config(args) -> dict:
+    """Every flag of the run that is set, except parser bookkeeping and the
+    flags that only choose where output goes; a file is echoed instead of
+    the flags it overrides."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    dropped = {"command", "fn", "format", "out", "dump_trace"}.union(
+        *(flags for f, flags in _FILE_FLAGS.items() if f in given))
+    return {k: v for k, v in given.items() if k not in dropped}
 
 
 def cmd_graph_ball(args) -> int:
@@ -129,8 +133,7 @@ def cmd_graph_ball(args) -> int:
     if args.members:
         ball = ng.in_ball(g, [center], args.radius)
         summary["members"] = [vertex_str(v) for v in ball.members]
-    _emit(args, _config(args, ["family", "D", "E", "center", "radius"]),
-          ["r", "size"], rows, summary)
+    _emit(args, ["r", "size"], rows, summary)
     return 0
 
 
@@ -148,15 +151,14 @@ def cmd_graph_dim(args) -> int:
         "upper_proxy": est.upper_proxy,
         "window": [args.rmin, args.rmax],
     }
-    _emit(args, _config(args, ["family", "D", "E", "vertex", "rmin", "rmax"]),
-          ["r", "ball_size", "exponent"], rows, summary)
+    _emit(args, ["r", "ball_size", "exponent"], rows, summary)
     return 0
 
 
 def cmd_graph_speed(args) -> int:
     g = _graph_from_args(args)
     v = _graph_vertex(g, args.vertex)
-    delta = _graph_vertex(g, args.shift)
+    delta = ng.graph_translation(g, parse_vertex(args.shift), repr(args.shift))
     tau = ng.shift_tau(delta)
     rep = ng.speed_estimate(g, tau, v, args.nmax, args.cap)
     rows = [
@@ -165,8 +167,7 @@ def cmd_graph_speed(args) -> int:
     ]
     summary = {"inf_proxy": rep["inf_proxy"], "unknown": rep["unknown_count"],
                "cap": args.cap}
-    _emit(args, _config(args, ["family", "D", "E", "vertex", "shift", "nmax", "cap"]),
-          ["n", "value"], rows, summary)
+    _emit(args, ["n", "value"], rows, summary)
     return 0
 
 
@@ -175,8 +176,7 @@ def cmd_sys_propagation(args) -> int:
     v = _graph_vertex(sys_.graph, args.vertex)
     rho = ss.propagation(sys_, v, args.T)
     rows = [{"t": t, "rho": r} for t, r in enumerate(rho)]
-    _emit(args, _config(args, ["system", "m", "alphabet", "vertex", "T"]),
-          ["t", "rho"], rows, {"vertex": vertex_str(v), "horizon": args.T})
+    _emit(args, ["t", "rho"], rows, {"vertex": vertex_str(v), "horizon": args.T})
     return 0
 
 
@@ -194,8 +194,7 @@ def cmd_sys_panorama(args) -> int:
         "pattern_count": result.pattern_count,
         "engine": result.engine,
     }
-    _emit(args, _config(args, ["system", "m", "alphabet", "window", "T"]),
-          ["t", "layer_size", "layer"], rows, summary)
+    _emit(args, ["t", "layer_size", "layer"], rows, summary)
     return 0
 
 
@@ -211,8 +210,7 @@ def cmd_sys_equicontinuity(args) -> int:
         "trajectory_count": rep.trajectory_count,
         "reason": rep.reason,
     }
-    _emit(args, _config(args, ["system", "m", "window", "tprobe", "rcap"]),
-          ["t", "cone_size"], rows, summary)
+    _emit(args, ["t", "cone_size"], rows, summary)
     return 0
 
 
@@ -234,8 +232,7 @@ def cmd_sys_odometer_chain(args) -> int:
         for c in chain
     ]
     ok = all(c["shift_is_permutation"] for c in chain)
-    _emit(args, _config(args, ["system", "m", "windows", "horizon"]),
-          ["window", "envelope", "trajectories", "shift_is_permutation"], rows,
+    _emit(args, ["window", "envelope", "trajectories", "shift_is_permutation"], rows,
           {"all_permutations": ok})
     return 0 if ok else 1
 
@@ -250,8 +247,7 @@ def cmd_entropy_ball(args) -> int:
             est.radii, est.log2_counts, est.ball_sizes, est.ratios
         )
     ]
-    _emit(args, _config(args, ["system", "m", "vertex", "rmin", "rmax"]),
-          ["r", "log2_count", "ball_size", "ratio"], rows,
+    _emit(args, ["r", "log2_count", "ball_size", "ratio"], rows,
           {"lower_proxy": est.lower_proxy, "upper_proxy": est.upper_proxy})
     return 0
 
@@ -259,7 +255,8 @@ def cmd_entropy_ball(args) -> int:
 def cmd_entropy_tau(args) -> int:
     sys_, space = _system_from_args(args)
     base = _graph_window(sys_.graph, args.base)
-    delta = _graph_vertex(sys_.graph, args.shift)
+    delta = ng.graph_translation(sys_.graph, parse_vertex(args.shift),
+                                   repr(args.shift))
     prof = ed.tau_entropy_profile(space, ng.shift_tau(delta), base, args.nmax)
     rows = [
         {"n": n, "log2_count": c, "value": v, "region_size": s}
@@ -267,8 +264,7 @@ def cmd_entropy_tau(args) -> int:
             prof["n"], prof["log2_counts"], prof["values"], prof["region_sizes"]
         )
     ]
-    _emit(args, _config(args, ["system", "m", "base", "shift", "nmax"]),
-          ["n", "log2_count", "value", "region_size"], rows,
+    _emit(args, ["n", "log2_count", "value", "region_size"], rows,
           {"final_value": prof["values"][-1]})
     return 0
 
@@ -294,8 +290,7 @@ def cmd_cex_roundtrip(args) -> int:
             fh.write("t,a,b\n")
             for t, (a, b) in enumerate(trace.observations):
                 fh.write(f"{t},{a},{b}\n")
-    _emit(args, _config(args, ["J", "trials", "seed"]),
-          ["trial", "seed", "mismatches"], rows,
+    _emit(args, ["trial", "seed", "mismatches"], rows,
           {"passed": rep["passed"], "trials": rep["trials"]})
     return 0 if rep["passed"] else 1
 
@@ -306,8 +301,7 @@ def cmd_cex_propagation(args) -> int:
         {"t": t, "rho": r, "floor": f}
         for t, (r, f) in enumerate(zip(rep["rho"], rep["floors"]))
     ]
-    _emit(args, _config(args, ["T"]), ["t", "rho", "floor"], rows,
-          {"lower_bound_ok": rep["lower_bound_ok"]})
+    _emit(args, ["t", "rho", "floor"], rows, {"lower_bound_ok": rep["lower_bound_ok"]})
     return 0 if rep["lower_bound_ok"] else 1
 
 
@@ -337,9 +331,7 @@ def cmd_metric_dim(args) -> int:
         }
         for r in rep["rows"]
     ]
-    _emit(args, _config(args, ["system", "m", "estuary", "lam", "scheme",
-                               "eps_min_pow", "eps_max_pow", "eps_step"]),
-          ["eps", "scale", "log2_cover_lower", "log2_cover_upper"], rows,
+    _emit(args, ["eps", "scale", "log2_cover_lower", "log2_cover_upper"], rows,
           {"lower_slope": rep["lower_slope"], "upper_slope": rep["upper_slope"]})
     return 0
 
@@ -358,9 +350,7 @@ def cmd_metric_lipschitz(args) -> int:
     rep = ms.lipschitz_report(sys_, metric, space, args.samples, args.seed,
                               r_cap=args.rcap)
     rows = [{"sample": f["sample"], "ratio_hi": f["ratio_hi"]} for f in rep["flagged"]]
-    _emit(args, _config(args, ["system", "m", "estuary", "lam", "samples",
-                               "seed", "rcap"]),
-          ["sample", "ratio_hi"], rows,
+    _emit(args, ["sample", "ratio_hi"], rows,
           {"max_ratio_hi": rep["max_ratio_hi"], "skipped": rep["skipped"],
            "within_lambda": rep["within_lambda"]})
     return 0 if rep["within_lambda"] else 1
@@ -386,9 +376,7 @@ def cmd_holder_check(args) -> int:
     if rep["worst"]:
         rows.append({"sample": rep["worst"]["sample"],
                      "cell": rep["worst"]["cell"]})
-    _emit(args, _config(args, ["system", "m", "estuary", "lam", "lam2", "eta",
-                               "constant", "samples", "seed", "rcap"]),
-          ["sample", "cell"], rows,
+    _emit(args, ["sample", "cell"], rows,
           {"holds": rep["holds"], "violations": rep["violations"],
            "inconclusive": rep["inconclusive"], "passed": rep["passed"]})
     return 0 if rep["passed"] else 1

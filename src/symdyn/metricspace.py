@@ -475,8 +475,13 @@ def holder_report(
     holds = violations = 0
     worst = None
     worst_excess = 0.0
-    chunks = _planted_pairs(rng, metric_from.graph, metric_from.scheme.vertices, space,
-                            domain, 8, samples)
+    # plant no deeper than the deepest radius at which an anchor's shell
+    # meets the domain, so that every sampled radius can plant a cell
+    graph, anchors = metric_from.graph, metric_from.scheme.vertices
+    reach = max((r for u in anchors
+                 for r, shell in enumerate(graph._shells(frozenset([u]), 7))
+                 if any(c in index for c in shell)), default=0)
+    chunks = _planted_pairs(rng, graph, anchors, space, domain, min(8, 1 + reach), samples)
     for used, pairs, cells in chunks:
         pre_lo, pre_hi = _dist_rows(metric_from, index, pairs[0] != pairs[1])
         groups: dict = {}  # image domain -> (sample rows, image pairs)

@@ -737,8 +737,8 @@ def _as_vertex(v):
     return tuple(v) if isinstance(v, list) else v
 
 
-def graph_vertex(g: Digraph, v, name: Optional[str] = None):
-    """v (an int, tuple or JSON list) as a vertex of g.  On a grid (`D`
+def graph_translation(g: Digraph, v, name: Optional[str] = None):
+    """v (an int, tuple or JSON list) as a translation of g.  On a grid (`D`
     coordinates, plus `E` if given) it must have that many coordinates, and
     a bare integer is a 1-tuple; `name` is how errors quote v."""
     name = name or repr(v)
@@ -749,6 +749,15 @@ def graph_vertex(g: Digraph, v, name: Optional[str] = None):
     dim = g.universe["D"] + g.universe.get("E", 0)
     if len(point) != dim or any(type(c) is not int for c in point):
         raise ValueError(f"vertex {name} needs {dim} integer coordinates on this grid")
+    return point
+
+
+def graph_vertex(g: Digraph, v, name: Optional[str] = None):
+    """v as a vertex of g: a `graph_translation` that, if g lists its
+    vertices (an explicit graph), is one of them."""
+    point = graph_translation(g, v, name)
+    if "vertices" in g.universe and point not in g.universe["vertices"]:
+        raise ValueError(f"vertex {name or repr(v)} is not a vertex of this graph")
     return point
 
 

@@ -634,24 +634,23 @@ def _count_grouping(sys, space, cells, tables, tracked):
 
     key_dtype = np.uint16 if keyspace <= 2**16 else np.int32 if keyspace <= 2**31 else np.int64
 
-    # scale each group's packed block by the radix width of the later groups
+    # scale each group's packed block by the radix width of the later groups;
+    # each block's index is its inner index plus the outer pattern's offset
     prepared = []
     scale = 1
     for dom, packed, width in reversed(groups):
         st = _strides(dom, space)
         prepared.append((
             _radix_index(inner_cells, space, st),
-            [(c, st[c]) for c in outer_cells if c in st],
+            _radix_index(outer_cells, space, st).tolist(),
             (packed * scale).astype(key_dtype),
         ))
         scale *= k**width
 
-    # the inner block's packed digits and the outer cells' shifts
     inner_packed = _packed_digits(inner_cells, space, fields)
-    outer_shifts = [(c, fields[c][0]) for c in outer_cells if c in fields]
-    outer_combos = list(itertools.product(*[range(r) for r in rads[:split]]))
+    outer_packed = _packed_digits(outer_cells, space, fields).tolist()
 
-    def run(combos):
+    def run(w):
         state = np.full(keyspace, -1, dtype=np.int64), 0
         ibuf = np.empty(inner_count, dtype=np.intp)
         keys = np.empty_like(ibuf)
@@ -659,15 +658,14 @@ def _count_grouping(sys, space, cells, tables, tracked):
         block = np.empty_like(key)
         packed = np.empty(inner_count, dtype=np.int64)
         diff = np.empty_like(packed)
-        for outer in combos:
-            digit_of = dict(zip(outer_cells, outer))
+        for o in range(w, len(outer_packed), workers):
             # indices are in range; "clip" spares the copy of `out` that "raise" makes
-            for j, (inner_part, outer_terms, scaled) in enumerate(prepared):
-                np.add(inner_part, sum(digit_of[c] * s for c, s in outer_terms), out=ibuf)
+            for j, (inner_part, outer_part, scaled) in enumerate(prepared):
+                np.add(inner_part, outer_part[o], out=ibuf)
                 np.take(scaled, ibuf, out=block if j else key, mode="clip")
                 if j:
                     key += block
-            np.add(inner_packed, sum(digit_of[c] << s for c, s in outer_shifts), out=packed)
+            np.add(inner_packed, outer_packed[o], out=packed)
             np.copyto(keys, key)
             rep = np.full(keyspace, -1, dtype=np.int64)
             rep[keys] = packed
@@ -678,9 +676,9 @@ def _count_grouping(sys, space, cells, tables, tracked):
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: 15 ms and 0.6 MB to import
 
-    workers = min(_thread_count(), len(outer_combos))
+    workers = min(_thread_count(), len(outer_packed))
     with ThreadPoolExecutor(workers) as pool:
-        state, *others = pool.map(run, [outer_combos[w::workers] for w in range(workers)])
+        state, *others = pool.map(run, range(workers))
     for other in others:
         state = _merge_reps(state, other)
     return _settled(fields, state[1])

@@ -435,7 +435,56 @@ def test_file_given_graph_config_echo(tmp_path):
                                                   "--center", "0", "--radius", "3"])
     assert code == 0
     config = json.loads(text.splitlines()[0].removeprefix("# config: "))
-    assert config == {"center": "0", "graph_file": str(f), "radius": 3}
+    assert config == {"center": "0", "graph_file": str(f), "members": False, "radius": 3}
+
+
+# a non-default value for every flag that changes each subcommand's answer
+_ANSWER_ARGV = [
+    ["graph-ball", "--family", "cayley_zdne", "--D", "1", "--E", "1", "--center", "0,0",
+     "--radius", "2", "--members"],
+    ["graph-dim", "--family", "cayley_zdne", "--D", "1", "--E", "1", "--vertex", "0,0",
+     "--rmin", "2", "--rmax", "4"],
+    ["graph-speed", "--family", "cayley_zdne", "--D", "1", "--E", "1", "--vertex", "0,0",
+     "--shift", "1,0", "--nmax", "3", "--cap", "8"],
+    ["sys-propagation", "--alphabet", "3", "--universe", "Z", "--vertex", "1", "--T", "3"],
+    ["sys-panorama", "--alphabet", "3", "--universe", "Z", "--window", "0", "--T", "2",
+     "--max-patterns", "1000"],
+    ["sys-equicontinuity", "--system", "odometer", "--m", "3", "--window", "0",
+     "--tprobe", "4", "--rcap", "4"],
+    ["sys-odometer-chain", "--system", "odometer", "--m", "2,3", "--windows", "0|0;1",
+     "--horizon", "4"],
+    ["entropy-ball", "--alphabet", "3", "--universe", "Z", "--vertex", "1", "--rmin", "3",
+     "--rmax", "5"],
+    ["entropy-tau", "--alphabet", "3", "--universe", "Z", "--base", "0", "--shift", "2",
+     "--nmax", "3"],
+    ["cex-roundtrip", "--J", "2", "--trials", "3", "--seed", "5"],
+    ["cex-propagation", "--T", "5"],
+    *[pytest.param([command, "--alphabet", "3", "--universe", "Z", "--estuary", "0;1",
+                    "--lam", "3", *scheme, *extra], id=f"{command}-{scheme[0][2:]}")
+      for scheme in (["--coeffs", "1,0.25"], ["--scheme", "doubleexp"])
+      for command, extra in [
+          ("metric-dim", ["--eps-min-pow", "2", "--eps-max-pow", "6", "--eps-step", "1"]),
+          ("metric-lipschitz", ["--samples", "20", "--seed", "3", "--rcap", "3"]),
+          ("holder-check", ["--lam2", "5", "--eta", "1.5", "--constant", "2",
+                            "--samples", "20", "--seed", "3", "--rcap", "3"]),
+      ]],
+]
+
+
+@pytest.mark.parametrize("argv", _ANSWER_ARGV, ids=lambda argv: argv[0])
+def test_config_echoes_every_given_flag(tmp_path, argv):
+    """Every flag given on the command line shows in the config, with its
+    parsed value, in CSV and in JSON."""
+    parsed = vars(cli.build_parser().parse_args(argv))
+    expected = {k: parsed[k] for k in (a[2:].replace("-", "_") for a in argv)
+                if k in parsed}
+    code, text = run_to_file(tmp_path, "out.csv", argv)
+    assert code == 0
+    csv_config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+    code, text = run_to_file(tmp_path, "out.json", argv + ["--format", "json"])
+    assert code == 0
+    for config in (csv_config, json.loads(text)["config"]):
+        assert {k: config.get(k) for k in expected} == expected
 
 
 def test_system_file_bad_table_exit_code(tmp_path, capsys):
@@ -465,26 +514,28 @@ def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, value):
 # sweeps; the batched sweeps consume the same random stream
 _README_STDOUT = {
     ("metric-lipschitz", 0): (
-        '# config: {"estuary": "0", "lam": 2.0, "rcap": 6, "samples": 1000, '
-        '"seed": 0, "system": "full_shift"}\n'
+        '# config: {"alphabet": 2, "estuary": "0", "lam": 2.0, "rcap": 6, "samples": 1000, '
+        '"scheme": "finite", "seed": 0, "system": "full_shift"}\n'
         '# summary: {"max_ratio_hi": 2.0, "skipped": 0, "within_lambda": true}\n'
         "sample,ratio_hi\n"
     ),
     ("metric-lipschitz", 1): (
-        '# config: {"estuary": "0", "lam": 2.0, "rcap": 6, "samples": 1000, '
-        '"seed": 1, "system": "full_shift"}\n'
+        '# config: {"alphabet": 2, "estuary": "0", "lam": 2.0, "rcap": 6, "samples": 1000, '
+        '"scheme": "finite", "seed": 1, "system": "full_shift"}\n'
         '# summary: {"max_ratio_hi": 2.0, "skipped": 0, "within_lambda": true}\n'
         "sample,ratio_hi\n"
     ),
     ("holder-check", 0): (
-        '# config: {"constant": 1.0, "estuary": "0", "eta": 2.0, "lam": 2.0, '
-        '"lam2": 4.0, "rcap": 8, "samples": 200, "seed": 0, "system": "full_shift"}\n'
+        '# config: {"alphabet": 2, "constant": 1.0, "estuary": "0", "eta": 2.0, "lam": 2.0, '
+        '"lam2": 4.0, "rcap": 8, "samples": 200, "scheme": "finite", "seed": 0, '
+        '"system": "full_shift"}\n'
         '# summary: {"holds": 200, "inconclusive": 0, "passed": true, "violations": 0}\n'
         "sample,cell\n"
     ),
     ("holder-check", 1): (
-        '# config: {"constant": 1.0, "estuary": "0", "eta": 2.0, "lam": 2.0, '
-        '"lam2": 4.0, "rcap": 8, "samples": 200, "seed": 1, "system": "full_shift"}\n'
+        '# config: {"alphabet": 2, "constant": 1.0, "estuary": "0", "eta": 2.0, "lam": 2.0, '
+        '"lam2": 4.0, "rcap": 8, "samples": 200, "scheme": "finite", "seed": 1, '
+        '"system": "full_shift"}\n'
         '# summary: {"holds": 200, "inconclusive": 0, "passed": true, "violations": 0}\n'
         "sample,cell\n"
     ),
@@ -502,6 +553,16 @@ def test_readme_metric_commands_stdout_pinned(capsys, command, seed):
     argv = [command] + _README_ARGS[command] + (["--seed", str(seed)] if seed else [])
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == _README_STDOUT[(command, seed)]
+
+
+@pytest.mark.parametrize("rcap", ["0", "2"])
+def test_holder_check_plants_inside_small_domains(capsys, rcap):
+    """Planted radii stop at the domain's depth, so a domain smaller than
+    the deepest planting radius leaves no sample inconclusive."""
+    argv = ["holder-check", *_README_ARGS["holder-check"], "--rcap", rcap, "--format", "json"]
+    assert cli.run(argv) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["holds"] == 200 and summary["inconclusive"] == 0
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -633,17 +694,56 @@ def test_system_file_inconsistent_rules_exit_code(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["sys-propagation", "--vertex", "9", "--T", "0"],
+    ["sys-panorama", "--window", "0;9", "--T", "0"],
+    ["metric-lipschitz", "--estuary", "9", "--samples", "5"],
+], ids=lambda argv: argv[0])
+def test_explicit_system_unknown_vertex_exit_code(tmp_path, capsys, argv):
+    """A vertex outside an explicit system's graph is a usage error that
+    names it."""
+    desc = {
+        "alphabet": 2,
+        "graph": {"edges": [[1, 0], [0, 1]]},
+        "rules": [
+            {"vertex": 0, "inputs": [1], "table": [1, 0]},
+            {"vertex": 1, "inputs": [0], "table": [0, 1]},
+        ],
+    }
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(desc))
+    code = cli.run(argv + ["--system-file", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "vertex '9' is not a vertex of this graph" in captured.err
+    assert captured.out == ""
+
+
+def test_explicit_graph_shift_need_not_be_a_vertex(tmp_path):
+    """A shift is a translation, not a vertex: -1 is not a vertex of the
+    cycle, yet it moves each vertex to its neighbor."""
+    f = tmp_path / "cycle.json"
+    f.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}))
+    code, text = run_to_file(tmp_path, "speed.csv", [
+        "graph-speed", "--graph-file", str(f), "--vertex", "2", "--shift", "-1",
+        "--nmax", "2", "--cap", "4"])
+    assert code == 0
+    assert text.splitlines()[3:] == ["1,1.0", "2,1.0"]
+
+
 # captured from the per-cell presence counters that the one-pass grouping
 # replaced: the layers and the grouping names must not move
 _CEX_PANORAMA_STDOUT = {
     4: (
-        '# config: {"T": 4, "system": "counterexample", "window": "0"}\n'
+        '# config: {"T": 4, "max_patterns": 16777216, "system": "counterexample", '
+        '"window": "0"}\n'
         '# summary: {"cone_size": 12, "engine": "count+sort", "pattern_count": 131072}\n'
         "t,layer_size,layer\n"
         "0,1,0\n1,2,0|1\n2,3,0|1|2\n3,4,0|1|2|3\n4,5,0|1|2|3|4\n"
     ),
     5: (
-        '# config: {"T": 5, "system": "counterexample", "window": "0"}\n'
+        '# config: {"T": 5, "max_patterns": 16777216, "system": "counterexample", '
+        '"window": "0"}\n'
         '# summary: {"cone_size": 16, "engine": "count+sort", "pattern_count": 4194304}\n'
         "t,layer_size,layer\n"
         "0,1,0\n1,2,0|1\n2,3,0|1|2\n3,4,0|1|2|3\n4,5,0|1|2|3|4\n5,6,0|1|2|3|4|5\n"
