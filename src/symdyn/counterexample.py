@@ -52,10 +52,6 @@ def junction_rank(n: int) -> Optional[int]:
     return k if junction_index(k) == n else None
 
 
-def is_junction(n: int) -> bool:
-    return junction_rank(n) is not None
-
-
 def pack(a: int, b: int) -> int:
     return (a & 1) | ((b & 1) << 1)
 
@@ -103,22 +99,22 @@ def cex_rules() -> SymbolicSystem:
     def rule_at(n):
         k = junction_rank(n)
         if k is None:
-
-            def fn(args):
-                return args[0] & 1
-
-            return LocalRule(inputs=(n + 1,), fn=fn, label="chain")
-
-        def fn(args):
-            a_next, _ = unpack(args[0])
-            a_j, b_j = unpack(args[1])
-            return pack(a_next, a_j ^ b_j)
-
+            return LocalRule(inputs=(n + 1,), fn=_chain, label="chain")
         return LocalRule(
-            inputs=(n + 1, junction_index(k + 1)), fn=fn, label=f"junction[{k}]"
+            inputs=(n + 1, junction_index(k + 1)), fn=_junction, label=f"junction[{k}]"
         )
 
     return SymbolicSystem(alphabet, graph, rule_at, label="counterexample")
+
+
+def _chain(args):
+    return args[0] & 1
+
+
+def _junction(args):
+    a_next, _ = unpack(args[0])
+    a_j, b_j = unpack(args[1])
+    return pack(a_next, a_j ^ b_j)
 
 
 @dataclass(frozen=True)
@@ -137,17 +133,6 @@ class Trace:
 
     def b(self, t: int) -> int:
         return self.observations[t][1]
-
-    def xor(self, other: "Trace") -> "Trace":
-        if self.horizon != other.horizon:
-            raise ValueError("traces must share a horizon")
-        return Trace(
-            self.horizon,
-            tuple(
-                (p[0] ^ q[0], p[1] ^ q[1])
-                for p, q in zip(self.observations, other.observations)
-            ),
-        )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ is visible inside the covered radius, and a tail-bounded bracket otherwise.
 Distances are a batch kernel over the rows of symbol matrices that share
 one domain: first-disagreement radii come from the cached BFS shells of each
 estuary vertex.  One-step images come from the rule-application kernel of
-`symsys` (`_image_rows`, each rule once per distinct argument row).
+`symsys` (`_image_rows`, one elementwise call per rule function).
 `pseudo_dist`, `dist` and `image_configuration` are one-row calls of these
 kernels.  The Lipschitz and Hölder sweeps sample a chunk of pairs, then
 evaluate their images and distances together; they consume the same random

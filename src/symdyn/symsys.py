@@ -11,10 +11,11 @@ B(window, t): `light_cone` reads it from the network's cached BFS
 its `order`, which propagation, trajectories, envelopes and panoramas read.
 
 Rules are applied to configurations in one place, `_image_rows`: one update
-step of a batch of configurations (the rows of a symbol matrix), with each
-rule run once per distinct argument row.  Trajectories (`evaluate` is a
-batch of one), composed tables, subsymmetry checks and the one-step images
-of `metricspace` all go through it.
+step of a batch of configurations (the rows of a symbol matrix), with one
+elementwise call of each rule function on the argument columns of all the
+cells that share it.  Trajectories (`evaluate` is a batch of one), composed
+tables, subsymmetry checks and the one-step images of `metricspace` all go
+through it.
 
 There is one enumeration engine.  It composes each window cell's value at
 each time step into a lookup table over the cells it reads, then groups the
@@ -29,7 +30,6 @@ digits with those of a representative of its trajectory.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -85,7 +85,14 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class LocalRule:
-    """Next-state function of one vertex over its ordered input list."""
+    """Next-state function of one vertex over its ordered input list.
+
+    `fn` is elementwise.  It gets a tuple with one entry per input, either
+    all symbols or all int64 arrays of one shape, and returns the next
+    state: a symbol for symbols, an array of that shape for arrays.  Write
+    it with numpy operators (`np.where`, not a Python `if` on arguments).
+    Vertices that share `fn` and arity are applied in one call.
+    """
 
     inputs: tuple
     fn: Callable[[tuple], int] = field(compare=False)
@@ -105,12 +112,13 @@ class LocalRule:
             raise ValueError(f"table has {len(flat)} entries, expected {expected}")
         for idx, value in enumerate(flat):
             _check_symbol(value, k, f"table entry {idx} is")
+        values = np.array(flat, dtype=np.int64)
 
         def fn(args):
             idx = 0
             for a in args:
-                idx = idx * k + a
-            return flat[idx]
+                idx = idx * k + np.asarray(a, dtype=np.intp)
+            return values[idx]
 
         return cls(inputs=inputs, fn=fn, label=label)
 
@@ -194,9 +202,6 @@ class Configuration:
     def __getitem__(self, v: Vertex) -> int:
         return self.values[v]
 
-    def restrict(self, vs: Iterable[Vertex]) -> "Configuration":
-        return Configuration({v: self.values[v] for v in vs})
-
 
 @dataclass(frozen=True)
 class LightCone:
@@ -275,7 +280,7 @@ def evaluate(
 # -- the rule-application kernel: every rule call on configurations -----------
 # Configurations are the rows of a symbol matrix; `index` maps cells to columns.
 
-_BLOCK = 2**12  # (row, cell) pairs ranked at once: keeps peak memory flat
+_BLOCK = 2**12  # (row, cell) pairs gathered at once: keeps peak memory flat
 
 
 def _columns(cells: Iterable[Vertex]) -> dict:
@@ -286,26 +291,28 @@ def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
                 rows: np.ndarray) -> np.ndarray:
     """One update step of every row, on the region's cells.
 
-    The region goes in blocks of about _BLOCK / rows cells.  A block's
-    (cell, zero-padded argument row) pairs are ranked with one `_group_rows`
-    call, each rule runs once per distinct pair, and the values scatter back.
+    The region goes in blocks of about _BLOCK / rows cells.  A block's cells
+    are grouped by rule function and arity; each group's argument columns
+    are gathered once as int64 and its function runs once on them.  Values
+    that are not symbols 0..k-1 raise ValueError.
     """
-    n = len(rows)
-    out = np.empty((n, len(region)), dtype=np.min_scalar_type(sys.alphabet.size - 1))
-    radix = int(rows.max()) + 1 if rows.size else 1
+    n, k = len(rows), sys.alphabet.size
+    out = np.empty((n, len(region)), dtype=np.min_scalar_type(k - 1))
     step = max(1, _BLOCK // max(n, 1))
     for lo in range(0, len(region), step):
-        rules = [sys.rule(w) for w in region[lo : lo + step]]
-        width = max(len(r.inputs) for r in rules)
-        cols = np.array([[index[u] for u in r.inputs] + [-1] * (width - len(r.inputs))
-                         for r in rules], dtype=np.intp)
-        cell = np.tile(np.arange(len(rules)), n)
-        args = np.where(cols >= 0, rows[:, cols], 0).reshape(len(cell), width)
-        first, ranks = _group_rows([cell, *args.T], max(radix, len(rules)), len(cell))
-        values = [rules[j].fn(tuple(a[: len(rules[j].inputs)]))
-                  for j, a in zip(cell[first].tolist(), args[first].tolist())]
-        values = np.array(values, dtype=out.dtype)[ranks]
-        out[:, lo : lo + len(rules)] = values.reshape(n, len(rules))
+        groups: dict = {}
+        for j, w in enumerate(region[lo : lo + step], lo):
+            rule = sys.rule(w)
+            js, cols = groups.setdefault((rule.fn, len(rule.inputs)), ([], []))
+            js.append(j)
+            cols.append([index[u] for u in rule.inputs])
+        for (fn, _), (js, cols) in groups.items():
+            args = rows[:, np.array(cols, dtype=np.intp)].astype(np.int64)
+            values = np.broadcast_to(fn(tuple(np.moveaxis(args, 2, 0))), (n, len(js)))
+            for row, col in np.argwhere((values < 0) | (values >= k) | (values % 1 != 0))[:1]:
+                where = f"rule at vertex {region[js[col]]!r} gave"
+                _check_symbol(values[row, col].item(), k, where)
+            out[:, js] = values
     return out
 
 
@@ -830,30 +837,29 @@ def check_proper(rule: LocalRule, alphabet: Alphabet, max_entries: int = 2**16) 
 
     For each coordinate the report carries either a witness pair of input
     tuples differing only there with different outputs, or marks it
-    inessential.
+    inessential.  The witness is the first input tuple in row-major order
+    with such a partner, and its least partner symbol.
     """
     k = alphabet.size
     arity = len(rule.inputs)
     total = k**arity
     if total > max_entries:
         raise EnumerationCapError(total, max_entries)
+    grid = tuple(np.indices((k,) * arity, dtype=np.int64).reshape(arity, total))
     witnesses: dict = {}
     inessential = []
     for i in range(arity):
-        found = None
-        for args in itertools.product(range(k), repeat=arity):
-            base = rule.fn(args)
-            for s in range(k):
-                if s == args[i]:
-                    continue
-                other = args[:i] + (s,) + args[i + 1 :]
-                if rule.fn(other) != base:
-                    found = (args, other)
-                    break
-            if found:
-                break
-        if found:
-            witnesses[i] = found
+        # outs[s, j]: the value at the j-th input tuple with coordinate i set to s
+        outs = np.array([
+            np.broadcast_to(rule.fn(grid[:i] + (np.full(total, s),) + grid[i + 1 :]), total)
+            for s in range(k)
+        ])
+        differs = outs != outs[grid[i], np.arange(total)]
+        hits = np.flatnonzero(differs.any(axis=0))
+        if len(hits):
+            args = tuple(int(g[hits[0]]) for g in grid)
+            s = int(np.argmax(differs[:, hits[0]]))
+            witnesses[i] = (args, args[:i] + (s,) + args[i + 1 :])
         else:
             inessential.append(i)
     return {"proper": not inessential, "witnesses": witnesses, "inessential": inessential}
@@ -936,9 +942,8 @@ def odometer_system(m: Sequence[int]):
         mv = modulus(v)
 
         def fn(args, _v=v, _mv=mv):
-            if all(args[n] == modulus(n) - 1 for n in range(_v)):
-                return (args[_v] + 1) % _mv
-            return args[_v]
+            carry = np.all([args[n] == modulus(n) - 1 for n in range(_v)], axis=0)
+            return np.where(carry, (args[_v] + 1) % _mv, args[_v])[()]
 
         return LocalRule(inputs=tuple(range(v + 1)), fn=fn, label=f"odometer[{v}]")
 
@@ -954,8 +959,11 @@ def full_shift(alphabet_size: int, universe: str = "N"):
     alphabet = Alphabet(alphabet_size)
     graph = unit_shift_graph() if universe == "N" else unit_shift_graph_z()
 
+    def copy(args):
+        return args[0]
+
     def rule_at(v):
-        return LocalRule(inputs=(v + 1,), fn=lambda args: args[0], label="copy")
+        return LocalRule(inputs=(v + 1,), fn=copy, label="copy")
 
     sys = SymbolicSystem(alphabet, graph, rule_at, label=f"full_shift_{universe}")
     return sys, PatternSpace.full(alphabet)

@@ -334,6 +334,34 @@ def dist_oracle(metric, x, y):
     return lo, hi
 
 
+def check_proper_oracle(rule, alphabet):
+    """Properness report by scalar rule calls: for each coordinate, the first
+    input tuple in row-major order with a partner differing only there whose
+    output differs, and the least such partner symbol."""
+    k = alphabet.size
+    arity = len(rule.inputs)
+    witnesses: dict = {}
+    inessential = []
+    for i in range(arity):
+        found = None
+        for args in itertools.product(range(k), repeat=arity):
+            base = rule.fn(args)
+            for s in range(k):
+                if s == args[i]:
+                    continue
+                other = args[:i] + (s,) + args[i + 1 :]
+                if rule.fn(other) != base:
+                    found = (args, other)
+                    break
+            if found:
+                break
+        if found:
+            witnesses[i] = found
+        else:
+            inessential.append(i)
+    return {"proper": not inessential, "witnesses": witnesses, "inessential": inessential}
+
+
 def image_configuration_oracle(sys_, x, region):
     """One update step on a region, one rule call per cell."""
     out = {}

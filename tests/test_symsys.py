@@ -16,16 +16,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symdyn import metricspace as ms
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 from symdyn import counterexample as cx
 
 from conftest import (
+    check_proper_oracle,
     cone_order_oracle,
     determined_oracle,
     envelope_oracle,
     evaluate_oracle,
     fresh_ball,
+    image_configuration_oracle,
     panorama_layers_oracle,
     propagation_oracle,
     sensitivity_oracle,
@@ -74,6 +77,35 @@ def test_junction_rule_is_proper(cex):
     sysx, _ = cex
     rep = ss.check_proper(sysx.rule(0), ss.Alphabet(4))
     assert rep["proper"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_check_proper_matches_scalar_loop(k, arity, seed):
+    """On table rules that ignore a random subset of their inputs, the
+    elementwise check gives the scalar loop's report, witnesses included,
+    as tuples of Python ints."""
+    rng = random.Random(seed)
+    kept = [i for i in range(arity) if rng.random() < 0.7]
+    outputs: dict = {}
+    table = [outputs.setdefault(tuple(args[i] for i in kept), rng.randrange(k))
+             for args in itertools.product(range(k), repeat=arity)]
+    rule = ss.LocalRule.from_table(range(arity), table, k)
+    rep = ss.check_proper(rule, ss.Alphabet(k))
+    assert rep == check_proper_oracle(rule, ss.Alphabet(k))
+    assert all(type(s) is int for pair in rep["witnesses"].values() for t in pair for s in t)
+
+
+def test_check_proper_matches_scalar_loop_on_named_rules(cex):
+    sysx, _ = cex
+    for rule, k in [
+        (ss.LocalRule(inputs=(0, 1), fn=lambda a: a[0] ^ a[1]), 2),
+        (ss.LocalRule(inputs=(0, 1), fn=lambda a: a[0]), 2),
+        (ss.LocalRule(inputs=(0, 1, 2), fn=lambda a: a[2]), 3),
+        (sysx.rule(0), 4),
+        (sysx.rule(1), 4),
+    ]:
+        assert ss.check_proper(rule, ss.Alphabet(k)) == check_proper_oracle(rule, ss.Alphabet(k))
 
 
 def test_check_proper_cap():
@@ -384,6 +416,125 @@ def test_long_trajectories_do_not_overflow(binary_odometer):
     assert chain[0]["trajectory_count"] == 8
     assert chain[0]["shift_is_permutation"] is shift_permutation_oracle(trajs, 30)
     assert chain[0]["shift_is_permutation"]
+
+
+_IMAGE_KINDS = ("table", "odometer", "counterexample", "cex shift extension",
+                "full shift", "shared rule")
+
+
+@st.composite
+def image_rows_cases(draw):
+    """A system of one of `_IMAGE_KINDS`, a region of its cells, a column
+    index over the cells the region reads, rows of allowed symbols, and a
+    kernel block size small enough to split one rule's cells over blocks.
+
+    Table systems hold one rule of more than 256 entries, at vertex 6, which
+    every region of theirs images; the shared rule is one function read at
+    every vertex, over several arities.  In both, vertex 0 reads nothing."""
+    kind = draw(st.sampled_from(_IMAGE_KINDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("table", "shared rule"):
+        k = rng.choice((3, 4))
+        width = 6 if k == 3 else 5  # k**width > 256: a wide table
+        inputs = [[], *(rng.sample(range(7), rng.randint(1, 3)) for _ in range(5)),
+                  [0, *rng.sample(range(1, 6), width - 1)]]
+        edges = [[u, v] for v, ins in enumerate(inputs) for u in ins]
+        if kind == "table":
+            rules = [{"vertex": v, "inputs": ins,
+                      "table": [rng.randrange(k) for _ in range(k ** len(ins))]}
+                     for v, ins in enumerate(inputs)]
+            sys_, space = ss.system_from_descriptor(
+                {"alphabet": k, "graph": {"edges": edges}, "rules": rules})
+        else:
+            def shared(a):
+                return (sum(a) + 1) % k
+
+            graph = ng.explicit_graph(edges)
+            sys_ = ss.SymbolicSystem(ss.Alphabet(k), graph,
+                                     lambda v: ss.LocalRule(tuple(graph.in_neighbors(v)), shared))
+            space = ss.PatternSpace.full(sys_.alphabet)
+        cells = list(range(7))
+    elif kind == "odometer":
+        (sys_, space), cells = ss.odometer_system([2, 3]), list(range(8))
+    elif kind == "counterexample":
+        sys_, space, cells = cx.cex_rules(), cx.cex_space(), list(range(14))
+    elif kind == "cex shift extension":
+        sys_, space, _ = ss.shift_extension(cx.cex_rules(), cx.cex_space(), lambda a, b: a ^ b)
+        cells = [(v, level) for v in range(8) for level in range(2)]
+    else:
+        (sys_, space), cells = ss.full_shift(rng.choice((2, 3))), list(range(10))
+    region = rng.sample(cells, rng.randint(1, len(cells)))
+    if kind in ("table", "shared rule") and 6 not in region:
+        region.append(6)  # the wide rule
+    columns = sorted({u for w in region for u in sys_.rule(w).inputs}, key=ng.vertex_key)
+    rng.shuffle(columns)
+    n = draw(st.sampled_from((0, 1, rng.randint(2, 40))))
+    dtype = draw(st.sampled_from((np.uint8, np.int64)))
+    rows = np.array([[rng.choice(space.allowed(u)) for u in columns] for _ in range(n)],
+                    dtype=dtype).reshape(n, len(columns))
+    return kind, sys_, region, columns, rows, draw(st.integers(1, 16))
+
+
+def test_image_rows_match_scalar_rules():
+    """The kernel's one elementwise call per rule group gives, row by row,
+    the images of one scalar rule call per cell."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(image_rows_cases())
+    def check(case):
+        kind, sys_, region, columns, rows, block = case
+        with mock.patch.object(ss, "_BLOCK", block):
+            got = ss._image_rows(sys_, ss._columns(columns), region, rows)
+        assert got.shape == rows.shape[:1] + (len(region),)
+        for row, image in zip(rows.tolist(), got.tolist()):
+            x = ss.Configuration(dict(zip(columns, row)))
+            expected = image_configuration_oracle(sys_, x, region).values
+            assert image == [expected[w] for w in region]
+        n = len(rows)
+        seen.update({kind, rows.dtype.name, f"{min(n, 2)} rows"})
+        if not n:
+            return
+        step = max(1, block // n)
+        spans: dict = {}
+        arities: dict = {}
+        for j, w in enumerate(region):
+            rule = sys_.rule(w)
+            spans.setdefault((rule.fn, len(rule.inputs)), set()).add(j // step)
+            arities.setdefault((rule.fn, j // step), set()).add(len(rule.inputs))
+            if not rule.inputs:
+                seen.add("zero-input rule")
+            wide = sys_.alphabet.size ** len(rule.inputs) > 256
+            if kind == "table" and rows.dtype == np.uint8 and wide:
+                seen.add("wide table on uint8 rows")
+        if any(len(b) > 1 for b in spans.values()):
+            seen.add("group split over blocks")
+        if any(len(a) > 1 for a in arities.values()):
+            seen.add("one function, several arities in a block")
+
+    check()
+    assert seen == {*_IMAGE_KINDS, "uint8", "int64", "0 rows", "1 rows", "2 rows",
+                    "zero-input rule", "wide table on uint8 rows", "group split over blocks",
+                    "one function, several arities in a block"}
+
+
+@pytest.mark.parametrize("fn", [lambda a: a[0] + 5, lambda a: a[0] + 300, lambda a: a[0] - 2,
+                                lambda a: a[0] * 0.75])
+def test_rule_values_outside_the_alphabet_rejected(fn):
+    """A rule value that is not a symbol 0..k-1 is an error that names the
+    vertex, in trajectories, composed tables and metric images alike; it
+    never wraps or truncates into the row dtype."""
+    sys_ = ss.SymbolicSystem(ss.Alphabet(2), ng.unit_shift_graph(),
+                             lambda v: ss.LocalRule(inputs=(v + 1,), fn=fn))
+    space = ss.PatternSpace.full(sys_.alphabet)
+    message = r"rule at vertex \d+ gave -?[\d.]+, outside the symbols 0\.\.1"
+    with pytest.raises(ValueError, match=message):
+        ss.evaluate(sys_, ss.Configuration({0: 0, 1: 1, 2: 0}), [0], 2)
+    with pytest.raises(ValueError, match=message):
+        ss.panorama(sys_, space, [0], 2)
+    metric = ms.single_estuary_metric(sys_.graph, 0, 2.0)
+    with pytest.raises(ValueError, match=message):
+        ms.lipschitz_report(sys_, metric, space, samples=10, seed=0, r_cap=3)
 
 
 def test_group_rows_keeps_wide_rows_apart():
