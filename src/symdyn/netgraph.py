@@ -7,14 +7,16 @@ neighborhoods on demand; nothing ever materializes the full vertex set.
 There is one in-neighbor BFS, `Digraph._shells`, cached per center set: balls,
 ball sizes, `upstream`, the light cones of `symsys` (a cone is an in-ball)
 and the entropy and metric routines read its shells.
-It has two expansions.  Offset lattices (`cayley_zd`, `cayley_zdne`,
-`unit_shift_graph_z`: Z^d x N^e, where v + offset feeds v) expand a shell as
-an int64 code array in a box around the center set, with one broadcast add of
-the offsets, a visited-bitmap test and one sort; a shell's length is the
-array's, and it is decoded to its vertex set when first iterated or
-probed.  All other graphs, and lattice balls whose bitmap would outweigh
-their tuple shells, expand one vertex at a time over the in-neighbor
-function.
+It has two expansions.  Every translation-invariant network is an offset
+lattice (`cayley_zd`, `cayley_zdne`, `unit_shift_graph`,
+`unit_shift_graph_z` and the grid of `symsys.ca_on_zd`: Z^d x N^e, where
+v + offset feeds v), and expands a shell as an int64 code array in a box
+around the center set, with one broadcast add of the offsets, a
+visited-bitmap test and one sort; a shell's length is the array's, and it is
+decoded to its vertex set when first iterated or probed.  The irregular
+networks (odometer, counterexample, shortcut, explicit, shift extension),
+and lattice balls whose bitmap would outweigh their tuple shells, expand one
+vertex at a time over the in-neighbor function.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ class _Lattice:
         """True iff every vertex is a point of the lattice."""
         n, e = self.offsets.shape[1], self.e
         if self.scalar:
-            return all(type(v) is int for v in vertices)
+            return all(type(v) is int and (v >= 0 or not e) for v in vertices)
         return all(
             type(v) is tuple and len(v) == n and all(type(c) is int for c in v)
             and all(c >= 0 for c in v[n - e:])
@@ -356,15 +358,18 @@ def _offset_lattice(
     offsets: Sequence[tuple], e: int, universe: dict, scalar: bool = False
 ) -> Digraph:
     """Digraph on Z^n with its last e coordinates in N, where v + offset
-    feeds v (and v feeds v - offset) whenever both are lattice points.
-    `scalar` vertices are plain ints (n == 1).  Its balls run on the array
-    BFS (`_LatticeBall`)."""
+    feeds v (and v feeds v - offset) whenever both are lattice points.  The
+    in-neighbors of v are v + offset in offset order, repeats kept, so a
+    CA's table reads them as listed.  `scalar` vertices are plain ints
+    (n == 1).  Builds `cayley_zd`, `cayley_zdne`, both unit shift graphs and
+    the grid of `symsys.ca_on_zd`; their balls run on the array BFS
+    (`_LatticeBall`)."""
     n = len(offsets[0])
 
     def neighbors(sign):
         moves = [tuple(sign * c for c in off) for off in offsets]
         if scalar:
-            return lambda z: [z + m for (m,) in moves]
+            return lambda z: [z + m for (m,) in moves if z + m >= 0 or not e]
 
         def nbrs(v):
             us = [tuple(map(operator.add, v, m)) for m in moves]
@@ -649,14 +654,7 @@ def odometer_graph() -> Digraph:
 
 def unit_shift_graph() -> Digraph:
     """Network of the one-sided full shift on N: cell n+1 feeds cell n."""
-
-    def ins(n):
-        return [n + 1]
-
-    def outs(n):
-        return [n - 1] if n >= 1 else []
-
-    return Digraph(ins, outs, universe={"family": "unit_shift"})
+    return _offset_lattice([(1,)], 1, {"family": "unit_shift"}, scalar=True)
 
 
 def unit_shift_graph_z() -> Digraph:
@@ -754,9 +752,10 @@ def graph_translation(g: Digraph, v, name: Optional[str] = None):
 
 def graph_vertex(g: Digraph, v, name: Optional[str] = None):
     """v as a vertex of g: a `graph_translation` that, if g lists its
-    vertices (an explicit graph), is one of them."""
+    vertices (an explicit graph) or is an offset lattice, is one of them."""
     point = graph_translation(g, v, name)
-    if "vertices" in g.universe and point not in g.universe["vertices"]:
+    if ("vertices" in g.universe and point not in g.universe["vertices"]
+            or g._lattice is not None and not g._lattice.holds([point])):
         raise ValueError(f"vertex {name or repr(v)} is not a vertex of this graph")
     return point
 

@@ -33,11 +33,13 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import Digraph, Subisometry, Vertex, sort_vertices, sorted_unique
+from .netgraph import (Digraph, Subisometry, Vertex, _offset_lattice, sort_vertices,
+                       sorted_unique, unit_shift_graph, unit_shift_graph_z)
 
 
 class NetworkConsistencyError(Exception):
@@ -954,8 +956,8 @@ def odometer_system(m: Sequence[int]):
 
 def full_shift(alphabet_size: int, universe: str = "N"):
     """One- or two-sided full shift: every cell copies its successor."""
-    from .netgraph import unit_shift_graph, unit_shift_graph_z
-
+    if universe not in ("N", "Z"):
+        raise ValueError(f"full_shift universe must be 'N' or 'Z', got {universe!r}")
     alphabet = Alphabet(alphabet_size)
     graph = unit_shift_graph() if universe == "N" else unit_shift_graph_z()
 
@@ -970,27 +972,28 @@ def full_shift(alphabet_size: int, universe: str = "N"):
 
 
 def ca_on_zd(alphabet_size: int, offsets: Sequence[tuple], table: Sequence[int]):
-    """Translation-invariant automaton on the grid graph of the offsets.
+    """Translation-invariant automaton on Z^d: cell v reads v + offset for
+    each offset, in order, on the offset lattice of `netgraph`.
 
-    The flat table is row-major over input tuples ordered like `offsets`.
+    Offsets are d >= 1 integer coordinates each; zero and repeated offsets
+    are allowed.  The flat table is row-major over input tuples ordered like
+    `offsets`.
     """
+    if not (isinstance(offsets, (list, tuple)) and offsets):
+        raise ValueError("ca_zd needs a nonempty list of offsets")
+    for o in offsets:
+        if not (isinstance(o, (list, tuple)) and all(type(c) is int for c in o)):
+            raise ValueError(f"offset {o!r} is not a list of integers")
     offsets = [tuple(o) for o in offsets]
     d = len(offsets[0])
-    if any(len(o) != d for o in offsets):
-        raise ValueError("offsets must share one dimension")
+    if d < 1 or any(len(o) != d for o in offsets):
+        raise ValueError("offsets must share one dimension d >= 1")
     alphabet = Alphabet(alphabet_size)
     proto = LocalRule.from_table(offsets, table, alphabet_size, label="ca")
-
-    def ins(v):
-        return [tuple(a + b for a, b in zip(v, off)) for off in offsets]
-
-    def outs(v):
-        return [tuple(a - b for a, b in zip(v, off)) for off in offsets]
-
-    graph = Digraph(ins, outs, universe={"family": "ca_zd", "D": d, "offsets": offsets})
+    graph = _offset_lattice(offsets, 0, {"family": "ca_zd", "D": d, "offsets": offsets})
 
     def rule_at(v):
-        return replace(proto, inputs=tuple(ins(v)))
+        return replace(proto, inputs=graph.in_neighbors(v))
 
     sys = SymbolicSystem(alphabet, graph, rule_at, label=f"ca_z{d}")
     return sys, PatternSpace.full(alphabet)
@@ -1013,14 +1016,13 @@ def shift_extension(base_sys: SymbolicSystem, base_space: PatternSpace, psi):
         ins, None, universe={"family": "shift_extension", "base": base_sys.label}
     )
 
+    @cache
+    def extended(base_fn, width):  # one function per base function, so cells share calls
+        return lambda args: psi(base_fn(tuple(args[:width])), args[width])
+
     def rule_at(vn):
-        v, n = vn
-        base_rule = base_sys.rule(v)
-        width = len(base_rule.inputs)
-
-        def fn(args, _rule=base_rule, _w=width):
-            return psi(_rule.fn(tuple(args[:_w])), args[_w])
-
+        base_rule = base_sys.rule(vn[0])
+        fn = extended(base_rule.fn, len(base_rule.inputs))
         return LocalRule(inputs=tuple(ins(vn)), fn=fn, label="shift_ext")
 
     sys = SymbolicSystem(
@@ -1054,11 +1056,7 @@ def system_from_descriptor(desc: dict):
 
         return cex_rules(), cex_space()
     if name == "ca_zd":
-        return ca_on_zd(
-            int(desc["alphabet"]),
-            [tuple(o) for o in desc["offsets"]],
-            desc["table"],
-        )
+        return ca_on_zd(int(desc["alphabet"]), desc["offsets"], desc["table"])
     if "rules" in desc:
         alphabet = Alphabet(int(desc["alphabet"]))
         graph = graph_from_descriptor(desc["graph"])

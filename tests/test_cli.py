@@ -501,6 +501,39 @@ def test_system_file_bad_table_exit_code(tmp_path, capsys):
     assert "vertex 0: table entry 1 is 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offsets,message", [
+    ([], "nonempty list of offsets"),
+    ([[0.5], [1]], "offset [0.5] is not a list of integers"),
+    ([[True], [1]], "offset [True] is not a list of integers"),
+    ([0, 1], "offset 0 is not a list of integers"),
+    ([[]], "one dimension d >= 1"),
+    ([[0], [1, 0]], "one dimension d >= 1"),
+])
+def test_system_file_bad_offsets_exit_code(tmp_path, capsys, offsets, message):
+    desc = {"system": "ca_zd", "alphabet": 2, "offsets": offsets,
+            "table": [0] * 2 ** len(offsets)}
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(desc))
+    code = cli.run(["sys-propagation", "--system-file", str(f), "--vertex", "0", "--T", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--universe", "foo", "--vertex", "0"], "full_shift universe must be 'N' or 'Z', got 'foo'"),
+    (["--vertex", "-2"], "vertex '-2' is not a vertex of this graph"),
+])
+def test_full_shift_bad_universe_or_cell_exit_code(capsys, argv, message):
+    code = cli.run(["sys-propagation", "--system", "full_shift", "--T", "2"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["0", "abc"])
 def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("SYMDYN_THREADS", value)
@@ -756,3 +789,80 @@ def test_cex_panorama_stdout_pinned(capsys, T):
     argv = ["sys-panorama", "--system", "counterexample", "--window", "0", "--T", str(T)]
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == _CEX_PANORAMA_STDOUT[T]
+
+
+# stdout of the grid automata and the one-sided shift, captured while their
+# graphs still came from neighbor closures; the offset lattice must give the
+# same bytes
+_CA_FILES = {
+    "xor2.json": {"system": "ca_zd", "alphabet": 2,
+                  "offsets": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
+                  "table": [bin(i).count("1") % 2 for i in range(32)]},
+    # a zero offset and a duplicate one, under an asymmetric table
+    "dup1.json": {"system": "ca_zd", "alphabet": 2, "offsets": [[1], [0], [1], [-2]],
+                  "table": [0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0]},
+}
+_LATTICE_STDOUT = [
+    (["sys-propagation", "--system-file", "xor2.json", "--vertex", "0,0", "--T", "6"],
+     '# config: {"T": 6, "system_file": "xor2.json", "vertex": "0,0"}\n'
+     '# summary: {"horizon": 6, "vertex": "0,0"}\n'
+     "t,rho\n0,1\n1,5\n2,13\n3,25\n4,41\n5,61\n6,85\n"),
+    (["sys-panorama", "--system-file", "xor2.json", "--window", "0,0", "--T", "2"],
+     '# config: {"T": 2, "max_patterns": 16777216, "system_file": "xor2.json", '
+     '"window": "0,0"}\n'
+     '# summary: {"cone_size": 13, "engine": "count+sort", "pattern_count": 8192}\n'
+     "t,layer_size,layer\n0,1,0,0\n1,1,0,0\n2,1,0,0\n"),
+    (["sys-equicontinuity", "--system-file", "xor2.json", "--window", "0,0",
+      "--tprobe", "4", "--rcap", "4"],
+     '# config: {"rcap": 4, "system_file": "xor2.json", "tprobe": 4, "window": "0,0"}\n'
+     '# summary: {"certified": false, "envelope": null, "reach": 4, '
+     '"reason": "cone still growing", "trajectory_count": null}\n'
+     "t,cone_size\n0,1\n1,5\n2,13\n3,25\n4,41\n"),
+    (["entropy-ball", "--system-file", "xor2.json", "--vertex", "0,0",
+      "--rmin", "2", "--rmax", "6"],
+     '# config: {"rmax": 6, "rmin": 2, "system_file": "xor2.json", "vertex": "0,0"}\n'
+     '# summary: {"lower_proxy": 1.0, "upper_proxy": 1.0}\n'
+     "r,log2_count,ball_size,ratio\n2,13.0,13,1.0\n3,25.0,25,1.0\n4,41.0,41,1.0\n"
+     "5,61.0,61,1.0\n6,85.0,85,1.0\n"),
+    (["sys-propagation", "--system-file", "dup1.json", "--vertex", "0", "--T", "5"],
+     '# config: {"T": 5, "system_file": "dup1.json", "vertex": "0"}\n'
+     '# summary: {"horizon": 5, "vertex": "0"}\n'
+     "t,rho\n0,1\n1,3\n2,6\n3,9\n4,12\n5,15\n"),
+    (["sys-panorama", "--system-file", "dup1.json", "--window", "0;1", "--T", "3"],
+     '# config: {"T": 3, "max_patterns": 16777216, "system_file": "dup1.json", '
+     '"window": "0;1"}\n'
+     '# summary: {"cone_size": 11, "engine": "sort", "pattern_count": 2048}\n'
+     "t,layer_size,layer\n0,2,0|1\n1,2,0|1\n2,2,0|1\n3,2,0|1\n"),
+    (["sys-equicontinuity", "--system-file", "dup1.json", "--window", "0",
+      "--tprobe", "4", "--rcap", "4"],
+     '# config: {"rcap": 4, "system_file": "dup1.json", "tprobe": 4, "window": "0"}\n'
+     '# summary: {"certified": false, "envelope": null, "reach": 4, '
+     '"reason": "cone still growing", "trajectory_count": null}\n'
+     "t,cone_size\n0,1\n1,3\n2,6\n3,9\n4,12\n"),
+    (["entropy-ball", "--system-file", "dup1.json", "--vertex", "0",
+      "--rmin", "2", "--rmax", "6"],
+     '# config: {"rmax": 6, "rmin": 2, "system_file": "dup1.json", "vertex": "0"}\n'
+     '# summary: {"lower_proxy": 1.0, "upper_proxy": 1.0}\n'
+     "r,log2_count,ball_size,ratio\n2,6.0,6,1.0\n3,9.0,9,1.0\n4,12.0,12,1.0\n"
+     "5,15.0,15,1.0\n6,18.0,18,1.0\n"),
+    (["sys-propagation", "--system", "full_shift", "--vertex", "0", "--T", "5"],
+     '# config: {"T": 5, "system": "full_shift", "vertex": "0"}\n'
+     '# summary: {"horizon": 5, "vertex": "0"}\n'
+     "t,rho\n0,1\n1,2\n2,3\n3,4\n4,5\n5,6\n"),
+    (["entropy-ball", "--system", "full_shift", "--vertex", "0", "--rmin", "2",
+      "--rmax", "6"],
+     '# config: {"rmax": 6, "rmin": 2, "system": "full_shift", "vertex": "0"}\n'
+     '# summary: {"lower_proxy": 1.0, "upper_proxy": 1.0}\n'
+     "r,log2_count,ball_size,ratio\n2,3.0,3,1.0\n3,4.0,4,1.0\n4,5.0,5,1.0\n"
+     "5,6.0,6,1.0\n6,7.0,7,1.0\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", _LATTICE_STDOUT,
+                         ids=[f"{argv[0]}-{argv[2]}" for argv, _ in _LATTICE_STDOUT])
+def test_lattice_systems_stdout_pinned(tmp_path, monkeypatch, capsys, argv, stdout):
+    monkeypatch.chdir(tmp_path)
+    for name, desc in _CA_FILES.items():
+        (tmp_path / name).write_text(json.dumps(desc))
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == stdout

@@ -312,31 +312,48 @@ def test_ball_reads_match_fresh_bfs():
 
 @st.composite
 def lattice_cases(draw):
-    """A fresh offset-lattice graph (Z^1..Z^3, Z^d x N^e or the shift graph
-    on Z), one or two centers near the origin (N coordinates from 0), and
-    the radii of successive reads of their ball."""
-    kind = draw(st.sampled_from(["zd", "zdne", "shift_z"]))
+    """A fresh offset-lattice graph (Z^1..Z^3, Z^d x N^e, the shift graphs
+    on Z and N, or the graph of a CA on Z^1 or Z^2 with random offsets of
+    length at most 2), one or two centers near the origin (N coordinates
+    from 0), the radii of successive reads of their ball, and the longest
+    step."""
+    kind = draw(st.sampled_from(["zd", "zdne", "shift_z", "shift_n", "ca"]))
+    step = 1
     if kind == "zd":
         d, e = draw(st.integers(1, 3)), 0
         g = ng.cayley_zd(d)
     elif kind == "zdne":
-        d, e = draw(st.sampled_from([(0, 1), (1, 1), (2, 1), (0, 2), (1, 2)]))
+        d, e = draw(st.sampled_from([(0, 2), (0, 1), (1, 1), (2, 1), (1, 2)]))
         g = ng.cayley_zdne(d, e)
+    elif kind == "ca":
+        d, e = draw(st.integers(1, 2)), 0
+        offset = st.tuples(*[st.integers(-2, 2)] * d)
+        offsets = draw(st.lists(offset, min_size=1, max_size=4))
+        g = ss.ca_on_zd(2, offsets, [0] * 2 ** len(offsets))[0].graph
+        step = max(abs(c) for o in offsets for c in o) or 1
     else:
-        d, e = 1, 0
-        g = ng.unit_shift_graph_z()
-    if kind == "shift_z":
-        vertex = st.integers(-3, 3)
+        d, e = (1, 0) if kind == "shift_z" else (0, 1)
+        g = ng.unit_shift_graph_z() if kind == "shift_z" else ng.unit_shift_graph()
+    if kind.startswith("shift"):
+        vertex = st.integers(0 if e else -3, 3)
     else:
         vertex = st.tuples(*[st.integers(-2, 2)] * d, *[st.integers(0, 3)] * e)
     centers = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
     radii = draw(st.lists(st.integers(0, 4 if d + e == 3 else 6), min_size=1, max_size=3))
-    return g, d, e, centers, radii
+    return kind, g, d, e, centers, radii, step
+
+
+def _spans(offsets, d):
+    """True iff the integer span of the offsets is all of Z^d (d <= 2): the
+    gcd of their d x d minors is 1."""
+    minors = ([o[0] for o in offsets] if d == 1 else
+              [a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(offsets, 2)])
+    return math.gcd(*minors) == 1
 
 
 def _lattice_probe(centers, d, e, radius):
     """The lattice points within radius of the centers in every coordinate
-    (a superset of their ball)."""
+    (a superset of their ball when no step is longer than 1)."""
     points = [c if isinstance(c, tuple) else (c,) for c in centers]
     ranges = [
         range(max(min(p[i] for p in points) - radius, 0 if i >= d else -math.inf),
@@ -353,12 +370,12 @@ def test_lattice_shells_match_oracle():
     and read shallower again."""
     seen = set()
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(lattice_cases())
     def check(case):
-        g, d, e, centers, radii = case
+        kind, g, d, e, centers, radii, step = case
         center = frozenset(centers)
-        probe = _lattice_probe(centers, d, e, max(radii))
+        probe = _lattice_probe(centers, d, e, step * max(radii))
         balls = [set().union(*(ball_oracle_members(g, probe, c, r) for c in centers))
                  for r in range(max(radii) + 1)]
         oracle = [balls[0]] + [b - a for a, b in zip(balls, balls[1:])]
@@ -378,19 +395,32 @@ def test_lattice_shells_match_oracle():
             if radius < len(g._shells(center, 0)) - 1:
                 seen.add("shallower read")
             box_radius = state.radius
-        if e and any(c[-1] == 0 for c in centers):
-            seen.add("center on N = 0")
+        if e and any(ng.vertex_key(c)[-1] == 0 for c in centers):
+            seen.add(f"{kind} center on N = 0")
         if (d, e) == (0, 2):
             seen.add("E = 2, D = 0")
+        if kind == "ca":
+            offsets = g.universe["offsets"]
+            if (0,) * d in offsets:
+                seen.add("ca zero offset")
+            if len(set(offsets)) < len(offsets):
+                seen.add("ca duplicate offset")
+            if step == 2:
+                seen.add("ca step of 2")
+            if not _spans(offsets, d):
+                seen.add(f"ca Z^{d} not spanned")
 
     check()
-    assert seen == {"box regrown", "shallower read", "center on N = 0", "E = 2, D = 0",
-                    "ball closed"}
+    assert seen == {"box regrown", "shallower read", "zdne center on N = 0",
+                    "shift_n center on N = 0", "E = 2, D = 0", "ball closed",
+                    "ca zero offset", "ca duplicate offset", "ca step of 2",
+                    "ca Z^1 not spanned", "ca Z^2 not spanned"}
 
 
 def test_lattice_falls_back_to_the_generic_loop():
     """A box that would outweigh the tuple shells, and a center set that is
-    not on the lattice, run the generic loop; both match a fresh BFS."""
+    not on the lattice (a negative N coordinate), run the generic loop; both
+    match a fresh BFS.  Only the irregular networks have no lattice."""
     z6 = ng.cayley_zd(6)
     origin = (0,) * 6
     assert z6.ball_sizes([origin], 1) == [1, 13]
@@ -404,7 +434,12 @@ def test_lattice_falls_back_to_the_generic_loop():
     assert ng.odometer_graph()._lattice is None
     assert ng.shortcut_graph()._lattice is None
     assert ng.counterexample_graph()._lattice is None
-    assert ss.ca_on_zd(2, [(0, 0), (1, 0)], [0, 1, 1, 0])[0].graph._lattice is None
+    shift = ng.unit_shift_graph()
+    assert shift.ball_members([-2], 3) == fresh_ball(shift, [-2], 3) == {-2}
+    assert isinstance(shift._ball_cache[frozenset([-2])][1], set)
+    assert isinstance(shift._lattice, ng._Lattice)
+    assert isinstance(ss.ca_on_zd(2, [(0, 0), (1, 0)], [0, 1, 1, 0])[0].graph._lattice,
+                      ng._Lattice)
 
 
 def test_z3_ball_sizes_and_log_counts_pinned():

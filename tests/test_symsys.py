@@ -1039,6 +1039,16 @@ def test_shift_extension_has_level_shift_symmetry(cex):
     assert rep["passed"]
 
 
+def test_shift_extension_shares_one_function_per_base_function(cex):
+    """Cells whose base rules share a function share the extended one, so
+    the kernel makes one call per group: two over the cex cells n < 16 on
+    two levels."""
+    sysx, spx = cex
+    ext, _, _ = ss.shift_extension(sysx, spx, lambda a, b: a ^ b)
+    region = [(v, level) for v in range(16) for level in range(2)]
+    assert len({ext.rule(w).fn for w in region}) == len({sysx.rule(v).fn for v in range(16)}) == 2
+
+
 # -- descriptors --------------------------------------------------------------------
 
 
@@ -1140,6 +1150,17 @@ def test_ca_table_checked_at_construction():
         ss.ca_on_zd(2, [(0,), (1,)], [0, 1, 1, 2])
     with pytest.raises(ValueError, match="expected 4"):
         ss.ca_on_zd(2, [(0,), (1,)], [0, 1, 1])
+
+
+def test_ca_step_reads_inputs_in_offset_order():
+    """Cell v reads (x[v+1], x[v], x[v+1], x[v-1]) as the table's row,
+    duplicate included, most significant first."""
+    table = [0] * 16
+    table[0b1011] = table[0b0111] = 1
+    ca, _ = ss.ca_on_zd(2, [(1,), (0,), (1,), (-1,)], table)
+    x = ss.Configuration({(-1,): 1, (0,): 0, (1,): 1, (2,): 1})
+    # v = 0 reads (1, 0, 1, 1) = 11 -> 1; v = 1 reads (1, 1, 1, 0) = 14 -> 0
+    assert ss.evaluate(ca, x, [(0,), (1,)], 1) == [{(0,): 0, (1,): 1}, {(0,): 1, (1,): 0}]
 
 
 @pytest.mark.parametrize("value", ["0", "abc", "-1", ""])
