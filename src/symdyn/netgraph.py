@@ -210,6 +210,15 @@ class Digraph:
 _TUPLE_BYTES = 175
 
 
+def _rank(rows: list) -> int:
+    """Rank of integer rows, exactly (an SVD maps ~1.3 MB of LAPACK buffers)."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return 0
+    p, j = rows[0], next(j for j, c in enumerate(rows[0]) if c)
+    return 1 + _rank([[p[j] * a - r[j] * b for a, b in zip(r, p)] for r in rows[1:]])
+
+
 class _Lattice:
     """The offsets (k x n) of an offset lattice, its `e` trailing N
     coordinates, and whether its vertices are plain ints (n == 1)."""
@@ -220,6 +229,12 @@ class _Lattice:
         self.scalar = scalar
         self.down = np.maximum(-self.offsets.min(axis=0), 0)  # longest step per coordinate
         self.up = np.maximum(self.offsets.max(axis=0), 0)
+        # d coordinates step both ways and m one way, d + m cut to the rank
+        # (d first): offsets on a line, like (5, 3), fill ~r of a ~r^2 box.
+        rank = _rank(self.offsets.tolist())
+        m = int(np.sum((self.down > 0) != (self.up > 0)))
+        self.d = min(int(np.sum((self.down > 0) & (self.up > 0))), max(rank - m, 0))
+        self.m = min(m, rank - self.d)
 
     def holds(self, vertices: Iterable[Vertex]) -> bool:
         """True iff every vertex is a point of the lattice."""
@@ -239,15 +254,12 @@ class _Lattice:
         """(lower corner, shape) of the box that holds B(points, radius)
         plus one step below N's zero, or None when its bitmap would take
         more bytes than the tuple shells of the ball.  Those hold |points|
-        balls of sum_k 2^k C(d, k) C(radius + m, k + m) points each, for d
-        coordinates stepping both ways and m stepping one way."""
-        n, e = len(self.down), self.e
+        balls of sum_k 2^k C(d, k) C(radius + m, k + m) points each."""
+        n, e, d, m = len(self.down), self.e, self.d, self.m
         lo = points.min(axis=0) - radius * self.down
         hi = points.max(axis=0) + radius * self.up
         lo[n - e:] = np.maximum(lo[n - e:], -self.down[n - e:])
         shape = tuple(int(s) for s in hi - lo + 1)
-        d = int(np.sum((self.down > 0) & (self.up > 0)))
-        m = int(np.sum((self.down > 0) != (self.up > 0)))
         ball = sum(2**k * math.comb(d, k) * math.comb(radius + m, k + m) for k in range(d + 1))
         if math.prod(shape) > _TUPLE_BYTES * len(points) * ball:
             return None
@@ -669,21 +681,14 @@ def shortcut_graph() -> Digraph:
     (z+1, n) is a subisometry of zero speed thanks to the jumps.
     """
 
-    def ins(v):
-        z, n = v
-        out = [(z, n + 1), (z - 2**n, n)]
-        if n >= 1:
-            out.append((z, n - 1))
-        return out
+    def neighbors(sign):
+        def nbrs(v):
+            z, n = v
+            return [(z, n + 1), (z + sign * 2**n, n)] + ([(z, n - 1)] if n >= 1 else [])
 
-    def outs(v):
-        z, n = v
-        out = [(z, n + 1), (z + 2**n, n)]
-        if n >= 1:
-            out.append((z, n - 1))
-        return out
+        return nbrs
 
-    return Digraph(ins, outs, universe={"family": "shortcut"})
+    return Digraph(neighbors(-1), neighbors(1), universe={"family": "shortcut"})
 
 
 def explicit_graph(edges: Iterable[tuple]) -> Digraph:
@@ -697,19 +702,17 @@ def explicit_graph(edges: Iterable[tuple]) -> Digraph:
         verts.add(v)
         verts.add(w)
 
-    def get_in(v):
-        if v not in verts:
-            raise UniverseExhaustionError(f"vertex {v!r} not in explicit universe")
-        return ins.get(v, [])
+    def lookup(table):
+        def get(v):
+            if v not in verts:
+                raise UniverseExhaustionError(f"vertex {v!r} not in explicit universe")
+            return table.get(v, [])
 
-    def get_out(v):
-        if v not in verts:
-            raise UniverseExhaustionError(f"vertex {v!r} not in explicit universe")
-        return outs.get(v, [])
+        return get
 
     return Digraph(
-        get_in,
-        get_out,
+        lookup(ins),
+        lookup(outs),
         universe={"family": "explicit", "vertices": sorted(verts, key=vertex_key)},
     )
 

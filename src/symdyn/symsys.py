@@ -973,11 +973,11 @@ def full_shift(alphabet_size: int, universe: str = "N"):
 
 def ca_on_zd(alphabet_size: int, offsets: Sequence[tuple], table: Sequence[int]):
     """Translation-invariant automaton on Z^d: cell v reads v + offset for
-    each offset, in order, on the offset lattice of `netgraph`.
-
-    Offsets are d >= 1 integer coordinates each; zero and repeated offsets
-    are allowed.  The flat table is row-major over input tuples ordered like
-    `offsets`.
+    each offset (d >= 1 integers; zero and repeated offsets are allowed), in
+    order.  The flat table is row-major over input tuples ordered like
+    `offsets`.  Cones run on the array BFS of `netgraph`'s offset lattice;
+    offsets that do not span Z^d, like (5, 3) alone, fall back to the
+    generic loop once the box would outweigh the ball.
     """
     if not (isinstance(offsets, (list, tuple)) and offsets):
         raise ValueError("ca_zd needs a nonempty list of offsets")

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -440,6 +441,24 @@ def test_lattice_falls_back_to_the_generic_loop():
     assert isinstance(shift._lattice, ng._Lattice)
     assert isinstance(ss.ca_on_zd(2, [(0, 0), (1, 0)], [0, 1, 1, 0])[0].graph._lattice,
                       ng._Lattice)
+
+
+@pytest.mark.parametrize("offsets,refused_from,sizes", [
+    ([(5, 3)], 13, lambda r: r + 1),
+    ([(1, 1), (-1, -1)], 88, lambda r: 2 * r + 1),
+])
+def test_lattice_of_lower_rank_refuses_its_box(offsets, refused_from, sizes):
+    """Offsets that span a line grow a ball of about r points in a box of
+    about r^2: the box is refused once it outweighs the tuple shells, and
+    the ball runs the generic loop."""
+    g = ss.ca_on_zd(2, offsets, [0] * 2 ** len(offsets))[0].graph
+    origin = np.zeros((1, 2), dtype=np.int64)
+    assert g._lattice.box(origin, refused_from - 1) is not None
+    assert g._lattice.box(origin, refused_from) is None
+    r = refused_from + 20
+    assert g.ball_sizes([(0, 0)], r) == [sizes(k) for k in range(r + 1)]
+    assert isinstance(g._ball_cache[frozenset([(0, 0)])][1], set)
+    assert g.ball_members([(0, 0)], r) == fresh_ball(g, [(0, 0)], r)
 
 
 def test_z3_ball_sizes_and_log_counts_pinned():
