@@ -3,7 +3,8 @@
 Every run echoes as its config every flag that is set (defaults and the seed
 included) except the output destinations `--format`, `--out` and
 `--dump-trace`; a graph, system or metric file replaces the flags it
-overrides.  Output is CSV (with a leading config comment) or JSON.
+overrides.  Output is CSV (with a leading config comment; a field naming
+grid vertices is quoted) or JSON.
 Identical configuration and seed give byte-identical output; there is no
 timestamping or machine-dependent content.  Exit codes: 0 success / check
 passed, 1 property violation or failed check, 2 usage or configuration
@@ -97,13 +98,14 @@ def _emit(args, header: list, rows: list, summary: dict) -> None:
 
 
 def _csv_cell(value) -> str:
+    """A value as one CSV field: a list of vertices joined by '|' (a tuple
+    is one grid vertex), quoted when a grid vertex puts a comma in it."""
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (list, tuple)):
-        return "|".join(vertex_str(v) for v in value)
-    return vertex_str(value)
+    text = "|".join(map(vertex_str, value)) if isinstance(value, list) else vertex_str(value)
+    return f'"{text}"' if "," in text else text
 
 
 # The flags that a graph, system or metric file overrides.
@@ -186,7 +188,7 @@ def cmd_sys_panorama(args) -> int:
     result = ss.panorama(sys_, space, window, args.T,
                          max_patterns=args.max_patterns)
     rows = [
-        {"t": t, "layer_size": len(layer), "layer": layer}
+        {"t": t, "layer_size": len(layer), "layer": list(layer)}
         for t, layer in enumerate(result.layers)
     ]
     summary = {
@@ -224,8 +226,8 @@ def cmd_sys_odometer_chain(args) -> int:
         return 1
     rows = [
         {
-            "window": c["window"],
-            "envelope": c["envelope"],
+            "window": list(c["window"]),
+            "envelope": list(c["envelope"]),
             "trajectories": c["trajectory_count"],
             "shift_is_permutation": c["shift_is_permutation"],
         }

@@ -755,10 +755,13 @@ def graph_translation(g: Digraph, v, name: Optional[str] = None):
 
 def graph_vertex(g: Digraph, v, name: Optional[str] = None):
     """v as a vertex of g: a `graph_translation` that, if g lists its
-    vertices (an explicit graph) or is an offset lattice, is one of them."""
+    vertices (an explicit graph), is an offset lattice or is a half-line
+    family (cells n >= 0), is one of them."""
     point = graph_translation(g, v, name)
     if ("vertices" in g.universe and point not in g.universe["vertices"]
-            or g._lattice is not None and not g._lattice.holds([point])):
+            or g._lattice is not None and not g._lattice.holds([point])
+            or g.universe.get("family") in ("counterexample", "odometer")
+            and not (type(point) is int and point >= 0)):
         raise ValueError(f"vertex {name or repr(v)} is not a vertex of this graph")
     return point
 

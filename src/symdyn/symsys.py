@@ -3,8 +3,9 @@
 A system is a finite alphabet, a digraph, and one local rule per vertex whose
 input list matches the vertex's in-neighbors.  Everything here evaluates on
 finite windows only: trajectories by exact cone evaluation (no boundary
-guesses), and panoramas / window certificates by exhaustive enumeration of
-the pattern space restricted to the cone.  Because every rule reads exactly
+guesses), and panoramas / window certificates exactly over the pattern
+space restricted to the cone, by elimination when the cone is linear and by
+exhaustive enumeration otherwise.  Because every rule reads exactly
 its in-neighbors, the light cone of a window at horizon t is the in-ball
 B(window, t): `light_cone` reads it from the network's cached BFS
 (`Digraph._shells`), and the cone of every shorter horizon is a prefix of
@@ -17,7 +18,13 @@ cells that share it.  Trajectories (`evaluate` is a batch of one), composed
 tables, subsymmetry checks and the one-step images of `metricspace` all go
 through it.
 
-There is one enumeration engine.  It composes each window cell's value at
+Panoramas and window checks first try the *linear* engine: when the k =
+p^m symbols, read as base-p digit vectors, make every rule the cone applies
+GF(p)-affine and every allowed set a subspace, a cell is determined exactly
+when its coordinate functionals lie in the span of the observation
+functionals, which one incremental Gaussian elimination decides.  The
+pattern cap still applies first.  Where it declines, one enumeration engine
+runs.  It composes each window cell's value at
 each time step into a lookup table over the cells it reads, then groups the
 cone's patterns by observed trajectory in one of two ways, chosen by sizes
 it already knows: *count* packs each pattern's trajectory into an integer
@@ -220,10 +227,12 @@ class LightCone:
 class PanoramaResult:
     """Determined-cell layers of a window under repeated observation.
 
-    `engine` names the grouping the sizes picked for the layers: "count"
-    (one pass over packed trajectory keys), "sort" (ranked rows of the
-    observation matrix), or "count+sort" when layers differed; a layer with
-    no cell left to check names its pick without running it.
+    `engine` is "linear" when the cone is GF(p)-linear and elimination
+    decided the layers.  Otherwise it names the grouping the sizes picked
+    for enumeration: "count" (one pass over packed trajectory keys), "sort"
+    (ranked rows of the observation matrix), or "count+sort" when layers
+    differed; a layer with no cell left to check names its pick without
+    running it.
     """
 
     window: tuple
@@ -311,11 +320,16 @@ def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
         for (fn, _), (js, cols) in groups.items():
             args = rows[:, np.array(cols, dtype=np.intp)].astype(np.int64)
             values = np.broadcast_to(fn(tuple(np.moveaxis(args, 2, 0))), (n, len(js)))
-            for row, col in np.argwhere((values < 0) | (values >= k) | (values % 1 != 0))[:1]:
-                where = f"rule at vertex {region[js[col]]!r} gave"
-                _check_symbol(values[row, col].item(), k, where)
+            _check_values(values, k, lambda at, js=js: region[js[at[1]]])
             out[:, js] = values
     return out
+
+
+def _check_values(values: np.ndarray, k: int, vertex_at: Callable) -> None:
+    """Raise ValueError, naming the vertex that `vertex_at` gives for its
+    index, at the first value that is not a symbol 0..k-1."""
+    for at in np.argwhere((values < 0) | (values >= k) | (values % 1 != 0))[:1]:
+        _check_symbol(values[tuple(at)].item(), k, f"rule at vertex {vertex_at(at)!r} gave")
 
 
 def _trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> np.ndarray:
@@ -352,7 +366,8 @@ def panorama(
     horizon: int,
     max_patterns: int = DEFAULT_PATTERN_CAP,
 ) -> PanoramaResult:
-    """Determined-cell layers of a window, by exhaustive enumeration.
+    """Determined-cell layers of a window, by elimination on linear cones
+    and exhaustive enumeration otherwise; the cap bounds both.
 
     A cone cell is in layer t exactly when every pair of cone patterns with
     equal observed trajectories through time t agrees at that cell.  Cells
@@ -363,7 +378,7 @@ def panorama(
     cone, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
     layers = []
     engines = set()
-    for det, engine in _determined_layers(sys, space, cone):
+    for det, engine in _layers(sys, space, cone):
         layers.append(sort_vertices(det))
         engines.add(engine)
     return PanoramaResult(
@@ -393,7 +408,7 @@ def posexpansive_window_check(
     """
     target = set(target)
     cone, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
-    for t, (det, _) in enumerate(_determined_layers(sys, space, cone, target)):
+    for t, (det, _) in enumerate(_layers(sys, space, cone, target)):
         if target <= det:
             return {"covered": True, "first_t": t, "missing": ()}
     return {"covered": False, "first_t": None, "missing": sort_vertices(target - det)}
@@ -406,6 +421,12 @@ def _enumerable_cone(sys, space, window, horizon, max_patterns):
     if count > max_patterns:
         raise EnumerationCapError(count, max_patterns)
     return cone, count
+
+
+def _layers(sys, space, cone, target=None):
+    """The linear engine's layers, or enumeration's where it declines."""
+    layers = _linear_layers(sys, space, cone, target)
+    return _determined_layers(sys, space, cone, target) if isinstance(layers, str) else layers
 
 
 def _determined_layers(sys, space, cone, target=None):
@@ -691,6 +712,142 @@ def _count_grouping(sys, space, cells, tables, tracked):
     for other in others:
         state = _merge_reps(state, other)
     return _settled(fields, state[1])
+
+
+# -- the exact engine for GF(p)-linear cones ---------------------------------
+# Symbols 0..p^m-1 are read as vectors of m base-p digits, least significant
+# first; sums and scalings act digit by digit mod p.
+
+_LINEAR_TABLE_MAX = 2**16  # rule table entries the linearity check evaluates
+
+
+def _linear_layers(sys, space, cone, target=None):
+    """`_determined_layers` by elimination, or the reason it does not apply.
+
+    It applies when k = p^m with p prime, every rule the cone applies is
+    GF(p)-affine on its full table of at most _LINEAR_TABLE_MAX entries,
+    and every allowed set is a subspace.  Then the observations through t
+    are affine in the coordinates of the pattern over a basis of the
+    allowed subspaces, and a cell is determined exactly when each of its
+    coordinate functionals lies in the span of the observation functionals.
+    The zero pattern and each basis vector are simulated once over the full
+    cone (cells beyond the cone of horizon t do not move observations
+    through t), and one incremental elimination in reduced echelon form
+    serves every horizon.
+    """
+    k = sys.alphabet.size
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    m = 1
+    while p**m < k:
+        m += 1
+    if p**m != k:
+        return f"alphabet of {k} symbols is not a prime power"
+    seen = set()
+    for v in cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0]:
+        fn, arity = sys.rule(v).fn, len(sys.rule(v).inputs)
+        if (fn, arity) in seen:
+            continue
+        seen.add((fn, arity))
+        if k**arity > _LINEAR_TABLE_MAX:
+            return f"rule at vertex {v!r} has {k**arity} table entries, over {_LINEAR_TABLE_MAX}"
+        if not _is_affine(fn, arity, k, p, m, v):
+            return f"nonlinear rule at vertex {v!r}"
+    basis = []  # (cell, symbol) of each basis vector of the pattern space
+    for v in cone.union:
+        cell_basis = _subspace_basis(space.allowed(v), p, m)
+        if cell_basis is None:
+            return f"allowed set at vertex {v!r} is not a subspace"
+        basis += [(v, s) for s in cell_basis]
+    return _eliminated_layers(sys, cone, basis, p, m, target)
+
+
+def _digits(symbols, p: int, m: int) -> np.ndarray:
+    """Base-p digit vectors of symbols, along a new last axis of length m."""
+    return np.asarray(symbols, dtype=np.int64)[..., None] // p ** np.arange(m) % p
+
+
+def _is_affine(fn, arity, k, p, m, vertex) -> bool:
+    """Is f(x) - f(0) the sum of its one-input restrictions, each linear in
+    its input's digits?  One call on the full table; every value must be a
+    symbol, else ValueError names `vertex`."""
+    total = k**arity
+    grid = np.indices((k,) * arity, dtype=np.int64).reshape(arity, total)
+    values = np.broadcast_to(fn(tuple(grid)), (total,))
+    _check_values(values, k, lambda at: vertex)
+    out = _digits(values, p, m)
+    # the outputs at the digit unit vectors of each input give the linear part
+    units = [p**j * k ** (arity - 1 - i) for i in range(arity) for j in range(m)]
+    linear = (out[units] - out[0]) % p
+    inputs = _digits(grid.T, p, m).reshape(total, arity * m)
+    return np.array_equal(inputs @ linear % p, (out - out[0]) % p)
+
+
+def _subspace_basis(symbols, p, m):
+    """A basis of the symbols as a GF(p) subspace, None if they are not one."""
+    allowed, basis = set(symbols), []
+    span = np.zeros(1, dtype=np.int64)
+    for s in sorted(allowed):
+        if s not in span:
+            basis.append(s)
+            steps = np.arange(p)[:, None] * _digits(s, p, m)
+            span = ((_digits(span, p, m)[:, None] + steps) % p @ p ** np.arange(m)).ravel()
+            if not allowed.issuperset(span.tolist()):
+                return None
+    return basis
+
+
+def _eliminated_layers(sys, cone, basis, p, m, target):
+    """Per horizon, the determined cells (of `target`, default all) of the
+    horizon's cone and "linear".  Rows are int bitsets for p = 2 and int64
+    arrays mod p otherwise; `pivots` keeps them in reduced echelon form."""
+    k = sys.alphabet.size
+    rows = np.zeros((len(basis) + 1, len(cone.union)), dtype=np.min_scalar_type(k - 1))
+    position = _columns(cone.union)
+    columns: dict = {v: [] for v in cone.union}
+    for j, (v, s) in enumerate(basis):
+        rows[j + 1, position[v]] = s
+        columns[v].append(j)
+    traj = _digits(_trajectory_rows(sys, cone, rows), p, m)
+    # functionals[t]: the observed digits at time t, each over the basis
+    functionals = ((traj[1:] - traj[0]) % p).transpose(1, 2, 3, 0).reshape(
+        cone.horizon + 1, traj.shape[2] * m, len(basis))
+    pivots: dict = {}
+    if p == 2:
+        def add(row):
+            row = int.from_bytes(np.packbits(row.astype(np.uint8), bitorder="little"), "little")
+            for c, pivot_row in pivots.items():
+                if row >> c & 1:
+                    row ^= pivot_row
+            if row:
+                c = (row & -row).bit_length() - 1
+                for c2, pivot_row in pivots.items():
+                    if pivot_row >> c & 1:
+                        pivots[c2] = pivot_row ^ row
+                pivots[c] = row
+
+        def pinned(j):
+            return pivots.get(j) == 1 << j
+    else:
+        def add(row):
+            for c, pivot_row in pivots.items():
+                row = (row - row[c] * pivot_row) % p
+            if row.any():
+                c = int(np.flatnonzero(row)[0])
+                row = row * pow(int(row[c]), -1, p) % p
+                for c2, pivot_row in pivots.items():
+                    pivots[c2] = (pivot_row - pivot_row[c] * row) % p
+                pivots[c] = row
+
+        def pinned(j):
+            return j in pivots and np.count_nonzero(pivots[j]) == 1
+
+    det: frozenset = frozenset()
+    for t, size in enumerate(cone.sizes):
+        for row in functionals[t]:
+            add(row)
+        cells = cone.order[:size] if target is None else target.intersection(cone.order[:size])
+        det |= {v for v in cells if v not in det and all(map(pinned, columns[v]))}
+        yield det, "linear"
 
 
 # -- sensitivity, equicontinuity, factor chains ------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import random
@@ -534,6 +535,42 @@ def test_full_shift_bad_universe_or_cell_exit_code(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["sys-propagation", "--system", "counterexample", "--vertex", "-1", "--T", "3"],
+    ["sys-propagation", "--system", "odometer", "--vertex", "-1", "--T", "3"],
+    ["sys-panorama", "--system", "counterexample", "--window", "-1", "--T", "2"],
+    ["sys-panorama", "--system", "counterexample", "--window", "0;-3", "--T", "2"],
+    ["sys-propagation", "--system", "counterexample", "--vertex", "1,2", "--T", "3"],
+    ["graph-ball", "--family", "odometer", "--center", "-1", "--radius", "2"],
+    ["graph-ball", "--family", "counterexample", "--center", "-1", "--radius", "2"],
+])
+def test_half_line_rejects_cells_off_the_line(capsys, argv):
+    """The counterexample and the odometer live on the cells n >= 0: a
+    negative cell (or a grid point) is a usage error, not a cone."""
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: vertex '")
+    assert captured.err.endswith("' is not a vertex of this graph\n")
+    assert captured.out == ""
+
+
+def test_csv_quotes_grid_vertices(tmp_path, monkeypatch, capsys):
+    """A CSV field that names grid vertices is quoted, so a CSV reader sees
+    one field per header name; a grid cell is one vertex, not a list."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "xor2.json").write_text(json.dumps(_CA_FILES["xor2.json"]))
+    assert cli.run(["sys-panorama", "--system-file", "xor2.json",
+                    "--window", "0,0;1,0", "--T", "1"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()[2:]))
+    assert rows == [["t", "layer_size", "layer"], ["0", "2", "0,0|1,0"], ["1", "2", "0,0|1,0"]]
+    argv = ["holder-check", "--system-file", "xor2.json", "--estuary", "0,0", "--lam", "2",
+            "--lam2", "3", "--eta", "3", "--constant", "0.001", "--samples", "20", "--rcap", "3"]
+    assert cli.run(argv) == 1
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()[2:]))
+    assert rows == [["sample", "cell"], ["0", "1,-2"]]
+
+
 @pytest.mark.parametrize("value", ["0", "abc"])
 def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("SYMDYN_THREADS", value)
@@ -765,19 +802,20 @@ def test_explicit_graph_shift_need_not_be_a_vertex(tmp_path):
 
 
 # captured from the per-cell presence counters that the one-pass grouping
-# replaced: the layers and the grouping names must not move
+# replaced: the layers must not move; the engine is the linear one, as the
+# counterexample is linear over GF(2)^2
 _CEX_PANORAMA_STDOUT = {
     4: (
         '# config: {"T": 4, "max_patterns": 16777216, "system": "counterexample", '
         '"window": "0"}\n'
-        '# summary: {"cone_size": 12, "engine": "count+sort", "pattern_count": 131072}\n'
+        '# summary: {"cone_size": 12, "engine": "linear", "pattern_count": 131072}\n'
         "t,layer_size,layer\n"
         "0,1,0\n1,2,0|1\n2,3,0|1|2\n3,4,0|1|2|3\n4,5,0|1|2|3|4\n"
     ),
     5: (
         '# config: {"T": 5, "max_patterns": 16777216, "system": "counterexample", '
         '"window": "0"}\n'
-        '# summary: {"cone_size": 16, "engine": "count+sort", "pattern_count": 4194304}\n'
+        '# summary: {"cone_size": 16, "engine": "linear", "pattern_count": 4194304}\n'
         "t,layer_size,layer\n"
         "0,1,0\n1,2,0|1\n2,3,0|1|2\n3,4,0|1|2|3\n4,5,0|1|2|3|4\n5,6,0|1|2|3|4|5\n"
     ),
@@ -793,7 +831,8 @@ def test_cex_panorama_stdout_pinned(capsys, T):
 
 # stdout of the grid automata and the one-sided shift, captured while their
 # graphs still came from neighbor closures; the offset lattice must give the
-# same bytes
+# same bytes, except that the XOR panorama names the linear engine and
+# quotes its grid vertices
 _CA_FILES = {
     "xor2.json": {"system": "ca_zd", "alphabet": 2,
                   "offsets": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
@@ -810,8 +849,8 @@ _LATTICE_STDOUT = [
     (["sys-panorama", "--system-file", "xor2.json", "--window", "0,0", "--T", "2"],
      '# config: {"T": 2, "max_patterns": 16777216, "system_file": "xor2.json", '
      '"window": "0,0"}\n'
-     '# summary: {"cone_size": 13, "engine": "count+sort", "pattern_count": 8192}\n'
-     "t,layer_size,layer\n0,1,0,0\n1,1,0,0\n2,1,0,0\n"),
+     '# summary: {"cone_size": 13, "engine": "linear", "pattern_count": 8192}\n'
+     't,layer_size,layer\n0,1,"0,0"\n1,1,"0,0"\n2,1,"0,0"\n'),
     (["sys-equicontinuity", "--system-file", "xor2.json", "--window", "0,0",
       "--tprobe", "4", "--rcap", "4"],
      '# config: {"rcap": 4, "system_file": "xor2.json", "tprobe": 4, "window": "0,0"}\n'

@@ -52,6 +52,24 @@ def cex():
     return cx.cex_rules(), cx.cex_space()
 
 
+@pytest.fixture(autouse=True)
+def counting_floor(monkeypatch):
+    """Every panorama of these tests obeys the paper's pigeonhole, with no
+    oracle: the patterns on layer t number at most the trajectories through
+    t, so sum over layers[t] of log2 |allowed(v)| <= |W| (t+1) log2 k,
+    checked in integers."""
+    panorama = ss.panorama
+
+    def checked(sys_, space, *args, **kwargs):
+        result = panorama(sys_, space, *args, **kwargs)
+        k = sys_.alphabet.size
+        for t, layer in enumerate(result.layers):
+            assert ss._pattern_count(space, layer) <= k ** (len(result.window) * (t + 1))
+        return result
+
+    monkeypatch.setattr(ss, "panorama", checked)
+
+
 # -- properness ----------------------------------------------------------------
 
 
@@ -364,22 +382,36 @@ def test_panorama_engines_agree(cex):
     )
 
 
+def _enumerated(sys_, space, window, horizon, target=None):
+    """The layers enumeration gives on the window's cone, and the grouping
+    name it reports, whatever engine `panorama` would dispatch to."""
+    cone = ss.light_cone(sys_, window, horizon)
+    layers = list(ss._determined_layers(sys_, space, cone, target))
+    engine = "+".join(sorted({engine for _, engine in layers}))
+    return tuple(ng.sort_vertices(det) for det, _ in layers), engine
+
+
 def test_panorama_reports_grouping(cex, full_shift_n):
+    """Linear cones report the linear engine; enumeration on the same cones
+    still names the groupings the sizes pick."""
     sysx, spx = cex
-    assert ss.panorama(sysx, spx, [0], 4).engine == "count+sort"
+    assert ss.panorama(sysx, spx, [0], 4).engine == "linear"
+    assert _enumerated(sysx, spx, [0], 4)[1] == "count+sort"
     sys_, space = full_shift_n
-    assert ss.panorama(sys_, space, [0], 6).engine == "sort"
+    assert ss.panorama(sys_, space, [0], 6).engine == "linear"
+    assert _enumerated(sys_, space, [0], 6)[1] == "sort"
 
 
 def test_panorama_full_shift_wide_keys(full_shift_n):
     """A 2^26 trajectory key space takes the sort grouping and stays fast."""
     sys_, space = full_shift_n
-    start = time.perf_counter()
+    expected = ((0, 3), (0, 1, 3, 4)) + tuple(tuple(range(t + 4)) for t in range(2, 13))
     result = ss.panorama(sys_, space, [0, 3], 12)
+    assert (result.layers, result.engine) == (expected, "linear")
+    start = time.perf_counter()
+    enumerated = _enumerated(sys_, space, [0, 3], 12)
     elapsed = time.perf_counter() - start
-    assert result.layers[:2] == ((0, 3), (0, 1, 3, 4))
-    assert result.layers[2:] == tuple(tuple(range(t + 4)) for t in range(2, 13))
-    assert result.engine == "sort"
+    assert enumerated == (expected, "sort")
     assert elapsed < 2.0
 
 
@@ -760,15 +792,22 @@ def test_bit_fields_fit_one_word():
 
 
 def test_window_check_sizes_grouping_by_pending_cells(monkeypatch, cex):
-    """A window check picks count or sort by the target cells still pending,
-    not by every target cell seen so far as a panorama does."""
+    """Enumeration for a window check picks count or sort by the target
+    cells still pending, not by every target cell seen so far as for a
+    panorama.  The counterexample is linear, so its window checks
+    themselves run no grouping."""
     ran: list = []
     _record_groupings(monkeypatch, ran)
     assert ss.posexpansive_window_check(*cex, [0], 2, range(3))["first_t"] == 2
-    assert ran == [("sort", 1), ("sort", 2), ("count", 1)]
-    ran.clear()
     cells = ss.light_cone(cex[0], [0], 3).union
     assert not ss.posexpansive_window_check(*cex, [0], 3, cells)["covered"]
+    assert ran == []
+    layers, _ = _enumerated(*cex, [0], 2, set(range(3)))
+    assert [t for t, layer in enumerate(layers) if len(layer) == 3][:1] == [2]
+    assert ran == [("sort", 1), ("sort", 2), ("count", 1)]
+    ran.clear()
+    layers, _ = _enumerated(*cex, [0], 3, set(cells))
+    assert len(layers[-1]) < len(cells)
     assert ran == [("sort", 1), ("sort", 2), ("sort", 3), ("count", 5)]
 
 
@@ -795,6 +834,198 @@ def test_panorama_and_window_check_match_oracle(monkeypatch, cex, threads):
     assert ss.panorama(*cex, [0], 4).layers == tuple(tuple(range(t + 1)) for t in range(5))
 
 
+# -- the exact linear engine ----------------------------------------------------
+
+_GF = {2: (2, 1), 3: (3, 1), 4: (2, 2)}  # k -> (p, m) with k = p^m
+_LINEAR_VARIANTS = ("linear", "flipped table entry", "non-subspace allowed set", "six symbols")
+
+
+def _gf_digits(symbol, p, m):
+    return [symbol // p**j % p for j in range(m)]
+
+
+def _gf_symbol(digits, p):
+    return sum(d % p * p**j for j, d in enumerate(digits))
+
+
+def _gf_span(generators, p, m):
+    """Every GF(p) combination of the generators, digit by digit."""
+    return sorted({
+        _gf_symbol([sum(c * _gf_digits(g, p, m)[j] for c, g in zip(cs, generators))
+                    for j in range(m)], p)
+        for cs in itertools.product(range(p), repeat=len(generators))
+    })
+
+
+@st.composite
+def linear_systems(draw, variants=_LINEAR_VARIANTS, patterns=256, horizons=4):
+    """A random explicit system in one of `variants`, with at most
+    `patterns` patterns on its cells, a window, a horizon of at most
+    `horizons` (2 on six symbols) and a target.
+
+    "linear": k in {2, 3, 4}, every table the map x -> c + sum_i A_i x_i of
+    digit vectors with random GF(p) matrices A_i and constant c, every
+    allowed set the span of random symbols.  The near-linear variants break
+    one thing at the first window cell: one table entry changed (the rule
+    reads two inputs, so no change keeps it affine), or its allowed set
+    made a set without 0; "six symbols" takes sums mod 6 over Z/6."""
+    variant = draw(st.sampled_from(variants))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = 6 if variant == "six symbols" else rng.choice((2, 3, 4))
+    p, m = _GF.get(k, (6, 1))
+    n = rng.randint(2, max(n for n in range(2, 20) if k**n <= patterns))
+    window = sorted(rng.sample(range(n), rng.randint(1, 2)))
+    rules = []
+    for v in range(n):
+        inputs = rng.sample(range(n), 2 if v == window[0] else rng.randint(1, min(3, n)))
+        coeffs = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in inputs]
+        const = [rng.randrange(p) for _ in range(m)]
+        table = []
+        for args in itertools.product(range(k), repeat=len(inputs)):
+            digits = [_gf_digits(a, p, m) for a in args]
+            table.append(_gf_symbol([
+                const[i] + sum(a[i][j] * x[j] for a, x in zip(coeffs, digits) for j in range(m))
+                for i in range(m)], p))
+        if variant == "flipped table entry" and v == window[0]:
+            at = rng.randrange(len(table))
+            table[at] = (table[at] + rng.randrange(1, k)) % k
+        rules.append({"vertex": v, "inputs": inputs, "table": table})
+    edges = [[u, r["vertex"]] for r in rules for u in r["inputs"]]
+    sys_, _ = ss.system_from_descriptor({"alphabet": k, "graph": {"edges": edges},
+                                         "rules": rules})
+    allowed = [_gf_span(rng.sample(range(k), rng.randint(0, 2)), p, m) for _ in range(n)]
+    if variant == "non-subspace allowed set":
+        allowed[window[0]] = [s for s in allowed[window[0]] if s] or [rng.randrange(1, k)]
+    space = ss.PatternSpace(lambda v: allowed[v])
+    horizon = rng.randint(1, 2 if k == 6 else horizons)
+    target = set(rng.sample(range(n), rng.randint(1, n)))
+    return variant, sys_, space, window, horizon, target
+
+
+def _window_check_from_layers(layers, target):
+    first_t = next((t for t, layer in enumerate(layers) if target <= set(layer)), None)
+    missing = () if first_t is not None else ng.sort_vertices(target - set(layers[-1]))
+    return {"covered": first_t is not None, "first_t": first_t, "missing": missing}
+
+
+def test_linear_engine_matches_oracles():
+    """On random GF(p)-linear systems the linear engine's layers and window
+    checks are the reference dict engine's; near-linear systems make it
+    decline with its reason, and dispatch falls back to enumeration with
+    the oracle's layers."""
+    seen = set()
+    reasons = {"flipped table entry": "nonlinear rule at vertex {}",
+               "non-subspace allowed set": "allowed set at vertex {} is not a subspace",
+               "six symbols": "alphabet of 6 symbols is not a prime power"}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(linear_systems())
+    def check(case):
+        variant, sys_, space, window, horizon, target = case
+        cone = ss.light_cone(sys_, window, horizon)
+        layers = panorama_layers_oracle(sys_, space, window, horizon)
+        result = ss.panorama(sys_, space, window, horizon)
+        assert result.layers == layers
+        assert ss.posexpansive_window_check(sys_, space, window, horizon, target) == (
+            _window_check_from_layers(layers, target))
+        linear = ss._linear_layers(sys_, space, cone)
+        linear_target = ss._linear_layers(sys_, space, cone, target)
+        if variant == "linear":
+            assert result.engine == "linear"
+            assert tuple(ng.sort_vertices(det) for det, _ in linear) == layers
+            for t, (det, _) in enumerate(linear_target):
+                assert det == determined_oracle(sys_, space, window, t, target)
+            undetermined = set(cone.union) - set(layers[-1])
+            seen.add(f"k={sys_.alphabet.size}" + (", undetermined cell" if undetermined else ""))
+        else:
+            assert linear == linear_target == reasons[variant].format(window[0])
+            assert result.engine in ("count", "sort", "count+sort")
+        seen.add(variant)
+
+    check()
+    assert seen == {*_LINEAR_VARIANTS, "k=2", "k=3", "k=4", "k=2, undetermined cell",
+                    "k=3, undetermined cell", "k=4, undetermined cell"}
+
+
+def test_linear_engine_matches_enumeration_on_larger_cones():
+    """On random linear systems of up to 2^16 patterns and horizons up to 6,
+    the linear engine's layers, of every cell and of a target, are
+    enumeration's (whose groupings the oracle tests above pin down)."""
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(linear_systems(("linear",), patterns=2**16, horizons=6))
+    def check(case):
+        _, sys_, space, window, horizon, target = case
+        cone = ss.light_cone(sys_, window, horizon)
+        for cells in (None, target):
+            linear = [det for det, _ in ss._linear_layers(sys_, space, cone, cells)]
+            assert linear == [det for det, _ in ss._determined_layers(sys_, space, cone, cells)]
+        k = sys_.alphabet.size
+        if len(cone.union) - len(linear[-1]) >= 2:
+            seen.add(f"k={k}, several undetermined cells")
+
+    check()
+    assert seen == {"k=2, several undetermined cells", "k=3, several undetermined cells",
+                    "k=4, several undetermined cells"}
+
+
+_XOR_Z2 = ss.ca_on_zd(2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)],
+                      [bin(i).count("1") % 2 for i in range(32)])
+
+
+@pytest.mark.parametrize("case", ["cex", "xor", "shift"])
+def test_linear_layers_match_enumeration(cex, case):
+    """The linear engine and enumeration give the same layers, for
+    panoramas and window checks, on the counterexample at T=5, the Z^2 XOR
+    automaton at T=2 and the three-symbol full shift on window (0, 2)."""
+    sys_, space, window, horizon = {
+        "cex": (*cex, [0], 5),
+        "xor": (*_XOR_Z2, [(0, 0)], 2),
+        "shift": (*ss.full_shift(3), [0, 2], 3),
+    }[case]
+    cone = ss.light_cone(sys_, window, horizon)
+    for target in (None, set(cone.union[::2])):
+        linear = [det for det, _ in ss._linear_layers(sys_, space, cone, target)]
+        assert linear == [det for det, _ in ss._determined_layers(sys_, space, cone, target)]
+    assert ss.panorama(sys_, space, window, horizon).engine == "linear"
+
+
+@pytest.mark.parametrize("system,window,horizon,reason", [
+    (ss.full_shift(6), [0], 2, "alphabet of 6 symbols is not a prime power"),
+    (ss.odometer_system([2]), [0, 1, 2], 3, "nonlinear rule at vertex 2"),
+    (ss.odometer_system([3, 2]), [13], 1, "rule at vertex 13 has 4782969 table entries, over 65536"),
+    ((ss.full_shift(2)[0], ss.PatternSpace(lambda v: [1] if v == 1 else [0, 1])), [0], 2,
+     "allowed set at vertex 1 is not a subspace"),
+])
+def test_linear_engine_declines_with_its_reason(system, window, horizon, reason):
+    """Each reason the linear engine declines for, and the enumeration that
+    then decides the layers."""
+    sys_, space = system
+    cone = ss.light_cone(sys_, window, horizon)
+    assert ss._linear_layers(sys_, space, cone) == reason
+    result = ss.panorama(sys_, space, window, horizon)
+    assert result.engine in ("count", "sort", "count+sort")
+    assert result.layers == _enumerated(sys_, space, window, horizon)[0]
+
+
+def test_linear_engine_checks_only_the_rules_a_cone_applies():
+    """Through horizon t a cone applies the rules of its cells within t - 1
+    of the window.  Cell 1 ANDs its inputs, so the panorama of cell 0 is
+    linear at horizon 1, where cell 1 is only read, and not at horizon 2."""
+    sys_, space = ss.system_from_descriptor({
+        "alphabet": 2,
+        "graph": {"edges": [[1, 0], [1, 1], [2, 1], [2, 2]]},
+        "rules": [{"vertex": 0, "inputs": [1], "table": [0, 1]},
+                  {"vertex": 1, "inputs": [1, 2], "table": [0, 0, 0, 1]},
+                  {"vertex": 2, "inputs": [2], "table": [0, 1]}],
+    })
+    assert ss.panorama(sys_, space, [0], 1).engine == "linear"
+    cone = ss.light_cone(sys_, [0], 2)
+    assert ss._linear_layers(sys_, space, cone) == "nonlinear rule at vertex 1"
+    assert ss.panorama(sys_, space, [0], 2).layers == panorama_layers_oracle(sys_, space, [0], 2)
+
+
 def test_counterexample_certificate_at_six_steps(cex):
     """Observing cell 0 for six steps pins down cells 0..t at every step t
     over the 2^28 patterns of the cone, and cells 0..6 first at t = 6."""
@@ -802,6 +1033,8 @@ def test_counterexample_certificate_at_six_steps(cex):
     result = ss.panorama(sysx, spx, [0], 6, max_patterns=2**28)
     assert result.pattern_count == 2**28
     assert result.layers == tuple(tuple(range(t + 1)) for t in range(7))
+    # the counting floor: 10 bits of patterns on layer 6, 14 bits observed
+    assert ss._pattern_count(spx, result.layers[6]) == 2**10
     assert ss.posexpansive_window_check(sysx, spx, [0], 6, range(7), max_patterns=2**28) == {
         "covered": True, "first_t": 6, "missing": ()}
 
