@@ -744,7 +744,8 @@ def _linear_layers(sys, space, cone, target=None):
         return f"alphabet of {k} symbols is not a prime power"
     seen = set()
     for v in cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0]:
-        fn, arity = sys.rule(v).fn, len(sys.rule(v).inputs)
+        rule = sys.rule(v)
+        fn, arity = rule.fn, len(rule.inputs)
         if (fn, arity) in seen:
             continue
         seen.add((fn, arity))
