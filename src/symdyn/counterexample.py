@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .netgraph import Digraph
+from .netgraph import Digraph, is_cell_of_n
 from .symsys import (
     Alphabet,
     Configuration,
@@ -79,7 +79,7 @@ def cex_network() -> Digraph:
             out.append(junction_index(k - 1))
         return out
 
-    return Digraph(ins, outs, universe={"family": "counterexample"})
+    return Digraph(ins, outs, universe={"family": "counterexample"}, contains=is_cell_of_n)
 
 
 def cex_space() -> PatternSpace:

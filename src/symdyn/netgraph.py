@@ -119,6 +119,8 @@ class Digraph:
     `out_neighbors` is optional; operations that need undirected adjacency
     raise MissingOutNeighborsError when it is absent.  `universe` is a
     JSON-able descriptor used for serialization and error messages.
+    `contains`, where given, tests membership in the vertex set; without it
+    every value `graph_translation` accepts is a vertex.
     """
 
     _lattice: Optional[_Lattice] = None  # set by `_offset_lattice`
@@ -128,10 +130,12 @@ class Digraph:
         in_neighbors: Callable[[Vertex], Sequence[Vertex]],
         out_neighbors: Optional[Callable[[Vertex], Sequence[Vertex]]] = None,
         universe: Optional[dict] = None,
+        contains: Optional[Callable[[Vertex], bool]] = None,
     ):
         self._in = in_neighbors
         self._out = out_neighbors
         self.universe = universe or {"family": "anonymous"}
+        self.contains = contains
         # center set -> (shells, their union or the center set's _LatticeBall)
         self._ball_cache: dict = {}
 
@@ -389,8 +393,9 @@ def _offset_lattice(
 
         return nbrs
 
-    g = Digraph(neighbors(1), neighbors(-1), universe)
-    g._lattice = _Lattice(offsets, e, scalar)
+    lattice = _Lattice(offsets, e, scalar)
+    g = Digraph(neighbors(1), neighbors(-1), universe, lambda v: lattice.holds([v]))
+    g._lattice = lattice
     return g
 
 
@@ -652,6 +657,11 @@ def cayley_zdne(d: int, e: int) -> Digraph:
     )
 
 
+def is_cell_of_n(v) -> bool:
+    """Is v a cell n >= 0 of N (the vertex set of the half-line networks)?"""
+    return type(v) is int and v >= 0
+
+
 def odometer_graph() -> Digraph:
     """Adding-machine network on N: every cell below n (and n itself) feeds n.
 
@@ -661,7 +671,7 @@ def odometer_graph() -> Digraph:
     def ins(n):
         return list(range(0, n + 1))
 
-    return Digraph(ins, None, universe={"family": "odometer"})
+    return Digraph(ins, None, universe={"family": "odometer"}, contains=is_cell_of_n)
 
 
 def unit_shift_graph() -> Digraph:
@@ -688,7 +698,10 @@ def shortcut_graph() -> Digraph:
 
         return nbrs
 
-    return Digraph(neighbors(-1), neighbors(1), universe={"family": "shortcut"})
+    def contains(v):
+        return type(v) is tuple and len(v) == 2 and type(v[0]) is int and is_cell_of_n(v[1])
+
+    return Digraph(neighbors(-1), neighbors(1), {"family": "shortcut"}, contains)
 
 
 def explicit_graph(edges: Iterable[tuple]) -> Digraph:
@@ -714,6 +727,7 @@ def explicit_graph(edges: Iterable[tuple]) -> Digraph:
         lookup(ins),
         lookup(outs),
         universe={"family": "explicit", "vertices": sorted(verts, key=vertex_key)},
+        contains=verts.__contains__,
     )
 
 
@@ -754,14 +768,10 @@ def graph_translation(g: Digraph, v, name: Optional[str] = None):
 
 
 def graph_vertex(g: Digraph, v, name: Optional[str] = None):
-    """v as a vertex of g: a `graph_translation` that, if g lists its
-    vertices (an explicit graph), is an offset lattice or is a half-line
-    family (cells n >= 0), is one of them."""
+    """v as a vertex of g: a `graph_translation` that passes g's membership
+    test, if g has one."""
     point = graph_translation(g, v, name)
-    if ("vertices" in g.universe and point not in g.universe["vertices"]
-            or g._lattice is not None and not g._lattice.holds([point])
-            or g.universe.get("family") in ("counterexample", "odometer")
-            and not (type(point) is int and point >= 0)):
+    if g.contains is not None and not g.contains(point):
         raise ValueError(f"vertex {name or repr(v)} is not a vertex of this graph")
     return point
 

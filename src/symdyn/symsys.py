@@ -718,14 +718,11 @@ def _count_grouping(sys, space, cells, tables, tracked):
 # Symbols 0..p^m-1 are read as vectors of m base-p digits, least significant
 # first; sums and scalings act digit by digit mod p.
 
-_LINEAR_TABLE_MAX = 2**16  # rule table entries the linearity check evaluates
-
-
 def _linear_layers(sys, space, cone, target=None):
     """`_determined_layers` by elimination, or the reason it does not apply.
 
     It applies when k = p^m with p prime, every rule the cone applies is
-    GF(p)-affine on its full table of at most _LINEAR_TABLE_MAX entries,
+    GF(p)-affine on its full table of at most _TABLE_MAX entries,
     and every allowed set is a subspace.  Then the observations through t
     are affine in the coordinates of the pattern over a basis of the
     allowed subspaces, and a cell is determined exactly when each of its
@@ -749,9 +746,11 @@ def _linear_layers(sys, space, cone, target=None):
         if (fn, arity) in seen:
             continue
         seen.add((fn, arity))
-        if k**arity > _LINEAR_TABLE_MAX:
-            return f"rule at vertex {v!r} has {k**arity} table entries, over {_LINEAR_TABLE_MAX}"
-        if not _is_affine(fn, arity, k, p, m, v):
+        try:
+            grid, values = _rule_table(fn, arity, k)
+        except EnumerationCapError as e:
+            return f"rule at vertex {v!r} has {e.required} table entries, over {e.cap}"
+        if not _is_affine(grid, values, k, p, m, v):
             return f"nonlinear rule at vertex {v!r}"
     basis = []  # (cell, symbol) of each basis vector of the pattern space
     for v in cone.union:
@@ -767,13 +766,11 @@ def _digits(symbols, p: int, m: int) -> np.ndarray:
     return np.asarray(symbols, dtype=np.int64)[..., None] // p ** np.arange(m) % p
 
 
-def _is_affine(fn, arity, k, p, m, vertex) -> bool:
+def _is_affine(grid, values, k, p, m, vertex) -> bool:
     """Is f(x) - f(0) the sum of its one-input restrictions, each linear in
-    its input's digits?  One call on the full table; every value must be a
-    symbol, else ValueError names `vertex`."""
-    total = k**arity
-    grid = np.indices((k,) * arity, dtype=np.int64).reshape(arity, total)
-    values = np.broadcast_to(fn(tuple(grid)), (total,))
+    its input's digits?  Reads f's full table (`_rule_table`); every value
+    must be a symbol, else ValueError names `vertex`."""
+    arity, total = grid.shape
     _check_values(values, k, lambda at: vertex)
     out = _digits(values, p, m)
     # the outputs at the digit unit vectors of each input give the linear part
@@ -799,8 +796,8 @@ def _subspace_basis(symbols, p, m):
 
 def _eliminated_layers(sys, cone, basis, p, m, target):
     """Per horizon, the determined cells (of `target`, default all) of the
-    horizon's cone and "linear".  Rows are int bitsets for p = 2 and int64
-    arrays mod p otherwise; `pivots` keeps them in reduced echelon form."""
+    horizon's cone and "linear".  `pivots` keeps the rows, int64 arrays mod
+    p, in reduced echelon form."""
     k = sys.alphabet.size
     rows = np.zeros((len(basis) + 1, len(cone.union)), dtype=np.min_scalar_type(k - 1))
     position = _columns(cone.union)
@@ -813,34 +810,19 @@ def _eliminated_layers(sys, cone, basis, p, m, target):
     functionals = ((traj[1:] - traj[0]) % p).transpose(1, 2, 3, 0).reshape(
         cone.horizon + 1, traj.shape[2] * m, len(basis))
     pivots: dict = {}
-    if p == 2:
-        def add(row):
-            row = int.from_bytes(np.packbits(row.astype(np.uint8), bitorder="little"), "little")
-            for c, pivot_row in pivots.items():
-                if row >> c & 1:
-                    row ^= pivot_row
-            if row:
-                c = (row & -row).bit_length() - 1
-                for c2, pivot_row in pivots.items():
-                    if pivot_row >> c & 1:
-                        pivots[c2] = pivot_row ^ row
-                pivots[c] = row
 
-        def pinned(j):
-            return pivots.get(j) == 1 << j
-    else:
-        def add(row):
-            for c, pivot_row in pivots.items():
-                row = (row - row[c] * pivot_row) % p
-            if row.any():
-                c = int(np.flatnonzero(row)[0])
-                row = row * pow(int(row[c]), -1, p) % p
-                for c2, pivot_row in pivots.items():
-                    pivots[c2] = (pivot_row - pivot_row[c] * row) % p
-                pivots[c] = row
+    def add(row):
+        for c, pivot_row in pivots.items():
+            row = (row - row[c] * pivot_row) % p
+        if row.any():
+            c = int(np.flatnonzero(row)[0])
+            row = row * pow(int(row[c]), -1, p) % p
+            for c2, pivot_row in pivots.items():
+                pivots[c2] = (pivot_row - pivot_row[c] * row) % p
+            pivots[c] = row
 
-        def pinned(j):
-            return j in pivots and np.count_nonzero(pivots[j]) == 1
+    def pinned(j):
+        return j in pivots and np.count_nonzero(pivots[j]) == 1
 
     det: frozenset = frozenset()
     for t, size in enumerate(cone.sizes):
@@ -992,7 +974,21 @@ def odometer_factor_chain(
 # -- rule properness and subsymmetry -----------------------------------------
 
 
-def check_proper(rule: LocalRule, alphabet: Alphabet, max_entries: int = 2**16) -> dict:
+_TABLE_MAX = 2**16  # entries of a rule's full table evaluated in one call
+
+
+def _rule_table(fn, arity: int, k: int, max_entries: int = _TABLE_MAX):
+    """The input grid of a rule's full table, shape (arity, k**arity) in
+    row-major order, and fn's values on it; EnumerationCapError past
+    max_entries."""
+    total = k**arity
+    if total > max_entries:
+        raise EnumerationCapError(total, max_entries)
+    grid = np.indices((k,) * arity, dtype=np.int64).reshape(arity, total)
+    return grid, np.broadcast_to(fn(tuple(grid)), (total,))
+
+
+def check_proper(rule: LocalRule, alphabet: Alphabet, max_entries: int = _TABLE_MAX) -> dict:
     """Exhaustively test that every input coordinate is essential.
 
     For each coordinate the report carries either a witness pair of input
@@ -1002,10 +998,8 @@ def check_proper(rule: LocalRule, alphabet: Alphabet, max_entries: int = 2**16) 
     """
     k = alphabet.size
     arity = len(rule.inputs)
-    total = k**arity
-    if total > max_entries:
-        raise EnumerationCapError(total, max_entries)
-    grid = tuple(np.indices((k,) * arity, dtype=np.int64).reshape(arity, total))
+    grid, values = _rule_table(rule.fn, arity, k, max_entries)
+    grid, total = tuple(grid), len(values)
     witnesses: dict = {}
     inessential = []
     for i in range(arity):
@@ -1014,7 +1008,7 @@ def check_proper(rule: LocalRule, alphabet: Alphabet, max_entries: int = 2**16) 
             np.broadcast_to(rule.fn(grid[:i] + (np.full(total, s),) + grid[i + 1 :]), total)
             for s in range(k)
         ])
-        differs = outs != outs[grid[i], np.arange(total)]
+        differs = outs != values
         hits = np.flatnonzero(differs.any(axis=0))
         if len(hits):
             args = tuple(int(g[hits[0]]) for g in grid)

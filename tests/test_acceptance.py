@@ -123,6 +123,11 @@ def test_criterion_4_panorama_suite():
         )
         assert res["covered"]
         assert res["first_t"] == 6
+        # the same check by enumerating the 2^28 patterns, as nonlinear cones
+        # are decided (the check above runs the linear engine)
+        target = set(range(7))
+        dets = ss._determined_layers(sysx, spx, ss.light_cone(sysx, [0], 6), target)
+        assert [target <= det for det, _ in dets] == [False] * 6 + [True]
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

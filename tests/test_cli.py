@@ -543,10 +543,13 @@ def test_full_shift_bad_universe_or_cell_exit_code(capsys, argv, message):
     ["sys-propagation", "--system", "counterexample", "--vertex", "1,2", "--T", "3"],
     ["graph-ball", "--family", "odometer", "--center", "-1", "--radius", "2"],
     ["graph-ball", "--family", "counterexample", "--center", "-1", "--radius", "2"],
+    ["graph-ball", "--family", "shortcut", "--center", "-3", "--radius", "3"],
+    ["graph-ball", "--family", "shortcut", "--center", "0,-1", "--radius", "3"],
 ])
 def test_half_line_rejects_cells_off_the_line(capsys, argv):
-    """The counterexample and the odometer live on the cells n >= 0: a
-    negative cell (or a grid point) is a usage error, not a cone."""
+    """The counterexample and the odometer live on the cells n >= 0, and the
+    shortcut ladder on Z x N: a negative level (or a vertex of the wrong
+    shape) is a usage error, not a cone."""
     code = cli.run(argv)
     captured = capsys.readouterr()
     assert code == 2

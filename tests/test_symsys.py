@@ -827,9 +827,13 @@ def test_panorama_and_window_check_match_oracle(monkeypatch, cex, threads):
     ):
         layers = panorama_layers_oracle(sys_, space, window, horizon)
         assert ss.panorama(sys_, space, window, horizon).layers == layers
+        # enumeration too, where panorama runs the linear engine
+        assert _enumerated(sys_, space, window, horizon)[0] == layers
         for target in ({0}, set(layers[-1]), set(ss.light_cone(sys_, window, horizon).union)):
-            assert ss.posexpansive_window_check(sys_, space, window, horizon, target) == (
-                _window_check_from_layers(layers, target))
+            expected = _window_check_from_layers(layers, target)
+            assert ss.posexpansive_window_check(sys_, space, window, horizon, target) == expected
+            enumerated = _enumerated(sys_, space, window, horizon, target)[0]
+            assert _window_check_from_layers(enumerated, target) == expected
     # the reference dict engine's cex layers at horizon 4 (see
     # test_panorama_engines_agree)
     assert ss.panorama(*cex, [0], 4).layers == tuple(tuple(range(t + 1)) for t in range(5))
@@ -1022,7 +1026,8 @@ def test_linear_engine_checks_only_the_rules_a_cone_applies():
 
 def test_counterexample_certificate_at_six_steps(cex):
     """Observing cell 0 for six steps pins down cells 0..t at every step t
-    over the 2^28 patterns of the cone, and cells 0..6 first at t = 6."""
+    over the 2^28 patterns of the cone, and cells 0..6 first at t = 6, by
+    elimination and by enumeration."""
     sysx, spx = cex
     result = ss.panorama(sysx, spx, [0], 6, max_patterns=2**28)
     assert result.pattern_count == 2**28
@@ -1031,6 +1036,8 @@ def test_counterexample_certificate_at_six_steps(cex):
     assert ss._pattern_count(spx, result.layers[6]) == 2**10
     assert ss.posexpansive_window_check(sysx, spx, [0], 6, range(7), max_patterns=2**28) == {
         "covered": True, "first_t": 6, "missing": ()}
+    # panorama runs the linear engine here; enumeration must agree on the full cone
+    assert _enumerated(sysx, spx, [0], 6) == (result.layers, "count+sort")
 
 
 def test_composed_tables_with_zero_input_rule():
