@@ -319,6 +319,8 @@ def _metric_from_args(args, graph) -> ms.BasedMetric:
 
 
 def cmd_metric_dim(args) -> int:
+    _at_least(args, "eps_min_pow", 0)
+    _at_least(args, "eps_step", 1)
     sys_, space = _system_from_args(args)
     metric = _metric_from_args(args, sys_.graph)
     eps_grid = [2.0 ** (-k) for k in range(args.eps_min_pow, args.eps_max_pow + 1,
@@ -341,7 +343,7 @@ def cmd_metric_dim(args) -> int:
 def _at_least(args, name: str, low: int) -> None:
     value = getattr(args, name)
     if value < low:
-        raise ValueError(f"--{name} must be at least {low}, got {value}")
+        raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
 
 
 def cmd_metric_lipschitz(args) -> int:

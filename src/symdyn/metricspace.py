@@ -534,8 +534,11 @@ def metric_dim_estimate(
     floor(log_lam(c_u / eps))) lower-bounds log2 of the minimal cover size,
     and the union cover region (tail-cutoff anchors, common radius
     ceil(log_lam(2S / eps))) upper-bounds it.  Slopes are least squares of
-    ln(log2 count) against ln(-log_lam eps).
+    ln(log2 count) against ln(-log_lam eps) over the rows where both counts
+    are positive, None when fewer than two are.
     """
+    if not eps_grid:
+        raise ValueError("eps grid must be nonempty")
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid must decrease")
     lam = metric.lam
@@ -567,6 +570,8 @@ def metric_dim_estimate(
             }
         )
     usable = [r for r in rows if r["log2_cover_lower"] > 0 and r["log2_cover_upper"] > 0]
+    if len(usable) < 2:  # one point fits no slope
+        return {"rows": rows, "lower_slope": None, "upper_slope": None}
     xs = [math.log(r["scale"]) for r in usable]
     lower_slope = _ols_slope(xs, [math.log(r["log2_cover_lower"]) for r in usable])
     upper_slope = _ols_slope(xs, [math.log(r["log2_cover_upper"]) for r in usable])

@@ -6,7 +6,8 @@ routine works on a finite probe of the (possibly infinite) graph, expanding
 neighborhoods on demand; nothing ever materializes the full vertex set.
 There is one in-neighbor BFS, `Digraph._shells`, cached per center set: balls,
 ball sizes, `upstream`, the light cones of `symsys` (a cone is an in-ball)
-and the entropy and metric routines read its shells.
+and the entropy and metric routines read its shells, and undirected
+distances read the shells of the undirected view (`Digraph.undirected`).
 It has two expansions.  Every translation-invariant network is an offset
 lattice (`cayley_zd`, `cayley_zdne`, `unit_shift_graph`,
 `unit_shift_graph_z` and the grid of `symsys.ca_on_zd`: Z^d x N^e, where
@@ -158,6 +159,13 @@ class Digraph:
         seen.update(dict.fromkeys(self.out_neighbors(v)))
         seen.pop(v, None)
         return tuple(seen)
+
+    @cached_property
+    def undirected(self) -> Digraph:
+        """The graph with undirected adjacency as in-neighbors and its own
+        ball cache: its balls are the undirected balls of this graph."""
+        return Digraph(self.undirected_neighbors, self.undirected_neighbors,
+                       self.universe, self.contains)
 
     # -- ball expansion ----------------------------------------------------
 
@@ -416,7 +424,9 @@ def in_ball(g: Digraph, centers: Iterable[Vertex], r: int) -> Ball:
 def undirected_distance(g: Digraph, v: Vertex, w: Vertex, cap: int):
     """Exact shortest undirected path length if <= cap, else INFINITE_DISTANCE.
 
-    Bidirectional breadth-first search over in+out adjacency; requires
+    Bidirectional search over the cached shells of the undirected view
+    (`Digraph.undirected`): the ball with the smaller outermost shell grows
+    by one shell until that shell meets the other ball; requires
     out-neighbors.  INFINITE_DISTANCE means "no path of length <= cap",
     which covers genuinely disconnected pairs as well as cap exhaustion.
     """
@@ -425,39 +435,18 @@ def undirected_distance(g: Digraph, v: Vertex, w: Vertex, cap: int):
     if v == w:
         return 0
     g.out_neighbors(v)  # raises early when out-neighbors are unavailable
-    front_a = {v: 0}
-    front_b = {w: 0}
-    seen_a = {v: 0}
-    seen_b = {w: 0}
-    best = None
-    while front_a and front_b:
-        da = min(front_a.values())
-        db = min(front_b.values())
-        if best is not None and da + db + 1 > best:
-            break
-        if da + db >= cap:
-            break
-        # expand the smaller frontier
-        if len(front_a) <= len(front_b):
-            front, seen, other = front_a, seen_a, seen_b
-        else:
-            front, seen, other = front_b, seen_b, seen_a
-        new_front = {}
-        for x, dx in front.items():
-            for y in g.undirected_neighbors(x):
-                if y in other:
-                    total = dx + 1 + other[y]
-                    if total <= cap and (best is None or total < best):
-                        best = total
-                if y not in seen:
-                    seen[y] = dx + 1
-                    new_front[y] = dx + 1
-        if front is front_a:
-            front_a = new_front
-        else:
-            front_b = new_front
-    if best is not None and best <= cap:
-        return best
+    view = g.undirected
+    # The balls stay disjoint, so the distance exceeds the sum of the radii
+    # and a new shell can meet the other ball only in its outermost shell.
+    centers, radii, fronts = (frozenset([v]), frozenset([w])), [0, 0], [{v}, {w}]
+    while sum(radii) < cap:
+        i = 0 if len(fronts[0]) <= len(fronts[1]) else 1  # grow the smaller front
+        radii[i] += 1
+        fronts[i] = view._shells(centers[i], radii[i])[radii[i]]
+        if not fronts[i]:
+            break  # that side closed without meeting the other
+        if not fronts[i].isdisjoint(fronts[1 - i]):
+            return sum(radii)
     return INFINITE_DISTANCE
 
 

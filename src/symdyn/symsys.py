@@ -14,9 +14,10 @@ its `order`, which propagation, trajectories, envelopes and panoramas read.
 Rules are applied to configurations in one place, `_image_rows`: one update
 step of a batch of configurations (the rows of a symbol matrix), with one
 elementwise call of each rule function on the argument columns of all the
-cells that share it.  Trajectories (`evaluate` is a batch of one), composed
-tables, subsymmetry checks and the one-step images of `metricspace` all go
-through it.
+cells that share it.  Trajectories (`evaluate` is a batch of one, and the
+envelope and factor-chain certificates simulate every pattern on the
+envelope in one batch), composed tables, subsymmetry checks and the
+one-step images of `metricspace` all go through it.
 
 Panoramas and window checks first try the *linear* engine: when the k =
 p^m symbols, read as base-p digit vectors, make every rule the cone applies
@@ -24,14 +25,14 @@ GF(p)-affine and every allowed set a subspace, a cell is determined exactly
 when its coordinate functionals lie in the span of the observation
 functionals, which one incremental Gaussian elimination decides.  The
 pattern cap still applies first.  Where it declines, one enumeration engine
-runs.  It composes each window cell's value at
-each time step into a lookup table over the cells it reads, then groups the
-cone's patterns by observed trajectory in one of two ways, chosen by sizes
-it already knows: *count* packs each pattern's trajectory into an integer
-key and walks the patterns in vectorized chunks, and is used when the key
-space times the summed allowed sizes of the tracked cells is no more than
-the patterns; *sort* otherwise builds the observation matrix (one row per
-pattern) and ranks its rows.  Both then compare every pattern's tracked
+runs (panoramas and window checks only).  It composes each window cell's
+value at each time step into a lookup table over the cells it reads, then
+groups the cone's patterns by observed trajectory in one of two ways,
+chosen by sizes it already knows: *count* packs each pattern's trajectory
+into an integer key and walks the patterns in vectorized chunks, and is used
+when the key space times the summed allowed sizes of the tracked cells is no
+more than the patterns; *sort* otherwise builds the observation matrix (one
+row per pattern) and ranks its rows.  Both then compare every pattern's tracked
 digits with those of a representative of its trajectory.
 """
 
@@ -539,13 +540,6 @@ def _composed_tables(sys, space, window, horizon, memo=None):
     return [build(t, u) for t in range(horizon + 1) for u in window]
 
 
-def _observation_columns(cells, space, tables):
-    """Columns of the observation matrix over the patterns on `cells`: entry
-    (i, j) is the j-th table's value under the i-th pattern."""
-    for dom, arr in tables:
-        yield arr[_radix_index(cells, space, _strides(dom, space))]
-
-
 def _bit_fields(space, tracked):
     """Shift and mask of each tracked cell's bit field in one int64 word of
     packed digits, in order."""
@@ -588,9 +582,11 @@ def _settled(fields, diff):
 
 def _sort_grouping(sys, space, cells, tables, tracked):
     """Rank the rows of the observation matrix and compare every pattern's
-    packed tracked digits with those of the first pattern of its rank."""
+    packed tracked digits with those of the first pattern of its rank.
+    Entry (i, j) of the matrix is the j-th table's value under the i-th
+    pattern on `cells`."""
     first, ranks = _group_rows(
-        _observation_columns(cells, space, tables),
+        (arr[_radix_index(cells, space, _strides(dom, space))] for dom, arr in tables),
         sys.alphabet.size,
         _pattern_count(space, cells),
     )
@@ -865,6 +861,31 @@ class EnvelopeReport:
     reason: str = ""
 
 
+def _envelope_cone(sys, window, t_probe, r_cap):
+    """The window's cone at t_probe, the in-distance of its farthest cell
+    (None beyond r_cap), and why it is no envelope ("" when it is one)."""
+    cone = light_cone(sys, window, t_probe)
+    stabilized = cone.sizes[t_probe // 2] == cone.sizes[t_probe]  # sizes never shrink
+    reach = cone.sizes.index(cone.sizes[-1])  # in-distance of the farthest cone cell
+    reach = reach if reach <= r_cap else None
+    reason = ("cone still growing" if not stabilized
+              else "cone beyond reach cap" if reach is None else "")
+    return cone, reach, reason
+
+
+def _pattern_trajectories(sys, space, cone, max_patterns):
+    """`_trajectory_rows` of every pattern of `space` on the cone, in
+    mixed-radix order; EnumerationCapError past max_patterns patterns."""
+    cells = cone.union
+    count = _pattern_count(space, cells)
+    if count > max_patterns:
+        raise EnumerationCapError(count, max_patterns)
+    rows = np.empty((count, len(cells)), dtype=np.min_scalar_type(sys.alphabet.size - 1))
+    for j, v in enumerate(cells):
+        rows[:, j] = np.asarray(space.allowed(v))[_radix_index(cells, space, {v: 1})]
+    return _trajectory_rows(sys, cone, rows)
+
+
 def equicontinuity_envelope(
     sys: SymbolicSystem,
     window: Iterable[Vertex],
@@ -875,42 +896,27 @@ def equicontinuity_envelope(
     """Look for a finite cell set whose values pin the window's trajectory.
 
     The candidate is the cumulative cone; it certifies only when it stops
-    growing over the second half of the probe horizon, and the certificate is
-    then checked by enumerating every full-alphabet pattern on it.  A finite
+    growing over the second half of the probe horizon and its farthest cell
+    is within r_cap.  A certified envelope's distinct trajectories are then
+    counted by simulating every full-alphabet pattern on it.  A finite
     non-divergent probe without stabilization is reported as uncertified.
     """
-    w = sort_vertices(window)
-    cone = light_cone(sys, w, t_probe)
-    stabilized = cone.sizes[t_probe // 2] == cone.sizes[t_probe]  # sizes never shrink
-    reach = cone.sizes.index(cone.sizes[-1])  # in-distance of the farthest cone cell
-    reach = reach if reach <= r_cap else None
-    if not stabilized or reach is None:
-        reason = "cone still growing" if not stabilized else "cone beyond reach cap"
-        return EnvelopeReport(
-            certified=False,
-            envelope=None,
-            certified_horizon=t_probe,
-            reach=reach,
-            cone_sizes=cone.sizes,
-            trajectory_count=None,
-            reason=reason,
-        )
-    envelope = cone.union
-    full = PatternSpace.full(sys.alphabet)
-    count = _pattern_count(full, envelope)
-    if count > max_patterns:
-        raise EnumerationCapError(count, max_patterns)
-    columns = _observation_columns(
-        envelope, full, _composed_tables(sys, full, w, t_probe)
-    )
-    first, _ = _group_rows(columns, sys.alphabet.size, count)
+    if r_cap < 0:
+        raise ValueError("r_cap must be nonnegative")
+    cone, reach, reason = _envelope_cone(sys, window, t_probe, r_cap)
+    count = None
+    if not reason:
+        traj = _pattern_trajectories(sys, PatternSpace.full(sys.alphabet), cone, max_patterns)
+        first, _ = _group_rows(traj.reshape(len(traj), -1).T, sys.alphabet.size, len(traj))
+        count = len(first)
     return EnvelopeReport(
-        certified=True,
-        envelope=envelope,
+        certified=not reason,
+        envelope=None if reason else cone.union,
         certified_horizon=t_probe,
         reach=reach,
         cone_sizes=cone.sizes,
-        trajectory_count=len(first),
+        trajectory_count=count,
+        reason=reason,
     )
 
 
@@ -923,35 +929,28 @@ def odometer_factor_chain(
 ) -> list:
     """Finite-horizon factor-chain certificate over nested windows.
 
-    For each window: its envelope must certify, the observed trajectory set
-    over the horizon is enumerated from the pattern space, and the
-    drop-first-observation shift is checked to act as a permutation on the
-    horizon-truncated trajectories.
+    For each window: its cone must be an envelope (as in
+    `equicontinuity_envelope`), the observed trajectory set over the
+    horizon is enumerated from the pattern space (the cap bounds those
+    patterns), and the drop-first-observation shift is checked to act as a
+    permutation on the horizon-truncated trajectories.
     """
     prepared = [sort_vertices(w) for w in windows]
     for a, b in zip(prepared, prepared[1:]):
         if not set(a) <= set(b):
             raise ValueError("windows must be nested")
+    k = sys.alphabet.size
     results = []
     for w in prepared:
-        env = equicontinuity_envelope(sys, w, horizon, r_cap=horizon + len(w) + 1,
-                                      max_patterns=max_patterns)
-        if not env.certified:
+        cone, _, reason = _envelope_cone(sys, w, horizon, r_cap=horizon + len(w) + 1)
+        if reason:
             raise NotEquicontinuousError(f"window {w} has no certified envelope")
-        count = _pattern_count(space, env.envelope)
-        if count > max_patterns:
-            raise EnumerationCapError(count, max_patterns)
-        k = sys.alphabet.size
-        columns = list(_observation_columns(
-            env.envelope, space, _composed_tables(sys, space, w, horizon)
-        ))
-        trajs, _ = _group_rows(columns, k, count)
+        traj = _pattern_trajectories(sys, space, cone, max_patterns)
+        count = len(traj)
+        trajs, _ = _group_rows(traj.reshape(count, -1).T, k, count)
         # rank heads (steps 0..T-1) and tails (steps 1..T) in one pool
-        shifted = [
-            np.concatenate(pair)
-            for pair in zip(columns[: horizon * len(w)], columns[len(w):])
-        ]
-        _, ranks = _group_rows(shifted, k, 2 * count)
+        pool = np.concatenate([traj[:, :-1], traj[:, 1:]]).reshape(2 * count, -1)
+        _, ranks = _group_rows(pool.T, k, 2 * count)
         heads, tails = sorted_unique(ranks[:count]), sorted_unique(ranks[count:])
         # for horizon >= 1 a trajectory is its (head, tail) pair, so the
         # shift is a function and injective exactly when there are as many
@@ -963,7 +962,7 @@ def odometer_factor_chain(
         results.append(
             {
                 "window": w,
-                "envelope": env.envelope,
+                "envelope": cone.union,
                 "trajectory_count": len(trajs),
                 "shift_is_permutation": permutation,
             }

@@ -175,6 +175,44 @@ def test_metric_dim(tmp_path):
     assert 0.9 <= payload["summary"]["lower_slope"] <= 1.1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--eps-min-pow", "8", "--eps-max-pow", "4"], "eps grid must be nonempty"),
+    (["--eps-step", "-1"], "--eps-step must be at least 1"),
+    (["--eps-step", "0"], "--eps-step must be at least 1"),
+    (["--eps-min-pow", "-2"], "--eps-min-pow must be at least 0"),
+])
+def test_metric_dim_rejects_degenerate_grids(capsys, argv, message):
+    code = cli.run(["metric-dim", "--system", "full_shift", "--alphabet", "2",
+                    "--estuary", "0", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,usable", [
+    (["--system", "odometer", "--m", "1", "--estuary", "0"], 0),
+    (["--system", "full_shift", "--alphabet", "2", "--estuary", "0",
+      "--eps-min-pow", "8", "--eps-max-pow", "8"], 1),
+])
+def test_metric_dim_reports_no_slope_below_two_usable_rows(capsys, argv, usable):
+    assert cli.run(["metric-dim", *argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rows = [r for r in payload["rows"]
+            if r["log2_cover_lower"] > 0 and r["log2_cover_upper"] > 0]
+    assert len(rows) == usable
+    assert payload["summary"] == {"lower_slope": None, "upper_slope": None}
+
+
+def test_sys_equicontinuity_rejects_a_negative_rcap(capsys):
+    code = cli.run(["sys-equicontinuity", "--system", "odometer", "--m", "2",
+                    "--window", "0", "--rcap", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "r_cap must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
 def test_metric_lipschitz(tmp_path):
     code, text = run_to_file(
         tmp_path, "lip.json",

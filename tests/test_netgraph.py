@@ -169,6 +169,59 @@ def test_shortcut_distance_uses_jumps():
     assert ng.undirected_distance(g, (0, 0), (16, 0), 12) == 8
 
 
+@st.composite
+def distance_cases(draw):
+    """A fresh graph with out-neighbors (random explicit, Z x N, the grid of
+    a CA on Z^2 with a zero offset or with offsets on a line, or the
+    shortcut ladder) and queries (v, w, cap) on it."""
+    kind = draw(st.sampled_from(["explicit", "zn", "ca_zero", "ca_line", "shortcut"]))
+    if kind == "explicit":
+        n = draw(st.integers(1, 9))
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=16))
+        g = ng.explicit_graph(edges)
+        vertex = st.sampled_from(g.universe["vertices"])
+    elif kind.startswith("ca"):
+        offsets = ([(0, 0), (1, 0), (0, -1)] if kind == "ca_zero"
+                   else draw(st.sampled_from([[(1, 2)], [(2, 1), (-4, -2)], [(0, 0), (1, 1)]])))
+        g = ss.ca_on_zd(2, offsets, [0] * 2 ** len(offsets))[0].graph
+        vertex = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    else:
+        g = ng.cayley_zdne(1, 1) if kind == "zn" else ng.shortcut_graph()
+        vertex = st.tuples(st.integers(-4, 4), st.integers(0, 3))
+    queries = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 12)),
+                            min_size=1, max_size=4))
+    return kind, g, queries
+
+
+def test_distance_matches_bfs_oracle_on_cached_shells():
+    """undirected_distance agrees with a one-sided BFS on every family with
+    out-neighbors, for caps 0..12, asked both ways on one graph object so
+    that later queries read the undirected view's cached shells."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(distance_cases())
+    def check(case):
+        kind, g, queries = case
+        for v, w, cap in queries:
+            for a, b in ((v, w), (w, v)):
+                expected = bfs_distance_oracle(g, a, b, cap)
+                assert ng.undirected_distance(g, a, b, cap) == expected, (kind, a, b, cap)
+                seen.add((kind, "finite" if expected < ng.INFINITE_DISTANCE else "infinite"))
+
+    check()
+    kinds = ["explicit", "zn", "ca_zero", "ca_line", "shortcut"]
+    assert seen >= {(k, "finite") for k in kinds} | {("explicit", "infinite"),
+                                                     ("ca_line", "infinite")}
+
+
+def test_distance_needs_out_neighbors_even_at_cap_zero(odometer):
+    with pytest.raises(ng.MissingOutNeighborsError):
+        ng.undirected_distance(odometer, 0, 3, 0)
+    assert ng.undirected_distance(odometer, 3, 3, 0) == 0
+
+
 # -- dimension estimates ------------------------------------------------------
 
 

@@ -1153,18 +1153,24 @@ def test_factor_chain_binary(binary_odometer):
 
 def test_factor_chain_does_not_import_numpy_ma():
     """The factor chain finds its distinct heads and tails by sorting: a
-    plain np.unique (numpy 2.4) takes a hash path that imports numpy.ma."""
+    plain np.unique (numpy 2.4) takes a hash path that imports numpy.ma.
+    Neither it, the envelope nor the distance and speed searches import
+    numpy.ma or numpy.random, each of which adds 1 to 5 MB of peak RSS."""
     src = str(Path(ss.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    script = ("import sys\nfrom symdyn import symsys as ss\n"
+    script = ("import sys\nfrom symdyn import netgraph as ng, symsys as ss\n"
               "sys_, space = ss.odometer_system([2])\n"
               "ss.odometer_factor_chain(sys_, space, [[0], [0, 1]], 8)\n"
-              "print('numpy.ma' in sys.modules)\n")
+              "ss.equicontinuity_envelope(sys_, [0, 1], 8, 8)\n"
+              "ng.speed_estimate(ng.cayley_zd(2), ng.shift_tau((1, 0)), (0, 0), 8, 32)\n"
+              "ng.speed_estimate(ng.shortcut_graph(), ng.shift_tau((1, 0)), (0, 0), 8, 32)\n"
+              "ng.undirected_distance(ng.cayley_zd(3), (0, 0, 0), (3, -2, 4), 12)\n"
+              "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_factor_chain_mixed_radix():
@@ -1202,6 +1208,41 @@ def test_factor_chain_rejects_sensitive_systems(full_shift_n):
     fs, fsp = full_shift_n
     with pytest.raises(ss.NotEquicontinuousError):
         ss.odometer_factor_chain(fs, fsp, [[0]], 8)
+
+
+def test_factor_chain_cap_bounds_only_its_own_patterns():
+    """The (3, 2) odometer allows 3 * 2 * 3 = 18 patterns on [0, 1, 2]; the
+    full alphabet would give 27, which bounds the envelope alone."""
+    sys_, space = ss.odometer_system([3, 2])
+    chain = ss.odometer_factor_chain(sys_, space, [[0, 1, 2]], 12, max_patterns=20)
+    assert chain[0]["trajectory_count"] == 12
+    assert chain[0]["shift_is_permutation"]
+    with pytest.raises(ss.EnumerationCapError):
+        ss.odometer_factor_chain(sys_, space, [[0, 1, 2]], 12, max_patterns=11)
+    with pytest.raises(ss.EnumerationCapError) as exc:
+        ss.equicontinuity_envelope(sys_, [0, 1, 2], 12, 8, max_patterns=20)
+    assert exc.value.required == 27
+
+
+def test_factor_chain_simulates_each_window_once(monkeypatch, binary_odometer):
+    sys_, space = binary_odometer
+    calls = []
+
+    def counted(sys_, cone, rows):
+        calls.append(cone.window)
+        return trajectory_rows(sys_, cone, rows)
+
+    trajectory_rows = ss._trajectory_rows
+    monkeypatch.setattr(ss, "_trajectory_rows", counted)
+    ss.odometer_factor_chain(sys_, space, [[0], [0, 1], [0, 1, 2]], 8)
+    assert calls == [(0,), (0, 1), (0, 1, 2)]
+
+
+def test_envelope_rejects_a_negative_reach_cap(binary_odometer):
+    sys_, _ = binary_odometer
+    with pytest.raises(ValueError, match="r_cap"):
+        ss.equicontinuity_envelope(sys_, [0], 4, -1)
+    assert ss.equicontinuity_envelope(sys_, [0], 4, 0).certified
 
 
 # -- subsymmetries -----------------------------------------------------------------
