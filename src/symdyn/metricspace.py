@@ -75,10 +75,11 @@ class CoefficientScheme:
     ):
         if len(vertices) != len(coeffs):
             raise ValueError("vertices and coeffs must align")
-        if any(c <= 0 for c in coeffs):
-            raise ValueError("coefficients must be positive")
-        if tail_bound < 0:
-            raise ValueError("tail bound must be nonnegative")
+        for c in coeffs:
+            if not (math.isfinite(c) and c > 0):
+                raise ValueError(f"coefficients must be finite and positive, got {c}")
+        if not (math.isfinite(tail_bound) and tail_bound >= 0):
+            raise ValueError(f"tail bound must be finite and nonnegative, got {tail_bound}")
         self.vertices = tuple(vertices)
         self.coeffs = tuple(float(c) for c in coeffs)
         self.kind = kind
@@ -161,8 +162,8 @@ class BasedMetric:
     graph: Digraph
 
     def __post_init__(self):
-        if self.lam <= 1:
-            raise ValueError("lambda must exceed 1")
+        if not (math.isfinite(self.lam) and self.lam > 1):
+            raise ValueError(f"lambda must be finite and exceed 1, got {self.lam}")
 
 
 def single_estuary_metric(graph: Digraph, v: Vertex, lam: float) -> BasedMetric:
@@ -465,8 +466,9 @@ def holder_report(
     transform runs per configuration, and the distances of a chunk are
     evaluated together.
     """
-    if eta <= 0 or lam_const <= 0:
-        raise ValueError("eta and the constant must be positive")
+    for name, value in (("eta", eta), ("constant", lam_const)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)

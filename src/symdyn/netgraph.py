@@ -427,11 +427,14 @@ def undirected_distance(g: Digraph, v: Vertex, w: Vertex, cap: int):
     Bidirectional search over the cached shells of the undirected view
     (`Digraph.undirected`): the ball with the smaller outermost shell grows
     by one shell until that shell meets the other ball; requires
-    out-neighbors.  INFINITE_DISTANCE means "no path of length <= cap",
-    which covers genuinely disconnected pairs as well as cap exhaustion.
+    out-neighbors, and endpoints that pass the graph's membership test.
+    INFINITE_DISTANCE means "no path of length <= cap", which covers
+    genuinely disconnected pairs as well as cap exhaustion.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    for u in (v, w):
+        graph_vertex(g, u)  # on either side, a non-vertex raises ValueError
     if v == w:
         return 0
     g.out_neighbors(v)  # raises early when out-neighbors are unavailable
@@ -741,6 +744,13 @@ def _as_vertex(v):
     return tuple(v) if isinstance(v, list) else v
 
 
+def _as_int(value, name: str) -> int:
+    """A JSON integer field: an int, not a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def graph_translation(g: Digraph, v, name: Optional[str] = None):
     """v (an int, tuple or JSON list) as a translation of g.  On a grid (`D`
     coordinates, plus `E` if given) it must have that many coordinates, and
@@ -771,9 +781,9 @@ def graph_from_descriptor(desc: dict) -> Digraph:
         return explicit_graph([tuple(_as_vertex(u) for u in e) for e in desc["edges"]])
     family = desc.get("family")
     if family == "cayley_zd":
-        return cayley_zd(int(desc["D"]))
+        return cayley_zd(_as_int(desc["D"], "D"))
     if family == "cayley_zdne":
-        return cayley_zdne(int(desc["D"]), int(desc["E"]))
+        return cayley_zdne(_as_int(desc["D"], "D"), _as_int(desc["E"], "E"))
     if family == "odometer":
         return odometer_graph()
     if family == "unit_shift":

@@ -28,12 +28,12 @@ pattern cap still applies first.  Where it declines, one enumeration engine
 runs (panoramas and window checks only).  It composes each window cell's
 value at each time step into a lookup table over the cells it reads, then
 groups the cone's patterns by observed trajectory in one of two ways,
-chosen by sizes it already knows: *count* packs each pattern's trajectory
-into an integer key and walks the patterns in vectorized chunks, and is used
-when the key space times the summed allowed sizes of the tracked cells is no
-more than the patterns; *sort* otherwise builds the observation matrix (one
-row per pattern) and ranks its rows.  Both then compare every pattern's tracked
-digits with those of a representative of its trajectory.
+chosen by what each allocates: *count* packs each pattern's trajectory into
+an integer key and walks the patterns in vectorized chunks, keeping one
+representative per key, and is used when the patterns overflow one chunk
+and the keys do not outnumber them; *sort* otherwise builds the observation
+matrix (one row per pattern) and ranks its rows.  Both then compare every
+pattern's tracked digits with those of a representative of its trajectory.
 """
 
 from __future__ import annotations
@@ -229,11 +229,11 @@ class PanoramaResult:
     """Determined-cell layers of a window under repeated observation.
 
     `engine` is "linear" when the cone is GF(p)-linear and elimination
-    decided the layers.  Otherwise it names the grouping the sizes picked
-    for enumeration: "count" (one pass over packed trajectory keys), "sort"
-    (ranked rows of the observation matrix), or "count+sort" when layers
-    differed; a layer with no cell left to check names its pick without
-    running it.
+    decided the layers.  Otherwise it names the grouping enumeration picked
+    by pattern count and key space: "count" (one pass over packed
+    trajectory keys), "sort" (ranked rows of the observation matrix), or
+    "count+sort" when layers differed; a layer with no cell left to check
+    names its pick without running it.
     """
 
     window: tuple
@@ -438,20 +438,19 @@ def _determined_layers(sys, space, cone, target=None):
     Exact for product spaces: enumeration runs over the horizon's own cone
     and every cell outside it is unconstrained.  Layers are nested, so only
     cells not determined at an earlier horizon are checked; composed tables
-    are shared between horizons.  Count grouping is picked when the key
-    space times the summed allowed sizes of the sized cells is no more than
-    the patterns: all cells so far for a panorama, the target cells still
-    pending for a window check.
+    are shared between horizons.  The grouping is picked by what each
+    allocates: count, one representative per trajectory key per worker plus
+    chunk buffers, when the patterns overflow one chunk and the keys do not
+    outnumber them; sort, one row per pattern, otherwise.
     """
     det: frozenset = frozenset()
     memo: dict = {}
     for t, size in enumerate(cone.sizes):
         cells = sort_vertices(cone.order[:size])
         cum = set(cells) if target is None else target.intersection(cells)
-        sized = cum if target is None else cum - det
         keyspace = sys.alphabet.size ** (len(cone.window) * (t + 1))
-        counters = keyspace * sum(len(space.allowed(v)) for v in sized)
-        engine = "count" if counters <= _pattern_count(space, cells) else "sort"
+        patterns = _pattern_count(space, cells)
+        engine = "count" if patterns > _CHUNK and keyspace <= patterns else "sort"
         pending = sort_vertices(cum - det)
         if pending:
             grouping = _count_grouping if engine == "count" else _sort_grouping
@@ -1195,21 +1194,21 @@ def system_from_descriptor(desc: dict):
     loaded: one rule per graph vertex, with the vertex's in-neighbors as
     inputs.
     """
-    from .netgraph import UniverseExhaustionError, _as_vertex, graph_from_descriptor
+    from .netgraph import UniverseExhaustionError, _as_int, _as_vertex, graph_from_descriptor
 
     name = desc.get("system")
     if name == "odometer":
-        return odometer_system(desc.get("m", [2]))
+        return odometer_system([_as_int(x, "modulus in m") for x in desc.get("m", [2])])
     if name == "full_shift":
-        return full_shift(int(desc.get("alphabet", 2)), desc.get("universe", "N"))
+        return full_shift(_as_int(desc.get("alphabet", 2), "alphabet"), desc.get("universe", "N"))
     if name == "counterexample":
         from .counterexample import cex_rules, cex_space
 
         return cex_rules(), cex_space()
     if name == "ca_zd":
-        return ca_on_zd(int(desc["alphabet"]), desc["offsets"], desc["table"])
+        return ca_on_zd(_as_int(desc["alphabet"], "alphabet"), desc["offsets"], desc["table"])
     if "rules" in desc:
-        alphabet = Alphabet(int(desc["alphabet"]))
+        alphabet = Alphabet(_as_int(desc["alphabet"], "alphabet"))
         graph = graph_from_descriptor(desc["graph"])
         rules = {}
         for entry in desc["rules"]:

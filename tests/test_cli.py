@@ -213,6 +213,72 @@ def test_sys_equicontinuity_rejects_a_negative_rcap(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["metric-lipschitz", "--lam", "inf", "--samples", "5"],
+     "lambda must be finite and exceed 1, got inf"),
+    (["metric-lipschitz", "--coeffs", "nan", "--samples", "5"],
+     "coefficients must be finite and positive, got nan"),
+    (["holder-check", "--constant", "inf", "--samples", "5"],
+     "constant must be finite and positive, got inf"),
+    (["holder-check", "--eta", "nan", "--samples", "5"],
+     "eta must be finite and positive, got nan"),
+    (["holder-check", "--lam2", "inf", "--samples", "5"],
+     "lambda must be finite and exceed 1, got inf"),
+    (["metric-lipschitz", "--metric-file", "nan.json", "--samples", "5"],
+     "lambda must be finite and exceed 1, got nan"),
+])
+def test_metric_parameters_must_be_finite(tmp_path, monkeypatch, capsys, argv, message):
+    """An infinite or NaN metric parameter is a usage error, not a passed check."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.json").write_text(json.dumps({"estuary": [0], "lambda": "nan"}))
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (2, f"error: {message}\n", "")
+
+
+_SYSTEM_FILE = ["sys-propagation", "--vertex", "0", "--T", "2", "--system-file"]
+_GRAPH_FILE = ["graph-ball", "--center", "0", "--radius", "1", "--graph-file"]
+
+
+@pytest.mark.parametrize("argv,desc,message", [
+    (_SYSTEM_FILE, {"system": "full_shift", "alphabet": 2.7},
+     "alphabet must be an integer, got 2.7"),
+    (_SYSTEM_FILE, {"system": "odometer", "m": [2.5]}, "modulus in m must be an integer, got 2.5"),
+    (_GRAPH_FILE, {"family": "cayley_zdne", "D": 1.5, "E": 1}, "D must be an integer, got 1.5"),
+    (_GRAPH_FILE, {"family": "cayley_zd", "D": True}, "D must be an integer, got True"),
+])
+def test_descriptor_integers_exit_code(tmp_path, capsys, argv, desc, message):
+    """A float or boolean where a descriptor needs an integer is refused, not
+    truncated."""
+    f = tmp_path / "desc.json"
+    f.write_text(json.dumps(desc))
+    code = cli.run(argv + [str(f)])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (2, f"error: {message}\n", "")
+
+
+def test_graph_speed_rejects_shifts_off_the_graph(capsys):
+    """Z x N has no vertex (0, -1): the distance to it is an error, not the
+    length of a path through the missing half."""
+    code = cli.run(["graph-speed", "--family", "cayley_zdne", "--D", "1", "--E", "1",
+                    "--vertex", "0,0", "--shift", "0,-1", "--nmax", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: vertex (0, -1) is not a vertex of this graph\n"
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--system", "full_shift", "--windows", "0"], 1,
+     "not equicontinuous: window (0,) has no certified envelope\n"),
+    (["--system", "odometer", "--m", "2", "--windows", "0;1|0"], 2,
+     "error: windows must be nested\n"),
+])
+def test_sys_odometer_chain_failure_exits(capsys, argv, code, err):
+    assert cli.run(["sys-odometer-chain", *argv, "--horizon", "4"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_metric_lipschitz(tmp_path):
     code, text = run_to_file(
         tmp_path, "lip.json",

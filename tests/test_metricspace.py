@@ -324,6 +324,38 @@ def test_holder_rejects_vacuous_sweeps(z2, z2_metric, binary_space):
                          z2.ball_members([(0, 0)], 3), samples=0)
 
 
+@pytest.mark.parametrize("lam", [1.0, math.inf, math.nan])
+def test_metric_rejects_lambda_not_finite_above_one(z2, lam):
+    with pytest.raises(ValueError, match="lambda must be finite and exceed 1"):
+        ms.single_estuary_metric(z2, (0, 0), lam)
+    with pytest.raises(ValueError, match="lambda must be finite and exceed 1"):
+        ms.metric_from_descriptor({"estuary": [[0, 0]], "lambda": str(lam)}, z2)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"coeffs": [1.0, 0.0]}, "coefficients must be finite and positive, got 0.0"),
+    ({"coeffs": [math.inf, 1.0]}, "coefficients must be finite and positive, got inf"),
+    ({"coeffs": [0.5, math.nan]}, "coefficients must be finite and positive, got nan"),
+    ({"tail_bound": -1.0}, "tail bound must be finite and nonnegative, got -1.0"),
+    ({"tail_bound": math.inf}, "tail bound must be finite and nonnegative, got inf"),
+    ({"tail_bound": math.nan}, "tail bound must be finite and nonnegative, got nan"),
+])
+def test_scheme_rejects_coefficients_not_finite_positive(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ms.CoefficientScheme([0, 1], **{"coeffs": [0.5, 0.25], **kwargs})
+
+
+@pytest.mark.parametrize("eta,constant,name", [
+    (0.0, 1.0, "eta"), (math.inf, 1.0, "eta"), (math.nan, 1.0, "eta"),
+    (1.0, -2.0, "constant"), (1.0, math.inf, "constant"), (1.0, math.nan, "constant"),
+])
+def test_holder_rejects_parameters_not_finite_positive(z2, z2_metric, binary_space,
+                                                       eta, constant, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        ms.holder_report(lambda x: x, z2_metric, z2_metric, eta, constant, binary_space,
+                         z2.ball_members([(0, 0)], 3), samples=5)
+
+
 def _restrict(x, cells):
     return ss.Configuration({v: x.values[v] for v in cells})
 

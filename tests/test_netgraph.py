@@ -143,6 +143,19 @@ def test_distance_disconnected_is_infinite():
     assert ng.undirected_distance(g, 0, 3, 20) == ng.INFINITE_DISTANCE
 
 
+@pytest.mark.parametrize("g,vertex,other", [
+    (ng.explicit_graph([(0, 1)]), 5, 0),
+    (ng.cayley_zdne(1, 1), (0, -1), (0, 0)),
+])
+def test_distance_rejects_a_non_vertex_at_either_end(g, vertex, other):
+    """A non-vertex endpoint is an error whichever side it is on, not a
+    distance or an answer that depends on the argument order."""
+    for v, w in ((vertex, other), (other, vertex)):
+        with pytest.raises(ValueError) as info:
+            ng.undirected_distance(g, v, w, 10)
+        assert str(info.value) == f"vertex {vertex!r} is not a vertex of this graph"
+
+
 def test_distance_requires_out_neighbors(odometer):
     with pytest.raises(ng.MissingOutNeighborsError):
         ng.undirected_distance(odometer, 0, 3, 5)

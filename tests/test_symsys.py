@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -396,7 +397,7 @@ def test_panorama_reports_grouping(cex, full_shift_n):
     still names the groupings the sizes pick."""
     sysx, spx = cex
     assert ss.panorama(sysx, spx, [0], 4).engine == "linear"
-    assert _enumerated(sysx, spx, [0], 4)[1] == "count+sort"
+    assert _enumerated(sysx, spx, [0], 4)[1] == "sort"
     sys_, space = full_shift_n
     assert ss.panorama(sys_, space, [0], 6).engine == "linear"
     assert _enumerated(sys_, space, [0], 6)[1] == "sort"
@@ -652,8 +653,8 @@ def test_cone_prefixes_match_oracles():
                     "no escape", "lattice window"}
 
 
-# cell 0 reads three cells that copy themselves: at t=1 the window check
-# tracks only cell 1 and has more patterns (16) than counters (8)
+# cell 0 reads three cells that copy themselves: at t=1 the cone has 16
+# patterns over 4 trajectory keys, so chunks below 16 patterns make it count
 _COUNT_CASE = (
     *ss.system_from_descriptor({
         "alphabet": 2,
@@ -694,6 +695,7 @@ def test_engine_matches_oracles(monkeypatch):
     systems agree with the dict-loop oracles, through both groupings."""
     ran: list = []
     _record_groupings(monkeypatch, ran)
+    monkeypatch.setattr(ss, "_CHUNK", 8)  # at full size these cones fit one chunk and sort
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(explicit_systems())
@@ -795,31 +797,51 @@ def test_bit_fields_fit_one_word():
         ss._bit_fields(space, range(33))
 
 
-def test_window_check_sizes_grouping_by_pending_cells(monkeypatch, cex):
-    """Enumeration for a window check picks count or sort by the target
-    cells still pending, not by every target cell seen so far as for a
-    panorama.  The counterexample is linear, so its window checks
-    themselves run no grouping."""
+def _picks(sys_, space, window, horizon, target=None):
+    """The grouping enumeration picks at each horizon of the window's cone."""
+    cone = ss.light_cone(sys_, window, horizon)
+    return [engine for _, engine in ss._determined_layers(sys_, space, cone, target)]
+
+
+def test_grouping_picked_by_patterns_and_keys(monkeypatch, cex):
+    """Enumeration counts where the patterns overflow one chunk and the
+    trajectory keys do not outnumber them, and sorts elsewhere; a window
+    check picks at each horizon as the panorama on the same cone does.  The
+    counterexample is linear, so its window checks themselves run no
+    grouping."""
     ran: list = []
     _record_groupings(monkeypatch, ran)
-    assert ss.posexpansive_window_check(*cex, [0], 2, range(3))["first_t"] == 2
-    cells = ss.light_cone(cex[0], [0], 3).union
-    assert not ss.posexpansive_window_check(*cex, [0], 3, cells)["covered"]
+    assert ss.posexpansive_window_check(*cex, [0], 5, range(6))["first_t"] == 5
     assert ran == []
-    layers, _ = _enumerated(*cex, [0], 2, set(range(3)))
-    assert [t for t, layer in enumerate(layers) if len(layer) == 3][:1] == [2]
-    assert ran == [("sort", 1), ("sort", 2), ("count", 1)]
-    ran.clear()
-    layers, _ = _enumerated(*cex, [0], 3, set(cells))
-    assert len(layers[-1]) < len(cells)
-    assert ran == [("sort", 1), ("sort", 2), ("sort", 3), ("count", 5)]
+    majority = ss.system_from_descriptor({
+        "system": "ca_zd", "alphabet": 2,
+        "offsets": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
+        "table": [int(bin(i).count("1") >= 3) for i in range(32)],
+    })
+    for (sys_, space), window, horizon, expected in (
+        (cex, [0], 5, ["sort"] * 5 + ["count"]),  # t = 5: 2^22 patterns, 2^12 keys
+        (ss.full_shift(6), [0], 6, ["sort"] * 6 + ["count"]),  # t = 6: 6^7 of each
+        (majority, [(0, 0)], 2, ["sort"] * 3),  # t = 2: 2^13 patterns fit one chunk
+        (ss.full_shift(4), [0], 8, ["sort"] * 9),  # t = 8: 4^9 patterns fill one chunk
+        (ss.full_shift(6), [0, 2], 4, ["sort"] * 5),  # t = 4: 6^7 patterns, 6^10 keys
+    ):
+        assert _picks(sys_, space, window, horizon) == expected
+        cells = ss.light_cone(sys_, window, horizon).union
+        for target in ({cells[0]}, {cells[-1]}, set(cells)):
+            assert _picks(sys_, space, window, horizon, target) == expected
+    # six symbols and the majority vote are not linear, so panoramas enumerate
+    assert ss.panorama(*ss.full_shift(6), [0], 6).engine == "count+sort"
+    assert ss.panorama(*majority, [(0, 0)], 2).engine == "sort"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_panorama_and_window_check_match_oracle(monkeypatch, cex, threads):
     """On one and two threads, panoramas and window checks equal the layers
-    of the reference dict engine."""
+    of the reference dict engine, through both groupings."""
     monkeypatch.setenv("SYMDYN_THREADS", threads)
+    monkeypatch.setattr(ss, "_CHUNK", 16)  # at full size these cones fit one chunk and sort
+    ran: list = []
+    _record_groupings(monkeypatch, ran)
     for sys_, space, window, horizon in (
         (*cex, [0], 3),
         (*ss.full_shift(3), [0, 2], 2),
@@ -834,6 +856,7 @@ def test_panorama_and_window_check_match_oracle(monkeypatch, cex, threads):
             assert ss.posexpansive_window_check(sys_, space, window, horizon, target) == expected
             enumerated = _enumerated(sys_, space, window, horizon, target)[0]
             assert _window_check_from_layers(enumerated, target) == expected
+    assert {name for name, _ in ran} == {"count", "sort"}
     # the reference dict engine's cex layers at horizon 4 (see
     # test_panorama_engines_agree)
     assert ss.panorama(*cex, [0], 4).layers == tuple(tuple(range(t + 1)) for t in range(5))
@@ -1393,6 +1416,29 @@ def test_named_descriptors():
     ):
         sys_, space = ss.system_from_descriptor(desc)
         assert space.allowed(0)
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"system": "full_shift", "alphabet": 2.7}, "alphabet must be an integer, got 2.7"),
+    ({"system": "full_shift", "alphabet": True}, "alphabet must be an integer, got True"),
+    ({"system": "odometer", "m": [2.5]}, "modulus in m must be an integer, got 2.5"),
+    ({"system": "ca_zd", "alphabet": "2", "offsets": [[0]], "table": [0, 1]},
+     "alphabet must be an integer, got '2'"),
+    ({"alphabet": 2.0, "graph": {"edges": [[0, 0]]},
+      "rules": [{"vertex": 0, "inputs": [0], "table": [0, 1]}]},
+     "alphabet must be an integer, got 2.0"),
+    ({"alphabet": 2, "graph": {"family": "cayley_zdne", "D": 1.5, "E": 1}, "rules": []},
+     "D must be an integer, got 1.5"),
+    ({"alphabet": 2, "graph": {"family": "cayley_zdne", "D": 1, "E": 1.0}, "rules": []},
+     "E must be an integer, got 1.0"),
+    ({"alphabet": 2, "graph": {"family": "cayley_zd", "D": True}, "rules": []},
+     "D must be an integer, got True"),
+])
+def test_descriptor_integers_are_not_truncated(desc, message):
+    """Descriptor integers are JSON integers: a float or a boolean is refused,
+    not truncated to the integer it rounds toward."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ss.system_from_descriptor(desc)
 
 
 def test_descriptor_rejects_out_of_range_entry():
