@@ -52,32 +52,6 @@ def vertex_str(v) -> str:
     return str(v)
 
 
-def _graph_from_args(args) -> ng.Digraph:
-    if getattr(args, "graph_file", None):
-        with open(args.graph_file) as fh:
-            return ng.graph_from_descriptor(json.load(fh))
-    desc = {"family": args.family}
-    if getattr(args, "D", None) is not None:
-        desc["D"] = args.D
-    if getattr(args, "E", None) is not None:
-        desc["E"] = args.E
-    return ng.graph_from_descriptor(desc)
-
-
-def _system_from_args(args):
-    if getattr(args, "system_file", None):
-        with open(args.system_file) as fh:
-            return ss.system_from_descriptor(json.load(fh))
-    desc = {"system": args.system}
-    if getattr(args, "m", None):
-        desc["m"] = [int(p) for p in args.m.split(",")]
-    if getattr(args, "alphabet", None) is not None:
-        desc["alphabet"] = args.alphabet
-    if getattr(args, "universe", None):
-        desc["universe"] = args.universe
-    return ss.system_from_descriptor(desc)
-
-
 def _emit(args, header: list, rows: list, summary: dict) -> None:
     config = _config(args)
     out = _sys.stdout if args.out is None else open(args.out, "w")
@@ -108,12 +82,28 @@ def _csv_cell(value) -> str:
     return f'"{text}"' if "," in text else text
 
 
-# The flags that a graph, system or metric file overrides.
+# The flags that a graph, system or metric file overrides, each with the
+# descriptor field it gives.
 _FILE_FLAGS = {
-    "graph_file": ("family", "D", "E"),
-    "system_file": ("system", "m", "alphabet", "universe"),
-    "metric_file": ("estuary", "lam", "scheme", "coeffs"),
+    "graph_file": {"family": "family", "D": "D", "E": "E"},
+    "system_file": {"system": "system", "m": "m", "alphabet": "alphabet", "universe": "universe"},
+    "metric_file": {"estuary": "estuary", "lam": "lambda", "scheme": "scheme", "coeffs": "coeffs"},
 }
+
+
+def _descriptor(args, file_flag: str, graph=None):
+    """The JSON descriptor in the file that `file_flag` names, or else the one
+    made by the flags it overrides that are set: lists are read from their
+    text, and estuary vertices as vertices of `graph`."""
+    if getattr(args, file_flag):
+        with open(getattr(args, file_flag)) as fh:
+            return json.load(fh)
+    text = {"m": lambda t: [int(p) for p in t.split(",")],
+            "coeffs": lambda t: [float(c) for c in t.split(",")],
+            "estuary": lambda t: _graph_window(graph, t)}
+    return {field: text.get(flag, lambda v: v)(getattr(args, flag))
+            for flag, field in _FILE_FLAGS[file_flag].items()
+            if getattr(args, flag) not in (None, "")}
 
 
 def _config(args) -> dict:
@@ -127,7 +117,7 @@ def _config(args) -> dict:
 
 
 def cmd_graph_ball(args) -> int:
-    g = _graph_from_args(args)
+    g = ng.graph_from_descriptor(_descriptor(args, "graph_file"))
     center = _graph_vertex(g, args.center)
     sizes = g.ball_sizes([center], args.radius)
     rows = [{"r": r, "size": s} for r, s in enumerate(sizes)]
@@ -140,7 +130,7 @@ def cmd_graph_ball(args) -> int:
 
 
 def cmd_graph_dim(args) -> int:
-    g = _graph_from_args(args)
+    g = ng.graph_from_descriptor(_descriptor(args, "graph_file"))
     v = _graph_vertex(g, args.vertex)
     est = ng.dim_estimate(g, v, args.rmin, args.rmax)
     rows = [
@@ -158,7 +148,7 @@ def cmd_graph_dim(args) -> int:
 
 
 def cmd_graph_speed(args) -> int:
-    g = _graph_from_args(args)
+    g = ng.graph_from_descriptor(_descriptor(args, "graph_file"))
     v = _graph_vertex(g, args.vertex)
     delta = ng.graph_translation(g, parse_vertex(args.shift), repr(args.shift))
     tau = ng.shift_tau(delta)
@@ -174,7 +164,7 @@ def cmd_graph_speed(args) -> int:
 
 
 def cmd_sys_propagation(args) -> int:
-    sys_, _space = _system_from_args(args)
+    sys_, _space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     v = _graph_vertex(sys_.graph, args.vertex)
     rho = ss.propagation(sys_, v, args.T)
     rows = [{"t": t, "rho": r} for t, r in enumerate(rho)]
@@ -183,7 +173,7 @@ def cmd_sys_propagation(args) -> int:
 
 
 def cmd_sys_panorama(args) -> int:
-    sys_, space = _system_from_args(args)
+    sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     window = _graph_window(sys_.graph, args.window)
     result = ss.panorama(sys_, space, window, args.T,
                          max_patterns=args.max_patterns)
@@ -201,7 +191,7 @@ def cmd_sys_panorama(args) -> int:
 
 
 def cmd_sys_equicontinuity(args) -> int:
-    sys_, _space = _system_from_args(args)
+    sys_, _space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     window = _graph_window(sys_.graph, args.window)
     rep = ss.equicontinuity_envelope(sys_, window, args.tprobe, args.rcap)
     rows = [{"t": t, "cone_size": s} for t, s in enumerate(rep.cone_sizes)]
@@ -217,7 +207,7 @@ def cmd_sys_equicontinuity(args) -> int:
 
 
 def cmd_sys_odometer_chain(args) -> int:
-    sys_, space = _system_from_args(args)
+    sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     windows = [_graph_window(sys_.graph, w) for w in args.windows.split("|")]
     try:
         chain = ss.odometer_factor_chain(sys_, space, windows, args.horizon)
@@ -240,7 +230,7 @@ def cmd_sys_odometer_chain(args) -> int:
 
 
 def cmd_entropy_ball(args) -> int:
-    sys_, space = _system_from_args(args)
+    sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     v = _graph_vertex(sys_.graph, args.vertex)
     est = ed.ball_entropy(space, sys_.graph, v, args.rmin, args.rmax)
     rows = [
@@ -255,7 +245,7 @@ def cmd_entropy_ball(args) -> int:
 
 
 def cmd_entropy_tau(args) -> int:
-    sys_, space = _system_from_args(args)
+    sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     base = _graph_window(sys_.graph, args.base)
     delta = ng.graph_translation(sys_.graph, parse_vertex(args.shift),
                                    repr(args.shift))
@@ -307,22 +297,11 @@ def cmd_cex_propagation(args) -> int:
     return 0 if rep["lower_bound_ok"] else 1
 
 
-def _metric_from_args(args, graph) -> ms.BasedMetric:
-    if getattr(args, "metric_file", None):
-        with open(args.metric_file) as fh:
-            return ms.metric_from_descriptor(json.load(fh), graph)
-    desc = {"estuary": _graph_window(graph, args.estuary), "lambda": args.lam,
-            "scheme": args.scheme}
-    if args.coeffs:
-        desc["coeffs"] = [float(c) for c in args.coeffs.split(",")]
-    return ms.metric_from_descriptor(desc, graph)
-
-
 def cmd_metric_dim(args) -> int:
     _at_least(args, "eps_min_pow", 0)
     _at_least(args, "eps_step", 1)
-    sys_, space = _system_from_args(args)
-    metric = _metric_from_args(args, sys_.graph)
+    sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
+    metric = ms.metric_from_descriptor(_descriptor(args, "metric_file", sys_.graph), sys_.graph)
     eps_grid = [2.0 ** (-k) for k in range(args.eps_min_pow, args.eps_max_pow + 1,
                                            args.eps_step)]
     rep = ms.metric_dim_estimate(space, metric, eps_grid)
@@ -349,8 +328,8 @@ def _at_least(args, name: str, low: int) -> None:
 def cmd_metric_lipschitz(args) -> int:
     _at_least(args, "samples", 1)
     _at_least(args, "rcap", 1)
-    sys_, space = _system_from_args(args)
-    metric = _metric_from_args(args, sys_.graph)
+    sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
+    metric = ms.metric_from_descriptor(_descriptor(args, "metric_file", sys_.graph), sys_.graph)
     rep = ms.lipschitz_report(sys_, metric, space, args.samples, args.seed,
                               r_cap=args.rcap)
     rows = [{"sample": f["sample"], "ratio_hi": f["ratio_hi"]} for f in rep["flagged"]]
@@ -363,12 +342,16 @@ def cmd_metric_lipschitz(args) -> int:
 def cmd_holder_check(args) -> int:
     _at_least(args, "samples", 1)
     _at_least(args, "rcap", 0)
-    sys_, space = _system_from_args(args)
-    metric_from = _metric_from_args(args, sys_.graph)
+    sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
+    metric_from = ms.metric_from_descriptor(_descriptor(args, "metric_file", sys_.graph),
+                                            sys_.graph)
     scheme = ms.CoefficientScheme.finite(
         metric_from.scheme.vertices, metric_from.scheme.coeffs
     )
-    metric_to = ms.BasedMetric(scheme=scheme, lam=args.lam2, graph=sys_.graph)
+    try:
+        metric_to = ms.BasedMetric(scheme=scheme, lam=args.lam2, graph=sys_.graph)
+    except ValueError as exc:
+        raise ValueError(f"--lam2: {exc}") from None
     domain = set()
     for u in metric_from.scheme.vertices:
         domain |= sys_.graph.ball_members([u], args.rcap)
@@ -553,7 +536,7 @@ def run(argv: Optional[list] = None) -> int:
             ss.EnumerationCapError, ss.NetworkConsistencyError,
             ss.InsufficientDomainError, ms.DomainMismatchError,
             ms.ToleranceUnreachableError, cx.HorizonTooShortError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, sort_vertices
+from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
 from .symsys import Configuration, PatternSpace, SymbolicSystem, _columns, _image_rows
 from .entropydim import pattern_log_count
 
@@ -170,21 +170,20 @@ def single_estuary_metric(graph: Digraph, v: Vertex, lam: float) -> BasedMetric:
     return BasedMetric(scheme=CoefficientScheme.single(v), lam=lam, graph=graph)
 
 
-def metric_from_descriptor(desc: dict, graph: Digraph) -> BasedMetric:
+def metric_from_descriptor(desc, graph: Digraph) -> BasedMetric:
     """Build a metric from its JSON form:
     {"estuary": [...], "lambda": 2, "scheme": "finite"|"doubleexp",
      "coeffs": [...]}.  Omitted coefficients default to the halving sequence.
     """
-    estuary = [graph_vertex(graph, v) for v in desc["estuary"]]
-    lam = float(desc.get("lambda", 2.0))
-    kind = desc.get("scheme", "finite")
+    estuary, lam, kind, coeffs = read_fields(desc, "metric", ["estuary"], **{"lambda": 2.0},
+                                             scheme="finite", coeffs=None)
+    estuary = [graph_vertex(graph, v) for v in estuary]
     if kind == "doubleexp":
         scheme = CoefficientScheme.double_exponential(estuary)
     elif kind == "finite":
-        coeffs = desc.get("coeffs")
         if coeffs is None:
             coeffs = [2.0 ** (-j) for j in range(len(estuary))]
-        scheme = CoefficientScheme.finite(estuary, [float(c) for c in coeffs])
+        scheme = CoefficientScheme.finite(estuary, coeffs)
     else:
         raise ValueError(f"unknown scheme kind: {kind!r}")
     return BasedMetric(scheme=scheme, lam=lam, graph=graph)

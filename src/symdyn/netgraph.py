@@ -739,24 +739,12 @@ def shift_tau(delta) -> Subisometry:
     return Subisometry(map=lambda v: v + delta, label=f"shift({delta})")
 
 
-def _as_vertex(v):
-    """A JSON vertex: lists (grid points) become tuples."""
-    return tuple(v) if isinstance(v, list) else v
-
-
-def _as_int(value, name: str) -> int:
-    """A JSON integer field: an int, not a bool or a float."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def graph_translation(g: Digraph, v, name: Optional[str] = None):
     """v (an int, tuple or JSON list) as a translation of g.  On a grid (`D`
     coordinates, plus `E` if given) it must have that many coordinates, and
     a bare integer is a 1-tuple; `name` is how errors quote v."""
     name = name or repr(v)
-    v = _as_vertex(v)
+    v = tuple(v) if isinstance(v, list) else v
     if "D" not in g.universe:
         return v
     point = v if isinstance(v, tuple) else (v,)
@@ -775,23 +763,82 @@ def graph_vertex(g: Digraph, v, name: Optional[str] = None):
     return point
 
 
-def graph_from_descriptor(desc: dict) -> Digraph:
-    """Build a named family or explicit graph from its JSON descriptor."""
-    if "edges" in desc:
-        return explicit_graph([tuple(_as_vertex(u) for u in e) for e in desc["edges"]])
-    family = desc.get("family")
-    if family == "cayley_zd":
-        return cayley_zd(_as_int(desc["D"], "D"))
-    if family == "cayley_zdne":
-        return cayley_zdne(_as_int(desc["D"], "D"), _as_int(desc["E"], "E"))
-    if family == "odometer":
-        return odometer_graph()
-    if family == "unit_shift":
-        return unit_shift_graph()
-    if family == "unit_shift_z":
-        return unit_shift_graph_z()
-    if family == "shortcut":
-        return shortcut_graph()
-    if family == "counterexample":
-        return counterexample_graph()
-    raise ValueError(f"unknown graph descriptor: {desc!r}")
+# -- descriptors --------------------------------------------------------------
+
+
+def _of(*kinds, item=None, size=None):
+    """A reader of JSON values of the types `kinds`: lists of `size` entries (if
+    given), each read by `item`."""
+    def read(value):
+        if type(value) not in kinds or size and len(value) != size:
+            raise TypeError
+        return [item(x) for x in value] if item else value
+    return read
+
+
+def _vertex(v):  # an integer, or a list of integers: a grid point, read as a tuple
+    return v if type(v) is int else tuple(_of(list, tuple, item=_of(int))(v))
+
+
+_INT, _STR, _LIST = ("an integer", _of(int)), ("a string", _of(str)), ("a list", _of(list))
+_REAL = ("a number", lambda v: float(_of(int, float, str)(v)))
+_VERTICES = ("a list of vertices", _of(list, item=_vertex))
+# Each descriptor field: its JSON type as errors name it, and its reader, which
+# raises TypeError, ValueError or OverflowError on a value of another type.
+_FIELDS = {
+    "family": _STR, "D": _INT, "E": _INT,
+    "edges": ("a list of vertex pairs", _of(list, item=_of(list, item=_vertex, size=2))),
+    "system": _STR, "alphabet": _INT, "universe": _STR, "m": _LIST, "offsets": _LIST,
+    "table": _LIST, "graph": ("a JSON object", _of(dict)),
+    "rules": ("a list of JSON objects", _of(list, item=_of(dict))),
+    "vertex": ("an integer or a list of integers", _vertex), "inputs": _VERTICES,
+    # estuary vertices are checked, but kept as written for `graph_vertex` to quote
+    "estuary": (_VERTICES[0], lambda v: _VERTICES[1](v) and v),
+    "lambda": _REAL, "scheme": _STR, "coeffs": ("a list of numbers", _of(list, item=_REAL[1])),
+}
+
+
+def read_fields(desc, where: str, required=(), **optional) -> list:
+    """desc's required fields, then its optional ones (or their defaults), read
+    by `_FIELDS`; ValueError naming `where` or the field if desc is not a JSON
+    object, lacks a required field, has any other or one of the wrong type."""
+    if type(desc) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {desc!r}")
+    for key in [k for k in required if k not in desc] + [k for k in desc if k not in required]:
+        if key not in optional:
+            raise ValueError(f"{where} needs the field {key!r}" if key in required
+                             else f"{where} has an unknown field {key!r}")
+    values = []
+    for key in (*required, *optional):
+        kind, read = _FIELDS[key]
+        try:
+            values.append(read(desc[key]) if key in desc else optional[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{key} must be {kind}, got {desc[key]!r}") from None
+    return values
+
+
+def read_form(desc, where: str, key: str, forms: dict):
+    """Build desc by the entry of `forms` that its field `key` names (None if it
+    has none): a constructor, the fields it takes and the optional ones'
+    defaults."""
+    kind, = read_fields({key: desc[key]} if type(desc) is dict and key in desc else {},
+                        where, **{key: None})
+    if kind not in forms:
+        raise ValueError(f"unknown {where} {kind!r}")
+    make, required, optional = forms[kind]
+    return make(*read_fields(desc, kind or where, required, **optional, **{key: None})[:-1])
+
+
+_GRAPHS = {  # the forms of a graph descriptor, by its field "family"
+    "cayley_zd": (cayley_zd, ["D"], {}), "cayley_zdne": (cayley_zdne, ["D", "E"], {}),
+    "odometer": (odometer_graph, [], {}), "unit_shift": (unit_shift_graph, [], {}),
+    "unit_shift_z": (unit_shift_graph_z, [], {}), "shortcut": (shortcut_graph, [], {}),
+    "counterexample": (counterexample_graph, [], {}), None: (explicit_graph, ["edges"], {}),
+}
+
+
+def graph_from_descriptor(desc) -> Digraph:
+    """Build a graph from its JSON descriptor: {"family": name} plus the fields
+    `_GRAPHS` gives it, or {"edges": [[v, w], ...]}."""
+    return read_form(desc, "graph", "family", _GRAPHS)

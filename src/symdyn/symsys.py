@@ -46,7 +46,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import (Digraph, Subisometry, Vertex, _offset_lattice, sort_vertices,
+from .netgraph import (Digraph, Subisometry, UniverseExhaustionError, Vertex, _offset_lattice,
+                       graph_from_descriptor, read_fields, read_form, sort_vertices,
                        sorted_unique, unit_shift_graph, unit_shift_graph_z)
 
 
@@ -975,18 +976,18 @@ def odometer_factor_chain(
 _TABLE_MAX = 2**16  # entries of a rule's full table evaluated in one call
 
 
-def _rule_table(fn, arity: int, k: int, max_entries: int = _TABLE_MAX):
+def _rule_table(fn, arity: int, k: int):
     """The input grid of a rule's full table, shape (arity, k**arity) in
     row-major order, and fn's values on it; EnumerationCapError past
-    max_entries."""
+    _TABLE_MAX entries."""
     total = k**arity
-    if total > max_entries:
-        raise EnumerationCapError(total, max_entries)
+    if total > _TABLE_MAX:
+        raise EnumerationCapError(total, _TABLE_MAX)
     grid = np.indices((k,) * arity, dtype=np.int64).reshape(arity, total)
     return grid, np.broadcast_to(fn(tuple(grid)), (total,))
 
 
-def check_proper(rule: LocalRule, alphabet: Alphabet, max_entries: int = _TABLE_MAX) -> dict:
+def check_proper(rule: LocalRule, alphabet: Alphabet) -> dict:
     """Exhaustively test that every input coordinate is essential.
 
     For each coordinate the report carries either a witness pair of input
@@ -996,7 +997,7 @@ def check_proper(rule: LocalRule, alphabet: Alphabet, max_entries: int = _TABLE_
     """
     k = alphabet.size
     arity = len(rule.inputs)
-    grid, values = _rule_table(rule.fn, arity, k, max_entries)
+    grid, values = _rule_table(rule.fn, arity, k)
     grid, total = tuple(grid), len(values)
     witnesses: dict = {}
     inessential = []
@@ -1081,6 +1082,9 @@ def odometer_system(m: Sequence[int]):
     """
     from .netgraph import odometer_graph
 
+    for x in m:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise ValueError(f"modulus in m must be an integer, got {x!r}")
     m = tuple(int(x) for x in m)
     if not m or any(x < 1 for x in m):
         raise ValueError("moduli must be positive")
@@ -1183,60 +1187,52 @@ def shift_extension(base_sys: SymbolicSystem, base_space: PatternSpace, psi):
     return sys, space, tau
 
 
-def system_from_descriptor(desc: dict):
-    """Build a system (and its pattern space) from a JSON descriptor.
+def _explicit_system(alphabet_size: int, graph: dict, entries: list):
+    alphabet = Alphabet(alphabet_size)
+    graph = graph_from_descriptor(graph)
+    rules = {}
+    for entry in entries:
+        v, inputs, table = read_fields(entry, "rule", ["vertex", "inputs", "table"])
+        if v in rules:
+            raise ValueError(f"two rules for vertex {v!r}")
+        try:
+            neighbors = graph.in_neighbors(v)
+        except (TypeError, UniverseExhaustionError):
+            raise ValueError(f"rule for vertex {v!r}, which is not in the graph") from None
+        try:
+            rules[v] = LocalRule.from_table(inputs, table, alphabet.size)
+        except ValueError as exc:
+            raise ValueError(f"rule at vertex {v!r}: {exc}") from None
+        if set(inputs) != set(neighbors):
+            raise ValueError(
+                f"rule at vertex {v!r}: inputs {tuple(inputs)} != in-neighbors {neighbors}"
+            )
+    missing = [v for v in graph.universe.get("vertices", ()) if v not in rules]
+    if missing:  # explicit graphs list their vertices
+        raise ValueError(f"no rule for vertex {missing[0]!r}")
 
-    Named forms: {"system": "odometer", "m": [...]}, {"system": "full_shift",
-    "alphabet": k, "universe": "N"|"Z"}, {"system": "counterexample"},
-    {"system": "ca_zd", "alphabet": k, "offsets": [...], "table": [...]}.
-    Explicit form: {"alphabet": k, "graph": {...}, "rules": [{"vertex": v,
-    "inputs": [...], "table": [...]}]} with row-major tables, checked when
-    loaded: one rule per graph vertex, with the vertex's in-neighbors as
-    inputs.
+    def rule_at(v):
+        if v not in rules:
+            raise KeyError(f"no rule for vertex {v!r}")
+        return rules[v]
+
+    sys = SymbolicSystem(alphabet, graph, rule_at, label="explicit")
+    return sys, PatternSpace.full(alphabet)
+
+
+def system_from_descriptor(desc):
+    """Build a system (and its pattern space) from a JSON descriptor: a named
+    system, by its field "system", with the fields given below, or the explicit
+    {"alphabet": k, "graph": {...}, "rules": [{"vertex": v, "inputs": [...],
+    "table": [...]}]} with row-major tables, checked when loaded: one rule per
+    graph vertex, with the vertex's in-neighbors as inputs.
     """
-    from .netgraph import UniverseExhaustionError, _as_int, _as_vertex, graph_from_descriptor
+    from .counterexample import cex_rules, cex_space
 
-    name = desc.get("system")
-    if name == "odometer":
-        return odometer_system([_as_int(x, "modulus in m") for x in desc.get("m", [2])])
-    if name == "full_shift":
-        return full_shift(_as_int(desc.get("alphabet", 2), "alphabet"), desc.get("universe", "N"))
-    if name == "counterexample":
-        from .counterexample import cex_rules, cex_space
-
-        return cex_rules(), cex_space()
-    if name == "ca_zd":
-        return ca_on_zd(_as_int(desc["alphabet"], "alphabet"), desc["offsets"], desc["table"])
-    if "rules" in desc:
-        alphabet = Alphabet(_as_int(desc["alphabet"], "alphabet"))
-        graph = graph_from_descriptor(desc["graph"])
-        rules = {}
-        for entry in desc["rules"]:
-            v = _as_vertex(entry["vertex"])
-            if v in rules:
-                raise ValueError(f"two rules for vertex {v!r}")
-            try:
-                neighbors = graph.in_neighbors(v)
-            except (TypeError, UniverseExhaustionError):
-                raise ValueError(f"rule for vertex {v!r}, which is not in the graph") from None
-            inputs = [_as_vertex(u) for u in entry["inputs"]]
-            try:
-                rules[v] = LocalRule.from_table(inputs, entry["table"], alphabet.size)
-            except ValueError as exc:
-                raise ValueError(f"rule at vertex {v!r}: {exc}") from None
-            if set(inputs) != set(neighbors):
-                raise ValueError(
-                    f"rule at vertex {v!r}: inputs {tuple(inputs)} != in-neighbors {neighbors}"
-                )
-        missing = [v for v in graph.universe.get("vertices", ()) if v not in rules]
-        if missing:  # explicit graphs list their vertices
-            raise ValueError(f"no rule for vertex {missing[0]!r}")
-
-        def rule_at(v):
-            if v not in rules:
-                raise KeyError(f"no rule for vertex {v!r}")
-            return rules[v]
-
-        sys = SymbolicSystem(alphabet, graph, rule_at, label="explicit")
-        return sys, PatternSpace.full(alphabet)
-    raise ValueError(f"unknown system descriptor: {desc!r}")
+    return read_form(desc, "system", "system", {
+        "odometer": (odometer_system, [], {"m": [2]}),
+        "full_shift": (full_shift, [], {"alphabet": 2, "universe": "N"}),
+        "counterexample": (lambda: (cex_rules(), cex_space()), [], {}),
+        "ca_zd": (ca_on_zd, ["alphabet", "offsets", "table"], {}),
+        None: (_explicit_system, ["alphabet", "graph", "rules"], {}),
+    })

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import symdyn
 from symdyn import cli
@@ -223,7 +229,7 @@ def test_sys_equicontinuity_rejects_a_negative_rcap(capsys):
     (["holder-check", "--eta", "nan", "--samples", "5"],
      "eta must be finite and positive, got nan"),
     (["holder-check", "--lam2", "inf", "--samples", "5"],
-     "lambda must be finite and exceed 1, got inf"),
+     "--lam2: lambda must be finite and exceed 1, got inf"),
     (["metric-lipschitz", "--metric-file", "nan.json", "--samples", "5"],
      "lambda must be finite and exceed 1, got nan"),
 ])
@@ -255,6 +261,147 @@ def test_descriptor_integers_exit_code(tmp_path, capsys, argv, desc, message):
     code = cli.run(argv + [str(f)])
     captured = capsys.readouterr()
     assert (code, captured.err, captured.out) == (2, f"error: {message}\n", "")
+
+
+_METRIC_FILE = ["metric-lipschitz", "--samples", "5", "--metric-file"]
+_BALL_FILE = ["graph-ball", "--center", "0", "--radius", "2", "--graph-file"]
+_EXPLICIT = {"alphabet": 2, "graph": {"edges": [[0, 0]]}}
+
+
+@pytest.mark.parametrize("argv,desc,message", [
+    (_SYSTEM_FILE, {"system": "odometer", "m": 3}, "m must be a list, got 3"),
+    (_SYSTEM_FILE, {"system": "ca_zd", "alphabet": 2, "offsets": [[0], [1]], "table": 5},
+     "table must be a list, got 5"),
+    (_SYSTEM_FILE, {"system": "ca_zd", "alphabet": 2, "offsets": [[0], [1]]},
+     "ca_zd needs the field 'table'"),
+    (_SYSTEM_FILE, [], "system must be a JSON object, got []"),
+    (_SYSTEM_FILE, "x", "system must be a JSON object, got 'x'"),
+    (_SYSTEM_FILE, {"system": "full_shift", "extra": 1}, "full_shift has an unknown field 'extra'"),
+    (_SYSTEM_FILE, {"system": "full_shift", "universe": 5}, "universe must be a string, got 5"),
+    (_SYSTEM_FILE, {**_EXPLICIT, "rules": 3}, "rules must be a list of JSON objects, got 3"),
+    (_SYSTEM_FILE, {**_EXPLICIT, "rules": [{"vertex": 0}]}, "rule needs the field 'inputs'"),
+    (_SYSTEM_FILE, {**_EXPLICIT, "graph": 7, "rules": []}, "graph must be a JSON object, got 7"),
+    (_METRIC_FILE, [], "metric must be a JSON object, got []"),
+    (_METRIC_FILE, "x", "metric must be a JSON object, got 'x'"),
+    (_METRIC_FILE, {"estuary": [0], "lambda": [2]}, "lambda must be a number, got [2]"),
+    (_METRIC_FILE, {"estuary": [0], "coeffs": 5}, "coeffs must be a list of numbers, got 5"),
+    (_METRIC_FILE, {"estuary": 0}, "estuary must be a list of vertices, got 0"),
+    (_METRIC_FILE, {"lambda": 2}, "metric needs the field 'estuary'"),
+    (_BALL_FILE, {"family": "cayley_zd"}, "cayley_zd needs the field 'D'"),
+    (_BALL_FILE, {"edges": 5}, "edges must be a list of vertex pairs, got 5"),
+    (_BALL_FILE, {"edges": [[0]]}, "edges must be a list of vertex pairs, got [[0]]"),
+    (_BALL_FILE, [], "graph must be a JSON object, got []"),
+    (_BALL_FILE, "x", "graph must be a JSON object, got 'x'"),
+])
+def test_malformed_descriptor_exit_code(tmp_path, capsys, argv, desc, message):
+    """A descriptor of the wrong shape is a usage error that names the object
+    or the field, not a crash."""
+    f = tmp_path / "desc.json"
+    f.write_text(json.dumps(desc))
+    code = cli.run(argv + [str(f)])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (2, f"error: {message}\n", "")
+
+
+# Each *-file flag: a command that exits 0 or 2 (never 1, a failed check),
+# and valid descriptors for it.
+_FILE_CASES = {
+    "--graph-file": (["graph-ball", "--center", "0", "--radius", "1"], [
+        {"family": "cayley_zd", "D": 1}, {"family": "cayley_zdne", "D": 1, "E": 0},
+        {"family": "odometer"}, {"edges": [[1, 0], [0, 1]]}]),
+    "--system-file": (["sys-propagation", "--vertex", "0", "--T", "2"], [
+        {"system": "odometer", "m": [2, 3]}, {"system": "counterexample"},
+        {"system": "full_shift", "alphabet": 3, "universe": "Z"},
+        {"system": "ca_zd", "alphabet": 2, "offsets": [[0], [1]], "table": [0, 1, 1, 0]},
+        {**_EXPLICIT, "rules": [{"vertex": 0, "inputs": [0], "table": [1, 0]}]}]),
+    "--metric-file": (["metric-dim", "--eps-min-pow", "2", "--eps-max-pow", "6"], [
+        {"estuary": [0, 1], "lambda": 2, "scheme": "finite", "coeffs": [0.75, 0.25]},
+        {"estuary": [0, 1, 2], "lambda": "3", "scheme": "doubleexp"}]),
+}
+# Integers stay small: a huge alphabet or dimension is a valid descriptor that
+# materializes that many symbols or offsets, which is not what this test is about.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _descriptor_file(draw):
+    """A *-file flag and an arbitrary JSON value, or one of its valid
+    descriptors with one field replaced or one key added."""
+    flag, kind = draw(st.sampled_from(sorted(_FILE_CASES))), draw(st.integers(0, 3))
+    if kind == 0:
+        return flag, draw(_JSON)
+    valid = _FILE_CASES[flag][1]
+    desc = dict(draw(st.sampled_from(valid)))
+    if kind == 1:
+        desc[draw(st.text(max_size=6))] = draw(_JSON)
+    else:  # the field's value in another valid descriptor, a small integer, or any
+        key = draw(st.sampled_from(sorted(desc)))
+        others = st.sampled_from([d[key] for d in valid if key in d])
+        desc[key] = draw(others | st.integers(0, 4) | _JSON)
+    return flag, desc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_descriptor_file())
+@example(("--system-file", {"system": "ca_zd", "alphabet": 2, "offsets": [[0], [10**30]],
+                            "table": [0, 1, 1, 0]}))
+@example(("--metric-file", {"estuary": [10**30]}))
+def test_descriptor_files_exit_0_or_2(flag_and_desc):
+    """No descriptor file crashes the CLI: it runs, or exits 2 with one error line."""
+    flag, desc = flag_and_desc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "desc.json")
+        with open(path, "w") as fh:
+            json.dump(desc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(_FILE_CASES[flag][0] + [flag, path])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
+
+def _readme_descriptors() -> list:
+    """Every JSON value in the ```json blocks of README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    decoder, found = json.JSONDecoder(), []
+    for block in re.findall(r"```json\n(.*?)```", text, re.S):
+        pos = 0
+        while block[pos:].strip():
+            pos += len(block[pos:]) - len(block[pos:].lstrip())
+            desc, pos = decoder.raw_decode(block, pos)
+            found.append(desc)
+    return found
+
+
+def _first_vertex(g) -> str:
+    for v in (0, (0, 0)):
+        try:
+            return cli.vertex_str(ng.graph_vertex(g, v))
+        except ValueError:
+            pass
+    raise AssertionError(f"no vertex 0 or 0,0 on {g.universe}")
+
+
+@pytest.mark.parametrize("desc", _readme_descriptors(), ids=json.dumps)
+def test_readme_descriptors_load(tmp_path, desc):
+    """Each descriptor README.md shows runs through its *-file flag."""
+    f = tmp_path / "desc.json"
+    f.write_text(json.dumps(desc))
+    if "estuary" in desc:
+        argv = ["metric-dim", "--eps-min-pow", "2", "--eps-max-pow", "6", "--metric-file", str(f)]
+    elif "family" in desc or "edges" in desc:
+        center = _first_vertex(ng.graph_from_descriptor(desc))
+        argv = ["graph-ball", "--center", center, "--radius", "2", "--graph-file", str(f)]
+    else:
+        vertex = _first_vertex(symdyn.system_from_descriptor(desc)[0].graph)
+        argv = ["sys-propagation", "--vertex", vertex, "--T", "2", "--system-file", str(f)]
+    assert run_to_file(tmp_path, "out.csv", argv)[0] == 0
 
 
 def test_graph_speed_rejects_shifts_off_the_graph(capsys):
