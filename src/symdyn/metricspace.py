@@ -177,6 +177,8 @@ def metric_from_descriptor(desc, graph: Digraph) -> BasedMetric:
     """
     estuary, lam, kind, coeffs = read_fields(desc, "metric", ["estuary"], **{"lambda": 2.0},
                                              scheme="finite", coeffs=None)
+    if not estuary:
+        raise ValueError("estuary must be nonempty")
     estuary = [graph_vertex(graph, v) for v in estuary]
     if kind == "doubleexp":
         scheme = CoefficientScheme.double_exponential(estuary)

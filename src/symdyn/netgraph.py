@@ -16,8 +16,8 @@ around the center set, with one broadcast add of the offsets, a
 visited-bitmap test and one sort; a shell's length is the array's, and it is
 decoded to its vertex set when first iterated or probed.  The irregular
 networks (odometer, counterexample, shortcut, explicit, shift extension),
-and lattice balls whose bitmap would outweigh their tuple shells, expand one
-vertex at a time over the in-neighbor function.
+and lattice balls whose box `_Lattice.box` refuses, expand one vertex at a
+time over the in-neighbor function.
 """
 
 from __future__ import annotations
@@ -175,19 +175,19 @@ class Digraph:
         ball's list ends with one empty shell.  Kept per center set, and
         grown only past the deepest radius so far.  Offset lattices grow
         their shells by the array BFS of `_LatticeBall` (as `_CodeShell`s);
-        other graphs, and lattice balls whose box would outweigh their tuple
-        shells, by the loop below over the shells' union."""
+        other graphs, and lattice balls whose box `_Lattice.box` refuses, by
+        the loop below over the shells' union, in exact Python ints."""
         cached = self._ball_cache.get(center)
         if cached is None:
             lattice = self._lattice
-            state = (_LatticeBall(lattice, center)
+            state = (_LatticeBall(lattice)
                      if lattice is not None and lattice.holds(center) else set(center))
             cached = self._ball_cache[center] = [set(center)], state
         shells, state = cached
         if isinstance(state, _LatticeBall):
             if state.grow(shells, radius):
                 return shells
-            state = set().union(*shells)  # the box would outweigh the tuple shells
+            state = set().union(*shells)  # no box for this ball
             self._ball_cache[center] = shells, state
         members = state
         while len(shells) <= radius and shells[-1]:
@@ -259,23 +259,23 @@ class _Lattice:
             for v in vertices
         )
 
-    def points(self, vertices: Iterable[Vertex]) -> np.ndarray:
-        return np.array(list(vertices), dtype=np.int64).reshape(-1, self.offsets.shape[1])
-
-    def box(self, points: np.ndarray, radius: int):
-        """(lower corner, shape) of the box that holds B(points, radius)
-        plus one step below N's zero, or None when its bitmap would take
-        more bytes than the tuple shells of the ball.  Those hold |points|
-        balls of sum_k 2^k C(d, k) C(radius + m, k + m) points each."""
+    def box(self, points, radius: int):
+        """(lower corner, shape) of the box that holds B(points, radius) plus
+        one step below N's zero, or None when a corner, taken in exact ints,
+        leaves +-2^62 (int64 with room) or its bitmap would take more bytes
+        than the tuple shells of the ball.  Those hold |points| balls of
+        sum_k 2^k C(d, k) C(radius + m, k + m) points each."""
         n, e, d, m = len(self.down), self.e, self.d, self.m
-        lo = points.min(axis=0) - radius * self.down
-        hi = points.max(axis=0) + radius * self.up
+        points = np.array(points, dtype=object).reshape(-1, n)
+        lo = points.min(axis=0) - radius * self.down.astype(object)
+        hi = points.max(axis=0) + radius * self.up.astype(object)
         lo[n - e:] = np.maximum(lo[n - e:], -self.down[n - e:])
         shape = tuple(int(s) for s in hi - lo + 1)
         ball = sum(2**k * math.comb(d, k) * math.comb(radius + m, k + m) for k in range(d + 1))
-        if math.prod(shape) > _TUPLE_BYTES * len(points) * ball:
+        if (min(lo) < -2**62 or max(hi) > 2**62
+                or math.prod(shape) > _TUPLE_BYTES * len(points) * ball):
             return None
-        return lo, shape
+        return lo.astype(np.int64), shape
 
 
 class _Coding:
@@ -287,9 +287,6 @@ class _Coding:
 
     def codes(self, points: np.ndarray) -> np.ndarray:
         return (points - self.lo) @ self.strides
-
-    def points(self, codes: np.ndarray) -> np.ndarray:
-        return np.stack(np.unravel_index(codes, self.shape), axis=1) + self.lo
 
     def vertices(self, codes: np.ndarray) -> list:
         cols = [(c + lo).tolist() for c, lo in zip(np.unravel_index(codes, self.shape), self.lo)]
@@ -327,14 +324,13 @@ class _LatticeBall:
     holds the ball to `radius`, its visited bitmap and the last shell's
     codes."""
 
-    def __init__(self, lattice: _Lattice, center: frozenset):
+    def __init__(self, lattice: _Lattice):
         self.lattice = lattice
-        self.center = lattice.points(center)
         self.radius = -1  # no box yet
 
     def grow(self, shells: list, radius: int) -> bool:
         """Grow `shells` to `radius` or until the ball closes.  False when
-        the box for that radius would outweigh the tuple shells."""
+        `_Lattice.box` refuses the box for that radius."""
         if len(shells) > radius or not shells[-1]:
             return True
         # Regrow to at least twice the radius, so that a caller going one
@@ -353,11 +349,12 @@ class _LatticeBall:
         return True
 
     def _box(self, shells: list, radius: int) -> bool:
-        """Box the ball to `radius`: re-encode the shells so far into a new
-        bitmap.  Points with a negative N coordinate start out seen, so the
-        bitmap test drops the steps that leave the lattice."""
+        """Box the ball to `radius` and cut `shells` back to the center, for
+        `grow` to refill.  Points with a negative N coordinate start out seen,
+        so the bitmap test drops the steps that leave the lattice."""
         lattice = self.lattice
-        box = lattice.box(self.center, radius)
+        center = list(shells[0])
+        box = lattice.box(center, radius)
         if box is None:
             return False
         lo, shape = box
@@ -367,12 +364,9 @@ class _LatticeBall:
         n = len(shape)
         for j in range(n - lattice.e, n):
             grid[(slice(None),) * j + (slice(0, max(-int(lo[j]), 0)),)] = True
-        for shell in shells:
-            points = (shell.coding.points(shell.codes) if isinstance(shell, _CodeShell)
-                      else lattice.points(shell))
-            codes = coding.codes(points)
-            seen[codes] = True
-        self.frontier = codes
+        del shells[1:]
+        self.frontier = coding.codes(np.array(center, dtype=np.int64).reshape(-1, n))
+        seen[self.frontier] = True
         self.seen, self.coding, self.radius = seen, coding, radius
         self.steps = lattice.offsets @ coding.strides
         return True

@@ -936,6 +936,8 @@ def odometer_factor_chain(
     permutation on the horizon-truncated trajectories.
     """
     prepared = [sort_vertices(w) for w in windows]
+    if not all(prepared):
+        raise ValueError("window must be nonempty")
     for a, b in zip(prepared, prepared[1:]):
         if not set(a) <= set(b):
             raise ValueError("windows must be nested")

@@ -292,6 +292,10 @@ _EXPLICIT = {"alphabet": 2, "graph": {"edges": [[0, 0]]}}
     (_BALL_FILE, {"edges": [[0]]}, "edges must be a list of vertex pairs, got [[0]]"),
     (_BALL_FILE, [], "graph must be a JSON object, got []"),
     (_BALL_FILE, "x", "graph must be a JSON object, got 'x'"),
+    (_METRIC_FILE, {"estuary": []}, "estuary must be nonempty"),
+    (["holder-check", "--samples", "5", "--metric-file"], {"estuary": []},
+     "estuary must be nonempty"),
+    (["metric-dim", "--metric-file"], {"estuary": []}, "estuary must be nonempty"),
 ])
 def test_malformed_descriptor_exit_code(tmp_path, capsys, argv, desc, message):
     """A descriptor of the wrong shape is a usage error that names the object
@@ -419,6 +423,7 @@ def test_graph_speed_rejects_shifts_off_the_graph(capsys):
      "not equicontinuous: window (0,) has no certified envelope\n"),
     (["--system", "odometer", "--m", "2", "--windows", "0;1|0"], 2,
      "error: windows must be nested\n"),
+    (["--system", "odometer", "--windows", "0|"], 2, "error: window must be nonempty\n"),
 ])
 def test_sys_odometer_chain_failure_exits(capsys, argv, code, err):
     assert cli.run(["sys-odometer-chain", *argv, "--horizon", "4"]) == code
@@ -557,6 +562,28 @@ def test_graph_ball_and_speed_z1(tmp_path):
     )
     assert code == 0
     assert json.loads(text)["summary"]["inf_proxy"] == 1.0
+
+
+@pytest.mark.parametrize("argv,members", [
+    (["--D", "1", "--center", str(2**63 - 2)], [2**63 - 4 + k for k in range(5)]),
+    (["--D", "1", "--center", str(2**63)], [2**63 - 2 + k for k in range(5)]),
+    (["--D", "2", f"--center={-2**63 + 1},0"],
+     sorted((-2**63 + 1 + i, j) for i in range(-2, 3) for j in range(-2, 3)
+            if abs(i) + abs(j) <= 2)),
+])
+def test_graph_ball_past_int64(capsys, argv, members):
+    """Lattice balls near or past the int64 edge list their exact members."""
+    assert cli.run(["graph-ball", "--family", "cayley_zd", *argv, "--radius", "2",
+                    "--members"]) == 0
+    summary = capsys.readouterr().out.splitlines()[1].removeprefix("# summary: ")
+    assert json.loads(summary)["members"] == [cli.vertex_str(v) for v in members]
+
+
+def test_full_shift_propagation_past_int64(capsys):
+    """A light cone near the int64 edge reads the exact in-neighbors."""
+    assert cli.run(["sys-propagation", "--system", "full_shift", "--vertex", str(2**63 - 2),
+                    "--T", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["t,rho", "0,1", "1,2", "2,3", "3,4"]
 
 
 def _ca_file(tmp_path, d):

@@ -485,9 +485,10 @@ def test_lattice_shells_match_oracle():
 
 
 def test_lattice_falls_back_to_the_generic_loop():
-    """A box that would outweigh the tuple shells, and a center set that is
-    not on the lattice (a negative N coordinate), run the generic loop; both
-    match a fresh BFS.  Only the irregular networks have no lattice."""
+    """A box that would outweigh the tuple shells, a box whose corners leave
+    +-2^62, and a center set that is not on the lattice (a negative N
+    coordinate), run the generic loop; each matches a fresh BFS.  Only the
+    irregular networks have no lattice."""
     z6 = ng.cayley_zd(6)
     origin = (0,) * 6
     assert z6.ball_sizes([origin], 1) == [1, 13]
@@ -504,6 +505,10 @@ def test_lattice_falls_back_to_the_generic_loop():
     shift = ng.unit_shift_graph()
     assert shift.ball_members([-2], 3) == fresh_ball(shift, [-2], 3) == {-2}
     assert isinstance(shift._ball_cache[frozenset([-2])][1], set)
+    z1, z2 = ng.cayley_zd(1), ng.cayley_zd(2)
+    for g, v in [(z1, (2**63 - 2,)), (z1, (2**63,)), (z2, (-2**63 + 1, 0)), (shift, 2**63 - 2)]:
+        assert g.ball_members([v], 3) == fresh_ball(g, [v], 3)
+        assert isinstance(g._ball_cache[frozenset([v])][1], set)
     assert isinstance(shift._lattice, ng._Lattice)
     assert isinstance(ss.ca_on_zd(2, [(0, 0), (1, 0)], [0, 1, 1, 0])[0].graph._lattice,
                       ng._Lattice)
