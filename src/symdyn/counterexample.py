@@ -28,6 +28,8 @@ from .symsys import (
     LocalRule,
     PatternSpace,
     SymbolicSystem,
+    _Draws,
+    _RowPlan,
     _trajectory_rows,
     evaluate,
     light_cone,
@@ -218,11 +220,10 @@ def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     sys = cex_rules()
     space = cex_space()
     cone = light_cone(sys, [0], junction_index(depth))
-    allowed = [space.allowed(v) for v in cone.union]
-    rows = np.empty((trials, len(allowed)), dtype=np.uint8)
+    plan = _RowPlan([space.allowed(v) for v in cone.union])
+    rows = np.empty((trials, len(cone.union)), dtype=np.uint8)
     for trial in range(trials):
-        choice = random.Random(trial_seed(seed, trial)).choice
-        rows[trial] = [choice(a) for a in allowed]
+        rows[trial] = _Draws(random.Random(trial_seed(seed, trial))).row(plan)
     observed = _trajectory_rows(sys, cone, rows)[:, :, 0]
     failures = []
     for trial, (row, obs) in enumerate(zip(rows, observed)):

@@ -12,7 +12,8 @@ estuary vertex.  One-step images come from the rule-application kernel of
 `pseudo_dist`, `dist` and `image_configuration` are one-row calls of these
 kernels.  The Lipschitz and Hölder sweeps sample a chunk of pairs, then
 evaluate their images and distances together; they consume the same random
-stream as sampling and measuring one pair at a time.
+stream as sampling and measuring one pair at a time, with one `rng.choice`
+per domain cell, but read it in bulk (`symsys._Draws`).
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
@@ -28,7 +29,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
-from .symsys import Configuration, PatternSpace, SymbolicSystem, _columns, _image_rows
+from .symsys import (Configuration, PatternSpace, SymbolicSystem, _columns, _Draws,
+                     _image_rows, _RowPlan)
 from .entropydim import pattern_log_count
 
 
@@ -274,9 +276,11 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
     Each sample draws exactly what one pair at a time would: a symbol per
     domain cell (`rng.choice`, in domain order), an anchor, a radius below
     `radii`, a cell of that BFS shell inside the domain, and another allowed
-    symbol there.  Yields (sample numbers, pairs, planted cells) per chunk,
-    where pairs[0] and pairs[1] hold the x and y rows; samples whose shell
-    or symbol choice came up empty are left out.
+    symbol there.  The draws are read in bulk from the generator's words
+    (`_Draws`), which is left, at each chunk's end, where those calls leave
+    it.  Yields (sample numbers, pairs, planted cells) per chunk, where
+    pairs[0] and pairs[1] hold the x and y rows; samples whose shell or
+    symbol choice came up empty are left out.
     """
     index = _columns(domain)
     allowed = [space.allowed(v) for v in domain]
@@ -286,26 +290,27 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
          for s in graph._shells(frozenset([u]), radii - 1)[:radii]]
         for u in anchors
     ]
-    choice, randrange = rng.choice, rng.randrange
+    draws, plan = _Draws(rng), _RowPlan(allowed)
     for start in range(0, samples, _SWEEP_ROWS):
         n = min(_SWEEP_ROWS, samples - start)
         pairs = np.empty((2, n, len(domain)), dtype=dtype)
         used, cols, news = [], [], []
-        for i in range(start, start + n):
-            row = [choice(a) for a in allowed]
-            u_shells = shells[randrange(len(anchors))]
-            radius = randrange(0, radii)
-            shell = u_shells[radius] if radius < len(u_shells) else ()
-            if not shell:
-                continue
-            col = index[shell[randrange(len(shell))]]
-            choices = [s for s in allowed[col] if s != row[col]]
-            if not choices:
-                continue
-            pairs[0, len(used)] = row
-            used.append(i)
-            cols.append(col)
-            news.append(choice(choices))
+        with draws:
+            for i in range(start, start + n):
+                row = draws.row(plan)
+                u_shells = shells[draws.below(len(anchors))]
+                radius = draws.below(radii)
+                shell = u_shells[radius] if radius < len(u_shells) else ()
+                if not shell:
+                    continue
+                col = index[shell[draws.below(len(shell))]]
+                choices = [s for s in allowed[col] if s != row[col]]
+                if not choices:
+                    continue
+                pairs[0, len(used)] = row
+                used.append(i)
+                cols.append(col)
+                news.append(choices[draws.below(len(choices))])
         pairs = pairs[:, : len(used)]
         pairs[1] = pairs[0]
         pairs[1, np.arange(len(used)), np.array(cols, dtype=np.intp)] = news

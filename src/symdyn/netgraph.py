@@ -300,8 +300,8 @@ class _CodeShell:
 
     __slots__ = ("codes", "coding", "_vertices")
 
-    def __init__(self, codes: np.ndarray, coding: _Coding):
-        self.codes, self.coding, self._vertices = codes, coding, None
+    def __init__(self, codes: np.ndarray, coding: _Coding, vertices: Optional[set] = None):
+        self.codes, self.coding, self._vertices = codes, coding, vertices
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -333,6 +333,7 @@ class _LatticeBall:
         `_Lattice.box` refuses the box for that radius."""
         if len(shells) > radius or not shells[-1]:
             return True
+        old = shells[1:]  # a new box refills these: keep the vertex sets they decoded
         # Regrow to at least twice the radius, so that a caller going one
         # radius at a time (`upstream`) boxes O(log r) times.
         if radius > self.radius and not (
@@ -344,7 +345,9 @@ class _LatticeBall:
             reached = (frontier[:, None] + self.steps).ravel()
             frontier = sorted_unique(reached[~seen[reached]])
             seen[frontier] = True
-            shells.append(_CodeShell(frontier, self.coding))
+            r = len(shells)
+            shells.append(_CodeShell(frontier, self.coding,
+                                     old[r - 1]._vertices if r <= len(old) else None))
         self.frontier = frontier
         return True
 

@@ -17,7 +17,9 @@ elementwise call of each rule function on the argument columns of all the
 cells that share it.  Trajectories (`evaluate` is a batch of one, and the
 envelope and factor-chain certificates simulate every pattern on the
 envelope in one batch), composed tables, subsymmetry checks and the
-one-step images of `metricspace` all go through it.
+one-step images of `metricspace` all go through it.  Sampled rows come
+from one sampling kernel, `_Draws`: the draws of one `rng.choice` per cell,
+replayed with numpy on the generator's 32-bit words read in bulk.
 
 Panoramas and window checks first try the *linear* engine: when the k =
 p^m symbols, read as base-p digit vectors, make every rule the cone applies
@@ -195,9 +197,11 @@ class PatternSpace:
     def random_configuration(
         self, domain: Iterable[Vertex], rng: random.Random
     ) -> "Configuration":
-        return Configuration(
-            {v: rng.choice(self.allowed(v)) for v in sort_vertices(domain)}
-        )
+        """One `rng.choice` of an allowed symbol per cell, in vertex order."""
+        domain = sort_vertices(domain)
+        with _Draws(rng) as draws:
+            row = draws.row(_RowPlan([self.allowed(v) for v in domain]))
+        return Configuration(dict(zip(domain, row.tolist())))
 
 
 @dataclass(frozen=True)
@@ -243,6 +247,127 @@ class PanoramaResult:
     cone: tuple
     pattern_count: int
     engine: str
+
+
+# -- the sampling kernel: `rng.choice` draws read in bulk ---------------------
+
+_DRAW_WORDS = 2**14  # most 32-bit words read ahead at once (64 KB)
+
+
+def _word_limit(n: int) -> tuple:
+    """(shift, limit) of CPython's `_randbelow(n)` on one 32-bit word w: with
+    k = n.bit_length(), it draws getrandbits(k) = w >> (32 - k) and rejects
+    values >= n, so w is accepted iff w < n << (32 - k)."""
+    if not 0 < n < 2**32:
+        raise ValueError(f"cannot draw below {n} from one 32-bit word")
+    shift = 32 - n.bit_length()
+    return shift, n << shift
+
+
+class _RowPlan:
+    """Tables that draw `[rng.choice(a) for a in allowed]` a group at a time:
+    consecutive cells with the same acceptance limit form one group (every
+    power-of-two size has the limit 2^31)."""
+
+    def __init__(self, allowed: Sequence[Sequence[int]]):
+        self.allowed = allowed
+        sizes = [len(a) for a in allowed]
+        cells = [_word_limit(n) for n in sizes]  # (shift, limit) per cell
+        limits = [limit for _, limit in cells]
+        self.groups = []  # (limit, first cell, end cell)
+        for j, limit in enumerate(limits):
+            if j and limit == limits[j - 1]:
+                self.groups[-1][2] = j + 1
+            else:
+                self.groups.append([limit, j, j + 1])
+        self.shifts = np.array([shift for shift, _ in cells], dtype=np.uint32)
+        sizes = np.array(sizes, dtype=np.int64)
+        self.offsets = np.cumsum(sizes) - sizes  # where each cell's symbols start
+        self.symbols = np.array([s for a in allowed for s in a], dtype=np.int64)
+        # words read for a row: each is accepted with probability n / 2^k > 1/2,
+        # so a row takes fewer than 2 per cell on average; the rest is margin
+        self.need = 2 * len(sizes) + len(sizes) // 4 + 64
+
+
+class _Draws:
+    """`rng.choice` and `rng.randrange` draws of a `random.Random`, replayed
+    from its 32-bit Mersenne Twister words read a block at a time.
+
+    `rng.getrandbits(32 * m)` returns the next m words, the first one lowest,
+    and the draws accept and shift them as `_word_limit` says.  Each read saves
+    the state first; `close` restores it and advances by the words used, so
+    the generator ends where one call per draw leaves it.  Use the generator
+    again only after `close` (or the end of a `with` block).  Generators of
+    other types draw one call at a time.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.exact = type(rng) is random.Random
+        self.state = None  # the generator's state before the words were read
+        self.words = np.empty(0, dtype=np.uint32)
+        self.pos = 0  # the next word to draw from
+        self.read = 0  # words of the last read; reads double up to _DRAW_WORDS
+        self.accepted = {}  # limit -> positions of the words that it accepts
+
+    def __enter__(self) -> "_Draws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Leave the generator just past the words drawn from."""
+        if self.pos < len(self.words):
+            self.rng.setstate(self.state)
+            self.rng.getrandbits(32 * self.pos)
+        self.words, self.pos, self.accepted = self.words[:0], 0, {}
+
+    def _fill(self, need: int) -> None:
+        self.close()
+        self.read = min(_DRAW_WORDS, max(need, 2 * self.read))
+        self.state = self.rng.getstate()
+        bits = self.rng.getrandbits(32 * self.read)
+        self.words = np.frombuffer(bits.to_bytes(4 * self.read, "little"), dtype="<u4")
+
+    def below(self, n: int) -> int:
+        """`rng.randrange(n)`."""
+        if not self.exact:
+            return self.rng.randrange(n)
+        shift, limit = _word_limit(n)
+        words, pos = self.words, self.pos
+        while True:
+            if pos == len(words):
+                self.pos = pos
+                self._fill(1)
+                words, pos = self.words, 0
+            word = words.item(pos)
+            pos += 1
+            if word < limit:
+                self.pos = pos
+                return word >> shift
+
+    def row(self, plan: _RowPlan) -> np.ndarray:
+        """`[rng.choice(a) for a in plan.allowed]` as an int64 array."""
+        if not self.exact:
+            return np.array([self.rng.choice(a) for a in plan.allowed], dtype=np.int64)
+        drawn = np.empty(len(plan.shifts), dtype=np.uint32)
+        for limit, start, stop in plan.groups:
+            while start < stop:
+                at = self.accepted.get(limit)
+                if at is None:
+                    at = self.accepted[limit] = np.flatnonzero(self.words < limit)
+                j = at.searchsorted(self.pos)
+                at = at[j: j + stop - start]
+                end = start + len(at)
+                drawn[start:end] = self.words[at] >> plan.shifts[start:end]
+                start = end
+                if start < stop:  # every word left is used up: read more
+                    self.pos = len(self.words)
+                    self._fill(plan.need)
+                else:
+                    self.pos = at.item(-1) + 1
+        return plan.symbols[plan.offsets + drawn]
 
 
 # -- cones, propagation, evaluation -----------------------------------------
@@ -1047,8 +1172,8 @@ def subsymmetry_check(
     ]
     shifted = {u: tau(u) for v in probe for u in sys.rule(v).inputs}
     domain = sort_vertices({*shifted.values(), *(u for w in images for u in sys.rule(w).inputs)})
-    rng = random.Random(seed)
-    rows = np.array([[rng.choice(space.allowed(v)) for v in domain] for _ in range(samples)],
+    draws, plan = _Draws(random.Random(seed)), _RowPlan([space.allowed(v) for v in domain])
+    rows = np.array([draws.row(plan) for _ in range(samples)],
                     dtype=np.int64).reshape(samples, len(domain))
     index = _columns(domain)
     # Phi(x o tau) at v against Phi(x) at tau(v), on every sample at once

@@ -428,3 +428,28 @@ def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
         "lambda": metric.lam,
         "within_lambda": not flagged,
     }
+
+
+class OneCallDraws:
+    """Stand-in for `symsys._Draws`: the loop that it replays, one
+    `rng.choice` per cell of a row and one `rng.randrange` per scalar draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def row(self, plan):
+        return np.array([self.rng.choice(a) for a in plan.allowed], dtype=np.int64)
+
+    def below(self, n):
+        return self.rng.randrange(n)
+
+
+def choice_per_cell(space, domain, rng):
+    """`PatternSpace.random_configuration` as one `rng.choice` per cell."""
+    return ss.Configuration({v: rng.choice(space.allowed(v)) for v in ng.sort_vertices(domain)})

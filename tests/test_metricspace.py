@@ -17,6 +17,8 @@ from symdyn import symsys as ss
 from symdyn import counterexample as cx
 
 from conftest import (
+    OneCallDraws,
+    choice_per_cell,
     covered_radius_oracle,
     dist_oracle,
     image_configuration_oracle,
@@ -307,6 +309,32 @@ def test_lipschitz_chunks_match_oracle_sweep(samples):
     rep = ms.lipschitz_report(sys_, metric, space, samples, seed=5, r_cap=4)
     assert rep == lipschitz_report_oracle(sys_, metric, space, samples, seed=5, r_cap=4)
     assert rep["flagged"]
+
+
+def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
+    """Cells of 2, 3 and 1 symbols, some sets not starting at 0: both sweeps
+    draw the pairs of one `rng.choice` per cell, so the Lipschitz report
+    equals the oracle sweep and both equal the per-call loop."""
+    sets = [(0, 1), (0, 1, 2), (2,), (1, 2)]
+    space = ss.PatternSpace(lambda v: sets[v % 4])
+    sys_, _ = ss.full_shift(3, "Z")
+    metric = ms.BasedMetric(scheme=ms.CoefficientScheme.double_exponential([0, 3, -2]),
+                            lam=2.0, graph=sys_.graph)
+    m2, m4 = (ms.single_estuary_metric(sys_.graph, 0, lam) for lam in (2.0, 4.0))
+    domain = sys_.graph.ball_members([0], 6)
+
+    def sweeps():
+        return (ms.lipschitz_report(sys_, metric, space, 300, seed=3, r_cap=4),
+                ms.holder_report(lambda x: x, m2, m4, eta=2.0, lam_const=1.0, space=space,
+                                 domain=domain, samples=300, seed=4))
+
+    lipschitz, holder = sweeps()
+    assert lipschitz["skipped"] and lipschitz["flagged"]
+    assert holder["holds"] and holder["inconclusive"] and holder["passed"]
+    monkeypatch.setattr(ss.PatternSpace, "random_configuration", choice_per_cell)
+    assert lipschitz == lipschitz_report_oracle(sys_, metric, space, 300, seed=3, r_cap=4)
+    monkeypatch.setattr(ms, "_Draws", OneCallDraws)
+    assert sweeps() == (lipschitz, holder)
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -5},

@@ -484,6 +484,24 @@ def test_lattice_shells_match_oracle():
                     "ca Z^1 not spanned", "ca Z^2 not spanned"}
 
 
+def test_bigger_box_keeps_decoded_shells(monkeypatch):
+    """A bigger box refills the shells by BFS, but each refilled shell keeps
+    the vertex set an earlier read decoded: after a read to radius 3, a read
+    to radius 4 (a new box, to radius 6) decodes only the new shell."""
+    decoded = []
+    vertices = ng._Coding.vertices
+    monkeypatch.setattr(ng._Coding, "vertices",
+                        lambda self, codes: decoded.append(len(codes)) or vertices(self, codes))
+    g = ng.cayley_zd(2)
+    origin = (0, 0)
+    assert g.ball_members([origin], 3) == fresh_ball(g, [origin], 3)
+    state = g._ball_cache[frozenset([origin])][1]
+    assert state.radius == 3 and decoded == [4, 8, 12]
+    assert g.ball_members([origin], 4) == fresh_ball(g, [origin], 4)
+    assert state.radius == 6 and decoded == [4, 8, 12, 16]
+    assert g.ball_sizes([origin], 4) == [1, 5, 13, 25, 41]
+
+
 def test_lattice_falls_back_to_the_generic_loop():
     """A box that would outweigh the tuple shells, a box whose corners leave
     +-2^62, and a center set that is not on the lattice (a negative N

@@ -23,7 +23,9 @@ from symdyn import symsys as ss
 from symdyn import counterexample as cx
 
 from conftest import (
+    OneCallDraws,
     check_proper_oracle,
+    choice_per_cell,
     cone_order_oracle,
     determined_oracle,
     envelope_oracle,
@@ -1266,6 +1268,121 @@ def test_envelope_rejects_a_negative_reach_cap(binary_odometer):
     with pytest.raises(ValueError, match="r_cap"):
         ss.equicontinuity_envelope(sys_, [0], 4, -1)
     assert ss.equicontinuity_envelope(sys_, [0], 4, 0).certified
+
+
+# -- the sampling kernel -------------------------------------------------------------
+
+
+def _draw_sessions():
+    """One to three sessions of draws, each a list of ("row", allowed sets)
+    and ("below", n): rows of one size, of mixed sizes 0..n-1 and of mixed
+    symbol sets, and scalar draws of small and large n."""
+    ranks = st.integers(1, 9).map(lambda n: tuple(range(n)))
+    sets = st.lists(st.integers(0, 30), min_size=1, max_size=9, unique=True).map(tuple)
+    uniform = st.tuples(ranks, st.integers(0, 40)).map(lambda c: [c[0]] * c[1])
+    rows = st.tuples(st.just("row"), uniform | st.lists(ranks, max_size=12)
+                     | st.lists(sets | ranks, max_size=12))
+    scalars = st.tuples(st.just("below"), st.integers(1, 9) | st.integers(1, 2**32 - 1))
+    return st.lists(st.lists(rows | scalars, max_size=10), min_size=1, max_size=3)
+
+
+def test_draws_replay_choice_and_randrange(monkeypatch):
+    """`_Draws` draws what one `rng.choice` per cell and one `rng.randrange`
+    per scalar draw give, and leaves the generator where they leave it, also
+    when the read-ahead is cut to a few words and rows refill midway."""
+    seen, sizes, fills = set(), set(), []
+    fill = ss._Draws._fill
+    monkeypatch.setattr(ss._Draws, "_fill", lambda self, need: fills.append(need) or fill(self, need))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**64), _draw_sessions(), st.sampled_from([1, 2, 3, 5, ss._DRAW_WORDS]))
+    def check(seed, sessions, block):
+        monkeypatch.setattr(ss, "_DRAW_WORDS", block)
+        ref, rng = random.Random(seed), random.Random(seed)
+        for session in sessions:
+            expected = [[ref.choice(a) for a in arg] if kind == "row" else ref.randrange(arg)
+                        for kind, arg in session]
+            got = []
+            with ss._Draws(rng) as draws:
+                for kind, arg in session:
+                    before = len(fills)
+                    if kind == "below":
+                        got.append(draws.below(arg))
+                        seen.add("scalar of 1" if arg == 1 else
+                                 "scalar past 2^16" if arg > 2**16 else "scalar")
+                        continue
+                    plan = ss._RowPlan(arg)
+                    got.append(draws.row(plan).tolist())
+                    sizes.update(len(a) for a in arg)
+                    if len(plan.groups) > 1:
+                        seen.add("several groups")
+                    if arg:
+                        from_zero = all(a == tuple(range(len(a))) for a in arg)
+                        seen.add("sets 0..n-1" if from_zero else "other sets")
+                    if len(fills) - before > 1:
+                        seen.add("refill in a row")
+            assert got == expected
+            assert rng.getstate() == ref.getstate()
+            assert rng.getrandbits(40) == ref.getrandbits(40)
+            kinds = "".join(kind[0] for kind, _ in session)
+            if "rb" in kinds and "br" in kinds:
+                seen.add("scalars between rows")
+        if len(sessions) > 1:
+            seen.add("several sessions")
+
+    check()
+    assert sizes == set(range(1, 10))
+    assert seen == {"scalar of 1", "scalar past 2^16", "scalar", "several groups",
+                    "sets 0..n-1", "other sets", "refill in a row", "scalars between rows",
+                    "several sessions"}
+
+
+def test_draws_of_other_generators_and_sizes():
+    """Generators other than `random.Random` draw one call at a time; a draw
+    needs 1 <= n < 2^32 (one 32-bit word), and the largest word it accepts
+    gives n - 1."""
+    for n in [*range(1, 10), 2**31, 2**32 - 1]:
+        shift, limit = ss._word_limit(n)
+        assert ((limit - 1) >> shift, limit >> shift, limit <= 2**32) == (n - 1, n, True)
+
+    class Subclass(random.Random):
+        pass
+
+    allowed = [(0, 1), (0, 1, 2), (5,)]
+    ref, rng = Subclass(3), Subclass(3)
+    with ss._Draws(rng) as draws:
+        assert draws.row(ss._RowPlan(allowed)).tolist() == [ref.choice(a) for a in allowed]
+        assert draws.below(7) == ref.randrange(7)
+    assert rng.getstate() == ref.getstate()
+    row = ss._Draws(random.SystemRandom()).row(ss._RowPlan(allowed)).tolist()
+    assert all(s in a for s, a in zip(row, allowed))
+    for n in (0, -1, 2**32):
+        with pytest.raises(ValueError, match="32-bit word"):
+            ss._Draws(random.Random(0)).below(n)
+    with pytest.raises(ValueError, match="32-bit word"):
+        ss._RowPlan([(0, 1), ()])
+    rng = random.Random(4)
+    state = rng.getstate()
+    with ss._Draws(rng) as draws:
+        assert draws.row(ss._RowPlan([])).tolist() == []
+    assert rng.getstate() == state
+
+
+def test_subsymmetry_and_random_configuration_on_mixed_sizes(monkeypatch):
+    """On an odometer of moduli 2, 3, 5, 7, 6, 6, ... (five acceptance
+    groups per row), the samples of a subsymmetry check and a random
+    configuration are those of one `rng.choice` per cell."""
+    osys, ospace = ss.odometer_system([2, 3, 5, 7, 6])
+    domain = range(40)
+    assert len(ss._RowPlan([ospace.allowed(v) for v in domain]).groups) == 5
+    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), range(8), ospace, samples=30, seed=6)
+    rng, ref = random.Random(9), random.Random(9)
+    assert ospace.random_configuration(domain, rng) == choice_per_cell(ospace, domain, ref)
+    assert rng.getstate() == ref.getstate()
+    monkeypatch.setattr(ss, "_Draws", OneCallDraws)
+    assert rep == ss.subsymmetry_check(osys, ng.shift_tau(1), range(8), ospace,
+                                       samples=30, seed=6)
+    assert rep["commute_violations"]
 
 
 # -- subsymmetries -----------------------------------------------------------------
