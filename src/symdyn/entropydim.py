@@ -2,7 +2,9 @@
 
 Everything here is exact for product pattern spaces: the number of patterns
 on a finite region is the product of the per-cell allowed counts, so log
-counts are plain sums.  All inf/sup-style quantities are finite-window
+counts are sums, correctly rounded (`math.fsum`); on a space whose cells
+share one alphabet of k symbols, the sum is the cell count times log2 k,
+read from shell sizes alone.  All inf/sup-style quantities are finite-window
 proxies computed over the probe the caller supplies, never limits.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .netgraph import Ball, Digraph, Subisometry, Vertex, sort_vertices
 from .symsys import PatternSpace
@@ -38,9 +40,18 @@ class EntropyEstimate:
     upper_proxy: float
 
 
+def _log_count(space: PatternSpace, cells: Collection[Vertex]) -> float:
+    """log2 of the pattern count on distinct cells, correctly rounded: the
+    cell count times log2 k on a space with one alphabet of k symbols (the
+    value `fsum` would give), else an `fsum` over the cells."""
+    if space.symbols is not None:
+        return len(cells) * math.log2(len(space.symbols))
+    return math.fsum(math.log2(len(space.allowed(v))) for v in cells)
+
+
 def pattern_log_count(space: PatternSpace, region: Iterable[Vertex]) -> float:
     """log2 of the number of patterns on a finite region (exact, product form)."""
-    return float(sum(math.log2(len(space.allowed(v))) for v in set(region)))
+    return _log_count(space, set(region))
 
 
 def ball_entropy(
@@ -50,7 +61,8 @@ def ball_entropy(
         raise ValueError("need 2 <= r_min < r_max")
     radii = tuple(range(r_min, r_max + 1))
     shells = g._shells(frozenset([v]), r_max)[: r_max + 1]
-    logs = list(itertools.accumulate(pattern_log_count(space, s) for s in shells))
+    # len() of a lattice shell reads its codes: one alphabet decodes no shell
+    logs = list(itertools.accumulate(_log_count(space, s) for s in shells))
     logs += logs[-1:] * (r_max + 1 - len(logs))  # a closed ball stops growing
     log2_counts = logs[r_min:]
     ball_sizes = g.ball_sizes([v], r_max)[r_min:]

@@ -80,6 +80,7 @@ class NotEquicontinuousError(Exception):
 
 DEFAULT_PATTERN_CAP = 2**24
 _CHUNK = 2**18  # inner vector length of the count grouping; L2/L3 friendly
+_TABLE_MAX = 2**16  # most symbols of an alphabet; most entries of a rule table evaluated at once
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,8 @@ class Alphabet:
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("alphabet needs at least two symbols")
+        if self.size > _TABLE_MAX:
+            raise ValueError(f"alphabet has {self.size} symbols, more than {_TABLE_MAX}")
 
     def symbols(self) -> range:
         return range(self.size)
@@ -177,13 +180,17 @@ class SymbolicSystem:
 
 
 class PatternSpace:
-    """Product pattern space: an independent allowed-symbol set per vertex."""
+    """Product pattern space: an independent allowed-symbol set per vertex.
+    `symbols` is the allowed tuple every cell shares (set by `full`), or None."""
 
     def __init__(self, allowed: Callable[[Vertex], Sequence[int]], label: str = ""):
         self._allowed = allowed
         self.label = label or "product"
+        self.symbols: Optional[tuple] = None
 
     def allowed(self, v: Vertex) -> tuple:
+        if self.symbols is not None:
+            return self.symbols
         syms = tuple(self._allowed(v))
         if not syms:
             raise ValueError(f"empty allowed set at vertex {v!r}")
@@ -192,7 +199,9 @@ class PatternSpace:
     @classmethod
     def full(cls, alphabet: Alphabet) -> "PatternSpace":
         syms = tuple(alphabet.symbols())
-        return cls(lambda v: syms, label="full")
+        space = cls(lambda v: syms, label="full")
+        space.symbols = syms
+        return space
 
     def random_configuration(
         self, domain: Iterable[Vertex], rng: random.Random
@@ -1098,9 +1107,6 @@ def odometer_factor_chain(
 
 
 # -- rule properness and subsymmetry -----------------------------------------
-
-
-_TABLE_MAX = 2**16  # entries of a rule's full table evaluated in one call
 
 
 def _rule_table(fn, arity: int, k: int):

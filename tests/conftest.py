@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -98,6 +99,13 @@ def upstream_oracle(g, v, w, cap):
         members |= new
         frontier = new
     return None
+
+
+def log_count_oracle(space, region):
+    """log2 of the pattern count on a region: a correctly rounded sum over
+    its distinct cells of log2 of their allowed-set sizes, each set read
+    through the space's own allowed function."""
+    return math.fsum(math.log2(len(tuple(space._allowed(v)))) for v in set(region))
 
 
 def ball_entropy_oracle(space, g, v, r_min, r_max):

@@ -252,10 +252,20 @@ _GRAPH_FILE = ["graph-ball", "--center", "0", "--radius", "1", "--graph-file"]
     (_SYSTEM_FILE, {"system": "odometer", "m": [2.5]}, "modulus in m must be an integer, got 2.5"),
     (_GRAPH_FILE, {"family": "cayley_zdne", "D": 1.5, "E": 1}, "D must be an integer, got 1.5"),
     (_GRAPH_FILE, {"family": "cayley_zd", "D": True}, "D must be an integer, got True"),
+    (_SYSTEM_FILE, {"system": "full_shift", "alphabet": 2**16 + 1},
+     "alphabet has 65537 symbols, more than 65536"),
+    (_SYSTEM_FILE, {"system": "full_shift", "alphabet": 10**9},
+     "alphabet has 1000000000 symbols, more than 65536"),
+    (_SYSTEM_FILE, {"system": "ca_zd", "alphabet": 10**9, "offsets": [[0]], "table": [0]},
+     "alphabet has 1000000000 symbols, more than 65536"),
+    (_SYSTEM_FILE, {"system": "odometer", "m": [2, 2**16 + 1]},
+     "alphabet has 65537 symbols, more than 65536"),
+    (_SYSTEM_FILE, {"system": "odometer", "m": [10**9]},
+     "alphabet has 1000000000 symbols, more than 65536"),
 ])
 def test_descriptor_integers_exit_code(tmp_path, capsys, argv, desc, message):
     """A float or boolean where a descriptor needs an integer is refused, not
-    truncated."""
+    truncated, and an alphabet past 2^16 symbols before any is built."""
     f = tmp_path / "desc.json"
     f.write_text(json.dumps(desc))
     code = cli.run(argv + [str(f)])
@@ -322,8 +332,8 @@ _FILE_CASES = {
         {"estuary": [0, 1], "lambda": 2, "scheme": "finite", "coeffs": [0.75, 0.25]},
         {"estuary": [0, 1, 2], "lambda": "3", "scheme": "doubleexp"}]),
 }
-# Integers stay small: a huge alphabet or dimension is a valid descriptor that
-# materializes that many symbols or offsets, which is not what this test is about.
+# Integers stay small: a huge dimension is a valid descriptor that materializes
+# that many offsets, which is not what this test is about.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
@@ -354,6 +364,10 @@ def _descriptor_file(draw):
 @example(("--system-file", {"system": "ca_zd", "alphabet": 2, "offsets": [[0], [10**30]],
                             "table": [0, 1, 1, 0]}))
 @example(("--metric-file", {"estuary": [10**30]}))
+@example(("--system-file", {"system": "full_shift", "alphabet": 2**16 + 1}))
+@example(("--system-file", {"system": "full_shift", "alphabet": 10**9, "universe": "Z"}))
+@example(("--system-file", {"system": "odometer", "m": [2, 2**16 + 1]}))
+@example(("--system-file", {"system": "odometer", "m": [10**9]}))
 def test_descriptor_files_exit_0_or_2(flag_and_desc):
     """No descriptor file crashes the CLI: it runs, or exits 2 with one error line."""
     flag, desc = flag_and_desc
@@ -424,6 +438,10 @@ def test_graph_speed_rejects_shifts_off_the_graph(capsys):
     (["--system", "odometer", "--m", "2", "--windows", "0;1|0"], 2,
      "error: windows must be nested\n"),
     (["--system", "odometer", "--windows", "0|"], 2, "error: window must be nonempty\n"),
+    (["--system", "odometer", "--m", "2,65537", "--windows", "0"], 2,
+     "error: alphabet has 65537 symbols, more than 65536\n"),
+    (["--system", "odometer", "--m", "1000000000", "--windows", "0"], 2,
+     "error: alphabet has 1000000000 symbols, more than 65536\n"),
 ])
 def test_sys_odometer_chain_failure_exits(capsys, argv, code, err):
     assert cli.run(["sys-odometer-chain", *argv, "--horizon", "4"]) == code
@@ -804,6 +822,9 @@ def test_system_file_bad_offsets_exit_code(tmp_path, capsys, offsets, message):
 @pytest.mark.parametrize("argv,message", [
     (["--universe", "foo", "--vertex", "0"], "full_shift universe must be 'N' or 'Z', got 'foo'"),
     (["--vertex", "-2"], "vertex '-2' is not a vertex of this graph"),
+    (["--alphabet", "65537", "--vertex", "0"], "alphabet has 65537 symbols, more than 65536"),
+    (["--alphabet", "1000000000", "--vertex", "0"],
+     "alphabet has 1000000000 symbols, more than 65536"),
 ])
 def test_full_shift_bad_universe_or_cell_exit_code(capsys, argv, message):
     code = cli.run(["sys-propagation", "--system", "full_shift", "--T", "2"] + argv)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
+from conftest import fresh_ball, log_count_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdyn import entropydim as ed
 from symdyn import netgraph as ng
@@ -68,6 +72,85 @@ def test_ball_entropy_bounded_by_alphabet(z2):
     space = cx.cex_space()
     est = ed.ball_entropy(space, cx.cex_network(), 0, 2, 12)
     assert all(0.0 <= r <= math.log2(4) for r in est.ratios)
+
+
+# Graphs for the log count oracle: a constructor, a strategy for a center,
+# and the largest radius drawn.  Non-uniform spaces label only the cells
+# n >= 0 of the half-line graphs.
+_GRAPHS = {
+    "Z^1": (lambda: ng.cayley_zd(1), st.tuples(st.integers(-3, 3)), 12),
+    "Z^2": (lambda: ng.cayley_zd(2), st.tuples(*[st.integers(-3, 3)] * 2), 8),
+    "Z^3": (lambda: ng.cayley_zd(3), st.tuples(*[st.integers(-3, 3)] * 3), 5),
+    "Z^2 x N": (lambda: ng.cayley_zdne(2, 1),
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3)), 5),
+    "unit shift": (ng.unit_shift_graph, st.integers(0, 9), 12),
+    "counterexample": (ng.counterexample_graph, st.integers(0, 30), 10),
+    "odometer": (ng.odometer_graph, st.integers(0, 9), 6),  # balls close at r = 1
+}
+_HALF_LINE = ["unit shift", "counterexample", "odometer"]
+
+
+@st.composite
+def log_count_cases(draw):
+    """A full space on k = 2..7 symbols or a non-uniform space, a fresh
+    graph whose cells it labels, a center, radii, and a region of ball cells
+    with repeats."""
+    kind = draw(st.sampled_from([2, 3, 4, 5, 6, 7, "counterexample", "odometer"]))
+    if kind == "counterexample":
+        space = cx.cex_space()
+    elif kind == "odometer":
+        space = ss.odometer_system([2, 3, 5])[1]
+    else:
+        space = ss.PatternSpace.full(ss.Alphabet(kind))
+    name = draw(st.sampled_from(_HALF_LINE if isinstance(kind, str) else sorted(_GRAPHS)))
+    make, center, top = _GRAPHS[name]
+    r_max = draw(st.integers(3, top))
+    r_min = draw(st.integers(2, r_max - 1))
+    g, v = make(), draw(center)
+    cells = ng.sort_vertices(fresh_ball(g, [v], r_max))  # leaves g's shell cache empty
+    region = draw(st.lists(st.sampled_from(cells), max_size=40))
+    return kind, name, space, g, v, r_min, r_max, region
+
+
+def test_log_counts_equal_the_fsum_oracle():
+    """pattern_log_count and every ball_entropy row equal the correctly
+    rounded per-cell sum (the rows as sums of per-shell sums), bit for bit,
+    on one-alphabet and non-uniform spaces."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(log_count_cases())
+    def check(case):
+        kind, name, space, g, v, r_min, r_max, region = case
+        seen.update([kind, name])
+        balls = [fresh_ball(g, [v], r) for r in range(r_max + 1)]
+        assert ed.pattern_log_count(space, region) == log_count_oracle(space, region)
+        assert ed.pattern_log_count(space, balls[-1]) == log_count_oracle(space, balls[-1])
+        shells = [balls[0]] + [b - a for a, b in zip(balls, balls[1:])]
+        want = itertools.accumulate(log_count_oracle(space, s) for s in shells)
+        assert ed.ball_entropy(space, g, v, r_min, r_max).log2_counts == tuple(want)[r_min:]
+        if balls[-1] == balls[-2]:
+            seen.add("closed ball")
+
+    check()
+    assert seen == {*range(2, 8), "counterexample", "odometer", *_GRAPHS, "closed ball"}
+
+
+def test_one_alphabet_ball_entropy_decodes_no_shell():
+    """On a full space the counts come from shell sizes: no lattice shell is
+    decoded and no cell's allowed set is read."""
+    g = ng.cayley_zd(3)
+    space = ss.PatternSpace.full(ss.Alphabet(3))
+    calls = []
+    allowed = space._allowed
+    space._allowed = lambda v: calls.append(v) or allowed(v)
+    est = ed.ball_entropy(space, g, (0, 0, 0), 2, 12)
+    shells = g._shells(frozenset([(0, 0, 0)]), 12)
+    coded = [s for s in shells if isinstance(s, ng._CodeShell)]
+    assert len(coded) == 12 and all(s._vertices is None for s in coded)
+    assert calls == []
+    assert est.ball_sizes[-1] == len(fresh_ball(g, [(0, 0, 0)], 12))
+    assert est.log2_counts[-1] == pytest.approx(est.ball_sizes[-1] * math.log2(3), rel=1e-15)
 
 
 # -- weak independence -----------------------------------------------------------

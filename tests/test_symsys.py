@@ -73,6 +73,21 @@ def counting_floor(monkeypatch):
     monkeypatch.setattr(ss, "panorama", checked)
 
 
+# -- alphabets -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size,message", [
+    (1, "alphabet needs at least two symbols"),
+    (2**16 + 1, "alphabet has 65537 symbols, more than 65536"),
+])
+def test_alphabet_size_bounds(size, message):
+    """An alphabet has 2 to 2^16 symbols; a full space on it shares one tuple."""
+    space = ss.PatternSpace.full(ss.Alphabet(2**16))
+    assert space.allowed((0, 5)) is space.allowed(7) == tuple(range(2**16))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ss.Alphabet(size)
+
+
 # -- properness ----------------------------------------------------------------
 
 
