@@ -345,11 +345,8 @@ def cmd_holder_check(args) -> int:
     sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     metric_from = ms.metric_from_descriptor(_descriptor(args, "metric_file", sys_.graph),
                                             sys_.graph)
-    scheme = ms.CoefficientScheme.finite(
-        metric_from.scheme.vertices, metric_from.scheme.coeffs
-    )
     try:
-        metric_to = ms.BasedMetric(scheme=scheme, lam=args.lam2, graph=sys_.graph)
+        metric_to = ms.BasedMetric(scheme=metric_from.scheme, lam=args.lam2, graph=sys_.graph)
     except ValueError as exc:
         raise ValueError(f"--lam2: {exc}") from None
     domain = set()

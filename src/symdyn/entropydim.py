@@ -100,7 +100,8 @@ def weak_independence_report(
                 )
             seen |= members
         joint = pattern_log_count(space, seen)
-        parts = sum(pattern_log_count(space, b.members) for b in fam)
+        # the balls are disjoint: one correctly rounded sum over all their cells
+        parts = _log_count(space, [v for b in fam for v in b.members])
         ratio = joint / parts if parts > 0 else 1.0
         per_family.append(
             {

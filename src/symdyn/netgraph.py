@@ -220,6 +220,14 @@ class Digraph:
 # 175 to 183 on Z^2, Z^3 and Z^4); a ball whose box bitmap would take more
 # runs the generic loop.
 _TUPLE_BYTES = 175
+# numpy's limit on array dimensions: a box bitmap has one axis per coordinate
+_MAX_DIMENSION = 64
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse a lattice of more coordinates than a box bitmap can have axes."""
+    if n > _MAX_DIMENSION:
+        raise ValueError(f"lattice has {n} coordinates, more than {_MAX_DIMENSION}")
 
 
 def _rank(rows: list) -> int:
@@ -386,6 +394,7 @@ def _offset_lattice(
     the grid of `symsys.ca_on_zd`; their balls run on the array BFS
     (`_LatticeBall`)."""
     n = len(offsets[0])
+    _check_dimension(n)
 
     def neighbors(sign):
         moves = [tuple(sign * c for c in off) for off in offsets]
@@ -620,6 +629,7 @@ def is_estuary(
 def _grid_offsets(d: int, e: int) -> list:
     """In-neighbor offsets of Z^d x N^e: -e_i and +e_i on each Z coordinate,
     -e_j on each N coordinate (N coordinates only step forward)."""
+    _check_dimension(d + e)
     units = [tuple(int(i == j) for j in range(d + e)) for i in range(d + e)]
     return [tuple(s * c for c in units[i]) for i in range(d) for s in (-1, 1)] + [
         tuple(-c for c in units[d + j]) for j in range(e)

@@ -581,7 +581,7 @@ def _determined_layers(sys, space, cone, target=None):
     det: frozenset = frozenset()
     memo: dict = {}
     for t, size in enumerate(cone.sizes):
-        cells = sort_vertices(cone.order[:size])
+        cells = cone.order[:size][::-1]  # farthest first: the count walk's outer block
         cum = set(cells) if target is None else target.intersection(cells)
         keyspace = sys.alphabet.size ** (len(cone.window) * (t + 1))
         patterns = _pattern_count(space, cells)
@@ -694,12 +694,12 @@ def _packed_digits(cells, space, fields):
 
 
 def _merge_reps(into, other):
-    """Fold one (representatives, differences) pair into another.  A pair
-    holds a representative per key (the packed digits of some pattern with
-    that key, -1 where none has it) and the OR of every pattern's packed
-    digits XOR its key's representative.  Keys both have seen OR the XOR of
-    their representatives into the differences, keys only `other` has seen
-    take its representative; `into`'s representatives change in place."""
+    """Fold one count-grouping worker's (representatives, differences) pair
+    into another's.  A pair holds a representative per key (the packed digits
+    of some pattern with that key, -1 where none has it) and the OR of every
+    pattern's packed digits XOR its key's representative.  Keys both have
+    seen OR the XOR of their representatives into the differences, keys only
+    `other` has seen take its representative; `into`'s change in place."""
     (rep, diff), (rep2, diff2) = into, other
     seen, seen2 = rep >= 0, rep2 >= 0
     both, new = seen & seen2, seen2 & ~seen
@@ -734,8 +734,9 @@ def _merge_tables(tables, space, radix, cap):
     union's enumeration stays within `cap` entries.
 
     Fewer, cache-resident lookup tables mean fewer gather passes in the hot
-    loop.  Each merged table packs its members' values, first member most
-    significant, and comes with the number of members.
+    loop.  Each merged table holds its members' values, each times its key
+    weight (radix^(n-1-j) for the j-th of n tables), so a trajectory's key is
+    the sum of the merged tables' entries.
     """
     merged = []
     i = 0
@@ -747,9 +748,10 @@ def _merge_tables(tables, space, radix, cap):
             j += 1
         dom = sort_vertices(dom)
         packed = np.zeros(_pattern_count(space, dom), dtype=np.int64)
-        for sub_dom, arr in tables[i:j]:
-            packed = packed * radix + arr[_radix_index(dom, space, _strides(sub_dom, space))]
-        merged.append((dom, packed, j - i))
+        for m, (sub_dom, arr) in enumerate(tables[i:j], i):
+            weight = np.int64(radix) ** (len(tables) - 1 - m)
+            packed += arr[_radix_index(dom, space, _strides(sub_dom, space))] * weight
+        merged.append((dom, packed))
         i = j
     return merged
 
@@ -772,15 +774,17 @@ def _count_grouping(sys, space, cells, tables, tracked):
     index arrays, while the high-stride block is walked in an outer loop
     contributing scalar offsets.  Each pattern's observed trajectory packs
     into one integer key via merged lookup tables, and its tracked digits
-    into bit fields of one int64.  Each chunk keeps a representative per key
-    and ORs every pattern's XOR with it; chunks and threads then merge their
-    representatives the same way, so a cell is determined exactly when its
-    field of the OR stays zero, however the work is split.
+    into bit fields of one int64.  Each worker keeps one representative per
+    key for its whole walk, taken in the first chunk that meets the key, and
+    ORs every pattern's XOR with it; workers then merge on the keys they
+    share, so a cell is determined exactly when its field of the OR stays
+    zero, however the work is split.  Callers list the farthest cells first,
+    so the outer block moves the fewest observations and keys recur across
+    chunks.
     """
     k = sys.alphabet.size
     keyspace = k ** len(tables)
     rads = [len(space.allowed(v)) for v in cells]
-    groups = _merge_tables(tables, space, k, cap=2**18)
     fields = _bit_fields(space, tracked)
 
     # split cells into outer | inner with the inner product near _CHUNK
@@ -794,24 +798,18 @@ def _count_grouping(sys, space, cells, tables, tracked):
 
     key_dtype = np.uint16 if keyspace <= 2**16 else np.int32 if keyspace <= 2**31 else np.int64
 
-    # scale each group's packed block by the radix width of the later groups;
     # each block's index is its inner index plus the outer pattern's offset
-    prepared = []
-    scale = 1
-    for dom, packed, width in reversed(groups):
-        st = _strides(dom, space)
-        prepared.append((
-            _radix_index(inner_cells, space, st),
-            _radix_index(outer_cells, space, st).tolist(),
-            (packed * scale).astype(key_dtype),
-        ))
-        scale *= k**width
-
+    prepared = [
+        (_radix_index(inner_cells, space, _strides(dom, space)),
+         _radix_index(outer_cells, space, _strides(dom, space)).tolist(),
+         table.astype(key_dtype))
+        for dom, table in _merge_tables(tables, space, k, cap=2**18)
+    ]
     inner_packed = _packed_digits(inner_cells, space, fields)
     outer_packed = _packed_digits(outer_cells, space, fields).tolist()
 
     def run(w):
-        state = np.full(keyspace, -1, dtype=np.int64), 0
+        rep, ored = np.full(keyspace, -1, dtype=np.int64), 0
         ibuf = np.empty(inner_count, dtype=np.intp)
         keys = np.empty_like(ibuf)
         key = np.empty(inner_count, dtype=key_dtype)
@@ -820,19 +818,21 @@ def _count_grouping(sys, space, cells, tables, tracked):
         diff = np.empty_like(packed)
         for o in range(w, len(outer_packed), workers):
             # indices are in range; "clip" spares the copy of `out` that "raise" makes
-            for j, (inner_part, outer_part, scaled) in enumerate(prepared):
+            for j, (inner_part, outer_part, table) in enumerate(prepared):
                 np.add(inner_part, outer_part[o], out=ibuf)
-                np.take(scaled, ibuf, out=block if j else key, mode="clip")
+                np.take(table, ibuf, out=block if j else key, mode="clip")
                 if j:
                     key += block
             np.add(inner_packed, outer_packed[o], out=packed)
             np.copyto(keys, key)
-            rep = np.full(keyspace, -1, dtype=np.int64)
-            rep[keys] = packed
             np.take(rep, keys, out=diff, mode="clip")
+            if diff.min() < 0:  # keys first met here take one of their patterns
+                np.copyto(diff, packed, where=diff < 0)
+                rep[keys] = diff
+                np.take(rep, keys, out=diff, mode="clip")
             diff ^= packed
-            state = _merge_reps(state, (rep, int(np.bitwise_or.reduce(diff))))
-        return state
+            ored |= int(np.bitwise_or.reduce(diff))
+        return rep, ored
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: 15 ms and 0.6 MB to import
 

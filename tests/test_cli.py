@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ import symdyn
 from symdyn import cli
 from symdyn import counterexample as cx
 from symdyn import netgraph as ng
+from symdyn import symsys as ss
 
 
 def run_to_file(tmp_path, name, argv):
@@ -332,8 +334,8 @@ _FILE_CASES = {
         {"estuary": [0, 1], "lambda": 2, "scheme": "finite", "coeffs": [0.75, 0.25]},
         {"estuary": [0, 1, 2], "lambda": "3", "scheme": "doubleexp"}]),
 }
-# Integers stay small: a huge dimension is a valid descriptor that materializes
-# that many offsets, which is not what this test is about.
+# Integers stay small: dimensions past 64 are refused (the examples below), but
+# a huge radius or vertex is valid and would make the run slow or large.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
@@ -368,6 +370,10 @@ def _descriptor_file(draw):
 @example(("--system-file", {"system": "full_shift", "alphabet": 10**9, "universe": "Z"}))
 @example(("--system-file", {"system": "odometer", "m": [2, 2**16 + 1]}))
 @example(("--system-file", {"system": "odometer", "m": [10**9]}))
+@example(("--graph-file", {"family": "cayley_zd", "D": 10**9}))
+@example(("--graph-file", {"family": "cayley_zdne", "D": 1, "E": 10**9}))
+@example(("--system-file", {"system": "ca_zd", "alphabet": 2, "offsets": [[0] * 65],
+                            "table": [0, 1]}))
 def test_descriptor_files_exit_0_or_2(flag_and_desc):
     """No descriptor file crashes the CLI: it runs, or exits 2 with one error line."""
     flag, desc = flag_and_desc
@@ -382,6 +388,39 @@ def test_descriptor_files_exit_0_or_2(flag_and_desc):
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv,desc,n", [
+    (["graph-ball", "--family", "cayley_zd", "--D", "100000", "--center", "0", "--radius", "1"],
+     None, 100000),
+    (_GRAPH_FILE, {"family": "cayley_zd", "D": 10**9}, 10**9),
+    (_GRAPH_FILE, {"family": "cayley_zdne", "D": 1, "E": 10**9}, 10**9 + 1),
+    (_SYSTEM_FILE, {"system": "ca_zd", "alphabet": 2, "offsets": [[0] * 65], "table": [0, 1]},
+     65),
+])
+def test_lattice_dimension_bounded(tmp_path, capsys, argv, desc, n):
+    """A lattice of more than 64 coordinates (numpy's limit on array
+    dimensions) is a usage error, refused before its offsets are built."""
+    if desc is not None:
+        f = tmp_path / "desc.json"
+        f.write_text(json.dumps(desc))
+        argv = argv + [str(f)]
+    start = time.perf_counter()
+    code = cli.run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (
+        2, f"error: lattice has {n} coordinates, more than 64\n", "")
+    assert elapsed < 1.0
+
+
+def test_lattice_of_64_coordinates_builds():
+    """The dimension bound admits 64 coordinates, for grids and automata."""
+    origin = (0,) * 64
+    assert ng.cayley_zd(64).ball_sizes([origin], 1) == [1, 129]
+    assert ng.cayley_zdne(63, 1).ball_sizes([origin], 1) == [1, 127]
+    sys_, _ = ss.ca_on_zd(2, [origin, (1,) + origin[1:]], [0, 1, 1, 0])
+    assert sys_.graph.ball_sizes([origin], 3) == [1, 2, 3, 4]
 
 
 def _readme_descriptors() -> list:
@@ -935,6 +974,18 @@ def test_holder_check_plants_inside_small_domains(capsys, rcap):
     assert cli.run(argv) == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["holds"] == 200 and summary["inconclusive"] == 0
+
+
+def test_holder_check_image_metric_keeps_the_tail(capsys):
+    """The image metric is the domain's scheme under --lam2, tail bound
+    included, so samples that its intervals cannot certify stay inconclusive."""
+    argv = ["holder-check", "--alphabet", "3", "--universe", "Z", "--estuary", "0",
+            "--scheme", "doubleexp", "--lam", "3", "--lam2", "5", "--eta", "1.5",
+            "--constant", "2", "--samples", "20", "--seed", "3", "--rcap", "3",
+            "--format", "json"]
+    assert cli.run(argv) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert (summary["holds"], summary["inconclusive"]) == (7, 13)
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -166,6 +166,18 @@ def test_weak_independence_product_exact(z2, binary_space):
     assert all(f["additive"] for f in rep["families"])
 
 
+def test_weak_independence_exact_on_three_symbols(z2):
+    """The sum of per-ball log counts is exact, not a sum of rounded terms,
+    so additivity holds bit for bit where log2 k is not an integer."""
+    from conftest import disjoint_ball_families
+
+    space = ss.PatternSpace.full(ss.Alphabet(3))
+    families = disjoint_ball_families(z2, random.Random(9), 50)
+    rep = ed.weak_independence_report(space, z2, families)
+    assert all(f["ratio"] == 1.0 for f in rep["families"])
+    assert rep["epsilon"] == 1.0
+
+
 def test_weak_independence_counterexample_space():
     g = cx.cex_network()
     balls = [ng.in_ball(g, [0], 2), ng.in_ball(g, [100], 2)]

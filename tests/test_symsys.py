@@ -758,6 +758,26 @@ _OUTER_CASE = (
 )
 
 
+def _key_chunks(space, cells, tables, chunk):
+    """First and last chunk in which each trajectory key occurs, on a
+    one-worker count walk over `cells`: a chunk holds the patterns of the
+    longest suffix of cells whose pattern count fits `chunk`."""
+    inner = 1
+    for v in reversed(cells):
+        if inner * len(space.allowed(v)) > chunk:
+            break
+        inner *= len(space.allowed(v))
+    rows = np.stack([arr[ss._radix_index(cells, space, ss._strides(dom, space))]
+                     for dom, arr in tables], axis=1)
+    keys = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    chunks = np.arange(len(rows)) // inner
+    first = np.full(keys.max() + 1, len(rows))
+    np.minimum.at(first, keys, chunks)
+    last = np.zeros_like(first)
+    np.maximum.at(last, keys, chunks)
+    return first, last
+
+
 def test_groupings_match_oracle(monkeypatch):
     """The count grouping and the sort grouping decide the oracle's cells on
     random small systems, on one and two threads, with chunks of a few
@@ -794,6 +814,11 @@ def test_groupings_match_oracle(monkeypatch):
             assert ss._sort_grouping(sys_, space, cells, tables, tracked) == expected
         if any(len(space.allowed(v)) == 3 for v in tracked):
             seen.add("three-symbol field")
+        first, last = _key_chunks(space, cells, tables, chunk)
+        if (first > 0).any():
+            seen.add("key first met after the first chunk")
+        if (last > first).any():
+            seen.add("key met again in a later chunk")
         if set(tracked) - expected:
             chunks = "one chunk" if ss._pattern_count(space, cells) <= chunk else "chunks"
             seen.add(f"undetermined cell, {chunks}")
@@ -801,7 +826,40 @@ def test_groupings_match_oracle(monkeypatch):
     check()
     assert seen == {"three-symbol field", "key on one side of a merge",
                     "shared key, other representative", "undetermined cell, chunks",
-                    "undetermined cell, one chunk"}
+                    "undetermined cell, one chunk", "key first met after the first chunk",
+                    "key met again in a later chunk"}
+
+
+class _FullRecorder:
+    """numpy, with the length of every `np.full` array recorded."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def full(self, shape, *args, **kwargs):
+        self.lengths.append(shape)
+        return np.full(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_count_grouping_one_key_array_per_worker(monkeypatch, threads):
+    """A count walk over many chunks allocates one key-space array per
+    worker, not one per chunk, and decides the oracle's cells."""
+    sys_, space = ss.full_shift(3)
+    cone = ss.light_cone(sys_, [0], 4)
+    cells = cone.order[::-1]
+    tables = ss._composed_tables(sys_, space, cone.window, 4)
+    recorder = _FullRecorder()
+    monkeypatch.setenv("SYMDYN_THREADS", threads)
+    monkeypatch.setattr(ss, "_CHUNK", 16)
+    monkeypatch.setattr(ss, "np", recorder)
+    got = ss._count_grouping(sys_, space, cells, tables, cells)
+    assert got == determined_oracle(sys_, space, [0], 4, cells)
+    assert len(cells) == 5  # 27 chunks of 9 patterns
+    assert recorder.lengths == [3**5] * int(threads)
 
 
 def test_bit_fields_fit_one_word():
