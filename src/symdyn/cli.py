@@ -3,9 +3,10 @@
 Every run echoes as its config every flag that is set (defaults and the seed
 included) except the output destinations `--format`, `--out` and
 `--dump-trace`; a graph, system or metric file replaces the flags it
-overrides.  Output is CSV (with a leading config comment; a field naming
-grid vertices is quoted) or JSON.
-Identical configuration and seed give byte-identical output; there is no
+overrides.  `_FILE_FLAGS` declares those descriptor flags, once each, and
+`_command` adds them to every subcommand that reads a file.  Output is CSV
+(with a leading config comment; a field naming grid vertices is quoted) or
+JSON.  Identical configuration and seed give byte-identical output; there is no
 timestamping or machine-dependent content.  Exit codes: 0 success / check
 passed, 1 property violation or failed check, 2 usage or configuration
 error.  SYMDYN_THREADS (a positive integer) caps the worker threads of the
@@ -82,28 +83,41 @@ def _csv_cell(value) -> str:
     return f'"{text}"' if "," in text else text
 
 
-# The flags that a graph, system or metric file overrides, each with the
-# descriptor field it gives.
+# The one declaration of each flag that a graph, system or metric file
+# overrides: its argparse settings, plus the descriptor `field` it fills when
+# that differs from its name and, for a list, how its text is `read` (with
+# the network's graph, for vertices).
 _FILE_FLAGS = {
-    "graph_file": {"family": "family", "D": "D", "E": "E"},
-    "system_file": {"system": "system", "m": "m", "alphabet": "alphabet", "universe": "universe"},
-    "metric_file": {"estuary": "estuary", "lam": "lambda", "scheme": "scheme", "coeffs": "coeffs"},
+    "graph_file": {
+        "family": {"default": "cayley_zd"},
+        "D": {"type": int},
+        "E": {"type": int},
+    },
+    "system_file": {
+        "system": {"default": "full_shift"},
+        "m": {"help": "odometer moduli, comma separated",
+              "read": lambda t, g: [int(p) for p in t.split(",")]},
+        "alphabet": {"type": int},
+        "universe": {},
+    },
+    "metric_file": {
+        "estuary": {"default": "0", "read": lambda t, g: _graph_window(g, t)},
+        "lam": {"field": "lambda", "type": float, "default": 2.0},
+        "scheme": {"choices": ["finite", "doubleexp"], "default": "finite"},
+        "coeffs": {"read": lambda t, g: [float(c) for c in t.split(",")]},
+    },
 }
 
 
 def _descriptor(args, file_flag: str, graph=None):
     """The JSON descriptor in the file that `file_flag` names, or else the one
-    made by the flags it overrides that are set: lists are read from their
-    text, and estuary vertices as vertices of `graph`."""
+    made by the flags it overrides that are set."""
     if getattr(args, file_flag):
         with open(getattr(args, file_flag)) as fh:
             return json.load(fh)
-    text = {"m": lambda t: [int(p) for p in t.split(",")],
-            "coeffs": lambda t: [float(c) for c in t.split(",")],
-            "estuary": lambda t: _graph_window(graph, t)}
-    return {field: text.get(flag, lambda v: v)(getattr(args, flag))
-            for flag, field in _FILE_FLAGS[file_flag].items()
-            if getattr(args, flag) not in (None, "")}
+    return {spec.get("field", flag): spec.get("read", lambda t, g: t)(value, graph)
+            for flag, spec in _FILE_FLAGS[file_flag].items()
+            if (value := getattr(args, flag)) not in (None, "")}
 
 
 def _config(args) -> dict:
@@ -153,10 +167,7 @@ def cmd_graph_speed(args) -> int:
     delta = ng.graph_translation(g, parse_vertex(args.shift), repr(args.shift))
     tau = ng.shift_tau(delta)
     rep = ng.speed_estimate(g, tau, v, args.nmax, args.cap)
-    rows = [
-        {"n": n + 1, "value": val}
-        for n, val in enumerate(rep["values"])
-    ]
+    rows = [{"n": n + 1, "value": val} for n, val in enumerate(rep["values"])]
     summary = {"inf_proxy": rep["inf_proxy"], "unknown": rep["unknown_count"],
                "cap": args.cap}
     _emit(args, ["n", "value"], rows, summary)
@@ -366,33 +377,19 @@ def cmd_holder_check(args) -> int:
     return 0 if rep["passed"] else 1
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-
-
-def _add_graph_flags(p):
-    p.add_argument("--family", default="cayley_zd")
-    p.add_argument("--D", type=int, default=None)
-    p.add_argument("--E", type=int, default=None)
-    p.add_argument("--graph-file", default=None)
-
-
-def _add_system_flags(p):
-    p.add_argument("--system", default="full_shift")
-    p.add_argument("--m", default=None, help="odometer moduli, comma separated")
-    p.add_argument("--alphabet", type=int, default=None)
-    p.add_argument("--universe", default=None)
-    p.add_argument("--system-file", default=None)
-
-
-def _add_metric_flags(p):
-    p.add_argument("--estuary", default="0")
-    p.add_argument("--lam", type=float, default=2.0)
-    p.add_argument("--scheme", choices=["finite", "doubleexp"], default="finite")
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--metric-file", default=None,
-                   help="JSON metric descriptor; overrides the flags above")
+def _command(sub, name: str, help: str, handler, *file_flags: str):
+    """Add subcommand `name`, run by `handler`, with each given file flag and
+    the flags it overrides; the caller adds the command's own flags to the
+    parser returned, and `build_parser` adds --format and --out last."""
+    p = sub.add_parser(name, help=help)
+    for file_flag in file_flags:
+        for flag, spec in _FILE_FLAGS[file_flag].items():
+            p.add_argument("--" + flag,
+                           **{k: v for k, v in spec.items() if k not in ("field", "read")})
+        p.add_argument("--" + file_flag.replace("_", "-"),
+                       help=f"JSON {file_flag[:-5]} descriptor; overrides the flags above")
+    p.set_defaults(fn=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,121 +399,91 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graph-ball", help="in-neighbor ball sizes")
-    _add_graph_flags(p)
+    p = _command(sub, "graph-ball", "in-neighbor ball sizes", cmd_graph_ball, "graph_file")
     p.add_argument("--center", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--members", action="store_true")
-    _add_common(p)
-    p.set_defaults(fn=cmd_graph_ball)
 
-    p = sub.add_parser("graph-dim", help="ball-growth exponent estimate")
-    _add_graph_flags(p)
+    p = _command(sub, "graph-dim", "ball-growth exponent estimate", cmd_graph_dim,
+                 "graph_file")
     p.add_argument("--vertex", required=True)
     p.add_argument("--rmin", type=int, default=16)
     p.add_argument("--rmax", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(fn=cmd_graph_dim)
 
-    p = sub.add_parser("graph-speed", help="subisometry displacement speed")
-    _add_graph_flags(p)
+    p = _command(sub, "graph-speed", "subisometry displacement speed", cmd_graph_speed,
+                 "graph_file")
     p.add_argument("--vertex", required=True)
     p.add_argument("--shift", required=True, help="translation vector")
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--cap", type=int, default=32)
-    _add_common(p)
-    p.set_defaults(fn=cmd_graph_speed)
 
-    p = sub.add_parser("sys-propagation", help="light-cone growth at a vertex")
-    _add_system_flags(p)
+    p = _command(sub, "sys-propagation", "light-cone growth at a vertex",
+                 cmd_sys_propagation, "system_file")
     p.add_argument("--vertex", required=True)
     p.add_argument("--T", type=int, default=16)
-    _add_common(p)
-    p.set_defaults(fn=cmd_sys_propagation)
 
-    p = sub.add_parser("sys-panorama", help="determined-cell layers of a window")
-    _add_system_flags(p)
+    p = _command(sub, "sys-panorama", "determined-cell layers of a window", cmd_sys_panorama,
+                 "system_file")
     p.add_argument("--window", required=True)
     p.add_argument("--T", type=int, default=4)
     p.add_argument("--max-patterns", type=int, default=ss.DEFAULT_PATTERN_CAP)
-    _add_common(p)
-    p.set_defaults(fn=cmd_sys_panorama)
 
-    p = sub.add_parser("sys-equicontinuity", help="envelope certification")
-    _add_system_flags(p)
+    p = _command(sub, "sys-equicontinuity", "envelope certification", cmd_sys_equicontinuity,
+                 "system_file")
     p.add_argument("--window", required=True)
     p.add_argument("--tprobe", type=int, default=16)
     p.add_argument("--rcap", type=int, default=16)
-    _add_common(p)
-    p.set_defaults(fn=cmd_sys_equicontinuity)
 
-    p = sub.add_parser("sys-odometer-chain", help="factor-chain certificate")
-    _add_system_flags(p)
+    p = _command(sub, "sys-odometer-chain", "factor-chain certificate",
+                 cmd_sys_odometer_chain, "system_file")
     p.add_argument("--windows", required=True, help="windows separated by |")
     p.add_argument("--horizon", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(fn=cmd_sys_odometer_chain)
 
-    p = sub.add_parser("entropy-ball", help="pattern density over balls")
-    _add_system_flags(p)
+    p = _command(sub, "entropy-ball", "pattern density over balls", cmd_entropy_ball,
+                 "system_file")
     p.add_argument("--vertex", required=True)
     p.add_argument("--rmin", type=int, default=2)
     p.add_argument("--rmax", type=int, default=32)
-    _add_common(p)
-    p.set_defaults(fn=cmd_entropy_ball)
 
-    p = sub.add_parser("entropy-tau", help="pattern growth along a shift orbit")
-    _add_system_flags(p)
+    p = _command(sub, "entropy-tau", "pattern growth along a shift orbit", cmd_entropy_tau,
+                 "system_file")
     p.add_argument("--base", required=True, help="base cells, ; separated")
     p.add_argument("--shift", required=True)
     p.add_argument("--nmax", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(fn=cmd_entropy_tau)
 
-    p = sub.add_parser("cex-roundtrip", help="simulate+decode round trips")
+    p = _command(sub, "cex-roundtrip", "simulate+decode round trips", cmd_cex_roundtrip)
     p.add_argument("--J", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dump-trace", default=None,
-                   help="also write trial 0's cell-0 trace as CSV (t,a,b)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_cex_roundtrip)
+    p.add_argument("--dump-trace", help="also write trial 0's cell-0 trace as CSV (t,a,b)")
 
-    p = sub.add_parser("cex-propagation", help="quadratic cone growth profile")
+    p = _command(sub, "cex-propagation", "quadratic cone growth profile", cmd_cex_propagation)
     p.add_argument("--T", type=int, default=40)
-    _add_common(p)
-    p.set_defaults(fn=cmd_cex_propagation)
 
-    p = sub.add_parser("metric-dim", help="cylinder-cover dimension bracket")
-    _add_system_flags(p)
-    _add_metric_flags(p)
+    p = _command(sub, "metric-dim", "cylinder-cover dimension bracket", cmd_metric_dim,
+                 "system_file", "metric_file")
     p.add_argument("--eps-min-pow", type=int, default=8)
     p.add_argument("--eps-max-pow", type=int, default=32)
     p.add_argument("--eps-step", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(fn=cmd_metric_dim)
 
-    p = sub.add_parser("metric-lipschitz", help="one-step expansion ratios")
-    _add_system_flags(p)
-    _add_metric_flags(p)
+    p = _command(sub, "metric-lipschitz", "one-step expansion ratios", cmd_metric_lipschitz,
+                 "system_file", "metric_file")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rcap", type=int, default=6)
-    _add_common(p)
-    p.set_defaults(fn=cmd_metric_lipschitz)
 
-    p = sub.add_parser("holder-check", help="sampled Holder inequality check")
-    _add_system_flags(p)
-    _add_metric_flags(p)
+    p = _command(sub, "holder-check", "sampled Holder inequality check", cmd_holder_check,
+                 "system_file", "metric_file")
     p.add_argument("--lam2", type=float, default=4.0)
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--constant", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rcap", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(fn=cmd_holder_check)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out")
     return parser
 
 
