@@ -388,10 +388,11 @@ def light_cone(sys: SymbolicSystem, window: Iterable[Vertex], horizon: int) -> L
     Every rule reads exactly its vertex's in-neighbors, so this is the
     in-ball B(window, horizon), read from the graph's cached shells.  The
     rules of the cells within horizon - 1 are fetched, which checks that.
+    A cell listed twice in the window is one cell of it.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    w = sort_vertices(window)
+    w = sort_vertices(set(window))
     if not w:
         raise ValueError("window must be nonempty")
     shells = sys.graph._shells(frozenset(w), horizon)[: horizon + 1]
@@ -421,7 +422,7 @@ def evaluate(
     if missing:
         raise InsufficientDomainError(missing)
     traj = _trajectory_rows(sys, cone, np.array([[x.values[v] for v in cone.union]]))
-    return [dict(zip(dict.fromkeys(cone.window), step)) for step in traj[0].tolist()]
+    return [dict(zip(cone.window, step)) for step in traj[0].tolist()]
 
 
 # -- the rule-application kernel: every rule call on configurations -----------
@@ -1069,7 +1070,7 @@ def odometer_factor_chain(
     patterns), and the drop-first-observation shift is checked to act as a
     permutation on the horizon-truncated trajectories.
     """
-    prepared = [sort_vertices(w) for w in windows]
+    prepared = [sort_vertices(set(w)) for w in windows]
     if not all(prepared):
         raise ValueError("window must be nonempty")
     for a, b in zip(prepared, prepared[1:]):
@@ -1131,19 +1132,17 @@ def check_proper(rule: LocalRule, alphabet: Alphabet) -> dict:
     k = alphabet.size
     arity = len(rule.inputs)
     grid, values = _rule_table(rule.fn, arity, k)
-    grid, total = tuple(grid), len(values)
+    rows, symbols = np.arange(len(values)), np.arange(k)[:, None]
     witnesses: dict = {}
     inessential = []
     for i in range(arity):
-        # outs[s, j]: the value at the j-th input tuple with coordinate i set to s
-        outs = np.array([
-            np.broadcast_to(rule.fn(grid[:i] + (np.full(total, s),) + grid[i + 1 :]), total)
-            for s in range(k)
-        ])
+        # outs[s, j]: the value at the j-th input tuple with coordinate i set
+        # to s, a row of the same row-major table
+        outs = values[rows + (symbols - grid[i]) * k ** (arity - 1 - i)]
         differs = outs != values
         hits = np.flatnonzero(differs.any(axis=0))
         if len(hits):
-            args = tuple(int(g[hits[0]]) for g in grid)
+            args = tuple(grid[:, hits[0]].tolist())
             s = int(np.argmax(differs[:, hits[0]]))
             witnesses[i] = (args, args[:i] + (s,) + args[i + 1 :])
         else:

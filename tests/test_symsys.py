@@ -144,6 +144,20 @@ def test_check_proper_matches_scalar_loop_on_named_rules(cex):
         assert ss.check_proper(rule, ss.Alphabet(k)) == check_proper_oracle(rule, ss.Alphabet(k))
 
 
+def test_check_proper_calls_the_rule_once():
+    """Every coordinate's check reads the one table of the full input grid."""
+    calls = []
+
+    def fn(a):
+        calls.append(a)
+        return (a[0] + 2 * a[2]) % 3
+
+    rep = ss.check_proper(ss.LocalRule(inputs=(0, 1, 2), fn=fn), ss.Alphabet(3))
+    assert len(calls) == 1
+    assert rep == {"proper": False, "inessential": [1],
+                   "witnesses": {0: ((0, 0, 0), (1, 0, 0)), 2: ((0, 0, 0), (0, 0, 1))}}
+
+
 def test_check_proper_cap():
     rule = ss.LocalRule(inputs=tuple(range(20)), fn=lambda a: a[0])
     with pytest.raises(ss.EnumerationCapError):
@@ -303,7 +317,7 @@ def batched_trajectories(draw):
                       min_size=batch, max_size=batch)),
         dtype=np.uint8,
     )
-    return sys_, cone, rows, draw(st.integers(1, 12))
+    return sys_, window, cone, rows, draw(st.integers(1, 12))
 
 
 def test_trajectory_rows_match_dict_loop():
@@ -314,19 +328,19 @@ def test_trajectory_rows_match_dict_loop():
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(batched_trajectories())
     def check(case):
-        sys_, cone, rows, block = case
+        sys_, window, cone, rows, block = case
+        assert cone.window == ng.sort_vertices(set(window))  # a repeated cell counts once
         with mock.patch.object(ss, "_BLOCK", block):
             got = ss._trajectory_rows(sys_, cone, rows)
-            window = list(dict.fromkeys(cone.window))
             for row, traj in zip(rows.tolist(), got.tolist()):
                 x = ss.Configuration(dict(zip(cone.union, row)))
-                expected = evaluate_oracle(sys_, x, cone.window, cone.horizon)
-                assert traj == [[step[u] for u in window] for step in expected]
-                assert ss.evaluate(sys_, x, cone.window, cone.horizon) == expected
+                expected = evaluate_oracle(sys_, x, window, cone.horizon)
+                assert traj == [[step[u] for u in cone.window] for step in expected]
+                assert ss.evaluate(sys_, x, window, cone.horizon) == expected
         imaged = set(cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0])
         if any(not sys_.rule(v).inputs for v in imaged):
             seen.add("zero-input rule")
-        if len(set(cone.window)) < len(cone.window):
+        if len(set(window)) < len(window):
             seen.add("repeated window cell")
         if len(cone.window) > 1:
             seen.add("several window cells")
@@ -907,6 +921,24 @@ def test_grouping_picked_by_patterns_and_keys(monkeypatch, cex):
     # six symbols and the majority vote are not linear, so panoramas enumerate
     assert ss.panorama(*ss.full_shift(6), [0], 6).engine == "count+sort"
     assert ss.panorama(*majority, [(0, 0)], 2).engine == "sort"
+
+
+def test_repeated_window_cells_count_once(binary_odometer):
+    """A window that lists a cell twice is the window that lists it once:
+    same cone, layers, pattern count and engine, so the key space (and the
+    grouping it picks) does not grow with the repeats."""
+    sys_, space = ss.full_shift(6)
+    once, twice = ss.panorama(sys_, space, [0], 6), ss.panorama(sys_, space, [0, 0], 6)
+    assert twice == once
+    assert (twice.window, twice.engine) == ((0,), "count+sort")
+    assert ss.light_cone(sys_, [0, 0, 0], 3) == ss.light_cone(sys_, [0], 3)
+    for window in ([0, 0], [0, 0, 0]):
+        assert (ss.posexpansive_window_check(sys_, space, window, 3, range(4))
+                == ss.posexpansive_window_check(sys_, space, [0], 3, range(4)))
+    x = ss.Configuration({v: v % 6 for v in range(5)})
+    assert ss.evaluate(sys_, x, [0, 0, 1], 3) == ss.evaluate(sys_, x, [0, 1], 3)
+    assert (ss.odometer_factor_chain(*binary_odometer, [[0, 0], [1, 0, 1]], 8)
+            == ss.odometer_factor_chain(*binary_odometer, [[0], [0, 1]], 8))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
