@@ -230,13 +230,16 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"lattice has {n} coordinates, more than {_MAX_DIMENSION}")
 
 
-def _rank(rows: list) -> int:
-    """Rank of integer rows, exactly (an SVD maps ~1.3 MB of LAPACK buffers)."""
+def _rank(rows: list, pivot: int = 1) -> int:
+    """Rank of integer rows, exactly (an SVD maps ~1.3 MB of LAPACK buffers),
+    by Bareiss elimination: entries are minors, so dividing by the previous
+    pivot is exact and keeps them small."""
     rows = [r for r in rows if any(r)]
     if not rows:
         return 0
     p, j = rows[0], next(j for j, c in enumerate(rows[0]) if c)
-    return 1 + _rank([[p[j] * a - r[j] * b for a, b in zip(r, p)] for r in rows[1:]])
+    return 1 + _rank([[(p[j] * a - r[j] * b) // pivot for a, b in zip(r, p)]
+                      for r in rows[1:]], p[j])
 
 
 class _Lattice:

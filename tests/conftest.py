@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,6 +341,23 @@ def dist_oracle(metric, x, y):
         lo += c * b_lo
         hi += c * b_hi
     return lo, hi
+
+
+def rank_oracle(rows) -> int:
+    """Rank of integer rows by Gaussian elimination over the rationals."""
+    rows = [[Fraction(a) for a in r] for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[j]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            factor = r[j] / pivot[j]
+            r[:] = [a - factor * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
 
 
 def check_proper_oracle(rule, alphabet):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from conftest import (
     bfs_distance_oracle,
     fresh_ball,
     random_explicit_digraph,
+    rank_oracle,
     upstream_oracle,
 )
 
@@ -548,6 +553,44 @@ def test_lattice_of_lower_rank_refuses_its_box(offsets, refused_from, sizes):
     assert g.ball_sizes([(0, 0)], r) == [sizes(k) for k in range(r + 1)]
     assert isinstance(g._ball_cache[frozenset([(0, 0)])][1], set)
     assert g.ball_members([(0, 0)], r) == fresh_ball(g, [(0, 0)], r)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rank_matches_fraction_elimination(data):
+    """Exact rank of small integer rows, of full rank or spanned by fewer
+    base rows, against elimination over the rationals."""
+    n = data.draw(st.integers(1, 8))
+    ints = st.integers(-4, 4)
+    base = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), max_size=8))
+    if base and data.draw(st.booleans()):
+        mix = data.draw(st.lists(st.lists(ints, min_size=len(base), max_size=len(base)),
+                                 max_size=8))
+        base = [[sum(c * b[j] for c, b in zip(m, base)) for j in range(n)] for m in mix]
+    assert ng._rank(base) == rank_oracle(base)
+
+
+def test_rank_of_wide_offsets_finishes():
+    """24 rows of 64 entries in -3..3: without the division by the previous
+    pivot, entry lengths double at each pivot and this runs for minutes, so
+    it runs in a child process under a timeout."""
+    code = ("import random, time\n"
+            "from symdyn import netgraph as ng\n"
+            "rng = random.Random(0)\n"
+            "rows = [[rng.randint(-3, 3) for _ in range(64)] for _ in range(24)]\n"
+            "start = time.perf_counter()\n"
+            "print(ng._rank(rows), time.perf_counter() - start)\n")
+    src = str(Path(ng.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    rank, seconds = proc.stdout.split()
+    rng = random.Random(0)
+    rows = [[rng.randint(-3, 3) for _ in range(64)] for _ in range(24)]
+    assert int(rank) == rank_oracle(rows) == 24
+    assert float(seconds) < 1.0
 
 
 def test_z3_ball_sizes_and_log_counts_pinned():
