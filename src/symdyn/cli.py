@@ -167,7 +167,10 @@ def cmd_graph_speed(args) -> int:
     delta = ng.graph_translation(g, parse_vertex(args.shift), repr(args.shift))
     tau = ng.shift_tau(delta)
     rep = ng.speed_estimate(g, tau, v, args.nmax, args.cap)
-    rows = [{"n": n + 1, "value": val} for n, val in enumerate(rep["values"])]
+    rows = [
+        {"n": n + 1, "value": val}
+        for n, val in enumerate(rep["values"])
+    ]
     summary = {"inf_proxy": rep["inf_proxy"], "unknown": rep["unknown_count"],
                "cap": args.cap}
     _emit(args, ["n", "value"], rows, summary)
