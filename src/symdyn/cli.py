@@ -4,9 +4,11 @@ Every run echoes as its config every flag that is set (defaults and the seed
 included) except the output destinations `--format`, `--out` and
 `--dump-trace`; a graph, system or metric file replaces the flags it
 overrides.  `_FILE_FLAGS` declares those descriptor flags, once each, and
-`_command` adds them to every subcommand that reads a file.  Output is CSV
-(with a leading config comment; a field naming grid vertices is quoted) or
-JSON.  Identical configuration and seed give byte-identical output; there is no
+`_command` adds them to every subcommand that reads a file.  Each handler
+names its output columns once, in the header it gives `_emit`, and passes
+its rows as values in header order.  Output is CSV (with a leading config
+comment; a field naming grid vertices is quoted) or JSON.  Identical
+configuration and seed give byte-identical output; there is no
 timestamping or machine-dependent content.  Exit codes: 0 success / check
 passed, 1 property violation or failed check, 2 usage or configuration
 error.  SYMDYN_THREADS (a positive integer) caps the worker threads of the
@@ -53,11 +55,14 @@ def vertex_str(v) -> str:
     return str(v)
 
 
-def _emit(args, header: list, rows: list, summary: dict) -> None:
+def _emit(args, header: list, rows, summary: dict) -> None:
+    """Write the run's config, its rows (each a sequence of values in `header`
+    order) and its summary as CSV or as one JSON object."""
     config = _config(args)
     out = _sys.stdout if args.out is None else open(args.out, "w")
     try:
         if args.format == "json":
+            rows = [dict(zip(header, row)) for row in rows]
             payload = {"config": config, "rows": rows, "summary": summary}
             out.write(json.dumps(payload, sort_keys=True, default=vertex_str))
             out.write("\n")
@@ -66,7 +71,7 @@ def _emit(args, header: list, rows: list, summary: dict) -> None:
             out.write("# summary: " + json.dumps(summary, sort_keys=True, default=vertex_str) + "\n")
             out.write(",".join(header) + "\n")
             for row in rows:
-                out.write(",".join(_csv_cell(row.get(h)) for h in header) + "\n")
+                out.write(",".join(map(_csv_cell, row)) + "\n")
     finally:
         if out is not _sys.stdout:
             out.close()
@@ -134,12 +139,11 @@ def cmd_graph_ball(args) -> int:
     g = ng.graph_from_descriptor(_descriptor(args, "graph_file"))
     center = _graph_vertex(g, args.center)
     sizes = g.ball_sizes([center], args.radius)
-    rows = [{"r": r, "size": s} for r, s in enumerate(sizes)]
     summary = {"graph": g.universe, "center": vertex_str(center)}
     if args.members:
         ball = ng.in_ball(g, [center], args.radius)
         summary["members"] = [vertex_str(v) for v in ball.members]
-    _emit(args, ["r", "size"], rows, summary)
+    _emit(args, ["r", "size"], enumerate(sizes), summary)
     return 0
 
 
@@ -147,10 +151,7 @@ def cmd_graph_dim(args) -> int:
     g = ng.graph_from_descriptor(_descriptor(args, "graph_file"))
     v = _graph_vertex(g, args.vertex)
     est = ng.dim_estimate(g, v, args.rmin, args.rmax)
-    rows = [
-        {"r": r, "ball_size": s, "exponent": e}
-        for r, s, e in zip(est.radii, est.ball_sizes, est.pointwise_exponents)
-    ]
+    rows = zip(est.radii, est.ball_sizes, est.pointwise_exponents)
     summary = {
         "fit_slope": est.fit_slope,
         "lower_proxy": est.lower_proxy,
@@ -167,13 +168,9 @@ def cmd_graph_speed(args) -> int:
     delta = ng.graph_translation(g, parse_vertex(args.shift), repr(args.shift))
     tau = ng.shift_tau(delta)
     rep = ng.speed_estimate(g, tau, v, args.nmax, args.cap)
-    rows = [
-        {"n": n + 1, "value": val}
-        for n, val in enumerate(rep["values"])
-    ]
     summary = {"inf_proxy": rep["inf_proxy"], "unknown": rep["unknown_count"],
                "cap": args.cap}
-    _emit(args, ["n", "value"], rows, summary)
+    _emit(args, ["n", "value"], enumerate(rep["values"], 1), summary)
     return 0
 
 
@@ -181,8 +178,7 @@ def cmd_sys_propagation(args) -> int:
     sys_, _space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     v = _graph_vertex(sys_.graph, args.vertex)
     rho = ss.propagation(sys_, v, args.T)
-    rows = [{"t": t, "rho": r} for t, r in enumerate(rho)]
-    _emit(args, ["t", "rho"], rows, {"vertex": vertex_str(v), "horizon": args.T})
+    _emit(args, ["t", "rho"], enumerate(rho), {"vertex": vertex_str(v), "horizon": args.T})
     return 0
 
 
@@ -191,10 +187,7 @@ def cmd_sys_panorama(args) -> int:
     window = _graph_window(sys_.graph, args.window)
     result = ss.panorama(sys_, space, window, args.T,
                          max_patterns=args.max_patterns)
-    rows = [
-        {"t": t, "layer_size": len(layer), "layer": list(layer)}
-        for t, layer in enumerate(result.layers)
-    ]
+    rows = [(t, len(layer), list(layer)) for t, layer in enumerate(result.layers)]
     summary = {
         "cone_size": len(result.cone),
         "pattern_count": result.pattern_count,
@@ -208,7 +201,6 @@ def cmd_sys_equicontinuity(args) -> int:
     sys_, _space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     window = _graph_window(sys_.graph, args.window)
     rep = ss.equicontinuity_envelope(sys_, window, args.tprobe, args.rcap)
-    rows = [{"t": t, "cone_size": s} for t, s in enumerate(rep.cone_sizes)]
     summary = {
         "certified": rep.certified,
         "envelope": list(rep.envelope) if rep.envelope else None,
@@ -216,7 +208,7 @@ def cmd_sys_equicontinuity(args) -> int:
         "trajectory_count": rep.trajectory_count,
         "reason": rep.reason,
     }
-    _emit(args, ["t", "cone_size"], rows, summary)
+    _emit(args, ["t", "cone_size"], enumerate(rep.cone_sizes), summary)
     return 0
 
 
@@ -228,15 +220,8 @@ def cmd_sys_odometer_chain(args) -> int:
     except ss.NotEquicontinuousError as exc:
         print(f"not equicontinuous: {exc}", file=_sys.stderr)
         return 1
-    rows = [
-        {
-            "window": list(c["window"]),
-            "envelope": list(c["envelope"]),
-            "trajectories": c["trajectory_count"],
-            "shift_is_permutation": c["shift_is_permutation"],
-        }
-        for c in chain
-    ]
+    rows = [(list(c["window"]), list(c["envelope"]), c["trajectory_count"],
+             c["shift_is_permutation"]) for c in chain]
     ok = all(c["shift_is_permutation"] for c in chain)
     _emit(args, ["window", "envelope", "trajectories", "shift_is_permutation"], rows,
           {"all_permutations": ok})
@@ -247,12 +232,7 @@ def cmd_entropy_ball(args) -> int:
     sys_, space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     v = _graph_vertex(sys_.graph, args.vertex)
     est = ed.ball_entropy(space, sys_.graph, v, args.rmin, args.rmax)
-    rows = [
-        {"r": r, "log2_count": c, "ball_size": s, "ratio": ratio}
-        for r, c, s, ratio in zip(
-            est.radii, est.log2_counts, est.ball_sizes, est.ratios
-        )
-    ]
+    rows = zip(est.radii, est.log2_counts, est.ball_sizes, est.ratios)
     _emit(args, ["r", "log2_count", "ball_size", "ratio"], rows,
           {"lower_proxy": est.lower_proxy, "upper_proxy": est.upper_proxy})
     return 0
@@ -264,12 +244,7 @@ def cmd_entropy_tau(args) -> int:
     delta = ng.graph_translation(sys_.graph, parse_vertex(args.shift),
                                    repr(args.shift))
     prof = ed.tau_entropy_profile(space, ng.shift_tau(delta), base, args.nmax)
-    rows = [
-        {"n": n, "log2_count": c, "value": v, "region_size": s}
-        for n, c, v, s in zip(
-            prof["n"], prof["log2_counts"], prof["values"], prof["region_sizes"]
-        )
-    ]
+    rows = zip(prof["n"], prof["log2_counts"], prof["values"], prof["region_sizes"])
     _emit(args, ["n", "log2_count", "value", "region_size"], rows,
           {"final_value": prof["values"][-1]})
     return 0
@@ -278,11 +253,7 @@ def cmd_entropy_tau(args) -> int:
 def cmd_cex_roundtrip(args) -> int:
     _at_least(args, "trials", 1)
     rep = cx.cex_roundtrip(args.J, args.trials, args.seed)
-    rows = [
-        {"trial": f["trial"], "seed": f["seed"],
-         "mismatches": len(f["mismatches"])}
-        for f in rep["failures"]
-    ]
+    rows = [(f["trial"], f["seed"], len(f["mismatches"])) for f in rep["failures"]]
     if args.dump_trace:
         import random as _random
 
@@ -303,10 +274,7 @@ def cmd_cex_roundtrip(args) -> int:
 
 def cmd_cex_propagation(args) -> int:
     rep = cx.cex_propagation_profile(args.T)
-    rows = [
-        {"t": t, "rho": r, "floor": f}
-        for t, (r, f) in enumerate(zip(rep["rho"], rep["floors"]))
-    ]
+    rows = zip(range(len(rep["rho"])), rep["rho"], rep["floors"])
     _emit(args, ["t", "rho", "floor"], rows, {"lower_bound_ok": rep["lower_bound_ok"]})
     return 0 if rep["lower_bound_ok"] else 1
 
@@ -319,16 +287,8 @@ def cmd_metric_dim(args) -> int:
     eps_grid = [2.0 ** (-k) for k in range(args.eps_min_pow, args.eps_max_pow + 1,
                                            args.eps_step)]
     rep = ms.metric_dim_estimate(space, metric, eps_grid)
-    rows = [
-        {
-            "eps": r["eps"],
-            "scale": r["scale"],
-            "log2_cover_lower": r["log2_cover_lower"],
-            "log2_cover_upper": r["log2_cover_upper"],
-        }
-        for r in rep["rows"]
-    ]
-    _emit(args, ["eps", "scale", "log2_cover_lower", "log2_cover_upper"], rows,
+    header = ["eps", "scale", "log2_cover_lower", "log2_cover_upper"]
+    _emit(args, header, [[r[h] for h in header] for r in rep["rows"]],
           {"lower_slope": rep["lower_slope"], "upper_slope": rep["upper_slope"]})
     return 0
 
@@ -346,7 +306,7 @@ def cmd_metric_lipschitz(args) -> int:
     metric = ms.metric_from_descriptor(_descriptor(args, "metric_file", sys_.graph), sys_.graph)
     rep = ms.lipschitz_report(sys_, metric, space, args.samples, args.seed,
                               r_cap=args.rcap)
-    rows = [{"sample": f["sample"], "ratio_hi": f["ratio_hi"]} for f in rep["flagged"]]
+    rows = [(f["sample"], f["ratio_hi"]) for f in rep["flagged"]]
     _emit(args, ["sample", "ratio_hi"], rows,
           {"max_ratio_hi": rep["max_ratio_hi"], "skipped": rep["skipped"],
            "within_lambda": rep["within_lambda"]})
@@ -370,11 +330,8 @@ def cmd_holder_check(args) -> int:
         lambda x: x, metric_from, metric_to, args.eta, args.constant,
         space, domain, args.samples, args.seed
     )
-    rows = []
-    if rep["worst"]:
-        rows.append({"sample": rep["worst"]["sample"],
-                     "cell": rep["worst"]["cell"]})
-    _emit(args, ["sample", "cell"], rows,
+    worst = rep["worst"]
+    _emit(args, ["sample", "cell"], [(worst["sample"], worst["cell"])] if worst else [],
           {"holds": rep["holds"], "violations": rep["violations"],
            "inconclusive": rep["inconclusive"], "passed": rep["passed"]})
     return 0 if rep["passed"] else 1
