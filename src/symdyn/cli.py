@@ -79,9 +79,12 @@ def _emit(args, header: list, rows, summary: dict) -> None:
 
 def _csv_cell(value) -> str:
     """A value as one CSV field: a list of vertices joined by '|' (a tuple
-    is one grid vertex), quoted when a grid vertex puts a comma in it."""
+    is one grid vertex), quoted when a grid vertex puts a comma in it; a
+    boolean reads `true`/`false`, as in JSON."""
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return json.dumps(value)
     if isinstance(value, float):
         return repr(value)
     text = "|".join(map(vertex_str, value)) if isinstance(value, list) else vertex_str(value)

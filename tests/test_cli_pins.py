@@ -19,7 +19,7 @@ _STDOUT = [
      '# config: {"horizon": 8, "m": "2", "system": "odometer", "windows": "0|0;1"}\n'
      '# summary: {"all_permutations": true}\n'
      "window,envelope,trajectories,shift_is_permutation\n"
-     "0,0,2,True\n0|1,0|1,4,True\n"),
+     "0,0,2,true\n0|1,0|1,4,true\n"),
     (["entropy-tau", "--system", "full_shift", "--alphabet", "2", "--base", "0",
       "--shift", "1", "--nmax", "10"],
      '# config: {"alphabet": 2, "base": "0", "nmax": 10, "shift": "1", '
