@@ -326,9 +326,7 @@ def cmd_holder_check(args) -> int:
         metric_to = ms.BasedMetric(scheme=metric_from.scheme, lam=args.lam2, graph=sys_.graph)
     except ValueError as exc:
         raise ValueError(f"--lam2: {exc}") from None
-    domain = set()
-    for u in metric_from.scheme.vertices:
-        domain |= sys_.graph.ball_members([u], args.rcap)
+    domain = sys_.graph.ball_members(metric_from.scheme.vertices, args.rcap)
     rep = ms.holder_report(
         lambda x: x, metric_from, metric_to, args.eta, args.constant,
         space, domain, args.samples, args.seed

@@ -404,14 +404,8 @@ def lipschitz_report(
         raise ValueError(f"r_cap must be at least 1, got {r_cap}")
     rng = random.Random(seed)
     anchors = metric.scheme.vertices
-    domain = set()
-    for u in anchors:
-        domain |= metric.graph.ball_members([u], r_cap + 1)
-    domain = sort_vertices(domain)
-    image_region = set()
-    for u in anchors:
-        image_region |= metric.graph.ball_members([u], r_cap)
-    image_region = sort_vertices(image_region)
+    domain = sort_vertices(metric.graph.ball_members(anchors, r_cap + 1))
+    image_region = sort_vertices(metric.graph.ball_members(anchors, r_cap))
     index = _columns(domain)
     image_index = _columns(image_region)
 
