@@ -308,6 +308,8 @@ _EXPLICIT = {"alphabet": 2, "graph": {"edges": [[0, 0]]}}
     (["holder-check", "--samples", "5", "--metric-file"], {"estuary": []},
      "estuary must be nonempty"),
     (["metric-dim", "--metric-file"], {"estuary": []}, "estuary must be nonempty"),
+    (_METRIC_FILE, {"estuary": [0], "scheme": "foo"}, "unknown scheme kind: 'foo'"),
+    (_SYSTEM_FILE, {"system": "odometer", "m": [2, 0]}, "moduli must be positive"),
 ])
 def test_malformed_descriptor_exit_code(tmp_path, capsys, argv, desc, message):
     """A descriptor of the wrong shape is a usage error that names the object

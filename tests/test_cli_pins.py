@@ -14,6 +14,13 @@ _STDOUT = [
      '"vertex": "0,0"}\n'
      '# summary: {"cap": 32, "inf_proxy": 1.0, "unknown": 0}\n'
      "n,value\n1,1.0\n2,1.0\n3,1.0\n4,1.0\n5,1.0\n6,1.0\n7,1.0\n8,1.0\n"),
+    # past the cap a distance is unknown: an empty CSV cell, left out of inf_proxy
+    (["graph-speed", "--family", "cayley_zd", "--D", "2", "--vertex", "0,0",
+      "--shift", "3,0", "--cap", "8", "--nmax", "6"],
+     '# config: {"D": 2, "cap": 8, "family": "cayley_zd", "nmax": 6, "shift": "3,0", '
+     '"vertex": "0,0"}\n'
+     '# summary: {"cap": 8, "inf_proxy": 3.0, "unknown": 4}\n'
+     "n,value\n1,3.0\n2,3.0\n3,\n4,\n5,\n6,\n"),
     (["sys-odometer-chain", "--system", "odometer", "--m", "2", "--windows", "0|0;1",
       "--horizon", "8"],
      '# config: {"horizon": 8, "m": "2", "system": "odometer", "windows": "0|0;1"}\n'

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,7 @@ def test_junction_sequence():
     assert [n for n in range(31) if cx.junction_rank(n) is not None] == [0, 2, 6, 12, 20, 30]
     assert cx.junction_rank(12) == 3
     assert cx.junction_rank(13) is None
+    assert cx.junction_rank(-1) is None
 
 
 def test_network_wiring():
@@ -176,6 +178,16 @@ def test_roundtrip_randomized_depths():
 def test_roundtrip_rejects_vacuous_trial_counts(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         cx.cex_roundtrip(2, trials)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: cx.Trace(2, ((0, 0),) * 2), "trace length must be horizon + 1"),
+    (lambda: cx.cex_roundtrip(0, 5), "depth must be >= 1"),
+    (lambda: cx.cex_propagation_profile(0), "horizon must be >= 1"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_roundtrip_failures_match_per_trial_mismatches(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 from conftest import fresh_ball, log_count_oracle
@@ -72,6 +73,17 @@ def test_ball_entropy_bounded_by_alphabet(z2):
     space = cx.cex_space()
     est = ed.ball_entropy(space, cx.cex_network(), 0, 2, 12)
     assert all(0.0 <= r <= math.log2(4) for r in est.ratios)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda z2, space: ed.ball_entropy(space, z2, (0, 0), 1, 4), "need 2 <= r_min < r_max"),
+    (lambda z2, space: ed.ball_entropy(space, z2, (0, 0), 4, 4), "need 2 <= r_min < r_max"),
+    (lambda z2, space: ed.tau_entropy_profile(space, ng.shift_tau((1, 0)), [(0, 0)], 0),
+     "need n_max >= 1"),
+])
+def test_argument_checks(z2, binary_space, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(z2, binary_space)
 
 
 # Graphs for the log count oracle: a constructor, a strategy for a center,

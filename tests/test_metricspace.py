@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -382,6 +383,36 @@ def test_holder_rejects_parameters_not_finite_positive(z2, z2_metric, binary_spa
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         ms.holder_report(lambda x: x, z2_metric, z2_metric, eta, constant, binary_space,
                          z2.ball_members([(0, 0)], 3), samples=5)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda z2, m, space: ms.DistanceBound(1.0, 0.5), ValueError, "bad interval [1.0, 0.5]"),
+    (lambda z2, m, space: ms.CoefficientScheme([0, 1], [0.5]), ValueError,
+     "vertices and coeffs must align"),
+    (lambda z2, m, space: ms.dist(m, ss.Configuration({(0, 0): 0}),
+                                  ss.Configuration({(0, 0): 0, (1, 0): 1})),
+     ms.DomainMismatchError, "configurations must share a domain"),
+    (lambda z2, m, space: ms.metric_dim_estimate(space, m, [0.5, 0.5]), ValueError,
+     "eps grid must decrease"),
+    (lambda z2, m, space: ms.metric_dim_estimate(space, m, [0.25, 0.5]), ValueError,
+     "eps grid must decrease"),
+    (lambda z2, m, space: ms.uniform_dim_profile(z2, [(0, 0)], [4, 1]), ValueError,
+     "radii must be >= 2"),
+])
+def test_argument_checks(z2, z2_metric, binary_space, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(z2, z2_metric, binary_space)
+
+
+def test_holder_skips_pairs_with_no_lower_distance(z2, binary_space):
+    """An estuary outside the domain leaves every pre-image interval at
+    [0, hi]: each sample is inconclusive, even under a constant so small
+    that a pair measured from d_lo = 0 would read as a violation."""
+    far = ms.single_estuary_metric(z2, (4, 0), 2.0)
+    rep = ms.holder_report(lambda x: x, far, ms.single_estuary_metric(z2, (0, 0), 2.0),
+                           1.0, 1e-6, binary_space, z2.ball_members([(0, 0)], 3), 20)
+    assert rep == {"holds": 0, "violations": 0, "inconclusive": 20, "passed": False,
+                   "worst": None}
 
 
 def _restrict(x, cells):

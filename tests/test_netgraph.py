@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,19 @@ def test_ball_rejects_negative_radius(z2):
         z2.ball_sizes([(0, 0)], -1)
     with pytest.raises(ValueError, match="nonnegative"):
         ng.in_ball(z2, [(0, 0)], -1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda z2: ng.undirected_distance(z2, (0, 0), (1, 0), -1), "cap must be nonnegative"),
+    (lambda z2: ng.upstream(z2, (0, 0), (1, 0), -1), "cap must be nonnegative"),
+    (lambda z2: ng.superlinear_check(z2, (0, 0), 3), "need r_max >= 4"),
+    (lambda z2: ng.speed_estimate(z2, ng.shift_tau((1, 0)), (0, 0), 0, 8), "need n_max >= 1"),
+    (lambda z2: ng.cayley_zd(0), "need d >= 1"),
+    (lambda z2: ng.cayley_zdne(-1, 1), "need d, e >= 0 with d + e >= 1"),
+])
+def test_argument_checks(z2, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(z2)
 
 
 def test_balls_monotone_and_composable(z2, odometer):

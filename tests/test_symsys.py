@@ -267,6 +267,22 @@ def test_empty_window_rejected(full_shift_n):
         ss.equicontinuity_envelope(sys_, [], 4, 4)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda sys_: ss.light_cone(sys_, [0], -1), "horizon must be nonnegative"),
+    (lambda sys_: ss.sensitivity_certificate(sys_, 0, -1, 3),
+     "radius and t_max must be nonnegative"),
+    (lambda sys_: ss.sensitivity_certificate(sys_, 0, 2, -1),
+     "radius and t_max must be nonnegative"),
+    (lambda sys_: ss.PatternSpace(lambda v: ()).allowed(4), "empty allowed set at vertex 4"),
+    (lambda sys_: ss.odometer_system([2, 0]), "moduli must be positive"),
+    (lambda sys_: ss.odometer_system([]), "moduli must be positive"),
+])
+def test_argument_checks(full_shift_n, call, message):
+    sys_, _ = full_shift_n
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(sys_)
+
+
 def test_evaluate_ignores_cells_outside_cone(cex):
     sysx, spx = cex
     rng = random.Random(31)
@@ -1606,6 +1622,21 @@ _TWO_CYCLE = {"edges": [[1, 0], [0, 1]]}
 def test_descriptor_rules_checked_at_load(rules, message):
     with pytest.raises(ValueError, match=message):
         ss.system_from_descriptor({"alphabet": 2, "graph": _TWO_CYCLE, "rules": rules})
+
+
+def test_explicit_system_has_no_rule_off_its_graph():
+    """A cell off an explicit graph has no rule, and the error names it.
+    `subsymmetry_check` walks the graph before it fetches a rule, so a tau
+    that leaves the graph stops at the graph instead."""
+    sys_, space = ss.system_from_descriptor({"alphabet": 2, "graph": _TWO_CYCLE, "rules": [
+        {"vertex": 0, "inputs": [1], "table": [1, 0]},
+        {"vertex": 1, "inputs": [0], "table": [0, 1]}]})
+    with pytest.raises(KeyError, match="^'no rule for vertex 2'$"):
+        sys_.rule(2)
+    with pytest.raises(KeyError, match="^'no rule for vertex 2'$"):
+        ms.image_configuration(sys_, ss.Configuration({0: 0, 1: 1}), [0, 2])
+    with pytest.raises(ng.UniverseExhaustionError, match="vertex 2 not in explicit universe"):
+        ss.subsymmetry_check(sys_, lambda v: v + 1, [0, 1], space, samples=3)
 
 
 def test_descriptor_rule_off_a_named_graph():
