@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symdyn import counterexample as cx
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 from symdyn.entropydim import pattern_log_count
@@ -386,6 +387,22 @@ def check_proper_oracle(rule, alphabet):
         else:
             inessential.append(i)
     return {"proper": not inessential, "witnesses": witnesses, "inessential": inessential}
+
+
+def decode_trace_oracle(trace, depth):
+    """Initial data from a trace of cell 0, by unwinding its b-history one
+    junction level at a time: the b-bit of junction j at time t is junction
+    j - 1's b-bit at time t + 1 minus the a-bit that junction j held at time
+    t, which is the a-observation at time t + m_j (all mod 2)."""
+    horizon = cx.junction_index(depth)
+    a_row = tuple(trace.a(n) for n in range(horizon + 1))
+    b_hist = [trace.b(t) for t in range(horizon + 1)]  # entry t: b-bit at time t
+    b_junctions = [b_hist[0]]
+    for j in range(1, depth + 1):
+        mj = cx.junction_index(j)
+        b_hist = [b_hist[t + 1] ^ a_row[t + mj] for t in range(horizon - mj + 1)]
+        b_junctions.append(b_hist[0])
+    return cx.DecodeResult(depth=depth, a_row=a_row, b_junctions=tuple(b_junctions))
 
 
 def image_configuration_oracle(sys_, x, region):

@@ -7,10 +7,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdyn import counterexample as cx
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
+
+from conftest import decode_trace_oracle
 
 
 def _independent_step(values):
@@ -139,6 +143,34 @@ def test_decode_rejects_short_trace():
     tr = cx.Trace(horizon=3, observations=((0, 0),) * 4)
     with pytest.raises(cx.HorizonTooShortError):
         cx.decode_trace(tr, 2)
+
+
+@st.composite
+def _traces(draw):
+    """A decode depth 1..7 and a random trace at least m_J long."""
+    depth = draw(st.integers(1, 7))
+    extra = draw(st.integers(0, 6))
+    bit = st.integers(0, 1)
+    horizon = cx.junction_index(depth) + extra
+    obs = draw(st.lists(st.tuples(bit, bit), min_size=horizon + 1, max_size=horizon + 1))
+    return depth, cx.Trace(horizon, tuple(obs))
+
+
+def test_decode_matches_unwinding_oracle():
+    """The closed-form decoder equals the level-by-level unwinding of the
+    b-history on random traces, some longer than the depth needs."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_traces())
+    def check(case):
+        depth, trace = case
+        assert cx.decode_trace(trace, depth) == decode_trace_oracle(trace, depth)
+        seen.add(("exact", "longer")[trace.horizon > cx.junction_index(depth)])
+        seen.add(depth)
+
+    check()
+    assert seen == {"exact", "longer", *range(1, 8)}
 
 
 def test_roundtrip_exhaustive_depth1():
