@@ -5,8 +5,8 @@ cells) each listen to the next cell on the line and to the next junction,
 while every other cell ("chain" cell) just copies its successor.  States are
 bit pairs (a, b), with b pinned to 0 on chain cells.  Observing only cell 0
 reconstructs the whole initial state: the a-bits march down the line one
-step per tick, and the b-bits of the junctions can be unwound from cell 0's
-b-history by mod-2 subtraction.
+step per tick, and the b-bit of junction j is the parity of j + 1
+observations, the last one at time m_j.
 
 Symbols encode (a, b) as a | (b << 1), so the alphabet is {0, 1, 2, 3} and
 chain cells are restricted to {0, 1}.
@@ -163,14 +163,13 @@ def simulate_trace(x0: Configuration, depth: int) -> Trace:
 
 
 def decode_trace(trace: Trace, depth: int) -> DecodeResult:
-    """Invert the trace of cell 0 back to the initial data.
+    """Invert the trace of cell 0 back to the initial data (sums mod 2).
 
-    a-bits: the update shifts the a-row one cell toward 0 per tick, so
-    a0[n] is the a-observation at time n.  b-bits: the junction update adds
-    the next junction's a and b into the local b, so each b-history unwinds
-    by one junction per level: b_t at junction j+1 equals b_{t+1} at
-    junction j minus the a-bit that junction j+1 held at time t, and that
-    a-bit is itself a later a-observation.  All arithmetic is mod 2.
+    a(n, t) = a(n + t, 0), since every cell takes its successor's a-bit, so
+    a0[n] is the a-observation at time n.  Junction k adds junction k + 1's
+    bits into its b-bit: b(m_k, t + 1) = a(m_{k+1}, t) + b(m_{k+1}, t).
+    Unwinding that j times from b(0, j) gives b(m_j, 0) = b(0, j) + the sum
+    of a0[m_i + j - i] over i = 1..j: j + 1 observations, the last at m_j.
     """
     horizon = junction_index(depth)
     if trace.horizon < horizon:
@@ -178,19 +177,11 @@ def decode_trace(trace: Trace, depth: int) -> DecodeResult:
             f"depth {depth} needs horizon {horizon}, trace has {trace.horizon}"
         )
     a_row = tuple(trace.a(n) for n in range(horizon + 1))
-    # b-history of the current junction level; entry t = its b-bit at time t
-    b_hist = [trace.b(t) for t in range(horizon + 1)]
-    b_junctions = [b_hist[0]]
-    for j in range(1, depth + 1):
-        mj = junction_index(j)
-        span = horizon - mj
-        nxt = []
-        for t in range(span + 1):
-            a_here = a_row[t + mj]  # junction j's a-bit at time t
-            nxt.append(b_hist[t + 1] ^ a_here)
-        b_hist = nxt
-        b_junctions.append(b_hist[0])
-    return DecodeResult(depth=depth, a_row=a_row, b_junctions=tuple(b_junctions))
+    b_junctions = tuple(
+        (trace.b(j) + sum(a_row[junction_index(i) + j - i] for i in range(1, j + 1))) % 2
+        for j in range(depth + 1)
+    )
+    return DecodeResult(depth=depth, a_row=a_row, b_junctions=b_junctions)
 
 
 def random_initial(depth: int, rng: random.Random) -> Configuration:
