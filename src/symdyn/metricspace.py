@@ -98,20 +98,17 @@ class CoefficientScheme:
     @classmethod
     def double_exponential(cls, vertices: Iterable[Vertex], tol: float = 1e-12):
         """c_j = exp(-e^j) * e^j along the given enumeration, truncated once
-        the analytic tail bound exp(-e^(J+1)) underflows the tolerance."""
-        vs = []
-        cs = []
-        j = 0
-        for v in vertices:
+        the tail bound falls below the tolerance (or c_j underflows).  As
+        f(x) = e^x exp(-e^x) decreases for x >= 0, the mass from position J
+        on is at most c_J plus the integral of f from J: (e^J + 1) exp(-e^J)."""
+        vs, cs, tail = [], [], 2 * math.exp(-1.0)  # the bound at J = 0
+        for j, v in enumerate(vertices):
             c = math.exp(-math.exp(j)) * math.exp(j)
-            if c <= 0.0:
+            if c <= 0.0 or tail < tol:
                 break
             vs.append(v)
             cs.append(c)
-            j += 1
-            if math.exp(-math.exp(j)) < tol:
-                break
-        tail = math.exp(-math.exp(j))
+            tail = (math.exp(j + 1) + 1) * math.exp(-math.exp(j + 1))
         return cls(vs, cs, kind="doubleexp", tail_bound=tail)
 
     @property

@@ -980,14 +980,17 @@ def test_holder_check_plants_inside_small_domains(capsys, rcap):
 
 def test_holder_check_image_metric_keeps_the_tail(capsys):
     """The image metric is the domain's scheme under --lam2, tail bound
-    included, so samples that its intervals cannot certify stay inconclusive."""
+    included, so samples that its intervals cannot certify stay inconclusive.
+    A one-vertex doubleexp estuary leaves a tail of (e + 1) exp(-e) = 0.25,
+    which leaves all 20 samples here inconclusive, and a run with no
+    certified sample fails."""
     argv = ["holder-check", "--alphabet", "3", "--universe", "Z", "--estuary", "0",
             "--scheme", "doubleexp", "--lam", "3", "--lam2", "5", "--eta", "1.5",
             "--constant", "2", "--samples", "20", "--seed", "3", "--rcap", "3",
             "--format", "json"]
-    assert cli.run(argv) == 0
+    assert cli.run(argv) == 1
     summary = json.loads(capsys.readouterr().out)["summary"]
-    assert (summary["holds"], summary["inconclusive"]) == (7, 13)
+    assert (summary["holds"], summary["inconclusive"]) == (0, 20)
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -168,6 +168,19 @@ def test_double_exponential_scheme_is_precipitous():
     assert ratios[-1] < ratios[0]
 
 
+@pytest.mark.parametrize("tol", [1e-12, 0.0])
+def test_double_exponential_tail_bound_covers_the_omitted_mass(tol):
+    """On 1..10 vertices the tail bound is at least the mass of the omitted
+    coefficients, summed to j = 40.  The default tolerance keeps 4 of them;
+    tol 0 keeps every one until c_j underflows at j = 7."""
+    for n in range(1, 11):
+        scheme = ms.CoefficientScheme.double_exponential(range(n), tol)
+        stored = len(scheme.coeffs)
+        assert stored == min(n, 4 if tol else 7)
+        omitted = math.fsum(math.exp(-math.exp(j)) * math.exp(j) for j in range(stored, 41))
+        assert scheme.tail_bound >= omitted, (n, scheme.tail_bound, omitted)
+
+
 def test_slow_decay_is_not_precipitous():
     # c_j ~ j^-2 has tails ~ 1/J, so the cutoff index blows up like 1/eps
     n = 4000
