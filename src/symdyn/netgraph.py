@@ -222,6 +222,9 @@ class Digraph:
 _TUPLE_BYTES = 175
 # numpy's limit on array dimensions: a box bitmap has one axis per coordinate
 _MAX_DIMENSION = 64
+# Most vertices a lattice ball may hold (`_Lattice.ball_size`): 2^22 take 32 MiB
+# as int64 codes, plus a bitmap byte per box point (1 per vertex on Z, ~6 on Z^3).
+_MAX_BALL = 2**22
 
 
 def _check_dimension(n: int) -> None:
@@ -270,21 +273,26 @@ class _Lattice:
             for v in vertices
         )
 
+    def ball_size(self, count: int, radius: int) -> int:
+        """Estimated |B| around `count` points: sum_k 2^k C(d, k) C(r + m, k + m) each."""
+        d, m = self.d, self.m
+        return count * sum(2**k * math.comb(d, k) * math.comb(radius + m, k + m)
+                           for k in range(d + 1))
+
     def box(self, points, radius: int):
         """(lower corner, shape) of the box that holds B(points, radius) plus
         one step below N's zero, or None when a corner, taken in exact ints,
-        leaves +-2^62 (int64 with room) or its bitmap would take more bytes
-        than the tuple shells of the ball.  Those hold |points| balls of
-        sum_k 2^k C(d, k) C(radius + m, k + m) points each."""
-        n, e, d, m = len(self.down), self.e, self.d, self.m
+        leaves +-2^62 (int64 with room), the ball's size passes _MAX_BALL, or
+        the box bitmap would take more bytes than the ball's tuple shells."""
+        n, e = len(self.down), self.e
         points = np.array(points, dtype=object).reshape(-1, n)
         lo = points.min(axis=0) - radius * self.down.astype(object)
         hi = points.max(axis=0) + radius * self.up.astype(object)
         lo[n - e:] = np.maximum(lo[n - e:], -self.down[n - e:])
         shape = tuple(int(s) for s in hi - lo + 1)
-        ball = sum(2**k * math.comb(d, k) * math.comb(radius + m, k + m) for k in range(d + 1))
-        if (min(lo) < -2**62 or max(hi) > 2**62
-                or math.prod(shape) > _TUPLE_BYTES * len(points) * ball):
+        ball = self.ball_size(len(points), radius)
+        if (min(lo) < -2**62 or max(hi) > 2**62 or ball > _MAX_BALL
+                or math.prod(shape) > _TUPLE_BYTES * ball):
             return None
         return lo.astype(np.int64), shape
 
@@ -341,9 +349,13 @@ class _LatticeBall:
 
     def grow(self, shells: list, radius: int) -> bool:
         """Grow `shells` to `radius` or until the ball closes.  False when
-        `_Lattice.box` refuses the box for that radius."""
+        `_Lattice.box` refuses the box for that radius; ValueError when the
+        ball's estimated size passes _MAX_BALL."""
         if len(shells) > radius or not shells[-1]:
             return True
+        size = self.lattice.ball_size(len(shells[0]), radius)
+        if size > _MAX_BALL:
+            raise ValueError(f"radius {radius}: a ball of about {size} vertices, over {_MAX_BALL}")
         old = shells[1:]  # a new box refills these: keep the vertex sets they decoded
         # Regrow to at least twice the radius, so that a caller going one
         # radius at a time (`upstream`) boxes O(log r) times.

@@ -336,8 +336,10 @@ _FILE_CASES = {
         {"estuary": [0, 1], "lambda": 2, "scheme": "finite", "coeffs": [0.75, 0.25]},
         {"estuary": [0, 1, 2], "lambda": "3", "scheme": "doubleexp"}]),
 }
-# Integers stay small: dimensions past 64 are refused (the examples below), but
-# a huge radius or vertex is valid and would make the run slow or large.
+# Integers stay small, so that drawn runs stay fast.  Dimensions past 64 are
+# refused (the examples below), and so are lattice balls past 2^22 vertices
+# (`test_huge_lattice_radius_exit_code`); a huge vertex, alphabet or modulus is
+# valid, and the examples below run one of each.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
@@ -1009,17 +1011,47 @@ def test_vacuous_sweep_exit_code(capsys, argv, flag):
     assert captured.out == ""
 
 
-def test_python_dash_m_runs_the_cli():
+def _child_env() -> dict:
+    """The environment of a child process that imports this symdyn."""
     src = str(Path(symdyn.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "symdyn", "graph-dim", "--family", "cayley_zd",
          "--D", "2", "--vertex", "0,0", "--rmin", "2", "--rmax", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[2] == "r,ball_size,exponent"
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["graph-ball", "--family", "cayley_zd", "--D", "1", "--center", "0",
+      "--radius", str(2**40)], 2**41 + 1),
+    (["graph-ball", "--family", "cayley_zd", "--D", "1", "--center", "0",
+      "--radius", str(10**19)], 2 * 10**19 + 1),
+    (["sys-propagation", "--system", "full_shift", "--universe", "Z", "--vertex", "0",
+      "--T", str(10**19)], 10**19 + 1),
+])
+def test_huge_lattice_radius_exit_code(argv, size):
+    """A lattice ball of more than 2^22 estimated vertices is refused before
+    any BFS.  Without that, radius 2^40 boxes a 2^41-byte bitmap, and past
+    +-2^62 the box is refused and the generic loop never ends, so each run
+    goes in a child process under a timeout."""
+    code = ("import sys, time\n"
+            "from symdyn import cli\n"
+            "start = time.perf_counter()\n"
+            "code = cli.run(sys.argv[1:])\n"
+            "print(code, time.perf_counter() - start)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=_child_env(), timeout=30)
+    exit_code, seconds = proc.stdout.split()
+    assert exit_code == "2" and float(seconds) < 1.0
+    assert proc.stderr == (f"error: radius {argv[-1]}: a ball of about {size} vertices, "
+                           f"over {2**22}\n")
 
 
 @pytest.mark.parametrize("J", [4, 6])

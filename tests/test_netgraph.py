@@ -521,6 +521,24 @@ def test_bigger_box_keeps_decoded_shells(monkeypatch):
     assert g.ball_sizes([origin], 4) == [1, 5, 13, 25, 41]
 
 
+def test_lattice_ball_size_bound(monkeypatch):
+    """A ball whose estimated size at the requested radius passes _MAX_BALL
+    is refused, naming the radius, and the cache stays readable; a doubled
+    box past the bound falls back to a box at the requested radius."""
+    monkeypatch.setattr(ng, "_MAX_BALL", 100)
+    g = ng.cayley_zd(1)
+    assert g.ball_sizes([(0,)], 30)[-1] == 61
+    state = g._ball_cache[frozenset([(0,)])][1]
+    assert state.radius == 30
+    assert g.ball_sizes([(0,)], 31)[-1] == 63  # a box to radius 62 would hold 125
+    assert g._ball_cache[frozenset([(0,)])][1] is state and state.radius == 31
+    with pytest.raises(ValueError, match="^radius 50: a ball of about 101 vertices, over 100$"):
+        g.ball_members([(0,)], 50)
+    with pytest.raises(ValueError, match="^radius 40: a ball of about 162 vertices, over 100$"):
+        g.ball_members([(0,), (1000,)], 40)
+    assert g.ball_sizes([(0,)], 31) == [2 * r + 1 for r in range(32)]
+
+
 def test_lattice_falls_back_to_the_generic_loop():
     """A box that would outweigh the tuple shells, a box whose corners leave
     +-2^62, and a center set that is not on the lattice (a negative N
