@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -772,6 +773,68 @@ def test_engine_matches_oracles(monkeypatch):
 
     check()
     assert {name for name, _ in ran} == {"count", "sort"}
+
+
+def _recording(sys_, calls):
+    """sys_ with every rule function wrapped to append, per call, the type,
+    dtype and shape of each argument to `calls`; cells that share a function
+    share its wrapper, so they are still applied in one call."""
+    wrappers: dict = {}
+
+    def wrap(fn):
+        def recorded(args):
+            calls.append({(type(a), getattr(a, "dtype", None), np.shape(a)) for a in args})
+            return fn(args)
+        return recorded
+
+    def rule_at(v):
+        rule = sys_.rule(v)
+        if rule.fn not in wrappers:
+            wrappers[rule.fn] = wrap(rule.fn)
+        return replace(rule, fn=wrappers[rule.fn])
+
+    return ss.SymbolicSystem(sys_.alphabet, sys_.graph, rule_at, sys_.label)
+
+
+def test_every_rule_call_gets_int64_arrays_of_one_shape(monkeypatch):
+    """`LocalRule` promises each call int64 arrays of one shape.  Every path
+    that calls a rule keeps that promise: evaluation, panoramas through both
+    groupings and the linear engine's table read, envelopes and factor
+    chains, images and the Lipschitz sweep, subsymmetry and properness."""
+    ran: list = []
+    _record_groupings(monkeypatch, ran)
+    monkeypatch.setattr(ss, "_CHUNK", 16)  # at full size these cones fit one chunk and sort
+    calls: list = []
+    cex = _recording(cx.cex_rules(), calls), cx.cex_space()
+    odometer = _recording(ss.odometer_system([3, 2])[0], calls), ss.odometer_system([3, 2])[1]
+    shift = _recording(ss.full_shift(2, "Z")[0], calls), ss.full_shift(2, "Z")[1]
+    majority = [int(bin(i).count("1") >= 2) for i in range(8)]
+    vote = ss.ca_on_zd(2, [(-1,), (0,), (1,)], majority)
+    vote = _recording(vote[0], calls), vote[1]
+    paths = {
+        "evaluate": lambda: ss.evaluate(cex[0], cx.random_initial(2, random.Random(1)), [0], 6),
+        "enumerated panorama": lambda: ss.panorama(*vote, [(0,)], 3),
+        "linear panorama": lambda: ss.panorama(*cex, [0], 3),
+        "envelope": lambda: ss.equicontinuity_envelope(odometer[0], [0, 1], 6, 8),
+        "factor chain": lambda: ss.odometer_factor_chain(*odometer, [[0], [0, 1]], 6),
+        "image": lambda: ms.image_configuration(
+            shift[0], ss.Configuration({v: v % 2 for v in range(-2, 4)}), [-1, 0, 1, 2]),
+        "lipschitz": lambda: ms.lipschitz_report(
+            shift[0], ms.single_estuary_metric(shift[0].graph, 0, 2.0), shift[1], 10, r_cap=3),
+        "subsymmetry": lambda: ss.subsymmetry_check(shift[0], ng.shift_tau(1), [0, 1, 2],
+                                                   shift[1], samples=5),
+        "proper": lambda: ss.check_proper(cex[0].rule(0), cex[0].alphabet),
+    }
+    for name, run in paths.items():
+        start = len(calls)
+        run()
+        assert len(calls) > start, name
+        for kinds in calls[start:]:
+            assert len(kinds) <= 1 and all(
+                t is np.ndarray and dtype == np.int64 for t, dtype, _ in kinds), (name, kinds)
+    assert {name for name, _ in ran} == {"count", "sort"}
+    assert ss.panorama(*cex, [0], 3).engine == "linear"
+    assert ss.panorama(*vote, [(0,)], 3).engine == "count+sort"
 
 
 # cell 4 XORs cells 0..3: cell 0 is the outer cell of 16-pattern chunks, so
