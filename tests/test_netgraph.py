@@ -282,6 +282,12 @@ def test_dim_estimate_window_validation(z2):
         ng.dim_estimate(z2, (0, 0), 1, 8)
 
 
+def test_ols_slope_of_one_abscissa_is_zero():
+    """With no spread in x there is no slope to fit, so it reads 0."""
+    assert ng._ols_slope([2.0, 2.0], [1.0, 5.0]) == 0.0
+    assert ng._ols_slope([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == 2.0
+
+
 # -- superlinear connectivity -------------------------------------------------
 
 
