@@ -222,7 +222,7 @@ class Digraph:
 _TUPLE_BYTES = 175
 # numpy's limit on array dimensions: a box bitmap has one axis per coordinate
 _MAX_DIMENSION = 64
-# Most vertices a lattice ball may hold (`_Lattice.ball_size`): 2^22 take 32 MiB
+# Most vertices a lattice ball may hold (`_Lattice.box`'s size bound): 2^22 take 32 MiB
 # as int64 codes, plus a bitmap byte per box point (1 per vertex on Z, ~6 on Z^3).
 _MAX_BALL = 2**22
 
@@ -273,28 +273,24 @@ class _Lattice:
             for v in vertices
         )
 
-    def ball_size(self, count: int, radius: int) -> int:
-        """Estimated |B| around `count` points: sum_k 2^k C(d, k) C(r + m, k + m) each."""
-        d, m = self.d, self.m
-        return count * sum(2**k * math.comb(d, k) * math.comb(radius + m, k + m)
-                           for k in range(d + 1))
-
     def box(self, points, radius: int):
-        """(lower corner, shape) of the box that holds B(points, radius) plus
-        one step below N's zero, or None when a corner, taken in exact ints,
-        leaves +-2^62 (int64 with room), the ball's size passes _MAX_BALL, or
-        the box bitmap would take more bytes than the ball's tuple shells."""
-        n, e = len(self.down), self.e
+        """(lower corner, shape, size) of the box that holds B(points, radius)
+        plus one step below N's zero.  `size` bounds |B| by the smaller of
+        the box, which N's zero clips, and sum_k 2^k C(d, k) C(radius + m,
+        k + m) points per center.  The corner is None when, taken in exact
+        ints, it leaves +-2^62 (int64 with room), or when the box bitmap
+        would take more bytes than the ball's tuple shells."""
+        n, e, d, m = len(self.down), self.e, self.d, self.m
         points = np.array(points, dtype=object).reshape(-1, n)
         lo = points.min(axis=0) - radius * self.down.astype(object)
         hi = points.max(axis=0) + radius * self.up.astype(object)
         lo[n - e:] = np.maximum(lo[n - e:], -self.down[n - e:])
         shape = tuple(int(s) for s in hi - lo + 1)
-        ball = self.ball_size(len(points), radius)
-        if (min(lo) < -2**62 or max(hi) > 2**62 or ball > _MAX_BALL
-                or math.prod(shape) > _TUPLE_BYTES * ball):
-            return None
-        return lo.astype(np.int64), shape
+        ball = sum(2**k * math.comb(d, k) * math.comb(radius + m, k + m) for k in range(d + 1))
+        size = min(math.prod(shape), len(points) * ball)
+        if min(lo) < -2**62 or max(hi) > 2**62 or math.prod(shape) > _TUPLE_BYTES * size:
+            return None, shape, size
+        return lo.astype(np.int64), shape, size
 
 
 class _Coding:
@@ -350,19 +346,22 @@ class _LatticeBall:
     def grow(self, shells: list, radius: int) -> bool:
         """Grow `shells` to `radius` or until the ball closes.  False when
         `_Lattice.box` refuses the box for that radius; ValueError when the
-        ball's estimated size passes _MAX_BALL."""
+        ball's size bound passes _MAX_BALL."""
         if len(shells) > radius or not shells[-1]:
             return True
-        size = self.lattice.ball_size(len(shells[0]), radius)
-        if size > _MAX_BALL:
-            raise ValueError(f"radius {radius}: a ball of about {size} vertices, over {_MAX_BALL}")
         old = shells[1:]  # a new box refills these: keep the vertex sets they decoded
-        # Regrow to at least twice the radius, so that a caller going one
-        # radius at a time (`upstream`) boxes O(log r) times.
-        if radius > self.radius and not (
-            self._box(shells, max(radius, 2 * self.radius)) or self._box(shells, radius)
-        ):
-            return False
+        if radius > self.radius:
+            center = list(shells[0])
+            box = self.lattice.box(center, radius)
+            if box[2] > _MAX_BALL:
+                raise ValueError(f"radius {radius}: a ball of about {box[2]} vertices, "
+                                 f"over {_MAX_BALL}")
+            # Regrow to at least twice the radius, so that a caller going one
+            # radius at a time (`upstream`) boxes O(log r) times.
+            wide = 2 * self.radius
+            if not (wide > radius and self._box(shells, wide, self.lattice.box(center, wide))
+                    or self._box(shells, radius, box)):
+                return False
         seen, frontier = self.seen, self.frontier
         while len(shells) <= radius and len(frontier):
             reached = (frontier[:, None] + self.steps).ravel()
@@ -374,16 +373,17 @@ class _LatticeBall:
         self.frontier = frontier
         return True
 
-    def _box(self, shells: list, radius: int) -> bool:
-        """Box the ball to `radius` and cut `shells` back to the center, for
-        `grow` to refill.  Points with a negative N coordinate start out seen,
-        so the bitmap test drops the steps that leave the lattice."""
+    def _box(self, shells: list, radius: int, box: tuple) -> bool:
+        """Take `box`, the `_Lattice.box` of the ball to `radius`, unless it
+        is refused or its size bound passes _MAX_BALL, and cut `shells` back
+        to the center, for `grow` to refill.  Points with a negative N
+        coordinate start out seen, so the bitmap test drops the steps that
+        leave the lattice."""
+        lo, shape, size = box
+        if lo is None or size > _MAX_BALL:
+            return False
         lattice = self.lattice
         center = list(shells[0])
-        box = lattice.box(center, radius)
-        if box is None:
-            return False
-        lo, shape = box
         coding = _Coding(lo, shape, lattice.scalar)
         seen = np.zeros(math.prod(shape), dtype=bool)
         grid = seen.reshape(shape)

@@ -530,7 +530,13 @@ def test_bigger_box_keeps_decoded_shells(monkeypatch):
 def test_lattice_ball_size_bound(monkeypatch):
     """A ball whose estimated size at the requested radius passes _MAX_BALL
     is refused, naming the radius, and the cache stays readable; a doubled
-    box past the bound falls back to a box at the requested radius."""
+    box past the bound falls back to a box at the requested radius.  The
+    bound is the smaller of the estimate and the box that N's zero clips:
+    Z x N from (0, 0) is Z x {0}, and N from 5 closes at radius 5."""
+    half = ng.cayley_zdne(1, 1)
+    assert half._lattice.box([(0, 0)], 2048)[2] == 4097 * 2 < (2048 + 1) ** 2
+    assert len(half.ball_members([(0, 0)], 2048)) == 4097
+    assert ng.cayley_zdne(0, 1).ball_members([(5,)], 10**19) == {(k,) for k in range(6)}
     monkeypatch.setattr(ng, "_MAX_BALL", 100)
     g = ng.cayley_zd(1)
     assert g.ball_sizes([(0,)], 30)[-1] == 61
@@ -585,8 +591,8 @@ def test_lattice_of_lower_rank_refuses_its_box(offsets, refused_from, sizes):
     the ball runs the generic loop."""
     g = ss.ca_on_zd(2, offsets, [0] * 2 ** len(offsets))[0].graph
     origin = np.zeros((1, 2), dtype=np.int64)
-    assert g._lattice.box(origin, refused_from - 1) is not None
-    assert g._lattice.box(origin, refused_from) is None
+    assert g._lattice.box(origin, refused_from - 1)[0] is not None
+    assert g._lattice.box(origin, refused_from)[0] is None
     r = refused_from + 20
     assert g.ball_sizes([(0, 0)], r) == [sizes(k) for k in range(r + 1)]
     assert isinstance(g._ball_cache[frozenset([(0, 0)])][1], set)
