@@ -28,9 +28,9 @@ from .symsys import (
     LocalRule,
     PatternSpace,
     SymbolicSystem,
-    _Draws,
     _RowPlan,
     _trajectory_rows,
+    _uniforms,
     evaluate,
     light_cone,
     propagation,
@@ -211,10 +211,9 @@ def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     sys = cex_rules()
     space = cex_space()
     cone = light_cone(sys, [0], junction_index(depth))
-    plan = _RowPlan([space.allowed(v) for v in cone.union])
-    rows = np.empty((trials, len(cone.union)), dtype=np.uint8)
-    for trial in range(trials):
-        rows[trial] = _Draws(random.Random(trial_seed(seed, trial))).row(plan)
+    plan = _RowPlan([space.allowed(v) for v in cone.union], np.uint8)
+    rows = np.vstack([plan.rows(_uniforms(random.Random(trial_seed(seed, t)), 1, len(cone.union)))
+                      for t in range(trials)])
     observed = _trajectory_rows(sys, cone, rows)[:, :, 0]
     failures = []
     for trial, (row, obs) in enumerate(zip(rows, observed)):

@@ -12,8 +12,9 @@ estuary vertex.  One-step images come from the rule-application kernel of
 `pseudo_dist`, `dist` and `image_configuration` are one-row calls of these
 kernels.  The Lipschitz and Hölder sweeps sample a chunk of pairs, then
 evaluate their images and distances together; they consume the same random
-stream as sampling and measuring one pair at a time, with one `rng.choice`
-per domain cell, but read it in bulk (`symsys._Draws`).
+stream as sampling and measuring one pair at a time, with one
+int(rng.random() * n) per pick of n items, but read it in bulk
+(`symsys._uniforms`).
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
@@ -29,8 +30,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
-from .symsys import (Configuration, PatternSpace, SymbolicSystem, _columns, _Draws,
-                     _image_rows, _RowPlan)
+from .symsys import (Configuration, PatternSpace, SymbolicSystem, _columns, _image_rows,
+                     _RowPlan, _uniforms)
 from .entropydim import pattern_log_count
 
 
@@ -270,14 +271,14 @@ def _diff_rows(pairs: list, index: dict) -> np.ndarray:
 def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
     """Sample pairs that differ at one planted cell, a chunk at a time.
 
-    Each sample draws exactly what one pair at a time would: a symbol per
-    domain cell (`rng.choice`, in domain order), an anchor, a radius below
-    `radii`, a cell of that BFS shell inside the domain, and another allowed
-    symbol there.  The draws are read in bulk from the generator's words
-    (`_Draws`), which is left, at each chunk's end, where those calls leave
-    it.  Yields (sample numbers, pairs, planted cells) per chunk, where
-    pairs[0] and pairs[1] hold the x and y rows; samples whose shell or
-    symbol choice came up empty are left out.
+    Each sample takes len(domain) + 4 values u of `rng.random()`, each the
+    pick int(u * n) of n items: a symbol per domain cell (in domain order,
+    as `PatternSpace.random_configuration` draws them), an anchor, a radius
+    below `radii`, a cell of that BFS shell inside the domain, and another
+    allowed symbol there.  A chunk's values are read at once (`_uniforms`).
+    Yields (sample numbers, pairs, planted cells) per chunk, where pairs[0]
+    and pairs[1] hold the x and y rows; samples whose shell or symbol
+    choice came up empty are left out, though they take all their values.
     """
     index = _columns(domain)
     allowed = [space.allowed(v) for v in domain]
@@ -287,31 +288,27 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
          for s in graph._shells(frozenset([u]), radii - 1)[:radii]]
         for u in anchors
     ]
-    draws, plan = _Draws(rng), _RowPlan(allowed)
+    plan, m = _RowPlan(allowed, dtype), len(domain)
     for start in range(0, samples, _SWEEP_ROWS):
-        n = min(_SWEEP_ROWS, samples - start)
-        pairs = np.empty((2, n, len(domain)), dtype=dtype)
+        uniforms = _uniforms(rng, min(_SWEEP_ROWS, samples - start), m + 4)
+        x = plan.rows(uniforms[:, :m])
         used, cols, news = [], [], []
-        with draws:
-            for i in range(start, start + n):
-                row = draws.row(plan)
-                u_shells = shells[draws.below(len(anchors))]
-                radius = draws.below(radii)
-                shell = u_shells[radius] if radius < len(u_shells) else ()
-                if not shell:
-                    continue
-                col = index[shell[draws.below(len(shell))]]
-                choices = [s for s in allowed[col] if s != row[col]]
-                if not choices:
-                    continue
-                pairs[0, len(used)] = row
-                used.append(i)
-                cols.append(col)
-                news.append(choices[draws.below(len(choices))])
-        pairs = pairs[:, : len(used)]
-        pairs[1] = pairs[0]
+        for i, (a, r, c, s) in enumerate(uniforms[:, m:].tolist()):
+            u_shells = shells[int(a * len(anchors))]
+            radius = int(r * radii)
+            shell = u_shells[radius] if radius < len(u_shells) else ()
+            if not shell:
+                continue
+            col = index[shell[int(c * len(shell))]]
+            choices = [t for t in allowed[col] if t != x.item(i, col)]
+            if not choices:
+                continue
+            used.append(i)
+            cols.append(col)
+            news.append(choices[int(s * len(choices))])
+        pairs = np.stack([x[np.array(used, dtype=np.intp)]] * 2)
         pairs[1, np.arange(len(used)), np.array(cols, dtype=np.intp)] = news
-        yield used, pairs, [domain[c] for c in cols]
+        yield [start + i for i in used], pairs, [domain[c] for c in cols]
 
 
 # -- distances and images -----------------------------------------------------

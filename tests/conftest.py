@@ -430,22 +430,23 @@ def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
     flagged = []
     skipped = 0
     for i in range(samples):
-        x = space.random_configuration(domain, rng)
-        u = anchors[rng.randrange(len(anchors))]
-        radius = rng.randrange(0, max(1, r_cap - 1))
+        x = choice_per_cell(space, domain, rng)
+        u = anchors[int(rng.random() * len(anchors))]
+        radius = int(rng.random() * max(1, r_cap - 1))
+        cell_draw, symbol_draw = rng.random(), rng.random()
         shell = metric.graph.ball_members([u], radius)
         if radius > 0:
             shell = shell - metric.graph.ball_members([u], radius - 1)
         if not shell:
             skipped += 1
             continue
-        cell = ng.sort_vertices(shell)[rng.randrange(len(shell))]
+        cell = ng.sort_vertices(shell)[int(cell_draw * len(shell))]
         choices = [s for s in space.allowed(cell) if s != x.values[cell]]
         if not choices:
             skipped += 1
             continue
         y_values = dict(x.values)
-        y_values[cell] = rng.choice(choices)
+        y_values[cell] = choices[int(symbol_draw * len(choices))]
         y = ss.Configuration(y_values)
         pre = dist_oracle(metric, x, y)
         if pre[0] <= 0.0:
@@ -473,26 +474,16 @@ def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
     }
 
 
-class OneCallDraws:
-    """Stand-in for `symsys._Draws`: the loop that it replays, one
-    `rng.choice` per cell of a row and one `rng.randrange` per scalar draw."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-    def row(self, plan):
-        return np.array([self.rng.choice(a) for a in plan.allowed], dtype=np.int64)
-
-    def below(self, n):
-        return self.rng.randrange(n)
+def uniforms_per_call(rng, n, m):
+    """`symsys._uniforms` as n * m calls of `rng.random()`."""
+    return np.array([[rng.random() for _ in range(m)] for _ in range(n)]).reshape(n, m)
 
 
 def choice_per_cell(space, domain, rng):
-    """`PatternSpace.random_configuration` as one `rng.choice` per cell."""
-    return ss.Configuration({v: rng.choice(space.allowed(v)) for v in ng.sort_vertices(domain)})
+    """`PatternSpace.random_configuration` as one `rng.random()` per cell,
+    which picks symbol int(u * n) of the cell's n allowed symbols."""
+    values = {}
+    for v in ng.sort_vertices(domain):
+        allowed = space.allowed(v)
+        values[v] = allowed[int(rng.random() * len(allowed))]
+    return ss.Configuration(values)

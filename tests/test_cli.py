@@ -913,7 +913,7 @@ def test_csv_quotes_grid_vertices(tmp_path, monkeypatch, capsys):
             "--lam2", "3", "--eta", "3", "--constant", "0.001", "--samples", "20", "--rcap", "3"]
     assert cli.run(argv) == 1
     rows = list(csv.reader(capsys.readouterr().out.splitlines()[2:]))
-    assert rows == [["sample", "cell"], ["0", "1,-2"]]
+    assert rows == [["sample", "cell"], ["1", "-2,-1"]]
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])
@@ -1065,21 +1065,22 @@ def test_cex_roundtrip_stdout_pinned(capsys, J, seed):
     )
 
 
-# captured with a decoder that zeroes the a-row: the mismatch counts are the
-# a-bits set in each trial's initial data, so they pin the sampled stream
+# with a decoder that zeroes the a-row, the mismatch counts are the a-bits set
+# in each trial's initial data, so they pin the sampled stream; the counts were
+# derived from one `rng.random()` per cell (`conftest.choice_per_cell`)
 _FAULTY_STDOUT = {
     (4, 0): (
         '# config: {"J": 4, "seed": 0, "trials": 6}\n'
         '# summary: {"passed": false, "trials": 6}\n'
         "trial,seed,mismatches\n"
-        "0,0,13\n1,1,11\n2,2,10\n3,3,8\n4,4,10\n5,5,10\n"
+        "0,0,16\n1,1,8\n2,2,12\n3,3,12\n4,4,10\n5,5,13\n"
     ),
     (6, 1): (
         '# config: {"J": 6, "seed": 1, "trials": 6}\n'
         '# summary: {"passed": false, "trials": 6}\n'
         "trial,seed,mismatches\n"
-        "0,1000003,20\n1,1000004,24\n2,1000005,18\n3,1000006,21\n"
-        "4,1000007,23\n5,1000008,24\n"
+        "0,1000003,22\n1,1000004,21\n2,1000005,25\n3,1000006,21\n"
+        "4,1000007,17\n5,1000008,24\n"
     ),
 }
 

@@ -113,9 +113,9 @@ def test_simulation_matches_independent_oracle():
 
 def test_golden_trace_depth1_seed42():
     x0 = cx.random_initial(1, random.Random(42))
-    assert dict(sorted(x0.values.items())) == {0: 0, 1: 0, 2: 2, 3: 0, 6: 1}
+    assert dict(sorted(x0.values.items())) == {0: 2, 1: 0, 2: 1, 3: 0, 6: 2}
     tr = cx.simulate_trace(x0, 1)
-    assert tr.observations == ((0, 0), (0, 1), (0, 1))
+    assert tr.observations == ((0, 1), (0, 1), (1, 1))
 
 
 # -- decoding ---------------------------------------------------------------------
@@ -132,11 +132,11 @@ def test_decode_golden_depth2_seed7():
     x0 = cx.random_initial(2, random.Random(7))
     tr = cx.simulate_trace(x0, 2)
     assert tr.observations == (
-        (0, 1), (0, 0), (1, 1), (0, 0), (0, 1), (0, 1), (0, 0)
+        (1, 0), (0, 1), (0, 0), (0, 0), (1, 0), (0, 1), (0, 0)
     )
     res = cx.decode_trace(tr, 2)
-    assert res.a_row == (0, 0, 1, 0, 0, 0, 0)
-    assert res.b_junctions == (1, 1, 1)
+    assert res.a_row == (1, 0, 0, 0, 1, 0, 0)
+    assert res.b_junctions == (0, 1, 0)
 
 
 def test_decode_rejects_short_trace():

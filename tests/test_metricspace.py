@@ -18,13 +18,12 @@ from symdyn import symsys as ss
 from symdyn import counterexample as cx
 
 from conftest import (
-    OneCallDraws,
-    choice_per_cell,
     covered_radius_oracle,
     dist_oracle,
     image_configuration_oracle,
     lipschitz_report_oracle,
     pseudo_dist_oracle,
+    uniforms_per_call,
 )
 
 
@@ -264,16 +263,16 @@ def test_holder_overreaching_eta_fails(z2, binary_space):
 
 
 def test_lipschitz_criterion_7_pinned(z2_metric):
-    # captured once from the one-pair-at-a-time sweep this batched one
-    # replaced; the random stream and every float must be reproduced exactly
+    # derived from the one-pair-at-a-time sweep (`lipschitz_report_oracle`);
+    # the random stream and every float must be reproduced exactly
     ca, space = _xor_automaton()
     rep = ms.lipschitz_report(ca, z2_metric, space, samples=10_000, seed=1, r_cap=6)
     assert rep == {
         "samples": 10_000,
         "skipped": 0,
         "max_ratio_hi": 2.0,
-        "worst": {"sample": 0, "cell": (-1, -3), "pre": (0.125, 0.125),
-                  "post": (0.25, 0.25)},
+        "worst": {"sample": 1, "cell": (3, 0), "pre": (0.25, 0.25),
+                  "post": (0.5, 0.5)},
         "flagged": [],
         "lambda": 2.0,
         "within_lambda": True,
@@ -281,7 +280,7 @@ def test_lipschitz_criterion_7_pinned(z2_metric):
 
 
 def test_lipschitz_multi_anchor_doubleexp_pinned(z2):
-    # captured once from the one-pair-at-a-time sweep, like the test above
+    # derived from the one-pair-at-a-time sweep, like the test above
     ca, space = _xor_automaton()
     anchors = [(0, 0), (3, 1), (-2, 2), (1, -4), (5, 5)]
     metric = ms.BasedMetric(
@@ -291,15 +290,15 @@ def test_lipschitz_multi_anchor_doubleexp_pinned(z2):
     assert rep["skipped"] == 0
     assert rep["max_ratio_hi"] == 537762.2908832699
     assert rep["worst"] == {
-        "sample": 219, "cell": (2, -6),
+        "sample": 34, "cell": (2, -6),
         "pre": (4.22282500449373e-09, 0.0007569586828052341),
         "post": (1.2668475013481192e-08, 0.0022708760484157027),
     }
-    assert len(rep["flagged"]) == 639
+    assert len(rep["flagged"]) == 647
     assert rep["flagged"][:3] == [
-        {"sample": 0, "ratio_hi": 3.1666491155130347},
-        {"sample": 1, "ratio_hi": 3.0007678631230195},
-        {"sample": 5, "ratio_hi": 3.1666491155130347},
+        {"sample": 1, "ratio_hi": 3.0180339905364972},
+        {"sample": 6, "ratio_hi": 7.438765031794283},
+        {"sample": 8, "ratio_hi": 3.0185185771689835},
     ]
 
 
@@ -327,8 +326,8 @@ def test_lipschitz_chunks_match_oracle_sweep(samples):
 
 def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
     """Cells of 2, 3 and 1 symbols, some sets not starting at 0: both sweeps
-    draw the pairs of one `rng.choice` per cell, so the Lipschitz report
-    equals the oracle sweep and both equal the per-call loop."""
+    draw the pairs of one `rng.random()` per pick, so the Lipschitz report
+    equals the oracle sweep and both equal the sweeps on per-call draws."""
     sets = [(0, 1), (0, 1, 2), (2,), (1, 2)]
     space = ss.PatternSpace(lambda v: sets[v % 4])
     sys_, _ = ss.full_shift(3, "Z")
@@ -345,9 +344,8 @@ def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
     lipschitz, holder = sweeps()
     assert lipschitz["skipped"] and lipschitz["flagged"]
     assert holder["holds"] and holder["inconclusive"] and holder["passed"]
-    monkeypatch.setattr(ss.PatternSpace, "random_configuration", choice_per_cell)
     assert lipschitz == lipschitz_report_oracle(sys_, metric, space, 300, seed=3, r_cap=4)
-    monkeypatch.setattr(ms, "_Draws", OneCallDraws)
+    monkeypatch.setattr(ms, "_uniforms", uniforms_per_call)
     assert sweeps() == (lipschitz, holder)
 
 
