@@ -176,20 +176,19 @@ class Digraph:
         grown only past the deepest radius so far.  Offset lattices grow
         their shells by the array BFS of `_LatticeBall` (as `_CodeShell`s);
         other graphs, and lattice balls whose box `_Lattice.box` refuses, by
-        the loop below over the shells' union, in exact Python ints."""
+        the loop below over the shells' union, in exact Python ints.  A ball
+        of more than _MAX_BALL vertices is refused with a ValueError: by the
+        lattice's size bound before it grows, and by the loop's count."""
         cached = self._ball_cache.get(center)
         if cached is None:
             lattice = self._lattice
-            state = (_LatticeBall(lattice)
-                     if lattice is not None and lattice.holds(center) else set(center))
-            cached = self._ball_cache[center] = [set(center)], state
-        shells, state = cached
-        if isinstance(state, _LatticeBall):
-            if state.grow(shells, radius):
-                return shells
-            state = set().union(*shells)  # no box for this ball
-            self._ball_cache[center] = shells, state
-        members = state
+            ball = _LatticeBall(lattice) if lattice is not None and lattice.holds(center) else None
+            cached = self._ball_cache[center] = [[set(center)], ball, None]
+        shells, ball, members = cached
+        if ball is not None and ball.grow(shells, radius):
+            return shells
+        if members is None:  # the loop's first run on this center set
+            members = cached[2] = set().union(*shells)
         while len(shells) <= radius and shells[-1]:
             new = set()
             for w in shells[-1]:
@@ -198,6 +197,8 @@ class Digraph:
                         new.add(u)
             shells.append(new)
             members |= new
+            if len(members) > _MAX_BALL:
+                raise ValueError(f"radius {radius}: a ball of over {_MAX_BALL} vertices")
         return shells
 
     def ball_members(self, centers: Iterable[Vertex], radius: int) -> set:
@@ -342,15 +343,17 @@ class _LatticeBall:
     def __init__(self, lattice: _Lattice):
         self.lattice = lattice
         self.radius = -1  # no box yet
+        self.refused = False  # a box was refused: the generic loop grows the ball
 
     def grow(self, shells: list, radius: int) -> bool:
-        """Grow `shells` to `radius` or until the ball closes.  False when
-        `_Lattice.box` refuses the box for that radius; ValueError when the
-        ball's size bound passes _MAX_BALL."""
+        """Grow `shells` to `radius` or until the ball closes.  False, from
+        then on, once `_Lattice.box` refuses the box for a radius; ValueError
+        when the ball's size bound passes _MAX_BALL, checked on every call
+        that grows the ball, refused or not."""
         if len(shells) > radius or not shells[-1]:
             return True
         old = shells[1:]  # a new box refills these: keep the vertex sets they decoded
-        if radius > self.radius:
+        if radius > self.radius or self.refused:
             center = list(shells[0])
             box = self.lattice.box(center, radius)
             if box[2] > _MAX_BALL:
@@ -359,8 +362,10 @@ class _LatticeBall:
             # Regrow to at least twice the radius, so that a caller going one
             # radius at a time (`upstream`) boxes O(log r) times.
             wide = 2 * self.radius
-            if not (wide > radius and self._box(shells, wide, self.lattice.box(center, wide))
+            if self.refused or not (
+                    wide > radius and self._box(shells, wide, self.lattice.box(center, wide))
                     or self._box(shells, radius, box)):
+                self.refused = True
                 return False
         seen, frontier = self.seen, self.frontier
         while len(shells) <= radius and len(frontier):

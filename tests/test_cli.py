@@ -1054,6 +1054,27 @@ def test_huge_lattice_radius_exit_code(argv, size):
                            f"over {2**22}\n")
 
 
+def test_huge_radius_after_a_shallow_read_is_refused():
+    """Past +-2^62 a lattice box is refused, so a shallow read grows the ball
+    on the generic loop; a huge radius on that center set is still refused
+    at once by the size bound.  Without that check the loop never ends, so
+    the reads go in a child process under a timeout."""
+    code = ("import time\n"
+            "from symdyn import netgraph as ng\n"
+            "g, v = ng.cayley_zd(1), (2**63 - 2,)\n"
+            "assert g.ball_sizes([v], 3) == [1, 3, 5, 7]\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    g.ball_sizes([v], 10**19)\n"
+            "except ValueError as exc:\n"
+            "    print(time.perf_counter() - start, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=30)
+    seconds, message = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1.0, proc.stderr
+    assert message == f"radius {10**19}: a ball of about {2 * 10**19 + 1} vertices, over {2**22}\n"
+
+
 @pytest.mark.parametrize("J", [4, 6])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cex_roundtrip_stdout_pinned(capsys, J, seed):

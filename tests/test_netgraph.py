@@ -551,6 +551,26 @@ def test_lattice_ball_size_bound(monkeypatch):
     assert g.ball_sizes([(0,)], 31) == [2 * r + 1 for r in range(32)]
 
 
+def test_generic_loop_refuses_a_ball_past_the_bound(monkeypatch):
+    """The generic loop counts its members and refuses, naming the radius,
+    a ball of more than _MAX_BALL vertices, on every graph: offsets of
+    length about 1000 on Z fill ~2r^2 cells where the lattice estimate is
+    2r + 1 (and the box is refused), and the counterexample network has no
+    estimate.  The cache keeps every shell grown before the refusal."""
+    monkeypatch.setattr(ng, "_MAX_BALL", 1000)
+    ca = ss.ca_on_zd(2, [(-1000,), (-999,), (999,), (1000,)], [0] * 16)[0].graph
+    assert ca._lattice.box([(0,)], 40)[2] == 81
+    assert ca.ball_sizes([(0,)], 10)[-1] == 221
+    with pytest.raises(ValueError, match="^radius 40: a ball of over 1000 vertices$"):
+        ca.ball_sizes([(0,)], 40)
+    cex = ng.counterexample_graph()
+    with pytest.raises(ValueError, match="^radius 5000: a ball of over 1000 vertices$"):
+        cex.ball_members([0], 5000)
+    for g, v, r in [(ca, (0,), 12), (cex, 0, 20)]:
+        assert g._ball_cache[frozenset([v])][2] is not None
+        assert g.ball_members([v], r) == fresh_ball(g, [v], r)
+
+
 def test_lattice_falls_back_to_the_generic_loop():
     """A box that would outweigh the tuple shells, a box whose corners leave
     +-2^62, and a center set that is not on the lattice (a negative N
@@ -561,21 +581,21 @@ def test_lattice_falls_back_to_the_generic_loop():
     assert z6.ball_sizes([origin], 1) == [1, 13]
     assert isinstance(z6._ball_cache[frozenset([origin])][1], ng._LatticeBall)
     assert z6.ball_members([origin], 4) == fresh_ball(z6, [origin], 4)
-    assert isinstance(z6._ball_cache[frozenset([origin])][1], set)
+    assert z6._ball_cache[frozenset([origin])][2] is not None
     half = ng.cayley_zdne(1, 1)
     off = (0, -1)  # negative N coordinate: not a lattice point
     assert half.ball_members([off], 3) == fresh_ball(half, [off], 3)
-    assert isinstance(half._ball_cache[frozenset([off])][1], set)
+    assert half._ball_cache[frozenset([off])][2] is not None
     assert ng.odometer_graph()._lattice is None
     assert ng.shortcut_graph()._lattice is None
     assert ng.counterexample_graph()._lattice is None
     shift = ng.unit_shift_graph()
     assert shift.ball_members([-2], 3) == fresh_ball(shift, [-2], 3) == {-2}
-    assert isinstance(shift._ball_cache[frozenset([-2])][1], set)
+    assert shift._ball_cache[frozenset([-2])][2] is not None
     z1, z2 = ng.cayley_zd(1), ng.cayley_zd(2)
     for g, v in [(z1, (2**63 - 2,)), (z1, (2**63,)), (z2, (-2**63 + 1, 0)), (shift, 2**63 - 2)]:
         assert g.ball_members([v], 3) == fresh_ball(g, [v], 3)
-        assert isinstance(g._ball_cache[frozenset([v])][1], set)
+        assert g._ball_cache[frozenset([v])][2] is not None
     assert isinstance(shift._lattice, ng._Lattice)
     assert isinstance(ss.ca_on_zd(2, [(0, 0), (1, 0)], [0, 1, 1, 0])[0].graph._lattice,
                       ng._Lattice)
@@ -595,7 +615,7 @@ def test_lattice_of_lower_rank_refuses_its_box(offsets, refused_from, sizes):
     assert g._lattice.box(origin, refused_from)[0] is None
     r = refused_from + 20
     assert g.ball_sizes([(0, 0)], r) == [sizes(k) for k in range(r + 1)]
-    assert isinstance(g._ball_cache[frozenset([(0, 0)])][1], set)
+    assert g._ball_cache[frozenset([(0, 0)])][2] is not None
     assert g.ball_members([(0, 0)], r) == fresh_ball(g, [(0, 0)], r)
 
 
