@@ -1081,6 +1081,8 @@ def subsymmetry_check(
     the pattern space looks the same along tau, and (iii) commutation of the
     update map with the induced shift on sampled configurations.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     probe = sort_vertices(set(probe))
     images = [tau(v) for v in probe]
     injective = len(set(images)) == len(images)

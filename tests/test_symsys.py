@@ -1541,6 +1541,13 @@ def test_subsymmetry_without_samples():
     assert rep["passed"] and rep["commute_violations"] == []
 
 
+def test_subsymmetry_refuses_negative_samples():
+    """A negative sample count would pass vacuously."""
+    fz, fzs = ss.full_shift(2, universe="Z")
+    with pytest.raises(ValueError, match="^samples must be nonnegative, got -3$"):
+        ss.subsymmetry_check(fz, ng.shift_tau(1), [0, 1], fzs, samples=-3)
+
+
 def test_subsymmetry_identity(cex):
     sysx, spx = cex
     ident = ng.Subisometry(map=lambda v: v, label="id")
