@@ -246,6 +246,28 @@ def test_roundtrip_failures_match_per_trial_mismatches(monkeypatch):
     assert all(len(f["mismatches"]) == 1 + depth for f in expected)
 
 
+def test_roundtrip_trial_draws_its_own_initial_data(monkeypatch):
+    """Trial t of `cex_roundtrip` runs on `random_initial(J, Random(
+    trial_seed(seed, t)))`: with a decoder that zeroes every bit, a trial's
+    mismatches are exactly the a- and b-bits set in that initial data."""
+    def zero(trace, depth):
+        return cx.DecodeResult(depth, (0,) * (cx.junction_index(depth) + 1), (0,) * (depth + 1))
+
+    monkeypatch.setattr(cx, "decode_trace", zero)
+    depth, trials, seed = 4, 10, 3
+    expected = []
+    for trial in range(trials):
+        x0 = cx.random_initial(depth, random.Random(cx.trial_seed(seed, trial))).values
+        set_bits = [(n, "a") for n in range(cx.junction_index(depth) + 1)
+                    if cx.unpack(x0[n])[0]]
+        set_bits += [(n, "b") for n in map(cx.junction_index, range(depth + 1))
+                     if cx.unpack(x0[n])[1]]
+        expected.append({"trial": trial, "seed": cx.trial_seed(seed, trial), "mismatches": [
+            {"cell": n, "field": field, "expected": 1, "decoded": 0} for n, field in set_bits]})
+    assert cx.cex_roundtrip(depth, trials, seed) == {
+        "passed": False, "trials": trials, "failures": expected}
+
+
 def test_decoder_is_mod2_linear():
     rng = random.Random(23)
     for depth in (2, 3):
