@@ -293,19 +293,19 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
         uniforms = _uniforms(rng, min(_SWEEP_ROWS, samples - start), m + 4)
         x = plan.rows(uniforms[:, :m])
         used, cols, news = [], [], []
-        for i, (a, r, c, s) in enumerate(uniforms[:, m:].tolist()):
-            u_shells = shells[int(a * len(anchors))]
-            radius = int(r * radii)
-            shell = u_shells[radius] if radius < len(u_shells) else ()
+        for i, (u_anchor, u_radius, u_cell, u_symbol) in enumerate(uniforms[:, m:].tolist()):
+            anchor_shells = shells[int(u_anchor * len(anchors))]
+            radius = int(u_radius * radii)
+            shell = anchor_shells[radius] if radius < len(anchor_shells) else ()
             if not shell:
                 continue
-            col = index[shell[int(c * len(shell))]]
+            col = index[shell[int(u_cell * len(shell))]]
             choices = [t for t in allowed[col] if t != x.item(i, col)]
             if not choices:
                 continue
             used.append(i)
             cols.append(col)
-            news.append(choices[int(s * len(choices))])
+            news.append(choices[int(u_symbol * len(choices))])
         pairs = np.stack([x[np.array(used, dtype=np.intp)]] * 2)
         pairs[1, np.arange(len(used)), np.array(cols, dtype=np.intp)] = news
         yield [start + i for i in used], pairs, [domain[c] for c in cols]

@@ -267,8 +267,9 @@ def _uniforms(rng: random.Random, n: int, m: int) -> np.ndarray:
 
     CPython computes each from two 32-bit words w1, w2 as (a * 2^26 + b) /
     2^53 with a = w1 >> 5 and b = w2 >> 6; `rng.getrandbits(64 * k)` returns
-    the next 2k words, the first one lowest.  The words are read _DRAW_WORDS
-    at a time and none ahead, so the generator ends where n * m calls leave it.
+    the next 2k words, the first one lowest.  Reads take at most
+    _DRAW_WORDS words (one value at least) and none ahead, so the generator
+    ends where n * m calls leave it.
     """
     out = np.empty(n * m)
     step = max(_DRAW_WORDS // 2, 1)
@@ -281,7 +282,7 @@ def _uniforms(rng: random.Random, n: int, m: int) -> np.ndarray:
 
 class _RowPlan:
     """Rows of one allowed symbol per cell, `a[int(u * len(a))]` for the
-    allowed set a of each cell and a uniform u in [0, 1)."""
+    allowed set a of each cell and a uniform u in [0, 1), of `dtype`."""
 
     def __init__(self, allowed: Sequence[Sequence[int]], dtype=np.int64):
         sizes = [len(a) for a in allowed]
