@@ -1502,7 +1502,22 @@ def test_uniform_rows_match_per_call_random(monkeypatch):
     check()
     assert seen == {"no rows", "empty rows", "split reads", "one read", "sets 0..n-1",
                     "other sets"}
+
+
+def test_rows_of_other_generators_and_empty_sets():
+    """A subclass of `random.Random` draws what per-call `random()` draws,
+    `SystemRandom` rows lie in their allowed sets, and an empty allowed set
+    is refused."""
+
+    class Subclass(random.Random):
+        pass
+
     allowed = [(0, 1), (0, 1, 2), (5,), (3, 9)]
+    ref, rng = Subclass(3), Subclass(3)
+    rows = ss._RowPlan(allowed).rows(ss._uniforms(rng, 5, len(allowed)))
+    assert rows.tolist() == [[a[int(ref.random() * len(a))] for a in allowed]
+                             for _ in range(5)]
+    assert rng.getstate() == ref.getstate()
     rows = ss._RowPlan(allowed).rows(ss._uniforms(random.SystemRandom(), 20, len(allowed)))
     assert all(s in a for row in rows.tolist() for s, a in zip(row, allowed))
     with pytest.raises(ValueError, match="empty allowed set"):
