@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
-from .symsys import (Configuration, PatternSpace, SymbolicSystem, _columns, _image_rows,
-                     _RowPlan, _uniforms)
+from .symsys import (Configuration, InsufficientDomainError, PatternSpace, SymbolicSystem,
+                     _columns, _image_rows, _RowPlan, _uniforms)
 from .entropydim import pattern_log_count
 
 
@@ -362,9 +362,12 @@ def dist(
 def image_configuration(
     sys: SymbolicSystem, x: Configuration, region: Iterable[Vertex]
 ) -> Configuration:
-    """One update step of a configuration, restricted to a region whose
-    rule inputs the configuration covers."""
+    """One update step of a configuration on a region; the configuration
+    must cover the region's rule inputs, and the error names those missing."""
     region = tuple(region)
+    missing = {u for w in region for u in sys.rule(w).inputs} - x.domain
+    if missing:
+        raise InsufficientDomainError(sort_vertices(missing))
     row = np.array([list(x.values.values())], dtype=np.int64).reshape(1, len(x.values))
     image = _image_rows(sys, _columns(x.values), region, row)
     return Configuration(dict(zip(region, image[0].tolist())))

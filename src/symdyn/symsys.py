@@ -11,13 +11,14 @@ B(window, t): `light_cone` reads it from the network's cached BFS
 (`Digraph._shells`), and the cone of every shorter horizon is a prefix of
 its `order`, which propagation, trajectories, envelopes and panoramas read.
 
-Rules are applied to configurations in one place, `_image_rows`: one update
+Rules are applied to configurations in one place, `_StepPlan`: one update
 step of a batch of configurations (the rows of a symbol matrix), with one
 elementwise call of each rule function on the argument columns of all the
-cells that share it.  Trajectories (`evaluate` is a batch of one, and the
-envelope and factor-chain certificates simulate every pattern on the
-envelope in one batch), composed tables, subsymmetry checks and the
-one-step images of `metricspace` all go through it.  Sampled rows come
+cells that share it.  A trajectory plans its step once and images each
+horizon as a prefix (`evaluate` is a batch of one, and the envelope and
+factor-chain certificates simulate every pattern on the envelope in one
+batch); composed tables, subsymmetry checks and the one-step images of
+`metricspace` plan and image one step (`_image_rows`).  Sampled rows come
 from one sampling kernel: the symbol of a cell with n allowed symbols is
 number int(rng.random() * n), and `_uniforms` reads those values in bulk.
 
@@ -294,7 +295,8 @@ class _RowPlan:
 
     def rows(self, uniforms: np.ndarray) -> np.ndarray:
         """One row per row of `uniforms` (one column per cell)."""
-        return self.symbols[self.offsets + (uniforms * self.sizes).astype(np.int64)]
+        idx = (uniforms * self.sizes).astype(np.int64)
+        return self.symbols[np.add(idx, self.offsets, out=idx)]
 
 
 # -- cones, propagation, evaluation -----------------------------------------
@@ -353,36 +355,52 @@ def _columns(cells: Iterable[Vertex]) -> dict:
     return {v: i for i, v in enumerate(cells)}
 
 
-def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
-                rows: np.ndarray) -> np.ndarray:
-    """One update step of every row, on the region's cells.
+class _StepPlan:
+    """One update step on any prefix of the region.  Cells are grouped once
+    by rule function and arity, each group with its region positions
+    (ascending) and argument columns; only `image` runs rule functions."""
 
-    The region goes in blocks of about _BLOCK / rows cells.  A block's cells
-    are grouped by rule function and arity; each group's argument columns
-    are gathered once as int64 and its function runs once on them.  Values
-    that are not symbols 0..k-1 raise ValueError.
-    """
-    n, k = len(rows), sys.alphabet.size
-    out = np.empty((n, len(region)), dtype=np.min_scalar_type(k - 1))
-    step = max(1, _BLOCK // max(n, 1))
-    for lo in range(0, len(region), step):
+    def __init__(self, sys: SymbolicSystem, index: dict, region: Sequence[Vertex]):
         groups: dict = {}
-        for j, w in enumerate(region[lo : lo + step], lo):
+        for j, w in enumerate(region):
             rule = sys.rule(w)
             js, cols = groups.setdefault((rule.fn, len(rule.inputs)), ([], []))
             js.append(j)
             cols.append([index[u] for u in rule.inputs])
-        for (fn, _), (js, cols) in groups.items():
-            args = rows[:, np.array(cols, dtype=np.intp)].astype(np.int64)
-            values = np.broadcast_to(fn(tuple(np.moveaxis(args, 2, 0))), (n, len(js)))
-            _check_values(values, k, lambda at, js=js: region[js[at[1]]])
-            out[:, js] = values
-    return out
+        self.region, self.k = region, sys.alphabet.size
+        self.groups = [(fn, np.array(js, dtype=np.intp),
+                        np.array(cols, dtype=np.intp).reshape(len(js), arity))
+                       for (fn, arity), (js, cols) in groups.items()]
+
+    def image(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """The step of every row on the first `size` region cells: one call
+        per block of about _BLOCK / rows cells of a group, on its argument
+        columns as int64.  Values that are not symbols 0..k-1 raise ValueError."""
+        n, k = len(rows), self.k
+        out = np.empty((n, size), dtype=np.min_scalar_type(k - 1))
+        step = max(1, _BLOCK // max(n, 1))
+        for fn, js, cols in self.groups:
+            stop = int(np.searchsorted(js, size))
+            for lo in range(0, stop, step):
+                hi = min(lo + step, stop)
+                at, args = js[lo:hi], rows[:, cols[lo:hi]].astype(np.int64)
+                values = np.broadcast_to(fn(tuple(np.moveaxis(args, 2, 0))), (n, len(at)))
+                _check_values(values, k, lambda i, at=at: self.region[at[i[1]]])
+                out[:, at] = values
+        return out
+
+
+def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
+                rows: np.ndarray) -> np.ndarray:
+    """One update step of every row, on the region's cells (`_StepPlan`)."""
+    return _StepPlan(sys, index, region).image(rows, len(region))
 
 
 def _check_values(values: np.ndarray, k: int, vertex_at: Callable) -> None:
     """Raise ValueError, naming the vertex that `vertex_at` gives for its
     index, at the first value that is not a symbol 0..k-1."""
+    if values.dtype.kind in "biu" and values.size and values.min() >= 0 and values.max() < k:
+        return
     for at in np.argwhere((values < 0) | (values >= k) | (values % 1 != 0))[:1]:
         _check_symbol(values[tuple(at)].item(), k, f"rule at vertex {vertex_at(at)!r} gave")
 
@@ -398,8 +416,9 @@ def _trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> 
     index, position = _columns(cells), _columns(cone.union)
     values = rows[:, [position[v] for v in cells]]
     traj = [values[:, : ends[0]]]
+    plan = _StepPlan(sys, index, cells[: ends[cone.horizon - 1] if cone.horizon else 0])
     for t in range(1, cone.horizon + 1):
-        values = _image_rows(sys, index, cells[: ends[cone.horizon - t]], values)
+        values = plan.image(values, ends[cone.horizon - t])
         traj.append(values[:, : ends[0]].copy())
     return np.stack(traj, axis=1)
 

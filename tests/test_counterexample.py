@@ -206,6 +206,15 @@ def test_roundtrip_randomized_depths():
         assert rep["passed"], rep["failures"][:1]
 
 
+def test_roundtrip_deep_cone():
+    """Depth 15 simulates a cone of 19,521 cells over 240 steps, each step
+    a prefix of one planned update step."""
+    cone = ss.light_cone(cx.cex_rules(), [0], cx.junction_index(15))
+    assert (cone.horizon, len(cone.union)) == (240, 19521)
+    rep = cx.cex_roundtrip(15, trials=2)
+    assert rep["passed"], rep["failures"][:1]
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_roundtrip_rejects_vacuous_trial_counts(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):

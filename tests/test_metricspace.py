@@ -470,6 +470,18 @@ def test_holder_image_domain_mismatch(z2, binary_space):
         ms.holder_report(uneven, m2, m2, 1.0, 1.0, binary_space, domain, samples=5)
 
 
+def test_image_configuration_names_missing_inputs():
+    """An image whose region reads cells the configuration misses raises
+    the error `evaluate` raises, naming every missing input once."""
+    sys_ = ss.full_shift(2)[0]
+    with pytest.raises(ss.InsufficientDomainError) as err:
+        ms.image_configuration(sys_, ss.Configuration({0: 1}), [0])
+    assert err.value.missing == (1,)
+    with pytest.raises(ss.InsufficientDomainError) as err:
+        ms.image_configuration(sys_, ss.Configuration({0: 1, 2: 0}), [3, 0, 2, 1])
+    assert err.value.missing == (1, 3, 4)
+
+
 # -- batched kernels against the one-pair oracles --------------------------------
 
 

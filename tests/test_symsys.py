@@ -371,6 +371,110 @@ def test_trajectory_rows_match_dict_loop():
                     "split region", "several rows"}
 
 
+@st.composite
+def shared_rule_trajectories(draw):
+    """Random explicit system whose rules share two functions over several
+    arities (vertices 0 and 1 may read nothing), a window, a horizon, a
+    batch of rows on the cone, and a kernel block size."""
+    n = draw(st.integers(3, 10))
+    k = draw(st.integers(2, 3))
+    fns = (lambda a: (sum(a) + 1) % k,
+           lambda a: sum((i + 1) * x for i, x in enumerate(a)) % k)
+    inputs = [draw(st.lists(st.integers(0, n - 1), min_size=0 if v < 2 else 1,
+                            max_size=3, unique=True))
+              for v in range(n)]
+    for v in range(2):
+        if not inputs[v] and not any(v in ins for ins in inputs):
+            inputs[n - 1].append(v)  # a vertex that reads nothing still feeds the graph
+    picks = [draw(st.integers(0, 1)) for _ in range(n)]
+    graph = ng.explicit_graph([(u, v) for v, ins in enumerate(inputs) for u in ins])
+    sys_ = ss.SymbolicSystem(ss.Alphabet(k), graph,
+                             lambda v: ss.LocalRule(tuple(inputs[v]), fns[picks[v]]))
+    window = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    cone = ss.light_cone(sys_, window, draw(st.integers(0, 4)))
+    batch = draw(st.integers(1, 4))
+    rows = np.array(
+        draw(st.lists(st.lists(st.integers(0, k - 1), min_size=len(cone.union),
+                               max_size=len(cone.union)),
+                      min_size=batch, max_size=batch)),
+        dtype=np.uint8,
+    )
+    return sys_, window, cone, rows, draw(st.integers(1, 12))
+
+
+def test_planned_step_prefixes_match_dict_loop():
+    """Each step of a trajectory images a prefix of one planned step: every
+    rule group is cut at the cells that step needs, which may leave none of
+    its cells or end inside a block.  Row by row, the trajectories are the
+    dict-loop oracle's."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(shared_rule_trajectories())
+    def check(case):
+        sys_, window, cone, rows, block = case
+        with mock.patch.object(ss, "_BLOCK", block):
+            got = ss._trajectory_rows(sys_, cone, rows)
+        for row, traj in zip(rows.tolist(), got.tolist()):
+            x = ss.Configuration(dict(zip(cone.union, row)))
+            expected = evaluate_oracle(sys_, x, window, cone.horizon)
+            assert traj == [[step[u] for u in cone.window] for step in expected]
+        if not cone.horizon:
+            return
+        groups: dict = {}
+        for j, v in enumerate(cone.order[: cone.sizes[cone.horizon - 1]]):
+            rule = sys_.rule(v)
+            groups.setdefault((rule.fn, len(rule.inputs)), []).append(j)
+            if not rule.inputs:
+                seen.add("zero-input rule")
+        step = max(1, block // len(rows))
+        for js in groups.values():
+            for size in cone.sizes[: cone.horizon]:
+                stop = sum(j < size for j in js)
+                if not stop:
+                    seen.add("group cut to nothing")
+                elif stop < len(js) and stop % step:
+                    seen.add("group cut inside a block")
+        spans = sorted((js[0], js[-1]) for js in groups.values())
+        if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
+            seen.add("interleaved groups")
+
+    check()
+    assert seen == {"group cut to nothing", "group cut inside a block", "interleaved groups",
+                    "zero-input rule"}
+
+
+def _copy(a):
+    return a[0]
+
+
+def _plus_five(a):
+    return a[0] + 5
+
+
+def _double(a):
+    return a[0] * 2
+
+
+@pytest.mark.parametrize("fn_at, ones, named", [
+    (lambda v: _copy if v < 3 else _plus_five, (), {3, 4, 5}),  # the second group
+    (lambda v: _double, (5,), {4}),  # one group: only cell 4, in its third block, gives k
+])
+def test_rule_value_outside_the_alphabet_in_a_later_group_or_block(fn_at, ones, named):
+    """A bad value from the second rule group, or from a group's third
+    block, raises ValueError naming a vertex whose rule gave it."""
+    sys_ = ss.SymbolicSystem(ss.Alphabet(2), ng.unit_shift_graph(),
+                             lambda v: ss.LocalRule(inputs=(v + 1,), fn=fn_at(v)))
+    row = [int(v in ones) for v in range(7)]
+    with mock.patch.object(ss, "_BLOCK", 2):
+        for call in (lambda: ss.evaluate(sys_, ss.Configuration(dict(enumerate(row))), [0], 6),
+                     lambda: ss._image_rows(sys_, ss._columns(range(7)), range(6),
+                                            np.array([row]))):
+            with pytest.raises(ValueError, match=r"gave \d+, outside the symbols 0\.\.1") as err:
+                call()
+            assert int(re.search(r"rule at vertex (\d+) gave", str(err.value))[1]) in named
+
+
 # -- panoramas ---------------------------------------------------------------------
 
 
