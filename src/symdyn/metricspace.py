@@ -8,13 +8,15 @@ is visible inside the covered radius, and a tail-bounded bracket otherwise.
 Distances are a batch kernel over the rows of symbol matrices that share
 one domain: first-disagreement radii come from the cached BFS shells of each
 estuary vertex.  One-step images come from the rule-application kernel of
-`symsys` (`_image_rows`, one elementwise call per rule function).
+`symsys` (`_StepPlan`, one elementwise call per rule function).
 `pseudo_dist`, `dist` and `image_configuration` are one-row calls of these
 kernels.  The Lipschitz and Hölder sweeps sample a chunk of pairs, then
 evaluate their images and distances together; they consume the same random
 stream as sampling and measuring one pair at a time, with one
 int(rng.random() * n) per pick of n items, but read it in bulk
-(`symsys._uniforms`).
+(`symsys._uniforms`) and pick by table lookups.  The Lipschitz sweep plans
+its step, readers and shells once, and images the perturbed row only at the
+readers of its planted cell.
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
@@ -31,7 +33,7 @@ import numpy as np
 
 from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
 from .symsys import (Configuration, InsufficientDomainError, PatternSpace, SymbolicSystem,
-                     _columns, _image_rows, _RowPlan, _uniforms)
+                     _columns, _image_rows, _RowPlan, _StepPlan, _uniforms)
 from .entropydim import pattern_log_count
 
 
@@ -222,41 +224,43 @@ def _anchor_shells(graph: Digraph, v: Vertex, index: dict, r_cap=None):
     return r, cols
 
 
-def _pseudo_rows(metric: BasedMetric, v: Vertex, index: dict, diff: np.ndarray,
-                 r_cap=None):
-    """lambda^(-R) intervals around v, as (lo, hi) arrays over the rows of a
-    disagreement matrix.
+def _pseudo_rows(lam: float, covered: tuple, diff: np.ndarray):
+    """lambda^(-R) intervals around a vertex, as (lo, hi) arrays over the
+    rows of a disagreement matrix, from the vertex's `_anchor_shells`.
 
     A row first disagreeing on shell s > 0 agrees on B(v, s - 1): the value
     is exact, and 1 when the center itself differs.  A row agreeing on every
     covered shell is only bounded by lambda^(-covered radius).
     """
     n = len(diff)
-    cap, shells = _anchor_shells(metric.graph, v, index, r_cap)
+    cap, shells = covered
     if cap < 0:
         return np.zeros(n), np.ones(n)  # vertex not covered: only the trivial bound
     lo = np.zeros(n)
-    hi = np.full(n, metric.lam ** -cap)
+    hi = np.full(n, lam ** -cap)
     open_rows = np.ones(n, dtype=bool)
     for s, cols in enumerate(shells):
         hit = open_rows & diff[:, cols].any(axis=1)
-        lo[hit] = hi[hit] = metric.lam ** -max(s - 1, 0)
+        lo[hit] = hi[hit] = lam ** -max(s - 1, 0)
         open_rows &= ~hit
     return lo, hi
 
 
-def _dist_rows(metric: BasedMetric, index: dict, diff: np.ndarray):
+def _estuary_shells(metric: BasedMetric, index: dict) -> list:
+    """`_anchor_shells` of each stored estuary vertex in a domain."""
+    return [_anchor_shells(metric.graph, u, index) for u in metric.scheme.vertices]
+
+
+def _dist_rows(metric: BasedMetric, shells: list, diff: np.ndarray):
     """Based-distance intervals, as (lo, hi) arrays over the rows of a
-    disagreement matrix.  Estuary vertices are summed in enumeration order,
-    so each row gets the floats of a one-pair sum; uncovered vertices and
-    the coefficient tail contribute only to the upper bound."""
+    disagreement matrix, from the `_estuary_shells` of its domain.  Estuary
+    vertices are summed in enumeration order, so each row gets the floats of
+    a one-pair sum; uncovered vertices and the coefficient tail contribute
+    only to the upper bound."""
     lo = np.zeros(len(diff))
     hi = np.full(len(diff), metric.scheme.tail_bound)
-    for u, c in zip(metric.scheme.vertices, metric.scheme.coeffs):
-        if u not in index:
-            hi += c
-            continue
-        plo, phi = _pseudo_rows(metric, u, index, diff)
+    for c, covered in zip(metric.scheme.coeffs, shells):
+        plo, phi = _pseudo_rows(metric.lam, covered, diff)
         lo += c * plo
         hi += c * phi
     return lo, hi
@@ -268,6 +272,20 @@ def _diff_rows(pairs: list, index: dict) -> np.ndarray:
     return np.array(rows, dtype=bool).reshape(len(pairs), len(index))
 
 
+def _padded(lists: Sequence[Sequence[int]], fill: int = 0):
+    """A table with one row per list, padded with `fill` to at least one
+    column, and the lists' lengths."""
+    sizes = np.array([len(a) for a in lists], dtype=np.intp)
+    table = np.full((len(lists), max(1, sizes.max(initial=0))), fill, dtype=np.intp)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = [s for a in lists for s in a]
+    return table, sizes
+
+
+def _pick(u: np.ndarray, n) -> np.ndarray:
+    """Item int(u * n) of n items, for each uniform u (n may be an array)."""
+    return (u * n).astype(np.intp)
+
+
 def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
     """Sample pairs that differ at one planted cell, a chunk at a time.
 
@@ -275,40 +293,45 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
     pick int(u * n) of n items: a symbol per domain cell (in domain order,
     as `PatternSpace.random_configuration` draws them), an anchor, a radius
     below `radii`, a cell of that BFS shell inside the domain, and another
-    allowed symbol there.  A chunk's values are read at once (`_uniforms`).
-    Yields (sample numbers, pairs, planted cells) per chunk, where pairs[0]
-    and pairs[1] hold the x and y rows; samples whose shell or symbol
-    choice came up empty are left out, though they take all their values.
+    allowed symbol there (of the allowed symbols other than the current
+    one).  A chunk's values are read at once (`_uniforms`) and its picks are
+    lookups in two padded tables: the shell columns of each (anchor, radius)
+    and the allowed symbols of each column.  Yields (sample numbers, pairs,
+    planted columns) per chunk, where pairs[0] and pairs[1] hold the x and y
+    rows; samples whose shell or symbol choice came up empty are left out,
+    though they take all their values.
     """
     index = _columns(domain)
     allowed = [space.allowed(v) for v in domain]
     dtype = np.min_scalar_type(max((max(a) for a in allowed), default=0))
-    shells = [
-        [tuple(c for c in sort_vertices(s) if c in index)
-         for s in graph._shells(frozenset([u]), radii - 1)[:radii]]
+    shells, shell_sizes = _padded([  # row a * radii + r: shell r of anchor a
+        [index[c] for c in sort_vertices(s) if c in index]
         for u in anchors
-    ]
+        for s in (graph._shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
+    symbols, symbol_sizes = _padded(allowed)
     plan, m = _RowPlan(allowed, dtype), len(domain)
-    for start in range(0, samples, _SWEEP_ROWS):
-        uniforms = _uniforms(rng, min(_SWEEP_ROWS, samples - start), m + 4)
+
+    def plant(uniforms):  # the chunk's draws are freed before the next read
+        u_anchor, u_radius, u_cell, u_symbol = uniforms[:, m:].T
         x = plan.rows(uniforms[:, :m])
-        used, cols, news = [], [], []
-        for i, (u_anchor, u_radius, u_cell, u_symbol) in enumerate(uniforms[:, m:].tolist()):
-            anchor_shells = shells[int(u_anchor * len(anchors))]
-            radius = int(u_radius * radii)
-            shell = anchor_shells[radius] if radius < len(anchor_shells) else ()
-            if not shell:
-                continue
-            col = index[shell[int(u_cell * len(shell))]]
-            choices = [t for t in allowed[col] if t != x.item(i, col)]
-            if not choices:
-                continue
-            used.append(i)
-            cols.append(col)
-            news.append(choices[int(u_symbol * len(choices))])
-        pairs = np.stack([x[np.array(used, dtype=np.intp)]] * 2)
-        pairs[1, np.arange(len(used)), np.array(cols, dtype=np.intp)] = news
-        yield [start + i for i in used], pairs, [domain[c] for c in cols]
+        shell = _pick(u_anchor, len(anchors)) * radii + _pick(u_radius, radii)
+        live = np.flatnonzero(shell_sizes[shell] > 0)
+        cols = shells[shell[live], _pick(u_cell[live], shell_sizes[shell[live]])]
+        options = symbols[cols]
+        choices = ((np.arange(options.shape[1]) < symbol_sizes[cols, None])
+                   & (options != x[live, cols, None]))
+        count = choices.sum(axis=1)
+        nth = np.cumsum(choices, axis=1) > _pick(u_symbol[live], count)[:, None]
+        news = options[np.arange(len(live)), nth.argmax(axis=1)]
+        keep = count > 0
+        used, cols = live[keep], cols[keep]
+        pairs = np.stack([x[used]] * 2)
+        pairs[1, np.arange(len(used)), cols] = news[keep]
+        return used, pairs, cols
+
+    for start in range(0, samples, _SWEEP_ROWS):
+        used, pairs, cols = plant(_uniforms(rng, min(_SWEEP_ROWS, samples - start), m + 4))
+        yield start + used, pairs, cols
 
 
 # -- distances and images -----------------------------------------------------
@@ -331,7 +354,8 @@ def pseudo_dist(
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
     index = _columns(x.values)
-    lo, hi = _pseudo_rows(metric, v, index, _diff_rows([(x, y)], index), r_cap)
+    lo, hi = _pseudo_rows(metric.lam, _anchor_shells(metric.graph, v, index, r_cap),
+                          _diff_rows([(x, y)], index))
     return DistanceBound(float(lo[0]), float(hi[0]))
 
 
@@ -350,7 +374,7 @@ def dist(
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
     index = _columns(x.values)
-    lo, hi = _dist_rows(metric, index, _diff_rows([(x, y)], index))
+    lo, hi = _dist_rows(metric, _estuary_shells(metric, index), _diff_rows([(x, y)], index))
     bound = DistanceBound(float(lo[0]), float(hi[0]))
     if tol is not None and bound.width > tol:
         raise ToleranceUnreachableError(
@@ -376,6 +400,14 @@ def image_configuration(
 # -- sampled Lipschitz and Holder checks ----------------------------------------
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a sample count or radius cap that is not an int of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def lipschitz_report(
     sys: SymbolicSystem,
     metric: BasedMetric,
@@ -391,20 +423,29 @@ def lipschitz_report(
     the one-smaller ball.  Pairs whose pre-image distance interval touches
     zero are skipped and counted.
 
-    The sweep samples a chunk of pairs, then evaluates their images and
-    distances together.  It consumes the same random stream as sampling and
-    measuring one pair at a time, and returns the same report.
+    The sweep plans once: the update step on the image region, the image
+    cells that read each domain cell, and the anchor shells of both domains.
+    It samples a chunk of pairs, then evaluates their images and distances
+    together.  A pair differs at its planted cell only, so x is imaged in
+    full and y only at the readers of that cell; elsewhere y's image is x's.
+    It consumes the same random stream as sampling and measuring one pair at
+    a time, and returns the same report.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if r_cap < 1:
-        raise ValueError(f"r_cap must be at least 1, got {r_cap}")
+    _check_count("samples", samples)
+    _check_count("r_cap", r_cap)
     rng = random.Random(seed)
     anchors = metric.scheme.vertices
     domain = sort_vertices(metric.graph.ball_members(anchors, r_cap + 1))
     image_region = sort_vertices(metric.graph.ball_members(anchors, r_cap))
     index = _columns(domain)
-    image_index = _columns(image_region)
+    plan = _StepPlan(sys, index, image_region)
+    readers = [[] for _ in domain]
+    for j, w in enumerate(image_region):
+        for c in {index[u] for u in sys.rule(w).inputs}:
+            readers[c].append(j)
+    readers = _padded(readers, -1)[0]
+    pre_shells = _estuary_shells(metric, index)
+    post_shells = _estuary_shells(metric, _columns(image_region))
 
     max_ratio = 0.0
     worst = None
@@ -412,26 +453,29 @@ def lipschitz_report(
     measured = 0
     chunks = _planted_pairs(rng, metric.graph, anchors, space, domain,
                             max(1, r_cap - 1), samples)
-    for used, pairs, cells in chunks:
-        pre_lo, pre_hi = _dist_rows(metric, index, pairs[0] != pairs[1])
+    for used, pairs, cols in chunks:
+        pre_lo, pre_hi = _dist_rows(metric, pre_shells, pairs[0] != pairs[1])
         rows = np.flatnonzero(pre_lo > 0.0)
-        m = len(rows)
-        if not m:
+        if not len(rows):
             continue
-        image = _image_rows(sys, index, image_region,
-                            pairs[:, rows].reshape(2 * m, len(domain)))
-        post_lo, post_hi = _dist_rows(metric, image_index, image[:m] != image[m:])
+        x, y = pairs[:, rows]
+        image = plan.image(x, len(image_region))
+        which, slot = np.nonzero(readers[cols[rows]] >= 0)
+        at = readers[cols[rows[which]], slot]
+        diff = np.zeros(image.shape, dtype=bool)
+        diff[which, at] = plan.image_at(y, which, at) != image[which, at]
+        post_lo, post_hi = _dist_rows(metric, post_shells, diff)
         ratio = post_hi / pre_lo[rows]
         best = int(np.argmax(ratio))  # the first of the chunk's largest
         if ratio[best] > max_ratio:
             k = rows[best]
             max_ratio = float(ratio[best])
-            worst = {"sample": used[k], "cell": cells[k],
+            worst = {"sample": int(used[k]), "cell": domain[cols[k]],
                      "pre": (float(pre_lo[k]), float(pre_hi[k])),
                      "post": (float(post_lo[best]), float(post_hi[best]))}
         for j in np.flatnonzero(ratio > metric.lam * (1 + 1e-9)):
-            flagged.append({"sample": used[rows[j]], "ratio_hi": float(ratio[j])})
-        measured += m
+            flagged.append({"sample": int(used[rows[j]]), "ratio_hi": float(ratio[j])})
+        measured += len(rows)
     return {
         "samples": samples,
         "skipped": samples - measured,
@@ -466,11 +510,11 @@ def holder_report(
     for name, value in (("eta", eta), ("constant", lam_const)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_count("samples", samples)
     rng = random.Random(seed)
     domain = sort_vertices(domain)
     index = _columns(domain)
+    pre_shells = _estuary_shells(metric_from, index)
     holds = violations = 0
     worst = None
     worst_excess = 0.0
@@ -481,8 +525,8 @@ def holder_report(
                  for r, shell in enumerate(graph._shells(frozenset([u]), 7))
                  if any(c in index for c in shell)), default=0)
     chunks = _planted_pairs(rng, graph, anchors, space, domain, min(8, 1 + reach), samples)
-    for used, pairs, cells in chunks:
-        pre_lo, pre_hi = _dist_rows(metric_from, index, pairs[0] != pairs[1])
+    for used, pairs, cols in chunks:
+        pre_lo, pre_hi = _dist_rows(metric_from, pre_shells, pairs[0] != pairs[1])
         groups: dict = {}  # image domain -> (sample rows, image pairs)
         for k, (xr, yr) in enumerate(zip(*pairs.tolist())):
             tx = transform(Configuration(dict(zip(domain, xr))))
@@ -497,10 +541,11 @@ def holder_report(
         for image_domain, (rows, images) in groups.items():
             image_index = _columns(image_domain)
             post_lo[rows], post_hi[rows] = _dist_rows(
-                metric_to, image_index, _diff_rows(images, image_index))
-        for i, cell, d_lo, d_hi, p_lo, p_hi in zip(
-            used, cells, pre_lo.tolist(), pre_hi.tolist(), post_lo.tolist(),
-            post_hi.tolist(),
+                metric_to, _estuary_shells(metric_to, image_index),
+                _diff_rows(images, image_index))
+        for i, col, d_lo, d_hi, p_lo, p_hi in zip(
+            used.tolist(), cols.tolist(), pre_lo.tolist(), pre_hi.tolist(),
+            post_lo.tolist(), post_hi.tolist(),
         ):
             if d_lo <= 0.0:
                 continue
@@ -513,7 +558,7 @@ def holder_report(
                 excess = p_lo / bound_hi
                 if excess > worst_excess:
                     worst_excess = excess
-                    worst = {"sample": i, "cell": cell, "pre": (d_lo, d_hi),
+                    worst = {"sample": i, "cell": domain[col], "pre": (d_lo, d_hi),
                              "post": (p_lo, p_hi)}
     return {
         "holds": holds,

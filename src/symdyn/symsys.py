@@ -17,10 +17,13 @@ elementwise call of each rule function on the argument columns of all the
 cells that share it.  A trajectory plans its step once and images each
 horizon as a prefix (`evaluate` is a batch of one, and the envelope and
 factor-chain certificates simulate every pattern on the envelope in one
-batch); composed tables, subsymmetry checks and the one-step images of
-`metricspace` plan and image one step (`_image_rows`).  Sampled rows come
-from one sampling kernel: the symbol of a cell with n allowed symbols is
-number int(rng.random() * n), and `_uniforms` reads those values in bulk.
+batch); composed tables, subsymmetry checks and `image_configuration`
+plan and image one step (`_image_rows`).  The Lipschitz sweep of
+`metricspace` plans its step once, images every x row in full and each
+perturbed row only at given (row, cell) pairs (`_StepPlan.image_at`).
+Sampled rows come from one sampling kernel: the symbol of a cell with n
+allowed symbols is number int(rng.random() * n), and `_uniforms` reads
+those values in bulk.
 
 Panoramas and window checks first try the *linear* engine: when the k =
 p^m symbols, read as base-p digit vectors, make every rule the cone applies
@@ -44,7 +47,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -281,6 +284,9 @@ def _uniforms(rng: random.Random, n: int, m: int) -> np.ndarray:
     return out.reshape(n, m)
 
 
+_BITS_OF_2_52 = np.float64(2.0**52).view(np.int64)
+
+
 class _RowPlan:
     """Rows of one allowed symbol per cell, `a[int(u * len(a))]` for the
     allowed set a of each cell and a uniform u in [0, 1), of `dtype`."""
@@ -290,13 +296,20 @@ class _RowPlan:
         if not all(sizes):
             raise ValueError("cannot draw from an empty allowed set")
         self.sizes = np.array(sizes, dtype=np.int64)
-        self.offsets = np.cumsum(self.sizes) - self.sizes  # where each cell's symbols start
+        offsets = np.cumsum(self.sizes) - self.sizes  # where each cell's symbols start
+        self.biased_offsets = offsets + 2.0**52
         self.symbols = np.array([s for a in allowed for s in a], dtype=dtype)
 
     def rows(self, uniforms: np.ndarray) -> np.ndarray:
-        """One row per row of `uniforms` (one column per cell)."""
-        idx = (uniforms * self.sizes).astype(np.int64)
-        return self.symbols[np.add(idx, self.offsets, out=idx)]
+        """One row per row of `uniforms` (one column per cell).  The index
+        of each symbol is computed in the uniforms' own buffer, which is
+        overwritten: for an integer f below 2^52, the float f + 2^52 has the
+        bits of 2^52 plus f."""
+        u = np.multiply(uniforms, self.sizes, out=uniforms)
+        np.floor(u, out=u)
+        idx = np.add(u, self.biased_offsets, out=u).view(np.int64)
+        idx -= _BITS_OF_2_52
+        return self.symbols[idx]
 
 
 # -- cones, propagation, evaluation -----------------------------------------
@@ -358,7 +371,8 @@ def _columns(cells: Iterable[Vertex]) -> dict:
 class _StepPlan:
     """One update step on any prefix of the region.  Cells are grouped once
     by rule function and arity, each group with its region positions
-    (ascending) and argument columns; only `image` runs rule functions."""
+    (ascending) and argument columns; only `image` and `image_at` run rule
+    functions."""
 
     def __init__(self, sys: SymbolicSystem, index: dict, region: Sequence[Vertex]):
         groups: dict = {}
@@ -384,9 +398,32 @@ class _StepPlan:
             for lo in range(0, stop, step):
                 hi = min(lo + step, stop)
                 at, args = js[lo:hi], rows[:, cols[lo:hi]].astype(np.int64)
-                values = np.broadcast_to(fn(tuple(np.moveaxis(args, 2, 0))), (n, len(at)))
+                values = np.broadcast_to(fn(tuple(args.transpose(2, 0, 1))), (n, len(at)))
                 _check_values(values, k, lambda i, at=at: self.region[at[i[1]]])
                 out[:, at] = values
+        return out
+
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        """The group of each region cell, and its place in the group."""
+        slots = np.empty((2, len(self.region)), dtype=np.intp)
+        for g, (_, js, _) in enumerate(self.groups):
+            slots[0, js], slots[1, js] = g, np.arange(len(js))
+        return slots
+
+    def image_at(self, rows: np.ndarray, which: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The step of row which[q] at region position at[q], for every q:
+        one call per block of _BLOCK of a group's pairs, checked as in `image`."""
+        out = np.empty(len(at), dtype=np.min_scalar_type(self.k - 1))
+        group, slot = self._slots[:, at]
+        for g, (fn, _, cols) in enumerate(self.groups):
+            pairs = np.flatnonzero(group == g)
+            for lo in range(0, len(pairs), _BLOCK):
+                q = pairs[lo: lo + _BLOCK]
+                args = rows[which[q, None], cols[slot[q]]].astype(np.int64)
+                values = np.broadcast_to(fn(tuple(args.T)), (len(q),))
+                _check_values(values, self.k, lambda i, q=q: self.region[at[q[i[0]]]])
+                out[q] = values
         return out
 
 

@@ -414,6 +414,30 @@ def image_configuration_oracle(sys_, x, region):
     return ss.Configuration(out)
 
 
+def planted_pair_oracle(metric, space, domain, r_cap, rng):
+    """One pair of the Lipschitz sweep, one `rng.random()` per pick: x on
+    the domain, then an anchor, a radius, a cell of that shell and another
+    allowed symbol there.  Returns (x, cell, y), or None when the shell or
+    the symbol choice is empty."""
+    anchors = metric.scheme.vertices
+    x = choice_per_cell(space, domain, rng)
+    u = anchors[int(rng.random() * len(anchors))]
+    radius = int(rng.random() * max(1, r_cap - 1))
+    cell_draw, symbol_draw = rng.random(), rng.random()
+    shell = metric.graph.ball_members([u], radius)
+    if radius > 0:
+        shell = shell - metric.graph.ball_members([u], radius - 1)
+    if not shell:
+        return None
+    cell = ng.sort_vertices(shell)[int(cell_draw * len(shell))]
+    choices = [s for s in space.allowed(cell) if s != x.values[cell]]
+    if not choices:
+        return None
+    y_values = dict(x.values)
+    y_values[cell] = choices[int(symbol_draw * len(choices))]
+    return x, cell, ss.Configuration(y_values)
+
+
 def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
     """The Lipschitz sweep one pair at a time, on the oracles above."""
     rng = random.Random(seed)
@@ -430,24 +454,11 @@ def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
     flagged = []
     skipped = 0
     for i in range(samples):
-        x = choice_per_cell(space, domain, rng)
-        u = anchors[int(rng.random() * len(anchors))]
-        radius = int(rng.random() * max(1, r_cap - 1))
-        cell_draw, symbol_draw = rng.random(), rng.random()
-        shell = metric.graph.ball_members([u], radius)
-        if radius > 0:
-            shell = shell - metric.graph.ball_members([u], radius - 1)
-        if not shell:
+        pair = planted_pair_oracle(metric, space, domain, r_cap, rng)
+        if pair is None:
             skipped += 1
             continue
-        cell = ng.sort_vertices(shell)[int(cell_draw * len(shell))]
-        choices = [s for s in space.allowed(cell) if s != x.values[cell]]
-        if not choices:
-            skipped += 1
-            continue
-        y_values = dict(x.values)
-        y_values[cell] = choices[int(symbol_draw * len(choices))]
-        y = ss.Configuration(y_values)
+        x, cell, y = pair
         pre = dist_oracle(metric, x, y)
         if pre[0] <= 0.0:
             skipped += 1

@@ -22,6 +22,7 @@ from conftest import (
     dist_oracle,
     image_configuration_oracle,
     lipschitz_report_oracle,
+    planted_pair_oracle,
     pseudo_dist_oracle,
     uniforms_per_call,
 )
@@ -349,6 +350,126 @@ def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
     assert sweeps() == (lipschitz, holder)
 
 
+@st.composite
+def sweep_cases(draw):
+    """A random explicit system on 3 symbols whose rules are the shared
+    functions sum and weighted sum (so cells of one arity share a group) or
+    tables of their own, some reading an input twice; allowed sets of one,
+    two and three symbols, one of them (1, 0, 1); a metric on one to three
+    anchors; a sample count below, at or across the sweep's chunk."""
+    rnd = draw(st.randoms(use_true_random=False))
+    k, n = 3, draw(st.integers(3, 7))
+    shared = [lambda a: sum(a) % k,
+              lambda a: (1 + sum((i + 1) * x for i, x in enumerate(a))) % k]
+    rules = {}
+    for v in range(n):
+        inputs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        inputs += inputs[:1] * draw(st.integers(0, 1))
+        kind = draw(st.integers(0, 2))
+        rules[v] = (ss.LocalRule(tuple(inputs), shared[kind]) if kind < 2 else
+                    ss.LocalRule.from_table(inputs, [rnd.randrange(k) for _ in range(k ** len(inputs))], k))
+    graph = ng.explicit_graph([(u, v) for v, r in rules.items() for u in set(r.inputs)])
+    sys_ = ss.SymbolicSystem(ss.Alphabet(k), graph, rules.__getitem__)
+    sets = [(1, 0, 1), (2,)] + [draw(st.sampled_from([(0, 1), (0, 1, 2), (2, 0), (1,)]))
+                                for _ in range(n - 2)]
+    rnd.shuffle(sets)
+    space = ss.PatternSpace(sets.__getitem__)
+    anchors = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        scheme = ms.CoefficientScheme.double_exponential(anchors)
+    else:
+        scheme = ms.CoefficientScheme(anchors, [rnd.uniform(0.01, 1.0) for _ in anchors],
+                                      tail_bound=rnd.choice([0.0, 0.05]))
+    metric = ms.BasedMetric(scheme=scheme, lam=draw(st.sampled_from([1.5, 2.0, 3.0])),
+                            graph=graph)
+    rows = ms._SWEEP_ROWS
+    samples = draw(st.sampled_from([1, 9, rows - 1, rows, rows + 1, 2 * rows + 5]))
+    return sys_, metric, space, samples, draw(st.integers(1, 4)), draw(st.integers(0, 9))
+
+
+def test_lipschitz_sweep_matches_oracle_on_explicit_systems():
+    """The sweep, which images y only at the readers of its planted cell,
+    returns the report of the one-pair-at-a-time oracle."""
+    seen = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(sweep_cases())
+    def check(case):
+        sys_, metric, space, samples, r_cap, seed = case
+        rep = ms.lipschitz_report(sys_, metric, space, samples, seed=seed, r_cap=r_cap)
+        assert rep == lipschitz_report_oracle(sys_, metric, space, samples, seed=seed,
+                                              r_cap=r_cap)
+        region = metric.graph.ball_members(metric.scheme.vertices, r_cap)
+        fns = [sys_.rule(w).fn for w in region]
+        if len(set(fns)) > 1:
+            seen.add("several rules")
+        if len(set(fns)) < len(fns):
+            seen.add("a shared rule")
+        if len(set(metric.scheme.vertices)) > 1:
+            seen.add("several anchors")
+        if rep["flagged"]:
+            seen.add("flagged")
+        if rep["skipped"]:
+            seen.add("skipped")
+        seen.add("below a chunk" if samples < ms._SWEEP_ROWS else
+                 "one chunk" if samples == ms._SWEEP_ROWS else "across chunks")
+
+    check()
+    assert seen == {"several rules", "a shared rule", "several anchors", "flagged",
+                    "skipped", "below a chunk", "one chunk", "across chunks"}
+
+
+def _with_bad_value(sys_, w, args):
+    """The system with the rule at w giving the non-symbol k on `args`."""
+    rule, k = sys_.rule(w), sys_.alphabet.size
+
+    def fn(a):
+        hit = np.logical_and.reduce([np.asarray(x) == b for x, b in zip(a, args)])
+        return np.where(hit, k, rule.fn(a))
+
+    bad = ss.LocalRule(rule.inputs, fn)
+    return ss.SymbolicSystem(sys_.alphabet, sys_.graph,
+                             lambda v: bad if v == w else sys_.rule(v))
+
+
+@pytest.mark.parametrize("reads_planted_cell", [True, False])
+def test_lipschitz_checks_every_image_value(z2, z2_metric, reads_planted_cell):
+    """A rule value outside the alphabet raises, naming its vertex: on y's
+    row at a cell that reads the planted cell, where y is imaged apart from
+    x, and at a cell that does not, where x's full image holds the value."""
+    ca, space = _xor_automaton()
+    domain = ng.sort_vertices(z2.ball_members([(0, 0)], 4))
+    x, cell, y = planted_pair_oracle(z2_metric, space, domain, 3, random.Random(4))
+    if reads_planted_cell:
+        w = next(v for v in ng.sort_vertices(z2.ball_members([(0, 0)], 3))
+                 if cell in ca.rule(v).inputs and v != cell)
+    else:
+        w = (3, 0)
+        assert cell not in ca.rule(w).inputs
+    bad = _with_bad_value(ca, w, [y.values[u] for u in ca.rule(w).inputs])
+    assert bool(image_configuration_oracle(bad, x, [w]).values[w] == 2) != reads_planted_cell
+    with pytest.raises(ValueError, match=re.escape(f"rule at vertex {w!r} gave 2")):
+        ms.lipschitz_report(bad, z2_metric, space, samples=1, seed=4, r_cap=3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda sweep: sweep(samples=5.5), "samples must be an int, got 5.5"),
+    (lambda sweep: sweep(samples=True), "samples must be an int, got True"),
+    (lambda sweep: sweep(samples=10, r_cap=2.5), "r_cap must be an int, got 2.5"),
+])
+def test_lipschitz_rejects_counts_that_are_not_ints(z2_metric, call, message):
+    ca, space = _xor_automaton()
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(lambda **kwargs: ms.lipschitz_report(ca, z2_metric, space, **kwargs))
+
+
+@pytest.mark.parametrize("samples", [5.5, True])
+def test_holder_rejects_counts_that_are_not_ints(z2, z2_metric, binary_space, samples):
+    with pytest.raises(TypeError, match=f"^samples must be an int, got {samples}$"):
+        ms.holder_report(lambda x: x, z2_metric, z2_metric, 1.0, 1.0, binary_space,
+                         z2.ball_members([(0, 0)], 3), samples=samples)
+
+
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -5},
                                     {"samples": 10, "r_cap": 0},
                                     {"samples": 10, "r_cap": -1}])
@@ -556,7 +677,7 @@ def metric_cases(draw):
 def test_batched_kernels_match_oracles():
     seen = set()
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(metric_cases())
     def check(case):
         sys_, metric, cells, pairs, region, r_cap = case
@@ -579,7 +700,7 @@ def test_batched_kernels_match_oracles():
                      dtype=np.uint8).reshape(len(pairs), len(cells))
         Y = np.array([[y.values[v] for v in cells] for _, y in pairs],
                      dtype=np.uint8).reshape(len(pairs), len(cells))
-        lo, hi = ms._dist_rows(metric, index, X != Y)
+        lo, hi = ms._dist_rows(metric, ms._estuary_shells(metric, index), X != Y)
         images = ms._image_rows(sys_, index, region, np.concatenate([X, Y]))
         for row, (x, y) in enumerate(pairs):
             expected = dist_oracle(metric, x, y)
