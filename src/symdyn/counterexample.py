@@ -130,12 +130,6 @@ class Trace:
         if len(self.observations) != self.horizon + 1:
             raise ValueError("trace length must be horizon + 1")
 
-    def a(self, t: int) -> int:
-        return self.observations[t][0]
-
-    def b(self, t: int) -> int:
-        return self.observations[t][1]
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -162,26 +156,32 @@ def simulate_trace(x0: Configuration, depth: int) -> Trace:
     return Trace(horizon, tuple(unpack(step[0]) for step in traj))
 
 
-def decode_trace(trace: Trace, depth: int) -> DecodeResult:
-    """Invert the trace of cell 0 back to the initial data (sums mod 2).
+def decode_observations(obs: np.ndarray, depth: int) -> tuple:
+    """Invert rows of cell 0's symbols, obs[:, t] at time t, back to the
+    initial data (sums mod 2): the a-rows 0..m_J and the junction b-bits.
 
     a(n, t) = a(n + t, 0), since every cell takes its successor's a-bit, so
     a0[n] is the a-observation at time n.  Junction k adds junction k + 1's
     bits into its b-bit: b(m_k, t + 1) = a(m_{k+1}, t) + b(m_{k+1}, t).
-    Unwinding that j times from b(0, j) gives b(m_j, 0) = b(0, j) + the sum
-    of a0[m_i + j - i] over i = 1..j: j + 1 observations, the last at m_j.
+    Unwinding that j times from b(0, j) gives b_j = b(m_j, 0) = b(0, j) +
+    the sum of a0[m_i + j - i] over i = 1..j: j + 1 observations, the last
+    at m_j, read with one column gather per junction.
     """
     horizon = junction_index(depth)
-    if trace.horizon < horizon:
-        raise HorizonTooShortError(
-            f"depth {depth} needs horizon {horizon}, trace has {trace.horizon}"
-        )
-    a_row = tuple(trace.a(n) for n in range(horizon + 1))
-    b_junctions = tuple(
-        (trace.b(j) + sum(a_row[junction_index(i) + j - i] for i in range(1, j + 1))) % 2
-        for j in range(depth + 1)
-    )
-    return DecodeResult(depth=depth, a_row=a_row, b_junctions=b_junctions)
+    if obs.shape[1] <= horizon:
+        raise HorizonTooShortError(f"depth {depth} needs horizon {horizon}, "
+                                   f"trace has {obs.shape[1] - 1}")
+    a_rows = obs[:, : horizon + 1] & 1
+    gathers = [[junction_index(i) + j - i for i in range(1, j + 1)] for j in range(depth + 1)]
+    b_bits = np.stack([(obs[:, j] >> 1) + a_rows[:, cols].sum(axis=1)
+                       for j, cols in enumerate(gathers)], axis=1) & 1
+    return a_rows, b_bits
+
+
+def decode_trace(trace: Trace, depth: int) -> DecodeResult:
+    """`decode_observations` on the one row of a trace."""
+    a_rows, b_bits = decode_observations(np.array([[pack(*ab) for ab in trace.observations]]), depth)
+    return DecodeResult(depth, tuple(a_rows[0].tolist()), tuple(b_bits[0].tolist()))
 
 
 def random_initial(depth: int, rng: random.Random) -> Configuration:
@@ -200,9 +200,10 @@ def trial_seed(seed: int, trial: int) -> int:
 def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     """Simulate-then-decode round trips from random initial data.
 
-    All trials are simulated in one batch, then decoded one by one.  Passes
-    only if every trial recovers the a-row and junction b-bits exactly;
-    failures carry their per-trial seed for replay.
+    Each trial draws its own row of initial data; all trials are simulated
+    in one batch, then decoded and compared as arrays.  Passes only if every
+    trial recovers the a-row and junction b-bits exactly; failures carry
+    their per-trial seed for replay.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -215,37 +216,33 @@ def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     rows = np.vstack([plan.rows(_uniforms(random.Random(trial_seed(seed, t)), 1, len(cone.union)))
                       for t in range(trials)])
     observed = _trajectory_rows(sys, cone, rows)[:, :, 0]
-    failures = []
-    for trial, (row, obs) in enumerate(zip(rows, observed)):
-        trace = Trace(cone.horizon, tuple(unpack(s) for s in obs.tolist()))
-        mismatches = _trace_mismatches(dict(zip(cone.union, row.tolist())), trace, depth)
-        if mismatches:
-            failures.append({"trial": trial, "seed": trial_seed(seed, trial),
-                             "mismatches": mismatches})
+    # cone.union is sorted and holds cells 0..m_J, so they lead each row
+    failures = [{"trial": trial, "seed": trial_seed(seed, trial), "mismatches": mismatches}
+                for trial, mismatches in _mismatches(rows, observed, depth).items()]
     return {"passed": not failures, "trials": trials, "failures": failures}
 
 
 def roundtrip_mismatches(x0: Configuration, depth: int) -> list:
     """Compare decode(simulate(x0)) against x0; empty list means exact."""
-    return _trace_mismatches(x0.values, simulate_trace(x0, depth), depth)
+    observed = [[pack(*ab) for ab in simulate_trace(x0, depth).observations]]
+    initial = [[x0.values[n] for n in range(junction_index(depth) + 1)]]
+    return _mismatches(np.array(initial), np.array(observed), depth).get(0, [])
 
 
-def _trace_mismatches(x0: dict, trace: Trace, depth: int) -> list:
-    """Cells and fields where the decoded trace disagrees with x0."""
-    result = decode_trace(trace, depth)
-    mismatches = []
-    for n in range(junction_index(depth) + 1):
-        a_true, b_true = unpack(x0[n])
-        if result.a_row[n] != a_true:
-            mismatches.append({"cell": n, "field": "a", "expected": a_true,
-                               "decoded": result.a_row[n]})
-    for j in range(depth + 1):
-        n = junction_index(j)
-        _, b_true = unpack(x0[n])
-        if result.b_junctions[j] != b_true:
-            mismatches.append({"cell": n, "field": "b", "expected": b_true,
-                               "decoded": result.b_junctions[j]})
-    return mismatches
+def _mismatches(initial: np.ndarray, observed: np.ndarray, depth: int) -> dict:
+    """Mismatches by row, for the rows whose decoded observations of cell 0
+    disagree with their initial symbols at cells 0..m_J, the leading columns
+    of `initial`: the a-cells in ascending order, then the b-junctions."""
+    a_rows, b_bits = decode_observations(observed, depth)
+    junctions = [junction_index(j) for j in range(depth + 1)]
+    fields = [("a", range(junctions[-1] + 1), initial[:, : junctions[-1] + 1] & 1, a_rows),
+              ("b", junctions, initial[:, junctions] >> 1 & 1, b_bits)]
+    failing = np.hstack([got != true for _, _, true, got in fields]).any(axis=1)
+    return {r: [{"cell": cells[i], "field": field, "expected": int(true[r, i]),
+                 "decoded": int(got[r, i])}
+                for field, cells, true, got in fields
+                for i in np.flatnonzero(got[r] != true[r]).tolist()]
+            for r in np.flatnonzero(failing).tolist()}
 
 
 def guaranteed_cone_cells(horizon: int) -> set:

@@ -24,6 +24,7 @@ any covering search.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -311,7 +312,7 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
     symbols, symbol_sizes = _padded(allowed)
     plan, m = _RowPlan(allowed, dtype), len(domain)
 
-    def plant(uniforms):  # the chunk's draws are freed before the next read
+    def plant(start, uniforms):  # the chunk's draws are freed before the next read
         u_anchor, u_radius, u_cell, u_symbol = uniforms[:, m:].T
         x = plan.rows(uniforms[:, :m])
         shell = _pick(u_anchor, len(anchors)) * radii + _pick(u_radius, radii)
@@ -327,11 +328,10 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
         used, cols = live[keep], cols[keep]
         pairs = np.stack([x[used]] * 2)
         pairs[1, np.arange(len(used)), cols] = news[keep]
-        return used, pairs, cols
+        return start + used, pairs, cols
 
-    for start in range(0, samples, _SWEEP_ROWS):
-        used, pairs, cols = plant(_uniforms(rng, min(_SWEEP_ROWS, samples - start), m + 4))
-        yield start + used, pairs, cols
+    for start in range(0, samples, _SWEEP_ROWS):  # holds no chunk while drawing the next
+        yield plant(start, _uniforms(rng, min(_SWEEP_ROWS, samples - start), m + 4))
 
 
 # -- distances and images -----------------------------------------------------
@@ -447,35 +447,42 @@ def lipschitz_report(
     pre_shells = _estuary_shells(metric, index)
     post_shells = _estuary_shells(metric, _columns(image_region))
 
-    max_ratio = 0.0
-    worst = None
-    flagged = []
-    measured = 0
-    chunks = _planted_pairs(rng, metric.graph, anchors, space, domain,
-                            max(1, r_cap - 1), samples)
-    for used, pairs, cols in chunks:
+    def measure(used, pairs, cols):
+        """Sample numbers, planted columns, and pre-image and image intervals
+        of the chunk's pairs whose pre-image interval clears zero.  Nothing
+        else outlives the call, so a chunk is freed before the next is drawn."""
         pre_lo, pre_hi = _dist_rows(metric, pre_shells, pairs[0] != pairs[1])
         rows = np.flatnonzero(pre_lo > 0.0)
         if not len(rows):
-            continue
+            return (rows,) * 6  # nothing measured: six empty arrays
         x, y = pairs[:, rows]
         image = plan.image(x, len(image_region))
         which, slot = np.nonzero(readers[cols[rows]] >= 0)
         at = readers[cols[rows[which]], slot]
         diff = np.zeros(image.shape, dtype=bool)
         diff[which, at] = plan.image_at(y, which, at) != image[which, at]
-        post_lo, post_hi = _dist_rows(metric, post_shells, diff)
-        ratio = post_hi / pre_lo[rows]
+        return (used[rows], cols[rows], pre_lo[rows], pre_hi[rows],
+                *_dist_rows(metric, post_shells, diff))
+
+    max_ratio = 0.0
+    worst = None
+    flagged = []
+    measured = 0
+    chunks = _planted_pairs(rng, metric.graph, anchors, space, domain,
+                            max(1, r_cap - 1), samples)
+    for used, cols, pre_lo, pre_hi, post_lo, post_hi in itertools.starmap(measure, chunks):
+        if not len(used):
+            continue
+        ratio = post_hi / pre_lo
         best = int(np.argmax(ratio))  # the first of the chunk's largest
         if ratio[best] > max_ratio:
-            k = rows[best]
             max_ratio = float(ratio[best])
-            worst = {"sample": int(used[k]), "cell": domain[cols[k]],
-                     "pre": (float(pre_lo[k]), float(pre_hi[k])),
+            worst = {"sample": int(used[best]), "cell": domain[cols[best]],
+                     "pre": (float(pre_lo[best]), float(pre_hi[best])),
                      "post": (float(post_lo[best]), float(post_hi[best]))}
         for j in np.flatnonzero(ratio > metric.lam * (1 + 1e-9)):
-            flagged.append({"sample": int(used[rows[j]]), "ratio_hi": float(ratio[j])})
-        measured += len(rows)
+            flagged.append({"sample": int(used[j]), "ratio_hi": float(ratio[j])})
+        measured += len(used)
     return {
         "samples": samples,
         "skipped": samples - measured,

@@ -395,8 +395,8 @@ def decode_trace_oracle(trace, depth):
     j - 1's b-bit at time t + 1 minus the a-bit that junction j held at time
     t, which is the a-observation at time t + m_j (all mod 2)."""
     horizon = cx.junction_index(depth)
-    a_row = tuple(trace.a(n) for n in range(horizon + 1))
-    b_hist = [trace.b(t) for t in range(horizon + 1)]  # entry t: b-bit at time t
+    a_row = tuple(a for a, _ in trace.observations[: horizon + 1])
+    b_hist = [b for _, b in trace.observations[: horizon + 1]]  # entry t: b-bit at time t
     b_junctions = [b_hist[0]]
     for j in range(1, depth + 1):
         mj = cx.junction_index(j)

@@ -15,6 +15,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1108,13 +1109,13 @@ _FAULTY_STDOUT = {
 
 @pytest.mark.parametrize("J,seed", sorted(_FAULTY_STDOUT))
 def test_cex_roundtrip_failures_pinned(capsys, monkeypatch, J, seed):
-    decode = cx.decode_trace
+    decode = cx.decode_observations
 
-    def zero_a_row(trace, depth):
-        res = decode(trace, depth)
-        return cx.DecodeResult(depth, (0,) * len(res.a_row), res.b_junctions)
+    def zero_a_row(obs, depth):
+        a_rows, b_bits = decode(obs, depth)
+        return np.zeros_like(a_rows), b_bits
 
-    monkeypatch.setattr(cx, "decode_trace", zero_a_row)
+    monkeypatch.setattr(cx, "decode_observations", zero_a_row)
     argv = ["cex-roundtrip", "--J", str(J), "--trials", "6", "--seed", str(seed)]
     assert cli.run(argv) == 1
     assert capsys.readouterr().out == _FAULTY_STDOUT[(J, seed)]

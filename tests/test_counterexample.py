@@ -6,8 +6,9 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdyn import counterexample as cx
@@ -156,6 +157,13 @@ def _traces(draw):
     return depth, cx.Trace(horizon, tuple(obs))
 
 
+def _cycling_trace(depth, extra):
+    """A decode depth and a trace m_J + extra long that cycles through the
+    four (a, b) pairs."""
+    horizon = cx.junction_index(depth) + extra
+    return depth, cx.Trace(horizon, tuple((t & 1, t >> 1 & 1) for t in range(horizon + 1)))
+
+
 def test_decode_matches_unwinding_oracle():
     """The closed-form decoder equals the level-by-level unwinding of the
     b-history on random traces, some longer than the depth needs."""
@@ -169,8 +177,47 @@ def test_decode_matches_unwinding_oracle():
         seen.add(("exact", "longer")[trace.horizon > cx.junction_index(depth)])
         seen.add(depth)
 
+    for depth in range(1, 8):  # every depth is reached; the odd ones run longer
+        check = example(_cycling_trace(depth, depth % 2))(check)
     check()
     assert seen == {"exact", "longer", *range(1, 8)}
+
+
+@st.composite
+def _observation_matrices(draw):
+    """A decode depth 1..7 and rows of cell-0 symbols 0..3, at least m_J + 1
+    of them per row, as uint8 (the round trip's) or int64."""
+    depth = draw(st.integers(1, 7))
+    width = cx.junction_index(depth) + 1 + draw(st.integers(0, 6))
+    row = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    return depth, np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=dtype)
+
+
+def test_decode_observations_matches_unwinding_oracle():
+    """Every row of the array decoder equals the oracle's unwinding of that
+    row read as a trace."""
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_observation_matrices())
+    def check(case):
+        depth, obs = case
+        a_rows, b_bits = cx.decode_observations(obs, depth)
+        assert a_rows.shape == (len(obs), cx.junction_index(depth) + 1)
+        assert b_bits.shape == (len(obs), depth + 1)
+        for row, a, b in zip(obs.tolist(), a_rows.tolist(), b_bits.tolist()):
+            trace = cx.Trace(len(row) - 1, tuple(map(cx.unpack, row)))
+            assert cx.DecodeResult(depth, tuple(a), tuple(b)) == decode_trace_oracle(trace, depth)
+
+    check()
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_decode_observations_rejects_short_matrix(depth):
+    horizon = cx.junction_index(depth)
+    obs = np.zeros((3, horizon), dtype=np.uint8)  # one column short of m_J + 1
+    message = f"depth {depth} needs horizon {horizon}, trace has {horizon - 1}"
+    with pytest.raises(cx.HorizonTooShortError, match=f"^{re.escape(message)}$"):
+        cx.decode_observations(obs, depth)
 
 
 def test_roundtrip_exhaustive_depth1():
@@ -235,15 +282,15 @@ def test_roundtrip_failures_match_per_trial_mismatches(monkeypatch):
     """With a decoder that flips the a-bit of cell 1 and every b-bit past
     junction 0, the batched round trip reports, trial by trial, what
     `roundtrip_mismatches` finds on the same initial data."""
-    decode = cx.decode_trace
+    decode = cx.decode_observations
 
-    def faulty(trace, depth):
-        res = decode(trace, depth)
-        a_row = (res.a_row[0], res.a_row[1] ^ 1) + res.a_row[2:]
-        b = res.b_junctions[:1] + tuple(x ^ 1 for x in res.b_junctions[1:])
-        return cx.DecodeResult(depth, a_row, b)
+    def faulty(obs, depth):
+        a_rows, b_bits = decode(obs, depth)
+        a_rows[:, 1] ^= 1
+        b_bits[:, 1:] ^= 1
+        return a_rows, b_bits
 
-    monkeypatch.setattr(cx, "decode_trace", faulty)
+    monkeypatch.setattr(cx, "decode_observations", faulty)
     depth, trials, seed = 3, 8, 5
     rep = cx.cex_roundtrip(depth, trials, seed)
     expected = []
@@ -259,10 +306,11 @@ def test_roundtrip_trial_draws_its_own_initial_data(monkeypatch):
     """Trial t of `cex_roundtrip` runs on `random_initial(J, Random(
     trial_seed(seed, t)))`: with a decoder that zeroes every bit, a trial's
     mismatches are exactly the a- and b-bits set in that initial data."""
-    def zero(trace, depth):
-        return cx.DecodeResult(depth, (0,) * (cx.junction_index(depth) + 1), (0,) * (depth + 1))
+    def zero(obs, depth):
+        return (np.zeros((len(obs), cx.junction_index(depth) + 1), dtype=np.uint8),
+                np.zeros((len(obs), depth + 1), dtype=np.uint8))
 
-    monkeypatch.setattr(cx, "decode_trace", zero)
+    monkeypatch.setattr(cx, "decode_observations", zero)
     depth, trials, seed = 4, 10, 3
     expected = []
     for trial in range(trials):

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdyn import metricspace as ms
@@ -674,11 +674,40 @@ def metric_cases(draw):
     return sys_, metric, cells, pairs, region, r_cap
 
 
+def _metric_example(grid):
+    """A `metric_cases` value for each family that reaches, with its three
+    pairs, every class the tests below assert.  Grid: the XOR automaton on
+    the radius-2 ball of Z^2, double-exponential weights at (1, 0) and at
+    (5, 5), outside the domain.  Explicit: two closed components {0, 1} and
+    {2, 3} with cells 0..2, custom weights at 0 and 2 and a tail.  The pairs
+    agree, differ at the first anchor, and differ only at a cell that the
+    first anchor's covered ball misses."""
+    if grid:
+        offsets = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+        sys_, _ = ss.ca_on_zd(2, offsets, [sum(b) % 2 for b in itertools.product((0, 1), repeat=5)])
+        graph = ng.cayley_zd(2)
+        cells = ng.sort_vertices(graph.ball_members([(0, 0)], 2))
+        scheme, beyond = ms.CoefficientScheme.double_exponential([(1, 0), (5, 5)]), (-2, 0)
+    else:
+        sys_, _ = ss.system_from_descriptor({
+            "alphabet": 2, "graph": {"edges": [[v ^ 1, v] for v in range(4)]},
+            "rules": [{"vertex": v, "inputs": [v ^ 1], "table": [1, 0]} for v in range(4)]})
+        graph, cells = sys_.graph, [0, 1, 2]
+        scheme, beyond = ms.CoefficientScheme([0, 2], [0.5, 0.25], tail_bound=0.01), 2
+    x = {c: i % 2 for i, c in enumerate(cells)}
+    pairs = [(ss.Configuration(x), ss.Configuration({**x, **{c: 1 - x[c] for c in flips}}))
+             for flips in ([], [scheme.vertices[0]], [beyond])]
+    region = [w for w in cells if set(sys_.rule(w).inputs) <= set(cells)]
+    return sys_, ms.BasedMetric(scheme=scheme, lam=2.0, graph=graph), cells, pairs, region, 2
+
+
 def test_batched_kernels_match_oracles():
     seen = set()
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(metric_cases())
+    @example(_metric_example(grid=True))
+    @example(_metric_example(grid=False))
     def check(case):
         sys_, metric, cells, pairs, region, r_cap = case
         index = {v: i for i, v in enumerate(cells)}
@@ -749,6 +778,8 @@ def test_dist_interval_contains_every_extension():
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(metric_cases(), st.randoms(use_true_random=False))
+    @example(_metric_example(grid=True), random.Random(0))
+    @example(_metric_example(grid=False), random.Random(0))
     def check(case, rnd):
         sys_, metric, cells, pairs, _, _ = case
         k = sys_.alphabet.size
