@@ -3,10 +3,12 @@
 Every run echoes as its config every flag that is set (defaults and the seed
 included) except the output destinations `--format`, `--out` and
 `--dump-trace`; a graph, system or metric file replaces the flags it
-overrides.  `_FILE_FLAGS` declares those descriptor flags, once each, and
-`_command` adds them to every subcommand that reads a file.  Each handler
-names its output columns once, in the header it gives `_emit`, and passes
-its rows as values in header order.  Output is CSV (with a leading config
+overrides.  `_COMMANDS` declares each subcommand once (its help, handler,
+file flags and own flags) and `_FILE_FLAGS` each descriptor flag once;
+`build_parser` adds them, and `run` builds the parser of its subcommand
+alone (of every subcommand when its first argument names none).  Each
+handler names its output columns once, in the header it gives `_emit`, and
+passes its rows as values in header order.  Output is CSV (with a leading config
 comment; a field naming grid vertices is quoted) or JSON.  Identical
 configuration and seed give byte-identical output; there is no
 timestamping or machine-dependent content.  Exit codes: 0 success / check
@@ -338,118 +340,91 @@ def cmd_holder_check(args) -> int:
     return 0 if rep["passed"] else 1
 
 
-def _command(sub, name: str, help: str, handler, *file_flags: str):
-    """Add subcommand `name`, run by `handler`, with each given file flag and
-    the flags it overrides; the caller adds the command's own flags to the
-    parser returned, and `build_parser` adds --format and --out last."""
-    p = sub.add_parser(name, help=help)
-    for file_flag in file_flags:
-        for flag, spec in _FILE_FLAGS[file_flag].items():
-            p.add_argument("--" + flag,
-                           **{k: v for k, v in spec.items() if k not in ("field", "read")})
-        p.add_argument("--" + file_flag.replace("_", "-"),
-                       help=f"JSON {file_flag[:-5]} descriptor; overrides the flags above")
-    p.set_defaults(fn=handler)
-    return p
+def _default(value) -> dict:
+    """A flag of the type of its default `value`."""
+    return {"type": type(value), "default": value}
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+
+# Each subcommand once: its help, its handler, the file flags it reads (each
+# with the flags it overrides) and its own flags, in argparse settings; every
+# subcommand ends with the output flags.
+_COMMANDS = {
+    "graph-ball": ("in-neighbor ball sizes", cmd_graph_ball, ["graph_file"], {
+        "center": _REQUIRED, "radius": {"type": int, "required": True},
+        "members": {"action": "store_true"}}),
+    "graph-dim": ("ball-growth exponent estimate", cmd_graph_dim, ["graph_file"], {
+        "vertex": _REQUIRED, "rmin": _default(16), "rmax": _default(64)}),
+    "graph-speed": ("subisometry displacement speed", cmd_graph_speed, ["graph_file"], {
+        "vertex": _REQUIRED, "shift": {"required": True, "help": "translation vector"},
+        "nmax": _default(8), "cap": _default(32)}),
+    "sys-propagation": ("light-cone growth at a vertex", cmd_sys_propagation, ["system_file"], {
+        "vertex": _REQUIRED, "T": _default(16)}),
+    "sys-panorama": ("determined-cell layers of a window", cmd_sys_panorama, ["system_file"], {
+        "window": _REQUIRED, "T": _default(4),
+        "max-patterns": _default(ss.DEFAULT_PATTERN_CAP)}),
+    "sys-equicontinuity": ("envelope certification", cmd_sys_equicontinuity, ["system_file"], {
+        "window": _REQUIRED, "tprobe": _default(16), "rcap": _default(16)}),
+    "sys-odometer-chain": ("factor-chain certificate", cmd_sys_odometer_chain, ["system_file"], {
+        "windows": {"required": True, "help": "windows separated by |"},
+        "horizon": _default(8)}),
+    "entropy-ball": ("pattern density over balls", cmd_entropy_ball, ["system_file"], {
+        "vertex": _REQUIRED, "rmin": _default(2), "rmax": _default(32)}),
+    "entropy-tau": ("pattern growth along a shift orbit", cmd_entropy_tau, ["system_file"], {
+        "base": {"required": True, "help": "base cells, ; separated"}, "shift": _REQUIRED,
+        "nmax": _default(20)}),
+    "cex-roundtrip": ("simulate+decode round trips", cmd_cex_roundtrip, [], {
+        "J": _default(4), "trials": _default(200), "seed": _default(1),
+        "dump-trace": {"help": "also write trial 0's cell-0 trace as CSV (t,a,b)"}}),
+    "cex-propagation": ("quadratic cone growth profile", cmd_cex_propagation, [], {
+        "T": _default(40)}),
+    "metric-dim": ("cylinder-cover dimension bracket", cmd_metric_dim,
+                   ["system_file", "metric_file"], {
+        "eps-min-pow": _default(8), "eps-max-pow": _default(32), "eps-step": _default(2)}),
+    "metric-lipschitz": ("one-step expansion ratios", cmd_metric_lipschitz,
+                         ["system_file", "metric_file"], {
+        "samples": _default(1000), "seed": _default(0), "rcap": _default(6)}),
+    "holder-check": ("sampled Holder inequality check", cmd_holder_check,
+                     ["system_file", "metric_file"], {
+        "lam2": _default(4.0), "eta": _default(2.0), "constant": _default(1.0),
+        "samples": _default(200), "seed": _default(0), "rcap": _default(8)}),
+}
+
+_OUTPUT_FLAGS = {"format": {"choices": ["csv", "json"], "default": "csv"}, "out": {}}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `symdyn` parser with every subcommand, or with only `command`."""
     parser = argparse.ArgumentParser(
         prog="symdyn",
         description="Finite-window analysis of symbolic dynamics on digraphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "graph-ball", "in-neighbor ball sizes", cmd_graph_ball, "graph_file")
-    p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--members", action="store_true")
-
-    p = _command(sub, "graph-dim", "ball-growth exponent estimate", cmd_graph_dim,
-                 "graph_file")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--rmin", type=int, default=16)
-    p.add_argument("--rmax", type=int, default=64)
-
-    p = _command(sub, "graph-speed", "subisometry displacement speed", cmd_graph_speed,
-                 "graph_file")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--shift", required=True, help="translation vector")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--cap", type=int, default=32)
-
-    p = _command(sub, "sys-propagation", "light-cone growth at a vertex",
-                 cmd_sys_propagation, "system_file")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--T", type=int, default=16)
-
-    p = _command(sub, "sys-panorama", "determined-cell layers of a window", cmd_sys_panorama,
-                 "system_file")
-    p.add_argument("--window", required=True)
-    p.add_argument("--T", type=int, default=4)
-    p.add_argument("--max-patterns", type=int, default=ss.DEFAULT_PATTERN_CAP)
-
-    p = _command(sub, "sys-equicontinuity", "envelope certification", cmd_sys_equicontinuity,
-                 "system_file")
-    p.add_argument("--window", required=True)
-    p.add_argument("--tprobe", type=int, default=16)
-    p.add_argument("--rcap", type=int, default=16)
-
-    p = _command(sub, "sys-odometer-chain", "factor-chain certificate",
-                 cmd_sys_odometer_chain, "system_file")
-    p.add_argument("--windows", required=True, help="windows separated by |")
-    p.add_argument("--horizon", type=int, default=8)
-
-    p = _command(sub, "entropy-ball", "pattern density over balls", cmd_entropy_ball,
-                 "system_file")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--rmin", type=int, default=2)
-    p.add_argument("--rmax", type=int, default=32)
-
-    p = _command(sub, "entropy-tau", "pattern growth along a shift orbit", cmd_entropy_tau,
-                 "system_file")
-    p.add_argument("--base", required=True, help="base cells, ; separated")
-    p.add_argument("--shift", required=True)
-    p.add_argument("--nmax", type=int, default=20)
-
-    p = _command(sub, "cex-roundtrip", "simulate+decode round trips", cmd_cex_roundtrip)
-    p.add_argument("--J", type=int, default=4)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dump-trace", help="also write trial 0's cell-0 trace as CSV (t,a,b)")
-
-    p = _command(sub, "cex-propagation", "quadratic cone growth profile", cmd_cex_propagation)
-    p.add_argument("--T", type=int, default=40)
-
-    p = _command(sub, "metric-dim", "cylinder-cover dimension bracket", cmd_metric_dim,
-                 "system_file", "metric_file")
-    p.add_argument("--eps-min-pow", type=int, default=8)
-    p.add_argument("--eps-max-pow", type=int, default=32)
-    p.add_argument("--eps-step", type=int, default=2)
-
-    p = _command(sub, "metric-lipschitz", "one-step expansion ratios", cmd_metric_lipschitz,
-                 "system_file", "metric_file")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rcap", type=int, default=6)
-
-    p = _command(sub, "holder-check", "sampled Holder inequality check", cmd_holder_check,
-                 "system_file", "metric_file")
-    p.add_argument("--lam2", type=float, default=4.0)
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--constant", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rcap", type=int, default=8)
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out")
+    # an unrecognized argument prints the usage line, which names every
+    # subcommand also when only one is built
+    names = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help, handler, file_flags, flags) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help)
+        for file_flag in file_flags:
+            for flag, spec in _FILE_FLAGS[file_flag].items():
+                p.add_argument("--" + flag,
+                               **{k: v for k, v in spec.items() if k not in ("field", "read")})
+            p.add_argument("--" + file_flag.replace("_", "-"),
+                           help=f"JSON {file_flag[:-5]} descriptor; overrides the flags above")
+        for flag, spec in {**flags, **_OUTPUT_FLAGS}.items():
+            p.add_argument("--" + flag, **spec)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def run(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    """Parse `argv` (by default the process's arguments) and run its
+    subcommand; only that subcommand's parser is built."""
+    argv = _sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -30,7 +30,7 @@ from .symsys import (
     SymbolicSystem,
     _RowPlan,
     _trajectory_rows,
-    _uniforms,
+    _uniform_blocks,
     evaluate,
     light_cone,
     propagation,
@@ -200,10 +200,11 @@ def trial_seed(seed: int, trial: int) -> int:
 def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     """Simulate-then-decode round trips from random initial data.
 
-    Each trial draws its own row of initial data; all trials are simulated
-    in one batch, then decoded and compared as arrays.  Passes only if every
-    trial recovers the a-row and junction b-bits exactly; failures carry
-    their per-trial seed for replay.
+    Each trial draws its own row of initial data from its own stream, read
+    and converted a block of trials at a time (`_uniform_blocks`); all
+    trials are simulated in one batch, then decoded and compared as arrays.
+    Passes only if every trial recovers the a-row and junction b-bits
+    exactly; failures carry their per-trial seed for replay.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -213,8 +214,8 @@ def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     space = cex_space()
     cone = light_cone(sys, [0], junction_index(depth))
     plan = _RowPlan([space.allowed(v) for v in cone.union], np.uint8)
-    rows = np.vstack([plan.rows(_uniforms(random.Random(trial_seed(seed, t)), 1, len(cone.union)))
-                      for t in range(trials)])
+    streams = (random.Random(trial_seed(seed, t)) for t in range(trials))
+    rows = np.vstack([plan.rows(u) for u in _uniform_blocks(streams, len(cone.union))])
     observed = _trajectory_rows(sys, cone, rows)[:, :, 0]
     # cone.union is sorted and holds cells 0..m_J, so they lead each row
     failures = [{"trial": trial, "seed": trial_seed(seed, trial), "mismatches": mismatches}

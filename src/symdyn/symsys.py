@@ -23,7 +23,7 @@ plan and image one step (`_image_rows`).  The Lipschitz sweep of
 perturbed row only at given (row, cell) pairs (`_StepPlan.image_at`).
 Sampled rows come from one sampling kernel: the symbol of a cell with n
 allowed symbols is number int(rng.random() * n), and `_uniforms` reads
-those values in bulk.
+those values in bulk (`_uniform_blocks`: m from each of many generators).
 
 Panoramas and window checks first try the *linear* engine: when the k =
 p^m symbols, read as base-p digit vectors, make every rule the cone applies
@@ -44,11 +44,12 @@ pattern's tracked digits with those of a representative of its trajectory.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -266,22 +267,45 @@ class PanoramaResult:
 _DRAW_WORDS = 2**14  # most 32-bit words read at once (64 KB), two per value
 
 
-def _uniforms(rng: random.Random, n: int, m: int) -> np.ndarray:
-    """The next n * m values of `rng.random()`, as an (n, m) array.
-
-    CPython computes each from two 32-bit words w1, w2 as (a * 2^26 + b) /
-    2^53 with a = w1 >> 5 and b = w2 >> 6; `rng.getrandbits(64 * k)` returns
-    the next 2k words, the first one lowest.  Reads take at most
-    _DRAW_WORDS words (one value at least) and none ahead, so the generator
-    ends where n * m calls leave it.
-    """
-    out = np.empty(n * m)
+def _words(rng: random.Random, count: int):
+    """The 32-bit words of the next `count` values of `rng.random()`, two per
+    value: `rng.getrandbits(64 * k)` returns the next 2k words, the first
+    one lowest.  Reads take at most _DRAW_WORDS words (one value at least)
+    and none ahead, so the generator ends where `count` calls leave it."""
     step = max(_DRAW_WORDS // 2, 1)
-    for start in range(0, n * m, step):
-        k = min(step, n * m - start)
-        words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
-        out[start: start + k] = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 2.0**53
+    for start in range(0, count, step):
+        k = min(step, count - start)
+        yield np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+
+
+def _word_uniforms(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The `random()` values of `words` (into `out` when given).  CPython
+    computes each from two words w1, w2 as (a * 2^26 + b) / 2^53 with
+    a = w1 >> 5 and b = w2 >> 6; each step is exact in float64."""
+    out = np.multiply(words[0::2] >> 5, 67108864.0, out=out)
+    out += words[1::2] >> 6
+    out /= 2.0**53
+    return out
+
+
+def _uniforms(rng: random.Random, n: int, m: int) -> np.ndarray:
+    """The next n * m values of `rng.random()`, as an (n, m) array."""
+    out = np.empty(n * m)
+    start = 0
+    for words in _words(rng, n * m):
+        _word_uniforms(words, out[start: start + len(words) // 2])
+        start += len(words) // 2
     return out.reshape(n, m)
+
+
+def _uniform_blocks(rngs: Iterator[random.Random], m: int):
+    """The next m values of `random()` of each generator in `rngs`, as
+    (b, m) arrays of b = _DRAW_WORDS // 2 // m generators in turn (one at
+    least, m >= 1): each generator's words are read as in `_uniforms`, and a
+    block's are converted at once."""
+    while block := list(itertools.islice(rngs, max(_DRAW_WORDS // 2 // m, 1))):
+        words = np.concatenate([w for rng in block for w in _words(rng, m)])
+        yield _word_uniforms(words).reshape(len(block), m)
 
 
 _BITS_OF_2_52 = np.float64(2.0**52).view(np.int64)

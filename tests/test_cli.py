@@ -828,6 +828,24 @@ def test_config_echoes_every_given_flag(tmp_path, argv):
         assert {k: config.get(k) for k in expected} == expected
 
 
+@pytest.mark.parametrize("argv", _ANSWER_ARGV, ids=lambda argv: argv[0])
+def test_one_command_parser_parses_as_the_full_parser(monkeypatch, capsys, argv):
+    """The parser of the named subcommand alone gives the namespace that
+    the parser of every subcommand gives; an unrecognized argument makes
+    both print the top-level usage line, which names every subcommand."""
+    assert (vars(cli.build_parser(argv[0]).parse_args(argv))
+            == vars(cli.build_parser().parse_args(argv)))
+    monkeypatch.setenv("COLUMNS", "80")
+    errors = []
+    for parser in (cli.build_parser(argv[0]), cli.build_parser()):
+        with pytest.raises(SystemExit, match="2"):
+            parser.parse_args(argv + ["extra"])
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: symdyn [-h]\n              {graph-ball,graph-dim,")
+    assert errors[0].endswith("symdyn: error: unrecognized arguments: extra\n")
+
+
 def test_system_file_bad_table_exit_code(tmp_path, capsys):
     desc = {
         "alphabet": 2,

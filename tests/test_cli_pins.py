@@ -1,7 +1,11 @@
-"""Byte-for-byte stdout of the subcommands that no other test pins, and the
---help of every subcommand."""
+"""Byte-for-byte stdout of the subcommands that no other test pins, the
+top-level `symdyn` paths, and the --help and usage errors of every
+subcommand, which the parser of one subcommand prints as the full parser
+does."""
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -93,3 +97,107 @@ def test_subcommand_help_exits_0(capsys, command):
     out = capsys.readouterr().out
     assert out.startswith(f"usage: symdyn {command} ")
     assert "--format {csv,json}" in out and "--out OUT" in out
+
+
+# -- the top-level paths, which build every subcommand ----------------------------
+
+_USAGE = (
+    "usage: symdyn [-h]\n"
+    "              {" + ",".join(_COMMANDS) + "}\n"
+    "              ...\n"
+)
+
+_HELP = _USAGE + (
+    "\n"
+    "Finite-window analysis of symbolic dynamics on digraphs\n"
+    "\n"
+    "positional arguments:\n"
+    "  {" + ",".join(_COMMANDS) + "}\n"
+    "    graph-ball          in-neighbor ball sizes\n"
+    "    graph-dim           ball-growth exponent estimate\n"
+    "    graph-speed         subisometry displacement speed\n"
+    "    sys-propagation     light-cone growth at a vertex\n"
+    "    sys-panorama        determined-cell layers of a window\n"
+    "    sys-equicontinuity  envelope certification\n"
+    "    sys-odometer-chain  factor-chain certificate\n"
+    "    entropy-ball        pattern density over balls\n"
+    "    entropy-tau         pattern growth along a shift orbit\n"
+    "    cex-roundtrip       simulate+decode round trips\n"
+    "    cex-propagation     quadratic cone growth profile\n"
+    "    metric-dim          cylinder-cover dimension bracket\n"
+    "    metric-lipschitz    one-step expansion ratios\n"
+    "    holder-check        sampled Holder inequality check\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+
+
+def _top_level(argv):
+    # argparse of Python 3.12.8 and 3.13.1 on lists invalid choices unquoted
+    invalid = "symdyn: error: argument command: invalid choice: 'bogus' (choose from {})\n"
+    return {
+        (): (2, "", {_USAGE + "symdyn: error: the following arguments are required: command\n"}),
+        ("bogus",): (2, "", {_USAGE + invalid.format(", ".join(names)) for names in
+                             (map(repr, _COMMANDS), _COMMANDS)}),
+        ("--help",): (0, _HELP, {""}),
+        ("-h",): (0, _HELP, {""}),
+    }[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"], ["-h"]], ids=repr)
+def test_top_level_pinned(monkeypatch, capsys, argv):
+    """`symdyn` alone, with an unknown subcommand and with --help: exit
+    code, stdout and stderr, by `run(argv)` and by `run()` on sys.argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, errs = _top_level(argv)
+    assert cli.run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out and captured.err in errs
+    monkeypatch.setattr(sys, "argv", ["symdyn", *argv])
+    assert cli.run() == code
+    assert capsys.readouterr() == captured
+
+
+def test_run_builds_only_the_named_subcommand(monkeypatch, capsys):
+    """`run` builds the parser of its subcommand alone when the first
+    argument names one, and of every subcommand otherwise."""
+    built, build = [], cli.build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    for argv in (["cex-propagation", "--T", "3"], ["cex-propagation", "--bogus"],
+                 ["bogus"], [], ["--help"], ["--T", "cex-propagation"]):
+        cli.run(argv)
+    monkeypatch.setattr(sys, "argv", ["symdyn", "cex-propagation", "--T", "2"])
+    assert cli.run() == 0
+    assert built == ["cex-propagation"] * 2 + [None] * 4 + ["cex-propagation"]
+    sub = next(a for a in build("cex-propagation")._actions if a.dest == "command")
+    assert list(sub.choices) == ["cex-propagation"]
+    capsys.readouterr()
+
+
+def _parse(parser, argv, capsys):
+    """What parsing `argv` gives: the namespace, or the exit code, stdout
+    and stderr of a help or a usage error."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, command):
+    """--help, a missing required flag (where there is one), a bad --format,
+    a bad integer and an unknown flag print the same bytes under both
+    parsers."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [[command, "--help"], [command, "-h"], [command], [command, "--format", "xml"],
+             [command, "--format"], [command, "--T", "x"], [command, "--bogus"]]
+    for argv in cases:
+        full = _parse(cli.build_parser(), argv, capsys)
+        assert _parse(cli.build_parser(command), argv, capsys) == full

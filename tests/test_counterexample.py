@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import types
 
 import numpy as np
 import pytest
@@ -323,6 +324,58 @@ def test_roundtrip_trial_draws_its_own_initial_data(monkeypatch):
             {"cell": n, "field": field, "expected": 1, "decoded": 0} for n, field in set_bits]})
     assert cx.cex_roundtrip(depth, trials, seed) == {
         "passed": False, "trials": trials, "failures": expected}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_roundtrip_blocks_keep_each_trials_stream(monkeypatch, depth):
+    """`cex_roundtrip` reads each trial's m values from its own stream and
+    converts them a block of trials at a time: with reads cut to 2, 7, m,
+    2m + 1 and 4m + 2 words, and one trial, one block or one block plus
+    one, it simulates the rows that `random_initial` draws trial by trial,
+    reads no more than _DRAW_WORDS words at once, converts once per block,
+    and leaves each stream where m calls of `random()` leave it."""
+    seed = 11
+    cone = ss.light_cone(cx.cex_rules(), [0], cx.junction_index(depth)).union
+    m = len(cone)
+    reads, streams, simulated, converted = [], [], [], []
+
+    class Counted(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            streams.append(self)
+
+        def getrandbits(self, k):
+            reads.append(k)
+            return super().getrandbits(k)
+
+    def spy(sys, cone, rows):
+        simulated.append(rows.copy())
+        return trajectory_rows(sys, cone, rows)
+
+    def convert(words, out=None):
+        converted.append(len(words))
+        return word_uniforms(words, out)
+
+    trajectory_rows, word_uniforms = cx._trajectory_rows, ss._word_uniforms
+    monkeypatch.setattr(cx, "_trajectory_rows", spy)
+    monkeypatch.setattr(ss, "_word_uniforms", convert)
+    monkeypatch.setattr(cx, "random", types.SimpleNamespace(Random=Counted))
+    for words in (2, 7, m, 2 * m + 1, 4 * m + 2):
+        monkeypatch.setattr(ss, "_DRAW_WORDS", words)
+        block = max(words // 2 // m, 1)
+        for trials in sorted({1, block, block + 1}):
+            for seen in (reads, streams, simulated, converted):
+                seen.clear()
+            assert cx.cex_roundtrip(depth, trials, seed)["passed"]
+            assert max(reads) <= 32 * words and sum(reads) == 64 * m * trials
+            assert converted == [2 * m * min(block, trials - lo) for lo in range(0, trials, block)]
+            expected = []
+            for trial in range(trials):
+                ref = random.Random(cx.trial_seed(seed, trial))
+                x0 = cx.random_initial(depth, ref).values
+                expected.append([x0[v] for v in cone])
+                assert streams[trial].getstate() == ref.getstate()
+            assert len(simulated) == 1 and simulated[0].tolist() == expected
 
 
 def test_decoder_is_mod2_linear():
