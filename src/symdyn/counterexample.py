@@ -273,7 +273,10 @@ def cex_propagation_profile(horizon: int) -> dict:
         raise ValueError("horizon must be >= 1")
     sys = cex_rules()
     rho = propagation(sys, 0, horizon)
-    floors = [len(guaranteed_cone_cells(t)) for t in range(horizon + 1)]
+    cells, floors = set(), []  # guaranteed_cone_cells(t), grown one horizon at a time
+    for t in range(horizon + 1):  # junction t, and the t - u-th chain cell after junction u
+        cells.update([junction_index(t)] + [junction_index(u) + t - u for u in range(1, t)])
+        floors.append(len(cells))
     naive_floors = [(t + 1) + t * (t - 1) // 2 for t in range(horizon + 1)]
     ok = all(r >= f for r, f in zip(rho, floors))
     naive_ok = all(r >= f for r, f in zip(rho, naive_floors))

@@ -12,12 +12,12 @@ It has two expansions.  Every translation-invariant network is an offset
 lattice (`cayley_zd`, `cayley_zdne`, `unit_shift_graph`,
 `unit_shift_graph_z` and the grid of `symsys.ca_on_zd`: Z^d x N^e, where
 v + offset feeds v), and expands a shell as an int64 code array in a box
-around the center set, with one broadcast add of the offsets, a
-visited-bitmap test and one sort; a shell's length is the array's, and it is
-decoded to its vertex set when first iterated or probed.  The irregular
-networks (odometer, counterexample, shortcut, explicit, shift extension),
-and lattice balls whose box `_Lattice.box` refuses, expand one vertex at a
-time over the in-neighbor function.
+around the center set, offset by offset through a visited bitmap, unsorted;
+a shell's length is the array's, and it is decoded to its vertex set when
+first iterated or probed.  The irregular networks (odometer,
+counterexample, shortcut, explicit, shift extension), and lattice balls
+whose box `_Lattice.box` refuses, expand one vertex at a time over the
+in-neighbor function.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ def vertex_key(v: Vertex):
 
 def sort_vertices(vs: Iterable[Vertex]) -> tuple:
     return tuple(sorted(vs, key=vertex_key))
-
-
-def sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct entries of `a` in order, by sorting: a plain np.unique
-    (numpy 2.4) takes a hash path that measured 3x slower on Z^3 shells and
-    imports numpy.ma."""
-    a = np.sort(a)
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
 
 
 @dataclass(frozen=True)
@@ -174,11 +164,12 @@ class Digraph:
         center set, for every r <= radius until the ball closes; a closed
         ball's list ends with one empty shell.  Kept per center set, and
         grown only past the deepest radius so far.  Offset lattices grow
-        their shells by the array BFS of `_LatticeBall` (as `_CodeShell`s);
-        other graphs, and lattice balls whose box `_Lattice.box` refuses, by
-        the loop below over the shells' union, in exact Python ints.  A ball
-        of more than _MAX_BALL vertices is refused with a ValueError: by the
-        lattice's size bound before it grows, and by the loop's count."""
+        their shells by the array BFS of `_LatticeBall` (as unsorted
+        `_CodeShell`s); other graphs, and lattice balls whose box
+        `_Lattice.box` refuses, by the loop below over the shells' union, in
+        exact Python ints.  A ball of more than _MAX_BALL vertices is
+        refused with a ValueError: by the lattice's size bound before it
+        grows, and by the loop's count."""
         cached = self._ball_cache.get(center)
         if cached is None:
             lattice = self._lattice
@@ -346,10 +337,12 @@ class _LatticeBall:
         self.refused = False  # a box was refused: the generic loop grows the ball
 
     def grow(self, shells: list, radius: int) -> bool:
-        """Grow `shells` to `radius` or until the ball closes.  False, from
-        then on, once `_Lattice.box` refuses the box for a radius; ValueError
-        when the ball's size bound passes _MAX_BALL, checked on every call
-        that grows the ball, refused or not."""
+        """Grow `shells` to `radius` or until the ball closes: each offset's
+        step of the last shell keeps what the visited bitmap has not seen and
+        marks it before the next offset's, so shells repeat no code unsorted.
+        False, from then on, once `_Lattice.box` refuses the box for a
+        radius; ValueError when the ball's size bound passes _MAX_BALL,
+        checked on every call that grows the ball, refused or not."""
         if len(shells) > radius or not shells[-1]:
             return True
         old = shells[1:]  # a new box refills these: keep the vertex sets they decoded
@@ -369,9 +362,12 @@ class _LatticeBall:
                 return False
         seen, frontier = self.seen, self.frontier
         while len(shells) <= radius and len(frontier):
-            reached = (frontier[:, None] + self.steps).ravel()
-            frontier = sorted_unique(reached[~seen[reached]])
-            seen[frontier] = True
+            parts = []
+            for step in self.steps:
+                reached = frontier + step
+                parts.append(reached[~seen[reached]])
+                seen[parts[-1]] = True
+            frontier = np.concatenate(parts)
             r = len(shells)
             shells.append(_CodeShell(frontier, self.coding,
                                      old[r - 1]._vertices if r <= len(old) else None))

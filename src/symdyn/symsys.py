@@ -55,7 +55,7 @@ import numpy as np
 
 from .netgraph import (Digraph, Subisometry, UniverseExhaustionError, Vertex, _offset_lattice,
                        graph_from_descriptor, read_fields, read_form, sort_vertices,
-                       sorted_unique, unit_shift_graph, unit_shift_graph_z)
+                       unit_shift_graph, unit_shift_graph_z)
 
 
 class NetworkConsistencyError(Exception):
@@ -1086,13 +1086,14 @@ def odometer_factor_chain(
         # rank heads (steps 0..T-1) and tails (steps 1..T) in one pool
         pool = np.concatenate([traj[:, :-1], traj[:, 1:]]).reshape(2 * count, -1)
         _, ranks = _group_rows(pool.T, k, 2 * count)
-        heads, tails = sorted_unique(ranks[:count]), sorted_unique(ranks[count:])
+        heads, tails = np.zeros((2, 2 * count), dtype=bool)  # rank presence
+        heads[ranks[:count]] = tails[ranks[count:]] = True
         # for horizon >= 1 a trajectory is its (head, tail) pair, so the
         # shift is a function and injective exactly when there are as many
         # heads as trajectories, and it permutes when heads and tails agree;
         # at horizon 0 every head and tail is empty
         permutation = horizon == 0 or (
-            len(heads) == len(trajs) and np.array_equal(heads, tails)
+            int(heads.sum()) == len(trajs) and np.array_equal(heads, tails)
         )
         results.append(
             {

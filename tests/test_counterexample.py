@@ -455,6 +455,14 @@ def test_naive_floor_overcounts():
     assert rep["floors"][10] == 47
 
 
+def test_profile_floors_count_guaranteed_cells():
+    """The floors, grown in one pass over the horizons, count the cells of
+    `guaranteed_cone_cells` at each horizon."""
+    for horizon in range(1, 41):
+        floors = cx.cex_propagation_profile(horizon)["floors"]
+        assert floors == [len(cx.guaranteed_cone_cells(t)) for t in range(horizon + 1)]
+
+
 def test_window_coverage_matches_decoder_depth1():
     """Independent cross-check of the decoder: exhaustive panorama coverage
     of the cells the depth-1 decode recovers, at the decode horizon."""

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdyn import entropydim as ed
@@ -507,6 +507,62 @@ def test_lattice_shells_match_oracle():
                     "shift_n center on N = 0", "E = 2, D = 0", "ball closed",
                     "ca zero offset", "ca duplicate offset", "ca step of 2",
                     "ca Z^1 not spanned", "ca Z^2 not spanned"}
+
+
+def _ca_case(offsets, centers, radii):
+    """A `lattice_cases` case on the graph of a CA with these offsets."""
+    d = len(offsets[0])
+    g = ss.ca_on_zd(2, offsets, [0] * 2 ** len(offsets))[0].graph
+    return "ca", g, d, 0, centers, radii, max(abs(c) for o in offsets for c in o) or 1
+
+
+def test_lattice_shells_are_duplicate_free():
+    """Every shell of the array BFS holds distinct codes, none of them in an
+    earlier shell or the center, each set in the ball's visited bitmap, read
+    after read, as the box is regrown; `set(shell)` in the oracle test would
+    hide a repeat."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lattice_cases())
+    @example(_ca_case([(0,), (1,), (1,), (-2,)], [(0,), (3,)], [2, 5, 1]))
+    @example(_ca_case([(0, 0), (1, 0), (-1, 1), (1, 0)], [(0, 0)], [1, 4]))
+    @example(("zdne", ng.cayley_zdne(1, 1), 1, 1, [(0, 0), (1, 2)], [1, 3], 1))
+    @example(("shift_n", ng.unit_shift_graph(), 0, 1, [0], [3, 7], 1))
+    def check(case):
+        kind, g, d, e, centers, radii, step = case
+        center = frozenset(centers)
+        box_radius = None
+        for radius in radii:
+            shells = g._shells(center, radius)
+            state = g._ball_cache[center][1]
+            assert isinstance(state, ng._LatticeBall)
+            if state.radius < 0:  # read only at radius 0: no box yet
+                assert shells == [set(centers)]
+                continue
+            points = np.array([ng.vertex_key(c) for c in centers], dtype=np.int64)
+            earlier = state.coding.codes(points).tolist()
+            for shell in shells[1:]:
+                assert isinstance(shell, ng._CodeShell) and shell.coding is state.coding
+                codes = shell.codes.tolist()
+                assert len(set(codes)) == len(codes)
+                assert set(codes).isdisjoint(earlier)
+                assert state.seen[shell.codes].all()
+                earlier += codes
+            if box_radius is not None and state.radius > box_radius:
+                seen.add("box regrown")
+            box_radius = state.radius
+        if e and any(ng.vertex_key(c)[-1] == 0 for c in centers):
+            seen.add("center on N = 0")
+        if kind == "ca":
+            offsets = g.universe["offsets"]
+            if (0,) * d in offsets:
+                seen.add("ca zero offset")
+            if len(set(offsets)) < len(offsets):
+                seen.add("ca duplicate offset")
+
+    check()
+    assert seen == {"box regrown", "center on N = 0", "ca zero offset", "ca duplicate offset"}
 
 
 def test_bigger_box_keeps_decoded_shells(monkeypatch):
