@@ -414,19 +414,20 @@ def image_configuration_oracle(sys_, x, region):
     return ss.Configuration(out)
 
 
-def planted_pair_oracle(metric, space, domain, r_cap, rng):
-    """One pair of the Lipschitz sweep, one `rng.random()` per pick: x on
-    the domain, then an anchor, a radius, a cell of that shell and another
-    allowed symbol there.  Returns (x, cell, y), or None when the shell or
-    the symbol choice is empty."""
+def planted_pair_oracle(metric, space, domain, radii, rng):
+    """One pair of the sampled sweeps, one `rng.random()` per pick: x on the
+    domain, then an anchor, a radius below `radii`, a cell of that shell
+    inside the domain and another allowed symbol there.  Returns (x, cell,
+    y), or None when the shell or the symbol choice is empty."""
     anchors = metric.scheme.vertices
     x = choice_per_cell(space, domain, rng)
     u = anchors[int(rng.random() * len(anchors))]
-    radius = int(rng.random() * max(1, r_cap - 1))
+    radius = int(rng.random() * radii)
     cell_draw, symbol_draw = rng.random(), rng.random()
     shell = metric.graph.ball_members([u], radius)
     if radius > 0:
         shell = shell - metric.graph.ball_members([u], radius - 1)
+    shell = shell & set(domain)
     if not shell:
         return None
     cell = ng.sort_vertices(shell)[int(cell_draw * len(shell))]
@@ -454,7 +455,7 @@ def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
     flagged = []
     skipped = 0
     for i in range(samples):
-        pair = planted_pair_oracle(metric, space, domain, r_cap, rng)
+        pair = planted_pair_oracle(metric, space, domain, max(1, r_cap - 1), rng)
         if pair is None:
             skipped += 1
             continue
@@ -482,6 +483,60 @@ def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
         "flagged": flagged,
         "lambda": metric.lam,
         "within_lambda": not flagged,
+    }
+
+
+def holder_report_oracle(sys_, metric_from, metric_to, eta, lam_const, space, domain,
+                         samples, seed=0):
+    """The Hölder sweep one pair at a time, on the oracles above.  The map is
+    one step of `sys_` on the domain cells whose inputs lie in the domain, or
+    the identity when `sys_` is None.  Radii are drawn up to the deepest
+    radius below 8 at which an anchor's shell meets the domain."""
+    rng = random.Random(seed)
+    domain = ng.sort_vertices(domain)
+    cells = set(domain)
+    region = None if sys_ is None else [w for w in domain
+                                        if set(sys_.rule(w).inputs) <= cells]
+    graph = metric_from.graph
+    reach = 0
+    for u in metric_from.scheme.vertices:
+        for r in range(8):
+            shell = graph.ball_members([u], r)
+            if r > 0:
+                shell = shell - graph.ball_members([u], r - 1)
+            if shell & cells:
+                reach = max(reach, r)
+    holds = violations = 0
+    worst = None
+    worst_excess = 0.0
+    for i in range(samples):
+        pair = planted_pair_oracle(metric_from, space, domain, reach + 1, rng)
+        if pair is None:
+            continue
+        x, cell, y = pair
+        d_lo, d_hi = dist_oracle(metric_from, x, y)
+        if d_lo <= 0.0:
+            continue
+        if region is not None:
+            x = image_configuration_oracle(sys_, x, region)
+            y = image_configuration_oracle(sys_, y, region)
+        p_lo, p_hi = dist_oracle(metric_to, x, y)
+        bound_lo = lam_const * d_lo**eta
+        bound_hi = lam_const * d_hi**eta
+        if p_hi <= bound_lo * (1 + 1e-9):
+            holds += 1
+        elif p_lo > bound_hi * (1 + 1e-9):
+            violations += 1
+            if p_lo / bound_hi > worst_excess:
+                worst_excess = p_lo / bound_hi
+                worst = {"sample": i, "cell": cell, "pre": (d_lo, d_hi),
+                         "post": (p_lo, p_hi)}
+    return {
+        "holds": holds,
+        "violations": violations,
+        "inconclusive": samples - holds - violations,
+        "passed": violations == 0 and holds > 0,
+        "worst": worst,
     }
 
 

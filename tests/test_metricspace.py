@@ -20,6 +20,7 @@ from symdyn import counterexample as cx
 from conftest import (
     covered_radius_oracle,
     dist_oracle,
+    holder_report_oracle,
     image_configuration_oracle,
     lipschitz_report_oracle,
     planted_pair_oracle,
@@ -327,8 +328,8 @@ def test_lipschitz_chunks_match_oracle_sweep(samples):
 
 def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
     """Cells of 2, 3 and 1 symbols, some sets not starting at 0: both sweeps
-    draw the pairs of one `rng.random()` per pick, so the Lipschitz report
-    equals the oracle sweep and both equal the sweeps on per-call draws."""
+    draw the pairs of one `rng.random()` per pick, so each report equals its
+    oracle sweep and both equal the sweeps on per-call draws."""
     sets = [(0, 1), (0, 1, 2), (2,), (1, 2)]
     space = ss.PatternSpace(lambda v: sets[v % 4])
     sys_, _ = ss.full_shift(3, "Z")
@@ -346,8 +347,40 @@ def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
     assert lipschitz["skipped"] and lipschitz["flagged"]
     assert holder["holds"] and holder["inconclusive"] and holder["passed"]
     assert lipschitz == lipschitz_report_oracle(sys_, metric, space, 300, seed=3, r_cap=4)
+    assert holder == holder_report_oracle(None, m2, m4, 2.0, 1.0, space, domain, 300, seed=4)
     monkeypatch.setattr(ms, "_uniforms", uniforms_per_call)
     assert sweeps() == (lipschitz, holder)
+
+
+def _holder_map(kind, sys_, domain):
+    """The identity, or one step of the system on the domain cells whose
+    inputs lie in the domain, as `holder_report` takes it."""
+    if kind == "identity":
+        return lambda x: x
+    region = [w for w in ng.sort_vertices(domain) if set(sys_.rule(w).inputs) <= domain]
+    return lambda x: ms.image_configuration(sys_, x, region)
+
+
+@pytest.mark.parametrize("kind", ["identity", "step"])
+@pytest.mark.parametrize("samples", [7, ms._SWEEP_ROWS + 37])
+def test_holder_matches_oracle_sweep(z2, kind, samples):
+    """The identity and one XOR-automaton step, under a 3-anchor metric, below
+    one chunk and across a chunk boundary: each report equals the sweep of
+    one pair at a time, and the settings both hold and violate."""
+    ca, space = _xor_automaton()
+    anchors = [(0, 0), (2, 1), (-1, -2)]
+    m2, m4 = (ms.BasedMetric(scheme=ms.CoefficientScheme.double_exponential(anchors),
+                             lam=lam, graph=z2) for lam in (2.0, 4.0))
+    domain = z2.ball_members(anchors, 4)
+    sys_ = None if kind == "identity" else ca
+    seen = set()
+    for eta, constant in [(1.0, 2.0), (1.5, 1.0), (1.0, 1.0)]:
+        rep = ms.holder_report(_holder_map(kind, ca, domain), m2, m4, eta, constant, space,
+                               domain, samples, seed=6)
+        assert rep == holder_report_oracle(sys_, m2, m4, eta, constant, space, domain,
+                                           samples, seed=6)
+        seen |= {key for key in ("holds", "violations") if rep[key]}
+    assert seen == {"holds", "violations"}
 
 
 @st.composite
@@ -439,7 +472,7 @@ def test_lipschitz_checks_every_image_value(z2, z2_metric, reads_planted_cell):
     x, and at a cell that does not, where x's full image holds the value."""
     ca, space = _xor_automaton()
     domain = ng.sort_vertices(z2.ball_members([(0, 0)], 4))
-    x, cell, y = planted_pair_oracle(z2_metric, space, domain, 3, random.Random(4))
+    x, cell, y = planted_pair_oracle(z2_metric, space, domain, 2, random.Random(4))
     if reads_planted_cell:
         w = next(v for v in ng.sort_vertices(z2.ball_members([(0, 0)], 3))
                  if cell in ca.rule(v).inputs and v != cell)
