@@ -330,7 +330,7 @@ def cmd_holder_check(args) -> int:
         raise ValueError(f"--lam2: {exc}") from None
     domain = sys_.graph.ball_members(metric_from.scheme.vertices, args.rcap)
     rep = ms.holder_report(
-        lambda x: x, metric_from, metric_to, args.eta, args.constant,
+        None, metric_from, metric_to, args.eta, args.constant,
         space, domain, args.samples, args.seed
     )
     worst = rep["worst"]

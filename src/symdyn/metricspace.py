@@ -10,13 +10,13 @@ one domain: first-disagreement radii come from the cached BFS shells of each
 estuary vertex.  One-step images come from the rule-application kernel of
 `symsys` (`_StepPlan`, one elementwise call per rule function).
 `pseudo_dist`, `dist` and `image_configuration` are one-row calls of these
-kernels.  The Lipschitz and Hölder sweeps sample a chunk of pairs, then
-evaluate their images and distances together; they consume the same random
-stream as sampling and measuring one pair at a time, with one
-int(rng.random() * n) per pick of n items, but read it in bulk
-(`symsys._uniforms`) and pick by table lookups.  The Lipschitz sweep plans
-its step, readers and shells once, and images the perturbed row only at the
-readers of its planted cell.
+kernels.  The Lipschitz and Hölder reports share one sampled sweep
+(`_sweep`), which samples a chunk of pairs, then measures them together.  It
+consumes the same random stream as sampling and measuring one pair at a
+time, with one int(rng.random() * n) per pick of n items, but reads it in
+bulk (`symsys._uniforms`) and picks by table lookups.  A step is planned
+once and images the perturbed row only at the readers of its planted cell;
+`holder_report(None, ...)` measures the identity.
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
@@ -24,17 +24,16 @@ any covering search.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
 from .symsys import (Configuration, InsufficientDomainError, PatternSpace, SymbolicSystem,
-                     _columns, _image_rows, _RowPlan, _StepPlan, _uniforms)
+                     _check_symbol, _columns, _image_rows, _RowPlan, _StepPlan, _uniforms)
 from .entropydim import pattern_log_count
 
 
@@ -45,6 +44,17 @@ class DomainMismatchError(Exception):
 class ToleranceUnreachableError(Exception):
     """The coefficient tail or the configuration domain cannot reach the
     requested tolerance."""
+
+
+def _check_eps_grid(eps_grid: Sequence[float]) -> None:
+    """Reject an empty or non-decreasing grid, or an eps not finite and > 0."""
+    if not eps_grid:
+        raise ValueError("eps grid must be nonempty")
+    for eps in eps_grid:
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ValueError("eps grid must decrease")
 
 
 @dataclass(frozen=True)
@@ -144,6 +154,9 @@ class CoefficientScheme:
         """
         if eps_grid is None:
             eps_grid = [2.0 ** (-k) for k in range(4, 44, 4)]
+        _check_eps_grid(eps_grid)
+        if eps_grid[0] >= math.exp(-1):  # ln |ln eps| must be positive
+            raise ValueError(f"eps must be below 1/e, got {eps_grid[0]}")
         points = []
         for eps in eps_grid:
             j = self.prefix_length(eps)
@@ -287,7 +300,7 @@ def _pick(u: np.ndarray, n) -> np.ndarray:
     return (u * n).astype(np.intp)
 
 
-def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
+def _planted_pairs(rng, metric, space, domain, radii, samples):
     """Sample pairs that differ at one planted cell, a chunk at a time.
 
     Each sample takes len(domain) + 4 values u of `rng.random()`, each the
@@ -307,15 +320,15 @@ def _planted_pairs(rng, graph, anchors, space, domain, radii, samples):
     dtype = np.min_scalar_type(max((max(a) for a in allowed), default=0))
     shells, shell_sizes = _padded([  # row a * radii + r: shell r of anchor a
         [index[c] for c in sort_vertices(s) if c in index]
-        for u in anchors
-        for s in (graph._shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
+        for u in metric.scheme.vertices
+        for s in (metric.graph._shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
     symbols, symbol_sizes = _padded(allowed)
     plan, m = _RowPlan(allowed, dtype), len(domain)
 
     def plant(start, uniforms):  # the chunk's draws are freed before the next read
         u_anchor, u_radius, u_cell, u_symbol = uniforms[:, m:].T
         x = plan.rows(uniforms[:, :m])
-        shell = _pick(u_anchor, len(anchors)) * radii + _pick(u_radius, radii)
+        shell = _pick(u_anchor, len(metric.scheme.vertices)) * radii + _pick(u_radius, radii)
         live = np.flatnonzero(shell_sizes[shell] > 0)
         cols = shells[shell[live], _pick(u_cell[live], shell_sizes[shell[live]])]
         options = symbols[cols]
@@ -408,6 +421,55 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samples, seed):
+    """The chunks of `_planted_pairs`, each as the sample numbers, planted
+    columns, and pre-image and image (lo, hi) arrays of its pairs whose
+    pre-image interval clears zero; chunks that keep none are left out.  The
+    map is one step of `sys` on the image region, planned once with the
+    image cells that read each domain cell: a pair differs at its planted
+    cell only, so x is imaged in full and y only at the readers of that
+    cell.  When `sys` is None the map is the identity.  An allowed symbol
+    outside the system's alphabet raises before anything is drawn.
+    """
+    index = _columns(domain)
+    pre_shells = _estuary_shells(metric_from, index)
+    post_shells = _estuary_shells(metric_to, _columns(image_region))
+    if sys is not None:
+        for v in domain:
+            allowed = space.allowed(v)
+            for s in (min(allowed), max(allowed)):
+                _check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {v!r} is")
+        plan = _StepPlan(sys, index, image_region)
+        readers = [[] for _ in domain]
+        for j, w in enumerate(image_region):
+            for c in {index[u] for u in sys.rule(w).inputs}:
+                readers[c].append(j)
+        readers = _padded(readers, -1)[0]
+
+    def measure(chunk):
+        """The kept pairs' arrays, or None when no pair is kept.  Nothing else
+        outlives the call, so a chunk is freed before the next is drawn."""
+        used, pairs, cols = chunk
+        pre_lo, pre_hi = _dist_rows(metric_from, pre_shells, pairs[0] != pairs[1])
+        rows = np.flatnonzero(pre_lo > 0.0)
+        if not len(rows):
+            return None
+        x, y = pairs[:, rows]
+        if sys is None:
+            diff = x != y
+        else:
+            image = plan.image(x, len(image_region))
+            which, slot = np.nonzero(readers[cols[rows]] >= 0)
+            at = readers[cols[rows[which]], slot]
+            diff = np.zeros(image.shape, dtype=bool)
+            diff[which, at] = plan.image_at(y, which, at) != image[which, at]
+        return (used[rows], cols[rows], pre_lo[rows], pre_hi[rows],
+                *_dist_rows(metric_to, post_shells, diff))
+
+    chunks = _planted_pairs(random.Random(seed), metric_from, space, domain, radii, samples)
+    return filter(None, map(measure, chunks))
+
+
 def lipschitz_report(
     sys: SymbolicSystem,
     metric: BasedMetric,
@@ -421,58 +483,21 @@ def lipschitz_report(
     Pairs are sampled with a planted first disagreement at a known radius,
     so the pre-image distance is exact; the image distance is measured on
     the one-smaller ball.  Pairs whose pre-image distance interval touches
-    zero are skipped and counted.
-
-    The sweep plans once: the update step on the image region, the image
-    cells that read each domain cell, and the anchor shells of both domains.
-    It samples a chunk of pairs, then evaluates their images and distances
-    together.  A pair differs at its planted cell only, so x is imaged in
-    full and y only at the readers of that cell; elsewhere y's image is x's.
-    It consumes the same random stream as sampling and measuring one pair at
-    a time, and returns the same report.
+    zero are skipped and counted.  The pairs and their intervals come from
+    the shared sweep (`_sweep`), which consumes the same random stream as
+    sampling and measuring one pair at a time, and returns the same report.
     """
     _check_count("samples", samples)
     _check_count("r_cap", r_cap)
-    rng = random.Random(seed)
     anchors = metric.scheme.vertices
     domain = sort_vertices(metric.graph.ball_members(anchors, r_cap + 1))
     image_region = sort_vertices(metric.graph.ball_members(anchors, r_cap))
-    index = _columns(domain)
-    plan = _StepPlan(sys, index, image_region)
-    readers = [[] for _ in domain]
-    for j, w in enumerate(image_region):
-        for c in {index[u] for u in sys.rule(w).inputs}:
-            readers[c].append(j)
-    readers = _padded(readers, -1)[0]
-    pre_shells = _estuary_shells(metric, index)
-    post_shells = _estuary_shells(metric, _columns(image_region))
-
-    def measure(used, pairs, cols):
-        """Sample numbers, planted columns, and pre-image and image intervals
-        of the chunk's pairs whose pre-image interval clears zero.  Nothing
-        else outlives the call, so a chunk is freed before the next is drawn."""
-        pre_lo, pre_hi = _dist_rows(metric, pre_shells, pairs[0] != pairs[1])
-        rows = np.flatnonzero(pre_lo > 0.0)
-        if not len(rows):
-            return (rows,) * 6  # nothing measured: six empty arrays
-        x, y = pairs[:, rows]
-        image = plan.image(x, len(image_region))
-        which, slot = np.nonzero(readers[cols[rows]] >= 0)
-        at = readers[cols[rows[which]], slot]
-        diff = np.zeros(image.shape, dtype=bool)
-        diff[which, at] = plan.image_at(y, which, at) != image[which, at]
-        return (used[rows], cols[rows], pre_lo[rows], pre_hi[rows],
-                *_dist_rows(metric, post_shells, diff))
-
     max_ratio = 0.0
     worst = None
     flagged = []
     measured = 0
-    chunks = _planted_pairs(rng, metric.graph, anchors, space, domain,
-                            max(1, r_cap - 1), samples)
-    for used, cols, pre_lo, pre_hi, post_lo, post_hi in itertools.starmap(measure, chunks):
-        if not len(used):
-            continue
+    for used, cols, pre_lo, pre_hi, post_lo, post_hi in _sweep(
+            sys, metric, metric, space, domain, image_region, max(1, r_cap - 1), samples, seed):
         ratio = post_hi / pre_lo
         best = int(np.argmax(ratio))  # the first of the chunk's largest
         if ratio[best] > max_ratio:
@@ -495,7 +520,7 @@ def lipschitz_report(
 
 
 def holder_report(
-    transform: Callable[[Configuration], Configuration],
+    sys: Optional[SymbolicSystem],
     metric_from: BasedMetric,
     metric_to: BasedMetric,
     eta: float,
@@ -507,55 +532,31 @@ def holder_report(
 ) -> dict:
     """Sampled check of d'(Tx, Ty) <= lam * d(x, y)^eta, interval-safe.
 
-    A sample certifies the inequality only when the image interval sits
-    below the bound computed from the pre-image's lower end; it certifies a
-    violation only the other way around.  Everything else is inconclusive.
-    Pairs are sampled a chunk at a time as in `lipschitz_report`; the
-    transform runs per configuration, and the distances of a chunk are
-    evaluated together.
+    T is one step of `sys` on the domain cells whose inputs lie in the
+    domain, or the identity when `sys` is None.  A sample certifies the
+    inequality only when the image interval sits below the bound computed
+    from the pre-image's lower end; it certifies a violation only the other
+    way around.  Everything else is inconclusive.  Pairs are sampled and
+    measured by the sweep of `lipschitz_report` (`_sweep`).
     """
     for name, value in (("eta", eta), ("constant", lam_const)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     _check_count("samples", samples)
-    rng = random.Random(seed)
-    domain = sort_vertices(domain)
-    index = _columns(domain)
-    pre_shells = _estuary_shells(metric_from, index)
-    holds = violations = 0
-    worst = None
-    worst_excess = 0.0
+    cells = frozenset(domain)
+    domain = sort_vertices(cells)
+    image_region = domain if sys is None else [
+        w for w in domain if cells.issuperset(sys.rule(w).inputs)]
     # plant no deeper than the deepest radius at which an anchor's shell
     # meets the domain, so that every sampled radius can plant a cell
-    graph, anchors = metric_from.graph, metric_from.scheme.vertices
-    reach = max((r for u in anchors
-                 for r, shell in enumerate(graph._shells(frozenset([u]), 7))
-                 if any(c in index for c in shell)), default=0)
-    chunks = _planted_pairs(rng, graph, anchors, space, domain, min(8, 1 + reach), samples)
-    for used, pairs, cols in chunks:
-        pre_lo, pre_hi = _dist_rows(metric_from, pre_shells, pairs[0] != pairs[1])
-        groups: dict = {}  # image domain -> (sample rows, image pairs)
-        for k, (xr, yr) in enumerate(zip(*pairs.tolist())):
-            tx = transform(Configuration(dict(zip(domain, xr))))
-            ty = transform(Configuration(dict(zip(domain, yr))))
-            if tx.domain != ty.domain:
-                raise DomainMismatchError("configurations must share a domain")
-            rows, images = groups.setdefault(tx.domain, ([], []))
-            rows.append(k)
-            images.append((tx, ty))
-        post_lo = np.empty(len(used))
-        post_hi = np.empty(len(used))
-        for image_domain, (rows, images) in groups.items():
-            image_index = _columns(image_domain)
-            post_lo[rows], post_hi[rows] = _dist_rows(
-                metric_to, _estuary_shells(metric_to, image_index),
-                _diff_rows(images, image_index))
-        for i, col, d_lo, d_hi, p_lo, p_hi in zip(
-            used.tolist(), cols.tolist(), pre_lo.tolist(), pre_hi.tolist(),
-            post_lo.tolist(), post_hi.tolist(),
-        ):
-            if d_lo <= 0.0:
-                continue
+    reach = max((r for u in metric_from.scheme.vertices
+                 for r, shell in enumerate(metric_from.graph._shells(frozenset([u]), 7))
+                 if not cells.isdisjoint(shell)), default=0)
+    holds = violations = 0
+    worst, worst_excess = None, 0.0
+    for chunk in _sweep(sys, metric_from, metric_to, space, domain, image_region,
+                        1 + reach, samples, seed):
+        for i, col, d_lo, d_hi, p_lo, p_hi in zip(*(a.tolist() for a in chunk)):
             bound_lo = lam_const * d_lo**eta
             bound_hi = lam_const * d_hi**eta
             if p_hi <= bound_lo * (1 + 1e-9):
@@ -586,12 +587,9 @@ def metric_dim_estimate(
     and the union cover region (tail-cutoff anchors, common radius
     ceil(log_lam(2S / eps))) upper-bounds it.  Slopes are least squares of
     ln(log2 count) against ln(-log_lam eps) over the rows where both counts
-    are positive, None when fewer than two are.
+    and the scale -log_lam eps are positive, None when fewer than two are.
     """
-    if not eps_grid:
-        raise ValueError("eps grid must be nonempty")
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps grid must decrease")
+    _check_eps_grid(eps_grid)
     lam = metric.lam
     scheme = metric.scheme
     rows = []
@@ -620,7 +618,8 @@ def metric_dim_estimate(
                 "upper_region_size": len(upper_region),
             }
         )
-    usable = [r for r in rows if r["log2_cover_lower"] > 0 and r["log2_cover_upper"] > 0]
+    usable = [r for r in rows
+              if r["scale"] > 0 and r["log2_cover_lower"] > 0 and r["log2_cover_upper"] > 0]
     if len(usable) < 2:  # one point fits no slope
         return {"rows": rows, "lower_slope": None, "upper_slope": None}
     xs = [math.log(r["scale"]) for r in usable]

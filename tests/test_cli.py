@@ -199,6 +199,13 @@ def test_metric_dim_rejects_degenerate_grids(capsys, argv, message):
     assert captured.out == ""
 
 
+def test_metric_dim_accepts_eps_one(capsys):
+    """--eps-min-pow 0 puts eps = 1 on the grid, which is a valid eps."""
+    assert cli.run(["metric-dim", "--system", "full_shift", "--alphabet", "2",
+                    "--estuary", "0", "--eps-min-pow", "0", "--eps-max-pow", "8"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv,usable", [
     (["--system", "odometer", "--m", "1", "--estuary", "0"], 0),
     (["--system", "full_shift", "--alphabet", "2", "--estuary", "0",

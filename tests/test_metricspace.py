@@ -236,7 +236,7 @@ def test_holder_identity_between_bases(z2, binary_space):
     m2 = ms.single_estuary_metric(z2, (0, 0), 2.0)
     m4 = ms.single_estuary_metric(z2, (0, 0), 4.0)
     domain = z2.ball_members([(0, 0)], 8)
-    rep = ms.holder_report(lambda x: x, m2, m4, eta=2.0, lam_const=1.0,
+    rep = ms.holder_report(None, m2, m4, eta=2.0, lam_const=1.0,
                            space=binary_space, domain=domain, samples=150,
                            seed=10)
     assert rep["passed"]
@@ -246,7 +246,7 @@ def test_holder_identity_between_bases(z2, binary_space):
 def test_holder_eta_one_for_lipschitz(z2, binary_space):
     m2 = ms.single_estuary_metric(z2, (0, 0), 2.0)
     domain = z2.ball_members([(0, 0)], 8)
-    rep = ms.holder_report(lambda x: x, m2, m2, eta=1.0, lam_const=1.0,
+    rep = ms.holder_report(None, m2, m2, eta=1.0, lam_const=1.0,
                            space=binary_space, domain=domain, samples=100,
                            seed=11)
     assert rep["passed"]
@@ -257,7 +257,7 @@ def test_holder_overreaching_eta_fails(z2, binary_space):
     m2 = ms.single_estuary_metric(z2, (0, 0), 2.0)
     m4 = ms.single_estuary_metric(z2, (0, 0), 4.0)
     domain = z2.ball_members([(0, 0)], 8)
-    rep = ms.holder_report(lambda x: x, m2, m4, eta=3.0, lam_const=1.0,
+    rep = ms.holder_report(None, m2, m4, eta=3.0, lam_const=1.0,
                            space=binary_space, domain=domain, samples=150,
                            seed=12)
     assert not rep["passed"]
@@ -340,7 +340,7 @@ def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
 
     def sweeps():
         return (ms.lipschitz_report(sys_, metric, space, 300, seed=3, r_cap=4),
-                ms.holder_report(lambda x: x, m2, m4, eta=2.0, lam_const=1.0, space=space,
+                ms.holder_report(None, m2, m4, eta=2.0, lam_const=1.0, space=space,
                                  domain=domain, samples=300, seed=4))
 
     lipschitz, holder = sweeps()
@@ -350,15 +350,6 @@ def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
     assert holder == holder_report_oracle(None, m2, m4, 2.0, 1.0, space, domain, 300, seed=4)
     monkeypatch.setattr(ms, "_uniforms", uniforms_per_call)
     assert sweeps() == (lipschitz, holder)
-
-
-def _holder_map(kind, sys_, domain):
-    """The identity, or one step of the system on the domain cells whose
-    inputs lie in the domain, as `holder_report` takes it."""
-    if kind == "identity":
-        return lambda x: x
-    region = [w for w in ng.sort_vertices(domain) if set(sys_.rule(w).inputs) <= domain]
-    return lambda x: ms.image_configuration(sys_, x, region)
 
 
 @pytest.mark.parametrize("kind", ["identity", "step"])
@@ -375,8 +366,7 @@ def test_holder_matches_oracle_sweep(z2, kind, samples):
     sys_ = None if kind == "identity" else ca
     seen = set()
     for eta, constant in [(1.0, 2.0), (1.5, 1.0), (1.0, 1.0)]:
-        rep = ms.holder_report(_holder_map(kind, ca, domain), m2, m4, eta, constant, space,
-                               domain, samples, seed=6)
+        rep = ms.holder_report(sys_, m2, m4, eta, constant, space, domain, samples, seed=6)
         assert rep == holder_report_oracle(sys_, m2, m4, eta, constant, space, domain,
                                            samples, seed=6)
         seen |= {key for key in ("holds", "violations") if rep[key]}
@@ -485,6 +475,26 @@ def test_lipschitz_checks_every_image_value(z2, z2_metric, reads_planted_cell):
         ms.lipschitz_report(bad, z2_metric, space, samples=1, seed=4, r_cap=3)
 
 
+@pytest.mark.parametrize("system", ["xor", "shift"])
+def test_sweeps_reject_symbols_outside_the_alphabet(system):
+    """A space allowing 2 on a binary system raises before the sweep draws,
+    naming the first domain cell, rather than failing in a rule."""
+    sys_ = _xor_automaton()[0] if system == "xor" else ss.full_shift(2)[0]
+    anchor = (0, 0) if system == "xor" else 0
+    metric = ms.single_estuary_metric(sys_.graph, anchor, 2.0)
+    space = ss.PatternSpace.full(ss.Alphabet(3))
+    domain = sys_.graph.ball_members([anchor], 3)
+    for sweep, cells in [
+            (lambda: ms.lipschitz_report(sys_, metric, space, 20, r_cap=3),
+             sys_.graph.ball_members([anchor], 4)),
+            (lambda: ms.holder_report(sys_, metric, metric, 1.0, 1.0, space, domain, 20),
+             domain)]:
+        message = (f"allowed symbol at vertex {ng.sort_vertices(cells)[0]!r} is 2, "
+                   "outside the symbols 0..1")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep()
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda sweep: sweep(samples=5.5), "samples must be an int, got 5.5"),
     (lambda sweep: sweep(samples=True), "samples must be an int, got True"),
@@ -499,7 +509,7 @@ def test_lipschitz_rejects_counts_that_are_not_ints(z2_metric, call, message):
 @pytest.mark.parametrize("samples", [5.5, True])
 def test_holder_rejects_counts_that_are_not_ints(z2, z2_metric, binary_space, samples):
     with pytest.raises(TypeError, match=f"^samples must be an int, got {samples}$"):
-        ms.holder_report(lambda x: x, z2_metric, z2_metric, 1.0, 1.0, binary_space,
+        ms.holder_report(None, z2_metric, z2_metric, 1.0, 1.0, binary_space,
                          z2.ball_members([(0, 0)], 3), samples=samples)
 
 
@@ -514,7 +524,7 @@ def test_lipschitz_rejects_vacuous_sweeps(z2_metric, kwargs):
 
 def test_holder_rejects_vacuous_sweeps(z2, z2_metric, binary_space):
     with pytest.raises(ValueError, match="samples"):
-        ms.holder_report(lambda x: x, z2_metric, z2_metric, 1.0, 1.0, binary_space,
+        ms.holder_report(None, z2_metric, z2_metric, 1.0, 1.0, binary_space,
                          z2.ball_members([(0, 0)], 3), samples=0)
 
 
@@ -546,7 +556,7 @@ def test_scheme_rejects_coefficients_not_finite_positive(kwargs, message):
 def test_holder_rejects_parameters_not_finite_positive(z2, z2_metric, binary_space,
                                                        eta, constant, name):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-        ms.holder_report(lambda x: x, z2_metric, z2_metric, eta, constant, binary_space,
+        ms.holder_report(None, z2_metric, z2_metric, eta, constant, binary_space,
                          z2.ball_members([(0, 0)], 3), samples=5)
 
 
@@ -561,6 +571,26 @@ def test_holder_rejects_parameters_not_finite_positive(z2, z2_metric, binary_spa
      "eps grid must decrease"),
     (lambda z2, m, space: ms.metric_dim_estimate(space, m, [0.25, 0.5]), ValueError,
      "eps grid must decrease"),
+    (lambda z2, m, space: ms.metric_dim_estimate(space, m, []), ValueError,
+     "eps grid must be nonempty"),
+    (lambda z2, m, space: ms.metric_dim_estimate(space, m, [0.5, 0.0]), ValueError,
+     "eps must be finite and positive, got 0.0"),
+    (lambda z2, m, space: ms.metric_dim_estimate(space, m, [-0.5]), ValueError,
+     "eps must be finite and positive, got -0.5"),
+    (lambda z2, m, space: ms.metric_dim_estimate(space, m, [math.inf, 0.5]), ValueError,
+     "eps must be finite and positive, got inf"),
+    (lambda z2, m, space: m.scheme.precipitous_report([]), ValueError,
+     "eps grid must be nonempty"),
+    (lambda z2, m, space: m.scheme.precipitous_report([0.1, math.nan]), ValueError,
+     "eps must be finite and positive, got nan"),
+    (lambda z2, m, space: m.scheme.precipitous_report([0.01, 0.1]), ValueError,
+     "eps grid must decrease"),
+    (lambda z2, m, space: m.scheme.precipitous_report([1.0]), ValueError,
+     "eps must be below 1/e, got 1.0"),
+    (lambda z2, m, space: m.scheme.precipitous_report([math.exp(-1)]), ValueError,
+     f"eps must be below 1/e, got {math.exp(-1)}"),
+    (lambda z2, m, space: m.scheme.precipitous_report([2.0, 0.1]), ValueError,
+     "eps must be below 1/e, got 2.0"),
     (lambda z2, m, space: ms.uniform_dim_profile(z2, [(0, 0)], [4, 1]), ValueError,
      "radii must be >= 2"),
 ])
@@ -574,54 +604,10 @@ def test_holder_skips_pairs_with_no_lower_distance(z2, binary_space):
     [0, hi]: each sample is inconclusive, even under a constant so small
     that a pair measured from d_lo = 0 would read as a violation."""
     far = ms.single_estuary_metric(z2, (4, 0), 2.0)
-    rep = ms.holder_report(lambda x: x, far, ms.single_estuary_metric(z2, (0, 0), 2.0),
+    rep = ms.holder_report(None, far, ms.single_estuary_metric(z2, (0, 0), 2.0),
                            1.0, 1e-6, binary_space, z2.ball_members([(0, 0)], 3), 20)
     assert rep == {"holds": 0, "violations": 0, "inconclusive": 20, "passed": False,
                    "worst": None}
-
-
-def _restrict(x, cells):
-    return ss.Configuration({v: x.values[v] for v in cells})
-
-
-def test_holder_batches_image_domains(z2, binary_space):
-    """A transform whose image domain changes from pair to pair: every pair
-    is measured on its own domain, as one pair at a time would be."""
-    m2 = ms.single_estuary_metric(z2, (0, 0), 2.0)
-    domain = ng.sort_vertices(z2.ball_members([(0, 0)], 5))
-    calls = []
-
-    def crop(x):
-        radius = 2 + len(calls) // 2 % 2  # alternates pair by pair
-        image = _restrict(x, z2.ball_members([(0, 0)], radius))
-        calls.append((x, image))
-        return image
-
-    rep = ms.holder_report(crop, m2, m2, eta=1.0, lam_const=1.0,
-                           space=binary_space, domain=domain, samples=60, seed=3)
-    holds = violations = 0
-    for (x, tx), (y, ty) in zip(calls[::2], calls[1::2]):
-        pre = dist_oracle(m2, x, y)
-        post = dist_oracle(m2, tx, ty)
-        if pre[0] > 0.0 and post[1] <= pre[0] * (1 + 1e-9):
-            holds += 1
-        elif pre[0] > 0.0 and post[0] > pre[1] * (1 + 1e-9):
-            violations += 1
-    assert (rep["holds"], rep["violations"]) == (holds, violations)
-    assert rep["holds"] + rep["violations"] + rep["inconclusive"] == 60
-
-
-def test_holder_image_domain_mismatch(z2, binary_space):
-    m2 = ms.single_estuary_metric(z2, (0, 0), 2.0)
-    domain = z2.ball_members([(0, 0)], 3)
-    calls = []
-
-    def uneven(x):
-        calls.append(x)
-        return _restrict(x, list(x.values)[: len(calls) % 2 + 1])
-
-    with pytest.raises(ms.DomainMismatchError):
-        ms.holder_report(uneven, m2, m2, 1.0, 1.0, binary_space, domain, samples=5)
 
 
 def test_image_configuration_names_missing_inputs():
@@ -875,6 +861,21 @@ def test_metric_dim_lower_below_upper(z2, z2_metric, binary_space):
     rep = ms.metric_dim_estimate(binary_space, z2_metric, eps_grid)
     for row in rep["rows"]:
         assert row["log2_cover_lower"] <= row["log2_cover_upper"] + 1e-12
+
+
+def test_metric_dim_fits_no_slope_at_eps_one(binary_space):
+    """At eps = 1 the scale -log_lam eps is 0, which has no logarithm: a
+    coefficient above 1 gives that row positive counts, and the slopes are
+    fitted to the other rows alone."""
+    line = ng.unit_shift_graph()
+    metric = ms.BasedMetric(scheme=ms.CoefficientScheme.finite([0], [2.0]), lam=2.0,
+                            graph=line)
+    grid = [2.0 ** (-k) for k in range(0, 9, 2)]
+    rep = ms.metric_dim_estimate(binary_space, metric, grid)
+    assert rep["rows"][0]["scale"] == 0 and rep["rows"][0]["log2_cover_lower"] > 0
+    rest = ms.metric_dim_estimate(binary_space, metric, grid[1:])
+    assert (rep["lower_slope"], rep["upper_slope"]) == (rest["lower_slope"],
+                                                        rest["upper_slope"])
 
 
 def test_cover_and_separation_soundness(z2, z2_metric, binary_space):
