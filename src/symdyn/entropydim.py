@@ -128,6 +128,8 @@ def tau_entropy_profile(
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     base = sort_vertices(base)
+    if not base:
+        raise ValueError("base must be nonempty")
     region = set(base)
     current = set(base)
     ns = []

@@ -429,7 +429,9 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
     image cells that read each domain cell: a pair differs at its planted
     cell only, so x is imaged in full and y only at the readers of that
     cell.  When `sys` is None the map is the identity.  An allowed symbol
-    outside the system's alphabet raises before anything is drawn.
+    outside the system's alphabet, or an input of an image cell outside the
+    domain (InsufficientDomainError, naming them), raises before anything
+    is drawn.
     """
     index = _columns(domain)
     pre_shells = _estuary_shells(metric_from, index)
@@ -439,11 +441,15 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
             allowed = space.allowed(v)
             for s in (min(allowed), max(allowed)):
                 _check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {v!r} is")
-        plan = _StepPlan(sys, index, image_region)
-        readers = [[] for _ in domain]
+        readers, missing = [[] for _ in domain], set()
         for j, w in enumerate(image_region):
-            for c in {index[u] for u in sys.rule(w).inputs}:
-                readers[c].append(j)
+            inputs = set(sys.rule(w).inputs)
+            missing |= inputs.difference(index)
+            for u in inputs.intersection(index):
+                readers[index[u]].append(j)
+        if missing:
+            raise InsufficientDomainError(sort_vertices(missing))
+        plan = _StepPlan(sys, index, image_region)
         readers = _padded(readers, -1)[0]
 
     def measure(chunk):

@@ -17,7 +17,8 @@ elementwise call of each rule function on the argument columns of all the
 cells that share it.  A trajectory plans its step once and images each
 horizon as a prefix (`evaluate` is a batch of one, and the envelope and
 factor-chain certificates simulate every pattern on the envelope in one
-batch); composed tables, subsymmetry checks and `image_configuration`
+batch); composed tables, `image_configuration` and subsymmetry checks
+(every allowed pattern on the cells a probe vertex's commutation reads)
 plan and image one step (`_image_rows`).  The Lipschitz sweep of
 `metricspace` plans its step once, images every x row in full and each
 perturbed row only at given (row, cell) pairs (`_StepPlan.image_at`).
@@ -487,11 +488,25 @@ def _trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> 
 # -- exhaustive panorama enumeration -----------------------------------------
 
 
-def _pattern_count(space: PatternSpace, cells: Sequence[Vertex]) -> int:
+def _pattern_count(space: PatternSpace, cells: Sequence[Vertex], cap=None) -> int:
+    """The number of allowed patterns on `cells`; EnumerationCapError past cap."""
     n = 1
     for v in cells:
         n *= len(space.allowed(v))
+    if cap is not None and n > cap:
+        raise EnumerationCapError(n, cap)
     return n
+
+
+def _patterns(space: PatternSpace, cells: Sequence[Vertex], cap: int) -> np.ndarray:
+    """Every allowed pattern on `cells`, one row each in mixed-radix order
+    (first cell most significant); EnumerationCapError past cap patterns."""
+    count = _pattern_count(space, cells, cap)
+    allowed = [np.asarray(space.allowed(v)) for v in cells]
+    rows = np.empty((count, len(cells)), np.min_scalar_type(max(map(np.max, allowed), default=0)))
+    for j, v in enumerate(cells):
+        rows[:, j] = allowed[j][_radix_index(cells, space, {v: 1})]
+    return rows
 
 
 def panorama(
@@ -552,10 +567,7 @@ def posexpansive_window_check(
 def _enumerable_cone(sys, space, window, horizon, max_patterns):
     """The window's light cone and its pattern count, within the cap."""
     cone = light_cone(sys, window, horizon)
-    count = _pattern_count(space, cone.union)
-    if count > max_patterns:
-        raise EnumerationCapError(count, max_patterns)
-    return cone, count
+    return cone, _pattern_count(space, cone.union, max_patterns)
 
 
 def _layers(sys, space, cone, target=None):
@@ -1006,19 +1018,6 @@ def _envelope_cone(sys, window, t_probe, r_cap):
     return cone, reach, reason
 
 
-def _pattern_trajectories(sys, space, cone, max_patterns):
-    """`_trajectory_rows` of every pattern of `space` on the cone, in
-    mixed-radix order; EnumerationCapError past max_patterns patterns."""
-    cells = cone.union
-    count = _pattern_count(space, cells)
-    if count > max_patterns:
-        raise EnumerationCapError(count, max_patterns)
-    rows = np.empty((count, len(cells)), dtype=np.min_scalar_type(sys.alphabet.size - 1))
-    for j, v in enumerate(cells):
-        rows[:, j] = np.asarray(space.allowed(v))[_radix_index(cells, space, {v: 1})]
-    return _trajectory_rows(sys, cone, rows)
-
-
 def equicontinuity_envelope(
     sys: SymbolicSystem,
     window: Iterable[Vertex],
@@ -1039,7 +1038,8 @@ def equicontinuity_envelope(
     cone, reach, reason = _envelope_cone(sys, window, t_probe, r_cap)
     count = None
     if not reason:
-        traj = _pattern_trajectories(sys, PatternSpace.full(sys.alphabet), cone, max_patterns)
+        traj = _trajectory_rows(
+            sys, cone, _patterns(PatternSpace.full(sys.alphabet), cone.union, max_patterns))
         first, _ = _group_rows(traj.reshape(len(traj), -1).T, sys.alphabet.size, len(traj))
         count = len(first)
     return EnvelopeReport(
@@ -1080,7 +1080,7 @@ def odometer_factor_chain(
         cone, _, reason = _envelope_cone(sys, w, horizon, r_cap=horizon + len(w) + 1)
         if reason:
             raise NotEquicontinuousError(f"window {w} has no certified envelope")
-        traj = _pattern_trajectories(sys, space, cone, max_patterns)
+        traj = _trajectory_rows(sys, cone, _patterns(space, cone.union, max_patterns))
         count = len(traj)
         trajs, _ = _group_rows(traj.reshape(count, -1).T, k, count)
         # rank heads (steps 0..T-1) and tails (steps 1..T) in one pool
@@ -1150,22 +1150,21 @@ def check_proper(rule: LocalRule, alphabet: Alphabet) -> dict:
 
 
 def subsymmetry_check(
-    sys: SymbolicSystem,
-    tau: Subisometry,
-    probe: Iterable[Vertex],
-    space: PatternSpace,
-    samples: int = 20,
-    seed: int = 0,
+    sys: SymbolicSystem, tau: Subisometry, probe: Iterable[Vertex], space: PatternSpace
 ) -> dict:
-    """Probe-level evidence that tau is a subsymmetry of the system.
+    """Finite evidence that tau is a subsymmetry of the system on a probe set.
 
     Checks (i) injectivity and edge preservation on the probe set, (ii) that
-    the pattern space looks the same along tau, and (iii) commutation of the
-    update map with the induced shift on sampled configurations.
+    the pattern space looks the same along tau, and (iii) that the update
+    map commutes with the induced shift at each probe vertex v.  That
+    depends only on the cells U_v = tau(inputs(v)) | inputs(tau(v)), so it
+    is decided on every allowed pattern on U_v; a violation's witness is the
+    first of them (in mixed-radix order) that breaks it.  A vertex with more
+    than _TABLE_MAX patterns on U_v is unchecked, and the check fails.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
     probe = sort_vertices(set(probe))
+    if not probe:
+        raise ValueError("probe must be nonempty")
     images = [tau(v) for v in probe]
     injective = len(set(images)) == len(images)
     edge_violations = []
@@ -1176,30 +1175,30 @@ def subsymmetry_check(
     space_violations = [
         v for v in probe if set(space.allowed(v)) != set(space.allowed(tau(v)))
     ]
-    shifted = {u: tau(u) for v in probe for u in sys.rule(v).inputs}
-    domain = sort_vertices({*shifted.values(), *(u for w in images for u in sys.rule(w).inputs)})
-    rows = _RowPlan([space.allowed(v) for v in domain]).rows(
-        _uniforms(random.Random(seed), samples, len(domain)))
-    index = _columns(domain)
-    # Phi(x o tau) at v against Phi(x) at tau(v), on every sample at once
-    differ = _image_rows(sys, {u: index[w] for u, w in shifted.items()}, probe, rows)
-    differ = differ != _image_rows(sys, index, images, rows)
-    commute_violations = [{"sample": s, "vertex": probe[j]}
-                          for s, j in np.argwhere(differ).tolist()]
-    passed = (
-        injective
-        and not edge_violations
-        and not space_violations
-        and not commute_violations
-    )
+    commute_violations, unchecked = [], []
+    for v, w in zip(probe, images):
+        shifted = {u: tau(u) for u in sys.rule(v).inputs}
+        cells = sort_vertices({*shifted.values(), *sys.rule(w).inputs})
+        try:
+            rows = _patterns(space, cells, _TABLE_MAX)
+        except EnumerationCapError:
+            unchecked.append(v)
+            continue
+        index = _columns(cells)
+        # Phi(x o tau) at v against Phi(x) at tau(v), on every pattern at once
+        ours = _image_rows(sys, {u: index[c] for u, c in shifted.items()}, [v], rows)
+        differ = np.flatnonzero(ours[:, 0] != _image_rows(sys, index, [w], rows)[:, 0])
+        if len(differ):
+            pattern = dict(zip(cells, rows[differ[0]].tolist()))
+            commute_violations.append({"vertex": v, "pattern": pattern})
     return {
-        "passed": passed,
+        "passed": injective and not (
+            edge_violations or space_violations or commute_violations or unchecked),
         "injective": injective,
         "edge_violations": edge_violations,
         "space_violations": space_violations,
         "commute_violations": commute_violations,
-        "samples": samples,
-        "seed": seed,
+        "unchecked": unchecked,
     }
 
 

@@ -553,3 +553,49 @@ def choice_per_cell(space, domain, rng):
         allowed = space.allowed(v)
         values[v] = allowed[int(rng.random() * len(allowed))]
     return ss.Configuration(values)
+
+
+def commutes_oracle(sys_, tau, v, x):
+    """Whether Phi(x o tau) at v equals Phi(x) at tau(v), for a pattern x
+    (a dict) that covers tau(inputs(v)) and inputs(tau(v)): two scalar rule
+    calls."""
+    rule, image_rule = sys_.rule(v), sys_.rule(tau(v))
+    ours = rule.fn(tuple(x[tau(u)] for u in rule.inputs))
+    return int(ours) == int(image_rule.fn(tuple(x[u] for u in image_rule.inputs)))
+
+
+def commutation_oracle(sys_, tau, probe, space):
+    """The commutation part of `subsymmetry_check`, one pattern at a time:
+    (violations, unchecked).  For each probe vertex v every allowed pattern
+    on U_v = tau(inputs(v)) | inputs(tau(v)) is tried in `itertools.product`
+    order (first cell of U_v most significant), and the first that breaks
+    commutation is v's witness; past `_TABLE_MAX` patterns v is unchecked."""
+    violations, unchecked = [], []
+    for v in ng.sort_vertices(set(probe)):
+        cells = ng.sort_vertices({tau(u) for u in sys_.rule(v).inputs}
+                                 | set(sys_.rule(tau(v)).inputs))
+        if math.prod(len(space.allowed(c)) for c in cells) > ss._TABLE_MAX:
+            unchecked.append(v)
+            continue
+        for values in itertools.product(*(space.allowed(c) for c in cells)):
+            x = dict(zip(cells, values))
+            if not commutes_oracle(sys_, tau, v, x):
+                violations.append({"vertex": v, "pattern": x})
+                break
+    return violations, unchecked
+
+
+def sampled_commutation_oracle(sys_, tau, probe, space, samples, seed=0):
+    """The probe vertices at which commutation failed on `samples` sampled
+    configurations, as `subsymmetry_check` sampled them before it decided
+    commutation exactly: each sample is one `rng.random()` per cell of the
+    union of every U_v, in vertex order (`choice_per_cell`)."""
+    probe = ng.sort_vertices(set(probe))
+    domain = {tau(u) for v in probe for u in sys_.rule(v).inputs}
+    domain |= {u for v in probe for u in sys_.rule(tau(v)).inputs}
+    rng = random.Random(seed)
+    flagged = set()
+    for _ in range(samples):
+        x = choice_per_cell(space, domain, rng).values
+        flagged |= {v for v in probe if not commutes_oracle(sys_, tau, v, x)}
+    return flagged

@@ -1162,6 +1162,15 @@ def test_empty_window_exit_code(capsys):
     assert "window must be nonempty" in captured.err
 
 
+def test_empty_entropy_base_exit_code(capsys):
+    """An empty base has no orbit; it printed rows of zeros."""
+    code = cli.run(["entropy-tau", "--system", "full_shift", "--base", ";", "--shift", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "base must be nonempty" in captured.err
+    assert captured.out == ""
+
+
 def test_system_file_with_grid_vertices(tmp_path):
     """List vertices in a descriptor's edges are grid points, as in its rules."""
     desc = {

@@ -80,6 +80,8 @@ def test_ball_entropy_bounded_by_alphabet(z2):
     (lambda z2, space: ed.ball_entropy(space, z2, (0, 0), 4, 4), "need 2 <= r_min < r_max"),
     (lambda z2, space: ed.tau_entropy_profile(space, ng.shift_tau((1, 0)), [(0, 0)], 0),
      "need n_max >= 1"),
+    (lambda z2, space: ed.tau_entropy_profile(space, ng.shift_tau((1, 0)), [], 3),
+     "base must be nonempty"),
 ])
 def test_argument_checks(z2, binary_space, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -622,6 +622,26 @@ def test_image_configuration_names_missing_inputs():
     assert err.value.missing == (1, 3, 4)
 
 
+def test_lipschitz_names_rule_inputs_outside_the_domain(z2, monkeypatch):
+    """A Moore automaton reads diagonal cells that the von Neumann metric's
+    domain, the ball of radius r_cap + 1, lacks: the sweep names every such
+    input of an image cell before anything is drawn.  The Hölder report
+    images only the cells whose inputs lie in the domain."""
+    moore = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    ca, space = ss.ca_on_zd(2, moore, [int(bin(i).count("1") >= 5) for i in range(512)])
+    metric = ms.single_estuary_metric(z2, (0, 0), 2.0)
+    domain = set(z2.ball_members([(0, 0)], 4))
+    read = {(a + i, b + j) for a, b in z2.ball_members([(0, 0)], 3) for i, j in moore}
+    monkeypatch.setattr(ms, "_uniforms", None)  # a draw would raise TypeError
+    with pytest.raises(ss.InsufficientDomainError) as err:
+        ms.lipschitz_report(ca, metric, space, 10, r_cap=3)
+    assert err.value.missing == ng.sort_vertices(read - domain)
+    assert len(err.value.missing) == 16
+    monkeypatch.undo()
+    rep = ms.holder_report(ca, metric, metric, 1.0, 2.0, space, domain, 10)
+    assert rep["holds"] + rep["violations"] + rep["inconclusive"] == 10
+
+
 # -- batched kernels against the one-pair oracles --------------------------------
 
 

@@ -26,6 +26,8 @@ from symdyn import counterexample as cx
 from conftest import (
     check_proper_oracle,
     choice_per_cell,
+    commutation_oracle,
+    commutes_oracle,
     cone_order_oracle,
     determined_oracle,
     envelope_oracle,
@@ -34,6 +36,7 @@ from conftest import (
     image_configuration_oracle,
     panorama_layers_oracle,
     propagation_oracle,
+    sampled_commutation_oracle,
     sensitivity_oracle,
     shift_permutation_oracle,
     trajectory_set_oracle,
@@ -926,7 +929,7 @@ def test_every_rule_call_gets_int64_arrays_of_one_shape(monkeypatch):
         "lipschitz": lambda: ms.lipschitz_report(
             shift[0], ms.single_estuary_metric(shift[0].graph, 0, 2.0), shift[1], 10, r_cap=3),
         "subsymmetry": lambda: ss.subsymmetry_check(shift[0], ng.shift_tau(1), [0, 1, 2],
-                                                   shift[1], samples=5),
+                                                   shift[1]),
         "proper": lambda: ss.check_proper(cex[0].rule(0), cex[0].alphabet),
     }
     for name, run in paths.items():
@@ -1628,20 +1631,14 @@ def test_rows_of_other_generators_and_empty_sets():
         ss._RowPlan([(0, 1), ()])
 
 
-def test_subsymmetry_and_random_configuration_on_mixed_sizes(monkeypatch):
-    """On an odometer of moduli 2, 3, 5, 7, 6, 6, ..., the samples of a
-    subsymmetry check and a random configuration are those of one
-    `rng.random()` per cell."""
-    osys, ospace = ss.odometer_system([2, 3, 5, 7, 6])
+def test_random_configuration_on_mixed_sizes():
+    """On an odometer of moduli 2, 3, 5, 7, 6, 6, ..., a random configuration
+    is one `rng.random()` per cell."""
+    _, ospace = ss.odometer_system([2, 3, 5, 7, 6])
     domain = range(40)
-    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), range(8), ospace, samples=30, seed=6)
     rng, ref = random.Random(9), random.Random(9)
     assert ospace.random_configuration(domain, rng) == choice_per_cell(ospace, domain, ref)
     assert rng.getstate() == ref.getstate()
-    monkeypatch.setattr(ss, "_uniforms", uniforms_per_call)
-    assert rep == ss.subsymmetry_check(osys, ng.shift_tau(1), range(8), ospace,
-                                       samples=30, seed=6)
-    assert rep["commute_violations"]
 
 
 # -- subsymmetries -----------------------------------------------------------------
@@ -1649,74 +1646,161 @@ def test_subsymmetry_and_random_configuration_on_mixed_sizes(monkeypatch):
 
 def test_subsymmetry_full_shift_translation():
     fz, fzs = ss.full_shift(2, universe="Z")
-    rep = ss.subsymmetry_check(fz, ng.shift_tau(1), [-2, -1, 0, 1, 2], fzs,
-                               samples=15, seed=3)
+    rep = ss.subsymmetry_check(fz, ng.shift_tau(1), [-2, -1, 0, 1, 2], fzs)
     assert rep["passed"]
 
 
-def test_subsymmetry_without_samples():
+def test_subsymmetry_refuses_empty_probe():
+    """An empty probe would pass vacuously."""
     fz, fzs = ss.full_shift(2, universe="Z")
-    rep = ss.subsymmetry_check(fz, ng.shift_tau(1), [0, 1], fzs, samples=0)
-    assert rep["passed"] and rep["commute_violations"] == []
-
-
-def test_subsymmetry_refuses_negative_samples():
-    """A negative sample count would pass vacuously."""
-    fz, fzs = ss.full_shift(2, universe="Z")
-    with pytest.raises(ValueError, match="^samples must be nonnegative, got -3$"):
-        ss.subsymmetry_check(fz, ng.shift_tau(1), [0, 1], fzs, samples=-3)
+    with pytest.raises(ValueError, match="^probe must be nonempty$"):
+        ss.subsymmetry_check(fz, ng.shift_tau(1), [], fzs)
 
 
 def test_subsymmetry_identity(cex):
     sysx, spx = cex
     ident = ng.Subisometry(map=lambda v: v, label="id")
-    rep = ss.subsymmetry_check(sysx, ident, [0, 1, 2, 3], spx, samples=5, seed=0)
+    rep = ss.subsymmetry_check(sysx, ident, [0, 1, 2, 3], spx)
     assert rep["passed"]
 
 
 def test_subsymmetry_counterexample_shift_breaks(cex):
     sysx, spx = cex
-    rep = ss.subsymmetry_check(sysx, ng.shift_tau(1), [0, 1, 2, 3], spx,
-                               samples=5, seed=0)
+    rep = ss.subsymmetry_check(sysx, ng.shift_tau(1), [0, 1, 2, 3], spx)
     assert not rep["passed"]
     assert rep["edge_violations"]
 
 
 def test_subsymmetry_commutation_violations_pinned(cex):
-    """Violations derived from one `rng.random()` per cell
-    (`conftest.choice_per_cell`) and the rules applied one cell at a time."""
+    """Every violation of commutation on the probe, each with the first
+    pattern on U_v that breaks it (`conftest.commutation_oracle`)."""
     sysx, spx = cex
-    rep = ss.subsymmetry_check(sysx, ng.shift_tau(1), [0, 1, 2, 3], spx,
-                               samples=5, seed=0)
+    rep = ss.subsymmetry_check(sysx, ng.shift_tau(1), [0, 1, 2, 3], spx)
     assert rep == {
         "passed": False,
         "injective": True,
         "edge_violations": [(2, 0)],
         "space_violations": [0, 1, 2],
         "commute_violations": [
-            {"sample": 0, "vertex": 0}, {"sample": 0, "vertex": 1},
-            {"sample": 1, "vertex": 2}, {"sample": 2, "vertex": 0},
-            {"sample": 2, "vertex": 2}, {"sample": 3, "vertex": 0},
-            {"sample": 3, "vertex": 2}, {"sample": 4, "vertex": 2},
+            {"vertex": 0, "pattern": {2: 0, 3: 1}},
+            {"vertex": 1, "pattern": {3: 0, 6: 1}},
+            {"vertex": 2, "pattern": {4: 0, 7: 1}},
         ],
-        "samples": 5,
-        "seed": 0,
+        "unchecked": [],
     }
+    rep = ss.subsymmetry_check(sysx, ng.shift_tau(1), range(41), spx)
+    assert [c["vertex"] for c in rep["commute_violations"]] == [
+        0, 1, 2, 5, 6, 11, 12, 19, 20, 29, 30]
     osys, ospace = ss.odometer_system([2, 3])
-    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), [0, 1, 2, 3], ospace,
-                               samples=10, seed=4)
+    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), [0, 1, 2, 3], ospace)
     assert rep["space_violations"] == [0]
-    assert [(c["sample"], c["vertex"]) for c in rep["commute_violations"]] == [
-        (0, 0), (1, 0), (3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2),
-        (4, 3), (5, 0), (5, 1), (5, 2), (6, 0), (7, 0), (8, 0), (8, 1), (9, 0),
+    assert rep["commute_violations"] == [
+        {"vertex": 0, "pattern": {0: 0, 1: 0}},
+        {"vertex": 1, "pattern": {0: 0, 1: 1, 2: 0}},
+        {"vertex": 2, "pattern": {0: 0, 1: 1, 2: 2, 3: 0}},
+        {"vertex": 3, "pattern": {0: 0, 1: 1, 2: 2, 3: 2, 4: 0}},
     ]
+
+
+def test_subsymmetry_finds_the_carry_sampling_misses():
+    """On the odometer [2, 3], commutation fails at vertex 3 only when cells
+    1..3 of x sit at their top values and cell 0 does not, one pattern in
+    81 of the cells 0..3: the 20 samples of seed 0 flag only 0, 1 and 2."""
+    osys, ospace = ss.odometer_system([2, 3])
+    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), range(4), ospace)
+    assert [c["vertex"] for c in rep["commute_violations"]] == [0, 1, 2, 3]
+    assert sampled_commutation_oracle(osys, ng.shift_tau(1), range(4), ospace, 20) == {0, 1, 2}
+    witness = rep["commute_violations"][3]["pattern"]
+    assert witness == {0: 0, 1: 1, 2: 2, 3: 2, 4: 0}
+    assert not commutes_oracle(osys, ng.shift_tau(1), 3, witness)
+
+
+def test_subsymmetry_leaves_wide_vertices_unchecked(binary_odometer):
+    """Binary odometer cell n reads cells 0..n, so U_15 has 17 cells and
+    2^17 patterns, past _TABLE_MAX: vertex 15 is unchecked, and that alone
+    fails the check.  Vertices 0..14 all break commutation, each first at the pattern
+    with cells 1..v set and cells 0 and v + 1 clear (the carry into v + 1
+    that x o tau makes without x)."""
+    osys, ospace = binary_odometer
+    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), range(16), ospace)
+    assert rep["unchecked"] == [15] and not rep["passed"]
+    assert rep["commute_violations"] == [
+        {"vertex": v, "pattern": {0: 0, **{u: 1 for u in range(1, v + 1)}, v + 1: 0}}
+        for v in range(15)]
+    assert all(not commutes_oracle(osys, ng.shift_tau(1), c["vertex"], c["pattern"])
+               for c in rep["commute_violations"])
+    rep = ss.subsymmetry_check(osys, ng.shift_tau(1), [15], ospace)  # fails on 15 alone
+    assert rep == {"passed": False, "injective": True, "edge_violations": [],
+                   "space_violations": [], "commute_violations": [], "unchecked": [15]}
+
+
+@st.composite
+def subsymmetry_cases(draw):
+    """(label, system, tau, probe, space) with at most a few hundred
+    patterns on each U_v: odometers with random moduli under the unit
+    shift; random 1-D automata under a shift or the reflection v -> -v; the
+    counterexample and its shift extension under their level or a base
+    shift."""
+    kind = draw(st.sampled_from(["odometer", "ca", "cex", "extension"]))
+    if kind == "odometer":
+        osys, ospace = ss.odometer_system(draw(st.lists(st.integers(2, 4), min_size=1,
+                                                        max_size=5)))
+        probe = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        return kind, osys, ng.shift_tau(draw(st.integers(0, 2))), probe, ospace
+    if kind == "ca":
+        k = draw(st.integers(2, 3))
+        offsets = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3 if k == 3 else 4,
+                                unique=True))
+        table = draw(st.lists(st.integers(0, k - 1), min_size=k ** len(offsets),
+                              max_size=k ** len(offsets)))
+        ca, space = ss.ca_on_zd(k, [(o,) for o in offsets], table)
+        tau = draw(st.sampled_from([ng.shift_tau((1,)), ng.shift_tau((-2,)),
+                                    ng.Subisometry(map=lambda v: (-v[0],), label="flip")]))
+        probe = draw(st.lists(st.integers(-4, 4).map(lambda n: (n,)), min_size=1, max_size=4))
+        return kind, ca, tau, probe, space
+    sysx, spx = cx.cex_rules(), cx.cex_space()
+    if kind == "cex":
+        probe = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+        return kind, sysx, ng.shift_tau(draw(st.integers(0, 3))), probe, spx
+    ext, extspace, level = ss.shift_extension(sysx, spx, draw(st.sampled_from(
+        [lambda a, b: a ^ b, lambda a, b: a & b])))
+    tau = draw(st.sampled_from([level, ng.Subisometry(map=lambda w: (w[0] + 1, w[1]))]))
+    probe = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(-2, 2)), min_size=1,
+                          max_size=4))
+    return kind, ext, tau, probe, extspace
+
+
+def test_subsymmetry_matches_exact_oracle():
+    """Commutation matches the one-pattern-at-a-time oracle, every witness
+    breaks commutation, and the vertices that 20 sampled configurations
+    flag (the check's former sampling) are among those it flags."""
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(subsymmetry_cases(), st.integers(0, 2**32))
+    def check(case, seed):
+        kind, sys_, tau, probe, space = case
+        rep = ss.subsymmetry_check(sys_, tau, probe, space)
+        violations, unchecked = commutation_oracle(sys_, tau, probe, space)
+        assert (rep["commute_violations"], rep["unchecked"]) == (violations, unchecked)
+        for c in violations:
+            assert not commutes_oracle(sys_, tau, c["vertex"], c["pattern"])
+        flagged = {c["vertex"] for c in violations}
+        assert sampled_commutation_oracle(sys_, tau, probe, space, 20, seed) <= flagged
+        if violations or unchecked:
+            assert not rep["passed"]
+        seen.add((kind, "violated" if violations else "commutes"))
+
+    check()
+    assert seen == {(kind, verdict) for kind in ("odometer", "ca", "cex", "extension")
+                    for verdict in ("violated", "commutes")}
 
 
 def test_shift_extension_has_level_shift_symmetry(cex):
     sysx, spx = cex
     ext, extspace, tau = ss.shift_extension(sysx, spx, lambda a, b: a ^ b)
     probe = [(0, 0), (1, 0), (2, 1), (0, 2), (3, -1)]
-    rep = ss.subsymmetry_check(ext, tau, probe, extspace, samples=12, seed=7)
+    rep = ss.subsymmetry_check(ext, tau, probe, extspace)
     assert rep["passed"]
 
 
@@ -1781,7 +1865,7 @@ def test_explicit_system_has_no_rule_off_its_graph():
     with pytest.raises(KeyError, match="^'no rule for vertex 2'$"):
         ms.image_configuration(sys_, ss.Configuration({0: 0, 1: 1}), [0, 2])
     with pytest.raises(ng.UniverseExhaustionError, match="vertex 2 not in explicit universe"):
-        ss.subsymmetry_check(sys_, lambda v: v + 1, [0, 1], space, samples=3)
+        ss.subsymmetry_check(sys_, lambda v: v + 1, [0, 1], space)
 
 
 def test_descriptor_rule_off_a_named_graph():
