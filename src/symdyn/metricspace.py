@@ -14,9 +14,11 @@ kernels.  The Lipschitz and Hölder reports share one sampled sweep
 (`_sweep`), which samples a chunk of pairs, then measures them together.  It
 consumes the same random stream as sampling and measuring one pair at a
 time, with one int(rng.random() * n) per pick of n items, but reads it in
-bulk (`symsys._uniforms`) and picks by table lookups.  A step is planned
-once and images the perturbed row only at the readers of its planted cell;
-`holder_report(None, ...)` measures the identity.
+bulk (`symsys._words`) and picks by table lookups.  A pair differs at one
+planted cell, so only that cell and its readers are worked on: pre-image
+intervals are a per-column table, x's symbols are converted only where the
+readers read, and the step images both rows only at the readers;
+`holder_report(None, ...)` measures the identity from a second table.
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
@@ -32,8 +34,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
-from .symsys import (Configuration, InsufficientDomainError, PatternSpace, SymbolicSystem,
-                     _check_symbol, _columns, _image_rows, _RowPlan, _StepPlan, _uniforms)
+from .symsys import (_TABLE_MAX, Configuration, InsufficientDomainError, PatternSpace,
+                     SymbolicSystem, _check_symbol, _check_values, _columns, _image_rows,
+                     _patterns, _StepPlan, _word_uniforms, _words)
 from .entropydim import pattern_log_count
 
 
@@ -238,15 +241,15 @@ def _anchor_shells(graph: Digraph, v: Vertex, index: dict, r_cap=None):
     return r, cols
 
 
-def _pseudo_rows(lam: float, covered: tuple, diff: np.ndarray):
-    """lambda^(-R) intervals around a vertex, as (lo, hi) arrays over the
-    rows of a disagreement matrix, from the vertex's `_anchor_shells`.
+def _pseudo_rows(lam: float, covered: tuple, n: int, hits):
+    """lambda^(-R) intervals around a vertex, as (lo, hi) arrays over n rows,
+    from the vertex's `_anchor_shells`; `hits(cols)` flags the rows that
+    disagree somewhere on the columns `cols`.
 
     A row first disagreeing on shell s > 0 agrees on B(v, s - 1): the value
     is exact, and 1 when the center itself differs.  A row agreeing on every
     covered shell is only bounded by lambda^(-covered radius).
     """
-    n = len(diff)
     cap, shells = covered
     if cap < 0:
         return np.zeros(n), np.ones(n)  # vertex not covered: only the trivial bound
@@ -254,7 +257,7 @@ def _pseudo_rows(lam: float, covered: tuple, diff: np.ndarray):
     hi = np.full(n, lam ** -cap)
     open_rows = np.ones(n, dtype=bool)
     for s, cols in enumerate(shells):
-        hit = open_rows & diff[:, cols].any(axis=1)
+        hit = open_rows & hits(cols)
         lo[hit] = hi[hit] = lam ** -max(s - 1, 0)
         open_rows &= ~hit
     return lo, hi
@@ -265,19 +268,37 @@ def _estuary_shells(metric: BasedMetric, index: dict) -> list:
     return [_anchor_shells(metric.graph, u, index) for u in metric.scheme.vertices]
 
 
-def _dist_rows(metric: BasedMetric, shells: list, diff: np.ndarray):
-    """Based-distance intervals, as (lo, hi) arrays over the rows of a
-    disagreement matrix, from the `_estuary_shells` of its domain.  Estuary
-    vertices are summed in enumeration order, so each row gets the floats of
-    a one-pair sum; uncovered vertices and the coefficient tail contribute
-    only to the upper bound."""
-    lo = np.zeros(len(diff))
-    hi = np.full(len(diff), metric.scheme.tail_bound)
+def _dist_hits(metric: BasedMetric, shells: list, n: int, hits):
+    """Based-distance intervals, as (lo, hi) arrays over n rows, from the
+    `_estuary_shells` of their domain and the `hits` of `_pseudo_rows`.
+    Estuary vertices are summed in enumeration order, so each row gets the
+    floats of a one-pair sum; uncovered vertices and the coefficient tail
+    contribute only to the upper bound."""
+    lo = np.zeros(n)
+    hi = np.full(n, metric.scheme.tail_bound)
     for c, covered in zip(metric.scheme.coeffs, shells):
-        plo, phi = _pseudo_rows(metric.lam, covered, diff)
+        plo, phi = _pseudo_rows(metric.lam, covered, n, hits)
         lo += c * plo
         hi += c * phi
     return lo, hi
+
+
+def _dist_rows(metric: BasedMetric, shells: list, diff: np.ndarray):
+    """`_dist_hits` over the rows of a disagreement matrix."""
+    return _dist_hits(metric, shells, len(diff), lambda cols: diff[:, cols].any(axis=1))
+
+
+def _dist_columns(metric: BasedMetric, shells: list, size: int):
+    """`_dist_rows` of the one-hot rows of `size` columns, entry c for the
+    row that differs at column c alone, float for float, without the
+    size x size matrix: a row hits the shells that hold its column."""
+
+    def hits(cols):
+        hit = np.zeros(size, dtype=bool)
+        hit[cols] = True
+        return hit
+
+    return _dist_hits(metric, shells, size, hits)
 
 
 def _diff_rows(pairs: list, index: dict) -> np.ndarray:
@@ -300,7 +321,7 @@ def _pick(u: np.ndarray, n) -> np.ndarray:
     return (u * n).astype(np.intp)
 
 
-def _planted_pairs(rng, metric, space, domain, radii, samples):
+def _planted_pairs(rng, metric, space, domain, radii, samples, reads):
     """Sample pairs that differ at one planted cell, a chunk at a time.
 
     Each sample takes len(domain) + 4 values u of `rng.random()`, each the
@@ -308,43 +329,70 @@ def _planted_pairs(rng, metric, space, domain, radii, samples):
     as `PatternSpace.random_configuration` draws them), an anchor, a radius
     below `radii`, a cell of that BFS shell inside the domain, and another
     allowed symbol there (of the allowed symbols other than the current
-    one).  A chunk's values are read at once (`_uniforms`) and its picks are
-    lookups in two padded tables: the shell columns of each (anchor, radius)
-    and the allowed symbols of each column.  Yields (sample numbers, pairs,
-    planted columns) per chunk, where pairs[0] and pairs[1] hold the x and y
-    rows; samples whose shell or symbol choice came up empty are left out,
-    though they take all their values.
+    one).  A chunk's words are read at once (`_words`), but a sample's
+    values are converted only where they are used: the four picks, and x's
+    symbols at the columns reads[c] of its planted column c (c first).
+    Picks are table lookups: in the padded shell columns of each (anchor,
+    radius), and in the symbols of each distinct allowed set, laid end to
+    end, where the positions of each symbol are a run of a stable argsort.
+    The new symbol is an index shift of its pick past each position of x's
+    symbol, in ascending order, so no (pairs x symbols) matrix is built.
+    Yields (sample numbers, planted columns, x rows, new symbols) per chunk,
+    x zero off the columns read; samples whose shell or symbol choice came
+    up empty are left out, though they take all their values.
     """
-    index = _columns(domain)
+    index, m = _columns(domain), len(domain)
     allowed = [space.allowed(v) for v in domain]
     dtype = np.min_scalar_type(max((max(a) for a in allowed), default=0))
     shells, shell_sizes = _padded([  # row a * radii + r: shell r of anchor a
         [index[c] for c in sort_vertices(s) if c in index]
         for u in metric.scheme.vertices
         for s in (metric.graph._shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
-    symbols, symbol_sizes = _padded(allowed)
-    plan, m = _RowPlan(allowed, dtype), len(domain)
+    sets: dict = {}  # each distinct allowed set, flat in `symbols` from its base
+    set_of = [sets.setdefault(a, len(sets)) for a in allowed]
+    sizes = np.array([len(a) for a in sets], dtype=np.intp)
+    bases = np.cumsum(sizes) - sizes
+    base, size = bases[set_of], sizes[set_of]
+    symbols = np.array([s for a in sets for s in a], dtype=dtype)
+    order, first, last = (np.empty(len(symbols), dtype=np.intp) for _ in range(3))
+    for a, at in zip(sets, bases):  # the places of symbol a[i] are order[first[i]:last[i]]
+        ranked = np.argsort(a, kind="stable")
+        ordered = np.asarray(a)[ranked]
+        order[at: at + len(a)] = ranked
+        first[at: at + len(a)] = at + np.searchsorted(ordered, a)
+        last[at: at + len(a)] = at + np.searchsorted(ordered, a, "right")
+    reads, widths = _padded(reads)  # padded with each row's planted column
+    reads = np.where(np.arange(reads.shape[1]) < widths[:, None], reads, reads[:, :1])
 
-    def plant(start, uniforms):  # the chunk's draws are freed before the next read
-        u_anchor, u_radius, u_cell, u_symbol = uniforms[:, m:].T
-        x = plan.rows(uniforms[:, :m])
+    def plant(start, n):
+        words = np.empty(2 * n * (m + 4), dtype="<u4")
+        filled = 0
+        for piece in _words(rng, n * (m + 4)):
+            words[filled: filled + len(piece)] = piece
+            filled += len(piece)
+        words = words.view("<u8").reshape(n, m + 4)  # the two words of each value
+        u_anchor, u_radius, u_cell, u_symbol = _word_uniforms(
+            words[:, m:].ravel().view("<u4")).reshape(n, 4).T
         shell = _pick(u_anchor, len(metric.scheme.vertices)) * radii + _pick(u_radius, radii)
         live = np.flatnonzero(shell_sizes[shell] > 0)
         cols = shells[shell[live], _pick(u_cell[live], shell_sizes[shell[live]])]
-        options = symbols[cols]
-        choices = ((np.arange(options.shape[1]) < symbol_sizes[cols, None])
-                   & (options != x[live, cols, None]))
-        count = choices.sum(axis=1)
-        nth = np.cumsum(choices, axis=1) > _pick(u_symbol[live], count)[:, None]
-        news = options[np.arange(len(live)), nth.argmax(axis=1)]
-        keep = count > 0
-        used, cols = live[keep], cols[keep]
-        pairs = np.stack([x[used]] * 2)
-        pairs[1, np.arange(len(used)), cols] = news[keep]
-        return start + used, pairs, cols
+        read = reads[cols]
+        u = _word_uniforms(words[live[:, None], read].view("<u4").ravel()).reshape(read.shape)
+        del words  # freed before the picks are made
+        picks = base[read] + _pick(u, size[read])  # x's symbols, as places in `symbols`
+        own = picks[:, 0]
+        others = size[cols] - (last[own] - first[own])
+        nth = _pick(u_symbol[live], others)
+        for t in range(int((last - first).max(initial=0))):
+            skip = order[np.minimum(first[own] + t, len(order) - 1)]
+            nth += (first[own] + t < last[own]) & (nth >= skip)
+        keep = np.flatnonzero(others > 0)
+        x = np.zeros((len(keep), m), dtype)
+        np.put(x, read[keep] + m * np.arange(len(keep))[:, None], symbols[picks[keep]])
+        return start + live[keep], cols[keep], x, symbols[base[cols[keep]] + nth[keep]]
 
     for start in range(0, samples, _SWEEP_ROWS):  # holds no chunk while drawing the next
-        yield plant(start, _uniforms(rng, min(_SWEEP_ROWS, samples - start), m + 4))
+        yield plant(start, min(_SWEEP_ROWS, samples - start))
 
 
 # -- distances and images -----------------------------------------------------
@@ -367,8 +415,9 @@ def pseudo_dist(
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
     index = _columns(x.values)
-    lo, hi = _pseudo_rows(metric.lam, _anchor_shells(metric.graph, v, index, r_cap),
-                          _diff_rows([(x, y)], index))
+    diff = _diff_rows([(x, y)], index)
+    lo, hi = _pseudo_rows(metric.lam, _anchor_shells(metric.graph, v, index, r_cap), 1,
+                          lambda cols: diff[:, cols].any(axis=1))
     return DistanceBound(float(lo[0]), float(hi[0]))
 
 
@@ -421,58 +470,97 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _unchecked_cells(sys, space, region) -> list:
+    """Evaluate each region cell's rule on every allowed pattern of its
+    distinct inputs (`_patterns`; a repeated input reads its cell), one call
+    per rule function, input layout and allowed sets, and raise ValueError
+    naming a cell whose rule gives a value that is not a symbol.  Returns the
+    positions of the cells past _TABLE_MAX patterns, which are not checked."""
+    groups, wide = {}, []
+    for j, w in enumerate(region):
+        rule = sys.rule(w)
+        cells = tuple(dict.fromkeys(rule.inputs))
+        sets = tuple(space.allowed(u) for u in cells)
+        if math.prod(map(len, sets)) > _TABLE_MAX:
+            wide.append(j)
+            continue
+        layout = tuple(cells.index(u) for u in rule.inputs)
+        groups.setdefault(sets, {}).setdefault((rule.fn, layout), (w, cells))
+    for rules in groups.values():  # the patterns of one tuple of allowed sets at a time
+        patterns = _patterns(space, next(iter(rules.values()))[1], _TABLE_MAX).astype(np.int64)
+        for (fn, layout), (w, _) in rules.items():
+            values = np.broadcast_to(fn(tuple(patterns[:, layout].T)), (len(patterns),))
+            _check_values(values, sys.alphabet.size, lambda i, w=w: w)
+    return wide
+
+
 def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samples, seed):
     """The chunks of `_planted_pairs`, each as the sample numbers, planted
     columns, and pre-image and image (lo, hi) arrays of its pairs whose
-    pre-image interval clears zero; chunks that keep none are left out.  The
-    map is one step of `sys` on the image region, planned once with the
-    image cells that read each domain cell: a pair differs at its planted
-    cell only, so x is imaged in full and y only at the readers of that
-    cell.  When `sys` is None the map is the identity.  An allowed symbol
-    outside the system's alphabet, or an input of an image cell outside the
-    domain (InsufficientDomainError, naming them), raises before anything
-    is drawn.
+    pre-image interval clears zero; chunks that keep none are left out.
+
+    A pair differs at its planted cell c alone, so only c and its readers
+    are worked on.  Pre-image intervals, and for the identity (`sys` None)
+    image intervals, are per-column tables (`_dist_columns`).  Otherwise the
+    map is one step of `sys` on the image region, planned once: x and y are
+    imaged in one call at c's readers, from x's symbols at their inputs.
+    Every rule value is checked before anything is drawn (`_unchecked_cells`)
+    but those of a cell with too many input patterns, imaged on x at every
+    kept pair instead.  An allowed symbol outside the system's alphabet, or
+    an input of an image cell outside the domain (InsufficientDomainError,
+    naming them), raises first.
     """
     index = _columns(domain)
-    pre_shells = _estuary_shells(metric_from, index)
+    pre_lo, pre_hi = _dist_columns(metric_from, _estuary_shells(metric_from, index), len(domain))
     post_shells = _estuary_shells(metric_to, _columns(image_region))
-    if sys is not None:
+    reads = [[c] for c in range(len(domain))]
+    if sys is None:
+        post = _dist_columns(metric_to, post_shells, len(domain))
+    else:
         for v in domain:
             allowed = space.allowed(v)
             for s in (min(allowed), max(allowed)):
                 _check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {v!r} is")
-        readers, missing = [[] for _ in domain], set()
-        for j, w in enumerate(image_region):
-            inputs = set(sys.rule(w).inputs)
-            missing |= inputs.difference(index)
-            for u in inputs.intersection(index):
-                readers[index[u]].append(j)
+        missing = {u for w in image_region for u in sys.rule(w).inputs}.difference(index)
         if missing:
             raise InsufficientDomainError(sort_vertices(missing))
+        inputs = [{index[u] for u in sys.rule(w).inputs} for w in image_region]
+        wide = _unchecked_cells(sys, space, image_region)
+        readers = [[] for _ in domain]
+        for j, cols in enumerate(inputs):
+            for c in cols:
+                readers[c].append(j)
+        always = set().union(*(inputs[j] for j in wide))
+        reads = [[c, *sorted(always.union(*(inputs[j] for j in js)) - {c})]
+                 for c, js in enumerate(readers)]
         plan = _StepPlan(sys, index, image_region)
-        readers = _padded(readers, -1)[0]
+        readers, wide = _padded(readers, -1)[0], np.array(wide, dtype=np.intp)
 
     def measure(chunk):
         """The kept pairs' arrays, or None when no pair is kept.  Nothing else
         outlives the call, so a chunk is freed before the next is drawn."""
-        used, pairs, cols = chunk
-        pre_lo, pre_hi = _dist_rows(metric_from, pre_shells, pairs[0] != pairs[1])
-        rows = np.flatnonzero(pre_lo > 0.0)
+        used, cols, x, news = chunk
+        rows = np.flatnonzero(pre_lo[cols] > 0.0)
         if not len(rows):
             return None
-        x, y = pairs[:, rows]
+        used, cols = used[rows], cols[rows]
         if sys is None:
-            diff = x != y
-        else:
-            image = plan.image(x, len(image_region))
-            which, slot = np.nonzero(readers[cols[rows]] >= 0)
-            at = readers[cols[rows[which]], slot]
-            diff = np.zeros(image.shape, dtype=bool)
-            diff[which, at] = plan.image_at(y, which, at) != image[which, at]
-        return (used[rows], cols[rows], pre_lo[rows], pre_hi[rows],
+            return used, cols, pre_lo[cols], pre_hi[cols], post[0][cols], post[1][cols]
+        n = len(rows)
+        which, slot = np.nonzero(readers[cols] >= 0)
+        at = readers[cols[which], slot]
+        pairs = x[np.concatenate([rows, rows])]  # x's rows, then y's
+        pairs[n + np.arange(n), cols] = news[rows]
+        values = plan.image_at(  # x and y at the readers, then x at the unchecked cells
+            pairs, np.concatenate([which, which + n, np.repeat(np.arange(n), len(wide))]),
+            np.concatenate([at, at, np.tile(wide, n)]))
+        diff = np.zeros((n, len(image_region)), dtype=bool)
+        diff[which, at] = values[:len(at)] != values[len(at): 2 * len(at)]
+        return (used, cols, pre_lo[cols], pre_hi[cols],
                 *_dist_rows(metric_to, post_shells, diff))
 
-    chunks = _planted_pairs(random.Random(seed), metric_from, space, domain, radii, samples)
+    chunks = _planted_pairs(random.Random(seed), metric_from, space, domain, radii, samples,
+                            reads)
     return filter(None, map(measure, chunks))
 
 

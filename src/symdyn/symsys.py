@@ -19,12 +19,13 @@ horizon as a prefix (`evaluate` is a batch of one, and the envelope and
 factor-chain certificates simulate every pattern on the envelope in one
 batch); composed tables, `image_configuration` and subsymmetry checks
 (every allowed pattern on the cells a probe vertex's commutation reads)
-plan and image one step (`_image_rows`).  The Lipschitz sweep of
-`metricspace` plans its step once, images every x row in full and each
-perturbed row only at given (row, cell) pairs (`_StepPlan.image_at`).
-Sampled rows come from one sampling kernel: the symbol of a cell with n
-allowed symbols is number int(rng.random() * n), and `_uniforms` reads
-those values in bulk (`_uniform_blocks`: m from each of many generators).
+plan and image one step (`_image_rows`).  The sweeps of `metricspace` plan
+their step once and image a pair only at given (row, cell) pairs
+(`_StepPlan.image_at`).  Sampled rows come from one sampling kernel: the
+symbol of a cell with n allowed symbols is number int(rng.random() * n),
+and `_uniforms` reads those values in bulk (`_uniform_blocks`: m from each
+of many generators); the sweeps read the words (`_words`) and convert only
+the values they use (`_word_uniforms`).
 
 Panoramas and window checks first try the *linear* engine: when the k =
 p^m symbols, read as base-p digit vectors, make every rule the cone applies
@@ -438,15 +439,19 @@ class _StepPlan:
 
     def image_at(self, rows: np.ndarray, which: np.ndarray, at: np.ndarray) -> np.ndarray:
         """The step of row which[q] at region position at[q], for every q:
-        one call per block of _BLOCK of a group's pairs, checked as in `image`."""
+        one call per block of _BLOCK of a group's pairs, checked as in `image`.
+        Each argument is gathered from the flattened rows with one `take`."""
         out = np.empty(len(at), dtype=np.min_scalar_type(self.k - 1))
-        group, slot = self._slots[:, at]
+        group, slot = self._slots[0][at], self._slots[1][at]
+        flat, width = rows.ravel(), rows.shape[1]
         for g, (fn, _, cols) in enumerate(self.groups):
             pairs = np.flatnonzero(group == g)
             for lo in range(0, len(pairs), _BLOCK):
                 q = pairs[lo: lo + _BLOCK]
-                args = rows[which[q, None], cols[slot[q]]].astype(np.int64)
-                values = np.broadcast_to(fn(tuple(args.T)), (len(q),))
+                start = which[q] * width  # where each pair's row starts in `flat`
+                args = tuple(flat.take(start + cols[slot[q], i]).astype(np.int64)
+                             for i in range(cols.shape[1]))
+                values = np.broadcast_to(fn(args), (len(q),))
                 _check_values(values, self.k, lambda i, q=q: self.region[at[q[i[0]]]])
                 out[q] = values
         return out

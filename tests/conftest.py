@@ -545,6 +545,14 @@ def uniforms_per_call(rng, n, m):
     return np.array([[rng.random() for _ in range(m)] for _ in range(n)]).reshape(n, m)
 
 
+def words_per_call(rng, count):
+    """`symsys._words` as `count` calls of `rng.random()`: each value u is
+    (a * 2^26 + b) / 2^53, given back by the words a << 5 and b << 6."""
+    values = [int(rng.random() * 2.0**53) for _ in range(count)]
+    yield np.array([[v >> 26 << 5, (v & (2**26 - 1)) << 6] for v in values],
+                   dtype="<u4").reshape(2 * count)
+
+
 def choice_per_cell(space, domain, rng):
     """`PatternSpace.random_configuration` as one `rng.random()` per cell,
     which picks symbol int(u * n) of the cell's n allowed symbols."""

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from conftest import (
     lipschitz_report_oracle,
     planted_pair_oracle,
     pseudo_dist_oracle,
-    uniforms_per_call,
+    words_per_call,
 )
 
 
@@ -348,7 +349,7 @@ def test_sweeps_on_mixed_sizes_match_one_call_per_cell(monkeypatch):
     assert holder["holds"] and holder["inconclusive"] and holder["passed"]
     assert lipschitz == lipschitz_report_oracle(sys_, metric, space, 300, seed=3, r_cap=4)
     assert holder == holder_report_oracle(None, m2, m4, 2.0, 1.0, space, domain, 300, seed=4)
-    monkeypatch.setattr(ms, "_uniforms", uniforms_per_call)
+    monkeypatch.setattr(ms, "_words", words_per_call)
     assert sweeps() == (lipschitz, holder)
 
 
@@ -473,6 +474,197 @@ def test_lipschitz_checks_every_image_value(z2, z2_metric, reads_planted_cell):
     assert bool(image_configuration_oracle(bad, x, [w]).values[w] == 2) != reads_planted_cell
     with pytest.raises(ValueError, match=re.escape(f"rule at vertex {w!r} gave 2")):
         ms.lipschitz_report(bad, z2_metric, space, samples=1, seed=4, r_cap=3)
+
+
+def test_sweeps_check_rule_values_before_drawing(z2, z2_metric, monkeypatch):
+    """A rule that gives a non-symbol on one input tuple, at a cell that
+    reads no plantable cell, raises before anything is drawn, on every
+    seed: also on the seeds whose x never shows that tuple there."""
+    ca, space = _xor_automaton()
+    w, args = (3, 0), (1, 0, 1, 1, 0)
+    bad = _with_bad_value(ca, w, args)
+    domain = ng.sort_vertices(z2.ball_members([(0, 0)], 4))
+    message = re.escape(f"rule at vertex {w!r} gave 2")
+    misses = 0
+    for seed in range(6):
+        x, cell, _ = planted_pair_oracle(z2_metric, space, domain, 2, random.Random(seed))
+        assert cell not in ca.rule(w).inputs
+        misses += tuple(x.values[u] for u in ca.rule(w).inputs) != args
+        monkeypatch.setattr(ms, "_words", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match=message):
+            ms.lipschitz_report(bad, z2_metric, space, samples=1, seed=seed, r_cap=3)
+        with pytest.raises(ValueError, match=message):
+            ms.holder_report(bad, z2_metric, z2_metric, 1.0, 1.0, space, domain, 1, seed)
+        monkeypatch.undo()
+    assert misses >= 4
+
+
+def test_value_check_raises_no_false_alarm():
+    """Rules that give a non-symbol only where two reads of one cell differ
+    (a repeated `ca_on_zd` offset), or only on symbols that the cell they
+    read does not allow (cells of 4, 2 and 1 symbols), pass the check, and
+    both sweeps equal their oracles."""
+    ca, _ = ss.ca_on_zd(3, [(0,), (0,), (1,)], [0] * 27)
+
+    def twice(a):
+        return np.where(a[0] == a[1], (a[0] + a[2]) % 3, 3)
+
+    repeated = ss.SymbolicSystem(ca.alphabet, ca.graph,
+                                 lambda v: ss.LocalRule(ca.rule(v).inputs, twice))
+    sets = [(0, 1, 2, 3), (0, 1), (1,), (0, 1), (2, 0)]
+    allowed = [lambda a, s=s: np.where(np.isin(a[0], s), a[0], 4) for s in sets]
+    shift = ss.full_shift(4, "Z")[0]
+    restricted = ss.SymbolicSystem(
+        shift.alphabet, shift.graph,
+        lambda v: ss.LocalRule((v + 1,), allowed[(v + 1) % len(sets)]))
+    cases = [(repeated, ss.PatternSpace.full(ss.Alphabet(3)), (0,), (-1,)),
+             (restricted, ss.PatternSpace(lambda v: sets[v % len(sets)]), 0, -1)]
+    for sys_, space, anchor, other in cases:
+        metric = ms.BasedMetric(ms.CoefficientScheme.double_exponential([anchor, other]),
+                                2.0, sys_.graph)
+        domain = sys_.graph.ball_members([anchor, other], 4)
+        assert (ms.lipschitz_report(sys_, metric, space, 300, seed=2, r_cap=4)
+                == lipschitz_report_oracle(sys_, metric, space, 300, seed=2, r_cap=4))
+        assert (ms.holder_report(sys_, metric, metric, 1.0, 2.0, space, domain, 300, seed=3)
+                == holder_report_oracle(sys_, metric, metric, 1.0, 2.0, space, domain, 300,
+                                        seed=3))
+
+
+def test_value_check_leaves_wide_cells_to_the_drawn_rows():
+    """A cell whose distinct inputs have more than _TABLE_MAX allowed patterns
+    is not checked up front: its values are checked on x at every kept pair,
+    also where it reads no planted cell.  A bad value on half of its inputs
+    raises; one on a single tuple that no pair draws does not."""
+    k = 300
+    assert k * k > ss._TABLE_MAX
+    graph = ss.ca_on_zd(2, [(0,), (1,)], [0] * 4)[0].graph
+
+    def add(a):
+        return (a[0] + a[1]) % k
+
+    def system(bad):  # (2,) reads (2,) and (3,); the planted cell is (0,) or (1,)
+        return ss.SymbolicSystem(ss.Alphabet(k), graph, lambda v: ss.LocalRule(
+            graph.in_neighbors(v), bad if v == (2,) else add))
+
+    metric = ms.single_estuary_metric(graph, (0,), 2.0)
+    space = ss.PatternSpace.full(ss.Alphabet(k))
+    half = system(lambda a: np.where(a[0] < k // 2, k, add(a)))
+    with pytest.raises(ValueError, match=re.escape(f"rule at vertex (2,) gave {k}")):
+        ms.lipschitz_report(half, metric, space, 50, seed=1, r_cap=3)
+    one = system(lambda a: np.where((a[0] == 7) & (a[1] == 7), k, add(a)))
+    assert (ms.lipschitz_report(one, metric, space, 50, seed=1, r_cap=3)
+            == lipschitz_report_oracle(one, metric, space, 50, seed=1, r_cap=3))
+
+
+@pytest.mark.parametrize("samples", [7, ms._SWEEP_ROWS + 37])
+def test_sweeps_read_every_value_of_each_sample(z2, z2_metric, monkeypatch, samples):
+    """A sample reads len(domain) + 4 values of the generator, whether the
+    sweep converts them or not: after each sweep the generator stands where
+    that many calls of `random()` leave it."""
+    ca, space = _xor_automaton()
+    domain = z2.ball_members([(0, 0)], 4)
+    rngs, words = [], ms._words
+    monkeypatch.setattr(ms, "_words", lambda rng, count: rngs.append(rng) or words(rng, count))
+    for sweep, size in [
+            (lambda: ms.lipschitz_report(ca, z2_metric, space, samples, seed=3, r_cap=4),
+             len(z2.ball_members([(0, 0)], 5))),
+            (lambda: ms.holder_report(ca, z2_metric, z2_metric, 1.0, 1.0, space, domain,
+                                      samples, seed=3), len(domain)),
+            (lambda: ms.holder_report(None, z2_metric, z2_metric, 1.0, 1.0, space, domain,
+                                      samples, seed=3), len(domain))]:
+        rngs.clear()
+        sweep()
+        expected = random.Random(3)
+        for _ in range(samples * (size + 4)):
+            expected.random()
+        assert len(rngs) == -(-samples // ms._SWEEP_ROWS)
+        assert all(rng is rngs[0] for rng in rngs)
+        assert rngs[0].getstate() == expected.getstate()
+
+
+def test_lipschitz_memory_stays_flat_in_the_alphabet():
+    """On 2^16 symbols the new symbol is picked by an index shift past x's
+    symbol, without a (pairs x symbols) matrix and its int64 cumsum, which
+    would take about 800 MB for one chunk: the sweep peaks at a few MB."""
+    sys_, space = ss.full_shift(2**16)
+    metric = ms.single_estuary_metric(sys_.graph, 0, 2.0)
+    tracemalloc.start()
+    try:
+        rep = ms.lipschitz_report(sys_, metric, space, ms._SWEEP_ROWS, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["skipped"] == 0 and rep["within_lambda"]
+    assert peak < 64 * 2**20
+    assert (ms.lipschitz_report(sys_, metric, space, 20, seed=1)
+            == lipschitz_report_oracle(sys_, metric, space, 20, seed=1))
+
+
+@st.composite
+def reader_sweep_cases(draw):
+    """A `sweep_cases` system, space and metric, measured by both sweeps:
+    the Lipschitz one, and a Hölder one of the identity or of one step, on a
+    drawn part of the anchors' ball, into the metric of squared lambda."""
+    sys_, metric, space, samples, r_cap, seed = draw(sweep_cases())
+    ball = ng.sort_vertices(metric.graph.ball_members(metric.scheme.vertices, r_cap))
+    domain = draw(st.lists(st.sampled_from(ball), min_size=1, unique=True))
+    metric_to = ms.BasedMetric(metric.scheme, metric.lam**2, metric.graph)
+    holder = (draw(st.sampled_from([None, sys_])), metric, metric_to,
+              draw(st.sampled_from([1.0, 1.5, 2.0])), draw(st.sampled_from([1.0, 4.0])),
+              space, domain, samples)
+    return (sys_, metric, space, samples, r_cap, seed), holder
+
+
+def _three_anchor_case():
+    """A ring of cells 0..3 on 3 symbols, each reading itself twice and its
+    successor; (1, 0, 1) at cell 1; doubleexp weights at 0, 1 and 2."""
+    rules = {v: ss.LocalRule((v, v, (v + 1) % 4), lambda a: (a[0] + a[1] + a[2]) % 3)
+             for v in range(4)}
+    graph = ng.explicit_graph([(u, v) for v, r in rules.items() for u in set(r.inputs)])
+    sys_ = ss.SymbolicSystem(ss.Alphabet(3), graph, rules.__getitem__)
+    space = ss.PatternSpace([(0, 1, 2), (1, 0, 1), (2, 0), (0, 1)].__getitem__)
+    metric = ms.BasedMetric(ms.CoefficientScheme.double_exponential([0, 1, 2]), 2.0, graph)
+    samples = ms._SWEEP_ROWS + 9
+    return ((sys_, metric, space, samples, 2, 5),
+            (sys_, metric, ms.BasedMetric(metric.scheme, 4.0, graph), 1.0, 1.0, space,
+             [0, 1, 2, 3], samples))
+
+
+def test_reader_only_sweeps_match_oracles():
+    """Both sweeps, which convert x only at the planted cell and the inputs
+    of its readers and image only at the readers, return the reports of the
+    one-pair-at-a-time oracles: on sets that repeat a symbol, rules that
+    read an input twice, 3-anchor doubleexp metrics, the identity and one
+    step, below and across the sweep's chunk."""
+    seen = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(reader_sweep_cases())
+    @example(_three_anchor_case())
+    def check(case):
+        (sys_, metric, space, samples, r_cap, seed), holder = case
+        assert (ms.lipschitz_report(sys_, metric, space, samples, seed=seed, r_cap=r_cap)
+                == lipschitz_report_oracle(sys_, metric, space, samples, seed=seed,
+                                           r_cap=r_cap))
+        rep = ms.holder_report(*holder, seed=seed)
+        assert rep == holder_report_oracle(*holder, seed=seed)
+        domain = metric.graph.ball_members(metric.scheme.vertices, r_cap + 1)
+        if any(len(set(space.allowed(v))) < len(space.allowed(v)) for v in domain):
+            seen.add("repeated symbols")
+        if any(len(set(sys_.rule(w).inputs)) < len(sys_.rule(w).inputs)
+               for w in metric.graph.ball_members(metric.scheme.vertices, r_cap)):
+            seen.add("repeated inputs")
+        if metric.scheme.kind == "doubleexp" and len(set(metric.scheme.vertices)) == 3:
+            seen.add("3-anchor doubleexp")
+        seen.add("identity" if holder[0] is None else "step")
+        seen.update(key for key in ("holds", "violations") if rep[key])
+        seen.add("below a chunk" if samples < ms._SWEEP_ROWS else
+                 "one chunk" if samples == ms._SWEEP_ROWS else "across chunks")
+
+    check()
+    assert seen == {"repeated symbols", "repeated inputs", "3-anchor doubleexp", "identity",
+                    "step", "holds", "violations", "below a chunk", "one chunk",
+                    "across chunks"}
 
 
 @pytest.mark.parametrize("system", ["xor", "shift"])
@@ -632,7 +824,7 @@ def test_lipschitz_names_rule_inputs_outside_the_domain(z2, monkeypatch):
     metric = ms.single_estuary_metric(z2, (0, 0), 2.0)
     domain = set(z2.ball_members([(0, 0)], 4))
     read = {(a + i, b + j) for a, b in z2.ball_members([(0, 0)], 3) for i, j in moore}
-    monkeypatch.setattr(ms, "_uniforms", None)  # a draw would raise TypeError
+    monkeypatch.setattr(ms, "_words", None)  # a draw would raise TypeError
     with pytest.raises(ss.InsufficientDomainError) as err:
         ms.lipschitz_report(ca, metric, space, 10, r_cap=3)
     assert err.value.missing == ng.sort_vertices(read - domain)
@@ -787,6 +979,28 @@ def test_batched_kernels_match_oracles():
     assert seen >= {"cayley_zd", "explicit", "doubleexp tail", "custom tail",
                     "anchor outside", "closed ball", "center differs",
                     "differs beyond cover"}
+
+
+def test_interval_tables_equal_one_hot_rows(z2):
+    """The sweep's per-column interval tables are `_dist_rows` of the one-hot
+    rows, float for float: on drawn metrics and domains, and on a 3-anchor
+    doubleexp metric over the radius-7 ball of Z^2."""
+
+    def check_tables(metric, cells):
+        shells = ms._estuary_shells(metric, {v: i for i, v in enumerate(cells)})
+        lo, hi = ms._dist_columns(metric, shells, len(cells))
+        rows = ms._dist_rows(metric, shells, np.eye(len(cells), dtype=bool))
+        assert (lo.tolist(), hi.tolist()) == (rows[0].tolist(), rows[1].tolist())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(metric_cases())
+    def check(case):
+        check_tables(case[1], case[2])
+
+    check()
+    anchors = [(0, 0), (2, 1), (-1, -2)]
+    check_tables(ms.BasedMetric(ms.CoefficientScheme.double_exponential(anchors), 3.0, z2),
+                 ng.sort_vertices(z2.ball_members([(0, 0)], 7)))
 
 
 def _exact_dist_oracle(metric, x, y):
