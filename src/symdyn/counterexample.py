@@ -213,7 +213,7 @@ def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     sys = cex_rules()
     space = cex_space()
     cone = light_cone(sys, [0], junction_index(depth))
-    plan = _RowPlan([space.allowed(v) for v in cone.union], np.uint8)
+    plan = _RowPlan([space.allowed(v) for v in cone.union])
     streams = (random.Random(trial_seed(seed, t)) for t in range(trials))
     rows = np.vstack([plan.rows(u) for u in _uniform_blocks(streams, len(cone.union))])
     observed = _trajectory_rows(sys, cone, rows)[:, :, 0]

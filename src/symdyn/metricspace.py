@@ -14,7 +14,8 @@ kernels.  The Lipschitz and Hölder reports share one sampled sweep
 (`_sweep`), which samples a chunk of pairs, then measures them together.  It
 consumes the same random stream as sampling and measuring one pair at a
 time, with one int(rng.random() * n) per pick of n items, but reads it in
-bulk (`symsys._words`) and picks by table lookups.  A pair differs at one
+bulk and picks through the sampling kernel of `symsys` (`_words`, `_pick`,
+and a `_RowPlan` of the domain for symbols).  A pair differs at one
 planted cell, so only that cell and its readers are worked on: pre-image
 intervals are a per-column table, x's symbols are converted only where the
 readers read, and the step images both rows only at the readers;
@@ -36,7 +37,7 @@ import numpy as np
 from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
 from .symsys import (_TABLE_MAX, Configuration, InsufficientDomainError, PatternSpace,
                      SymbolicSystem, _check_symbol, _check_values, _columns, _image_rows,
-                     _patterns, _StepPlan, _word_uniforms, _words)
+                     _patterns, _pick, _RowPlan, _StepPlan, _word_uniforms, _words)
 from .entropydim import pattern_log_count
 
 
@@ -316,61 +317,31 @@ def _padded(lists: Sequence[Sequence[int]], fill: int = 0):
     return table, sizes
 
 
-def _pick(u: np.ndarray, n) -> np.ndarray:
-    """Item int(u * n) of n items, for each uniform u (n may be an array)."""
-    return (u * n).astype(np.intp)
-
-
 def _planted_pairs(rng, metric, space, domain, radii, samples, reads):
     """Sample pairs that differ at one planted cell, a chunk at a time.
 
     Each sample takes len(domain) + 4 values u of `rng.random()`, each the
-    pick int(u * n) of n items: a symbol per domain cell (in domain order,
-    as `PatternSpace.random_configuration` draws them), an anchor, a radius
-    below `radii`, a cell of that BFS shell inside the domain, and another
-    allowed symbol there (of the allowed symbols other than the current
-    one).  A chunk's words are read at once (`_words`), but a sample's
-    values are converted only where they are used: the four picks, and x's
-    symbols at the columns reads[c] of its planted column c (c first).
-    Picks are table lookups: in the padded shell columns of each (anchor,
-    radius), and in the symbols of each distinct allowed set, laid end to
-    end, where the positions of each symbol are a run of a stable argsort.
-    The new symbol is an index shift of its pick past each position of x's
-    symbol, in ascending order, so no (pairs x symbols) matrix is built.
-    Yields (sample numbers, planted columns, x rows, new symbols) per chunk,
-    x zero off the columns read; samples whose shell or symbol choice came
-    up empty are left out, though they take all their values.
+    pick int(u * n) of n items (`_pick`): a symbol per domain cell (in domain
+    order, as `PatternSpace.random_configuration` draws them), an anchor, a
+    radius below `radii`, a cell of that BFS shell inside the domain, and
+    another allowed symbol there (`_RowPlan.other_places`).  A chunk's words
+    are read at once (`_words`), but converted only where used: the four
+    picks, and x's symbols at the columns reads[c] of its planted column c
+    (c first).  Yields (sample numbers, planted columns, x rows, new symbols)
+    per chunk, x zero off the columns read; samples whose shell or symbol
+    choice came up empty are left out, though they take all their values.
     """
     index, m = _columns(domain), len(domain)
-    allowed = [space.allowed(v) for v in domain]
-    dtype = np.min_scalar_type(max((max(a) for a in allowed), default=0))
+    plan = _RowPlan([space.allowed(v) for v in domain])
     shells, shell_sizes = _padded([  # row a * radii + r: shell r of anchor a
         [index[c] for c in sort_vertices(s) if c in index]
         for u in metric.scheme.vertices
         for s in (metric.graph._shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
-    sets: dict = {}  # each distinct allowed set, flat in `symbols` from its base
-    set_of = [sets.setdefault(a, len(sets)) for a in allowed]
-    sizes = np.array([len(a) for a in sets], dtype=np.intp)
-    bases = np.cumsum(sizes) - sizes
-    base, size = bases[set_of], sizes[set_of]
-    symbols = np.array([s for a in sets for s in a], dtype=dtype)
-    order, first, last = (np.empty(len(symbols), dtype=np.intp) for _ in range(3))
-    for a, at in zip(sets, bases):  # the places of symbol a[i] are order[first[i]:last[i]]
-        ranked = np.argsort(a, kind="stable")
-        ordered = np.asarray(a)[ranked]
-        order[at: at + len(a)] = ranked
-        first[at: at + len(a)] = at + np.searchsorted(ordered, a)
-        last[at: at + len(a)] = at + np.searchsorted(ordered, a, "right")
     reads, widths = _padded(reads)  # padded with each row's planted column
     reads = np.where(np.arange(reads.shape[1]) < widths[:, None], reads, reads[:, :1])
 
     def plant(start, n):
-        words = np.empty(2 * n * (m + 4), dtype="<u4")
-        filled = 0
-        for piece in _words(rng, n * (m + 4)):
-            words[filled: filled + len(piece)] = piece
-            filled += len(piece)
-        words = words.view("<u8").reshape(n, m + 4)  # the two words of each value
+        words = _words(rng, n * (m + 4)).view("<u8").reshape(n, m + 4)  # two words a value
         u_anchor, u_radius, u_cell, u_symbol = _word_uniforms(
             words[:, m:].ravel().view("<u4")).reshape(n, 4).T
         shell = _pick(u_anchor, len(metric.scheme.vertices)) * radii + _pick(u_radius, radii)
@@ -379,17 +350,12 @@ def _planted_pairs(rng, metric, space, domain, radii, samples, reads):
         read = reads[cols]
         u = _word_uniforms(words[live[:, None], read].view("<u4").ravel()).reshape(read.shape)
         del words  # freed before the picks are made
-        picks = base[read] + _pick(u, size[read])  # x's symbols, as places in `symbols`
-        own = picks[:, 0]
-        others = size[cols] - (last[own] - first[own])
-        nth = _pick(u_symbol[live], others)
-        for t in range(int((last - first).max(initial=0))):
-            skip = order[np.minimum(first[own] + t, len(order) - 1)]
-            nth += (first[own] + t < last[own]) & (nth >= skip)
-        keep = np.flatnonzero(others > 0)
-        x = np.zeros((len(keep), m), dtype)
-        np.put(x, read[keep] + m * np.arange(len(keep))[:, None], symbols[picks[keep]])
-        return start + live[keep], cols[keep], x, symbols[base[cols[keep]] + nth[keep]]
+        picks = plan.places(u, read)  # x's symbols, as places in `plan.symbols`
+        new, other = plan.other_places(cols, picks[:, 0], u_symbol[live])
+        keep = np.flatnonzero(other)
+        x = np.zeros((len(keep), m), plan.symbols.dtype)
+        np.put(x, read[keep] + m * np.arange(len(keep))[:, None], plan.symbols[picks[keep]])
+        return start + live[keep], cols[keep], x, plan.symbols[new[keep]]
 
     for start in range(0, samples, _SWEEP_ROWS):  # holds no chunk while drawing the next
         yield plant(start, min(_SWEEP_ROWS, samples - start))

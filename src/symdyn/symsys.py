@@ -22,10 +22,11 @@ batch); composed tables, `image_configuration` and subsymmetry checks
 plan and image one step (`_image_rows`).  The sweeps of `metricspace` plan
 their step once and image a pair only at given (row, cell) pairs
 (`_StepPlan.image_at`).  Sampled rows come from one sampling kernel: the
-symbol of a cell with n allowed symbols is number int(rng.random() * n),
-and `_uniforms` reads those values in bulk (`_uniform_blocks`: m from each
-of many generators); the sweeps read the words (`_words`) and convert only
-the values they use (`_word_uniforms`).
+pick of item int(u * n) of n items for a value u of `rng.random()`
+(`_pick`), of the symbols of a cell as a place in a table that keeps each
+distinct allowed tuple once (`_RowPlan`).  The values are read in bulk as
+words (`_words`; `_uniform_blocks`: m from each of many generators) and
+converted as CPython computes them (`_word_uniforms`), only where used.
 
 Panoramas and window checks first try the *linear* engine: when the k =
 p^m symbols, read as base-p digit vectors, make every rule the cone applies
@@ -49,6 +50,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -143,7 +145,11 @@ class LocalRule:
                 idx = idx * k + np.asarray(a, dtype=np.intp)
             return values[idx]
 
+        fn = _TABLE_FNS.setdefault((k, values.tobytes()), fn)  # equal tables share one
         return cls(inputs=inputs, fn=fn, label=label)
+
+
+_TABLE_FNS = weakref.WeakValueDictionary()  # a table's function while a rule holds it
 
 
 def _check_symbol(value, k: int, where: str) -> None:
@@ -215,8 +221,8 @@ class PatternSpace:
     ) -> "Configuration":
         """An allowed symbol per cell, a[int(rng.random() * len(a))], in vertex order."""
         domain = sort_vertices(domain)
-        row = _RowPlan([self.allowed(v) for v in domain]).rows(_uniforms(rng, 1, len(domain)))
-        return Configuration(dict(zip(domain, row[0].tolist())))
+        row = _RowPlan(map(self.allowed, domain)).rows(_word_uniforms(_words(rng, len(domain))))
+        return Configuration(dict(zip(domain, row.tolist())))
 
 
 @dataclass(frozen=True)
@@ -269,73 +275,95 @@ class PanoramaResult:
 _DRAW_WORDS = 2**14  # most 32-bit words read at once (64 KB), two per value
 
 
-def _words(rng: random.Random, count: int):
+def _words(rng: random.Random, count: int) -> np.ndarray:
     """The 32-bit words of the next `count` values of `rng.random()`, two per
     value: `rng.getrandbits(64 * k)` returns the next 2k words, the first
     one lowest.  Reads take at most _DRAW_WORDS words (one value at least)
     and none ahead, so the generator ends where `count` calls leave it."""
+    out = np.empty(count, dtype="<u8")  # the two words of each value, the first lowest
     step = max(_DRAW_WORDS // 2, 1)
-    for start in range(0, count, step):
-        k = min(step, count - start)
-        yield np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    for at in range(0, count, step):
+        k = min(step, count - at)
+        out[at: at + k] = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+    return out.view("<u4")
 
 
-def _word_uniforms(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The `random()` values of `words` (into `out` when given).  CPython
-    computes each from two words w1, w2 as (a * 2^26 + b) / 2^53 with
-    a = w1 >> 5 and b = w2 >> 6; each step is exact in float64."""
-    out = np.multiply(words[0::2] >> 5, 67108864.0, out=out)
+def _word_uniforms(words: np.ndarray) -> np.ndarray:
+    """The `random()` values of `words`.  CPython computes each from two
+    words w1, w2 as (a * 2^26 + b) / 2^53 with a = w1 >> 5 and b = w2 >> 6;
+    each step is exact in float64."""
+    out = np.multiply(words[0::2] >> 5, 67108864.0)
     out += words[1::2] >> 6
     out /= 2.0**53
     return out
 
 
-def _uniforms(rng: random.Random, n: int, m: int) -> np.ndarray:
-    """The next n * m values of `rng.random()`, as an (n, m) array."""
-    out = np.empty(n * m)
-    start = 0
-    for words in _words(rng, n * m):
-        _word_uniforms(words, out[start: start + len(words) // 2])
-        start += len(words) // 2
-    return out.reshape(n, m)
-
-
 def _uniform_blocks(rngs: Iterator[random.Random], m: int):
-    """The next m values of `random()` of each generator in `rngs`, as
-    (b, m) arrays of b = _DRAW_WORDS // 2 // m generators in turn (one at
-    least, m >= 1): each generator's words are read as in `_uniforms`, and a
-    block's are converted at once."""
+    """The next m values of `random()` of each generator in `rngs`, as (b, m)
+    arrays of b = _DRAW_WORDS // 2 // m generators in turn (one at least,
+    m >= 1): each one's words are read by `_words`, a block's converted at once."""
     while block := list(itertools.islice(rngs, max(_DRAW_WORDS // 2 // m, 1))):
-        words = np.concatenate([w for rng in block for w in _words(rng, m)])
+        words = np.concatenate([_words(rng, m) for rng in block])
         yield _word_uniforms(words).reshape(len(block), m)
 
 
 _BITS_OF_2_52 = np.float64(2.0**52).view(np.int64)
 
 
+def _pick(u: np.ndarray, n, base=0) -> np.ndarray:
+    """base + int(u * n) for each uniform u (n, base may be arrays), made in
+    u's float64 buffer: an integer f < 2^52 plus 2^52 has the bits of 2^52 plus f."""
+    u = np.multiply(u, n, out=u)
+    np.floor(u, out=u)
+    picks = np.add(u, np.add(base, 2.0**52), out=u).view(np.int64)
+    picks -= _BITS_OF_2_52
+    return picks
+
+
 class _RowPlan:
-    """Rows of one allowed symbol per cell, `a[int(u * len(a))]` for the
-    allowed set a of each cell and a uniform u in [0, 1), of `dtype`."""
+    """One table, `symbols`, of each distinct allowed tuple (`sets`) from its
+    `bases` entry on; a uniform u picks a[int(u * len(a))] of the allowed
+    tuple a of cell c, the `size[c]` symbols from `base[c]` on."""
 
-    def __init__(self, allowed: Sequence[Sequence[int]], dtype=np.int64):
-        sizes = [len(a) for a in allowed]
-        if not all(sizes):
+    def __init__(self, allowed: Iterable[Sequence[int]]):
+        sets: dict = {}
+        set_of = [sets.setdefault(tuple(a), len(sets)) for a in allowed]
+        if () in sets:
             raise ValueError("cannot draw from an empty allowed set")
-        self.sizes = np.array(sizes, dtype=np.int64)
-        offsets = np.cumsum(self.sizes) - self.sizes  # where each cell's symbols start
-        self.biased_offsets = offsets + 2.0**52
-        self.symbols = np.array([s for a in allowed for s in a], dtype=dtype)
+        self.sets = list(sets)
+        sizes = np.array([len(a) for a in self.sets], dtype=np.intp)
+        self.bases = np.cumsum(sizes) - sizes
+        self.base, self.size = self.bases[set_of], sizes[set_of]
+        self.symbols = np.array([s for a in self.sets for s in a],
+                                dtype=np.min_scalar_type(max(map(max, self.sets), default=0)))
 
-    def rows(self, uniforms: np.ndarray) -> np.ndarray:
-        """One row per row of `uniforms` (one column per cell).  The index
-        of each symbol is computed in the uniforms' own buffer, which is
-        overwritten: for an integer f below 2^52, the float f + 2^52 has the
-        bits of 2^52 plus f."""
-        u = np.multiply(uniforms, self.sizes, out=uniforms)
-        np.floor(u, out=u)
-        idx = np.add(u, self.biased_offsets, out=u).view(np.int64)
-        idx -= _BITS_OF_2_52
-        return self.symbols[idx]
+    def places(self, u: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """The place in `symbols` of the pick of each uniform u[..., j] (which
+        `_pick` overwrites) at cell cols[..., j], or at cell j."""
+        return _pick(u, self.size[cols], self.base[cols])
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        """One row of symbols per row of `u` (one column per cell)."""
+        return self.symbols[self.places(u)]
+
+    @cached_property
+    def _runs(self):
+        """Places by (tuple, symbol, place): symbols[i]'s run is order[first[i]:last[i]]."""
+        key = np.searchsorted(self.bases, np.arange(len(self.symbols)), "right")
+        key = key * (int(self.symbols.max(initial=0)) + 1) + self.symbols
+        order = np.argsort(key, kind="stable")
+        return order, np.searchsorted(key[order], key), np.searchsorted(key[order], key, "right")
+
+    def other_places(self, cols: np.ndarray, own: np.ndarray, u: np.ndarray):
+        """The place of entry int(u[q] * n) of the n entries at cell cols[q] other than
+        symbols[own[q]], and whether n > 0 (the place is junk where it is not)."""
+        order, first, last = self._runs
+        others = self.size[cols] - (last[own] - first[own])
+        nth = _pick(u, others, self.base[cols])
+        for t in range(int((last - first).max(initial=0))):  # shift past equal entries
+            skip = order[np.minimum(first[own] + t, len(order) - 1)]
+            nth += (first[own] + t < last[own]) & (nth >= skip)
+        return nth, others > 0
 
 
 # -- cones, propagation, evaluation -----------------------------------------
@@ -444,8 +472,10 @@ class _StepPlan:
         out = np.empty(len(at), dtype=np.min_scalar_type(self.k - 1))
         group, slot = self._slots[0][at], self._slots[1][at]
         flat, width = rows.ravel(), rows.shape[1]
+        by_group = np.argsort(group, kind="stable")  # each group's pairs in one ascending run
+        bounds = np.searchsorted(group[by_group], np.arange(len(self.groups) + 1))
         for g, (fn, _, cols) in enumerate(self.groups):
-            pairs = np.flatnonzero(group == g)
+            pairs = by_group[bounds[g]: bounds[g + 1]]
             for lo in range(0, len(pairs), _BLOCK):
                 q = pairs[lo: lo + _BLOCK]
                 start = which[q] * width  # where each pair's row starts in `flat`

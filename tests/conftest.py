@@ -541,7 +541,7 @@ def holder_report_oracle(sys_, metric_from, metric_to, eta, lam_const, space, do
 
 
 def uniforms_per_call(rng, n, m):
-    """`symsys._uniforms` as n * m calls of `rng.random()`."""
+    """n * m calls of `rng.random()`, as an (n, m) array."""
     return np.array([[rng.random() for _ in range(m)] for _ in range(n)]).reshape(n, m)
 
 
@@ -549,7 +549,7 @@ def words_per_call(rng, count):
     """`symsys._words` as `count` calls of `rng.random()`: each value u is
     (a * 2^26 + b) / 2^53, given back by the words a << 5 and b << 6."""
     values = [int(rng.random() * 2.0**53) for _ in range(count)]
-    yield np.array([[v >> 26 << 5, (v & (2**26 - 1)) << 6] for v in values],
+    return np.array([[v >> 26 << 5, (v & (2**26 - 1)) << 6] for v in values],
                    dtype="<u4").reshape(2 * count)
 
 

@@ -352,9 +352,9 @@ def test_roundtrip_blocks_keep_each_trials_stream(monkeypatch, depth):
         simulated.append(rows.copy())
         return trajectory_rows(sys, cone, rows)
 
-    def convert(words, out=None):
+    def convert(words):
         converted.append(len(words))
-        return word_uniforms(words, out)
+        return word_uniforms(words)
 
     trajectory_rows, word_uniforms = cx._trajectory_rows, ss._word_uniforms
     monkeypatch.setattr(cx, "_trajectory_rows", spy)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -1576,11 +1578,18 @@ class _CountedReads(random.Random):
         return super().getrandbits(k)
 
 
+def _uniforms(rng, n, m):
+    """The next n * m values of `rng.random()`, as an (n, m) array, as
+    `PatternSpace.random_configuration` reads them: `_words`, then
+    `_word_uniforms`."""
+    return ss._word_uniforms(ss._words(rng, n * m)).reshape(n, m)
+
+
 def test_uniform_rows_match_per_call_random(monkeypatch):
-    """`_uniforms` returns the next values of `rng.random()` and `_RowPlan`
-    picks a[int(u * len(a))] from them, so rows equal one `random()` per
-    cell, and the generator ends where those calls leave it: also when a
-    read is cut to a few words, with no rows and with empty rows."""
+    """`_words` and `_word_uniforms` return the next values of `rng.random()`
+    and `_RowPlan` picks a[int(u * len(a))] from them, so rows equal one
+    `random()` per cell, and the generator ends where those calls leave it:
+    also when a read is cut to a few words, with no rows and with empty rows."""
     seen = set()
     ranks = st.integers(1, 4).map(lambda n: tuple(range(n)))
     sets = st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True).map(tuple)
@@ -1592,13 +1601,13 @@ def test_uniform_rows_match_per_call_random(monkeypatch):
         monkeypatch.setattr(ss, "_DRAW_WORDS", words)
         ref, rng = random.Random(seed), _CountedReads(seed)
         expected = [[a[int(ref.random() * len(a))] for a in allowed] for _ in range(n)]
-        rows = ss._RowPlan(allowed).rows(ss._uniforms(rng, n, len(allowed)))
+        rows = ss._RowPlan(allowed).rows(_uniforms(rng, n, len(allowed)))
         assert rows.shape == (n, len(allowed))
         assert rows.tolist() == expected
         assert rng.getstate() == ref.getstate()
         assert sum(rng.reads) == 64 * n * len(allowed)
         assert max(rng.reads, default=0) <= 32 * max(words, 2)
-        assert ss._uniforms(rng, 2, 3).tolist() == uniforms_per_call(ref, 2, 3).tolist()
+        assert _uniforms(rng, 2, 3).tolist() == uniforms_per_call(ref, 2, 3).tolist()
         assert rng.getstate() == ref.getstate()
         seen.add("no rows" if not n else "empty rows" if not allowed else
                  "split reads" if len(rng.reads) > 2 else "one read")
@@ -1621,14 +1630,74 @@ def test_rows_of_other_generators_and_empty_sets():
 
     allowed = [(0, 1), (0, 1, 2), (5,), (3, 9)]
     ref, rng = Subclass(3), Subclass(3)
-    rows = ss._RowPlan(allowed).rows(ss._uniforms(rng, 5, len(allowed)))
+    rows = ss._RowPlan(allowed).rows(_uniforms(rng, 5, len(allowed)))
     assert rows.tolist() == [[a[int(ref.random() * len(a))] for a in allowed]
                              for _ in range(5)]
     assert rng.getstate() == ref.getstate()
-    rows = ss._RowPlan(allowed).rows(ss._uniforms(random.SystemRandom(), 20, len(allowed)))
+    rows = ss._RowPlan(allowed).rows(_uniforms(random.SystemRandom(), 20, len(allowed)))
     assert all(s in a for row in rows.tolist() for s, a in zip(row, allowed))
     with pytest.raises(ValueError, match="empty allowed set"):
         ss._RowPlan([(0, 1), ()])
+
+
+def test_random_configuration_tables_each_allowed_tuple_once():
+    """Cells that share an allowed tuple, or whose tuple repeats a symbol,
+    draw what one `rng.random()` per cell draws, from a table that keeps
+    each distinct tuple once."""
+    sets = [(1, 0, 1), (2, 0), (0, 1, 2), (1,), (1, 0, 1), (2, 2, 0, 2)]
+    space = ss.PatternSpace(lambda v: sets[v % len(sets)])
+    domain = range(37)
+    plan = ss._RowPlan([space.allowed(v) for v in domain])
+    assert plan.sets == sets[:4] + sets[5:]
+    assert len(plan.symbols) == sum(map(len, plan.sets))
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert space.random_configuration(domain, rng) == choice_per_cell(space, domain, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_other_places_pick_among_the_other_symbols():
+    """`_RowPlan.other_places` gives entry int(u * n) of the n entries of a
+    cell's allowed tuple that differ from the symbol at `own`, in tuple
+    order, and flags the cells where there is none."""
+    sets = [(1, 0, 1), (2, 2, 0, 2), (3,), (0, 1, 2), (4, 4)]
+    plan = ss._RowPlan(sets)
+    cols, own, u = [], [], []
+    for c, a in enumerate(sets):
+        for i in range(len(a)):
+            for x in np.linspace(0, 1, 9, endpoint=False):
+                cols.append(c)
+                own.append(int(plan.base[c]) + i)
+                u.append(x)
+    places, some = plan.other_places(np.array(cols), np.array(own), np.array(u))
+    for c, at, x, place, ok in zip(cols, own, u, places.tolist(), some.tolist()):
+        others = [s for s in sets[c] if s != plan.symbols[at]]
+        assert ok == bool(others)
+        if others:
+            assert plan.symbols[place] == others[int(x * len(others))]
+
+
+def test_random_configuration_of_no_cells_reads_nothing():
+    rng = _CountedReads(5)
+    state = rng.getstate()
+    space = ss.PatternSpace.full(ss.Alphabet(3))
+    assert space.random_configuration([], rng) == ss.Configuration({})
+    assert rng.reads == [] and rng.getstate() == state
+
+
+def test_random_configuration_memory_stays_flat_in_the_alphabet():
+    """Cells share one table of their allowed tuple: 50 cells of 2^16
+    symbols peak far below the 50 x 2^16 entries of a table per cell."""
+    space = ss.PatternSpace.full(ss.Alphabet(2**16))
+    ref = random.Random(4)
+    tracemalloc.start()
+    try:
+        x = space.random_configuration(range(50), random.Random(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert x == choice_per_cell(space, range(50), ref)
 
 
 def test_random_configuration_on_mixed_sizes():
@@ -1866,6 +1935,52 @@ def test_explicit_system_has_no_rule_off_its_graph():
         ms.image_configuration(sys_, ss.Configuration({0: 0, 1: 1}), [0, 2])
     with pytest.raises(ng.UniverseExhaustionError, match="vertex 2 not in explicit universe"):
         ss.subsymmetry_check(sys_, lambda v: v + 1, [0, 1], space)
+
+
+def test_equal_tables_share_one_rule_function():
+    """Explicit vertices with one table share its function, so one step
+    applies them in one call; another table, or the same entries over
+    another alphabet, gets a function of its own."""
+    sys_, _ = ss.system_from_descriptor({
+        "alphabet": 2, "graph": {"edges": [[1, 0], [0, 1], [2, 2]]},
+        "rules": [{"vertex": 0, "inputs": [1], "table": [1, 0]},
+                  {"vertex": 1, "inputs": [0], "table": [1, 0]},
+                  {"vertex": 2, "inputs": [2], "table": [0, 1]}]})
+    assert sys_.rule(0).fn is sys_.rule(1).fn
+    assert sys_.rule(2).fn is not sys_.rule(0).fn
+    xor = ss.LocalRule.from_table([0, 1], [0, 1, 1, 0], 2)
+    assert xor.fn is not ss.LocalRule.from_table([0], [0, 1, 1, 0], 4).fn
+    assert len(ss._StepPlan(sys_, ss._columns(range(3)), range(3)).groups) == 2
+
+
+def test_image_at_matches_image_on_many_rule_groups():
+    """On an explicit system with a rule table per cell (some shared, some
+    with repeated inputs), the step at random (row, cell) pairs, in any
+    order and with repeats, is the step of the whole rows at those pairs;
+    also when a group's pairs split over blocks."""
+    rnd, k, n = random.Random(7), 3, 60
+    tables = [[rnd.randrange(k) for _ in range(k**a)] for a in (1, 2, 2, 3) for _ in range(12)]
+    rules, edges = [], set()
+    for v in range(n):
+        table = tables[rnd.randrange(len(tables))]
+        arity = round(math.log(len(table), k))
+        inputs = [rnd.randrange(n) for _ in range(arity - 1)]
+        inputs.append(rnd.choice(inputs + [rnd.randrange(n)]))  # a repeat, about half the time
+        rules.append({"vertex": v, "inputs": inputs, "table": table})
+        edges.update((u, v) for u in inputs)
+    assert any(len(set(r["inputs"])) < len(r["inputs"]) for r in rules)
+    graph = {"edges": [list(e) for e in sorted(edges)]}
+    sys_, _ = ss.system_from_descriptor({"alphabet": k, "graph": graph, "rules": rules})
+    plan = ss._StepPlan(sys_, ss._columns(range(n)), range(n))
+    assert 20 < len(plan.groups) < n
+    rows = np.array([[rnd.randrange(k) for _ in range(n)] for _ in range(9)], dtype=np.uint8)
+    image = plan.image(rows, n)
+    which = np.array([rnd.randrange(len(rows)) for _ in range(500)])
+    at = np.array([rnd.randrange(n) for _ in range(500)])
+    for block in (1, 5, ss._BLOCK):
+        with mock.patch.object(ss, "_BLOCK", block):
+            assert plan.image_at(rows, which, at).tolist() == image[which, at].tolist()
+    assert plan.image_at(rows, which[:0], at[:0]).tolist() == []
 
 
 def test_descriptor_rule_off_a_named_graph():
