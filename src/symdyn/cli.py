@@ -432,11 +432,7 @@ def run(argv: Optional[list] = None) -> int:
     try:
         ss._thread_count()  # reject a malformed SYMDYN_THREADS before any work
         return args.fn(args)
-    except (ng.UniverseExhaustionError, ng.MissingOutNeighborsError,
-            ss.EnumerationCapError, ss.NetworkConsistencyError,
-            ss.InsufficientDomainError, ms.DomainMismatchError,
-            ms.ToleranceUnreachableError, cx.HorizonTooShortError,
-            ValueError, KeyError, OSError, OverflowError) as exc:
+    except (ng.SymdynError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

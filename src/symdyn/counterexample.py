@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .netgraph import Digraph, is_cell_of_n
+from .netgraph import Digraph, SymdynError, is_cell_of_n
 from .symsys import (
     Alphabet,
     Configuration,
@@ -37,7 +37,7 @@ from .symsys import (
 )
 
 
-class HorizonTooShortError(Exception):
+class HorizonTooShortError(SymdynError):
     """A trace is shorter than the decode depth requires."""
 
 

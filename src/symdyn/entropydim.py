@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .netgraph import Ball, Digraph, Subisometry, Vertex, sort_vertices
+from .netgraph import Ball, Digraph, Subisometry, SymdynError, Vertex, sort_vertices
 from .symsys import PatternSpace
 
 
-class NonDisjointBallsError(Exception):
+class NonDisjointBallsError(SymdynError):
     """A weak-independence family contained overlapping balls."""
 
 

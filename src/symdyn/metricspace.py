@@ -5,20 +5,22 @@ agreement-radius pseudometrics lambda^(-R).  Configurations are finite, so
 every distance comes back as a [lo, hi] interval: exact when a disagreement
 is visible inside the covered radius, and a tail-bounded bracket otherwise.
 
-Distances are a batch kernel over the rows of symbol matrices that share
-one domain: first-disagreement radii come from the cached BFS shells of each
-estuary vertex.  One-step images come from the rule-application kernel of
-`symsys` (`_StepPlan`, one elementwise call per rule function).
-`pseudo_dist`, `dist` and `image_configuration` are one-row calls of these
-kernels.  The Lipschitz and Hölder reports share one sampled sweep
-(`_sweep`), which samples a chunk of pairs, then measures them together.  It
-consumes the same random stream as sampling and measuring one pair at a
-time, with one int(rng.random() * n) per pick of n items, but reads it in
-bulk and picks through the sampling kernel of `symsys` (`_words`, `_pick`,
-and a `_RowPlan` of the domain for symbols).  A pair differs at one
-planted cell, so only that cell and its readers are worked on: pre-image
-intervals are a per-column table, x's symbols are converted only where the
-readers read, and the step images both rows only at the readers;
+Distances are one kernel over pairs on a shared domain.  A pair enters
+only through the first BFS shell of each estuary vertex on which it
+disagrees, the least `depth` (`_depths`) of its (row, column)
+disagreements (`_intervals`).  `dist` passes the differing columns of its
+one pair, and `pseudo_dist` is the one-vertex metric of coefficient 1.
+One-step images come from the rule kernel of `symsys` (`_StepPlan`, one
+elementwise call per rule function).  The Lipschitz and Hölder reports
+share one sampled sweep (`_sweep`), which samples a chunk of pairs, then
+measures them together.  It consumes the same random stream as sampling
+and measuring one pair at a time, with one int(rng.random() * n) per pick
+of n items, but reads it in bulk and picks through the sampling kernel of
+`symsys` (`_words`, `_pick`, and a `_RowPlan` of the domain for symbols).
+A pair differs at one planted cell, so only that cell and its readers are
+worked on: pre-image intervals are a per-column table, x's symbols are
+converted only where the readers read, and the step images both rows only
+at the readers, whose differing images are the pair's disagreements;
 `holder_report(None, ...)` measures the identity from a second table.
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
@@ -34,18 +36,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import Digraph, Vertex, _ols_slope, graph_vertex, read_fields, sort_vertices
+from .netgraph import (Digraph, SymdynError, Vertex, _ols_slope, graph_vertex, read_fields,
+                       sort_vertices)
 from .symsys import (_TABLE_MAX, Configuration, InsufficientDomainError, PatternSpace,
                      SymbolicSystem, _check_symbol, _check_values, _columns, _image_rows,
                      _patterns, _pick, _RowPlan, _StepPlan, _word_uniforms, _words)
 from .entropydim import pattern_log_count
 
 
-class DomainMismatchError(Exception):
+class DomainMismatchError(SymdynError):
     """Distance requested between configurations on different domains."""
 
 
-class ToleranceUnreachableError(Exception):
+class ToleranceUnreachableError(SymdynError):
     """The coefficient tail or the configuration domain cannot reach the
     requested tolerance."""
 
@@ -218,94 +221,63 @@ def metric_from_descriptor(desc, graph: Digraph) -> BasedMetric:
 _SWEEP_ROWS = 512  # sampled pairs per batch: keeps a sweep's memory flat
 
 
-def _anchor_shells(graph: Digraph, v: Vertex, index: dict, r_cap=None):
-    """Covered radius of v in a domain, and the columns of its BFS shells up
-    to that radius.
+def _depths(metric: BasedMetric, index: dict, r_cap=None):
+    """The distance kernel's tables over a domain's columns (`index`): the
+    metric's tail bound, and per estuary vertex u its coefficient c, a
+    `depth` array over the columns and bounds (lo, hi) by depth.
 
-    The covered radius is the largest r with B(v, r) inside the domain, at
+    u's covered radius is the largest r with B(u, r) inside the domain, at
     most r_cap; a ball that closes inside the domain counts as covered up to
-    r_cap (or, without a cap, up to its closing radius); -1 if v is missing.
+    r_cap (or, without a cap, up to its closing radius).  depth[col] is the
+    BFS shell of u that holds col within that radius, else len(lo) - 1.  A
+    pair first disagreeing on shell s > 0 agrees on B(u, s - 1): its value is
+    exact, and 1 when u itself differs.  A pair agreeing on every covered
+    shell is only bounded by lambda^(-covered radius), and by 1 when u is
+    outside the domain.
     """
-    if v not in index:
-        return -1, []
-    center = frozenset([v])
-    cols = [np.array([index[v]])]
-    r = 0
-    while r_cap is None or r < r_cap:
-        shell = graph._shells(center, r + 1)[r + 1]
-        if any(u not in index for u in shell):
-            return r, cols
-        if not shell:
-            return (r if r_cap is None else r_cap), cols  # ball closed
-        cols.append(np.array([index[u] for u in shell]))
-        r += 1
-    return r, cols
+    terms = []
+    for u, c in zip(metric.scheme.vertices, metric.scheme.coeffs):
+        # u outside the domain has no shells, so its bounds are 0 and lambda^0
+        sizes, cols, cap = ([1], [index[u]], 0) if u in index else ([], [], 0)
+        while sizes and (r_cap is None or cap < r_cap):
+            shell = metric.graph._shells(frozenset([u]), cap + 1)[cap + 1]
+            shell = [index.get(w, -1) for w in shell]
+            if not shell:  # ball closed
+                cap = cap if r_cap is None else r_cap
+                break
+            if -1 in shell:
+                break
+            sizes.append(len(shell))
+            cols += shell
+            cap += 1
+        depth = np.full(len(index), len(sizes), np.intp)
+        depth[cols] = np.repeat(np.arange(len(sizes)), sizes)
+        exact = [metric.lam ** -max(s - 1, 0) for s in range(len(sizes))]
+        terms.append((c, depth, *(np.array(exact + [end], float)
+                                  for end in (0.0, metric.lam ** -cap))))
+    return metric.scheme.tail_bound, terms
 
 
-def _pseudo_rows(lam: float, covered: tuple, n: int, hits):
-    """lambda^(-R) intervals around a vertex, as (lo, hi) arrays over n rows,
-    from the vertex's `_anchor_shells`; `hits(cols)` flags the rows that
-    disagree somewhere on the columns `cols`.
-
-    A row first disagreeing on shell s > 0 agrees on B(v, s - 1): the value
-    is exact, and 1 when the center itself differs.  A row agreeing on every
-    covered shell is only bounded by lambda^(-covered radius).
-    """
-    cap, shells = covered
-    if cap < 0:
-        return np.zeros(n), np.ones(n)  # vertex not covered: only the trivial bound
-    lo = np.zeros(n)
-    hi = np.full(n, lam ** -cap)
-    open_rows = np.ones(n, dtype=bool)
-    for s, cols in enumerate(shells):
-        hit = open_rows & hits(cols)
-        lo[hit] = hi[hit] = lam ** -max(s - 1, 0)
-        open_rows &= ~hit
+def _intervals(depths, n: int, rows: np.ndarray, cols: np.ndarray):
+    """Based-distance intervals, as (lo, hi) arrays over n rows of pairs,
+    from the `_depths` of their domain and their disagreements, row rows[i]
+    at column cols[i] (repeats allowed).  Each row's depth per estuary
+    vertex is the least of its disagreements; vertices are summed in
+    enumeration order, so each row gets the floats of a one-pair sum."""
+    tail, terms = depths
+    lo, hi = np.zeros(n), np.full(n, tail)
+    for c, depth, d_lo, d_hi in terms:
+        first = np.full(n, len(d_lo) - 1)
+        np.minimum.at(first, rows, depth[cols])
+        lo += c * d_lo[first]
+        hi += c * d_hi[first]
     return lo, hi
 
 
-def _estuary_shells(metric: BasedMetric, index: dict) -> list:
-    """`_anchor_shells` of each stored estuary vertex in a domain."""
-    return [_anchor_shells(metric.graph, u, index) for u in metric.scheme.vertices]
-
-
-def _dist_hits(metric: BasedMetric, shells: list, n: int, hits):
-    """Based-distance intervals, as (lo, hi) arrays over n rows, from the
-    `_estuary_shells` of their domain and the `hits` of `_pseudo_rows`.
-    Estuary vertices are summed in enumeration order, so each row gets the
-    floats of a one-pair sum; uncovered vertices and the coefficient tail
-    contribute only to the upper bound."""
-    lo = np.zeros(n)
-    hi = np.full(n, metric.scheme.tail_bound)
-    for c, covered in zip(metric.scheme.coeffs, shells):
-        plo, phi = _pseudo_rows(metric.lam, covered, n, hits)
-        lo += c * plo
-        hi += c * phi
-    return lo, hi
-
-
-def _dist_rows(metric: BasedMetric, shells: list, diff: np.ndarray):
-    """`_dist_hits` over the rows of a disagreement matrix."""
-    return _dist_hits(metric, shells, len(diff), lambda cols: diff[:, cols].any(axis=1))
-
-
-def _dist_columns(metric: BasedMetric, shells: list, size: int):
-    """`_dist_rows` of the one-hot rows of `size` columns, entry c for the
-    row that differs at column c alone, float for float, without the
-    size x size matrix: a row hits the shells that hold its column."""
-
-    def hits(cols):
-        hit = np.zeros(size, dtype=bool)
-        hit[cols] = True
-        return hit
-
-    return _dist_hits(metric, shells, size, hits)
-
-
-def _diff_rows(pairs: list, index: dict) -> np.ndarray:
-    """Disagreement matrix of configuration pairs over the indexed cells."""
-    rows = [[x.values[v] != y.values[v] for v in index] for x, y in pairs]
-    return np.array(rows, dtype=bool).reshape(len(pairs), len(index))
+def _disagreements(x: Configuration, y: Configuration):
+    """The (rows, cols) disagreements of one pair, as row 0 of `_intervals`."""
+    cols = [i for i, (v, s) in enumerate(x.values.items()) if y.values[v] != s]
+    return np.zeros(len(cols), np.intp), np.array(cols, np.intp)
 
 
 def _padded(lists: Sequence[Sequence[int]], fill: int = 0):
@@ -317,22 +289,22 @@ def _padded(lists: Sequence[Sequence[int]], fill: int = 0):
     return table, sizes
 
 
-def _planted_pairs(rng, metric, space, domain, radii, samples, reads):
+def _planted_pairs(rng, metric, plan, domain, radii, samples, reads):
     """Sample pairs that differ at one planted cell, a chunk at a time.
 
     Each sample takes len(domain) + 4 values u of `rng.random()`, each the
     pick int(u * n) of n items (`_pick`): a symbol per domain cell (in domain
-    order, as `PatternSpace.random_configuration` draws them), an anchor, a
-    radius below `radii`, a cell of that BFS shell inside the domain, and
-    another allowed symbol there (`_RowPlan.other_places`).  A chunk's words
-    are read at once (`_words`), but converted only where used: the four
-    picks, and x's symbols at the columns reads[c] of its planted column c
-    (c first).  Yields (sample numbers, planted columns, x rows, new symbols)
-    per chunk, x zero off the columns read; samples whose shell or symbol
-    choice came up empty are left out, though they take all their values.
+    order, as `PatternSpace.random_configuration` draws them, through the
+    domain's `_RowPlan` `plan`), an anchor, a radius below `radii`, a cell of
+    that BFS shell inside the domain, and another allowed symbol there
+    (`_RowPlan.other_places`).  A chunk's words are read at once (`_words`),
+    but converted only where used: the four picks, and x's symbols at the
+    columns reads[c] of its planted column c (c first).  Yields (sample
+    numbers, planted columns, x rows, new symbols) per chunk, x zero off the
+    columns read; samples whose shell or symbol choice came up empty are
+    left out, though they take all their values.
     """
     index, m = _columns(domain), len(domain)
-    plan = _RowPlan([space.allowed(v) for v in domain])
     shells, shell_sizes = _padded([  # row a * radii + r: shell r of anchor a
         [index[c] for c in sort_vertices(s) if c in index]
         for u in metric.scheme.vertices
@@ -380,10 +352,8 @@ def pseudo_dist(
     """
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
-    index = _columns(x.values)
-    diff = _diff_rows([(x, y)], index)
-    lo, hi = _pseudo_rows(metric.lam, _anchor_shells(metric.graph, v, index, r_cap), 1,
-                          lambda cols: diff[:, cols].any(axis=1))
+    one = single_estuary_metric(metric.graph, v, metric.lam)
+    lo, hi = _intervals(_depths(one, _columns(x.values), r_cap), 1, *_disagreements(x, y))
     return DistanceBound(float(lo[0]), float(hi[0]))
 
 
@@ -401,8 +371,7 @@ def dist(
     """
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
-    index = _columns(x.values)
-    lo, hi = _dist_rows(metric, _estuary_shells(metric, index), _diff_rows([(x, y)], index))
+    lo, hi = _intervals(_depths(metric, _columns(x.values)), 1, *_disagreements(x, y))
     bound = DistanceBound(float(lo[0]), float(hi[0]))
     if tol is not None and bound.width > tol:
         raise ToleranceUnreachableError(
@@ -467,26 +436,28 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
 
     A pair differs at its planted cell c alone, so only c and its readers
     are worked on.  Pre-image intervals, and for the identity (`sys` None)
-    image intervals, are per-column tables (`_dist_columns`).  Otherwise the
-    map is one step of `sys` on the image region, planned once: x and y are
-    imaged in one call at c's readers, from x's symbols at their inputs.
-    Every rule value is checked before anything is drawn (`_unchecked_cells`)
-    but those of a cell with too many input patterns, imaged on x at every
-    kept pair instead.  An allowed symbol outside the system's alphabet, or
-    an input of an image cell outside the domain (InsufficientDomainError,
-    naming them), raises first.
+    image intervals, are per-column tables: `_intervals` of each column
+    against itself.  Otherwise the map is one step of `sys` on the image
+    region, planned once: x and y are imaged in one call at c's readers, from
+    x's symbols at their inputs, and the readers whose images differ are the
+    pair's disagreements.  Every rule value is checked before anything is
+    drawn (`_unchecked_cells`) but those of a cell with too many input
+    patterns, imaged on x at every kept pair instead.  An allowed symbol
+    outside the system's alphabet (checked once per distinct allowed tuple,
+    naming its first cell), or an input of an image cell outside the domain
+    (InsufficientDomainError, naming them), raises first.
     """
-    index = _columns(domain)
-    pre_lo, pre_hi = _dist_columns(metric_from, _estuary_shells(metric_from, index), len(domain))
-    post_shells = _estuary_shells(metric_to, _columns(image_region))
+    index, every = _columns(domain), np.arange(len(domain))
+    pre_lo, pre_hi = _intervals(_depths(metric_from, index), len(domain), every, every)
+    post = _depths(metric_to, _columns(image_region))
+    plan = _RowPlan([space.allowed(v) for v in domain])
     reads = [[c] for c in range(len(domain))]
     if sys is None:
-        post = _dist_columns(metric_to, post_shells, len(domain))
+        post_lo, post_hi = _intervals(post, len(domain), every, every)
     else:
-        for v in domain:
-            allowed = space.allowed(v)
-            for s in (min(allowed), max(allowed)):
-                _check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {v!r} is")
+        for a, c in zip(plan.sets, np.unique(plan.base, return_index=True)[1]):
+            for s in (min(a), max(a)):
+                _check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {domain[c]!r} is")
         missing = {u for w in image_region for u in sys.rule(w).inputs}.difference(index)
         if missing:
             raise InsufficientDomainError(sort_vertices(missing))
@@ -499,7 +470,7 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
         always = set().union(*(inputs[j] for j in wide))
         reads = [[c, *sorted(always.union(*(inputs[j] for j in js)) - {c})]
                  for c, js in enumerate(readers)]
-        plan = _StepPlan(sys, index, image_region)
+        step = _StepPlan(sys, index, image_region)
         readers, wide = _padded(readers, -1)[0], np.array(wide, dtype=np.intp)
 
     def measure(chunk):
@@ -511,21 +482,20 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
             return None
         used, cols = used[rows], cols[rows]
         if sys is None:
-            return used, cols, pre_lo[cols], pre_hi[cols], post[0][cols], post[1][cols]
+            return used, cols, pre_lo[cols], pre_hi[cols], post_lo[cols], post_hi[cols]
         n = len(rows)
         which, slot = np.nonzero(readers[cols] >= 0)
         at = readers[cols[which], slot]
         pairs = x[np.concatenate([rows, rows])]  # x's rows, then y's
         pairs[n + np.arange(n), cols] = news[rows]
-        values = plan.image_at(  # x and y at the readers, then x at the unchecked cells
+        values = step.image_at(  # x and y at the readers, then x at the unchecked cells
             pairs, np.concatenate([which, which + n, np.repeat(np.arange(n), len(wide))]),
             np.concatenate([at, at, np.tile(wide, n)]))
-        diff = np.zeros((n, len(image_region)), dtype=bool)
-        diff[which, at] = values[:len(at)] != values[len(at): 2 * len(at)]
+        moved = values[:len(at)] != values[len(at): 2 * len(at)]
         return (used, cols, pre_lo[cols], pre_hi[cols],
-                *_dist_rows(metric_to, post_shells, diff))
+                *_intervals(post, n, which[moved], at[moved]))
 
-    chunks = _planted_pairs(random.Random(seed), metric_from, space, domain, radii, samples,
+    chunks = _planted_pairs(random.Random(seed), metric_from, plan, domain, radii, samples,
                             reads)
     return filter(None, map(measure, chunks))
 

@@ -36,11 +36,15 @@ Vertex = object  # int or tuple[int, ...]
 INFINITE_DISTANCE = math.inf
 
 
-class UniverseExhaustionError(Exception):
+class SymdynError(Exception):
+    """Base class of every error the library raises of its own."""
+
+
+class UniverseExhaustionError(SymdynError):
     """A finite explicit universe cannot supply a requested vertex."""
 
 
-class MissingOutNeighborsError(Exception):
+class MissingOutNeighborsError(SymdynError):
     """Operation needs out-neighbors but the graph only supplies in-neighbors."""
 
 

@@ -57,16 +57,16 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import (Digraph, Subisometry, UniverseExhaustionError, Vertex, _offset_lattice,
-                       graph_from_descriptor, read_fields, read_form, sort_vertices,
-                       unit_shift_graph, unit_shift_graph_z)
+from .netgraph import (Digraph, Subisometry, SymdynError, UniverseExhaustionError, Vertex,
+                       _offset_lattice, graph_from_descriptor, read_fields, read_form,
+                       sort_vertices, unit_shift_graph, unit_shift_graph_z)
 
 
-class NetworkConsistencyError(Exception):
+class NetworkConsistencyError(SymdynError):
     """A vertex's rule inputs disagree with the graph's in-neighbors."""
 
 
-class InsufficientDomainError(Exception):
+class InsufficientDomainError(SymdynError):
     """A configuration does not cover the light cone needed for evaluation."""
 
     def __init__(self, missing):
@@ -74,7 +74,7 @@ class InsufficientDomainError(Exception):
         super().__init__(f"configuration missing vertices: {self.missing}")
 
 
-class EnumerationCapError(Exception):
+class EnumerationCapError(SymdynError):
     """An exhaustive enumeration would exceed the configured cap."""
 
     def __init__(self, required, cap):
@@ -83,7 +83,7 @@ class EnumerationCapError(Exception):
         super().__init__(f"enumeration needs {required} patterns, cap is {cap}")
 
 
-class NotEquicontinuousError(Exception):
+class NotEquicontinuousError(SymdynError):
     """A window failed envelope certification within the probe horizon."""
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 import symdyn
 from symdyn import cli
 from symdyn import counterexample as cx
+from symdyn import entropydim as ed
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 
@@ -1352,3 +1355,28 @@ def test_lattice_systems_stdout_pinned(tmp_path, monkeypatch, capsys, argv, stdo
         (tmp_path / name).write_text(json.dumps(desc))
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_every_library_exception_derives_from_symdyn_error():
+    """Each Exception class a symdyn module defines is a `SymdynError`, the
+    one class `run` catches for all of them."""
+    modules = [importlib.import_module(f"symdyn.{m.name}")
+               for m in pkgutil.iter_modules(symdyn.__path__)]
+    defined = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, Exception)
+               and cls.__module__ == module.__name__]
+    assert len(defined) >= 11  # SymdynError and the ten errors derived from it
+    assert all(issubclass(cls, symdyn.SymdynError) for cls in defined)
+
+
+def test_run_reports_any_symdyn_error(monkeypatch, capsys):
+    """An error class `run` never names, such as `NonDisjointBallsError`,
+    exits with code 2 and its message, as the named ones did."""
+
+    def refuse():
+        raise ed.NonDisjointBallsError("balls overlap at [0]")
+
+    monkeypatch.setattr(ss, "_thread_count", refuse)
+    code = cli.run(["sys-propagation", "--system", "full_shift", "--vertex", "0", "--T", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (2, "error: balls overlap at [0]\n", "")

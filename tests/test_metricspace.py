@@ -687,6 +687,30 @@ def test_sweeps_reject_symbols_outside_the_alphabet(system):
             sweep()
 
 
+def test_sweeps_name_the_first_cell_of_an_allowed_tuple_outside_the_alphabet():
+    """The check runs once per distinct allowed tuple, and names the first
+    domain cell that allows a symbol outside the alphabet, past cells whose
+    tuples pass."""
+    sys_ = ss.full_shift(2)[0]
+    metric = ms.single_estuary_metric(sys_.graph, 0, 2.0)
+    space = ss.PatternSpace(lambda v: (1, 0) if v % 3 else (0, 1, 2) if v > 2 else (0, 1))
+    for sweep in (lambda: ms.lipschitz_report(sys_, metric, space, 20, r_cap=4),
+                  lambda: ms.holder_report(sys_, metric, metric, 1.0, 1.0, space, range(6), 20)):
+        with pytest.raises(ValueError, match=r"^allowed symbol at vertex 3 is 2, outside"):
+            sweep()
+
+
+def test_sweep_checks_each_distinct_allowed_tuple_once(monkeypatch):
+    """On 2^16 symbols that every cell shares, the sweep checks the least and
+    the largest symbol of the one tuple: two calls, not two per cell."""
+    sys_, space = ss.full_shift(2**16)
+    metric = ms.single_estuary_metric(sys_.graph, 0, 2.0)
+    calls, check = [], ms._check_symbol
+    monkeypatch.setattr(ms, "_check_symbol", lambda *args: calls.append(args) or check(*args))
+    assert ms.lipschitz_report(sys_, metric, space, ms._SWEEP_ROWS, seed=1)["within_lambda"]
+    assert [args[0] for args in calls] == [0, 2**16 - 1]
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda sweep: sweep(samples=5.5), "samples must be an int, got 5.5"),
     (lambda sweep: sweep(samples=True), "samples must be an int, got True"),
@@ -960,7 +984,7 @@ def test_batched_kernels_match_oracles():
                      dtype=np.uint8).reshape(len(pairs), len(cells))
         Y = np.array([[y.values[v] for v in cells] for _, y in pairs],
                      dtype=np.uint8).reshape(len(pairs), len(cells))
-        lo, hi = ms._dist_rows(metric, ms._estuary_shells(metric, index), X != Y)
+        lo, hi = ms._intervals(ms._depths(metric, index), len(pairs), *np.nonzero(X != Y))
         images = ms._image_rows(sys_, index, region, np.concatenate([X, Y]))
         for row, (x, y) in enumerate(pairs):
             expected = dist_oracle(metric, x, y)
@@ -982,15 +1006,18 @@ def test_batched_kernels_match_oracles():
 
 
 def test_interval_tables_equal_one_hot_rows(z2):
-    """The sweep's per-column interval tables are `_dist_rows` of the one-hot
-    rows, float for float: on drawn metrics and domains, and on a 3-anchor
-    doubleexp metric over the radius-7 ball of Z^2."""
+    """The sweep's per-column interval tables (`_intervals` of each column
+    against itself) are `dist_oracle` of the one-hot pairs, float for float:
+    on drawn metrics and domains, and on a 3-anchor doubleexp metric over the
+    radius-7 ball of Z^2."""
 
     def check_tables(metric, cells):
-        shells = ms._estuary_shells(metric, {v: i for i, v in enumerate(cells)})
-        lo, hi = ms._dist_columns(metric, shells, len(cells))
-        rows = ms._dist_rows(metric, shells, np.eye(len(cells), dtype=bool))
-        assert (lo.tolist(), hi.tolist()) == (rows[0].tolist(), rows[1].tolist())
+        every = np.arange(len(cells))
+        lo, hi = ms._intervals(ms._depths(metric, ss._columns(cells)), len(cells), every, every)
+        x = {v: 0 for v in cells}
+        for col, v in enumerate(cells):
+            pair = ss.Configuration(x), ss.Configuration({**x, v: 1})
+            assert (lo[col], hi[col]) == dist_oracle(metric, *pair)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(metric_cases())
@@ -1001,6 +1028,27 @@ def test_interval_tables_equal_one_hot_rows(z2):
     anchors = [(0, 0), (2, 1), (-1, -2)]
     check_tables(ms.BasedMetric(ms.CoefficientScheme.double_exponential(anchors), 3.0, z2),
                  ng.sort_vertices(z2.ball_members([(0, 0)], 7)))
+
+
+def test_intervals_take_the_least_depth_of_each_row(z2):
+    """Three rows in one `_intervals` call, on the radius-3 ball of Z^2 with
+    anchors (0, 0) and (1, 0): row 0 disagrees on shells 3 and 2 of (0, 0)
+    (the inner one counts), row 1 lists one disagreement twice, and row 2
+    has none."""
+    cells = ng.sort_vertices(z2.ball_members([(0, 0)], 3))
+    index = ss._columns(cells)
+    metric = ms.BasedMetric(ms.CoefficientScheme.finite([(0, 0), (1, 0)], [0.5, 0.25]), 2.0, z2)
+    flips = [[(3, 0), (1, 1)], [(0, -2), (0, -2)], []]
+    rows = np.array([r for r, vs in enumerate(flips) for _ in vs])
+    cols = np.array([index[v] for vs in flips for v in vs])
+    lo, hi = ms._intervals(ms._depths(metric, index), len(flips), rows, cols)
+    # (0, 0) is covered to radius 3, (1, 0) to radius 2: (0, -2) is past it
+    assert (lo.tolist(), hi.tolist()) == ([0.5, 0.25, 0.0], [0.5, 0.3125, 0.125])
+    x = {v: 0 for v in cells}
+    for row, vs in enumerate(flips):
+        pair = ss.Configuration(x), ss.Configuration({**x, **{v: 1 for v in vs}})
+        b = ms.dist(metric, *pair)
+        assert (lo[row], hi[row]) == dist_oracle(metric, *pair) == (b.lo, b.hi)
 
 
 def _exact_dist_oracle(metric, x, y):
