@@ -13,15 +13,19 @@ one pair, and `pseudo_dist` is the one-vertex metric of coefficient 1.
 One-step images come from the rule kernel of `symsys` (`_StepPlan`, one
 elementwise call per rule function).  The Lipschitz and Hölder reports
 share one sampled sweep (`_sweep`), which samples a chunk of pairs, then
-measures them together.  It consumes the same random stream as sampling
-and measuring one pair at a time, with one int(rng.random() * n) per pick
-of n items, but reads it in bulk and picks through the sampling kernel of
-`symsys` (`_words`, `_pick`, and a `_RowPlan` of the domain for symbols).
-A pair differs at one planted cell, so only that cell and its readers are
-worked on: pre-image intervals are a per-column table, x's symbols are
-converted only where the readers read, and the step images both rows only
-at the readers, whose differing images are the pair's disagreements;
-`holder_report(None, ...)` measures the identity from a second table.
+measures them together, with one int(rng.random() * n) per pick of n items
+read in bulk through the sampling kernel of `symsys` (`_words`, `_pick`,
+and a `_RowPlan` of the domain for symbols).  A pair differs at one planted
+cell c, so only c and its readers are worked on, and x is drawn only on the
+cells R(c) they read: c, the other inputs of c's readers in the image
+region and the inputs of the cells too wide to check up front, in column
+order.  Each sample takes W + 4 values, W the largest |R(c)| (1 for the
+identity): x's symbols at R(c), then the anchor, radius, cell and new
+symbol.  No other cell enters a pair's intervals, so the reports keep their
+law.  Pre-image intervals are a per-column table, and the step images both
+rows only at the readers, whose differing images are the pair's
+disagreements; `holder_report(None, ...)` measures the identity from a
+second table.
 
 Dimension estimation uses cylinder-cover counts in closed form rather than
 any covering search.
@@ -292,37 +296,39 @@ def _padded(lists: Sequence[Sequence[int]], fill: int = 0):
 def _planted_pairs(rng, metric, plan, domain, radii, samples, reads):
     """Sample pairs that differ at one planted cell, a chunk at a time.
 
-    Each sample takes len(domain) + 4 values u of `rng.random()`, each the
-    pick int(u * n) of n items (`_pick`): a symbol per domain cell (in domain
-    order, as `PatternSpace.random_configuration` draws them, through the
-    domain's `_RowPlan` `plan`), an anchor, a radius below `radii`, a cell of
-    that BFS shell inside the domain, and another allowed symbol there
-    (`_RowPlan.other_places`).  A chunk's words are read at once (`_words`),
-    but converted only where used: the four picks, and x's symbols at the
-    columns reads[c] of its planted column c (c first).  Yields (sample
-    numbers, planted columns, x rows, new symbols) per chunk, x zero off the
-    columns read; samples whose shell or symbol choice came up empty are
-    left out, though they take all their values.
+    reads[c] lists the columns that a pair planted at column c is measured
+    on, c first; W is the longest list.  Each sample takes W + 4 values u of
+    `rng.random()`, each the pick int(u * n) of n items (`_pick`): x's
+    symbols at the columns reads[c] in order (through the domain's `_RowPlan`
+    `plan`; the values past len(reads[c]) are never read), then an anchor, a
+    radius below `radii`, a cell c of that BFS shell inside the domain, and
+    another allowed symbol there (`_RowPlan.other_places`).  A chunk's values
+    are read at once (`_words`).  Yields (sample numbers, planted columns,
+    x rows, new symbols) per chunk, x zero off the columns read; samples
+    whose shell or symbol choice came up empty are left out, though they
+    take all their values.
     """
     index, m = _columns(domain), len(domain)
     shells, shell_sizes = _padded([  # row a * radii + r: shell r of anchor a
         [index[c] for c in sort_vertices(s) if c in index]
         for u in metric.scheme.vertices
         for s in (metric.graph._shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
-    reads, widths = _padded(reads)  # padded with each row's planted column
-    reads = np.where(np.arange(reads.shape[1]) < widths[:, None], reads, reads[:, :1])
+    reads, widths = _padded(reads)
+    width = reads.shape[1]
+    # a padded slot reads slot 0, the planted column and its value, so that
+    # x gets one symbol per column
+    slots = np.where(np.arange(width) < widths[:, None], np.arange(width), 0)
+    reads = np.take_along_axis(reads, slots, 1)
 
     def plant(start, n):
-        words = _words(rng, n * (m + 4)).view("<u8").reshape(n, m + 4)  # two words a value
-        u_anchor, u_radius, u_cell, u_symbol = _word_uniforms(
-            words[:, m:].ravel().view("<u4")).reshape(n, 4).T
+        u = _word_uniforms(_words(rng, n * (width + 4))).reshape(n, width + 4)
+        u_anchor, u_radius, u_cell, u_symbol = u[:, width:].T
         shell = _pick(u_anchor, len(metric.scheme.vertices)) * radii + _pick(u_radius, radii)
         live = np.flatnonzero(shell_sizes[shell] > 0)
         cols = shells[shell[live], _pick(u_cell[live], shell_sizes[shell[live]])]
         read = reads[cols]
-        u = _word_uniforms(words[live[:, None], read].view("<u4").ravel()).reshape(read.shape)
-        del words  # freed before the picks are made
-        picks = plan.places(u, read)  # x's symbols, as places in `plan.symbols`
+        # x's symbols, as places in `plan.symbols`
+        picks = plan.places(u[live[:, None], slots[cols]], read)
         new, other = plan.other_places(cols, picks[:, 0], u_symbol[live])
         keep = np.flatnonzero(other)
         x = np.zeros((len(keep), m), plan.symbols.dtype)
@@ -442,7 +448,10 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
     x's symbols at their inputs, and the readers whose images differ are the
     pair's disagreements.  Every rule value is checked before anything is
     drawn (`_unchecked_cells`) but those of a cell with too many input
-    patterns, imaged on x at every kept pair instead.  An allowed symbol
+    patterns, imaged on x at every kept pair instead.  So x is drawn on the
+    columns R(c) (`_planted_pairs`' `reads`): c, then the other inputs of
+    c's readers and of those unchecked cells, sorted, so that which value
+    lands on which cell never follows set order.  An allowed symbol
     outside the system's alphabet (checked once per distinct allowed tuple,
     naming its first cell), or an input of an image cell outside the domain
     (InsufficientDomainError, naming them), raises first.
@@ -514,8 +523,10 @@ def lipschitz_report(
     so the pre-image distance is exact; the image distance is measured on
     the one-smaller ball.  Pairs whose pre-image distance interval touches
     zero are skipped and counted.  The pairs and their intervals come from
-    the shared sweep (`_sweep`), which consumes the same random stream as
-    sampling and measuring one pair at a time, and returns the same report.
+    the shared sweep (`_sweep`): each sample takes W + 4 values of
+    `rng.random()`, W the most cells that a planted cell's readers read
+    (`_planted_pairs`), and returns the report of sampling and measuring
+    one pair at a time from that stream.
     """
     _check_count("samples", samples)
     _check_count("r_cap", r_cap)
@@ -567,7 +578,8 @@ def holder_report(
     inequality only when the image interval sits below the bound computed
     from the pre-image's lower end; it certifies a violation only the other
     way around.  Everything else is inconclusive.  Pairs are sampled and
-    measured by the sweep of `lipschitz_report` (`_sweep`).
+    measured by the sweep of `lipschitz_report` (`_sweep`), W + 4 values of
+    `rng.random()` a sample; W is 1 for the identity.
     """
     for name, value in (("eta", eta), ("constant", lam_const)):
         if not (math.isfinite(value) and value > 0):

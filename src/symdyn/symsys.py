@@ -323,11 +323,17 @@ def _pick(u: np.ndarray, n, base=0) -> np.ndarray:
 class _RowPlan:
     """One table, `symbols`, of each distinct allowed tuple (`sets`) from its
     `bases` entry on; a uniform u picks a[int(u * len(a))] of the allowed
-    tuple a of cell c, the `size[c]` symbols from `base[c]` on."""
+    tuple a of cell c, the `size[c]` symbols from `base[c]` on.  A tuple
+    object that several cells share is hashed once."""
 
-    def __init__(self, allowed: Iterable[Sequence[int]]):
+    def __init__(self, allowed: Iterable[tuple]):
         sets: dict = {}
-        set_of = [sets.setdefault(tuple(a), len(sets)) for a in allowed]
+        seen: dict = {}  # id -> (tuple, its set); holding the tuple keeps its id unique
+        set_of = []
+        for a in allowed:
+            if id(a) not in seen:
+                seen[id(a)] = a, sets.setdefault(a, len(sets))
+            set_of.append(seen[id(a)][1])
         if () in sets:
             raise ValueError("cannot draw from an empty allowed set")
         self.sets = list(sets)

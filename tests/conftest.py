@@ -414,29 +414,60 @@ def image_configuration_oracle(sys_, x, region):
     return ss.Configuration(out)
 
 
-def planted_pair_oracle(metric, space, domain, radii, rng):
-    """One pair of the sampled sweeps, one `rng.random()` per pick: x on the
-    domain, then an anchor, a radius below `radii`, a cell of that shell
-    inside the domain and another allowed symbol there.  Returns (x, cell,
-    y), or None when the shell or the symbol choice is empty."""
+def read_cells_oracle(sys_, space, domain, region):
+    """The cells each pair of the sampled sweeps reads x on, by domain cell
+    c: c, then in domain order the other inputs of the region cells that
+    read c, and the inputs of every region cell whose distinct inputs have
+    more than 2^16 allowed patterns; just c for the identity (`sys_` None).
+    Built from the rules one cell at a time."""
+    domain = ng.sort_vertices(domain)
+    if sys_ is None:
+        return {c: [c] for c in domain}
+    wide = set()
+    for w in region:
+        inputs = set(sys_.rule(w).inputs)
+        if math.prod(len(space.allowed(u)) for u in inputs) > 2**16:
+            wide |= inputs
+    reads = {}
+    for c in domain:
+        cells = set(wide)
+        for w in region:
+            if c in sys_.rule(w).inputs:
+                cells.update(sys_.rule(w).inputs)
+        reads[c] = [c] + [v for v in domain if v in cells and v != c]
+    return reads
+
+
+def planted_pair_oracle(metric, space, reads, radii, rng):
+    """One pair of the sampled sweeps, one `rng.random()` per pick, over the
+    domain and read cells `reads` of `read_cells_oracle`: a symbol for each
+    of the W cells of the longest read list, then an anchor, a radius below
+    `radii`, a cell c of that shell inside the domain and another allowed
+    symbol there.  x takes the first len(reads[c]) symbols at reads[c], in
+    order, and each other cell's smallest allowed symbol.  Returns (x, c, y),
+    or None when the shell or the symbol choice is empty."""
     anchors = metric.scheme.vertices
-    x = choice_per_cell(space, domain, rng)
+    draws = [rng.random() for _ in range(max(map(len, reads.values())))]
     u = anchors[int(rng.random() * len(anchors))]
     radius = int(rng.random() * radii)
     cell_draw, symbol_draw = rng.random(), rng.random()
     shell = metric.graph.ball_members([u], radius)
     if radius > 0:
         shell = shell - metric.graph.ball_members([u], radius - 1)
-    shell = shell & set(domain)
+    shell = shell & set(reads)
     if not shell:
         return None
     cell = ng.sort_vertices(shell)[int(cell_draw * len(shell))]
-    choices = [s for s in space.allowed(cell) if s != x.values[cell]]
+    x_values = {v: min(space.allowed(v)) for v in reads}
+    for v, draw in zip(reads[cell], draws):
+        allowed = space.allowed(v)
+        x_values[v] = allowed[int(draw * len(allowed))]
+    choices = [s for s in space.allowed(cell) if s != x_values[cell]]
     if not choices:
         return None
-    y_values = dict(x.values)
+    y_values = dict(x_values)
     y_values[cell] = choices[int(symbol_draw * len(choices))]
-    return x, cell, ss.Configuration(y_values)
+    return ss.Configuration(x_values), cell, ss.Configuration(y_values)
 
 
 def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
@@ -454,8 +485,9 @@ def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
     worst = None
     flagged = []
     skipped = 0
+    reads = read_cells_oracle(sys_, space, domain, image_region)
     for i in range(samples):
-        pair = planted_pair_oracle(metric, space, domain, max(1, r_cap - 1), rng)
+        pair = planted_pair_oracle(metric, space, reads, max(1, r_cap - 1), rng)
         if pair is None:
             skipped += 1
             continue
@@ -509,8 +541,9 @@ def holder_report_oracle(sys_, metric_from, metric_to, eta, lam_const, space, do
     holds = violations = 0
     worst = None
     worst_excess = 0.0
+    reads = read_cells_oracle(sys_, space, domain, region)
     for i in range(samples):
-        pair = planted_pair_oracle(metric_from, space, domain, reach + 1, rng)
+        pair = planted_pair_oracle(metric_from, space, reads, reach + 1, rng)
         if pair is None:
             continue
         x, cell, y = pair

@@ -942,7 +942,7 @@ def test_csv_quotes_grid_vertices(tmp_path, monkeypatch, capsys):
             "--lam2", "3", "--eta", "3", "--constant", "0.001", "--samples", "20", "--rcap", "3"]
     assert cli.run(argv) == 1
     rows = list(csv.reader(capsys.readouterr().out.splitlines()[2:]))
-    assert rows == [["sample", "cell"], ["1", "-2,-1"]]
+    assert rows == [["sample", "cell"], ["3", "2,-1"]]
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])
@@ -954,8 +954,9 @@ def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, value):
     assert "SYMDYN_THREADS" in capsys.readouterr().err
 
 
-# stdout of the README commands, captured once from the one-pair-at-a-time
-# sweeps; the batched sweeps consume the same random stream
+# stdout of the README commands, derived from the one-pair-at-a-time oracles
+# (`lipschitz_report_oracle`, `holder_report_oracle`), which draw W + 4 values
+# a sample as the batched sweeps do
 _README_STDOUT = {
     ("metric-lipschitz", 0): (
         '# config: {"alphabet": 2, "estuary": "0", "lam": 2.0, "rcap": 6, "samples": 1000, '

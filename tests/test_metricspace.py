@@ -26,6 +26,7 @@ from conftest import (
     lipschitz_report_oracle,
     planted_pair_oracle,
     pseudo_dist_oracle,
+    read_cells_oracle,
     words_per_call,
 )
 
@@ -274,8 +275,8 @@ def test_lipschitz_criterion_7_pinned(z2_metric):
         "samples": 10_000,
         "skipped": 0,
         "max_ratio_hi": 2.0,
-        "worst": {"sample": 1, "cell": (3, 0), "pre": (0.25, 0.25),
-                  "post": (0.5, 0.5)},
+        "worst": {"sample": 0, "cell": (1, -1), "pre": (0.5, 0.5),
+                  "post": (1.0, 1.0)},
         "flagged": [],
         "lambda": 2.0,
         "within_lambda": True,
@@ -293,15 +294,15 @@ def test_lipschitz_multi_anchor_doubleexp_pinned(z2):
     assert rep["skipped"] == 0
     assert rep["max_ratio_hi"] == 537762.2908832699
     assert rep["worst"] == {
-        "sample": 34, "cell": (2, -6),
+        "sample": 277, "cell": (1, -7),
         "pre": (4.22282500449373e-09, 0.0007569586828052341),
         "post": (1.2668475013481192e-08, 0.0022708760484157027),
     }
-    assert len(rep["flagged"]) == 647
+    assert len(rep["flagged"]) == 649
     assert rep["flagged"][:3] == [
-        {"sample": 1, "ratio_hi": 3.0180339905364972},
-        {"sample": 6, "ratio_hi": 7.438765031794283},
-        {"sample": 8, "ratio_hi": 3.0185185771689835},
+        {"sample": 0, "ratio_hi": 3.0185185771689835},
+        {"sample": 1, "ratio_hi": 3.0003090368979133},
+        {"sample": 4, "ratio_hi": 179256.09696108996},
     ]
 
 
@@ -462,8 +463,9 @@ def test_lipschitz_checks_every_image_value(z2, z2_metric, reads_planted_cell):
     row at a cell that reads the planted cell, where y is imaged apart from
     x, and at a cell that does not, where x's full image holds the value."""
     ca, space = _xor_automaton()
-    domain = ng.sort_vertices(z2.ball_members([(0, 0)], 4))
-    x, cell, y = planted_pair_oracle(z2_metric, space, domain, 2, random.Random(4))
+    reads = read_cells_oracle(ca, space, z2.ball_members([(0, 0)], 4),
+                              z2.ball_members([(0, 0)], 3))
+    x, cell, y = planted_pair_oracle(z2_metric, space, reads, 2, random.Random(4))
     if reads_planted_cell:
         w = next(v for v in ng.sort_vertices(z2.ball_members([(0, 0)], 3))
                  if cell in ca.rule(v).inputs and v != cell)
@@ -485,9 +487,10 @@ def test_sweeps_check_rule_values_before_drawing(z2, z2_metric, monkeypatch):
     bad = _with_bad_value(ca, w, args)
     domain = ng.sort_vertices(z2.ball_members([(0, 0)], 4))
     message = re.escape(f"rule at vertex {w!r} gave 2")
+    reads = read_cells_oracle(ca, space, domain, z2.ball_members([(0, 0)], 3))
     misses = 0
     for seed in range(6):
-        x, cell, _ = planted_pair_oracle(z2_metric, space, domain, 2, random.Random(seed))
+        x, cell, _ = planted_pair_oracle(z2_metric, space, reads, 2, random.Random(seed))
         assert cell not in ca.rule(w).inputs
         misses += tuple(x.values[u] for u in ca.rule(w).inputs) != args
         monkeypatch.setattr(ms, "_words", None)  # a draw would raise TypeError
@@ -558,28 +561,37 @@ def test_value_check_leaves_wide_cells_to_the_drawn_rows():
 
 @pytest.mark.parametrize("samples", [7, ms._SWEEP_ROWS + 37])
 def test_sweeps_read_every_value_of_each_sample(z2, z2_metric, monkeypatch, samples):
-    """A sample reads len(domain) + 4 values of the generator, whether the
-    sweep converts them or not: after each sweep the generator stands where
-    that many calls of `random()` leave it."""
+    """A sample reads W + 4 values of the generator, W the most cells that a
+    pair reads x on (`read_cells_oracle`): 1 for the identity, and never more
+    than the domain, so no sweep reads more than one value per domain cell
+    and four.  After each sweep the generator stands where that many calls
+    of `random()` leave it."""
     ca, space = _xor_automaton()
     domain = z2.ball_members([(0, 0)], 4)
+    lipschitz_domain = z2.ball_members([(0, 0)], 5)
+    step_region = [w for w in domain if domain.issuperset(ca.rule(w).inputs)]
     rngs, words = [], ms._words
     monkeypatch.setattr(ms, "_words", lambda rng, count: rngs.append(rng) or words(rng, count))
-    for sweep, size in [
+    for sweep, reads, size in [
             (lambda: ms.lipschitz_report(ca, z2_metric, space, samples, seed=3, r_cap=4),
-             len(z2.ball_members([(0, 0)], 5))),
+             read_cells_oracle(ca, space, lipschitz_domain, domain), len(lipschitz_domain)),
             (lambda: ms.holder_report(ca, z2_metric, z2_metric, 1.0, 1.0, space, domain,
-                                      samples, seed=3), len(domain)),
+                                      samples, seed=3),
+             read_cells_oracle(ca, space, domain, step_region), len(domain)),
             (lambda: ms.holder_report(None, z2_metric, z2_metric, 1.0, 1.0, space, domain,
-                                      samples, seed=3), len(domain))]:
+                                      samples, seed=3),
+             read_cells_oracle(None, space, domain, domain), len(domain))]:
+        width = max(map(len, reads.values()))
+        assert 1 <= width <= size
         rngs.clear()
         sweep()
         expected = random.Random(3)
-        for _ in range(samples * (size + 4)):
+        for _ in range(samples * (width + 4)):
             expected.random()
         assert len(rngs) == -(-samples // ms._SWEEP_ROWS)
         assert all(rng is rngs[0] for rng in rngs)
         assert rngs[0].getstate() == expected.getstate()
+    assert width == 1
 
 
 def test_lipschitz_memory_stays_flat_in_the_alphabet():
@@ -665,6 +677,81 @@ def test_reader_only_sweeps_match_oracles():
     assert seen == {"repeated symbols", "repeated inputs", "3-anchor doubleexp", "identity",
                     "step", "holds", "violations", "below a chunk", "one chunk",
                     "across chunks"}
+
+
+def _read_cells_cases():
+    """Systems for the read-cell test, by name: (system, metric, space, r_cap,
+    Hölder domain or None for the Lipschitz sweep).  Changing one cell
+    changes every reader of the XOR automaton, whatever its other inputs, but
+    not always a reader of the others: the majority automaton on Z^2; a
+    3-symbol table on Z under cells of 2, 3 and 1 symbols; and a line of
+    cells v reading v and v + 1 under a product mod 300, where cells 4 and 5
+    allow all 300 symbols and the rest 0 and 1, so cell 4 reads 300^2 >
+    _TABLE_MAX allowed patterns and is a wide cell."""
+    z2 = ng.cayley_zd(2)
+    three = ms.CoefficientScheme.double_exponential([(0, 0), (2, 1), (-1, -2)])
+    xor, space2 = _xor_automaton()
+    majority = ss.ca_on_zd(2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)],
+                           [int(sum(b) > 2) for b in itertools.product((0, 1), repeat=5)])[0]
+    rnd = random.Random(7)
+    table = ss.ca_on_zd(3, [(0,), (1,), (-1,)], [rnd.randrange(3) for _ in range(27)])[0]
+    sets = [(0, 1), (0, 1, 2), (2,), (1, 2)]
+    k = 300
+    assert k * k > ss._TABLE_MAX
+    line = ss.ca_on_zd(2, [(0,), (1,)], [0] * 4)[0].graph
+    product = ss.SymbolicSystem(ss.Alphabet(k), line, lambda v: ss.LocalRule(
+        line.in_neighbors(v), lambda a: (a[0] * a[1]) % k))
+    return {
+        "xor": (xor, ms.BasedMetric(three, 2.0, z2), space2, 4, None),
+        "majority-step": (majority, ms.BasedMetric(three, 2.0, z2), space2, 4,
+                          z2.ball_members(three.vertices, 3)),
+        "mixed": (table, ms.BasedMetric(ms.CoefficientScheme.double_exponential(
+            [(0,), (3,), (-2,)]), 2.0, table.graph),
+            ss.PatternSpace(lambda v: sets[v[0] % 4]), 4, None),
+        "wide": (product, ms.single_estuary_metric(line, (0,), 2.0), ss.PatternSpace(
+            lambda v: range(k) if v in ((4,), (5,)) else (0, 1)), 5, None),
+    }
+
+
+@pytest.mark.parametrize("case", ["xor", "majority-step", "mixed", "wide"])
+def test_planted_pairs_are_measured_alike_whatever_lies_outside_their_read_cells(
+        monkeypatch, case):
+    """The sweeps draw x only on the cells R(c) that a pair planted at c is
+    read on (`read_cells_oracle`).  Filling every other cell of the pairs
+    they draw with either of two random fillers gives the same pre-image and
+    image intervals by the one-pair oracles, so what x holds there cannot
+    move a report."""
+    sys_, metric, space, r_cap, domain = _read_cells_cases()[case]
+    if domain is None:
+        domain = metric.graph.ball_members(metric.scheme.vertices, r_cap + 1)
+        region = metric.graph.ball_members(metric.scheme.vertices, r_cap)
+    else:
+        region = [w for w in domain if domain.issuperset(sys_.rule(w).inputs)]
+    domain = ng.sort_vertices(domain)
+    reads = read_cells_oracle(sys_, space, domain, region)
+    assert all(len(r) < len(domain) for r in reads.values())
+    chunks, planted = [], ms._planted_pairs
+    monkeypatch.setattr(ms, "_planted_pairs", lambda *a: (
+        chunks.append(chunk) or chunk for chunk in planted(*a)))
+    if case.endswith("-step"):
+        ms.holder_report(sys_, metric, metric, 1.0, 1.0, space, domain, 200, seed=2)
+    else:
+        ms.lipschitz_report(sys_, metric, space, 200, seed=2, r_cap=r_cap)
+    fillers = [random.Random(1), random.Random(2)]
+    pairs = 0
+    for _, cols, xs, news in chunks:
+        for col, x, new in zip(cols.tolist(), xs.tolist(), news.tolist()):
+            cell, measured = domain[col], []
+            for filler in fillers:
+                x_values = {v: x[j] if v in reads[cell] else
+                            space.allowed(v)[int(filler.random() * len(space.allowed(v)))]
+                            for j, v in enumerate(domain)}
+                pair = (ss.Configuration(x_values), ss.Configuration({**x_values, cell: new}))
+                images = [image_configuration_oracle(sys_, z, region) for z in pair]
+                measured.append((dist_oracle(metric, *pair), dist_oracle(metric, *images)))
+            assert measured[0] == measured[1]
+            pairs += 1
+    assert pairs > 100
 
 
 @pytest.mark.parametrize("system", ["xor", "shift"])

@@ -1656,6 +1656,27 @@ def test_random_configuration_tables_each_allowed_tuple_once():
         assert rng.getstate() == ref.getstate()
 
 
+def test_row_plan_hashes_a_shared_allowed_tuple_once():
+    """1000 cells that share one allowed tuple object, as `PatternSpace.full`
+    hands out, cost one hash of it; an equal tuple of its own costs one more,
+    and joins the same set."""
+
+    class Counted(tuple):
+        hashes = 0
+
+        def __hash__(self):
+            Counted.hashes += 1
+            return tuple.__hash__(self)
+
+    shared = Counted(range(5))
+    plan = ss._RowPlan([shared] * 1000)
+    assert Counted.hashes == 1
+    assert plan.sets == [shared] and plan.base.tolist() == [0] * 1000
+    plan = ss._RowPlan([shared] * 999 + [Counted(range(5))])
+    assert Counted.hashes == 3
+    assert plan.sets == [shared] and plan.size.tolist() == [5] * 1000
+
+
 def test_other_places_pick_among_the_other_symbols():
     """`_RowPlan.other_places` gives entry int(u * n) of the n entries of a
     cell's allowed tuple that differ from the symbol at `own`, in tuple
