@@ -12,21 +12,24 @@ B(window, t): `light_cone` reads it from the network's cached BFS
 its `order`, which propagation, trajectories, envelopes and panoramas read.
 
 Rules are applied to configurations in one place, `_StepPlan`: one update
-step of a batch of configurations (the rows of a symbol matrix), with one
-elementwise call of each rule function on the argument columns of all the
-cells that share it.  A trajectory plans its step once and images each
-horizon as a prefix (`evaluate` is a batch of one, and the envelope and
-factor-chain certificates simulate every pattern on the envelope in one
-batch); composed tables, `image_configuration` and subsymmetry checks
-(every allowed pattern on the cells a probe vertex's commutation reads)
-plan and image one step (`_image_rows`).  The sweeps of `metricspace` plan
+step of a batch of configurations, held column-major (one row per cell, one
+column per configuration), with one elementwise call of each rule function
+per block of about _BLOCK (cell, configuration) pairs of the cells that
+share it, each argument gathered as whole rows.  A trajectory plans its
+step once and images each horizon as a prefix (`evaluate` is a batch of
+one, and the envelope and factor-chain certificates simulate every pattern
+on the envelope in one batch); composed tables, `image_configuration` and
+subsymmetry checks (every allowed pattern on the cells a probe vertex's
+commutation reads) plan and image one step of row-major configurations
+(`_image_rows`, which transposes them).  The sweeps of `metricspace` plan
 their step once and image a pair only at given (row, cell) pairs
 (`_StepPlan.image_at`).  Sampled rows come from one sampling kernel: the
 pick of item int(u * n) of n items for a value u of `rng.random()`
 (`_pick`), of the symbols of a cell as a place in a table that keeps each
 distinct allowed tuple once (`_RowPlan`).  The values are read in bulk as
-words (`_words`; `_uniform_blocks`: m from each of many generators) and
-converted as CPython computes them (`_word_uniforms`), only where used.
+words (`_word_bytes`; `_uniform_blocks`: m from each of many generators,
+joined) and converted as CPython computes them (`_word_uniforms`), only
+where used.
 
 Panoramas and window checks first try the *linear* engine: when the k =
 p^m symbols, read as base-p digit vectors, make every rule the cone applies
@@ -259,7 +262,8 @@ class PanoramaResult:
     by pattern count and key space: "count" (one pass over packed
     trajectory keys), "sort" (ranked rows of the observation matrix), or
     "count+sort" when layers differed; a layer with no cell left to check
-    names its pick without running it.
+    names its pick without running it.  `declined` is the reason the
+    linear engine did not apply, or None when it ran.
     """
 
     window: tuple
@@ -268,6 +272,7 @@ class PanoramaResult:
     cone: tuple
     pattern_count: int
     engine: str
+    declined: Optional[str]
 
 
 # -- the sampling kernel: `rng.random()` read in bulk -------------------------
@@ -275,17 +280,20 @@ class PanoramaResult:
 _DRAW_WORDS = 2**14  # most 32-bit words read at once (64 KB), two per value
 
 
-def _words(rng: random.Random, count: int) -> np.ndarray:
+def _word_bytes(rng: random.Random, count: int) -> bytes:
     """The 32-bit words of the next `count` values of `rng.random()`, two per
-    value: `rng.getrandbits(64 * k)` returns the next 2k words, the first
-    one lowest.  Reads take at most _DRAW_WORDS words (one value at least)
-    and none ahead, so the generator ends where `count` calls leave it."""
-    out = np.empty(count, dtype="<u8")  # the two words of each value, the first lowest
+    value, as little-endian bytes: `rng.getrandbits(64 * k)` returns the next
+    2k words, the first one lowest.  Reads take at most _DRAW_WORDS words
+    (one value at least) and none ahead, so the generator ends where `count`
+    calls leave it."""
     step = max(_DRAW_WORDS // 2, 1)
-    for at in range(0, count, step):
-        k = min(step, count - at)
-        out[at: at + k] = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
-    return out.view("<u4")
+    return b"".join(rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+                    for k in (min(step, count - at) for at in range(0, count, step)))
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The words of `_word_bytes`, as one array."""
+    return np.frombuffer(_word_bytes(rng, count), "<u4")
 
 
 def _word_uniforms(words: np.ndarray) -> np.ndarray:
@@ -301,9 +309,9 @@ def _word_uniforms(words: np.ndarray) -> np.ndarray:
 def _uniform_blocks(rngs: Iterator[random.Random], m: int):
     """The next m values of `random()` of each generator in `rngs`, as (b, m)
     arrays of b = _DRAW_WORDS // 2 // m generators in turn (one at least,
-    m >= 1): each one's words are read by `_words`, a block's converted at once."""
+    m >= 1): each one's `_word_bytes`, a block's joined and converted at once."""
     while block := list(itertools.islice(rngs, max(_DRAW_WORDS // 2 // m, 1))):
-        words = np.concatenate([_words(rng, m) for rng in block])
+        words = np.frombuffer(b"".join(_word_bytes(rng, m) for rng in block), "<u4")
         yield _word_uniforms(words).reshape(len(block), m)
 
 
@@ -419,9 +427,10 @@ def evaluate(
 
 
 # -- the rule-application kernel: every rule call on configurations -----------
-# Configurations are the rows of a symbol matrix; `index` maps cells to columns.
+# `index` maps cells to their rows in a column-major batch (`image`) or to
+# their columns in rows of configurations (`image_at`, `_image_rows`).
 
-_BLOCK = 2**12  # (row, cell) pairs gathered at once: keeps peak memory flat
+_BLOCK = 2**14  # (cell, configuration) pairs gathered at once: 128 KB an int64 argument
 
 
 def _columns(cells: Iterable[Vertex]) -> dict:
@@ -431,8 +440,9 @@ def _columns(cells: Iterable[Vertex]) -> dict:
 class _StepPlan:
     """One update step on any prefix of the region.  Cells are grouped once
     by rule function and arity, each group with its region positions
-    (ascending) and argument columns; only `image` and `image_at` run rule
-    functions."""
+    (ascending) and the `index` entries of its arguments; only `image` (on a
+    column-major batch: a row per cell) and `image_at` run rule functions,
+    in blocks of about _BLOCK (cell, configuration) pairs."""
 
     def __init__(self, sys: SymbolicSystem, index: dict, region: Sequence[Vertex]):
         groups: dict = {}
@@ -446,21 +456,22 @@ class _StepPlan:
                         np.array(cols, dtype=np.intp).reshape(len(js), arity))
                        for (fn, arity), (js, cols) in groups.items()]
 
-    def image(self, rows: np.ndarray, size: int) -> np.ndarray:
-        """The step of every row on the first `size` region cells: one call
-        per block of about _BLOCK / rows cells of a group, on its argument
-        columns as int64.  Values that are not symbols 0..k-1 raise ValueError."""
-        n, k = len(rows), self.k
-        out = np.empty((n, size), dtype=np.min_scalar_type(k - 1))
+    def image(self, cells: np.ndarray, size: int) -> np.ndarray:
+        """The step of every column of `cells` (a row per `index` cell) on the
+        first `size` region cells, a row each: one call per block of about
+        _BLOCK / columns cells of a group, each argument whole rows as int64.
+        Values that are not symbols 0..k-1 raise ValueError."""
+        n, k = cells.shape[1], self.k
+        out = np.empty((size, n), dtype=np.min_scalar_type(k - 1))
         step = max(1, _BLOCK // max(n, 1))
         for fn, js, cols in self.groups:
             stop = int(np.searchsorted(js, size))
             for lo in range(0, stop, step):
                 hi = min(lo + step, stop)
-                at, args = js[lo:hi], rows[:, cols[lo:hi]].astype(np.int64)
-                values = np.broadcast_to(fn(tuple(args.transpose(2, 0, 1))), (n, len(at)))
-                _check_values(values, k, lambda i, at=at: self.region[at[i[1]]])
-                out[:, at] = values
+                at, args = js[lo:hi], tuple(cells[c].astype(np.int64) for c in cols[lo:hi].T)
+                values = np.broadcast_to(fn(args), (len(at), n))
+                _check_values(values, k, lambda i, at=at: self.region[at[i[0]]])
+                out[at] = values
         return out
 
     @cached_property
@@ -496,7 +507,7 @@ class _StepPlan:
 def _image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
                 rows: np.ndarray) -> np.ndarray:
     """One update step of every row, on the region's cells (`_StepPlan`)."""
-    return _StepPlan(sys, index, region).image(rows, len(region))
+    return _StepPlan(sys, index, region).image(np.ascontiguousarray(rows.T), len(region)).T
 
 
 def _check_values(values: np.ndarray, k: int, vertex_at: Callable) -> None:
@@ -513,17 +524,21 @@ def _trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> 
     over the distinct window cells.  Row columns follow `cone.union`.
 
     Cells go in `cone.order`: the window leads, and step t, which needs
-    only the cells within horizon - t of the window, images a prefix.
+    only the cells within horizon - t of the window, images a prefix.  The
+    steps run on the transpose (one row per cell, `_StepPlan.image`), and
+    the result is a transposed view of one (time, window cell, row) array.
     """
     cells, ends = cone.order, cone.sizes
     index, position = _columns(cells), _columns(cone.union)
-    values = rows[:, [position[v] for v in cells]]
-    traj = [values[:, : ends[0]]]
+    values = rows.T[[position[v] for v in cells]]
+    traj = np.empty((cone.horizon + 1, ends[0], len(rows)),
+                    dtype=np.result_type(rows.dtype, np.min_scalar_type(sys.alphabet.size - 1)))
+    traj[0] = values[: ends[0]]
     plan = _StepPlan(sys, index, cells[: ends[cone.horizon - 1] if cone.horizon else 0])
     for t in range(1, cone.horizon + 1):
         values = plan.image(values, ends[cone.horizon - t])
-        traj.append(values[:, : ends[0]].copy())
-    return np.stack(traj, axis=1)
+        traj[t] = values[: ends[0]]
+    return traj.transpose(2, 0, 1)
 
 
 # -- exhaustive panorama enumeration -----------------------------------------
@@ -569,7 +584,8 @@ def panorama(
     cone, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
     layers = []
     engines = set()
-    for det, engine in _layers(sys, space, cone):
+    dets, declined = _layers(sys, space, cone)
+    for det, engine in dets:
         layers.append(sort_vertices(det))
         engines.add(engine)
     return PanoramaResult(
@@ -579,6 +595,7 @@ def panorama(
         cone=cone.union,
         pattern_count=count,
         engine="+".join(sorted(engines)),
+        declined=declined,
     )
 
 
@@ -599,7 +616,7 @@ def posexpansive_window_check(
     """
     target = set(target)
     cone, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
-    for t, (det, _) in enumerate(_layers(sys, space, cone, target)):
+    for t, (det, _) in enumerate(_layers(sys, space, cone, target)[0]):
         if target <= det:
             return {"covered": True, "first_t": t, "missing": ()}
     return {"covered": False, "first_t": None, "missing": sort_vertices(target - det)}
@@ -612,9 +629,12 @@ def _enumerable_cone(sys, space, window, horizon, max_patterns):
 
 
 def _layers(sys, space, cone, target=None):
-    """The linear engine's layers, or enumeration's where it declines."""
+    """The linear engine's layers and None, or enumeration's and the reason
+    the linear engine declined."""
     layers = _linear_layers(sys, space, cone, target)
-    return _determined_layers(sys, space, cone, target) if isinstance(layers, str) else layers
+    if isinstance(layers, str):
+        return _determined_layers(sys, space, cone, target), layers
+    return layers, None
 
 
 def _determined_layers(sys, space, cone, target=None):

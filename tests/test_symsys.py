@@ -376,6 +376,64 @@ def test_trajectory_rows_match_dict_loop():
                     "split region", "several rows"}
 
 
+def _check_trajectory_rows(sys_, cone, rows):
+    """`_trajectory_rows` of every row against `evaluate_oracle`, each
+    distinct row run through the oracle once."""
+    got = ss._trajectory_rows(sys_, cone, rows)
+    assert got.shape == (len(rows), cone.horizon + 1, len(cone.window))
+    expected = {}
+    for row, traj in zip(map(tuple, rows.tolist()), got.tolist()):
+        if row not in expected:
+            x = ss.Configuration(dict(zip(cone.union, row)))
+            expected[row] = [[step[u] for u in cone.window]
+                             for step in evaluate_oracle(sys_, x, cone.window, cone.horizon)]
+        assert traj == expected[row]
+
+
+def test_trajectory_rows_column_layout_edge_cases():
+    """The step kernel holds a batch one row per cell: a batch wider than
+    _BLOCK (one cell a block, so one rule call per imaged cell), a rule
+    that returns a scalar constant, and an odometer, whose cells are each
+    their own rule group, all step as the oracle does."""
+    base, space = ss.ca_on_zd(2, [(-1,), (1,)], [0, 1, 1, 0])
+    shapes = []
+
+    def xor(args):
+        if isinstance(args[0], np.ndarray):  # not the oracle's symbols
+            shapes.append(args[0].shape)
+        return args[0] ^ args[1]
+
+    sys_ = ss.SymbolicSystem(base.alphabet, base.graph,
+                             lambda v: ss.LocalRule(base.graph.in_neighbors(v), xor))
+    cone = ss.light_cone(sys_, [(0,)], 3)
+    wide = np.resize(ss._patterns(space, cone.union, 2**7), (ss._BLOCK + 3, len(cone.union)))
+    _check_trajectory_rows(sys_, cone, wide)
+    assert shapes == [(1, len(wide))] * sum(cone.sizes[:-1])
+
+    shift, space = ss.full_shift(2)
+    odd_constant = ss.SymbolicSystem(shift.alphabet, shift.graph, lambda v: ss.LocalRule(
+        shift.rule(v).inputs, (lambda args: 1) if v % 2 else shift.rule(v).fn))
+    cone = ss.light_cone(odd_constant, [0, 1], 4)
+    _check_trajectory_rows(odd_constant, cone, ss._patterns(space, cone.union, 2**6).astype(np.int64))
+
+    odometer, space = ss.odometer_system([2, 3])
+    cone = ss.light_cone(odometer, [0, 1, 2], 5)
+    assert len(ss._StepPlan(odometer, ss._columns(cone.order), cone.order).groups) == 3
+    _check_trajectory_rows(odometer, cone, ss._patterns(space, cone.union, 2**5))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("k", [2, 300])
+def test_trajectory_rows_dtype(dtype, k):
+    """The trajectory array has the type of the rows and the symbols
+    together, as stacking the rows with the steps gives."""
+    sys_, _ = ss.full_shift(k)
+    cone = ss.light_cone(sys_, [0], 2)
+    got = ss._trajectory_rows(sys_, cone, np.array([[1, 0, 1]], dtype=dtype))
+    assert got.dtype == np.result_type(dtype, np.min_scalar_type(k - 1))
+    assert got.tolist() == [[[1], [0], [1]]]
+
+
 @st.composite
 def shared_rule_trajectories(draw):
     """Random explicit system whose rules share two functions over several
@@ -550,10 +608,11 @@ def _enumerated(sys_, space, window, horizon, target=None):
 
 
 def test_panorama_reports_grouping(cex, full_shift_n):
-    """Linear cones report the linear engine; enumeration on the same cones
-    still names the groupings the sizes pick."""
+    """Linear cones report the linear engine, with no decline reason;
+    enumeration on the same cones still names the groupings the sizes pick."""
     sysx, spx = cex
-    assert ss.panorama(sysx, spx, [0], 4).engine == "linear"
+    result = ss.panorama(sysx, spx, [0], 4)
+    assert (result.engine, result.declined) == ("linear", None)
     assert _enumerated(sysx, spx, [0], 4)[1] == "sort"
     sys_, space = full_shift_n
     assert ss.panorama(sys_, space, [0], 6).engine == "linear"
@@ -1313,14 +1372,20 @@ def test_linear_layers_match_enumeration(cex, case):
     (ss.odometer_system([3, 2]), [13], 1, "rule at vertex 13 has 4782969 table entries, over 65536"),
     ((ss.full_shift(2)[0], ss.PatternSpace(lambda v: [1] if v == 1 else [0, 1])), [0], 2,
      "allowed set at vertex 1 is not a subspace"),
+    (ss.system_from_descriptor({
+        "system": "ca_zd", "alphabet": 2,
+        "offsets": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
+        "table": [int(bin(i).count("1") >= 3) for i in range(32)],
+    }), [(0, 0)], 1, "nonlinear rule at vertex (0, 0)"),
 ])
 def test_linear_engine_declines_with_its_reason(system, window, horizon, reason):
-    """Each reason the linear engine declines for, and the enumeration that
-    then decides the layers."""
+    """Each reason the linear engine declines for, which the panorama keeps
+    as `declined`, and the enumeration that then decides the layers."""
     sys_, space = system
     cone = ss.light_cone(sys_, window, horizon)
     assert ss._linear_layers(sys_, space, cone) == reason
     result = ss.panorama(sys_, space, window, horizon)
+    assert result.declined == reason
     assert result.engine in ("count", "sort", "count+sort")
     assert result.layers == _enumerated(sys_, space, window, horizon)[0]
 
@@ -1589,7 +1654,10 @@ def test_uniform_rows_match_per_call_random(monkeypatch):
     """`_words` and `_word_uniforms` return the next values of `rng.random()`
     and `_RowPlan` picks a[int(u * len(a))] from them, so rows equal one
     `random()` per cell, and the generator ends where those calls leave it:
-    also when a read is cut to a few words, with no rows and with empty rows."""
+    also when a read is cut to a few words, with no rows and with empty rows.
+    `_uniform_blocks` gives m values of each of n generators, the same ones,
+    in blocks of _DRAW_WORDS // 2 // m generators: also with m above
+    _DRAW_WORDS // 2, where each generator takes several reads."""
     seen = set()
     ranks = st.integers(1, 4).map(lambda n: tuple(range(n)))
     sets = st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True).map(tuple)
@@ -1614,10 +1682,25 @@ def test_uniform_rows_match_per_call_random(monkeypatch):
         if allowed:
             seen.add("sets 0..n-1" if all(a == tuple(range(len(a))) for a in allowed)
                      else "other sets")
+        for m in (len(allowed) or 1, words // 2 + 1 + len(allowed)):
+            gens = [_CountedReads(seed + i) for i in range(n)]
+            blocks = list(ss._uniform_blocks(iter(gens), m))
+            per = max(words // 2 // m, 1)
+            assert [len(b) for b in blocks] == [min(per, n - lo) for lo in range(0, n, per)]
+            refs = [random.Random(seed + i) for i in range(n)]
+            assert [row for b in blocks for row in b.tolist()] == [
+                uniforms_per_call(ref, 1, m)[0].tolist() for ref in refs]
+            for gen, ref in zip(gens, refs):
+                assert gen.getstate() == ref.getstate()
+                assert sum(gen.reads) == 64 * m and max(gen.reads) <= 32 * max(words, 2)
+                if len(gen.reads) > 1:
+                    seen.add("several reads per generator")
+            if per > 1 and n > 1:
+                seen.add("several generators per block")
 
     check()
     assert seen == {"no rows", "empty rows", "split reads", "one read", "sets 0..n-1",
-                    "other sets"}
+                    "other sets", "several reads per generator", "several generators per block"}
 
 
 def test_rows_of_other_generators_and_empty_sets():
@@ -1803,6 +1886,25 @@ def test_subsymmetry_finds_the_carry_sampling_misses():
     witness = rep["commute_violations"][3]["pattern"]
     assert witness == {0: 0, 1: 1, 2: 2, 3: 2, 4: 0}
     assert not commutes_oracle(osys, ng.shift_tau(1), 3, witness)
+
+
+def test_subsymmetry_flags_a_vertex_broken_on_one_pattern():
+    """The XOR of x_{-1} and x_1 on Z, with vertex 3's table set to 1 at
+    input (1, 1): commutation with the unit shift fails at vertices 2 and 3,
+    each on that one pattern of its two cells, and both are flagged."""
+    xor, space = ss.ca_on_zd(2, [(-1,), (1,)], [0, 1, 1, 0])
+
+    def rule_at(v):
+        rule = xor.rule(v)
+        return ss.LocalRule.from_table(rule.inputs, [0, 1, 1, 1], 2) if v == (3,) else rule
+
+    sys_ = ss.SymbolicSystem(xor.alphabet, xor.graph, rule_at)
+    rep = ss.subsymmetry_check(sys_, ng.shift_tau((1,)), [(v,) for v in range(6)], space)
+    assert rep["passed"] is False
+    assert rep["commute_violations"] == [
+        {"vertex": (2,), "pattern": {(2,): 1, (4,): 1}},
+        {"vertex": (3,), "pattern": {(3,): 1, (5,): 1}},
+    ]
 
 
 def test_subsymmetry_leaves_wide_vertices_unchecked(binary_odometer):
@@ -1995,7 +2097,7 @@ def test_image_at_matches_image_on_many_rule_groups():
     plan = ss._StepPlan(sys_, ss._columns(range(n)), range(n))
     assert 20 < len(plan.groups) < n
     rows = np.array([[rnd.randrange(k) for _ in range(n)] for _ in range(9)], dtype=np.uint8)
-    image = plan.image(rows, n)
+    image = plan.image(np.ascontiguousarray(rows.T), n).T  # `image` steps columns
     which = np.array([rnd.randrange(len(rows)) for _ in range(500)])
     at = np.array([rnd.randrange(n) for _ in range(500)])
     for block in (1, 5, ss._BLOCK):
