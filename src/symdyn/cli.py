@@ -26,6 +26,7 @@ from typing import Optional
 
 from . import counterexample as cx
 from . import entropydim as ed
+from . import kernel
 from . import metricspace as ms
 from . import netgraph as ng
 from . import symsys as ss
@@ -182,7 +183,7 @@ def cmd_graph_speed(args) -> int:
 def cmd_sys_propagation(args) -> int:
     sys_, _space = ss.system_from_descriptor(_descriptor(args, "system_file"))
     v = _graph_vertex(sys_.graph, args.vertex)
-    rho = ss.propagation(sys_, v, args.T)
+    rho = kernel.propagation(sys_, v, args.T)
     _emit(args, ["t", "rho"], enumerate(rho), {"vertex": vertex_str(v), "horizon": args.T})
     return 0
 

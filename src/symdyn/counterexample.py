@@ -22,15 +22,15 @@ from typing import Optional
 import numpy as np
 
 from .netgraph import Digraph, SymdynError, is_cell_of_n
-from .symsys import (
+from .kernel import (
     Alphabet,
     Configuration,
     LocalRule,
     PatternSpace,
     SymbolicSystem,
-    _RowPlan,
-    _trajectory_rows,
-    _uniform_blocks,
+    RowPlan,
+    trajectory_rows,
+    uniform_blocks,
     evaluate,
     light_cone,
     propagation,
@@ -201,7 +201,7 @@ def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     """Simulate-then-decode round trips from random initial data.
 
     Each trial draws its own row of initial data from its own stream, read
-    and converted a block of trials at a time (`_uniform_blocks`); all
+    and converted a block of trials at a time (`uniform_blocks`); all
     trials are simulated in one batch, then decoded and compared as arrays.
     Passes only if every trial recovers the a-row and junction b-bits
     exactly; failures carry their per-trial seed for replay.
@@ -213,10 +213,10 @@ def cex_roundtrip(depth: int, trials: int, seed: int = 0) -> dict:
     sys = cex_rules()
     space = cex_space()
     cone = light_cone(sys, [0], junction_index(depth))
-    plan = _RowPlan([space.allowed(v) for v in cone.union])
+    plan = RowPlan([space.allowed(v) for v in cone.union])
     streams = (random.Random(trial_seed(seed, t)) for t in range(trials))
-    rows = np.vstack([plan.rows(u) for u in _uniform_blocks(streams, len(cone.union))])
-    observed = _trajectory_rows(sys, cone, rows)[:, :, 0]
+    rows = np.vstack([plan.rows(u) for u in uniform_blocks(streams, len(cone.union))])
+    observed = trajectory_rows(sys, cone, rows)[:, :, 0]
     # cone.union is sorted and holds cells 0..m_J, so they lead each row
     failures = [{"trial": trial, "seed": trial_seed(seed, trial), "mismatches": mismatches}
                 for trial, mismatches in _mismatches(rows, observed, depth).items()]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from .netgraph import Ball, Digraph, Subisometry, SymdynError, Vertex, sort_vertices
-from .symsys import PatternSpace
+from .kernel import PatternSpace
 
 
 class NonDisjointBallsError(SymdynError):
@@ -60,7 +60,7 @@ def ball_entropy(
     if not (2 <= r_min < r_max):
         raise ValueError("need 2 <= r_min < r_max")
     radii = tuple(range(r_min, r_max + 1))
-    shells = g._shells(frozenset([v]), r_max)[: r_max + 1]
+    shells = g.shells(frozenset([v]), r_max)[: r_max + 1]
     # len() of a lattice shell reads its codes: one alphabet decodes no shell
     logs = list(itertools.accumulate(_log_count(space, s) for s in shells))
     logs += logs[-1:] * (r_max + 1 - len(logs))  # a closed ball stops growing

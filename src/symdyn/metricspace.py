@@ -10,12 +10,12 @@ only through the first BFS shell of each estuary vertex on which it
 disagrees, the least `depth` (`_depths`) of its (row, column)
 disagreements (`_intervals`).  `dist` passes the differing columns of its
 one pair, and `pseudo_dist` is the one-vertex metric of coefficient 1.
-One-step images come from the rule kernel of `symsys` (`_StepPlan`, one
+One-step images come from the rule kernel (`kernel.StepPlan`, one
 elementwise call per rule function).  The Lipschitz and Hölder reports
 share one sampled sweep (`_sweep`), which samples a chunk of pairs, then
 measures them together, with one int(rng.random() * n) per pick of n items
-read in bulk through the sampling kernel of `symsys` (`_words`, `_pick`,
-and a `_RowPlan` of the domain for symbols).  A pair differs at one planted
+read in bulk through the sampling kernel (`kernel.words`, `pick`,
+and a `RowPlan` of the domain for symbols).  A pair differs at one planted
 cell c, so only c and its readers are worked on, and x is drawn only on the
 cells R(c) they read: c, the other inputs of c's readers in the image
 region and the inputs of the cells too wide to check up front, in column
@@ -40,11 +40,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .netgraph import (Digraph, SymdynError, Vertex, _ols_slope, graph_vertex, read_fields,
+from .netgraph import (Digraph, SymdynError, Vertex, graph_vertex, ols_slope, read_fields,
                        sort_vertices)
-from .symsys import (_TABLE_MAX, Configuration, InsufficientDomainError, PatternSpace,
-                     SymbolicSystem, _check_symbol, _check_values, _columns, _image_rows,
-                     _patterns, _pick, _RowPlan, _StepPlan, _word_uniforms, _words)
+from .kernel import (TABLE_MAX, Configuration, InsufficientDomainError, PatternSpace, RowPlan,
+                     StepPlan, SymbolicSystem, check_symbol, check_values, columns, image_rows,
+                     patterns, pick, word_uniforms, words)
 from .entropydim import pattern_log_count
 
 
@@ -189,6 +189,8 @@ class BasedMetric:
     graph: Digraph
 
     def __post_init__(self):
+        if not self.scheme.vertices:
+            raise ValueError("estuary must be nonempty")
         if not (math.isfinite(self.lam) and self.lam > 1):
             raise ValueError(f"lambda must be finite and exceed 1, got {self.lam}")
 
@@ -204,8 +206,6 @@ def metric_from_descriptor(desc, graph: Digraph) -> BasedMetric:
     """
     estuary, lam, kind, coeffs = read_fields(desc, "metric", ["estuary"], **{"lambda": 2.0},
                                              scheme="finite", coeffs=None)
-    if not estuary:
-        raise ValueError("estuary must be nonempty")
     estuary = [graph_vertex(graph, v) for v in estuary]
     if kind == "doubleexp":
         scheme = CoefficientScheme.double_exponential(estuary)
@@ -244,7 +244,7 @@ def _depths(metric: BasedMetric, index: dict, r_cap=None):
         # u outside the domain has no shells, so its bounds are 0 and lambda^0
         sizes, cols, cap = ([1], [index[u]], 0) if u in index else ([], [], 0)
         while sizes and (r_cap is None or cap < r_cap):
-            shell = metric.graph._shells(frozenset([u]), cap + 1)[cap + 1]
+            shell = metric.graph.shells(frozenset([u]), cap + 1)[cap + 1]
             shell = [index.get(w, -1) for w in shell]
             if not shell:  # ball closed
                 cap = cap if r_cap is None else r_cap
@@ -298,21 +298,21 @@ def _planted_pairs(rng, metric, plan, domain, radii, samples, reads):
 
     reads[c] lists the columns that a pair planted at column c is measured
     on, c first; W is the longest list.  Each sample takes W + 4 values u of
-    `rng.random()`, each the pick int(u * n) of n items (`_pick`): x's
-    symbols at the columns reads[c] in order (through the domain's `_RowPlan`
+    `rng.random()`, each the pick int(u * n) of n items (`pick`): x's
+    symbols at the columns reads[c] in order (through the domain's `RowPlan`
     `plan`; the values past len(reads[c]) are never read), then an anchor, a
     radius below `radii`, a cell c of that BFS shell inside the domain, and
-    another allowed symbol there (`_RowPlan.other_places`).  A chunk's values
-    are read at once (`_words`).  Yields (sample numbers, planted columns,
+    another allowed symbol there (`RowPlan.other_places`).  A chunk's values
+    are read at once (`words`).  Yields (sample numbers, planted columns,
     x rows, new symbols) per chunk, x zero off the columns read; samples
     whose shell or symbol choice came up empty are left out, though they
     take all their values.
     """
-    index, m = _columns(domain), len(domain)
+    index, m = columns(domain), len(domain)
     shells, shell_sizes = _padded([  # row a * radii + r: shell r of anchor a
         [index[c] for c in sort_vertices(s) if c in index]
         for u in metric.scheme.vertices
-        for s in (metric.graph._shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
+        for s in (metric.graph.shells(frozenset([u]), radii - 1) + [()] * radii)[:radii]])
     reads, widths = _padded(reads)
     width = reads.shape[1]
     # a padded slot reads slot 0, the planted column and its value, so that
@@ -321,11 +321,11 @@ def _planted_pairs(rng, metric, plan, domain, radii, samples, reads):
     reads = np.take_along_axis(reads, slots, 1)
 
     def plant(start, n):
-        u = _word_uniforms(_words(rng, n * (width + 4))).reshape(n, width + 4)
+        u = word_uniforms(words(rng, n * (width + 4))).reshape(n, width + 4)
         u_anchor, u_radius, u_cell, u_symbol = u[:, width:].T
-        shell = _pick(u_anchor, len(metric.scheme.vertices)) * radii + _pick(u_radius, radii)
+        shell = pick(u_anchor, len(metric.scheme.vertices)) * radii + pick(u_radius, radii)
         live = np.flatnonzero(shell_sizes[shell] > 0)
-        cols = shells[shell[live], _pick(u_cell[live], shell_sizes[shell[live]])]
+        cols = shells[shell[live], pick(u_cell[live], shell_sizes[shell[live]])]
         read = reads[cols]
         # x's symbols, as places in `plan.symbols`
         picks = plan.places(u[live[:, None], slots[cols]], read)
@@ -359,7 +359,7 @@ def pseudo_dist(
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
     one = single_estuary_metric(metric.graph, v, metric.lam)
-    lo, hi = _intervals(_depths(one, _columns(x.values), r_cap), 1, *_disagreements(x, y))
+    lo, hi = _intervals(_depths(one, columns(x.values), r_cap), 1, *_disagreements(x, y))
     return DistanceBound(float(lo[0]), float(hi[0]))
 
 
@@ -377,7 +377,7 @@ def dist(
     """
     if x.domain != y.domain:
         raise DomainMismatchError("configurations must share a domain")
-    lo, hi = _intervals(_depths(metric, _columns(x.values)), 1, *_disagreements(x, y))
+    lo, hi = _intervals(_depths(metric, columns(x.values)), 1, *_disagreements(x, y))
     bound = DistanceBound(float(lo[0]), float(hi[0]))
     if tol is not None and bound.width > tol:
         raise ToleranceUnreachableError(
@@ -396,7 +396,7 @@ def image_configuration(
     if missing:
         raise InsufficientDomainError(sort_vertices(missing))
     row = np.array([list(x.values.values())], dtype=np.int64).reshape(1, len(x.values))
-    image = _image_rows(sys, _columns(x.values), region, row)
+    image = image_rows(sys, columns(x.values), region, row)
     return Configuration(dict(zip(region, image[0].tolist())))
 
 
@@ -413,25 +413,25 @@ def _check_count(name: str, value) -> None:
 
 def _unchecked_cells(sys, space, region) -> list:
     """Evaluate each region cell's rule on every allowed pattern of its
-    distinct inputs (`_patterns`; a repeated input reads its cell), one call
+    distinct inputs (`patterns`; a repeated input reads its cell), one call
     per rule function, input layout and allowed sets, and raise ValueError
     naming a cell whose rule gives a value that is not a symbol.  Returns the
-    positions of the cells past _TABLE_MAX patterns, which are not checked."""
+    positions of the cells past TABLE_MAX patterns, which are not checked."""
     groups, wide = {}, []
     for j, w in enumerate(region):
         rule = sys.rule(w)
         cells = tuple(dict.fromkeys(rule.inputs))
         sets = tuple(space.allowed(u) for u in cells)
-        if math.prod(map(len, sets)) > _TABLE_MAX:
+        if math.prod(map(len, sets)) > TABLE_MAX:
             wide.append(j)
             continue
         layout = tuple(cells.index(u) for u in rule.inputs)
         groups.setdefault(sets, {}).setdefault((rule.fn, layout), (w, cells))
     for rules in groups.values():  # the patterns of one tuple of allowed sets at a time
-        patterns = _patterns(space, next(iter(rules.values()))[1], _TABLE_MAX).astype(np.int64)
+        rows = patterns(space, next(iter(rules.values()))[1], TABLE_MAX).astype(np.int64)
         for (fn, layout), (w, _) in rules.items():
-            values = np.broadcast_to(fn(tuple(patterns[:, layout].T)), (len(patterns),))
-            _check_values(values, sys.alphabet.size, lambda i, w=w: w)
+            values = np.broadcast_to(fn(tuple(rows[:, layout].T)), (len(rows),))
+            check_values(values, sys.alphabet.size, lambda i, w=w: w)
     return wide
 
 
@@ -456,17 +456,17 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
     naming its first cell), or an input of an image cell outside the domain
     (InsufficientDomainError, naming them), raises first.
     """
-    index, every = _columns(domain), np.arange(len(domain))
+    index, every = columns(domain), np.arange(len(domain))
     pre_lo, pre_hi = _intervals(_depths(metric_from, index), len(domain), every, every)
-    post = _depths(metric_to, _columns(image_region))
-    plan = _RowPlan([space.allowed(v) for v in domain])
+    post = _depths(metric_to, columns(image_region))
+    plan = RowPlan([space.allowed(v) for v in domain])
     reads = [[c] for c in range(len(domain))]
     if sys is None:
         post_lo, post_hi = _intervals(post, len(domain), every, every)
     else:
         for a, c in zip(plan.sets, np.unique(plan.base, return_index=True)[1]):
             for s in (min(a), max(a)):
-                _check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {domain[c]!r} is")
+                check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {domain[c]!r} is")
         missing = {u for w in image_region for u in sys.rule(w).inputs}.difference(index)
         if missing:
             raise InsufficientDomainError(sort_vertices(missing))
@@ -479,7 +479,7 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
         always = set().union(*(inputs[j] for j in wide))
         reads = [[c, *sorted(always.union(*(inputs[j] for j in js)) - {c})]
                  for c, js in enumerate(readers)]
-        step = _StepPlan(sys, index, image_region)
+        step = StepPlan(sys, index, image_region)
         readers, wide = _padded(readers, -1)[0], np.array(wide, dtype=np.intp)
 
     def measure(chunk):
@@ -592,7 +592,7 @@ def holder_report(
     # plant no deeper than the deepest radius at which an anchor's shell
     # meets the domain, so that every sampled radius can plant a cell
     reach = max((r for u in metric_from.scheme.vertices
-                 for r, shell in enumerate(metric_from.graph._shells(frozenset([u]), 7))
+                 for r, shell in enumerate(metric_from.graph.shells(frozenset([u]), 7))
                  if not cells.isdisjoint(shell)), default=0)
     holds = violations = 0
     worst, worst_excess = None, 0.0
@@ -665,8 +665,8 @@ def metric_dim_estimate(
     if len(usable) < 2:  # one point fits no slope
         return {"rows": rows, "lower_slope": None, "upper_slope": None}
     xs = [math.log(r["scale"]) for r in usable]
-    lower_slope = _ols_slope(xs, [math.log(r["log2_cover_lower"]) for r in usable])
-    upper_slope = _ols_slope(xs, [math.log(r["log2_cover_upper"]) for r in usable])
+    lower_slope = ols_slope(xs, [math.log(r["log2_cover_lower"]) for r in usable])
+    upper_slope = ols_slope(xs, [math.log(r["log2_cover_upper"]) for r in usable])
     return {"rows": rows, "lower_slope": lower_slope, "upper_slope": upper_slope}
 
 

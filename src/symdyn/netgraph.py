@@ -4,8 +4,8 @@ Vertices are opaque hashable identifiers: plain integers for chain-like
 vertex families, tuples of integers for lattice points.  Every analysis
 routine works on a finite probe of the (possibly infinite) graph, expanding
 neighborhoods on demand; nothing ever materializes the full vertex set.
-There is one in-neighbor BFS, `Digraph._shells`, cached per center set: balls,
-ball sizes, `upstream`, the light cones of `symsys` (a cone is an in-ball)
+There is one in-neighbor BFS, `Digraph.shells`, cached per center set: balls,
+ball sizes, `upstream`, the light cones of `kernel` (a cone is an in-ball)
 and the entropy and metric routines read its shells, and undirected
 distances read the shells of the undirected view (`Digraph.undirected`).
 It has two expansions.  Every translation-invariant network is an offset
@@ -118,7 +118,7 @@ class Digraph:
     every value `graph_translation` accepts is a vertex.
     """
 
-    _lattice: Optional[_Lattice] = None  # set by `_offset_lattice`
+    _lattice: Optional[_Lattice] = None  # set by `offset_lattice`
 
     def __init__(
         self,
@@ -163,7 +163,7 @@ class Digraph:
 
     # -- ball expansion ----------------------------------------------------
 
-    def _shells(self, center: frozenset, radius: int) -> list:
+    def shells(self, center: frozenset, radius: int) -> list:
         """shells[r] holds the vertices at in-distance exactly r from the
         center set, for every r <= radius until the ball closes; a closed
         ball's list ends with one empty shell.  Kept per center set, and
@@ -199,13 +199,13 @@ class Digraph:
     def ball_members(self, centers: Iterable[Vertex], radius: int) -> set:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        return set().union(*self._shells(frozenset(centers), radius)[: radius + 1])
+        return set().union(*self.shells(frozenset(centers), radius)[: radius + 1])
 
     def ball_sizes(self, centers: Iterable[Vertex], r_max: int) -> list:
         """|B(centers, r)| for r = 0..r_max (constant tail once closed)."""
         if r_max < 0:
             raise ValueError("radius must be nonnegative")
-        shells = self._shells(frozenset(centers), r_max)[: r_max + 1]
+        shells = self.shells(frozenset(centers), r_max)[: r_max + 1]
         sizes = list(itertools.accumulate(len(s) for s in shells))
         return sizes + sizes[-1:] * (r_max + 1 - len(sizes))
 
@@ -403,7 +403,7 @@ class _LatticeBall:
         return True
 
 
-def _offset_lattice(
+def offset_lattice(
     offsets: Sequence[tuple], e: int, universe: dict, scalar: bool = False
 ) -> Digraph:
     """Digraph on Z^n with its last e coordinates in N, where v + offset
@@ -471,7 +471,7 @@ def undirected_distance(g: Digraph, v: Vertex, w: Vertex, cap: int):
     while sum(radii) < cap:
         i = 0 if len(fronts[0]) <= len(fronts[1]) else 1  # grow the smaller front
         radii[i] += 1
-        fronts[i] = view._shells(centers[i], radii[i])[radii[i]]
+        fronts[i] = view.shells(centers[i], radii[i])[radii[i]]
         if not fronts[i]:
             break  # that side closed without meeting the other
         if not fronts[i].isdisjoint(fronts[1 - i]):
@@ -489,7 +489,7 @@ def dim_estimate(g: Digraph, v: Vertex, r_min: int, r_max: int) -> DimensionEsti
     exps = tuple(math.log(s) / math.log(r) for r, s in zip(radii, ball_sizes))
     tail_start = (len(radii)) // 2
     tail = exps[tail_start:]
-    slope = _ols_slope(
+    slope = ols_slope(
         [math.log(r) for r in radii], [math.log(s) for s in ball_sizes]
     )
     return DimensionEstimate(
@@ -503,7 +503,7 @@ def dim_estimate(g: Digraph, v: Vertex, r_min: int, r_max: int) -> DimensionEsti
     )
 
 
-def _ols_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+def ols_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
@@ -550,7 +550,7 @@ def upstream(g: Digraph, v: Vertex, w: Vertex, cap: int):
         return True
     center = frozenset([w])
     for r in range(1, cap + 1):
-        shell = g._shells(center, r)[r]
+        shell = g.shells(center, r)[r]
         if v in shell:
             return True
         if not shell:
@@ -660,7 +660,7 @@ def cayley_zd(d: int) -> Digraph:
     """Cayley digraph of Z^d with generators +-e_i (symmetric, biconnected)."""
     if d < 1:
         raise ValueError("need d >= 1")
-    return _offset_lattice(_grid_offsets(d, 0), 0, {"family": "cayley_zd", "D": d})
+    return offset_lattice(_grid_offsets(d, 0), 0, {"family": "cayley_zd", "D": d})
 
 
 def cayley_zdne(d: int, e: int) -> Digraph:
@@ -671,7 +671,7 @@ def cayley_zdne(d: int, e: int) -> Digraph:
     """
     if d < 0 or e < 0 or d + e < 1:
         raise ValueError("need d, e >= 0 with d + e >= 1")
-    return _offset_lattice(
+    return offset_lattice(
         _grid_offsets(d, e), e, {"family": "cayley_zdne", "D": d, "E": e}
     )
 
@@ -695,12 +695,12 @@ def odometer_graph() -> Digraph:
 
 def unit_shift_graph() -> Digraph:
     """Network of the one-sided full shift on N: cell n+1 feeds cell n."""
-    return _offset_lattice([(1,)], 1, {"family": "unit_shift"}, scalar=True)
+    return offset_lattice([(1,)], 1, {"family": "unit_shift"}, scalar=True)
 
 
 def unit_shift_graph_z() -> Digraph:
     """Network of the full shift on Z: cell z+1 feeds cell z."""
-    return _offset_lattice([(1,)], 0, {"family": "unit_shift_z"}, scalar=True)
+    return offset_lattice([(1,)], 0, {"family": "unit_shift_z"}, scalar=True)
 
 
 def shortcut_graph() -> Digraph:

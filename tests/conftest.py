@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from symdyn import counterexample as cx
+from symdyn import kernel as kn
 from symdyn import netgraph as ng
-from symdyn import symsys as ss
 from symdyn.entropydim import pattern_log_count
 
 
@@ -247,7 +247,7 @@ def trajectory_set_oracle(sys_, space, window, horizon):
     cells = cone_cells_oracle(sys_, w, horizon)
     out = set()
     for pattern in itertools.product(*[space.allowed(v) for v in cells]):
-        x = ss.Configuration(dict(zip(cells, pattern)))
+        x = kn.Configuration(dict(zip(cells, pattern)))
         traj = evaluate_oracle(sys_, x, w, horizon)
         out.add(tuple(tuple(step[u] for u in w) for step in traj))
     return out
@@ -263,7 +263,7 @@ def determined_oracle(sys_, space, window, horizon, tracked):
     tracked = [v for v in tracked if v in pos]
     groups: dict = {}
     for pattern in itertools.product(*[space.allowed(v) for v in cells]):
-        x = ss.Configuration(dict(zip(cells, pattern)))
+        x = kn.Configuration(dict(zip(cells, pattern)))
         traj = evaluate_oracle(sys_, x, w, horizon)
         obs = tuple(tuple(step[u] for u in w) for step in traj)
         ref = groups.setdefault(obs, pattern)
@@ -411,7 +411,7 @@ def image_configuration_oracle(sys_, x, region):
     for w in region:
         rule = sys_.rule(w)
         out[w] = rule.fn(tuple(x.values[u] for u in rule.inputs))
-    return ss.Configuration(out)
+    return kn.Configuration(out)
 
 
 def read_cells_oracle(sys_, space, domain, region):
@@ -467,7 +467,7 @@ def planted_pair_oracle(metric, space, reads, radii, rng):
         return None
     y_values = dict(x_values)
     y_values[cell] = choices[int(symbol_draw * len(choices))]
-    return ss.Configuration(x_values), cell, ss.Configuration(y_values)
+    return kn.Configuration(x_values), cell, kn.Configuration(y_values)
 
 
 def lipschitz_report_oracle(sys_, metric, space, samples, seed=0, r_cap=6):
@@ -579,7 +579,7 @@ def uniforms_per_call(rng, n, m):
 
 
 def words_per_call(rng, count):
-    """`symsys._words` as `count` calls of `rng.random()`: each value u is
+    """`kn.words` as `count` calls of `rng.random()`: each value u is
     (a * 2^26 + b) / 2^53, given back by the words a << 5 and b << 6."""
     values = [int(rng.random() * 2.0**53) for _ in range(count)]
     return np.array([[v >> 26 << 5, (v & (2**26 - 1)) << 6] for v in values],
@@ -593,7 +593,7 @@ def choice_per_cell(space, domain, rng):
     for v in ng.sort_vertices(domain):
         allowed = space.allowed(v)
         values[v] = allowed[int(rng.random() * len(allowed))]
-    return ss.Configuration(values)
+    return kn.Configuration(values)
 
 
 def commutes_oracle(sys_, tau, v, x):
@@ -610,12 +610,12 @@ def commutation_oracle(sys_, tau, probe, space):
     (violations, unchecked).  For each probe vertex v every allowed pattern
     on U_v = tau(inputs(v)) | inputs(tau(v)) is tried in `itertools.product`
     order (first cell of U_v most significant), and the first that breaks
-    commutation is v's witness; past `_TABLE_MAX` patterns v is unchecked."""
+    commutation is v's witness; past `TABLE_MAX` patterns v is unchecked."""
     violations, unchecked = [], []
     for v in ng.sort_vertices(set(probe)):
         cells = ng.sort_vertices({tau(u) for u in sys_.rule(v).inputs}
                                  | set(sys_.rule(tau(v)).inputs))
-        if math.prod(len(space.allowed(c)) for c in cells) > ss._TABLE_MAX:
+        if math.prod(len(space.allowed(c)) for c in cells) > kn.TABLE_MAX:
             unchecked.append(v)
             continue
         for values in itertools.product(*(space.allowed(c) for c in cells)):

@@ -19,6 +19,7 @@ import pytest
 
 from symdyn import counterexample as cx
 from symdyn import entropydim as ed
+from symdyn import kernel as kn
 from symdyn import metricspace as ms
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
@@ -126,7 +127,7 @@ def test_criterion_4_panorama_suite():
         # the same check by enumerating the 2^28 patterns, as nonlinear cones
         # are decided (the check above runs the linear engine)
         target = set(range(7))
-        dets = ss._determined_layers(sysx, spx, ss.light_cone(sysx, [0], 6), target)
+        dets = ss._determined_layers(sysx, spx, kn.light_cone(sysx, [0], 6), target)
         assert [target <= det for det, _ in dets] == [False] * 6 + [True]
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
@@ -185,7 +186,7 @@ def test_criterion_8_metric_dimension():
     with criterion(8, "cylinder-cover slopes: grid near 2, half-line near 1"):
         start = time.perf_counter()
         eps_grid = [2.0 ** (-k) for k in range(8, 33, 2)]
-        space = ss.PatternSpace.full(ss.Alphabet(2))
+        space = kn.PatternSpace.full(kn.Alphabet(2))
         grid_metric = ms.single_estuary_metric(ng.cayley_zd(2), (0, 0), 2.0)
         rep = ms.metric_dim_estimate(space, grid_metric, eps_grid)
         assert 1.8 <= rep["lower_slope"] <= 2.1, rep["lower_slope"]
@@ -202,7 +203,7 @@ def test_criterion_9_weak_independence_and_orbit_growth():
     with criterion(9, "exact ball additivity; orbit log-counts grow past 4 bits/step"):
         start = time.perf_counter()
         g = ng.cayley_zd(2)
-        space = ss.PatternSpace.full(ss.Alphabet(2))
+        space = kn.PatternSpace.full(kn.Alphabet(2))
         rng = random.Random(77)
         families = disjoint_ball_families(g, rng, 100)
         rep = ed.weak_independence_report(space, g, families)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdyn import counterexample as cx
+from symdyn import kernel as kn
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 
@@ -90,15 +91,15 @@ def test_space_pins_chain_b_bits():
 
 
 def test_all_zero_trace_is_zero():
-    cone = ss.light_cone(cx.cex_rules(), [0], cx.junction_index(3))
-    x0 = ss.Configuration({v: 0 for v in cone.union})
+    cone = kn.light_cone(cx.cex_rules(), [0], cx.junction_index(3))
+    x0 = kn.Configuration({v: 0 for v in cone.union})
     tr = cx.simulate_trace(x0, 3)
     assert all(obs == (0, 0) for obs in tr.observations)
 
 
 def test_all_ones_a_alternates_b():
-    cone = ss.light_cone(cx.cex_rules(), [0], cx.junction_index(2))
-    x0 = ss.Configuration({v: 1 for v in cone.union})
+    cone = kn.light_cone(cx.cex_rules(), [0], cx.junction_index(2))
+    x0 = kn.Configuration({v: 1 for v in cone.union})
     tr = cx.simulate_trace(x0, 2)
     assert [obs[0] for obs in tr.observations] == [1] * 7
     assert [obs[1] for obs in tr.observations] == [0, 1, 0, 1, 0, 1, 0]
@@ -224,9 +225,9 @@ def test_decode_observations_rejects_short_matrix(depth):
 def test_roundtrip_exhaustive_depth1():
     sysx = cx.cex_rules()
     space = cx.cex_space()
-    cone = ss.light_cone(sysx, [0], cx.junction_index(1)).union
+    cone = kn.light_cone(sysx, [0], cx.junction_index(1)).union
     for pattern in itertools.product(*[space.allowed(v) for v in cone]):
-        x0 = ss.Configuration(dict(zip(cone, pattern)))
+        x0 = kn.Configuration(dict(zip(cone, pattern)))
         assert cx.roundtrip_mismatches(x0, 1) == []
 
 
@@ -236,16 +237,16 @@ def test_roundtrip_basis_depth2():
     linearity itself is checked separately)."""
     sysx = cx.cex_rules()
     space = cx.cex_space()
-    cone = ss.light_cone(sysx, [0], cx.junction_index(2)).union
+    cone = kn.light_cone(sysx, [0], cx.junction_index(2)).union
     zero = {v: 0 for v in cone}
-    assert cx.roundtrip_mismatches(ss.Configuration(zero), 2) == []
+    assert cx.roundtrip_mismatches(kn.Configuration(zero), 2) == []
     for v in cone:
         for sym in space.allowed(v):
             if sym == 0:
                 continue
             x0 = dict(zero)
             x0[v] = sym
-            assert cx.roundtrip_mismatches(ss.Configuration(x0), 2) == []
+            assert cx.roundtrip_mismatches(kn.Configuration(x0), 2) == []
 
 
 def test_roundtrip_randomized_depths():
@@ -257,7 +258,7 @@ def test_roundtrip_randomized_depths():
 def test_roundtrip_deep_cone():
     """Depth 15 simulates a cone of 19,521 cells over 240 steps, each step
     a prefix of one planned update step."""
-    cone = ss.light_cone(cx.cex_rules(), [0], cx.junction_index(15))
+    cone = kn.light_cone(cx.cex_rules(), [0], cx.junction_index(15))
     assert (cone.horizon, len(cone.union)) == (240, 19521)
     rep = cx.cex_roundtrip(15, trials=2)
     assert rep["passed"], rep["failures"][:1]
@@ -335,7 +336,7 @@ def test_roundtrip_blocks_keep_each_trials_stream(monkeypatch, depth):
     reads no more than _DRAW_WORDS words at once, converts once per block,
     and leaves each stream where m calls of `random()` leave it."""
     seed = 11
-    cone = ss.light_cone(cx.cex_rules(), [0], cx.junction_index(depth)).union
+    cone = kn.light_cone(cx.cex_rules(), [0], cx.junction_index(depth)).union
     m = len(cone)
     reads, streams, simulated, converted = [], [], [], []
 
@@ -356,12 +357,12 @@ def test_roundtrip_blocks_keep_each_trials_stream(monkeypatch, depth):
         converted.append(len(words))
         return word_uniforms(words)
 
-    trajectory_rows, word_uniforms = cx._trajectory_rows, ss._word_uniforms
-    monkeypatch.setattr(cx, "_trajectory_rows", spy)
-    monkeypatch.setattr(ss, "_word_uniforms", convert)
+    trajectory_rows, word_uniforms = cx.trajectory_rows, kn.word_uniforms
+    monkeypatch.setattr(cx, "trajectory_rows", spy)
+    monkeypatch.setattr(kn, "word_uniforms", convert)
     monkeypatch.setattr(cx, "random", types.SimpleNamespace(Random=Counted))
     for words in (2, 7, m, 2 * m + 1, 4 * m + 2):
-        monkeypatch.setattr(ss, "_DRAW_WORDS", words)
+        monkeypatch.setattr(kn, "_DRAW_WORDS", words)
         block = max(words // 2 // m, 1)
         for trials in sorted({1, block, block + 1}):
             for seen in (reads, streams, simulated, converted):
@@ -442,7 +443,7 @@ def test_propagation_floor_holds():
 def test_guaranteed_cells_really_in_cone():
     sysx = cx.cex_rules()
     for horizon in (4, 7, 10):
-        cone = set(ss.light_cone(sysx, [0], horizon).union)
+        cone = set(kn.light_cone(sysx, [0], horizon).union)
         assert cx.guaranteed_cone_cells(horizon) <= cone
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdyn import entropydim as ed
+from symdyn import kernel as kn
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 from symdyn import counterexample as cx
@@ -20,7 +21,7 @@ from symdyn import counterexample as cx
 
 @pytest.fixture
 def binary_space():
-    return ss.PatternSpace.full(ss.Alphabet(2))
+    return kn.PatternSpace.full(kn.Alphabet(2))
 
 
 def test_log_count_full_binary(binary_space):
@@ -34,7 +35,7 @@ def test_log_count_counterexample_prefix():
 
 
 def test_log_count_singletons():
-    space = ss.PatternSpace(lambda v: (1,))
+    space = kn.PatternSpace(lambda v: (1,))
     assert ed.pattern_log_count(space, range(5)) == 0.0
 
 
@@ -64,7 +65,7 @@ def test_ball_entropy_counterexample_decays():
 
 
 def test_ball_entropy_singleton_space(z2):
-    space = ss.PatternSpace(lambda v: (0,))
+    space = kn.PatternSpace(lambda v: (0,))
     est = ed.ball_entropy(space, z2, (0, 0), 2, 6)
     assert all(r == 0.0 for r in est.ratios)
 
@@ -115,7 +116,7 @@ def log_count_cases(draw):
     elif kind == "odometer":
         space = ss.odometer_system([2, 3, 5])[1]
     else:
-        space = ss.PatternSpace.full(ss.Alphabet(kind))
+        space = kn.PatternSpace.full(kn.Alphabet(kind))
     name = draw(st.sampled_from(_HALF_LINE if isinstance(kind, str) else sorted(_GRAPHS)))
     make, center, top = _GRAPHS[name]
     r_max = draw(st.integers(3, top))
@@ -154,12 +155,12 @@ def test_one_alphabet_ball_entropy_decodes_no_shell():
     """On a full space the counts come from shell sizes: no lattice shell is
     decoded and no cell's allowed set is read."""
     g = ng.cayley_zd(3)
-    space = ss.PatternSpace.full(ss.Alphabet(3))
+    space = kn.PatternSpace.full(kn.Alphabet(3))
     calls = []
     allowed = space._allowed
     space._allowed = lambda v: calls.append(v) or allowed(v)
     est = ed.ball_entropy(space, g, (0, 0, 0), 2, 12)
-    shells = g._shells(frozenset([(0, 0, 0)]), 12)
+    shells = g.shells(frozenset([(0, 0, 0)]), 12)
     coded = [s for s in shells if isinstance(s, ng._CodeShell)]
     assert len(coded) == 12 and all(s._vertices is None for s in coded)
     assert calls == []
@@ -185,7 +186,7 @@ def test_weak_independence_exact_on_three_symbols(z2):
     so additivity holds bit for bit where log2 k is not an integer."""
     from conftest import disjoint_ball_families
 
-    space = ss.PatternSpace.full(ss.Alphabet(3))
+    space = kn.PatternSpace.full(kn.Alphabet(3))
     families = disjoint_ball_families(z2, random.Random(9), 50)
     rep = ed.weak_independence_report(space, z2, families)
     assert all(f["ratio"] == 1.0 for f in rep["families"])

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdyn import entropydim as ed
+from symdyn import kernel as kn
 from symdyn import metricspace as ms
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
@@ -284,8 +285,8 @@ def test_dim_estimate_window_validation(z2):
 
 def test_ols_slope_of_one_abscissa_is_zero():
     """With no spread in x there is no slope to fit, so it reads 0."""
-    assert ng._ols_slope([2.0, 2.0], [1.0, 5.0]) == 0.0
-    assert ng._ols_slope([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == 2.0
+    assert ng.ols_slope([2.0, 2.0], [1.0, 5.0]) == 0.0
+    assert ng.ols_slope([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == 2.0
 
 
 # -- superlinear connectivity -------------------------------------------------
@@ -355,7 +356,7 @@ def ball_cases(draw):
     cap = draw(st.integers(0, 6))
     warm = draw(st.none() | st.integers(cap + 1, cap + 4))
     sizes = draw(st.lists(st.integers(1, 4), min_size=5, max_size=5))
-    space = ss.PatternSpace(lambda u: range(sizes[sum(ng.vertex_key(u)) % 5]))
+    space = kn.PatternSpace(lambda u: range(sizes[sum(ng.vertex_key(u)) % 5]))
     return g, draw(vertex), draw(vertex), cap, warm, space
 
 
@@ -371,7 +372,7 @@ def test_ball_reads_match_fresh_bfs():
         g, v, w, cap, warm, space = case
         if warm is not None:
             g.ball_sizes([w], warm)
-            if len(g._shells(frozenset([w]), 0)) > cap + 1:
+            if len(g.shells(frozenset([w]), 0)) > cap + 1:
                 seen.add("deeper shells cached")
         expected = upstream_oracle(g, v, w, cap)
         assert ng.upstream(g, v, w, cap) is expected
@@ -473,7 +474,7 @@ def test_lattice_shells_match_oracle():
         oracle = [balls[0]] + [b - a for a, b in zip(balls, balls[1:])]
         box_radius = None
         for radius in radii:
-            shells = g._shells(center, radius)[: radius + 1]
+            shells = g.shells(center, radius)[: radius + 1]
             if len(shells) <= radius:  # closed: one empty shell ends the list
                 assert not shells[-1]
                 seen.add("ball closed")
@@ -484,7 +485,7 @@ def test_lattice_shells_match_oracle():
             assert isinstance(state, ng._LatticeBall)
             if box_radius is not None and state.radius > box_radius:
                 seen.add("box regrown")
-            if radius < len(g._shells(center, 0)) - 1:
+            if radius < len(g.shells(center, 0)) - 1:
                 seen.add("shallower read")
             box_radius = state.radius
         if e and any(ng.vertex_key(c)[-1] == 0 for c in centers):
@@ -534,7 +535,7 @@ def test_lattice_shells_are_duplicate_free():
         center = frozenset(centers)
         box_radius = None
         for radius in radii:
-            shells = g._shells(center, radius)
+            shells = g.shells(center, radius)
             state = g._ball_cache[center][1]
             assert isinstance(state, ng._LatticeBall)
             if state.radius < 0:  # read only at radius 0: no box yet
@@ -723,7 +724,7 @@ def test_z3_ball_sizes_and_log_counts_pinned():
     est = ng.dim_estimate(z3, (0, 0, 0), 2, 64)
     assert est.ball_sizes == tuple(closed(r) for r in range(2, 65))
     assert z3.ball_sizes([(0, 0, 0)], 1) == [1, 7]
-    space = ss.PatternSpace.full(ss.Alphabet(2))
+    space = kn.PatternSpace.full(kn.Alphabet(2))
     ent = ed.ball_entropy(space, ng.cayley_zd(3), (0, 0, 0), 16, 48)
     assert ent.ball_sizes == tuple(closed(r) for r in range(16, 49))
     assert ent.log2_counts == ent.ball_sizes

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symdyn import kernel as kn
 from symdyn import metricspace as ms
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
@@ -73,7 +74,7 @@ def counting_floor(monkeypatch):
         result = panorama(sys_, space, *args, **kwargs)
         k = sys_.alphabet.size
         for t, layer in enumerate(result.layers):
-            assert ss._pattern_count(space, layer) <= k ** (len(result.window) * (t + 1))
+            assert kn.pattern_count(space, layer) <= k ** (len(result.window) * (t + 1))
         return result
 
     monkeypatch.setattr(ss, "panorama", checked)
@@ -88,18 +89,18 @@ def counting_floor(monkeypatch):
 ])
 def test_alphabet_size_bounds(size, message):
     """An alphabet has 2 to 2^16 symbols; a full space on it shares one tuple."""
-    space = ss.PatternSpace.full(ss.Alphabet(2**16))
+    space = kn.PatternSpace.full(kn.Alphabet(2**16))
     assert space.allowed((0, 5)) is space.allowed(7) == tuple(range(2**16))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ss.Alphabet(size)
+        kn.Alphabet(size)
 
 
 # -- properness ----------------------------------------------------------------
 
 
 def test_xor_rule_is_proper():
-    rule = ss.LocalRule(inputs=(0, 1), fn=lambda a: a[0] ^ a[1])
-    rep = ss.check_proper(rule, ss.Alphabet(2))
+    rule = kn.LocalRule(inputs=(0, 1), fn=lambda a: a[0] ^ a[1])
+    rep = ss.check_proper(rule, kn.Alphabet(2))
     assert rep["proper"]
     assert set(rep["witnesses"]) == {0, 1}
     for i, (a, b) in rep["witnesses"].items():
@@ -109,15 +110,15 @@ def test_xor_rule_is_proper():
 
 
 def test_projection_rule_is_not_proper():
-    rule = ss.LocalRule(inputs=(0, 1), fn=lambda a: a[0])
-    rep = ss.check_proper(rule, ss.Alphabet(2))
+    rule = kn.LocalRule(inputs=(0, 1), fn=lambda a: a[0])
+    rep = ss.check_proper(rule, kn.Alphabet(2))
     assert not rep["proper"]
     assert rep["inessential"] == [1]
 
 
 def test_junction_rule_is_proper(cex):
     sysx, _ = cex
-    rep = ss.check_proper(sysx.rule(0), ss.Alphabet(4))
+    rep = ss.check_proper(sysx.rule(0), kn.Alphabet(4))
     assert rep["proper"]
 
 
@@ -132,22 +133,22 @@ def test_check_proper_matches_scalar_loop(k, arity, seed):
     outputs: dict = {}
     table = [outputs.setdefault(tuple(args[i] for i in kept), rng.randrange(k))
              for args in itertools.product(range(k), repeat=arity)]
-    rule = ss.LocalRule.from_table(range(arity), table, k)
-    rep = ss.check_proper(rule, ss.Alphabet(k))
-    assert rep == check_proper_oracle(rule, ss.Alphabet(k))
+    rule = kn.LocalRule.from_table(range(arity), table, k)
+    rep = ss.check_proper(rule, kn.Alphabet(k))
+    assert rep == check_proper_oracle(rule, kn.Alphabet(k))
     assert all(type(s) is int for pair in rep["witnesses"].values() for t in pair for s in t)
 
 
 def test_check_proper_matches_scalar_loop_on_named_rules(cex):
     sysx, _ = cex
     for rule, k in [
-        (ss.LocalRule(inputs=(0, 1), fn=lambda a: a[0] ^ a[1]), 2),
-        (ss.LocalRule(inputs=(0, 1), fn=lambda a: a[0]), 2),
-        (ss.LocalRule(inputs=(0, 1, 2), fn=lambda a: a[2]), 3),
+        (kn.LocalRule(inputs=(0, 1), fn=lambda a: a[0] ^ a[1]), 2),
+        (kn.LocalRule(inputs=(0, 1), fn=lambda a: a[0]), 2),
+        (kn.LocalRule(inputs=(0, 1, 2), fn=lambda a: a[2]), 3),
         (sysx.rule(0), 4),
         (sysx.rule(1), 4),
     ]:
-        assert ss.check_proper(rule, ss.Alphabet(k)) == check_proper_oracle(rule, ss.Alphabet(k))
+        assert ss.check_proper(rule, kn.Alphabet(k)) == check_proper_oracle(rule, kn.Alphabet(k))
 
 
 def test_check_proper_calls_the_rule_once():
@@ -158,41 +159,41 @@ def test_check_proper_calls_the_rule_once():
         calls.append(a)
         return (a[0] + 2 * a[2]) % 3
 
-    rep = ss.check_proper(ss.LocalRule(inputs=(0, 1, 2), fn=fn), ss.Alphabet(3))
+    rep = ss.check_proper(kn.LocalRule(inputs=(0, 1, 2), fn=fn), kn.Alphabet(3))
     assert len(calls) == 1
     assert rep == {"proper": False, "inessential": [1],
                    "witnesses": {0: ((0, 0, 0), (1, 0, 0)), 2: ((0, 0, 0), (0, 0, 1))}}
 
 
 def test_check_proper_cap():
-    rule = ss.LocalRule(inputs=tuple(range(20)), fn=lambda a: a[0])
-    with pytest.raises(ss.EnumerationCapError):
-        ss.check_proper(rule, ss.Alphabet(4))
+    rule = kn.LocalRule(inputs=tuple(range(20)), fn=lambda a: a[0])
+    with pytest.raises(kn.EnumerationCapError):
+        ss.check_proper(rule, kn.Alphabet(4))
 
 
 def test_network_consistency_enforced(z2):
-    bad = ss.SymbolicSystem(
-        ss.Alphabet(2),
+    bad = kn.SymbolicSystem(
+        kn.Alphabet(2),
         ng.unit_shift_graph(),
-        lambda v: ss.LocalRule(inputs=(v,), fn=lambda a: a[0]),
+        lambda v: kn.LocalRule(inputs=(v,), fn=lambda a: a[0]),
     )
-    with pytest.raises(ss.NetworkConsistencyError):
+    with pytest.raises(kn.NetworkConsistencyError):
         bad.rule(0)
 
 
 def test_cone_readers_check_network_consistency():
     """Every cone reader fetches the rules of the cells below its horizon,
     so a rule that disagrees with the graph raises once its cell is there."""
-    bad = ss.SymbolicSystem(
-        ss.Alphabet(2),
+    bad = kn.SymbolicSystem(
+        kn.Alphabet(2),
         ng.unit_shift_graph(),
-        lambda v: ss.LocalRule(inputs=(v if v == 2 else v + 1,), fn=lambda a: a[0]),
+        lambda v: kn.LocalRule(inputs=(v if v == 2 else v + 1,), fn=lambda a: a[0]),
     )
-    assert ss.light_cone(bad, [0], 2).union == (0, 1, 2)
+    assert kn.light_cone(bad, [0], 2).union == (0, 1, 2)
     assert ss.sensitivity_certificate(bad, 0, 1, 2) == {"t": 2, "witness": 2}
-    for read in (lambda: ss.light_cone(bad, [0], 3), lambda: ss.propagation(bad, 0, 3),
+    for read in (lambda: kn.light_cone(bad, [0], 3), lambda: kn.propagation(bad, 0, 3),
                  lambda: ss.sensitivity_certificate(bad, 0, 1, 3)):
-        with pytest.raises(ss.NetworkConsistencyError, match="at vertex 2"):
+        with pytest.raises(kn.NetworkConsistencyError, match="at vertex 2"):
             read()
 
 
@@ -201,14 +202,14 @@ def test_cone_readers_check_network_consistency():
 
 def test_cone_odometer_fixed(binary_odometer):
     sys_, _ = binary_odometer
-    cone = ss.light_cone(sys_, [0], 10)
+    cone = kn.light_cone(sys_, [0], 10)
     assert cone.union == cone.order == (0,)
     assert cone.sizes == (1,) * 11
 
 
 def test_cone_full_shift_marches(full_shift_n):
     sys_, _ = full_shift_n
-    cone = ss.light_cone(sys_, [0], 4)
+    cone = kn.light_cone(sys_, [0], 4)
     assert cone.union == (0, 1, 2, 3, 4)
     assert cone.order == (0, 1, 2, 3, 4)
     assert cone.sizes == (1, 2, 3, 4, 5)
@@ -216,21 +217,21 @@ def test_cone_full_shift_marches(full_shift_n):
 
 def test_cone_counterexample(cex):
     sysx, _ = cex
-    assert ss.light_cone(sysx, [0], 2).union == (0, 1, 2, 3, 6)
+    assert kn.light_cone(sysx, [0], 2).union == (0, 1, 2, 3, 6)
 
 
 def test_propagation_profiles(binary_odometer, full_shift_n, cex):
     osys, _ = binary_odometer
-    assert ss.propagation(osys, 0, 8) == [1] * 9
+    assert kn.propagation(osys, 0, 8) == [1] * 9
     fs, _ = full_shift_n
-    assert ss.propagation(fs, 0, 6) == list(range(1, 8))
+    assert kn.propagation(fs, 0, 6) == list(range(1, 8))
     sysx, _ = cex
-    rho = ss.propagation(sysx, 0, 10)
+    rho = kn.propagation(sysx, 0, 10)
     assert rho[:3] == [1, 3, 5]
     assert all(a <= b for a, b in zip(rho, rho[1:]))
     # cone never escapes the graph ball
     for t in (2, 5, 9):
-        cone = ss.light_cone(sysx, [0], t)
+        cone = kn.light_cone(sysx, [0], t)
         assert set(cone.union) <= sysx.graph.ball_members([0], t)
 
 
@@ -239,47 +240,47 @@ def test_propagation_profiles(binary_odometer, full_shift_n, cex):
 
 def test_evaluate_all_zero_counterexample(cex):
     sysx, _ = cex
-    cone = ss.light_cone(sysx, [0], 6)
-    x = ss.Configuration({v: 0 for v in cone.union})
-    traj = ss.evaluate(sysx, x, [0], 6)
+    cone = kn.light_cone(sysx, [0], 6)
+    x = kn.Configuration({v: 0 for v in cone.union})
+    traj = kn.evaluate(sysx, x, [0], 6)
     assert all(step[0] == 0 for step in traj)
 
 
 def test_evaluate_binary_odometer_carry(binary_odometer):
     sys_, _ = binary_odometer
-    traj = ss.evaluate(sys_, ss.Configuration({0: 1, 1: 1}), [0, 1], 1)
+    traj = kn.evaluate(sys_, kn.Configuration({0: 1, 1: 1}), [0, 1], 1)
     assert traj[0] == {0: 1, 1: 1}
     assert traj[1] == {0: 0, 1: 0}
 
 
 def test_evaluate_full_shift_slides(full_shift_n):
     sys_, _ = full_shift_n
-    traj = ss.evaluate(sys_, ss.Configuration({0: 0, 1: 1, 2: 0}), [0], 2)
+    traj = kn.evaluate(sys_, kn.Configuration({0: 0, 1: 1, 2: 0}), [0], 2)
     assert [step[0] for step in traj] == [0, 1, 0]
 
 
 def test_evaluate_missing_domain_names_vertices(full_shift_n):
     sys_, _ = full_shift_n
-    with pytest.raises(ss.InsufficientDomainError) as err:
-        ss.evaluate(sys_, ss.Configuration({0: 0, 1: 1}), [0], 3)
+    with pytest.raises(kn.InsufficientDomainError) as err:
+        kn.evaluate(sys_, kn.Configuration({0: 0, 1: 1}), [0], 3)
     assert set(err.value.missing) == {2, 3}
 
 
 def test_empty_window_rejected(full_shift_n):
     sys_, _ = full_shift_n
     with pytest.raises(ValueError, match="window must be nonempty"):
-        ss.light_cone(sys_, [], 3)
+        kn.light_cone(sys_, [], 3)
     with pytest.raises(ValueError, match="window must be nonempty"):
         ss.equicontinuity_envelope(sys_, [], 4, 4)
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda sys_: ss.light_cone(sys_, [0], -1), "horizon must be nonnegative"),
+    (lambda sys_: kn.light_cone(sys_, [0], -1), "horizon must be nonnegative"),
     (lambda sys_: ss.sensitivity_certificate(sys_, 0, -1, 3),
      "radius and t_max must be nonnegative"),
     (lambda sys_: ss.sensitivity_certificate(sys_, 0, 2, -1),
      "radius and t_max must be nonnegative"),
-    (lambda sys_: ss.PatternSpace(lambda v: ()).allowed(4), "empty allowed set at vertex 4"),
+    (lambda sys_: kn.PatternSpace(lambda v: ()).allowed(4), "empty allowed set at vertex 4"),
     (lambda sys_: ss.odometer_system([2, 0]), "moduli must be positive"),
     (lambda sys_: ss.odometer_system([]), "moduli must be positive"),
 ])
@@ -292,18 +293,18 @@ def test_argument_checks(full_shift_n, call, message):
 def test_evaluate_ignores_cells_outside_cone(cex):
     sysx, spx = cex
     rng = random.Random(31)
-    cone = ss.light_cone(sysx, [0], 5)
+    cone = kn.light_cone(sysx, [0], 5)
     wide = sysx.graph.ball_members([0], 9)
     for _ in range(10):
         x = spx.random_configuration(wide, rng)
-        base = ss.evaluate(sysx, x, [0], 5)
+        base = kn.evaluate(sysx, x, [0], 5)
         mutated = dict(x.values)
         outside = [v for v in wide if v not in set(cone.union)]
         for v in rng.sample(outside, k=min(5, len(outside))):
             choices = [s for s in spx.allowed(v) if s != mutated[v]]
             if choices:
                 mutated[v] = rng.choice(choices)
-        assert ss.evaluate(sysx, ss.Configuration(mutated), [0], 5) == base
+        assert kn.evaluate(sysx, kn.Configuration(mutated), [0], 5) == base
 
 
 @st.composite
@@ -331,7 +332,7 @@ def batched_trajectories(draw):
         {"alphabet": k, "graph": {"edges": edges}, "rules": rules}
     )
     window = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
-    cone = ss.light_cone(sys_, window, draw(st.integers(0, 4)))
+    cone = kn.light_cone(sys_, window, draw(st.integers(0, 4)))
     batch = draw(st.integers(1, 5))
     rows = np.array(
         draw(st.lists(st.lists(st.integers(0, k - 1), min_size=len(cone.union),
@@ -352,13 +353,13 @@ def test_trajectory_rows_match_dict_loop():
     def check(case):
         sys_, window, cone, rows, block = case
         assert cone.window == ng.sort_vertices(set(window))  # a repeated cell counts once
-        with mock.patch.object(ss, "_BLOCK", block):
-            got = ss._trajectory_rows(sys_, cone, rows)
+        with mock.patch.object(kn, "_BLOCK", block):
+            got = kn.trajectory_rows(sys_, cone, rows)
             for row, traj in zip(rows.tolist(), got.tolist()):
-                x = ss.Configuration(dict(zip(cone.union, row)))
+                x = kn.Configuration(dict(zip(cone.union, row)))
                 expected = evaluate_oracle(sys_, x, window, cone.horizon)
                 assert traj == [[step[u] for u in cone.window] for step in expected]
-                assert ss.evaluate(sys_, x, window, cone.horizon) == expected
+                assert kn.evaluate(sys_, x, window, cone.horizon) == expected
         imaged = set(cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0])
         if any(not sys_.rule(v).inputs for v in imaged):
             seen.add("zero-input rule")
@@ -377,14 +378,14 @@ def test_trajectory_rows_match_dict_loop():
 
 
 def _check_trajectory_rows(sys_, cone, rows):
-    """`_trajectory_rows` of every row against `evaluate_oracle`, each
+    """`trajectory_rows` of every row against `evaluate_oracle`, each
     distinct row run through the oracle once."""
-    got = ss._trajectory_rows(sys_, cone, rows)
+    got = kn.trajectory_rows(sys_, cone, rows)
     assert got.shape == (len(rows), cone.horizon + 1, len(cone.window))
     expected = {}
     for row, traj in zip(map(tuple, rows.tolist()), got.tolist()):
         if row not in expected:
-            x = ss.Configuration(dict(zip(cone.union, row)))
+            x = kn.Configuration(dict(zip(cone.union, row)))
             expected[row] = [[step[u] for u in cone.window]
                              for step in evaluate_oracle(sys_, x, cone.window, cone.horizon)]
         assert traj == expected[row]
@@ -403,23 +404,23 @@ def test_trajectory_rows_column_layout_edge_cases():
             shapes.append(args[0].shape)
         return args[0] ^ args[1]
 
-    sys_ = ss.SymbolicSystem(base.alphabet, base.graph,
-                             lambda v: ss.LocalRule(base.graph.in_neighbors(v), xor))
-    cone = ss.light_cone(sys_, [(0,)], 3)
-    wide = np.resize(ss._patterns(space, cone.union, 2**7), (ss._BLOCK + 3, len(cone.union)))
+    sys_ = kn.SymbolicSystem(base.alphabet, base.graph,
+                             lambda v: kn.LocalRule(base.graph.in_neighbors(v), xor))
+    cone = kn.light_cone(sys_, [(0,)], 3)
+    wide = np.resize(kn.patterns(space, cone.union, 2**7), (kn._BLOCK + 3, len(cone.union)))
     _check_trajectory_rows(sys_, cone, wide)
     assert shapes == [(1, len(wide))] * sum(cone.sizes[:-1])
 
     shift, space = ss.full_shift(2)
-    odd_constant = ss.SymbolicSystem(shift.alphabet, shift.graph, lambda v: ss.LocalRule(
+    odd_constant = kn.SymbolicSystem(shift.alphabet, shift.graph, lambda v: kn.LocalRule(
         shift.rule(v).inputs, (lambda args: 1) if v % 2 else shift.rule(v).fn))
-    cone = ss.light_cone(odd_constant, [0, 1], 4)
-    _check_trajectory_rows(odd_constant, cone, ss._patterns(space, cone.union, 2**6).astype(np.int64))
+    cone = kn.light_cone(odd_constant, [0, 1], 4)
+    _check_trajectory_rows(odd_constant, cone, kn.patterns(space, cone.union, 2**6).astype(np.int64))
 
     odometer, space = ss.odometer_system([2, 3])
-    cone = ss.light_cone(odometer, [0, 1, 2], 5)
-    assert len(ss._StepPlan(odometer, ss._columns(cone.order), cone.order).groups) == 3
-    _check_trajectory_rows(odometer, cone, ss._patterns(space, cone.union, 2**5))
+    cone = kn.light_cone(odometer, [0, 1, 2], 5)
+    assert len(kn.StepPlan(odometer, kn.columns(cone.order), cone.order).groups) == 3
+    _check_trajectory_rows(odometer, cone, kn.patterns(space, cone.union, 2**5))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
@@ -428,8 +429,8 @@ def test_trajectory_rows_dtype(dtype, k):
     """The trajectory array has the type of the rows and the symbols
     together, as stacking the rows with the steps gives."""
     sys_, _ = ss.full_shift(k)
-    cone = ss.light_cone(sys_, [0], 2)
-    got = ss._trajectory_rows(sys_, cone, np.array([[1, 0, 1]], dtype=dtype))
+    cone = kn.light_cone(sys_, [0], 2)
+    got = kn.trajectory_rows(sys_, cone, np.array([[1, 0, 1]], dtype=dtype))
     assert got.dtype == np.result_type(dtype, np.min_scalar_type(k - 1))
     assert got.tolist() == [[[1], [0], [1]]]
 
@@ -451,10 +452,10 @@ def shared_rule_trajectories(draw):
             inputs[n - 1].append(v)  # a vertex that reads nothing still feeds the graph
     picks = [draw(st.integers(0, 1)) for _ in range(n)]
     graph = ng.explicit_graph([(u, v) for v, ins in enumerate(inputs) for u in ins])
-    sys_ = ss.SymbolicSystem(ss.Alphabet(k), graph,
-                             lambda v: ss.LocalRule(tuple(inputs[v]), fns[picks[v]]))
+    sys_ = kn.SymbolicSystem(kn.Alphabet(k), graph,
+                             lambda v: kn.LocalRule(tuple(inputs[v]), fns[picks[v]]))
     window = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-    cone = ss.light_cone(sys_, window, draw(st.integers(0, 4)))
+    cone = kn.light_cone(sys_, window, draw(st.integers(0, 4)))
     batch = draw(st.integers(1, 4))
     rows = np.array(
         draw(st.lists(st.lists(st.integers(0, k - 1), min_size=len(cone.union),
@@ -476,10 +477,10 @@ def test_planned_step_prefixes_match_dict_loop():
     @given(shared_rule_trajectories())
     def check(case):
         sys_, window, cone, rows, block = case
-        with mock.patch.object(ss, "_BLOCK", block):
-            got = ss._trajectory_rows(sys_, cone, rows)
+        with mock.patch.object(kn, "_BLOCK", block):
+            got = kn.trajectory_rows(sys_, cone, rows)
         for row, traj in zip(rows.tolist(), got.tolist()):
-            x = ss.Configuration(dict(zip(cone.union, row)))
+            x = kn.Configuration(dict(zip(cone.union, row)))
             expected = evaluate_oracle(sys_, x, window, cone.horizon)
             assert traj == [[step[u] for u in cone.window] for step in expected]
         if not cone.horizon:
@@ -526,13 +527,13 @@ def _double(a):
 def test_rule_value_outside_the_alphabet_in_a_later_group_or_block(fn_at, ones, named):
     """A bad value from the second rule group, or from a group's third
     block, raises ValueError naming a vertex whose rule gave it."""
-    sys_ = ss.SymbolicSystem(ss.Alphabet(2), ng.unit_shift_graph(),
-                             lambda v: ss.LocalRule(inputs=(v + 1,), fn=fn_at(v)))
+    sys_ = kn.SymbolicSystem(kn.Alphabet(2), ng.unit_shift_graph(),
+                             lambda v: kn.LocalRule(inputs=(v + 1,), fn=fn_at(v)))
     row = [int(v in ones) for v in range(7)]
-    with mock.patch.object(ss, "_BLOCK", 2):
-        for call in (lambda: ss.evaluate(sys_, ss.Configuration(dict(enumerate(row))), [0], 6),
-                     lambda: ss._image_rows(sys_, ss._columns(range(7)), range(6),
-                                            np.array([row]))):
+    with mock.patch.object(kn, "_BLOCK", 2):
+        for call in (lambda: kn.evaluate(sys_, kn.Configuration(dict(enumerate(row))), [0], 6),
+                     lambda: kn.image_rows(sys_, kn.columns(range(7)), range(6),
+                                           np.array([row]))):
             with pytest.raises(ValueError, match=r"gave \d+, outside the symbols 0\.\.1") as err:
                 call()
             assert int(re.search(r"rule at vertex (\d+) gave", str(err.value))[1]) in named
@@ -580,13 +581,13 @@ def test_panorama_engines_agree(cex):
         (fs, fsp, (0, 2), 2),
         (osys, ospace, (0, 1, 2), 3),
     ):
-        cells = ss.light_cone(sys_, window, horizon).union
+        cells = kn.light_cone(sys_, window, horizon).union
         tables = ss._composed_tables(sys_, space, window, horizon)
         by_count = ss._count_grouping(sys_, space, cells, tables, cells)
         by_sort = ss._sort_grouping(sys_, space, cells, tables, cells)
         expected = determined_oracle(sys_, space, window, horizon, cells)
         assert by_count == by_sort == expected
-    cells = ss.light_cone(sysx, [0], 4).union
+    cells = kn.light_cone(sysx, [0], 4).union
     tables = ss._composed_tables(sysx, spx, (0,), 4)
     assert ss._count_grouping(sysx, spx, cells, tables, cells) == ss._sort_grouping(
         sysx, spx, cells, tables, cells
@@ -601,7 +602,7 @@ def test_panorama_engines_agree(cex):
 def _enumerated(sys_, space, window, horizon, target=None):
     """The layers enumeration gives on the window's cone, and the grouping
     name it reports, whatever engine `panorama` would dispatch to."""
-    cone = ss.light_cone(sys_, window, horizon)
+    cone = kn.light_cone(sys_, window, horizon)
     layers = list(ss._determined_layers(sys_, space, cone, target))
     engine = "+".join(sorted({engine for _, engine in layers}))
     return tuple(ng.sort_vertices(det) for det, _ in layers), engine
@@ -637,7 +638,7 @@ def test_panorama_cone_of_many_pinned_cells():
     patterns; its cells each get their own radix digit, not their own array
     axis."""
     sys_, _ = ss.full_shift(2)
-    space = ss.PatternSpace(lambda v: [0, 1] if v < 3 else [0])
+    space = kn.PatternSpace(lambda v: [0, 1] if v < 3 else [0])
     result = ss.panorama(sys_, space, [0], 64)
     assert len(result.cone) == 65
     assert result.pattern_count == 8
@@ -699,9 +700,9 @@ def image_rows_cases(draw):
                 return (sum(a) + 1) % k
 
             graph = ng.explicit_graph(edges)
-            sys_ = ss.SymbolicSystem(ss.Alphabet(k), graph,
-                                     lambda v: ss.LocalRule(tuple(graph.in_neighbors(v)), shared))
-            space = ss.PatternSpace.full(sys_.alphabet)
+            sys_ = kn.SymbolicSystem(kn.Alphabet(k), graph,
+                                     lambda v: kn.LocalRule(tuple(graph.in_neighbors(v)), shared))
+            space = kn.PatternSpace.full(sys_.alphabet)
         cells = list(range(7))
     elif kind == "odometer":
         (sys_, space), cells = ss.odometer_system([2, 3]), list(range(8))
@@ -733,11 +734,11 @@ def test_image_rows_match_scalar_rules():
     @given(image_rows_cases())
     def check(case):
         kind, sys_, region, columns, rows, block = case
-        with mock.patch.object(ss, "_BLOCK", block):
-            got = ss._image_rows(sys_, ss._columns(columns), region, rows)
+        with mock.patch.object(kn, "_BLOCK", block):
+            got = kn.image_rows(sys_, kn.columns(columns), region, rows)
         assert got.shape == rows.shape[:1] + (len(region),)
         for row, image in zip(rows.tolist(), got.tolist()):
-            x = ss.Configuration(dict(zip(columns, row)))
+            x = kn.Configuration(dict(zip(columns, row)))
             expected = image_configuration_oracle(sys_, x, region).values
             assert image == [expected[w] for w in region]
         n = len(rows)
@@ -773,12 +774,12 @@ def test_rule_values_outside_the_alphabet_rejected(fn):
     """A rule value that is not a symbol 0..k-1 is an error that names the
     vertex, in trajectories, composed tables and metric images alike; it
     never wraps or truncates into the row dtype."""
-    sys_ = ss.SymbolicSystem(ss.Alphabet(2), ng.unit_shift_graph(),
-                             lambda v: ss.LocalRule(inputs=(v + 1,), fn=fn))
-    space = ss.PatternSpace.full(sys_.alphabet)
+    sys_ = kn.SymbolicSystem(kn.Alphabet(2), ng.unit_shift_graph(),
+                             lambda v: kn.LocalRule(inputs=(v + 1,), fn=fn))
+    space = kn.PatternSpace.full(sys_.alphabet)
     message = r"rule at vertex \d+ gave -?[\d.]+, outside the symbols 0\.\.1"
     with pytest.raises(ValueError, match=message):
-        ss.evaluate(sys_, ss.Configuration({0: 0, 1: 1, 2: 0}), [0], 2)
+        kn.evaluate(sys_, kn.Configuration({0: 0, 1: 1, 2: 0}), [0], 2)
     with pytest.raises(ValueError, match=message):
         ss.panorama(sys_, space, [0], 2)
     metric = ms.single_estuary_metric(sys_.graph, 0, 2.0)
@@ -816,7 +817,7 @@ def explicit_systems(draw):
         sorted(draw(st.just(set(range(k))) | st.sets(symbols, min_size=1)))
         for _ in range(n)
     ]
-    space = ss.PatternSpace(lambda v: allowed[v])
+    space = kn.PatternSpace(lambda v: allowed[v])
     window = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
     target = draw(st.sets(st.integers(0, n - 1), min_size=1))
     return sys_, space, sorted(window), draw(st.integers(0, 4)), target
@@ -844,11 +845,11 @@ def test_cone_prefixes_match_oracles():
     @given(st.one_of(explicit_systems(), full_shift_z_windows()), st.integers(0, 6))
     def check(case, r_cap):
         sys_, _, window, horizon, _ = case
-        cone = ss.light_cone(sys_, window, horizon)
+        cone = kn.light_cone(sys_, window, horizon)
         assert (cone.order, cone.sizes) == cone_order_oracle(sys_, window, horizon)
         assert cone.union == ng.sort_vertices(cone.order)
         v = window[-1]
-        assert ss.propagation(sys_, v, horizon) == propagation_oracle(sys_, v, horizon)
+        assert kn.propagation(sys_, v, horizon) == propagation_oracle(sys_, v, horizon)
         cert = ss.sensitivity_certificate(sys_, v, r_cap, horizon)
         assert cert == sensitivity_oracle(sys_, v, r_cap, horizon)
         seen.add("escape" if cert else "no escape")
@@ -927,7 +928,7 @@ def test_engine_matches_oracles(monkeypatch):
 
         rep = ss.equicontinuity_envelope(sys_, window, horizon, r_cap=6)
         if rep.certified:
-            full = ss.PatternSpace.full(sys_.alphabet)
+            full = kn.PatternSpace.full(sys_.alphabet)
             assert rep.trajectory_count == len(
                 trajectory_set_oracle(sys_, full, window, horizon)
             )
@@ -961,7 +962,7 @@ def _recording(sys_, calls):
             wrappers[rule.fn] = wrap(rule.fn)
         return replace(rule, fn=wrappers[rule.fn])
 
-    return ss.SymbolicSystem(sys_.alphabet, sys_.graph, rule_at, sys_.label)
+    return kn.SymbolicSystem(sys_.alphabet, sys_.graph, rule_at, sys_.label)
 
 
 def test_every_rule_call_gets_int64_arrays_of_one_shape(monkeypatch):
@@ -980,13 +981,13 @@ def test_every_rule_call_gets_int64_arrays_of_one_shape(monkeypatch):
     vote = ss.ca_on_zd(2, [(-1,), (0,), (1,)], majority)
     vote = _recording(vote[0], calls), vote[1]
     paths = {
-        "evaluate": lambda: ss.evaluate(cex[0], cx.random_initial(2, random.Random(1)), [0], 6),
+        "evaluate": lambda: kn.evaluate(cex[0], cx.random_initial(2, random.Random(1)), [0], 6),
         "enumerated panorama": lambda: ss.panorama(*vote, [(0,)], 3),
         "linear panorama": lambda: ss.panorama(*cex, [0], 3),
         "envelope": lambda: ss.equicontinuity_envelope(odometer[0], [0, 1], 6, 8),
         "factor chain": lambda: ss.odometer_factor_chain(*odometer, [[0], [0, 1]], 6),
         "image": lambda: ms.image_configuration(
-            shift[0], ss.Configuration({v: v % 2 for v in range(-2, 4)}), [-1, 0, 1, 2]),
+            shift[0], kn.Configuration({v: v % 2 for v in range(-2, 4)}), [-1, 0, 1, 2]),
         "lipschitz": lambda: ms.lipschitz_report(
             shift[0], ms.single_estuary_metric(shift[0].graph, 0, 2.0), shift[1], 10, r_cap=3),
         "subsymmetry": lambda: ss.subsymmetry_check(shift[0], ng.shift_tau(1), [0, 1, 2],
@@ -1028,7 +1029,7 @@ def _key_chunks(space, cells, tables, chunk):
         if inner * len(space.allowed(v)) > chunk:
             break
         inner *= len(space.allowed(v))
-    rows = np.stack([arr[ss._radix_index(cells, space, ss._strides(dom, space))]
+    rows = np.stack([arr[kn.radix_index(cells, space, ss._strides(dom, space))]
                      for dom, arr in tables], axis=1)
     keys = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
     chunks = np.arange(len(rows)) // inner
@@ -1063,7 +1064,7 @@ def test_groupings_match_oracle(monkeypatch):
     @example((*_OUTER_CASE[:4], {0, 1, 4}), 32)
     def check(case, chunk):
         sys_, space, window, horizon, target = case
-        cells = ss.light_cone(sys_, window, horizon).union
+        cells = kn.light_cone(sys_, window, horizon).union
         tracked = [v for v in cells if v in target]
         tables = ss._composed_tables(sys_, space, window, horizon)
         expected = determined_oracle(sys_, space, window, horizon, tracked)
@@ -1081,7 +1082,7 @@ def test_groupings_match_oracle(monkeypatch):
         if (last > first).any():
             seen.add("key met again in a later chunk")
         if set(tracked) - expected:
-            chunks = "one chunk" if ss._pattern_count(space, cells) <= chunk else "chunks"
+            chunks = "one chunk" if kn.pattern_count(space, cells) <= chunk else "chunks"
             seen.add(f"undetermined cell, {chunks}")
 
     check()
@@ -1110,7 +1111,7 @@ def test_count_grouping_one_key_array_per_worker(monkeypatch, threads):
     """A count walk over many chunks allocates one key-space array per
     worker, not one per chunk, and decides the oracle's cells."""
     sys_, space = ss.full_shift(3)
-    cone = ss.light_cone(sys_, [0], 4)
+    cone = kn.light_cone(sys_, [0], 4)
     cells = cone.order[::-1]
     tables = ss._composed_tables(sys_, space, cone.window, 4)
     recorder = _FullRecorder()
@@ -1126,7 +1127,7 @@ def test_count_grouping_one_key_array_per_worker(monkeypatch, threads):
 def test_bit_fields_fit_one_word():
     """Tracked digits pack into one int64: 63 bits of fields fit, more are
     refused rather than wrapped."""
-    space = ss.PatternSpace(lambda v: (0, 1) if v == 0 else (0, 1, 2))
+    space = kn.PatternSpace(lambda v: (0, 1) if v == 0 else (0, 1, 2))
     fields = ss._bit_fields(space, range(32))
     assert fields[0] == (0, 1) and fields[1] == (1, 3 << 1) and fields[31] == (61, 3 << 61)
     with pytest.raises(ValueError, match="need 65 bits"):
@@ -1135,7 +1136,7 @@ def test_bit_fields_fit_one_word():
 
 def _picks(sys_, space, window, horizon, target=None):
     """The grouping enumeration picks at each horizon of the window's cone."""
-    cone = ss.light_cone(sys_, window, horizon)
+    cone = kn.light_cone(sys_, window, horizon)
     return [engine for _, engine in ss._determined_layers(sys_, space, cone, target)]
 
 
@@ -1162,7 +1163,7 @@ def test_grouping_picked_by_patterns_and_keys(monkeypatch, cex):
         (ss.full_shift(6), [0, 2], 4, ["sort"] * 5),  # t = 4: 6^7 patterns, 6^10 keys
     ):
         assert _picks(sys_, space, window, horizon) == expected
-        cells = ss.light_cone(sys_, window, horizon).union
+        cells = kn.light_cone(sys_, window, horizon).union
         for target in ({cells[0]}, {cells[-1]}, set(cells)):
             assert _picks(sys_, space, window, horizon, target) == expected
     # six symbols and the majority vote are not linear, so panoramas enumerate
@@ -1178,12 +1179,12 @@ def test_repeated_window_cells_count_once(binary_odometer):
     once, twice = ss.panorama(sys_, space, [0], 6), ss.panorama(sys_, space, [0, 0], 6)
     assert twice == once
     assert (twice.window, twice.engine) == ((0,), "count+sort")
-    assert ss.light_cone(sys_, [0, 0, 0], 3) == ss.light_cone(sys_, [0], 3)
+    assert kn.light_cone(sys_, [0, 0, 0], 3) == kn.light_cone(sys_, [0], 3)
     for window in ([0, 0], [0, 0, 0]):
         assert (ss.posexpansive_window_check(sys_, space, window, 3, range(4))
                 == ss.posexpansive_window_check(sys_, space, [0], 3, range(4)))
-    x = ss.Configuration({v: v % 6 for v in range(5)})
-    assert ss.evaluate(sys_, x, [0, 0, 1], 3) == ss.evaluate(sys_, x, [0, 1], 3)
+    x = kn.Configuration({v: v % 6 for v in range(5)})
+    assert kn.evaluate(sys_, x, [0, 0, 1], 3) == kn.evaluate(sys_, x, [0, 1], 3)
     assert (ss.odometer_factor_chain(*binary_odometer, [[0, 0], [1, 0, 1]], 8)
             == ss.odometer_factor_chain(*binary_odometer, [[0], [0, 1]], 8))
 
@@ -1205,7 +1206,7 @@ def test_panorama_and_window_check_match_oracle(monkeypatch, cex, threads):
         assert ss.panorama(sys_, space, window, horizon).layers == layers
         # enumeration too, where panorama runs the linear engine
         assert _enumerated(sys_, space, window, horizon)[0] == layers
-        for target in ({0}, set(layers[-1]), set(ss.light_cone(sys_, window, horizon).union)):
+        for target in ({0}, set(layers[-1]), set(kn.light_cone(sys_, window, horizon).union)):
             expected = _window_check_from_layers(layers, target)
             assert ss.posexpansive_window_check(sys_, space, window, horizon, target) == expected
             enumerated = _enumerated(sys_, space, window, horizon, target)[0]
@@ -1278,7 +1279,7 @@ def linear_systems(draw, variants=_LINEAR_VARIANTS, patterns=256, horizons=4):
     allowed = [_gf_span(rng.sample(range(k), rng.randint(0, 2)), p, m) for _ in range(n)]
     if variant == "non-subspace allowed set":
         allowed[window[0]] = [s for s in allowed[window[0]] if s] or [rng.randrange(1, k)]
-    space = ss.PatternSpace(lambda v: allowed[v])
+    space = kn.PatternSpace(lambda v: allowed[v])
     horizon = rng.randint(1, 2 if k == 6 else horizons)
     target = set(rng.sample(range(n), rng.randint(1, n)))
     return variant, sys_, space, window, horizon, target
@@ -1298,7 +1299,7 @@ def test_linear_engine_matches_oracles():
     @given(linear_systems())
     def check(case):
         variant, sys_, space, window, horizon, target = case
-        cone = ss.light_cone(sys_, window, horizon)
+        cone = kn.light_cone(sys_, window, horizon)
         layers = panorama_layers_oracle(sys_, space, window, horizon)
         result = ss.panorama(sys_, space, window, horizon)
         assert result.layers == layers
@@ -1333,7 +1334,7 @@ def test_linear_engine_matches_enumeration_on_larger_cones():
     @given(linear_systems(("linear",), patterns=2**16, horizons=6))
     def check(case):
         _, sys_, space, window, horizon, target = case
-        cone = ss.light_cone(sys_, window, horizon)
+        cone = kn.light_cone(sys_, window, horizon)
         for cells in (None, target):
             linear = [det for det, _ in ss._linear_layers(sys_, space, cone, cells)]
             assert linear == [det for det, _ in ss._determined_layers(sys_, space, cone, cells)]
@@ -1359,7 +1360,7 @@ def test_linear_layers_match_enumeration(cex, case):
         "xor": (*_XOR_Z2, [(0, 0)], 2),
         "shift": (*ss.full_shift(3), [0, 2], 3),
     }[case]
-    cone = ss.light_cone(sys_, window, horizon)
+    cone = kn.light_cone(sys_, window, horizon)
     for target in (None, set(cone.union[::2])):
         linear = [det for det, _ in ss._linear_layers(sys_, space, cone, target)]
         assert linear == [det for det, _ in ss._determined_layers(sys_, space, cone, target)]
@@ -1370,7 +1371,7 @@ def test_linear_layers_match_enumeration(cex, case):
     (ss.full_shift(6), [0], 2, "alphabet of 6 symbols is not a prime power"),
     (ss.odometer_system([2]), [0, 1, 2], 3, "nonlinear rule at vertex 2"),
     (ss.odometer_system([3, 2]), [13], 1, "rule at vertex 13 has 4782969 table entries, over 65536"),
-    ((ss.full_shift(2)[0], ss.PatternSpace(lambda v: [1] if v == 1 else [0, 1])), [0], 2,
+    ((ss.full_shift(2)[0], kn.PatternSpace(lambda v: [1] if v == 1 else [0, 1])), [0], 2,
      "allowed set at vertex 1 is not a subspace"),
     (ss.system_from_descriptor({
         "system": "ca_zd", "alphabet": 2,
@@ -1382,7 +1383,7 @@ def test_linear_engine_declines_with_its_reason(system, window, horizon, reason)
     """Each reason the linear engine declines for, which the panorama keeps
     as `declined`, and the enumeration that then decides the layers."""
     sys_, space = system
-    cone = ss.light_cone(sys_, window, horizon)
+    cone = kn.light_cone(sys_, window, horizon)
     assert ss._linear_layers(sys_, space, cone) == reason
     result = ss.panorama(sys_, space, window, horizon)
     assert result.declined == reason
@@ -1402,7 +1403,7 @@ def test_linear_engine_checks_only_the_rules_a_cone_applies():
                   {"vertex": 2, "inputs": [2], "table": [0, 1]}],
     })
     assert ss.panorama(sys_, space, [0], 1).engine == "linear"
-    cone = ss.light_cone(sys_, [0], 2)
+    cone = kn.light_cone(sys_, [0], 2)
     assert ss._linear_layers(sys_, space, cone) == "nonlinear rule at vertex 1"
     assert ss.panorama(sys_, space, [0], 2).layers == panorama_layers_oracle(sys_, space, [0], 2)
 
@@ -1416,7 +1417,7 @@ def test_counterexample_certificate_at_six_steps(cex):
     assert result.pattern_count == 2**28
     assert result.layers == tuple(tuple(range(t + 1)) for t in range(7))
     # the counting floor: 10 bits of patterns on layer 6, 14 bits observed
-    assert ss._pattern_count(spx, result.layers[6]) == 2**10
+    assert kn.pattern_count(spx, result.layers[6]) == 2**10
     assert ss.posexpansive_window_check(sysx, spx, [0], 6, range(7), max_patterns=2**28) == {
         "covered": True, "first_t": 6, "missing": ()}
     # panorama runs the linear engine here; enumeration must agree on the full cone
@@ -1446,13 +1447,13 @@ def test_panorama_against_pairwise_bruteforce(cex):
     comparing all pattern pairs directly on a small instance."""
     sysx, spx = cex
     horizon = 2
-    cone = ss.light_cone(sysx, [0], horizon)
+    cone = kn.light_cone(sysx, [0], horizon)
     cells = cone.union
     patterns = list(itertools.product(*[spx.allowed(v) for v in cells]))
     trajs = []
     for pat in patterns:
-        x = ss.Configuration(dict(zip(cells, pat)))
-        traj = ss.evaluate(sysx, x, [0], horizon)
+        x = kn.Configuration(dict(zip(cells, pat)))
+        traj = kn.evaluate(sysx, x, [0], horizon)
         trajs.append(tuple(step[0] for step in traj))
     determined = set(cells)
     for i, pi in enumerate(patterns):
@@ -1468,8 +1469,21 @@ def test_panorama_against_pairwise_bruteforce(cex):
 
 def test_panorama_cap():
     fs, fsp = ss.full_shift(2)
-    with pytest.raises(ss.EnumerationCapError):
+    with pytest.raises(kn.EnumerationCapError):
         ss.panorama(fs, fsp, [0], 40, max_patterns=2**20)
+
+
+@pytest.mark.parametrize("allowed", [(0, 1, 0), (1, 1)])
+def test_allowed_tuple_that_repeats_a_symbol_is_refused(allowed):
+    """The engines compare places in an allowed tuple, not symbols, so over
+    (0, 1, 0) they would determine no cell of the full shift's cone (27
+    patterns for the right 8): such a tuple is refused, naming its vertex."""
+    sys_, _ = ss.full_shift(3)
+    space = kn.PatternSpace(lambda v: allowed)
+    with pytest.raises(ValueError, match="allowed set at vertex 0 repeats a symbol"):
+        ss.panorama(sys_, space, [0], 2)
+    with pytest.raises(ValueError, match="allowed set at vertex 0 repeats a symbol"):
+        ss.posexpansive_window_check(sys_, space, [0], 2, [1])
 
 
 def test_window_check_covers_target(cex):
@@ -1600,9 +1614,9 @@ def test_factor_chain_cap_bounds_only_its_own_patterns():
     chain = ss.odometer_factor_chain(sys_, space, [[0, 1, 2]], 12, max_patterns=20)
     assert chain[0]["trajectory_count"] == 12
     assert chain[0]["shift_is_permutation"]
-    with pytest.raises(ss.EnumerationCapError):
+    with pytest.raises(kn.EnumerationCapError):
         ss.odometer_factor_chain(sys_, space, [[0, 1, 2]], 12, max_patterns=11)
-    with pytest.raises(ss.EnumerationCapError) as exc:
+    with pytest.raises(kn.EnumerationCapError) as exc:
         ss.equicontinuity_envelope(sys_, [0, 1, 2], 12, 8, max_patterns=20)
     assert exc.value.required == 27
 
@@ -1615,8 +1629,8 @@ def test_factor_chain_simulates_each_window_once(monkeypatch, binary_odometer):
         calls.append(cone.window)
         return trajectory_rows(sys_, cone, rows)
 
-    trajectory_rows = ss._trajectory_rows
-    monkeypatch.setattr(ss, "_trajectory_rows", counted)
+    trajectory_rows = ss.trajectory_rows
+    monkeypatch.setattr(ss, "trajectory_rows", counted)
     ss.odometer_factor_chain(sys_, space, [[0], [0, 1], [0, 1, 2]], 8)
     assert calls == [(0,), (0, 1), (0, 1, 2)]
 
@@ -1645,17 +1659,17 @@ class _CountedReads(random.Random):
 
 def _uniforms(rng, n, m):
     """The next n * m values of `rng.random()`, as an (n, m) array, as
-    `PatternSpace.random_configuration` reads them: `_words`, then
-    `_word_uniforms`."""
-    return ss._word_uniforms(ss._words(rng, n * m)).reshape(n, m)
+    `PatternSpace.random_configuration` reads them: `words`, then
+    `word_uniforms`."""
+    return kn.word_uniforms(kn.words(rng, n * m)).reshape(n, m)
 
 
 def test_uniform_rows_match_per_call_random(monkeypatch):
-    """`_words` and `_word_uniforms` return the next values of `rng.random()`
-    and `_RowPlan` picks a[int(u * len(a))] from them, so rows equal one
+    """`words` and `word_uniforms` return the next values of `rng.random()`
+    and `RowPlan` picks a[int(u * len(a))] from them, so rows equal one
     `random()` per cell, and the generator ends where those calls leave it:
     also when a read is cut to a few words, with no rows and with empty rows.
-    `_uniform_blocks` gives m values of each of n generators, the same ones,
+    `uniform_blocks` gives m values of each of n generators, the same ones,
     in blocks of _DRAW_WORDS // 2 // m generators: also with m above
     _DRAW_WORDS // 2, where each generator takes several reads."""
     seen = set()
@@ -1664,12 +1678,12 @@ def test_uniform_rows_match_per_call_random(monkeypatch):
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**64), st.lists(ranks | sets, max_size=12), st.integers(0, 4),
-           st.sampled_from([1, 2, 6, 7, ss._DRAW_WORDS]))
+           st.sampled_from([1, 2, 6, 7, kn._DRAW_WORDS]))
     def check(seed, allowed, n, words):
-        monkeypatch.setattr(ss, "_DRAW_WORDS", words)
+        monkeypatch.setattr(kn, "_DRAW_WORDS", words)
         ref, rng = random.Random(seed), _CountedReads(seed)
         expected = [[a[int(ref.random() * len(a))] for a in allowed] for _ in range(n)]
-        rows = ss._RowPlan(allowed).rows(_uniforms(rng, n, len(allowed)))
+        rows = kn.RowPlan(allowed).rows(_uniforms(rng, n, len(allowed)))
         assert rows.shape == (n, len(allowed))
         assert rows.tolist() == expected
         assert rng.getstate() == ref.getstate()
@@ -1684,7 +1698,7 @@ def test_uniform_rows_match_per_call_random(monkeypatch):
                      else "other sets")
         for m in (len(allowed) or 1, words // 2 + 1 + len(allowed)):
             gens = [_CountedReads(seed + i) for i in range(n)]
-            blocks = list(ss._uniform_blocks(iter(gens), m))
+            blocks = list(kn.uniform_blocks(iter(gens), m))
             per = max(words // 2 // m, 1)
             assert [len(b) for b in blocks] == [min(per, n - lo) for lo in range(0, n, per)]
             refs = [random.Random(seed + i) for i in range(n)]
@@ -1713,24 +1727,23 @@ def test_rows_of_other_generators_and_empty_sets():
 
     allowed = [(0, 1), (0, 1, 2), (5,), (3, 9)]
     ref, rng = Subclass(3), Subclass(3)
-    rows = ss._RowPlan(allowed).rows(_uniforms(rng, 5, len(allowed)))
+    rows = kn.RowPlan(allowed).rows(_uniforms(rng, 5, len(allowed)))
     assert rows.tolist() == [[a[int(ref.random() * len(a))] for a in allowed]
                              for _ in range(5)]
     assert rng.getstate() == ref.getstate()
-    rows = ss._RowPlan(allowed).rows(_uniforms(random.SystemRandom(), 20, len(allowed)))
+    rows = kn.RowPlan(allowed).rows(_uniforms(random.SystemRandom(), 20, len(allowed)))
     assert all(s in a for row in rows.tolist() for s, a in zip(row, allowed))
     with pytest.raises(ValueError, match="empty allowed set"):
-        ss._RowPlan([(0, 1), ()])
+        kn.RowPlan([(0, 1), ()])
 
 
 def test_random_configuration_tables_each_allowed_tuple_once():
-    """Cells that share an allowed tuple, or whose tuple repeats a symbol,
-    draw what one `rng.random()` per cell draws, from a table that keeps
-    each distinct tuple once."""
-    sets = [(1, 0, 1), (2, 0), (0, 1, 2), (1,), (1, 0, 1), (2, 2, 0, 2)]
-    space = ss.PatternSpace(lambda v: sets[v % len(sets)])
+    """Cells that share an allowed tuple draw what one `rng.random()` per
+    cell draws, from a table that keeps each distinct tuple once."""
+    sets = [(1, 0, 2), (2, 0), (0, 1, 2), (1,), (1, 0, 2), (2, 3, 0, 1)]
+    space = kn.PatternSpace(lambda v: sets[v % len(sets)])
     domain = range(37)
-    plan = ss._RowPlan([space.allowed(v) for v in domain])
+    plan = kn.RowPlan([space.allowed(v) for v in domain])
     assert plan.sets == sets[:4] + sets[5:]
     assert len(plan.symbols) == sum(map(len, plan.sets))
     for seed in range(20):
@@ -1752,20 +1765,20 @@ def test_row_plan_hashes_a_shared_allowed_tuple_once():
             return tuple.__hash__(self)
 
     shared = Counted(range(5))
-    plan = ss._RowPlan([shared] * 1000)
+    plan = kn.RowPlan([shared] * 1000)
     assert Counted.hashes == 1
     assert plan.sets == [shared] and plan.base.tolist() == [0] * 1000
-    plan = ss._RowPlan([shared] * 999 + [Counted(range(5))])
+    plan = kn.RowPlan([shared] * 999 + [Counted(range(5))])
     assert Counted.hashes == 3
     assert plan.sets == [shared] and plan.size.tolist() == [5] * 1000
 
 
 def test_other_places_pick_among_the_other_symbols():
-    """`_RowPlan.other_places` gives entry int(u * n) of the n entries of a
+    """`RowPlan.other_places` gives entry int(u * n) of the n entries of a
     cell's allowed tuple that differ from the symbol at `own`, in tuple
     order, and flags the cells where there is none."""
-    sets = [(1, 0, 1), (2, 2, 0, 2), (3,), (0, 1, 2), (4, 4)]
-    plan = ss._RowPlan(sets)
+    sets = [(1, 0, 2), (2, 3, 0), (3,), (0, 1, 2), (4, 1)]
+    plan = kn.RowPlan(sets)
     cols, own, u = [], [], []
     for c, a in enumerate(sets):
         for i in range(len(a)):
@@ -1784,15 +1797,15 @@ def test_other_places_pick_among_the_other_symbols():
 def test_random_configuration_of_no_cells_reads_nothing():
     rng = _CountedReads(5)
     state = rng.getstate()
-    space = ss.PatternSpace.full(ss.Alphabet(3))
-    assert space.random_configuration([], rng) == ss.Configuration({})
+    space = kn.PatternSpace.full(kn.Alphabet(3))
+    assert space.random_configuration([], rng) == kn.Configuration({})
     assert rng.reads == [] and rng.getstate() == state
 
 
 def test_random_configuration_memory_stays_flat_in_the_alphabet():
     """Cells share one table of their allowed tuple: 50 cells of 2^16
     symbols peak far below the 50 x 2^16 entries of a table per cell."""
-    space = ss.PatternSpace.full(ss.Alphabet(2**16))
+    space = kn.PatternSpace.full(kn.Alphabet(2**16))
     ref = random.Random(4)
     tracemalloc.start()
     try:
@@ -1896,9 +1909,9 @@ def test_subsymmetry_flags_a_vertex_broken_on_one_pattern():
 
     def rule_at(v):
         rule = xor.rule(v)
-        return ss.LocalRule.from_table(rule.inputs, [0, 1, 1, 1], 2) if v == (3,) else rule
+        return kn.LocalRule.from_table(rule.inputs, [0, 1, 1, 1], 2) if v == (3,) else rule
 
-    sys_ = ss.SymbolicSystem(xor.alphabet, xor.graph, rule_at)
+    sys_ = kn.SymbolicSystem(xor.alphabet, xor.graph, rule_at)
     rep = ss.subsymmetry_check(sys_, ng.shift_tau((1,)), [(v,) for v in range(6)], space)
     assert rep["passed"] is False
     assert rep["commute_violations"] == [
@@ -1909,7 +1922,7 @@ def test_subsymmetry_flags_a_vertex_broken_on_one_pattern():
 
 def test_subsymmetry_leaves_wide_vertices_unchecked(binary_odometer):
     """Binary odometer cell n reads cells 0..n, so U_15 has 17 cells and
-    2^17 patterns, past _TABLE_MAX: vertex 15 is unchecked, and that alone
+    2^17 patterns, past TABLE_MAX: vertex 15 is unchecked, and that alone
     fails the check.  Vertices 0..14 all break commutation, each first at the pattern
     with cells 1..v set and cells 0 and v + 1 clear (the carry into v + 1
     that x o tau makes without x)."""
@@ -2019,7 +2032,7 @@ def test_system_descriptor_roundtrip():
         ],
     }
     sys_, space = ss.system_from_descriptor(desc)
-    traj = ss.evaluate(sys_, ss.Configuration({0: 0, 1: 0}), [0, 1], 2)
+    traj = kn.evaluate(sys_, kn.Configuration({0: 0, 1: 0}), [0, 1], 2)
     assert traj == [{0: 0, 1: 0}, {0: 1, 1: 0}, {0: 1, 1: 1}]
 
 
@@ -2055,7 +2068,7 @@ def test_explicit_system_has_no_rule_off_its_graph():
     with pytest.raises(KeyError, match="^'no rule for vertex 2'$"):
         sys_.rule(2)
     with pytest.raises(KeyError, match="^'no rule for vertex 2'$"):
-        ms.image_configuration(sys_, ss.Configuration({0: 0, 1: 1}), [0, 2])
+        ms.image_configuration(sys_, kn.Configuration({0: 0, 1: 1}), [0, 2])
     with pytest.raises(ng.UniverseExhaustionError, match="vertex 2 not in explicit universe"):
         ss.subsymmetry_check(sys_, lambda v: v + 1, [0, 1], space)
 
@@ -2071,9 +2084,9 @@ def test_equal_tables_share_one_rule_function():
                   {"vertex": 2, "inputs": [2], "table": [0, 1]}]})
     assert sys_.rule(0).fn is sys_.rule(1).fn
     assert sys_.rule(2).fn is not sys_.rule(0).fn
-    xor = ss.LocalRule.from_table([0, 1], [0, 1, 1, 0], 2)
-    assert xor.fn is not ss.LocalRule.from_table([0], [0, 1, 1, 0], 4).fn
-    assert len(ss._StepPlan(sys_, ss._columns(range(3)), range(3)).groups) == 2
+    xor = kn.LocalRule.from_table([0, 1], [0, 1, 1, 0], 2)
+    assert xor.fn is not kn.LocalRule.from_table([0], [0, 1, 1, 0], 4).fn
+    assert len(kn.StepPlan(sys_, kn.columns(range(3)), range(3)).groups) == 2
 
 
 def test_image_at_matches_image_on_many_rule_groups():
@@ -2094,14 +2107,14 @@ def test_image_at_matches_image_on_many_rule_groups():
     assert any(len(set(r["inputs"])) < len(r["inputs"]) for r in rules)
     graph = {"edges": [list(e) for e in sorted(edges)]}
     sys_, _ = ss.system_from_descriptor({"alphabet": k, "graph": graph, "rules": rules})
-    plan = ss._StepPlan(sys_, ss._columns(range(n)), range(n))
+    plan = kn.StepPlan(sys_, kn.columns(range(n)), range(n))
     assert 20 < len(plan.groups) < n
     rows = np.array([[rnd.randrange(k) for _ in range(n)] for _ in range(9)], dtype=np.uint8)
     image = plan.image(np.ascontiguousarray(rows.T), n).T  # `image` steps columns
     which = np.array([rnd.randrange(len(rows)) for _ in range(500)])
     at = np.array([rnd.randrange(n) for _ in range(500)])
-    for block in (1, 5, ss._BLOCK):
-        with mock.patch.object(ss, "_BLOCK", block):
+    for block in (1, 5, kn._BLOCK):
+        with mock.patch.object(kn, "_BLOCK", block):
             assert plan.image_at(rows, which, at).tolist() == image[which, at].tolist()
     assert plan.image_at(rows, which[:0], at[:0]).tolist() == []
 
@@ -2124,8 +2137,8 @@ def test_descriptor_with_grid_vertices():
             {"vertex": [0, 1], "inputs": [[0, 0]], "table": [0, 1]},
         ],
     })
-    x = ss.Configuration({(0, 0): 0, (0, 1): 0})
-    assert ss.evaluate(sys_, x, [(0, 0)], 2) == [{(0, 0): 0}, {(0, 0): 1}, {(0, 0): 1}]
+    x = kn.Configuration({(0, 0): 0, (0, 1): 0})
+    assert kn.evaluate(sys_, x, [(0, 0)], 2) == [{(0, 0): 0}, {(0, 0): 1}, {(0, 0): 1}]
 
 
 def test_named_descriptors():
@@ -2183,7 +2196,7 @@ def test_descriptor_rejects_out_of_range_entry():
 )
 def test_from_table_rejects_bad_tables(table, message):
     with pytest.raises(ValueError, match=message):
-        ss.LocalRule.from_table([7], table, 2)
+        kn.LocalRule.from_table([7], table, 2)
 
 
 def test_ca_table_checked_at_construction():
@@ -2199,9 +2212,9 @@ def test_ca_step_reads_inputs_in_offset_order():
     table = [0] * 16
     table[0b1011] = table[0b0111] = 1
     ca, _ = ss.ca_on_zd(2, [(1,), (0,), (1,), (-1,)], table)
-    x = ss.Configuration({(-1,): 1, (0,): 0, (1,): 1, (2,): 1})
+    x = kn.Configuration({(-1,): 1, (0,): 0, (1,): 1, (2,): 1})
     # v = 0 reads (1, 0, 1, 1) = 11 -> 1; v = 1 reads (1, 1, 1, 0) = 14 -> 0
-    assert ss.evaluate(ca, x, [(0,), (1,)], 1) == [{(0,): 0, (1,): 1}, {(0,): 1, (1,): 0}]
+    assert kn.evaluate(ca, x, [(0,), (1,)], 1) == [{(0,): 0, (1,): 1}, {(0,): 1, (1,): 0}]
 
 
 @pytest.mark.parametrize("value", ["0", "abc", "-1", ""])
