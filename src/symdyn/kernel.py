@@ -369,13 +369,17 @@ def light_cone(sys: SymbolicSystem, window: Iterable[Vertex], horizon: int) -> L
     Every rule reads exactly its vertex's in-neighbors, so this is the
     in-ball B(window, horizon), read from the graph's cached shells.  The
     rules of the cells within horizon - 1 are fetched, which checks that.
-    A cell listed twice in the window is one cell of it.
+    A cell listed twice in the window is one cell of it; a cell that fails
+    the graph's membership test is refused, as `netgraph.graph_vertex` does.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     w = sort_vertices(set(window))
     if not w:
         raise ValueError("window must be nonempty")
+    for v in w:
+        if sys.graph.contains is not None and not sys.graph.contains(v):
+            raise ValueError(f"vertex {v!r} is not a vertex of this graph")
     shells = sys.graph.shells(frozenset(w), horizon)[: horizon + 1]
     order = tuple(v for shell in shells for v in sort_vertices(shell))
     sizes = tuple(sys.graph.ball_sizes(w, horizon))

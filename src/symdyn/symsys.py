@@ -6,21 +6,22 @@ evaluates on finite windows only: panoramas / window certificates exactly
 over the pattern space restricted to the cone, by elimination when the cone
 is linear and by exhaustive enumeration otherwise.
 
-Panoramas and window checks first try the *linear* engine: when the k =
-p^m symbols, read as base-p digit vectors, make every rule the cone applies
+Panoramas and window checks first try the *linear* engine: when the k = p^m
+symbols, read as base-p digit vectors, make every rule the cone applies
 GF(p)-affine and every allowed set a subspace, a cell is determined exactly
 when its coordinate functionals lie in the span of the observation
-functionals, which one incremental Gaussian elimination decides.  The
-pattern cap still applies first.  Where it declines, one enumeration engine
-runs (panoramas and window checks only).  It composes each window cell's
-value at each time step into a lookup table over the cells it reads, then
-groups the cone's patterns by observed trajectory in one of two ways,
-chosen by what each allocates: *count* packs each pattern's trajectory into
-an integer key and walks the patterns in vectorized chunks, keeping one
-representative per key, and is used when the patterns overflow one chunk
-and the keys do not outnumber them; *sort* otherwise builds the observation
-matrix (one row per pattern) and ranks its rows.  Both then compare every
-pattern's tracked digits with those of a representative of its trajectory.
+functionals, pulled back through the rules' linear coefficients, and one
+incremental elimination decides it.  The pattern cap still applies first.
+Where it declines, one enumeration engine runs (panoramas and window checks
+only).  It composes each window cell's value at each time step into a
+lookup table over the cells it reads, then groups the cone's patterns by
+observed trajectory in one of two ways, chosen by what each allocates:
+*count* packs each pattern's trajectory into an integer key and walks the
+patterns in vectorized chunks, keeping one representative per key, and is
+used when the patterns overflow one chunk and the keys do not outnumber
+them; *sort* otherwise builds the observation matrix (one row per pattern)
+and ranks its rows.  Both then compare every pattern's tracked digits with
+those of a representative of its trajectory.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import numpy as np
 
 # evaluate and propagation are unused here: perfbench reads and traces them as symsys's
 from .kernel import (TABLE_MAX, Alphabet, EnumerationCapError, LocalRule, PatternSpace,
-                     SymbolicSystem, check_values, columns, evaluate, image_rows, light_cone,
-                     pattern_count, patterns, propagation, radix_index, trajectory_rows)
+                     StepPlan, SymbolicSystem, check_values, columns, evaluate, image_rows,
+                     light_cone, pattern_count, patterns, propagation, radix_index,
+                     trajectory_rows)
 from .netgraph import (Digraph, Subisometry, SymdynError, UniverseExhaustionError, Vertex,
                        graph_from_descriptor, offset_lattice, read_fields, read_form,
                        sort_vertices, unit_shift_graph, unit_shift_graph_z)
@@ -422,38 +424,33 @@ def _linear_layers(sys, space, cone, target=None):
     are affine in the coordinates of the pattern over a basis of the
     allowed subspaces, and a cell is determined exactly when each of its
     coordinate functionals lies in the span of the observation functionals.
-    The zero pattern and each basis vector are simulated once over the full
-    cone (cells beyond the cone of horizon t do not move observations
-    through t), and one incremental elimination in reduced echelon form
-    serves every horizon.
+    Each rule (fn, arity) that `StepPlan` groups cells by gives one block of
+    linear coefficients, and each distinct allowed tuple one basis.
     """
     k = sys.alphabet.size
     p = next(d for d in range(2, k + 1) if k % d == 0)
-    m = 1
-    while p**m < k:
-        m += 1
+    m = next(m for m in range(1, k) if p**m >= k)
     if p**m != k:
         return f"alphabet of {k} symbols is not a prime power"
-    seen = set()
-    for v in cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0]:
-        rule = sys.rule(v)
-        fn, arity = rule.fn, len(rule.inputs)
-        if (fn, arity) in seen:
-            continue
-        seen.add((fn, arity))
+    # groups come in order of their first cell, so the first failing cell is named
+    plan = StepPlan(sys, columns(cone.order),
+                    cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0])
+    blocks = []
+    for fn, js, cols in plan.groups:
+        v = cone.order[js[0]]
         try:
-            grid, values = _rule_table(fn, arity, k)
+            grid, values = _rule_table(fn, cols.shape[1], k)
         except EnumerationCapError as e:
             return f"rule at vertex {v!r} has {e.required} table entries, over {e.cap}"
-        if not _is_affine(grid, values, k, p, m, v):
+        blocks.append(_is_affine(grid, values, k, p, m, v))
+        if blocks[-1] is None:
             return f"nonlinear rule at vertex {v!r}"
-    basis = []  # (cell, symbol) of each basis vector of the pattern space
+    basis, bases = cache(lambda allowed: _subspace_basis(allowed, p, m)), {}
     for v in cone.union:
-        cell_basis = _subspace_basis(space.allowed(v), p, m)
-        if cell_basis is None:
+        bases[v] = basis(space.allowed(v))  # computed once per distinct allowed tuple
+        if bases[v] is None:
             return f"allowed set at vertex {v!r} is not a subspace"
-        basis += [(v, s) for s in cell_basis]
-    return _eliminated_layers(sys, cone, basis, p, m, target)
+    return _eliminated_layers(plan, blocks, cone, [bases[v] for v in cone.order], p, m, target)
 
 
 def _digits(symbols, p: int, m: int) -> np.ndarray:
@@ -461,10 +458,11 @@ def _digits(symbols, p: int, m: int) -> np.ndarray:
     return np.asarray(symbols, dtype=np.int64)[..., None] // p ** np.arange(m) % p
 
 
-def _is_affine(grid, values, k, p, m, vertex) -> bool:
-    """Is f(x) - f(0) the sum of its one-input restrictions, each linear in
-    its input's digits?  Reads f's full table (`_rule_table`); every value
-    must be a symbol, else ValueError names `vertex`."""
+def _is_affine(grid, values, k, p, m, vertex):
+    """f's linear block (row i * m + j: the output digits at unit digit j of
+    input i) if f(x) - f(0) is the sum of its one-input restrictions, each
+    linear in its input's digits, else None.  Reads f's full table
+    (`_rule_table`); every value must be a symbol, else ValueError names `vertex`."""
     arity, total = grid.shape
     check_values(values, k, lambda at: vertex)
     out = _digits(values, p, m)
@@ -472,59 +470,68 @@ def _is_affine(grid, values, k, p, m, vertex) -> bool:
     units = [p**j * k ** (arity - 1 - i) for i in range(arity) for j in range(m)]
     linear = (out[units] - out[0]) % p
     inputs = _digits(grid.T, p, m).reshape(total, arity * m)
-    return np.array_equal(inputs @ linear % p, (out - out[0]) % p)
+    return linear if np.array_equal(inputs @ linear % p, (out - out[0]) % p) else None
 
 
 def _subspace_basis(symbols, p, m):
     """A basis of the symbols as a GF(p) subspace, None if they are not one."""
-    allowed, basis = set(symbols), []
-    span = np.zeros(1, dtype=np.int64)
-    for s in sorted(allowed):
-        if s not in span:
+    basis, span, spanned = [], np.zeros(1, dtype=np.int64), {0}
+    for s in sorted(symbols):
+        if s not in spanned:
             basis.append(s)
             steps = np.arange(p)[:, None] * _digits(s, p, m)
             span = ((_digits(span, p, m)[:, None] + steps) % p @ p ** np.arange(m)).ravel()
-            if not allowed.issuperset(span.tolist()):
-                return None
-    return basis
+            spanned = set(span.tolist())
+    return basis if spanned == set(symbols) else None  # the span holds them all
 
 
-def _eliminated_layers(sys, cone, basis, p, m, target):
+def _eliminated_layers(plan, blocks, cone, bases, p, m, target):
     """Per horizon, the determined cells (of `target`, default all) of the
-    horizon's cone and "linear".  `pivots` keeps the rows, int64 arrays mod
-    p, in reduced echelon form."""
-    k = sys.alphabet.size
-    rows = np.zeros((len(basis) + 1, len(cone.union)), dtype=np.min_scalar_type(k - 1))
-    position = columns(cone.union)
-    coords: dict = {v: [] for v in cone.union}
-    for j, (v, s) in enumerate(basis):
-        rows[j + 1, position[v]] = s
-        coords[v].append(j)
-    traj = _digits(trajectory_rows(sys, cone, rows), p, m)
-    # functionals[t]: the observed digits at time t, each over the basis
-    functionals = ((traj[1:] - traj[0]) % p).transpose(1, 2, 3, 0).reshape(
-        cone.horizon + 1, traj.shape[2] * m, len(basis))
-    pivots: dict = {}
+    horizon's cone and "linear".  Coordinate i * m + d is digit d of cell
+    `cone.order[i]`; up to a constant, each observed digit at time t is its
+    unit functional r_0 pulled back t steps, r_t = r_(t-1) A, along A's edges
+    from each output digit of a `plan` cell to its inputs' digits (a repeated
+    input adds both coefficients).  Read on the `bases`, the functionals join
+    one reduced echelon matrix: a cell is determined when each of its basis
+    coordinates is a pivot whose row has no other nonzero."""
+    n, w = len(cone.order), len(cone.window) * m
+    edges = [np.zeros((3, 0), dtype=np.intp)]  # rows: source, destination, coefficient
+    for (_, js, cols), block in zip(plan.groups, blocks):
+        at, d = block.nonzero()  # a nonzero coefficient: input digit `at` -> output digit d
+        edges.append(np.array([(js[:, None] * m + d).ravel(),
+                               (cols[:, at // m] * m + at % m).ravel(),
+                               np.tile(block[at, d], len(js))]))
+    src, dst, coef = np.concatenate(edges, axis=1)
+    flat = (np.arange(w)[:, None] * (n * m) + dst).ravel()
+    # basis coordinate q: basis vector `vectors[q]` of the cell at position cell_of[q]
+    cell_of = np.repeat(np.arange(n), [len(b) for b in bases])
+    vectors = _digits([s for b in bases for s in b], p, m).reshape(len(cell_of), m)
 
-    def add(row):
-        for c, pivot_row in pivots.items():
-            row = (row - row[c] * pivot_row) % p
-        if row.any():
-            c = int(np.flatnonzero(row)[0])
-            row = row * pow(int(row[c]), -1, p) % p
-            for c2, pivot_row in pivots.items():
-                pivots[c2] = (pivot_row - pivot_row[c] * row) % p
-            pivots[c] = row
-
-    def pinned(j):
-        return j in pivots and np.count_nonzero(pivots[j]) == 1
-
+    rows = np.eye(w, n * m, dtype=np.int64)  # the window leads cone.order
+    echelon = np.zeros((w * (cone.horizon + 1), len(cell_of)), dtype=np.int64)
+    pivots, r = np.zeros(len(echelon), dtype=np.intp), 0
     det: frozenset = frozenset()
     for t, size in enumerate(cone.sizes):
-        for row in functionals[t]:
-            add(row)
-        cells = cone.order[:size] if target is None else target.intersection(cone.order[:size])
-        det |= {v for v in cells if v not in det and all(map(pinned, coords[v]))}
+        if t:  # float64 sums, exact: each is below p^2 times the edges into a coordinate
+            rows = np.bincount(flat, (rows[:, src] * coef).ravel(), w * n * m)
+            rows = rows.reshape(w, n * m).astype(np.int64) % p
+        width = np.searchsorted(cell_of, size)  # the functionals through t are zero past it
+        functionals = rows.reshape(w, n, m)[:, cell_of[:width]] * vectors[:width]
+        for row in functionals.sum(axis=2) % p:
+            done = echelon[:r, :width]
+            row = (row - row[pivots[:r]] @ done) % p
+            nonzero = row.nonzero()[0]
+            if len(nonzero):  # a new pivot: scale its row to 1 there, and clear its column
+                c = nonzero[0]
+                row = row * pow(int(row[c]), -1, p) % p
+                done -= done[:, c, None] * row
+                done %= p
+                echelon[r, :width], pivots[r], r = row, c, r + 1
+        units = pivots[:r][(echelon[:r, :width] != 0).sum(axis=1) == 1]
+        open_coords = np.bincount(cell_of[:width], minlength=size) - np.bincount(
+            cell_of[units], minlength=size)
+        cells = {cone.order[i] for i in (open_coords == 0).nonzero()[0]}
+        det |= cells if target is None else cells & target
         yield det, "linear"
 
 

@@ -271,6 +271,62 @@ def determined_oracle(sys_, space, window, horizon, tracked):
     return set(tracked)
 
 
+def forward_linear_layers_oracle(sys_, space, cone, target=None):
+    """Per horizon, the determined cells (of `target`, default all) of a
+    GF(p)-linear cone, by forward simulation: the zero pattern and one
+    pattern per basis vector of the allowed subspaces run through the whole
+    cone (`kernel.trajectory_rows`), and their differences give each
+    observed digit as a functional over the basis.  A cell is determined
+    once each of its coordinates is a pivot of the functionals' reduced
+    echelon form whose row has no other nonzero; rows join one at a time.
+    The caller checks that the cone is linear."""
+    k = sys_.alphabet.size
+    p = min(d for d in range(2, k + 1) if k % d == 0)
+    m = round(math.log(k, p))
+
+    def digits(s):
+        return [s // p**j % p for j in range(m)]
+
+    def symbol(ds):
+        return sum(d % p * p**j for j, d in enumerate(ds))
+
+    basis = []  # (cell, symbol) of each basis vector, greedily from the smallest symbols
+    for v in cone.union:
+        span = {0}
+        for s in sorted(space.allowed(v)):
+            if s not in span:
+                basis.append((v, s))
+                span = {symbol([a + c * b for a, b in zip(digits(x), digits(s))])
+                        for x in span for c in range(p)}
+    rows = np.zeros((len(basis) + 1, len(cone.union)), dtype=np.int64)
+    position = {v: i for i, v in enumerate(cone.union)}
+    coords: dict = {v: [] for v in cone.union}
+    for j, (v, s) in enumerate(basis):
+        rows[j + 1, position[v]] = s
+        coords[v].append(j)
+    traj = kn.trajectory_rows(sys_, cone, rows).astype(np.int64)[..., None] // p ** np.arange(m) % p
+    functionals = ((traj[1:] - traj[0]) % p).transpose(1, 2, 3, 0).reshape(
+        cone.horizon + 1, len(cone.window) * m, len(basis))
+    pivots: dict = {}  # pivot column -> its row
+    det: set = set()
+    layers = []
+    for t, size in enumerate(cone.sizes):
+        for row in functionals[t]:
+            for c, pivot_row in pivots.items():
+                row = (row - row[c] * pivot_row) % p
+            if row.any():
+                c = int(np.flatnonzero(row)[0])
+                row = row * pow(int(row[c]), -1, p) % p
+                for c2, pivot_row in pivots.items():
+                    pivots[c2] = (pivot_row - pivot_row[c] * row) % p
+                pivots[c] = row
+        cells = set(cone.order[:size]) if target is None else target & set(cone.order[:size])
+        det |= {v for v in cells if all(
+            j in pivots and np.count_nonzero(pivots[j]) == 1 for j in coords[v])}
+        layers.append(frozenset(det))
+    return layers
+
+
 def panorama_layers_oracle(sys_, space, window, horizon):
     """Panorama layers by the reference dict engine."""
     cum: set = set()

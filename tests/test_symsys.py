@@ -35,6 +35,7 @@ from conftest import (
     determined_oracle,
     envelope_oracle,
     evaluate_oracle,
+    forward_linear_layers_oracle,
     fresh_ball,
     image_configuration_oracle,
     panorama_layers_oracle,
@@ -272,6 +273,34 @@ def test_empty_window_rejected(full_shift_n):
         kn.light_cone(sys_, [], 3)
     with pytest.raises(ValueError, match="window must be nonempty"):
         ss.equicontinuity_envelope(sys_, [], 4, 4)
+
+
+_LINE = ss.ca_on_zd(2, [(-1,), (1,)], [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("call,vertex", [
+    (lambda: ss.panorama(cx.cex_rules(), cx.cex_space(), [-1], 3), -1),
+    (lambda: ss.panorama(cx.cex_rules(), cx.cex_space(), [0, -1], 3), -1),
+    (lambda: ss.posexpansive_window_check(cx.cex_rules(), cx.cex_space(), [-1], 3, [0]), -1),
+    (lambda: kn.propagation(cx.cex_rules(), -3, 4), -3),
+    (lambda: kn.evaluate(cx.cex_rules(), kn.Configuration(dict.fromkeys(range(-9, 9), 0)),
+                         [-1], 2), -1),
+    # lattice cells are tuples, and a bare int is not converted to one
+    (lambda: ss.panorama(*_LINE, [0], 2), 0),
+    (lambda: ss.posexpansive_window_check(*_LINE, [(0,), 1], 2, [(0,)]), 1),
+    (lambda: kn.propagation(_LINE[0], 0, 2), 0),
+    (lambda: kn.evaluate(_LINE[0], kn.Configuration({}), [0], 1), 0),
+], ids=["panorama", "panorama-two-cells", "window-check", "propagation", "evaluate",
+        "lattice-panorama", "lattice-window-check", "lattice-propagation", "lattice-evaluate"])
+def test_windows_off_the_graph_are_refused(call, vertex):
+    """A window cell that fails the graph's membership test is refused with
+    `netgraph.graph_vertex`'s message, before any cone is read."""
+    message = f"vertex {vertex!r} is not a vertex of this graph"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    if vertex < 0:  # off the half-line, where `graph_vertex` converts nothing
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ng.graph_vertex(cx.cex_network(), vertex)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -1406,6 +1435,72 @@ def test_linear_engine_checks_only_the_rules_a_cone_applies():
     cone = kn.light_cone(sys_, [0], 2)
     assert ss._linear_layers(sys_, space, cone) == "nonlinear rule at vertex 1"
     assert ss.panorama(sys_, space, [0], 2).layers == panorama_layers_oracle(sys_, space, [0], 2)
+
+
+_ADD3 = [(a + b + c) % 2 for a, b, c in itertools.product(range(2), repeat=3)]
+
+
+@pytest.mark.parametrize("system,window,horizon,last", [
+    # x + x' + y mod 2 with x and x' the same cell: the shift
+    (ss.ca_on_zd(2, [(0,), (0,), (1,)], _ADD3), [(0,)], 8, [(i,) for i in range(9)]),
+    # the same table with the right neighbour read twice: the identity, so a
+    # pull-back that kept one of the two coefficients would see cell 1
+    (ss.ca_on_zd(2, [(1,), (1,), (0,)], _ADD3), [(0,)], 8, [(0,)]),
+    # four symbols as two bits: digit 0 of the image is digit 1 of the right
+    # neighbour, digit 1 is digit 0 of the cell, so cell t is pinned at 2t
+    (ss.ca_on_zd(4, [(0,), (1,)], [b >> 1 | (a & 1) << 1
+                                    for a, b in itertools.product(range(4), repeat=2)]),
+     [(0,)], 5, [(0,), (1,), (2,)]),
+    # x_-1 XOR x_1 on four symbols: both digits of both neighbours at once
+    (ss.ca_on_zd(4, [(-1,), (1,)], [a ^ b for a, b in itertools.product(range(4), repeat=2)]),
+     [(0,), (1,)], 3, [(i,) for i in range(-3, 5)]),
+    (ss.ca_on_zd(4, [(-1,), (1,)], [a ^ b for a, b in itertools.product(range(4), repeat=2)]),
+     [(0,)], 3, [(0,)]),
+])
+def test_linear_engine_adds_repeated_and_digit_mixing_inputs(system, window, horizon, last):
+    """Rules that read one cell twice, or route digits between cells, give
+    the layers of enumeration and of forward simulation, of every cell and
+    of a target: pulled back, a repeated input adds both coefficients."""
+    sys_, space = system
+    cone = kn.light_cone(sys_, window, horizon)
+    for target in (None, set(cone.union[1::2])):
+        linear = [det for det, _ in ss._linear_layers(sys_, space, cone, target)]
+        assert linear == [det for det, _ in ss._determined_layers(sys_, space, cone, target)]
+        assert linear == forward_linear_layers_oracle(sys_, space, cone, target)
+    result = ss.panorama(sys_, space, window, horizon)
+    assert (result.engine, list(result.layers[-1])) == ("linear", last)
+
+
+def test_counterexample_closed_form_past_the_cap(cex):
+    """At T = J(J + 1) the layer of cell 0 is the decoder's window of depth
+    J; at J = 6 the cone has more than 2^680 patterns, which only the linear
+    engine decides, and every layer t is the cells 0..t."""
+    result = ss.panorama(*cex, [0], 42, max_patterns=2**700)
+    assert (result.engine, result.declined) == ("linear", None)
+    assert result.pattern_count > 2**680
+    assert result.layers == tuple(tuple(range(t + 1)) for t in range(43))
+    assert result.layers[cx.junction_index(6)] == cx.decode_window(6)
+
+
+def test_linear_engine_matches_forward_simulation_on_deep_cones():
+    """On random linear systems of up to 19 cells and horizons up to 12,
+    past those the enumeration tests above reach, the layers of every cell
+    and of a target are those of forward simulation."""
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(linear_systems(("linear",), patterns=2**64, horizons=12))
+    def check(case):
+        _, sys_, space, window, horizon, target = case
+        cone = kn.light_cone(sys_, window, horizon)
+        for cells in (None, target):
+            linear = [det for det, _ in ss._linear_layers(sys_, space, cone, cells)]
+            assert linear == forward_linear_layers_oracle(sys_, space, cone, cells)
+        if horizon > 6 and len(cone.union) >= 8:
+            seen.add(f"k={sys_.alphabet.size}, horizon past 6 on 8 cells or more")
+
+    check()
+    assert seen == {f"k={k}, horizon past 6 on 8 cells or more" for k in (2, 3, 4)}
 
 
 def test_counterexample_certificate_at_six_steps(cex):
