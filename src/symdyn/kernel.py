@@ -7,25 +7,26 @@ network's cached BFS (`Digraph.shells`), and the cone of every shorter
 horizon is a prefix of its `order`, which propagation, trajectories,
 envelopes and panoramas read.
 
-Rules are applied to configurations in one place, `StepPlan`: one update
-step of a batch of configurations, held column-major (one row per cell, one
-column per configuration), with one elementwise call of each rule function
-per block of about _BLOCK (cell, configuration) pairs of the cells that
-share it, each argument gathered as whole rows.  A trajectory plans its
-step once and images each horizon as a prefix (`evaluate` is a batch of
-one, and the envelope and factor-chain certificates simulate every pattern
-on the envelope in one batch); composed tables, `image_configuration` and
-subsymmetry checks (every allowed pattern on the cells a probe vertex's
-commutation reads) plan and image one step of row-major configurations
-(`image_rows`, which transposes them).  The sweeps of `metricspace` plan
-their step once and image a pair only at given (row, cell) pairs
-(`StepPlan.image_at`).  Sampled rows come from one sampling kernel: the
-pick of item int(u * n) of n items for a value u of `rng.random()`
-(`pick`), of the symbols of a cell as a place in a table that keeps each
-distinct allowed tuple once (`RowPlan`).  The values are read in bulk as
-words (`_word_bytes`; `uniform_blocks`: m from each of many generators,
-joined) and converted as CPython computes them (`word_uniforms`), only
-where used.
+Rule functions are called in one place, `rule_values`: one elementwise call
+on int64 arguments, whose values are checked to be symbols.  `StepPlan`
+steps a batch of configurations held column-major (a row per cell, a column
+per configuration), with one call per block of about _BLOCK (cell,
+configuration) pairs of the cells that share a rule function, each argument
+gathered as whole rows.  A trajectory plans its step once and images each
+horizon as a prefix (`evaluate` is a batch of one, and the envelope and
+factor-chain certificates simulate every pattern on the envelope in one
+batch); `image_configuration` steps row-major configurations (`image_rows`),
+and the sweeps of `metricspace` image a pair only at given (row, cell) pairs
+(`StepPlan.image_at`).  Composed tables, subsymmetry checks and full rule
+tables call `rule_values` on their own argument columns.  Allowed symbols
+and configuration values are checked before a rule reads them
+(`check_allowed`, `configuration_row`).  Sampled rows come from one
+sampling kernel: the pick of item int(u * n) of n items for a value u of
+`rng.random()` (`pick`), of the symbols of a cell as a place in a table that
+keeps each distinct allowed tuple once (`RowPlan`).  The values are read in
+bulk as words (`_word_bytes`; `uniform_blocks`: m from each of many
+generators, joined) and converted as CPython computes them
+(`word_uniforms`), only where used.
 """
 
 from __future__ import annotations
@@ -130,6 +131,33 @@ def check_symbol(value, k: int, where: str) -> None:
     is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not (is_int and 0 <= value < k):
         raise ValueError(f"{where} {value!r}, outside the symbols 0..{k - 1}")
+
+
+def check_allowed(space: "PatternSpace", cells: Iterable[Vertex], k: int) -> None:
+    """Raise ValueError naming the first of `cells` that allows a symbol
+    outside 0..k-1.  The least and the largest symbol of each distinct
+    allowed tuple are read once; a tuple object that several cells share
+    is hashed once."""
+    seen, distinct = {}, set()  # id -> tuple; holding the tuple keeps its id unique
+    for v in cells:
+        a = space.allowed(v)
+        if id(a) in seen:
+            continue
+        seen[id(a)] = a
+        if a not in distinct:
+            distinct.add(a)
+            for s in (min(a), max(a)):
+                check_symbol(s, k, f"allowed symbol at vertex {v!r} is")
+
+
+def configuration_row(x: "Configuration", cells: Sequence[Vertex], k: int) -> np.ndarray:
+    """x's values on `cells`, as one row; ValueError names the first cell
+    whose value is not a symbol 0..k-1."""
+    row = np.array([[x.values[v] for v in cells]])
+    if not (row.dtype.kind in "iu" and (not row.size or 0 <= row.min() <= row.max() < k)):
+        for v in cells:
+            check_symbol(x.values[v], k, f"configuration value at vertex {v!r} is")
+    return row
 
 
 class SymbolicSystem:
@@ -240,10 +268,12 @@ def patterns(space: PatternSpace, cells: Sequence[Vertex], cap: int) -> np.ndarr
     """Every allowed pattern on `cells`, one row each in mixed-radix order
     (first cell most significant); EnumerationCapError past cap patterns."""
     count = pattern_count(space, cells, cap)
-    allowed = [np.asarray(space.allowed(v)) for v in cells]
-    rows = np.empty((count, len(cells)), np.min_scalar_type(max(map(np.max, allowed), default=0)))
-    for j, v in enumerate(cells):
-        rows[:, j] = allowed[j][radix_index(cells, space, {v: 1})]
+    allowed = [space.allowed(v) for v in cells]
+    rows = np.empty((count, len(cells)), np.min_scalar_type(max(map(max, allowed), default=0)))
+    stride = count  # rows as blocks (outer, symbol s, the patterns on the cells after j)
+    for j, a in enumerate(allowed):
+        stride //= len(a)
+        rows.reshape(-1, len(a), stride, len(cells))[..., j] = np.reshape(a, (-1, 1))
     return rows
 
 
@@ -400,21 +430,38 @@ def evaluate(
     """Trajectory [x_W, Phi(x)_W, ..., Phi^T(x)_W] by exact cone evaluation.
 
     The configuration must cover the full light cone; otherwise the error
-    names the missing vertices.  Values outside the cone are never read.
+    names the missing vertices; a value that is not a symbol raises
+    ValueError.  Values outside the cone are never read.
     """
     cone = light_cone(sys, window, horizon)
     missing = [v for v in cone.union if v not in x.values]
     if missing:
         raise InsufficientDomainError(missing)
-    traj = trajectory_rows(sys, cone, np.array([[x.values[v] for v in cone.union]]))
+    traj = trajectory_rows(sys, cone, configuration_row(x, cone.union, sys.alphabet.size))
     return [dict(zip(cone.window, step)) for step in traj[0].tolist()]
 
 
-# -- the rule-application kernel: every rule call on configurations -----------
+# -- the rule-application kernel: every rule call ----------------------------
 # `index` maps cells to their rows in a column-major batch (`image`) or to
 # their columns in rows of configurations (`image_at`, `image_rows`).
 
 _BLOCK = 2**14  # (cell, configuration) pairs gathered at once: 128 KB an int64 argument
+
+
+def rule_values(fn: Callable, args: Iterable, shape: tuple, k: int,
+                vertex_at: Callable) -> np.ndarray:
+    """`fn` called once on `args`, each read as int64, its values broadcast to
+    `shape` in the smallest dtype that holds k - 1.  The first value that is
+    not a symbol 0..k-1 raises ValueError naming the vertex `vertex_at` gives
+    for its index."""
+    values = np.asarray(fn(tuple(np.asarray(a, dtype=np.int64) for a in args)))
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape)
+    if not (values.dtype.kind in "biu" and values.size and values.min() >= 0
+            and values.max() < k):
+        for at in np.argwhere((values < 0) | (values >= k) | (values % 1 != 0))[:1]:
+            check_symbol(values[tuple(at)].item(), k, f"rule at vertex {vertex_at(at)!r} gave")
+    return values.astype(np.min_scalar_type(k - 1), copy=False)
 
 
 def columns(cells: Iterable[Vertex]) -> dict:
@@ -424,8 +471,8 @@ def columns(cells: Iterable[Vertex]) -> dict:
 class StepPlan:
     """One update step on any prefix of the region.  Cells are grouped once
     by rule function and arity, each group with its region positions
-    (ascending) and the `index` entries of its arguments; only `image` (on a
-    column-major batch: a row per cell) and `image_at` run rule functions,
+    (ascending) and the `index` entries of its arguments; `image` (on a
+    column-major batch: a row per cell) and `image_at` call `rule_values`
     in blocks of about _BLOCK (cell, configuration) pairs."""
 
     def __init__(self, sys: SymbolicSystem, index: dict, region: Sequence[Vertex]):
@@ -443,8 +490,7 @@ class StepPlan:
     def image(self, cells: np.ndarray, size: int) -> np.ndarray:
         """The step of every column of `cells` (a row per `index` cell) on the
         first `size` region cells, a row each: one call per block of about
-        _BLOCK / columns cells of a group, each argument whole rows as int64.
-        Values that are not symbols 0..k-1 raise ValueError."""
+        _BLOCK / columns cells of a group, each argument whole rows."""
         n, k = cells.shape[1], self.k
         out = np.empty((size, n), dtype=np.min_scalar_type(k - 1))
         step = max(1, _BLOCK // max(n, 1))
@@ -452,10 +498,9 @@ class StepPlan:
             stop = int(np.searchsorted(js, size))
             for lo in range(0, stop, step):
                 hi = min(lo + step, stop)
-                at, args = js[lo:hi], tuple(cells[c].astype(np.int64) for c in cols[lo:hi].T)
-                values = np.broadcast_to(fn(args), (len(at), n))
-                check_values(values, k, lambda i, at=at: self.region[at[i[0]]])
-                out[at] = values
+                at = js[lo:hi]
+                out[at] = rule_values(fn, (cells[c] for c in cols[lo:hi].T), (len(at), n), k,
+                                      lambda i: self.region[at[i[0]]])
         return out
 
     @cached_property
@@ -468,8 +513,8 @@ class StepPlan:
 
     def image_at(self, rows: np.ndarray, which: np.ndarray, at: np.ndarray) -> np.ndarray:
         """The step of row which[q] at region position at[q], for every q:
-        one call per block of _BLOCK of a group's pairs, checked as in `image`.
-        Each argument is gathered from the flattened rows with one `take`."""
+        one call per block of _BLOCK of a group's pairs.  Each argument is
+        gathered from the flattened rows with one `take`."""
         out = np.empty(len(at), dtype=np.min_scalar_type(self.k - 1))
         group, slot = self._slots[0][at], self._slots[1][at]
         flat, width = rows.ravel(), rows.shape[1]
@@ -480,11 +525,9 @@ class StepPlan:
             for lo in range(0, len(pairs), _BLOCK):
                 q = pairs[lo: lo + _BLOCK]
                 start = which[q] * width  # where each pair's row starts in `flat`
-                args = tuple(flat.take(start + cols[slot[q], i]).astype(np.int64)
-                             for i in range(cols.shape[1]))
-                values = np.broadcast_to(fn(args), (len(q),))
-                check_values(values, self.k, lambda i, q=q: self.region[at[q[i[0]]]])
-                out[q] = values
+                args = (flat.take(start + cols[slot[q], i]) for i in range(cols.shape[1]))
+                out[q] = rule_values(fn, args, (len(q),), self.k,
+                                     lambda i: self.region[at[q[i[0]]]])
         return out
 
 
@@ -492,15 +535,6 @@ def image_rows(sys: SymbolicSystem, index: dict, region: Sequence[Vertex],
                rows: np.ndarray) -> np.ndarray:
     """One update step of every row, on the region's cells (`StepPlan`)."""
     return StepPlan(sys, index, region).image(np.ascontiguousarray(rows.T), len(region)).T
-
-
-def check_values(values: np.ndarray, k: int, vertex_at: Callable) -> None:
-    """Raise ValueError, naming the vertex that `vertex_at` gives for its
-    index, at the first value that is not a symbol 0..k-1."""
-    if values.dtype.kind in "biu" and values.size and values.min() >= 0 and values.max() < k:
-        return
-    for at in np.argwhere((values < 0) | (values >= k) | (values % 1 != 0))[:1]:
-        check_symbol(values[tuple(at)].item(), k, f"rule at vertex {vertex_at(at)!r} gave")
 
 
 def trajectory_rows(sys: SymbolicSystem, cone: LightCone, rows: np.ndarray) -> np.ndarray:

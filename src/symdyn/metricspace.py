@@ -10,8 +10,8 @@ only through the first BFS shell of each estuary vertex on which it
 disagrees, the least `depth` (`_depths`) of its (row, column)
 disagreements (`_intervals`).  `dist` passes the differing columns of its
 one pair, and `pseudo_dist` is the one-vertex metric of coefficient 1.
-One-step images come from the rule kernel (`kernel.StepPlan`, one
-elementwise call per rule function).  The Lipschitz and Hölder reports
+One-step images come from the rule kernel (`kernel.StepPlan`, one call of
+`kernel.rule_values` per rule function).  The Lipschitz and Hölder reports
 share one sampled sweep (`_sweep`), which samples a chunk of pairs, then
 measures them together, with one int(rng.random() * n) per pick of n items
 read in bulk through the sampling kernel (`kernel.words`, `pick`,
@@ -43,8 +43,8 @@ import numpy as np
 from .netgraph import (Digraph, SymdynError, Vertex, graph_vertex, ols_slope, read_fields,
                        sort_vertices)
 from .kernel import (TABLE_MAX, Configuration, InsufficientDomainError, PatternSpace, RowPlan,
-                     StepPlan, SymbolicSystem, check_symbol, check_values, columns, image_rows,
-                     patterns, pick, word_uniforms, words)
+                     StepPlan, SymbolicSystem, check_allowed, columns, configuration_row,
+                     image_rows, patterns, pick, rule_values, word_uniforms, words)
 from .entropydim import pattern_log_count
 
 
@@ -390,13 +390,15 @@ def image_configuration(
     sys: SymbolicSystem, x: Configuration, region: Iterable[Vertex]
 ) -> Configuration:
     """One update step of a configuration on a region; the configuration
-    must cover the region's rule inputs, and the error names those missing."""
+    must cover the region's rule inputs, and the error names those missing.
+    A value it holds there that is not a symbol raises ValueError."""
     region = tuple(region)
-    missing = {u for w in region for u in sys.rule(w).inputs} - x.domain
+    reads = sort_vertices({u for w in region for u in sys.rule(w).inputs})
+    missing = [u for u in reads if u not in x.values]
     if missing:
-        raise InsufficientDomainError(sort_vertices(missing))
-    row = np.array([list(x.values.values())], dtype=np.int64).reshape(1, len(x.values))
-    image = image_rows(sys, columns(x.values), region, row)
+        raise InsufficientDomainError(missing)
+    row = configuration_row(x, reads, sys.alphabet.size)
+    image = image_rows(sys, columns(reads), region, row)
     return Configuration(dict(zip(region, image[0].tolist())))
 
 
@@ -428,10 +430,9 @@ def _unchecked_cells(sys, space, region) -> list:
         layout = tuple(cells.index(u) for u in rule.inputs)
         groups.setdefault(sets, {}).setdefault((rule.fn, layout), (w, cells))
     for rules in groups.values():  # the patterns of one tuple of allowed sets at a time
-        rows = patterns(space, next(iter(rules.values()))[1], TABLE_MAX).astype(np.int64)
+        rows = patterns(space, next(iter(rules.values()))[1], TABLE_MAX)
         for (fn, layout), (w, _) in rules.items():
-            values = np.broadcast_to(fn(tuple(rows[:, layout].T)), (len(rows),))
-            check_values(values, sys.alphabet.size, lambda i, w=w: w)
+            rule_values(fn, rows[:, layout].T, (len(rows),), sys.alphabet.size, lambda at: w)
     return wide
 
 
@@ -452,10 +453,12 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
     columns R(c) (`_planted_pairs`' `reads`): c, then the other inputs of
     c's readers and of those unchecked cells, sorted, so that which value
     lands on which cell never follows set order.  An allowed symbol
-    outside the system's alphabet (checked once per distinct allowed tuple,
-    naming its first cell), or an input of an image cell outside the domain
-    (InsufficientDomainError, naming them), raises first.
+    outside the system's alphabet (`kernel.check_allowed`), or an input of
+    an image cell outside the domain (InsufficientDomainError, naming
+    them), raises first.
     """
+    if sys is not None:
+        check_allowed(space, domain, sys.alphabet.size)
     index, every = columns(domain), np.arange(len(domain))
     pre_lo, pre_hi = _intervals(_depths(metric_from, index), len(domain), every, every)
     post = _depths(metric_to, columns(image_region))
@@ -464,9 +467,6 @@ def _sweep(sys, metric_from, metric_to, space, domain, image_region, radii, samp
     if sys is None:
         post_lo, post_hi = _intervals(post, len(domain), every, every)
     else:
-        for a, c in zip(plan.sets, np.unique(plan.base, return_index=True)[1]):
-            for s in (min(a), max(a)):
-                check_symbol(s, sys.alphabet.size, f"allowed symbol at vertex {domain[c]!r} is")
         missing = {u for w in image_region for u in sys.rule(w).inputs}.difference(index)
         if missing:
             raise InsufficientDomainError(sort_vertices(missing))

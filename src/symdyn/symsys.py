@@ -35,8 +35,8 @@ import numpy as np
 
 # evaluate and propagation are unused here: perfbench reads and traces them as symsys's
 from .kernel import (TABLE_MAX, Alphabet, EnumerationCapError, LocalRule, PatternSpace,
-                     StepPlan, SymbolicSystem, check_values, columns, evaluate, image_rows,
-                     light_cone, pattern_count, patterns, propagation, radix_index,
+                     StepPlan, SymbolicSystem, check_allowed, columns, evaluate, light_cone,
+                     pattern_count, patterns, propagation, radix_index, rule_values,
                      trajectory_rows)
 from .netgraph import (Digraph, Subisometry, SymdynError, UniverseExhaustionError, Vertex,
                        graph_from_descriptor, offset_lattice, read_fields, read_form,
@@ -135,8 +135,10 @@ def posexpansive_window_check(
 
 
 def _enumerable_cone(sys, space, window, horizon, max_patterns):
-    """The window's light cone and its pattern count, within the cap."""
+    """The window's light cone and its pattern count, within the cap; an
+    allowed symbol outside the alphabet raises ValueError."""
     cone = light_cone(sys, window, horizon)
+    check_allowed(space, cone.union, sys.alphabet.size)
     return cone, pattern_count(space, cone.union, max_patterns)
 
 
@@ -217,8 +219,8 @@ def _composed_tables(sys, space, window, horizon, memo=None):
     mixed-radix enumeration of the cells it reads at time 0.
 
     Returns (domain, table) pairs, time-major and in window order.  Each rule
-    runs on its table's argument matrix through `image_rows`.  Tables
-    are kept in `memo` by (time, cell), so calls sharing it reuse them.
+    runs once on its inputs' tables gathered over its domain (`rule_values`).
+    Tables are kept in `memo` by (time, cell), so calls sharing it reuse them.
     """
     memo = {} if memo is None else memo
 
@@ -229,12 +231,12 @@ def _composed_tables(sys, space, window, horizon, memo=None):
         if t == 0:
             got = (v,), np.array(space.allowed(v), dtype=np.int64)
         else:
-            inputs = sys.rule(v).inputs
-            subs = [build(t - 1, u) for u in inputs]
+            rule = sys.rule(v)
+            subs = [build(t - 1, u) for u in rule.inputs]
             dom = sort_vertices(set().union(*(d for d, _ in subs)))
-            cols = [arr[radix_index(dom, space, _strides(d, space))] for d, arr in subs]
-            args = np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=np.int64)
-            got = dom, image_rows(sys, columns(inputs), [v], args)[:, 0]
+            cols = (arr[radix_index(dom, space, _strides(d, space))] for d, arr in subs)
+            got = dom, rule_values(rule.fn, cols, (pattern_count(space, dom),),
+                                   sys.alphabet.size, lambda at: v)
         memo[(t, v)] = got
         return got
 
@@ -435,14 +437,15 @@ def _linear_layers(sys, space, cone, target=None):
     # groups come in order of their first cell, so the first failing cell is named
     plan = StepPlan(sys, columns(cone.order),
                     cone.order[: cone.sizes[cone.horizon - 1] if cone.horizon else 0])
-    blocks = []
+    blocks, full = [], PatternSpace.full(sys.alphabet)
     for fn, js, cols in plan.groups:
         v = cone.order[js[0]]
         try:
-            grid, values = _rule_table(fn, cols.shape[1], k)
+            rows = patterns(full, range(cols.shape[1]), TABLE_MAX)
         except EnumerationCapError as e:
             return f"rule at vertex {v!r} has {e.required} table entries, over {e.cap}"
-        blocks.append(_is_affine(grid, values, k, p, m, v))
+        values = rule_values(fn, rows.T, (len(rows),), k, lambda at: v)
+        blocks.append(_is_affine(rows, values, k, p, m))
         if blocks[-1] is None:
             return f"nonlinear rule at vertex {v!r}"
     basis, bases = cache(lambda allowed: _subspace_basis(allowed, p, m)), {}
@@ -458,18 +461,17 @@ def _digits(symbols, p: int, m: int) -> np.ndarray:
     return np.asarray(symbols, dtype=np.int64)[..., None] // p ** np.arange(m) % p
 
 
-def _is_affine(grid, values, k, p, m, vertex):
+def _is_affine(rows, values, k, p, m):
     """f's linear block (row i * m + j: the output digits at unit digit j of
     input i) if f(x) - f(0) is the sum of its one-input restrictions, each
-    linear in its input's digits, else None.  Reads f's full table
-    (`_rule_table`); every value must be a symbol, else ValueError names `vertex`."""
-    arity, total = grid.shape
-    check_values(values, k, lambda at: vertex)
+    linear in its input's digits, else None.  Reads f's `values` on the
+    `rows` of its full table, in row-major order."""
+    total, arity = rows.shape
     out = _digits(values, p, m)
     # the outputs at the digit unit vectors of each input give the linear part
     units = [p**j * k ** (arity - 1 - i) for i in range(arity) for j in range(m)]
     linear = (out[units] - out[0]) % p
-    inputs = _digits(grid.T, p, m).reshape(total, arity * m)
+    inputs = _digits(rows, p, m).reshape(total, arity * m)
     return linear if np.array_equal(inputs @ linear % p, (out - out[0]) % p) else None
 
 
@@ -641,6 +643,7 @@ def odometer_factor_chain(
         cone, _, reason = _envelope_cone(sys, w, horizon, r_cap=horizon + len(w) + 1)
         if reason:
             raise NotEquicontinuousError(f"window {w} has no certified envelope")
+        check_allowed(space, cone.union, k)
         traj = trajectory_rows(sys, cone, patterns(space, cone.union, max_patterns))
         count = len(traj)
         trajs, _ = _group_rows(traj.reshape(count, -1).T, k, count)
@@ -670,39 +673,30 @@ def odometer_factor_chain(
 # -- rule properness and subsymmetry -----------------------------------------
 
 
-def _rule_table(fn, arity: int, k: int):
-    """The input grid of a rule's full table, shape (arity, k**arity) in
-    row-major order, and fn's values on it; EnumerationCapError past
-    TABLE_MAX entries."""
-    total = k**arity
-    if total > TABLE_MAX:
-        raise EnumerationCapError(total, TABLE_MAX)
-    grid = np.indices((k,) * arity, dtype=np.int64).reshape(arity, total)
-    return grid, np.broadcast_to(fn(tuple(grid)), (total,))
-
-
 def check_proper(rule: LocalRule, alphabet: Alphabet) -> dict:
     """Exhaustively test that every input coordinate is essential.
 
     For each coordinate the report carries either a witness pair of input
     tuples differing only there with different outputs, or marks it
     inessential.  The witness is the first input tuple in row-major order
-    with such a partner, and its least partner symbol.
+    with such a partner, and its least partner symbol.  A value that is not
+    a symbol raises ValueError, which names the rule's inputs for a vertex.
     """
     k = alphabet.size
     arity = len(rule.inputs)
-    grid, values = _rule_table(rule.fn, arity, k)
+    grid = patterns(PatternSpace.full(alphabet), range(arity), TABLE_MAX)
+    values = rule_values(rule.fn, grid.T, (len(grid),), k, lambda at: rule.inputs)
     rows, symbols = np.arange(len(values)), np.arange(k)[:, None]
     witnesses: dict = {}
     inessential = []
     for i in range(arity):
         # outs[s, j]: the value at the j-th input tuple with coordinate i set
         # to s, a row of the same row-major table
-        outs = values[rows + (symbols - grid[i]) * k ** (arity - 1 - i)]
+        outs = values[rows + (symbols - grid[:, i]) * k ** (arity - 1 - i)]
         differs = outs != values
         hits = np.flatnonzero(differs.any(axis=0))
         if len(hits):
-            args = tuple(grid[:, hits[0]].tolist())
+            args = tuple(grid[hits[0]].tolist())
             s = int(np.argmax(differs[:, hits[0]]))
             witnesses[i] = (args, args[:i] + (s,) + args[i + 1 :])
         else:
@@ -736,19 +730,24 @@ def subsymmetry_check(
     space_violations = [
         v for v in probe if set(space.allowed(v)) != set(space.allowed(tau(v)))
     ]
+    k = sys.alphabet.size
+    # Phi(x o tau) at v reads tau(inputs(v)), and Phi(x) at tau(v) inputs(tau(v))
+    reads = [([tau(u) for u in sys.rule(v).inputs], sys.rule(w).inputs)
+             for v, w in zip(probe, images)]
+    cells_of = [sort_vertices({*ours, *theirs}) for ours, theirs in reads]
+    check_allowed(space, sort_vertices(set().union(*cells_of)), k)
     commute_violations, unchecked = [], []
-    for v, w in zip(probe, images):
-        shifted = {u: tau(u) for u in sys.rule(v).inputs}
-        cells = sort_vertices({*shifted.values(), *sys.rule(w).inputs})
+    for v, w, (ours, theirs), cells in zip(probe, images, reads, cells_of):
         try:
             rows = patterns(space, cells, TABLE_MAX)
         except EnumerationCapError:
             unchecked.append(v)
             continue
-        index = columns(cells)
-        # Phi(x o tau) at v against Phi(x) at tau(v), on every pattern at once
-        ours = image_rows(sys, {u: index[c] for u, c in shifted.items()}, [v], rows)
-        differ = np.flatnonzero(ours[:, 0] != image_rows(sys, index, [w], rows)[:, 0])
+        col, n = columns(cells), (len(rows),)
+        # both sides on every pattern at once
+        differ = np.flatnonzero(
+            rule_values(sys.rule(v).fn, [rows[:, col[u]] for u in ours], n, k, lambda at: v)
+            != rule_values(sys.rule(w).fn, [rows[:, col[u]] for u in theirs], n, k, lambda at: w))
         if len(differ):
             pattern = dict(zip(cells, rows[differ[0]].tolist()))
             commute_violations.append({"vertex": v, "pattern": pattern})
@@ -850,7 +849,8 @@ def shift_extension(base_sys: SymbolicSystem, base_space: PatternSpace, psi):
 
     The state at (v, n) updates to psi(base update of level n at v, current
     value at (v, n+1)); the level shift (v, n) -> (v, n+1) commutes with the
-    update by construction.  Base vertices must be plain integers.
+    update by construction.  Base vertices must be plain integers; the
+    vertices are the pairs (v, n) of a base vertex v and an int n.
     """
 
     def ins(vn):
@@ -858,8 +858,14 @@ def shift_extension(base_sys: SymbolicSystem, base_space: PatternSpace, psi):
         base_inputs = base_sys.rule(v).inputs
         return [(u, n) for u in base_inputs] + [(v, n + 1)]
 
+    def contains(vn):
+        base = base_sys.graph.contains
+        return (isinstance(vn, tuple) and len(vn) == 2 and type(vn[1]) is int
+                and (base is None or base(vn[0])))
+
     graph = Digraph(
-        ins, None, universe={"family": "shift_extension", "base": base_sys.label}
+        ins, None, universe={"family": "shift_extension", "base": base_sys.label},
+        contains=contains,
     )
 
     @cache

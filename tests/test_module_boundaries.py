@@ -4,7 +4,8 @@ No private name crosses a module: a module imports no `_x` from another
 and reads no attribute `._x` that it does not define itself.  The model and
 the stepping and sampling kernel sit in `kernel`, which imports no symdyn
 module but `netgraph`, and the modules built on the kernel alone do not
-import `symsys`.
+import `symsys`.  Only `kernel` checks symbols (`check_symbol`), and no
+module imports a name it does not use.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "symdyn"
 # reader that the packed engine resolves it with
 CROSSINGS = {("cli", "ss._thread_count")}
 KERNEL_CLIENTS = ("metricspace", "counterexample", "entropydim")
+# re-exported by the package, or bound in `symsys` for the benchmark's tracer
+UNUSED_IMPORTS = {("symsys", "evaluate"), ("symsys", "propagation")}
 
 
 def _modules() -> dict:
@@ -83,3 +86,22 @@ def test_kernel_clients_do_not_import_symsys():
     modules = _modules()
     assert [(name, module) for name in KERNEL_CLIENTS
             for module, _ in _symdyn_imports(modules[name]) if module == "symsys"] == []
+
+
+def test_only_the_kernel_imports_check_symbol():
+    assert [name for name, tree in _modules().items()
+            for _, names in _symdyn_imports(tree) if "check_symbol" in names] == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    found = set()
+    for name, tree in _modules().items():
+        if name == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found |= {(name, bound) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for bound in (a.asname or a.name.partition(".")[0] for a in node.names)
+                  if bound not in used}
+    assert found == UNUSED_IMPORTS

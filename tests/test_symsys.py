@@ -166,6 +166,15 @@ def test_check_proper_calls_the_rule_once():
                    "witnesses": {0: ((0, 0, 0), (1, 0, 0)), 2: ((0, 0, 0), (0, 0, 1))}}
 
 
+def test_check_proper_refuses_a_value_outside_the_alphabet():
+    """The full table is checked like any rule call; the rule's inputs stand
+    in for its vertex."""
+    rule = kn.LocalRule(inputs=(0, 1), fn=lambda a: a[0] + a[1])
+    message = r"^rule at vertex \(0, 1\) gave 2, outside the symbols 0\.\.1$"
+    with pytest.raises(ValueError, match=message):
+        ss.check_proper(rule, kn.Alphabet(2))
+
+
 def test_check_proper_cap():
     rule = kn.LocalRule(inputs=tuple(range(20)), fn=lambda a: a[0])
     with pytest.raises(kn.EnumerationCapError):
@@ -814,6 +823,35 @@ def test_rule_values_outside_the_alphabet_rejected(fn):
     metric = ms.single_estuary_metric(sys_.graph, 0, 2.0)
     with pytest.raises(ValueError, match=message):
         ms.lipschitz_report(sys_, metric, space, samples=10, seed=0, r_cap=3)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_symbols_outside_the_alphabet_in_allowed_sets_and_configurations(bad):
+    """An allowed symbol or a configuration value that is not a symbol
+    0..k-1 raises ValueError naming its first cell, before a rule reads it:
+    it never wraps into an index or a table entry."""
+    xor = ss.ca_on_zd(2, [(-1,), (1,)], [0, 1, 1, 0])[0]
+    odometer = ss.odometer_system([2])[0]
+    space = kn.PatternSpace(lambda v: (0, bad))
+    shift = ng.Subisometry(map=lambda v: (v[0] + 1,))
+
+    def allowed(v):
+        where = re.escape(f"allowed symbol at vertex {v!r} is {bad}")
+        return rf"^{where}, outside the symbols 0\.\.1$"
+
+    for call, v in [(lambda: ss.panorama(xor, space, [(0,)], 2), (-2,)),
+                    (lambda: ss.posexpansive_window_check(xor, space, [(0,)], 2, [(0,)]), (-2,)),
+                    (lambda: ss.subsymmetry_check(xor, shift, [(0,), (3,)], space), (0,)),
+                    (lambda: ss.odometer_factor_chain(odometer, space, [[0]], 4), 0)]:
+        with pytest.raises(ValueError, match=allowed(v)):
+            call()
+    x = kn.Configuration({(v,): bad if v == 0 else 1 for v in range(-2, 3)})
+    message = rf"^configuration value at vertex \(0,\) is {bad}, outside the symbols 0\.\.1$"
+    for call in (lambda: kn.evaluate(xor, x, [(1,)], 1),
+                 lambda: ms.image_configuration(xor, x, [(1,)])):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert kn.evaluate(xor, x, [(2,)], 0) == [{(2,): 1}]  # a value never read is not checked
 
 
 def test_group_rows_keeps_wide_rows_apart():
@@ -2102,6 +2140,20 @@ def test_shift_extension_has_level_shift_symmetry(cex):
     probe = [(0, 0), (1, 0), (2, 1), (0, 2), (3, -1)]
     rep = ss.subsymmetry_check(ext, tau, probe, extspace)
     assert rep["passed"]
+
+
+@pytest.mark.parametrize("vertex", [(-1, 0), (0, 1.0), (0, True), (0,), (0, 0, 0), 5])
+def test_shift_extension_refuses_cells_off_its_graph(cex, vertex):
+    """The extension's vertices are the pairs (v, n) of a base vertex v and
+    an int n: cones, propagation and panoramas refuse anything else."""
+    sysx, spx = cex
+    ext, space, _ = ss.shift_extension(sysx, spx, lambda a, b: a ^ b)
+    message = f"^{re.escape(f'vertex {vertex!r} is not a vertex of this graph')}$"
+    for call in (lambda: kn.propagation(ext, vertex, 3),
+                 lambda: ss.panorama(ext, space, [(0, 0), vertex], 2)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert kn.propagation(ext, (1, -2), 3) == kn.propagation(ext, (1, 7), 3) == [1, 3, 7, 14]
 
 
 def test_shift_extension_shares_one_function_per_base_function(cex):
