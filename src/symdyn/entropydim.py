@@ -40,10 +40,11 @@ class EntropyEstimate:
     upper_proxy: float
 
 
-def _log_count(space: PatternSpace, cells: Collection[Vertex]) -> float:
-    """log2 of the pattern count on distinct cells, correctly rounded: the
-    cell count times log2 k on a space with one alphabet of k symbols (the
-    value `fsum` would give), else an `fsum` over the cells."""
+def log_count(space: PatternSpace, cells: Collection[Vertex]) -> float:
+    """log2 of the pattern count on distinct cells, any sized iterable of
+    them, correctly rounded: the cell count times log2 k on a space with one
+    alphabet of k symbols (the value `fsum` would give; only `len(cells)` is
+    read), else an `fsum` over the cells, which no order of them changes."""
     if space.symbols is not None:
         return len(cells) * math.log2(len(space.symbols))
     return math.fsum(math.log2(len(space.allowed(v))) for v in cells)
@@ -51,7 +52,7 @@ def _log_count(space: PatternSpace, cells: Collection[Vertex]) -> float:
 
 def pattern_log_count(space: PatternSpace, region: Iterable[Vertex]) -> float:
     """log2 of the number of patterns on a finite region (exact, product form)."""
-    return _log_count(space, set(region))
+    return log_count(space, set(region))
 
 
 def ball_entropy(
@@ -62,7 +63,7 @@ def ball_entropy(
     radii = tuple(range(r_min, r_max + 1))
     shells = g.shells(frozenset([v]), r_max)[: r_max + 1]
     # len() of a lattice shell reads its codes: one alphabet decodes no shell
-    logs = list(itertools.accumulate(_log_count(space, s) for s in shells))
+    logs = list(itertools.accumulate(log_count(space, s) for s in shells))
     logs += logs[-1:] * (r_max + 1 - len(logs))  # a closed ball stops growing
     log2_counts = logs[r_min:]
     ball_sizes = g.ball_sizes([v], r_max)[r_min:]
@@ -101,7 +102,7 @@ def weak_independence_report(
             seen |= members
         joint = pattern_log_count(space, seen)
         # the balls are disjoint: one correctly rounded sum over all their cells
-        parts = _log_count(space, [v for b in fam for v in b.members])
+        parts = log_count(space, [v for b in fam for v in b.members])
         ratio = joint / parts if parts > 0 else 1.0
         per_family.append(
             {

@@ -20,7 +20,9 @@ and the sweeps of `metricspace` image a pair only at given (row, cell) pairs
 (`StepPlan.image_at`).  Composed tables, subsymmetry checks and full rule
 tables call `rule_values` on their own argument columns.  Allowed symbols
 and configuration values are checked before a rule reads them
-(`check_allowed`, `configuration_row`).  Sampled rows come from one
+(`check_allowed`, `configuration_row`); a panorama reads each cone
+cell's allowed tuple once, in that check, and its space answers from them
+(`PatternSpace.read`).  Sampled rows come from one
 sampling kernel: the pick of item int(u * n) of n items for a value u of
 `rng.random()` (`pick`), of the symbols of a cell as a place in a table that
 keeps each distinct allowed tuple once (`RowPlan`).  The values are read in
@@ -133,14 +135,15 @@ def check_symbol(value, k: int, where: str) -> None:
         raise ValueError(f"{where} {value!r}, outside the symbols 0..{k - 1}")
 
 
-def check_allowed(space: "PatternSpace", cells: Iterable[Vertex], k: int) -> None:
-    """Raise ValueError naming the first of `cells` that allows a symbol
-    outside 0..k-1.  The least and the largest symbol of each distinct
-    allowed tuple are read once; a tuple object that several cells share
-    is hashed once."""
-    seen, distinct = {}, set()  # id -> tuple; holding the tuple keeps its id unique
+def check_allowed(space: "PatternSpace", cells: Iterable[Vertex], k: int) -> list:
+    """The allowed tuple of each of `cells`, in order; ValueError names the
+    first cell that allows a symbol outside 0..k-1.  The least and the
+    largest symbol of each distinct allowed tuple are read once; a tuple
+    object that several cells share is hashed once."""
+    seen, distinct, read = {}, set(), []  # id -> tuple; holding the tuple keeps its id unique
     for v in cells:
         a = space.allowed(v)
+        read.append(a)
         if id(a) in seen:
             continue
         seen[id(a)] = a
@@ -148,6 +151,7 @@ def check_allowed(space: "PatternSpace", cells: Iterable[Vertex], k: int) -> Non
             distinct.add(a)
             for s in (min(a), max(a)):
                 check_symbol(s, k, f"allowed symbol at vertex {v!r} is")
+    return read
 
 
 def configuration_row(x: "Configuration", cells: Sequence[Vertex], k: int) -> np.ndarray:
@@ -212,6 +216,17 @@ class PatternSpace:
         if len(set(syms)) < len(syms):
             raise ValueError(f"allowed set at vertex {v!r} repeats a symbol")
         return syms
+
+    def read(self, cells: Sequence[Vertex], allowed: Sequence[tuple]) -> "PatternSpace":
+        """This space on `cells`, answering from `allowed`, their tuples as
+        `self.allowed` gave them, without reading or checking them again;
+        itself when every cell shares one tuple."""
+        if self.symbols is not None:
+            return self
+        table = dict(zip(cells, allowed))
+        space = PatternSpace(table.__getitem__, self.label)
+        space.allowed = table.__getitem__  # the tuples are checked: skip the method's check
+        return space
 
     @classmethod
     def full(cls, alphabet: Alphabet) -> "PatternSpace":

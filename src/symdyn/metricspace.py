@@ -33,6 +33,7 @@ any covering search.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .netgraph import (Digraph, SymdynError, Vertex, graph_vertex, ols_slope, re
 from .kernel import (TABLE_MAX, Configuration, InsufficientDomainError, PatternSpace, RowPlan,
                      StepPlan, SymbolicSystem, check_allowed, columns, configuration_row,
                      image_rows, patterns, pick, rule_values, word_uniforms, words)
-from .entropydim import pattern_log_count
+from .entropydim import log_count
 
 
 class DomainMismatchError(SymdynError):
@@ -619,43 +620,68 @@ def holder_report(
     }
 
 
+class _Shells:
+    """The cells of one ball, as its disjoint BFS shells: the length sums
+    theirs, so it decodes no lattice shell."""
+
+    def __init__(self, shells: list):
+        self.shells = shells
+
+    def __len__(self) -> int:
+        return sum(map(len, self.shells))
+
+    def __iter__(self):
+        return itertools.chain(*self.shells)
+
+
 def metric_dim_estimate(
     space: PatternSpace, metric: BasedMetric, eps_grid: Sequence[float]
 ) -> dict:
     """Cylinder-cover bracket on the double-log cover-count exponent.
 
     Per epsilon: the separation region (per-anchor balls of radius
-    floor(log_lam(c_u / eps))) lower-bounds log2 of the minimal cover size,
-    and the union cover region (tail-cutoff anchors, common radius
-    ceil(log_lam(2S / eps))) upper-bounds it.  Slopes are least squares of
+    floor(log_lam(c_u / eps)) of the anchors with c_u > eps) lower-bounds
+    log2 of the minimal cover size, and the cover region (the ball of
+    common radius ceil(log_lam(2S / eps)) about the tail-cutoff anchors)
+    upper-bounds it.  Above eps = 2S the radius is negative and the cover
+    region empty: one cylinder covers the space.  The grid decreases, so
+    each center set is grown once, to its deepest radius, and every region
+    is read from its shells: a region of one ball is counted from shell
+    sizes (`log_count`; a one-alphabet space decodes no lattice shell), one
+    of several balls is their set union.  Slopes are least squares of
     ln(log2 count) against ln(-log_lam eps) over the rows where both counts
     and the scale -log_lam eps are positive, None when fewer than two are.
     """
     _check_eps_grid(eps_grid)
     lam = metric.lam
     scheme = metric.scheme
-    rows = []
+    plans = []  # per eps: the lower balls and the upper ball, as (center set, radius)
     for eps in eps_grid:
-        active = [
-            (u, c) for u, c in zip(scheme.vertices, scheme.coeffs) if c > eps
-        ]
-        lower_region: set = set()
-        for u, c in active:
-            r_u = math.floor(math.log(c / eps, lam))
-            lower_region |= metric.graph.ball_members([u], r_u)
-        lower = pattern_log_count(space, lower_region)
-        cutoff = scheme.prefix_length(eps)
-        r_eps = math.ceil(math.log(2 * scheme.total_mass / eps, lam))
-        upper_region: set = set()
-        for u in scheme.vertices[: max(cutoff, 1)]:
-            upper_region |= metric.graph.ball_members([u], r_eps)
-        upper = pattern_log_count(space, upper_region)
+        lower = [(frozenset([u]), math.floor(math.log(c / eps, lam)))
+                 for u, c in zip(scheme.vertices, scheme.coeffs) if c > eps]
+        prefix = frozenset(scheme.vertices[: max(scheme.prefix_length(eps), 1)])
+        upper = (prefix, math.ceil(math.log(2 * scheme.total_mass / eps, lam)))
+        plans.append((eps, lower, upper))
+    deepest: dict = {}
+    for _, lower, upper in plans:
+        for centers, r in [*lower, upper]:
+            deepest[centers] = max(r, deepest.get(centers, r))
+    shells = {c: metric.graph.shells(c, r) for c, r in deepest.items() if r >= 0}
+
+    def region(balls):
+        """The cells of the union of `balls`, a ball of negative radius empty."""
+        parts = [shells[c][: r + 1] for c, r in balls if r >= 0]
+        return _Shells(parts[0]) if len(parts) == 1 else set().union(*itertools.chain(*parts))
+
+    rows = []
+    for eps, lower, upper in plans:
+        lower_region, upper_region = region(lower), region([upper])
         rows.append(
             {
                 "eps": eps,
                 "scale": -math.log(eps, lam),
-                "log2_cover_lower": lower,
-                "log2_cover_upper": upper,
+                "log2_cover_lower": log_count(space, lower_region),
+                "log2_cover_upper": log_count(space, upper_region),
                 "lower_region_size": len(lower_region),
                 "upper_region_size": len(upper_region),
             }

@@ -93,7 +93,7 @@ def panorama(
     Layer t is computed over the cone of horizon t, which decides the same
     quantifier as any larger cone because the space is a product.
     """
-    cone, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
+    cone, space, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
     layers = []
     engines = set()
     dets, declined = _layers(sys, space, cone)
@@ -127,7 +127,7 @@ def posexpansive_window_check(
     through t_max.
     """
     target = set(target)
-    cone, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
+    cone, space, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
     for t, (det, _) in enumerate(_layers(sys, space, cone, target)[0]):
         if target <= det:
             return {"covered": True, "first_t": t, "missing": ()}
@@ -135,11 +135,13 @@ def posexpansive_window_check(
 
 
 def _enumerable_cone(sys, space, window, horizon, max_patterns):
-    """The window's light cone and its pattern count, within the cap; an
-    allowed symbol outside the alphabet raises ValueError."""
+    """The window's light cone, the space answering on its cells from their
+    allowed tuples, read once (`PatternSpace.read`), and its pattern count
+    within the cap; an allowed symbol outside the alphabet raises ValueError
+    before the cap is checked."""
     cone = light_cone(sys, window, horizon)
-    check_allowed(space, cone.union, sys.alphabet.size)
-    return cone, pattern_count(space, cone.union, max_patterns)
+    space = space.read(cone.union, check_allowed(space, cone.union, sys.alphabet.size))
+    return cone, space, pattern_count(space, cone.union, max_patterns)
 
 
 def _layers(sys, space, cone, target=None):

@@ -120,6 +120,40 @@ def ball_entropy_oracle(space, g, v, r_min, r_max):
     return out
 
 
+def metric_dim_estimate_oracle(space, metric, eps_grid):
+    """`metric_dim_estimate` by set unions: every region is the union of
+    per-anchor balls, each rebuilt by a BFS of its own (`fresh_ball`, a
+    ball of negative radius empty), and counted by `log_count_oracle`."""
+    lam, scheme = metric.lam, metric.scheme
+
+    def union(balls):
+        return set().union(*(fresh_ball(metric.graph, [u], r) for u, r in balls if r >= 0))
+
+    rows = []
+    for eps in eps_grid:
+        lower_region = union((u, math.floor(math.log(c / eps, lam)))
+                             for u, c in zip(scheme.vertices, scheme.coeffs) if c > eps)
+        cutoff = scheme.prefix_length(eps)
+        r_eps = math.ceil(math.log(2 * scheme.total_mass / eps, lam))
+        upper_region = union((u, r_eps) for u in scheme.vertices[: max(cutoff, 1)])
+        rows.append({
+            "eps": eps,
+            "scale": -math.log(eps, lam),
+            "log2_cover_lower": log_count_oracle(space, lower_region),
+            "log2_cover_upper": log_count_oracle(space, upper_region),
+            "lower_region_size": len(lower_region),
+            "upper_region_size": len(upper_region),
+        })
+    usable = [r for r in rows
+              if r["scale"] > 0 and r["log2_cover_lower"] > 0 and r["log2_cover_upper"] > 0]
+    if len(usable) < 2:
+        return {"rows": rows, "lower_slope": None, "upper_slope": None}
+    xs = [math.log(r["scale"]) for r in usable]
+    return {"rows": rows,
+            "lower_slope": ng.ols_slope(xs, [math.log(r["log2_cover_lower"]) for r in usable]),
+            "upper_slope": ng.ols_slope(xs, [math.log(r["log2_cover_upper"]) for r in usable])}
+
+
 def cone_layers_oracle(sys_, window, horizon):
     """Layers of the window's light cone by backward composition of rule
     inputs: layer t is the exact input set of the t-fold composition.  Walks

@@ -209,6 +209,24 @@ def test_metric_dim_accepts_eps_one(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_metric_dim_above_twice_the_mass_has_an_empty_cover_region(capsys):
+    """At eps = 1, above 2S = 0.5, the cover radius is negative: the row
+    counts an empty region (exit 0), where a negative ball radius used to
+    exit 2."""
+    assert cli.run(["metric-dim", "--system", "full_shift", "--alphabet", "2",
+                    "--estuary", "0", "--coeffs", "0.25", "--lam", "2",
+                    "--eps-min-pow", "0", "--eps-max-pow", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        '# config: {"alphabet": 2, "coeffs": "0.25", "eps_max_pow": 4, "eps_min_pow": 0, '
+        '"eps_step": 2, "estuary": "0", "lam": 2.0, "scheme": "finite", '
+        '"system": "full_shift"}\n'
+        '# summary: {"lower_slope": null, "upper_slope": null}\n'
+        "eps,scale,log2_cover_lower,log2_cover_upper\n"
+        "1.0,-0.0,0.0,0.0\n0.25,2.0,0.0,2.0\n0.0625,4.0,3.0,4.0\n")
+
+
 @pytest.mark.parametrize("argv,usable", [
     (["--system", "odometer", "--m", "1", "--estuary", "0"], 0),
     (["--system", "full_shift", "--alphabet", "2", "--estuary", "0",

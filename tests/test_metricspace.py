@@ -22,9 +22,11 @@ from symdyn import counterexample as cx
 from conftest import (
     covered_radius_oracle,
     dist_oracle,
+    fresh_ball,
     holder_report_oracle,
     image_configuration_oracle,
     lipschitz_report_oracle,
+    metric_dim_estimate_oracle,
     planted_pair_oracle,
     pseudo_dist_oracle,
     read_cells_oracle,
@@ -1263,6 +1265,75 @@ def test_metric_dim_fits_no_slope_at_eps_one(binary_space):
     rest = ms.metric_dim_estimate(binary_space, metric, grid[1:])
     assert (rep["lower_slope"], rep["upper_slope"]) == (rest["lower_slope"],
                                                         rest["upper_slope"])
+
+
+def test_metric_dim_matches_the_set_union_oracle(binary_space):
+    """Rows and slopes equal, to the bit, those of per-anchor balls rebuilt
+    and united as sets: one-alphabet and mixed spaces (`fsum` over cells),
+    one anchor and several whose lower balls differ in radius, and a grid
+    from eps = 1."""
+    grid = [2.0 ** (-k) for k in range(8, 33, 2)]
+    odometer, odometer_space = ss.odometer_system([2, 3])
+    cases = [
+        (binary_space, ms.single_estuary_metric(ng.cayley_zd(2), (0, 0), 2.0), grid),
+        (binary_space, ms.single_estuary_metric(ng.unit_shift_graph(), 0, 2.0), grid),
+        (cx.cex_space(), ms.single_estuary_metric(cx.cex_network(), 0, 2.0), grid),
+        (odometer_space, ms.BasedMetric(ms.CoefficientScheme.finite([0, 1], [1.0, 0.5]), 2.0,
+                                        odometer.graph), [2.0 ** (-k) for k in range(2, 7)]),
+        (binary_space, ms.BasedMetric(ms.CoefficientScheme.double_exponential(
+            [(0, 0), (2, 1), (-1, 3)]), 2.0, ng.cayley_zd(2)), [2.0 ** (-k) for k in range(0, 24)]),
+        (binary_space, ms.BasedMetric(ms.CoefficientScheme.finite([0], [0.25]), 2.0,
+                                      ng.unit_shift_graph()), [2.0 ** (-k) for k in range(0, 9)]),
+    ]
+    for space, metric, eps_grid in cases:
+        want = metric_dim_estimate_oracle(space, metric, eps_grid)
+        assert ms.metric_dim_estimate(space, metric, eps_grid) == want
+    # at eps = 2^-20 the three anchors' lower balls have radii 18, 17 and 12
+    coeffs = cases[4][1].scheme.coeffs
+    assert [math.floor(math.log(c / 2.0 ** -20, 2.0)) for c in coeffs] == [18, 17, 12]
+
+
+def test_metric_dim_grows_each_center_set_once_and_decodes_no_shell(monkeypatch, binary_space):
+    """On a one-alphabet space the single-anchor bracket boxes the anchor's
+    ball once, at its deepest radius, reads no allowed set and decodes no
+    lattice shell: every count comes from shell sizes."""
+    boxed = []
+    box = ng._LatticeBall._box
+    monkeypatch.setattr(ng._LatticeBall, "_box",
+                        lambda self, shells, *a: boxed.append(frozenset(shells[0]))
+                        or box(self, shells, *a))
+    calls = []
+    allowed = binary_space._allowed
+    binary_space._allowed = lambda v: calls.append(v) or allowed(v)
+    g = ng.cayley_zd(2)
+    grid = [2.0 ** (-k) for k in range(8, 33, 2)]
+    rep = ms.metric_dim_estimate(binary_space, ms.single_estuary_metric(g, (0, 0), 2.0), grid)
+    assert boxed == [frozenset([(0, 0)])]
+    assert calls == []
+    shells = g.shells(frozenset([(0, 0)]), 0)
+    coded = [s for s in shells if isinstance(s, ng._CodeShell)]
+    assert len(coded) == len(shells) - 1 >= 33
+    assert all(s._vertices is None for s in coded)
+    assert rep["rows"][-1]["upper_region_size"] == len(fresh_ball(g, [(0, 0)], len(coded)))
+
+
+def test_metric_dim_empty_cover_region_above_twice_the_mass(binary_space):
+    """Above eps = 2S the cover radius ceil(log_lam(2S / eps)) is negative:
+    any two configurations lie within S < eps, one cylinder covers the
+    space, and the region is empty.  No anchor is active, and the rows of
+    scale <= 0 fit no slope."""
+    metric = ms.single_estuary_metric(ng.unit_shift_graph(), 0, 2.0)
+    rep = ms.metric_dim_estimate(binary_space, metric, [4.0, 2.0])
+    assert rep == {
+        "rows": [
+            {"eps": 4.0, "scale": -2.0, "log2_cover_lower": 0.0, "log2_cover_upper": 0.0,
+             "lower_region_size": 0, "upper_region_size": 0},
+            {"eps": 2.0, "scale": -1.0, "log2_cover_lower": 0.0, "log2_cover_upper": 1.0,
+             "lower_region_size": 0, "upper_region_size": 1},
+        ],
+        "lower_slope": None,
+        "upper_slope": None,
+    }
 
 
 def test_cover_and_separation_soundness(z2, z2_metric, binary_space):

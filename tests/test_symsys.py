@@ -854,6 +854,23 @@ def test_symbols_outside_the_alphabet_in_allowed_sets_and_configurations(bad):
     assert kn.evaluate(xor, x, [(2,)], 0) == [{(2,): 1}]  # a value never read is not checked
 
 
+def test_a_panorama_reads_each_cone_cell_allowed_tuple_once():
+    """The allowed-symbol check, the pattern count and the engines of a
+    panorama share one read of each cone cell's allowed tuple (the window
+    check runs the panorama's code unwrapped by `counting_floor`), and a
+    symbol outside the alphabet is refused before the pattern cap is
+    checked."""
+    sys_, space = cx.cex_rules(), cx.cex_space()
+    reads = []
+    allowed = space._allowed
+    space._allowed = lambda v: reads.append(v) or allowed(v)
+    ss.posexpansive_window_check(sys_, space, [0], 6, range(7), max_patterns=2**28)
+    assert reads == list(kn.light_cone(sys_, [0], 6).union)
+    xor = ss.ca_on_zd(2, [(-1,), (1,)], [0, 1, 1, 0])[0]
+    with pytest.raises(ValueError, match="^allowed symbol at vertex"):
+        ss.panorama(xor, kn.PatternSpace(lambda v: (0, 2)), [(0,)], 2, max_patterns=1)
+
+
 def test_group_rows_keeps_wide_rows_apart():
     """Rows differing only in the first of 100 binary columns stay distinct:
     the packed codes are re-ranked before they could overflow."""
