@@ -20,9 +20,9 @@ and the sweeps of `metricspace` image a pair only at given (row, cell) pairs
 (`StepPlan.image_at`).  Composed tables, subsymmetry checks and full rule
 tables call `rule_values` on their own argument columns.  Allowed symbols
 and configuration values are checked before a rule reads them
-(`check_allowed`, `configuration_row`); a panorama reads each cone
-cell's allowed tuple once, in that check, and its space answers from them
-(`PatternSpace.read`).  Sampled rows come from one
+(`check_allowed`, `configuration_row`).  A space reads each cell's allowed
+tuple once, checks it and keeps it (`PatternSpace.allowed`), so every
+engine and check shares that one read.  Sampled rows come from one
 sampling kernel: the pick of item int(u * n) of n items for a value u of
 `rng.random()` (`pick`), of the symbols of a cell as a place in a table that
 keeps each distinct allowed tuple once (`RowPlan`).  The values are read in
@@ -135,15 +135,13 @@ def check_symbol(value, k: int, where: str) -> None:
         raise ValueError(f"{where} {value!r}, outside the symbols 0..{k - 1}")
 
 
-def check_allowed(space: "PatternSpace", cells: Iterable[Vertex], k: int) -> list:
-    """The allowed tuple of each of `cells`, in order; ValueError names the
-    first cell that allows a symbol outside 0..k-1.  The least and the
-    largest symbol of each distinct allowed tuple are read once; a tuple
-    object that several cells share is hashed once."""
-    seen, distinct, read = {}, set(), []  # id -> tuple; holding the tuple keeps its id unique
+def check_allowed(space: "PatternSpace", cells: Iterable[Vertex], k: int) -> None:
+    """ValueError names the first of `cells` that allows a symbol outside
+    0..k-1.  The least and the largest symbol of each distinct allowed tuple
+    are read once; a tuple object that several cells share is hashed once."""
+    seen, distinct = {}, set()  # id -> tuple; holding the tuple keeps its id unique
     for v in cells:
         a = space.allowed(v)
-        read.append(a)
         if id(a) in seen:
             continue
         seen[id(a)] = a
@@ -151,7 +149,6 @@ def check_allowed(space: "PatternSpace", cells: Iterable[Vertex], k: int) -> lis
             distinct.add(a)
             for s in (min(a), max(a)):
                 check_symbol(s, k, f"allowed symbol at vertex {v!r} is")
-    return read
 
 
 def configuration_row(x: "Configuration", cells: Sequence[Vertex], k: int) -> np.ndarray:
@@ -200,33 +197,29 @@ class SymbolicSystem:
 
 class PatternSpace:
     """Product pattern space: an independent allowed-symbol set per vertex.
-    `symbols` is the allowed tuple every cell shares (set by `full`), or None."""
+    `symbols` is the allowed tuple every cell shares (set by `full`), or None.
+    A cell's tuple is read, checked and kept on first use (a failed check
+    keeps nothing): the callable must give one fixed tuple per vertex, and
+    is called at most once per vertex."""
 
     def __init__(self, allowed: Callable[[Vertex], Sequence[int]], label: str = ""):
         self._allowed = allowed
+        self._read: dict = {}
         self.label = label or "product"
         self.symbols: Optional[tuple] = None
 
     def allowed(self, v: Vertex) -> tuple:
         if self.symbols is not None:
             return self.symbols
-        syms = tuple(self._allowed(v))
-        if not syms:
-            raise ValueError(f"empty allowed set at vertex {v!r}")
-        if len(set(syms)) < len(syms):
-            raise ValueError(f"allowed set at vertex {v!r} repeats a symbol")
+        syms = self._read.get(v)
+        if syms is None:
+            syms = tuple(self._allowed(v))
+            if not syms:
+                raise ValueError(f"empty allowed set at vertex {v!r}")
+            if len(set(syms)) < len(syms):
+                raise ValueError(f"allowed set at vertex {v!r} repeats a symbol")
+            self._read[v] = syms
         return syms
-
-    def read(self, cells: Sequence[Vertex], allowed: Sequence[tuple]) -> "PatternSpace":
-        """This space on `cells`, answering from `allowed`, their tuples as
-        `self.allowed` gave them, without reading or checking them again;
-        itself when every cell shares one tuple."""
-        if self.symbols is not None:
-            return self
-        table = dict(zip(cells, allowed))
-        space = PatternSpace(table.__getitem__, self.label)
-        space.allowed = table.__getitem__  # the tuples are checked: skip the method's check
-        return space
 
     @classmethod
     def full(cls, alphabet: Alphabet) -> "PatternSpace":

@@ -93,7 +93,7 @@ def panorama(
     Layer t is computed over the cone of horizon t, which decides the same
     quantifier as any larger cone because the space is a product.
     """
-    cone, space, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
+    cone, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
     layers = []
     engines = set()
     dets, declined = _layers(sys, space, cone)
@@ -127,7 +127,7 @@ def posexpansive_window_check(
     through t_max.
     """
     target = set(target)
-    cone, space, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
+    cone, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
     for t, (det, _) in enumerate(_layers(sys, space, cone, target)[0]):
         if target <= det:
             return {"covered": True, "first_t": t, "missing": ()}
@@ -135,13 +135,11 @@ def posexpansive_window_check(
 
 
 def _enumerable_cone(sys, space, window, horizon, max_patterns):
-    """The window's light cone, the space answering on its cells from their
-    allowed tuples, read once (`PatternSpace.read`), and its pattern count
-    within the cap; an allowed symbol outside the alphabet raises ValueError
-    before the cap is checked."""
+    """The window's light cone and its pattern count within the cap; an allowed
+    symbol outside the alphabet raises ValueError before the cap is checked."""
     cone = light_cone(sys, window, horizon)
-    space = space.read(cone.union, check_allowed(space, cone.union, sys.alphabet.size))
-    return cone, space, pattern_count(space, cone.union, max_patterns)
+    check_allowed(space, cone.union, sys.alphabet.size)
+    return cone, pattern_count(space, cone.union, max_patterns)
 
 
 def _layers(sys, space, cone, target=None):
@@ -191,8 +189,6 @@ def _strides(cells: Sequence[Vertex], space: PatternSpace) -> dict:
         out[c] = stride
         stride *= len(space.allowed(c))
     return out
-
-
 
 
 def _group_rows(columns: Iterable[np.ndarray], radix: int, n: int):
@@ -717,12 +713,22 @@ def subsymmetry_check(
     depends only on the cells U_v = tau(inputs(v)) | inputs(tau(v)), so it
     is decided on every allowed pattern on U_v; a violation's witness is the
     first of them (in mixed-radix order) that breaks it.  A vertex with more
-    than TABLE_MAX patterns on U_v is unchecked, and the check fails.
+    than TABLE_MAX patterns on U_v is unchecked, and the check fails.  A
+    probe vertex or image that fails the graph's membership test raises
+    ValueError before any rule is fetched.
     """
     probe = sort_vertices(set(probe))
     if not probe:
         raise ValueError("probe must be nonempty")
+    contains = sys.graph.contains or (lambda v: True)
+    for v in probe:
+        if not contains(v):
+            raise ValueError(f"vertex {v!r} is not a vertex of this graph")
     images = [tau(v) for v in probe]
+    for v, w in zip(probe, images):
+        if not contains(w):
+            raise ValueError(
+                f"vertex {w!r}, the image of probe vertex {v!r}, is not a vertex of this graph")
     injective = len(set(images)) == len(images)
     edge_violations = []
     for v in probe:

@@ -25,6 +25,7 @@ from symdyn import metricspace as ms
 from symdyn import netgraph as ng
 from symdyn import symsys as ss
 from symdyn import counterexample as cx
+from symdyn import entropydim as ed
 
 from conftest import (
     check_proper_oracle,
@@ -869,6 +870,59 @@ def test_a_panorama_reads_each_cone_cell_allowed_tuple_once():
     xor = ss.ca_on_zd(2, [(-1,), (1,)], [0, 1, 1, 0])[0]
     with pytest.raises(ValueError, match="^allowed symbol at vertex"):
         ss.panorama(xor, kn.PatternSpace(lambda v: (0, 2)), [(0,)], 2, max_patterns=1)
+
+
+def _cex_metric():
+    return ms.single_estuary_metric(cx.cex_network(), 0, 2.0)
+
+
+def _odometer_chain(space):
+    return ss.odometer_factor_chain(ss.odometer_system([2])[0], space, [[0], [0, 1], [0, 1, 2]], 8)
+
+
+def _extension():
+    return ss.shift_extension(cx.cex_rules(), cx.cex_space(), lambda a, b: a ^ b)
+
+
+def _extension_check(space):
+    ext, _, level = _extension()
+    return ss.subsymmetry_check(ext, level, [(0, 0), (1, 0), (2, 0)], space)
+
+
+@pytest.mark.parametrize("make,consume,cells", [
+    (cx.cex_space, lambda space: ms.lipschitz_report(
+        cx.cex_rules(), _cex_metric(), space, samples=50, r_cap=4, seed=1), 16),
+    (cx.cex_space, lambda space: ms.holder_report(
+        cx.cex_rules(), _cex_metric(), _cex_metric(), 1.0, 1.0, space, range(8), 50), 8),
+    (lambda: ss.odometer_system([2])[1], _odometer_chain, 3),
+    (lambda: _extension()[1], _extension_check, 11),
+    (cx.cex_space, lambda space: ed.ball_entropy(space, cx.cex_network(), 0, 2, 8), 33),
+    (cx.cex_space, lambda space: ms.metric_dim_estimate(
+        space, _cex_metric(), [2.0 ** -k for k in range(2, 11, 2)]), 56),
+], ids=["lipschitz", "holder", "factor-chain", "subsymmetry", "ball-entropy", "cover-bracket"])
+def test_each_consumer_reads_each_cell_allowed_tuple_once(make, consume, cells):
+    """A space reads each cell's allowed tuple once and keeps it: the sweeps,
+    the factor chain, the subsymmetry check, the entropy counts and the
+    cover bracket call the space's callable once per cell they use, and a
+    second run calls it no more.  A tuple that fails its check (empty, or
+    repeating a symbol) is not kept: it raises on every call."""
+    space = make()
+    reads = []
+    allowed = space._allowed
+    space._allowed = lambda v: reads.append(v) or allowed(v)
+    consume(space)
+    assert len(reads) == len(set(reads)) == cells
+    consume(space)
+    assert len(reads) == cells
+    for bad, message in [((), "empty allowed set at vertex {!r}"),
+                         ((0, 0), "allowed set at vertex {!r} repeats a symbol")]:
+        bad_reads = []
+        broken = kn.PatternSpace(
+            lambda v: bad_reads.append(v) or bad if v == reads[0] else allowed(v))
+        for call in range(1, 3):
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(reads[0]))}$"):
+                consume(broken)
+            assert bad_reads.count(reads[0]) == call
 
 
 def test_group_rows_keeps_wide_rows_apart():
@@ -1993,6 +2047,28 @@ def test_subsymmetry_refuses_empty_probe():
         ss.subsymmetry_check(fz, ng.shift_tau(1), [], fzs)
 
 
+_XOR3 = [0, 1, 1, 0, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("make,tau,probe,message", [
+    (lambda: ss.full_shift(2)[:2], ng.Subisometry(lambda v: v - 1), [0, 1],
+     "vertex -1, the image of probe vertex 0,"),
+    (lambda: ss.full_shift(2)[:2], ng.shift_tau(1), [-3, -2], "vertex -3"),
+    (lambda: ss.ca_on_zd(2, [(0, 0), (1, 0), (0, 1)], _XOR3)[:2], ng.shift_tau((1,)),
+     [(0, 0)], "vertex (1,), the image of probe vertex (0, 0),"),
+    (lambda: ss.ca_on_zd(2, [(0, 0), (1, 0), (0, 1)], _XOR3)[:2], ng.Subisometry(lambda v: "x"),
+     [(0, 0)], "vertex 'x', the image of probe vertex (0, 0),"),
+], ids=["image-off-N", "probe-off-N", "image-off-Z2", "image-not-a-point"])
+def test_subsymmetry_refuses_vertices_off_the_graph(make, tau, probe, message):
+    """A probe vertex or its image that fails the graph's membership test is
+    refused, by name, before any rule is fetched: it never passes, crashes
+    or blames the rules."""
+    sys_, space = make()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not a vertex of this graph$"):
+        ss.subsymmetry_check(sys_, tau, probe, space)
+    assert not sys_._rules
+
+
 def test_subsymmetry_identity(cex):
     sysx, spx = cex
     ident = ng.Subisometry(map=lambda v: v, label="id")
@@ -2224,8 +2300,8 @@ def test_descriptor_rules_checked_at_load(rules, message):
 
 def test_explicit_system_has_no_rule_off_its_graph():
     """A cell off an explicit graph has no rule, and the error names it.
-    `subsymmetry_check` walks the graph before it fetches a rule, so a tau
-    that leaves the graph stops at the graph instead."""
+    `subsymmetry_check` tests each probe image's membership before it
+    fetches a rule, so a tau that leaves the graph stops at the graph."""
     sys_, space = ss.system_from_descriptor({"alphabet": 2, "graph": _TWO_CYCLE, "rules": [
         {"vertex": 0, "inputs": [1], "table": [1, 0]},
         {"vertex": 1, "inputs": [0], "table": [0, 1]}]})
@@ -2233,7 +2309,7 @@ def test_explicit_system_has_no_rule_off_its_graph():
         sys_.rule(2)
     with pytest.raises(KeyError, match="^'no rule for vertex 2'$"):
         ms.image_configuration(sys_, kn.Configuration({0: 0, 1: 1}), [0, 2])
-    with pytest.raises(ng.UniverseExhaustionError, match="vertex 2 not in explicit universe"):
+    with pytest.raises(ValueError, match="^vertex 2, the image of probe vertex 1, is not a vertex"):
         ss.subsymmetry_check(sys_, lambda v: v + 1, [0, 1], space)
 
 
