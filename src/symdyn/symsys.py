@@ -6,22 +6,23 @@ evaluates on finite windows only: panoramas / window certificates exactly
 over the pattern space restricted to the cone, by elimination when the cone
 is linear and by exhaustive enumeration otherwise.
 
-Panoramas and window checks first try the *linear* engine: when the k = p^m
+Panoramas and window checks share one entry: the cone, its allowed-symbol
+check and the pattern cap, then the *linear* engine.  When the k = p^m
 symbols, read as base-p digit vectors, make every rule the cone applies
 GF(p)-affine and every allowed set a subspace, a cell is determined exactly
 when its coordinate functionals lie in the span of the observation
 functionals, pulled back through the rules' linear coefficients, and one
-incremental elimination decides it.  The pattern cap still applies first.
-Where it declines, one enumeration engine runs (panoramas and window checks
-only).  It composes each window cell's value at each time step into a
-lookup table over the cells it reads, then groups the cone's patterns by
-observed trajectory in one of two ways, chosen by what each allocates:
-*count* packs each pattern's trajectory into an integer key and walks the
-patterns in vectorized chunks, keeping one representative per key, and is
-used when the patterns overflow one chunk and the keys do not outnumber
-them; *sort* otherwise builds the observation matrix (one row per pattern)
-and ranks its rows.  Both then compare every pattern's tracked digits with
-those of a representative of its trajectory.
+incremental elimination decides the whole cone.  Where it declines, one
+enumeration engine, the only one a window check's target narrows, composes
+each window cell's value at each time step into a lookup table over the
+cells it reads, then groups the cone's patterns by observed trajectory in
+one of two ways, chosen by what each allocates: *count* packs each pattern's
+trajectory into an integer key and walks the patterns in vectorized chunks,
+keeping one representative per key, and is used when the patterns overflow
+one chunk and the keys do not outnumber them; *sort* otherwise builds the
+observation matrix (one row per pattern) and ranks its rows.  Both then
+compare every pattern's tracked digits with those of a representative of its
+trajectory.
 """
 
 from __future__ import annotations
@@ -93,20 +94,15 @@ def panorama(
     Layer t is computed over the cone of horizon t, which decides the same
     quantifier as any larger cone because the space is a product.
     """
-    cone, count = _enumerable_cone(sys, space, window, horizon, max_patterns)
-    layers = []
-    engines = set()
-    dets, declined = _layers(sys, space, cone)
-    for det, engine in dets:
-        layers.append(sort_vertices(det))
-        engines.add(engine)
+    cone, count, declined, dets = _layers(sys, space, window, horizon, max_patterns)
+    dets = list(dets)
     return PanoramaResult(
         window=cone.window,
         horizon=horizon,
-        layers=tuple(layers),
+        layers=tuple(sort_vertices(det) for det, _ in dets),
         cone=cone.union,
         pattern_count=count,
-        engine="+".join(sorted(engines)),
+        engine="+".join(sorted({engine for _, engine in dets})),
         declined=declined,
     )
 
@@ -127,28 +123,25 @@ def posexpansive_window_check(
     through t_max.
     """
     target = set(target)
-    cone, _ = _enumerable_cone(sys, space, window, t_max, max_patterns)
-    for t, (det, _) in enumerate(_layers(sys, space, cone, target)[0]):
+    *_, dets = _layers(sys, space, window, t_max, max_patterns, target)
+    for t, (det, _) in enumerate(dets):
         if target <= det:
             return {"covered": True, "first_t": t, "missing": ()}
     return {"covered": False, "first_t": None, "missing": sort_vertices(target - det)}
 
 
-def _enumerable_cone(sys, space, window, horizon, max_patterns):
-    """The window's light cone and its pattern count within the cap; an allowed
-    symbol outside the alphabet raises ValueError before the cap is checked."""
+def _layers(sys, space, window, horizon, max_patterns, target=None):
+    """The window's cone, its pattern count within the cap (an allowed symbol
+    outside the alphabet raises ValueError first), why the linear engine
+    declined (None if it ran), and the (determined cells, engine) stream per
+    horizon: of the whole cone, or of `target` when enumeration runs."""
     cone = light_cone(sys, window, horizon)
     check_allowed(space, cone.union, sys.alphabet.size)
-    return cone, pattern_count(space, cone.union, max_patterns)
-
-
-def _layers(sys, space, cone, target=None):
-    """The linear engine's layers and None, or enumeration's and the reason
-    the linear engine declined."""
-    layers = _linear_layers(sys, space, cone, target)
+    count = pattern_count(space, cone.union, max_patterns)
+    layers = _linear_layers(sys, space, cone)
     if isinstance(layers, str):
-        return _determined_layers(sys, space, cone, target), layers
-    return layers, None
+        return cone, count, layers, _determined_layers(sys, space, cone, target)
+    return cone, count, None, layers
 
 
 def _determined_layers(sys, space, cone, target=None):
@@ -415,8 +408,8 @@ def _count_grouping(sys, space, cells, tables, tracked):
 # Symbols 0..p^m-1 are read as vectors of m base-p digits, least significant
 # first; sums and scalings act digit by digit mod p.
 
-def _linear_layers(sys, space, cone, target=None):
-    """`_determined_layers` by elimination, or the reason it does not apply.
+def _linear_layers(sys, space, cone):
+    """`_determined_layers` of the whole cone by elimination, or why it does not apply.
 
     It applies when k = p^m with p prime, every rule the cone applies is
     GF(p)-affine on its full table of at most TABLE_MAX entries,
@@ -451,7 +444,7 @@ def _linear_layers(sys, space, cone, target=None):
         bases[v] = basis(space.allowed(v))  # computed once per distinct allowed tuple
         if bases[v] is None:
             return f"allowed set at vertex {v!r} is not a subspace"
-    return _eliminated_layers(plan, blocks, cone, [bases[v] for v in cone.order], p, m, target)
+    return _eliminated_layers(plan, blocks, cone, [bases[v] for v in cone.order], p, m)
 
 
 def _digits(symbols, p: int, m: int) -> np.ndarray:
@@ -485,15 +478,15 @@ def _subspace_basis(symbols, p, m):
     return basis if spanned == set(symbols) else None  # the span holds them all
 
 
-def _eliminated_layers(plan, blocks, cone, bases, p, m, target):
-    """Per horizon, the determined cells (of `target`, default all) of the
-    horizon's cone and "linear".  Coordinate i * m + d is digit d of cell
-    `cone.order[i]`; up to a constant, each observed digit at time t is its
-    unit functional r_0 pulled back t steps, r_t = r_(t-1) A, along A's edges
-    from each output digit of a `plan` cell to its inputs' digits (a repeated
-    input adds both coefficients).  Read on the `bases`, the functionals join
-    one reduced echelon matrix: a cell is determined when each of its basis
-    coordinates is a pivot whose row has no other nonzero."""
+def _eliminated_layers(plan, blocks, cone, bases, p, m):
+    """Per horizon, the determined cells of the horizon's cone and "linear".
+    Coordinate i * m + d is digit d of cell `cone.order[i]`; up to a
+    constant, each observed digit at time t is its unit functional r_0
+    pulled back t steps, r_t = r_(t-1) A, along A's edges from each output
+    digit of a `plan` cell to its inputs' digits (a repeated input adds both
+    coefficients).  Read on the `bases`, the functionals join one reduced
+    echelon matrix: a cell is determined when each of its basis coordinates
+    is a pivot whose row has no other nonzero."""
     n, w = len(cone.order), len(cone.window) * m
     edges = [np.zeros((3, 0), dtype=np.intp)]  # rows: source, destination, coefficient
     for (_, js, cols), block in zip(plan.groups, blocks):
@@ -530,8 +523,7 @@ def _eliminated_layers(plan, blocks, cone, bases, p, m, target):
         units = pivots[:r][(echelon[:r, :width] != 0).sum(axis=1) == 1]
         open_coords = np.bincount(cell_of[:width], minlength=size) - np.bincount(
             cell_of[units], minlength=size)
-        cells = {cone.order[i] for i in (open_coords == 0).nonzero()[0]}
-        det |= cells if target is None else cells & target
+        det |= {cone.order[i] for i in (open_coords == 0).nonzero()[0]}
         yield det, "linear"
 
 
@@ -567,16 +559,23 @@ class EnvelopeReport:
     reason: str = ""
 
 
-def _envelope_cone(sys, window, t_probe, r_cap):
-    """The window's cone at t_probe, the in-distance of its farthest cell
-    (None beyond r_cap), and why it is no envelope ("" when it is one)."""
-    cone = light_cone(sys, window, t_probe)
-    stabilized = cone.sizes[t_probe // 2] == cone.sizes[t_probe]  # sizes never shrink
+def _envelope(sys, space, window, horizon, r_cap, max_patterns):
+    """The window's cone at `horizon`, the in-distance of its farthest cell
+    (None beyond r_cap), why it is no envelope ("" when it is one), and for
+    an envelope alone the trajectories of every pattern on it within the cap
+    and each distinct one's first pattern (None, None otherwise)."""
+    cone = light_cone(sys, window, horizon)
+    stabilized = cone.sizes[horizon // 2] == cone.sizes[horizon]  # sizes never shrink
     reach = cone.sizes.index(cone.sizes[-1])  # in-distance of the farthest cone cell
     reach = reach if reach <= r_cap else None
     reason = ("cone still growing" if not stabilized
               else "cone beyond reach cap" if reach is None else "")
-    return cone, reach, reason
+    if reason:
+        return cone, reach, reason, None, None
+    check_allowed(space, cone.union, sys.alphabet.size)
+    traj = trajectory_rows(sys, cone, patterns(space, cone.union, max_patterns))
+    first, _ = _group_rows(traj.reshape(len(traj), -1).T, sys.alphabet.size, len(traj))
+    return cone, reach, reason, traj, first
 
 
 def equicontinuity_envelope(
@@ -596,20 +595,15 @@ def equicontinuity_envelope(
     """
     if r_cap < 0:
         raise ValueError("r_cap must be nonnegative")
-    cone, reach, reason = _envelope_cone(sys, window, t_probe, r_cap)
-    count = None
-    if not reason:
-        traj = trajectory_rows(
-            sys, cone, patterns(PatternSpace.full(sys.alphabet), cone.union, max_patterns))
-        first, _ = _group_rows(traj.reshape(len(traj), -1).T, sys.alphabet.size, len(traj))
-        count = len(first)
+    cone, reach, reason, _, first = _envelope(
+        sys, PatternSpace.full(sys.alphabet), window, t_probe, r_cap, max_patterns)
     return EnvelopeReport(
         certified=not reason,
         envelope=None if reason else cone.union,
         certified_horizon=t_probe,
         reach=reach,
         cone_sizes=cone.sizes,
-        trajectory_count=count,
+        trajectory_count=None if reason else len(first),
         reason=reason,
     )
 
@@ -635,19 +629,16 @@ def odometer_factor_chain(
     for a, b in zip(prepared, prepared[1:]):
         if not set(a) <= set(b):
             raise ValueError("windows must be nested")
-    k = sys.alphabet.size
     results = []
     for w in prepared:
-        cone, _, reason = _envelope_cone(sys, w, horizon, r_cap=horizon + len(w) + 1)
+        cone, _, reason, traj, trajs = _envelope(
+            sys, space, w, horizon, horizon + len(w) + 1, max_patterns)
         if reason:
             raise NotEquicontinuousError(f"window {w} has no certified envelope")
-        check_allowed(space, cone.union, k)
-        traj = trajectory_rows(sys, cone, patterns(space, cone.union, max_patterns))
         count = len(traj)
-        trajs, _ = _group_rows(traj.reshape(count, -1).T, k, count)
         # rank heads (steps 0..T-1) and tails (steps 1..T) in one pool
         pool = np.concatenate([traj[:, :-1], traj[:, 1:]]).reshape(2 * count, -1)
-        _, ranks = _group_rows(pool.T, k, 2 * count)
+        _, ranks = _group_rows(pool.T, sys.alphabet.size, 2 * count)
         heads, tails = np.zeros((2, 2 * count), dtype=bool)  # rank presence
         heads[ranks[:count]] = tails[ranks[count:]] = True
         # for horizon >= 1 a trajectory is its (head, tail) pair, so the
@@ -730,13 +721,12 @@ def subsymmetry_check(
             raise ValueError(
                 f"vertex {w!r}, the image of probe vertex {v!r}, is not a vertex of this graph")
     injective = len(set(images)) == len(images)
-    edge_violations = []
-    for v in probe:
-        for w in probe:
-            if sys.graph.has_edge(v, w) != sys.graph.has_edge(tau(v), tau(w)):
-                edge_violations.append((v, w))
+    ins = {u: set(sys.graph.in_neighbors(u)) for u in dict.fromkeys((*probe, *images))}
+    image = dict(zip(probe, images))
+    edge_violations = [(v, w) for v in probe for w in probe
+                       if (v in ins[w]) != (image[v] in ins[image[w]])]
     space_violations = [
-        v for v in probe if set(space.allowed(v)) != set(space.allowed(tau(v)))
+        v for v, w in zip(probe, images) if set(space.allowed(v)) != set(space.allowed(w))
     ]
     k = sys.alphabet.size
     # Phi(x o tau) at v reads tau(inputs(v)), and Phi(x) at tau(v) inputs(tau(v))

@@ -56,7 +56,7 @@ def test_pseudo_dist_full_agreement(z2, z2_metric, binary_space):
     x = _config_on_ball(binary_space, z2, (0, 0), 6, rng)
     y = kn.Configuration(dict(x.values))
     b = ms.pseudo_dist(z2_metric, (0, 0), x, y, r_cap=5)
-    assert (b.lo, b.hi) == (0.0, 2.0**-5)
+    assert (b.lo, b.hi, b.exact) == (0.0, 2.0**-5, False)
 
 
 def test_pseudo_dist_exact_at_disagreement(z2, z2_metric, binary_space):
@@ -67,6 +67,7 @@ def test_pseudo_dist_exact_at_disagreement(z2, z2_metric, binary_space):
     y[shell[0]] ^= 1
     b = ms.pseudo_dist(z2_metric, (0, 0), x, kn.Configuration(y))
     assert b.lo == b.hi == 0.125  # agreement radius 3
+    assert b.exact
 
 
 def test_pseudo_dist_center_disagreement_caps_at_one(z2, z2_metric, binary_space):

@@ -37,7 +37,7 @@ from conftest import (
 
 def test_ball_z2_radius2_is_diamond(z2):
     ball = ng.in_ball(z2, [(0, 0)], 2)
-    assert len(ball.members) == 13
+    assert len(ball) == len(ball.members) == 13
     assert all(abs(a) + abs(b) <= 2 for a, b in ball.members)
 
 
